@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
+from repro.parallel.communicator import HaloDescriptors
 from repro.parallel.partition import Partition
 from repro.precision.dtypes import word_bytes as _word_bytes
 
@@ -65,28 +66,35 @@ class HaloPlan:
 
     Stores per-peer *row counts*; :meth:`recv_bytes` scales them by the
     operand word size (fp64 by default — bit-identical to the historical
-    fixed-8-byte charge).
+    fixed-8-byte charge).  The plan is an analysis result: nothing
+    mutates it, which is what lets it remember its descriptors.
     """
 
-    __slots__ = ("recv_counts_by_peer", "halo_counts")
+    __slots__ = ("recv_counts_by_peer", "halo_counts", "_recv_bytes")
 
     def __init__(self, recv_counts_by_peer: list[dict[int, int]],
                  halo_counts: np.ndarray) -> None:
         self.recv_counts_by_peer = recv_counts_by_peer
         self.halo_counts = halo_counts
-
-    @property
-    def recv_bytes_by_peer(self) -> list[dict[int, float]]:
-        """fp64-sized payload descriptors (legacy accessor)."""
-        return self.recv_bytes(_DOUBLE)
+        self._recv_bytes: dict[tuple[float, int], HaloDescriptors] = {}
 
     def recv_bytes(self, word_bytes: float = _DOUBLE,
-                   n_vectors: int = 1) -> list[dict[int, float]]:
+                   n_vectors: int = 1) -> HaloDescriptors:
         """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands
-        stored at ``word_bytes`` per element."""
-        scale = float(word_bytes) * n_vectors
-        return [{peer: cnt * scale for peer, cnt in by_peer.items()}
-                for by_peer in self.recv_counts_by_peer]
+        stored at ``word_bytes`` per element.
+
+        Built once per ``(word_bytes, n_vectors)`` and shared by every
+        caller (read-only): every SpMV of a solve exchanges the same
+        descriptors, and the communicator remembers their cost on them.
+        """
+        word_bytes, n_vectors = float(word_bytes), int(n_vectors)
+        recv = self._recv_bytes.get((word_bytes, n_vectors))
+        if recv is None:
+            scale = word_bytes * n_vectors
+            recv = self._recv_bytes[word_bytes, n_vectors] = HaloDescriptors(
+                {peer: cnt * scale for peer, cnt in by_peer.items()}
+                for by_peer in self.recv_counts_by_peer)
+        return recv
 
     @classmethod
     def analyze(cls, local_blocks: list[sp.csr_matrix],

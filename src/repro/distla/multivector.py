@@ -179,30 +179,48 @@ class DistMultiVector:
         """Round ``arr`` to this vector's storage grid (container dtype)."""
         return _pdtypes.quantize(arr, self.storage)
 
+    def _derived(self, shards: list[np.ndarray], stack: np.ndarray | None,
+                 base: "DistMultiVector | None") -> "DistMultiVector":
+        """A vector over ``shards`` sliced or copied from this one's.
+
+        Skips the constructor: the shards of a validated vector, cut
+        along columns or copied whole, are conformal by construction,
+        and re-checking each one per view is what made a column view
+        cost O(ranks) Python calls.  Caller-supplied shards still go
+        through ``DistMultiVector(...)`` and its per-shard check.
+        """
+        new = object.__new__(DistMultiVector)
+        new.partition = self.partition
+        new.comm = self.comm
+        new.shards = shards
+        new.storage = self.storage
+        new.accumulate = self.accumulate
+        new._base = base
+        new._stack = stack
+        return new
+
     def view_cols(self, cols: slice | int) -> "DistMultiVector":
         """Zero-copy view of a column range (int selects one column)."""
         if isinstance(cols, int):
             cols = slice(cols, cols + 1)
         shards = [s[:, cols] for s in self.shards]
         stack = None if self._stack is None else self._stack[:, :, cols]
-        return DistMultiVector(self.partition, self.comm, shards,
-                               _base=self._base or self, _stack=stack,
-                               storage=self.storage,
-                               accumulate=self.accumulate)
+        return self._derived(shards, stack, self._base or self)
 
     def copy(self) -> "DistMultiVector":
         if self._stack is not None:
             base = self._stack.copy()  # fresh contiguous (ranks, rows, k)
-            return DistMultiVector(self.partition, self.comm, list(base),
-                                   _stack=base, storage=self.storage,
-                                   accumulate=self.accumulate)
-        shards = [np.array(s, copy=True) for s in self.shards]
-        return DistMultiVector(self.partition, self.comm, shards,
-                               storage=self.storage,
-                               accumulate=self.accumulate)
+            return self._derived(list(base), base, None)
+        return self._derived([np.array(s, copy=True) for s in self.shards],
+                             None, None)
 
     def to_global(self) -> np.ndarray:
         """Gather into one ``(n, k)`` array (simulation-side; not costed)."""
+        if self._stack is not None:
+            # one strided copy instead of a concatenation over ranks
+            out = np.empty(self.shape, dtype=self._stack.dtype)
+            out.reshape(self._stack.shape)[...] = self._stack
+            return out
         return np.concatenate(self.shards, axis=0)
 
     def assign_from(self, other: "DistMultiVector") -> None:

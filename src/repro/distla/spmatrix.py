@@ -7,6 +7,15 @@ neighbourhood exchange (paper Sec. III: "applying each SpMV with
 neighborhood communication ... in sequence" — Trilinos' standard, non-CA
 matrix powers kernel) plus per-rank local SpMV kernels.
 
+How the simulator executes it: the values come from ONE product with
+the global CSR matrix, scattered into the rank shards, and the per-rank
+charges — constants of the matrix, the machine and the operand word
+size — are evaluated once and replayed.  A CSR row product reads only
+its own row, in stored entry order, and ``a[rows, :]`` keeps that
+order, so the result equals the per-block products ``block_r @ x``
+bit for bit; the per-block form survives as the oracle in the tests
+and as what the real-process backend's workers run.
+
 The multi-level ghost-zone closures behind the *communication-avoiding*
 MPK live in :mod:`repro.distla.halo`; :meth:`DistSparseMatrix.ghost_plan`
 analyzes and caches one :class:`~repro.distla.halo.GhostPlan` per
@@ -15,6 +24,8 @@ analyzes and caches one :class:`~repro.distla.halo.GhostPlan` per
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -22,7 +33,17 @@ from repro.distla.halo import GhostPlan, HaloPlan
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
+from repro.parallel.costmodel import CostModel
+from repro.parallel.machine import MachineSpec
 from repro.parallel.partition import Partition
+
+
+class _OpShapes(list):
+    """Stand-in metrics feed that keeps the ``(flops, bytes)`` shapes a
+    cost evaluation records, for replay into the real registry."""
+
+    def record_op(self, flops: float, bytes_moved: float) -> None:
+        self.append((float(flops), float(bytes_moved)))
 
 
 class DistSparseMatrix:
@@ -31,7 +52,8 @@ class DistSparseMatrix:
     Parameters
     ----------
     global_matrix:
-        Any scipy sparse matrix (converted to CSR); must be square.
+        Any scipy sparse matrix (converted to CSR); must be square.  A
+        CSR input is held by reference: do not modify it afterwards.
     partition / comm:
         Row distribution and the simulated communicator.
     """
@@ -57,6 +79,9 @@ class DistSparseMatrix:
         self._diag = a.diagonal().copy()
         self._global_csr = a
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
+        #: ``(machine, word_bytes) -> (per-rank seconds, op shapes)``
+        self._spmv_charges: dict[tuple[MachineSpec, float],
+                                 tuple[list, list]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -97,11 +122,34 @@ class DistSparseMatrix:
         return plan
 
     # ------------------------------------------------------------------
-    def matvec(self, x: DistMultiVector, out: DistMultiVector | None = None,
-               kernel_phase_halo: bool = True) -> DistMultiVector:
+    def _local_spmv_charges(self, cost: CostModel, word_bytes: float
+                            ) -> tuple[list[float], list[tuple[float, float]]]:
+        """Per-rank ``spmv_local`` seconds and the ``(flops, bytes)``
+        shapes behind them, evaluated once per ``(machine, word_bytes)``.
+
+        Every input — block nonzeros and rows, owned plus ghost operand
+        entries — is fixed at construction, so each SpMV of a solve
+        charges the same list.
+        """
+        key = (cost.machine, float(word_bytes))
+        charges = self._spmv_charges.get(key)
+        if charges is None:
+            shapes = _OpShapes()
+            recording = replace(cost, metrics=shapes)
+            seconds = [
+                recording.spmv(block.nnz, block.shape[0],
+                               self.partition.local_count(rank)
+                               + int(self.halo.halo_counts[rank]),
+                               word_bytes=word_bytes)
+                for rank, block in enumerate(self.local_blocks)]
+            charges = self._spmv_charges[key] = (seconds, shapes)
+        return charges
+
+    def matvec(self, x: DistMultiVector, out: DistMultiVector | None = None
+               ) -> DistMultiVector:
         """Distributed ``y = A @ x`` for a 1-column multivector.
 
-        Numerically identical to a real distributed SpMV: each local block
+        Numerically identical to a real distributed SpMV: each row
         multiplies the globally-assembled operand (which a real run would
         have gathered via the halo exchange we charge for).
         """
@@ -119,25 +167,27 @@ class DistSparseMatrix:
         # the simulator returns False and the driver computes below —
         # modeled charges are identical either way
         executed = comm.exec_spmv(self, x, out)
-        if kernel_phase_halo:
-            # ghost rows travel at the operand's storage word size
-            comm.charge_halo(self.halo.recv_bytes(x.word_bytes))
-        x_global = None if executed else x.to_global()[:, 0]
-        costs = []
-        quantized = out.storage != "fp64"
-        for rank, block in enumerate(self.local_blocks):
-            if not executed:
-                # scipy upcasts low-precision operands to float64 for the
-                # local SpMV; results round back to ``out``'s storage grid.
-                y_local = block @ x_global
-                out.shards[rank][:, 0] = (out.quantize(y_local) if quantized
-                                          else y_local)
-            touched = (self.partition.local_count(rank)
-                       + int(self.halo.halo_counts[rank]))
-            costs.append(comm.cost.spmv(block.nnz, block.shape[0], touched,
-                                        word_bytes=max(x.word_bytes,
-                                                       out.word_bytes)))
-        comm.charge_local("spmv_local", costs)
+        # ghost rows travel at the operand's storage word size
+        comm.charge_halo(self.halo.recv_bytes(x.word_bytes))
+        if not executed:
+            # scipy upcasts low-precision operands to float64 for the
+            # SpMV; results round back to ``out``'s storage grid.  The
+            # product is complete before ``out`` (which may alias ``x``)
+            # is written.
+            y = self._global_csr @ x.to_global()[:, 0]
+            if out.storage != "fp64":
+                y = out.quantize(y)
+            if out.stack is not None:
+                out.stack[:, :, 0] = y.reshape(out.stack.shape[:2])
+            else:
+                offsets = self.partition.offsets
+                for rank, shard in enumerate(out.shards):
+                    shard[:, 0] = y[offsets[rank]:offsets[rank + 1]]
+        seconds, shapes = self._local_spmv_charges(
+            comm.cost, max(x.word_bytes, out.word_bytes))
+        if comm.cost.metrics is not None:
+            comm.cost.metrics.record_ops(shapes)
+        comm.charge_local("spmv_local", seconds)
         return out
 
     def matvec_batched(self, xs: list[DistMultiVector],
@@ -166,8 +216,8 @@ class DistSparseMatrix:
         return results
 
     def to_scipy(self) -> sp.csr_matrix:
-        """Reassemble the global CSR matrix (testing/diagnostics)."""
-        return sp.vstack(self.local_blocks, format="csr")
+        """Copy of the global CSR matrix."""
+        return self._global_csr.copy()
 
     def __repr__(self) -> str:
         return (f"DistSparseMatrix(n={self.n_global}, nnz={self.nnz}, "

@@ -95,6 +95,11 @@ class MetricsRegistry:
         """Queue one costed operation shape (from :class:`CostModel`)."""
         self._pending.append((float(flops), float(bytes_moved)))
 
+    def record_ops(self, shapes: list[tuple[float, float]]) -> None:
+        """Queue several ``(flops, bytes_moved)`` shapes, in order — what
+        a site that evaluated the cost model once replays per charge."""
+        self._pending.extend(shapes)
+
     def scale_pending(self, factor: float) -> None:
         """Multiply queued shapes by ``factor``.
 

@@ -74,6 +74,26 @@ class CommRequest:
                 f"hidden={self.hidden:.3e}, {state})")
 
 
+class HaloDescriptors(list):
+    """Per-rank ``{peer: bytes}`` descriptors of one neighbourhood exchange
+    that remember what the exchange costs.
+
+    A plain ``list[dict[int, float]]`` to every consumer.  A halo plan
+    builds one per ``(word_bytes, n_vectors)`` and hands the same object
+    to every SpMV, so :meth:`SimComm._halo_cost` evaluates the per-rank
+    cost formula once per ``(machine, ranks)`` instead of once per
+    exchange.  Read-only after construction: the remembered cost is
+    that of the contents it was first charged with.
+    """
+
+    __slots__ = ("costs",)
+
+    def __init__(self, recv_bytes_by_rank=()) -> None:
+        super().__init__(recv_bytes_by_rank)
+        #: ``(machine, ranks) -> (slowest rank's seconds, its bytes)``
+        self.costs: dict[tuple[MachineSpec, int], tuple[float, float]] = {}
+
+
 class SimComm:
     """A communicator binding ``size`` simulated ranks to one machine model.
 
@@ -224,16 +244,8 @@ class SimComm:
                    ) -> CommRequest:
         """Nonblocking :meth:`charge_halo` — the PA2 deep-ring exchange
         posts through here and hides behind the first local SpMVs."""
-        if len(recv_bytes_by_rank) != self.size:
-            raise CommunicatorError(
-                f"expected {self.size} halo descriptors, got "
-                f"{len(recv_bytes_by_rank)}")
-        worst = max(
-            self.cost.halo_exchange(recv, rank, self.size)
-            for rank, recv in enumerate(recv_bytes_by_rank)
-        )
-        return self._post("halo", worst,
-                          self._halo_payload(recv_bytes_by_rank), None)
+        seconds, payload = self._halo_cost(recv_bytes_by_rank)
+        return self._post("halo", seconds, payload, None)
 
     def post_ibcast(self, value, root: int = 0) -> CommRequest:
         """Nonblocking :meth:`bcast` of a replicated array from ``root``."""
@@ -446,17 +458,36 @@ class SimComm:
             (float(sum(recv.values())) for recv in recv_bytes_by_rank),
             default=0.0)
 
-    def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]) -> None:
-        """Charge a neighbourhood exchange: elapsed = slowest rank."""
+    def _halo_cost(self, recv_bytes_by_rank: list[dict[int, float]]
+                   ) -> tuple[float, float]:
+        """``(seconds, payload_bytes)`` of one neighbourhood exchange:
+        elapsed = slowest rank, payload = :meth:`_halo_payload`.
+
+        Both depend only on the descriptors, the machine and the rank
+        count, so :class:`HaloDescriptors` (what halo plans hand out)
+        are evaluated once and remembered on the descriptors.
+        """
         if len(recv_bytes_by_rank) != self.size:
             raise CommunicatorError(
-                f"expected {self.size} halo descriptors, got {len(recv_bytes_by_rank)}")
-        worst = max(
-            self.cost.halo_exchange(recv, rank, self.size)
-            for rank, recv in enumerate(recv_bytes_by_rank)
-        )
-        self._charge("halo", worst,
-                     payload_bytes=self._halo_payload(recv_bytes_by_rank))
+                f"expected {self.size} halo descriptors, got "
+                f"{len(recv_bytes_by_rank)}")
+        memo = (recv_bytes_by_rank.costs
+                if isinstance(recv_bytes_by_rank, HaloDescriptors) else {})
+        key = (self.cost.machine, self.size)
+        cost = memo.get(key)
+        if cost is None:
+            worst = max(
+                self.cost.halo_exchange(recv, rank, self.size)
+                for rank, recv in enumerate(recv_bytes_by_rank)
+            )
+            cost = memo[key] = (
+                worst, self._halo_payload(recv_bytes_by_rank))
+        return cost
+
+    def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]) -> None:
+        """Charge a neighbourhood exchange: elapsed = slowest rank."""
+        seconds, payload = self._halo_cost(recv_bytes_by_rank)
+        self._charge("halo", seconds, payload_bytes=payload)
 
     def bcast(self, value, root: int = 0):
         """Broadcast a replicated array from ``root`` (blocking).

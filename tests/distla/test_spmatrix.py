@@ -60,7 +60,7 @@ class TestHaloPlan:
         a = sp.block_diag(blocks).tocsr()
         part = Partition(40, 4)
         da = DistSparseMatrix(a, part, comm4)
-        assert all(not peers for peers in da.halo.recv_bytes_by_peer)
+        assert all(not peers for peers in da.halo.recv_bytes())
         assert np.all(da.halo.halo_counts == 0)
 
     def test_tridiagonal_touches_neighbours_only(self, comm4):
@@ -69,7 +69,7 @@ class TestHaloPlan:
                      [-1, 0, 1]).tocsr()
         part = Partition(n, 4)
         da = DistSparseMatrix(a, part, comm4)
-        for rank, peers in enumerate(da.halo.recv_bytes_by_peer):
+        for rank, peers in enumerate(da.halo.recv_bytes()):
             for peer in peers:
                 assert abs(peer - rank) == 1
         # interior ranks see exactly two external entries (one per side)
@@ -95,6 +95,25 @@ class TestHaloPlan:
         a = laplace2d(6)
         da = DistSparseMatrix(a, Partition(36, 4), comm4)
         assert (da.to_scipy() != a).nnz == 0
+
+    @pytest.mark.parametrize("offsets", [None, [0, 1, 1, 30, 36]],
+                             ids=["uniform", "ragged"])
+    def test_to_scipy_is_a_copy_of_the_input(self, comm4, offsets):
+        a = laplace2d(6)
+        part = Partition(36, 4, offsets=None if offsets is None
+                         else np.array(offsets))
+        da = DistSparseMatrix(a, part, comm4)
+        back = da.to_scipy()
+        assert back.format == "csr" and back.shape == a.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(back, attr),
+                                          getattr(a, attr))
+        # a copy: scribbling on it reaches neither the matrix nor the input
+        back.data[:] = 0.0
+        assert (da.to_scipy() != a).nnz == 0
+        x = DistMultiVector.from_global(np.ones(36), part, comm4)
+        np.testing.assert_array_equal(da.matvec(x).to_global()[:, 0],
+                                      a @ np.ones(36))
 
     def test_rectangular_rejected(self, comm4):
         with pytest.raises(ShapeError):

@@ -7,6 +7,7 @@ exist — so a rename cannot silently turn CI green-by-vacuity.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,9 +45,12 @@ class TestWorkflow:
         assert len(matrix["python-version"]) >= 3
         runs = "\n".join(step.get("run", "") for step in tier1["steps"])
         assert "REPRO_ENGINE=${{ matrix.engine }}" in runs
-        # exactly one pytest invocation: the engine axis replaced the
-        # old second step
-        assert runs.count("python -m pytest") == 1
+        # exactly one invocation of the suite: the engine axis replaced
+        # the old second step (the benchmark's self-test is another
+        # suite, pinned by test_tier1_repo_benchmark_step)
+        suite = [line for line in runs.splitlines()
+                 if "python -m pytest" in line and "perf/tests" not in line]
+        assert len(suite) == 1
 
     def test_tier1_mp_smoke_step(self):
         """The real-process backend smoke is a separate non-pytest step
@@ -76,6 +80,26 @@ class TestWorkflow:
         run = lint[0]["run"]
         assert "pytest" not in run
         assert "scripts/docs_lint.py" in run
+
+    def test_tier1_repo_benchmark_step(self):
+        """The repo benchmark (BENCHMARK.json's command, at --quick
+        sizes) and its own tests run in tier-1, once per Python version:
+        the benchmark pins the engine itself, so the step skips the
+        loop legs."""
+        yaml = pytest.importorskip("yaml")
+        doc = yaml.safe_load(WORKFLOW.read_text())
+        tier1 = doc["jobs"]["tier1"]
+        perf = [step for step in tier1["steps"]
+                if "perf/run.py" in step.get("run", "")]
+        assert len(perf) == 1, "tier-1 must run the repo benchmark once"
+        run = perf[0]["run"]
+        assert "python3 perf/run.py --quick" in run
+        assert "python -m pytest perf/tests -q" in run
+        assert "REPRO_ENGINE" not in run
+        assert perf[0]["if"] == "matrix.engine == 'batched'"
+        # what the step runs is what BENCHMARK.json declares
+        spec = json.loads((REPO / "BENCHMARK.json").read_text())
+        assert " ".join(spec["command"]) in run
 
     def test_setup_python_uses_pip_cache(self):
         """Every setup-python step caches pip to keep matrix wall-clock
@@ -201,6 +225,8 @@ class TestWorkflow:
                     "scripts/mp_smoke.py",
                     "scripts/span_overhead_check.py",
                     "scripts/docs_lint.py",
+                    "perf/run.py",
+                    "perf/tests",
                     "benchmarks/bench_kernels.py",
                     "benchmarks/BENCH_kernels.json",
                     "benchmarks/bench_sketch_kernels.py",
