@@ -8,9 +8,13 @@ asserts the executor's contract:
 * the solutions are **bit-identical** — the mp reductions fold in the
   exact recursive-doubling pair order the planner models;
 * MpComm's modeled twin tracer charged **exactly** the seconds the sim
-  run predicts — the duplicated charge formulas have not drifted;
+  run predicts;
 * the measured tracer actually recorded wall clock in every phase the
-  solve touched.
+  solve touched;
+* the one reduction transport runs all its modes — a posted reduction
+  settled after a blocking one (two slabs live, acks out of order), a
+  double-double reduction, and a mixed-dtype fused call — each
+  byte-identical to the simulator.
 
 Deliberately NOT a pytest file: CI runs it as a separate step under a
 hard ``timeout`` so a deadlocked worker (the characteristic failure
@@ -25,6 +29,39 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+
+
+def transport_failures() -> list[str]:
+    """Drive every mode of MpComm's begin/end fold against SimComm."""
+    from repro.dd.linalg import matmul_dd
+    from repro.parallel.api import make_comm
+
+    rng = np.random.default_rng(0)
+    wide = rng.standard_normal((3, 70, 70))  # outgrows a first slab
+    small = [rng.standard_normal((2, 2)) for _ in range(3)]
+    mixed = [wide[:, :4, :4].astype(np.float32), small,
+             [float(r) for r in range(3)]]
+    pairs = [matmul_dd(rng.standard_normal((6, 2)),
+                       rng.standard_normal((6, 2))) for _ in range(3)]
+    his, los = [p[0] for p in pairs], [p[1] for p in pairs]
+
+    def drive(comm):
+        posted = comm.post_allreduce([small])
+        blocking = comm.allreduce([wide])      # inside the open window
+        out = {"posted after blocking": comm.wait(posted),
+               "blocking inside window": blocking,
+               "slab reuse": comm.allreduce([wide]),
+               "allreduce_dd": comm.allreduce_dd(his, los),
+               "mixed-dtype fused": comm.allreduce(mixed)}
+        return {k: b"".join(a.tobytes() for a in v) for k, v in out.items()}
+
+    with make_comm("sim", size=3) as sim, make_comm("mp", size=3) as mp:
+        want, got = drive(sim), drive(mp)
+        failures = [f"mp {name} is not bit-identical to sim"
+                    for name in want if got[name] != want[name]]
+        if mp.modeled.snapshot() != sim.tracer.snapshot():
+            failures.append("mp modeled twin differs from the sim charges")
+    return failures
 
 
 def main() -> int:
@@ -50,7 +87,7 @@ def main() -> int:
     res_sim, clock_sim, _ = solve("sim")
     res_mp, clock_mp, measured = solve("mp")
 
-    failures = []
+    failures = transport_failures()
     if not res_sim.converged:
         failures.append("sim solve did not converge")
     if res_mp.x.tobytes() != res_sim.x.tobytes():

@@ -92,19 +92,9 @@ class LoopEngine(KernelEngine):
     name = config.ENGINE_LOOP
 
     # -- reductions -----------------------------------------------------
-    def block_dot(self, x, y) -> np.ndarray:
-        comm = x.comm
-        acc = _acc_dtype(x, y)
-        partials = [_cast(xs, acc).T @ _cast(ys, acc)
-                    for xs, ys in zip(x.shards, y.shards)]
-        costs = [comm.cost.gemm(xs.shape[0], x.n_cols, y.n_cols,
-                                word_bytes=_wb(x, y))
-                 for xs in x.shards]
-        comm.charge_local("dot", costs)
-        return comm.allreduce_sum(partials)
-
-    def block_dot_multi(self, pairs) -> list[np.ndarray]:
-        comm = pairs[0][0].comm
+    def _dot_partials(self, comm, pairs) -> list:
+        """One reduction group per ``(X, Y)`` pair — rank ``r``
+        contributes ``X_r.T @ Y_r`` — and one ``dot`` charge per pair."""
         groups = []
         for x, y in pairs:
             acc = _acc_dtype(x, y)
@@ -114,24 +104,22 @@ class LoopEngine(KernelEngine):
                                     word_bytes=_wb(x, y))
                      for xs in x.shards]
             comm.charge_local("dot", costs)
-        return comm.fused_allreduce_sum(groups)
+        return groups
+
+    def block_dot(self, x, y) -> np.ndarray:
+        return x.comm.allreduce(self._dot_partials(x.comm, [(x, y)]))[0]
+
+    def block_dot_multi(self, pairs) -> list[np.ndarray]:
+        comm = pairs[0][0].comm
+        return comm.allreduce(self._dot_partials(comm, pairs))
 
     def post_block_dot_multi(self, pairs):
         """Posted :meth:`block_dot_multi`: local partials (and their
         charges) now, the fused allreduce in flight — settle with
-        ``comm.wait(handle)``.  Per-group trees are independent, so the
-        results are bit-identical to the blocking call."""
+        ``comm.wait(handle)``.  Results are bit-identical to the
+        blocking call."""
         comm = pairs[0][0].comm
-        groups = []
-        for x, y in pairs:
-            acc = _acc_dtype(x, y)
-            groups.append([_cast(xs, acc).T @ _cast(ys, acc)
-                           for xs, ys in zip(x.shards, y.shards)])
-            costs = [comm.cost.gemm(xs.shape[0], x.n_cols, y.n_cols,
-                                    word_bytes=_wb(x, y))
-                     for xs in x.shards]
-            comm.charge_local("dot", costs)
-        return comm.post_ifused_allreduce_sum(groups)
+        return comm.post_allreduce(self._dot_partials(comm, pairs))
 
     def column_norms(self, x) -> np.ndarray:
         comm = x.comm
@@ -144,8 +132,7 @@ class LoopEngine(KernelEngine):
                                  word_bytes=x.word_bytes)
                  for s in x.shards]
         comm.charge_local("norm", costs)
-        sq = comm.allreduce_sum(partials)
-        return np.sqrt(sq)
+        return np.sqrt(comm.allreduce([partials])[0])
 
     # -- local (communication-free) updates ------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
@@ -259,7 +246,7 @@ class LoopEngine(KernelEngine):
 
     def sketch_apply(self, v, op) -> np.ndarray:
         """Global sketch ``S @ V``: shard-local partials, one allreduce."""
-        return v.comm.allreduce_sum(self._sketch_partials(v, op))
+        return v.comm.allreduce([self._sketch_partials(v, op)])[0]
 
     def fused_dot_sketch(self, pairs, v, op
                          ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -268,18 +255,9 @@ class LoopEngine(KernelEngine):
         The randomized schemes' analogue of BCGS-PIP fusion: projection
         coefficients and the panel sketch travel in a single message.
         """
-        comm = v.comm
-        groups = []
-        for x, y in pairs:
-            acc = _acc_dtype(x, y)
-            groups.append([_cast(xs, acc).T @ _cast(ys, acc)
-                           for xs, ys in zip(x.shards, y.shards)])
-            comm.charge_local(
-                "dot", [comm.cost.gemm(xs.shape[0], x.n_cols, y.n_cols,
-                                       word_bytes=_wb(x, y))
-                        for xs in x.shards])
+        groups = self._dot_partials(v.comm, pairs)
         groups.append(self._sketch_partials(v, op))
-        results = comm.fused_allreduce_sum(groups)
+        results = v.comm.allreduce(groups)
         return results[:-1], results[-1]
 
 
@@ -321,54 +299,23 @@ class BatchedEngine(LoopEngine):
         return stacks
 
     # -- reductions -----------------------------------------------------
-    def block_dot(self, x, y) -> np.ndarray:
-        stacks = self._stacks(x, y)
-        if stacks is None:
-            return super().block_dot(x, y)
-        xs, ys = stacks
-        comm = x.comm
-        acc = _acc_dtype(x, y)
-        partials = np.matmul(_cast(xs, acc).transpose(0, 2, 1), _cast(ys, acc))
-        comm.charge_uniform(
-            "dot", comm.cost.gemm(xs.shape[1], x.n_cols, y.n_cols,
-                                  word_bytes=_wb(x, y)))
-        return comm.allreduce_sum_stacked(partials)
-
-    def block_dot_multi(self, pairs) -> list[np.ndarray]:
-        stacks = []
-        for x, y in pairs:
-            s = self._stacks(x, y)
-            if s is None:
-                return super().block_dot_multi(pairs)
-            stacks.append(s)
-        comm = pairs[0][0].comm
+    def _dot_partials(self, comm, pairs) -> list:
+        """Stacked pairs contribute one ``(ranks, k_x, k_y)`` batched
+        product; a pair without stacks takes the loop path on its own."""
         groups = []
-        for (xs, ys), (x, y) in zip(stacks, pairs):
+        for x, y in pairs:
+            stacks = self._stacks(x, y)
+            if stacks is None:
+                groups += super()._dot_partials(comm, [(x, y)])
+                continue
+            xs, ys = stacks
             acc = _acc_dtype(x, y)
             groups.append(np.matmul(_cast(xs, acc).transpose(0, 2, 1),
                                     _cast(ys, acc)))
             comm.charge_uniform(
                 "dot", comm.cost.gemm(xs.shape[1], x.n_cols, y.n_cols,
                                       word_bytes=_wb(x, y)))
-        return comm.fused_allreduce_sum_stacked(groups)
-
-    def post_block_dot_multi(self, pairs):
-        stacks = []
-        for x, y in pairs:
-            s = self._stacks(x, y)
-            if s is None:
-                return super().post_block_dot_multi(pairs)
-            stacks.append(s)
-        comm = pairs[0][0].comm
-        groups = []
-        for (xs, ys), (x, y) in zip(stacks, pairs):
-            acc = _acc_dtype(x, y)
-            groups.append(np.matmul(_cast(xs, acc).transpose(0, 2, 1),
-                                    _cast(ys, acc)))
-            comm.charge_uniform(
-                "dot", comm.cost.gemm(xs.shape[1], x.n_cols, y.n_cols,
-                                      word_bytes=_wb(x, y)))
-        return comm.post_ifused_allreduce_sum_stacked(groups)
+        return groups
 
     def column_norms(self, x) -> np.ndarray:
         stack = x.stack
@@ -380,8 +327,7 @@ class BatchedEngine(LoopEngine):
         comm.charge_uniform(
             "norm", comm.cost.blas1(stack[0].size, n_streams=1, writes=0,
                                     word_bytes=x.word_bytes))
-        sq = comm.allreduce_sum_stacked(partials)
-        return np.sqrt(sq)
+        return np.sqrt(comm.allreduce([partials])[0])
 
     # -- local updates ----------------------------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
@@ -482,46 +428,17 @@ class BatchedEngine(LoopEngine):
                                      word_bytes=_wb(v, out)))
 
     # -- sketching --------------------------------------------------------
-    def _sketch_partials_stacked(self, v, op) -> "np.ndarray | None":
-        """``(ranks, m, k)`` contribution stack, or None to fall back."""
+    def _sketch_partials(self, v, op):
+        """``(ranks, m, k)`` contribution stack (loop path without one)."""
         stack = v.stack
         if stack is None:
-            return None
+            return super()._sketch_partials(v, op)
         comm = v.comm
         partials = op.partial_stack(stack)
         comm.charge_uniform(
             "dot", op.local_cost(comm.cost, stack.shape[1], v.n_cols,
                                  word_bytes=v.word_bytes), driver_side=True)
         return partials
-
-    def sketch_apply(self, v, op) -> np.ndarray:
-        partials = self._sketch_partials_stacked(v, op)
-        if partials is None:
-            return super().sketch_apply(v, op)
-        return v.comm.allreduce_sum_stacked(partials)
-
-    def fused_dot_sketch(self, pairs, v, op
-                         ) -> tuple[list[np.ndarray], np.ndarray]:
-        stacks = []
-        for x, y in pairs:
-            s = self._stacks(x, y)
-            if s is None:
-                return super().fused_dot_sketch(pairs, v, op)
-            stacks.append(s)
-        if v.stack is None:
-            return super().fused_dot_sketch(pairs, v, op)
-        comm = v.comm
-        groups = []
-        for (xs, ys), (x, y) in zip(stacks, pairs):
-            acc = _acc_dtype(x, y)
-            groups.append(np.matmul(_cast(xs, acc).transpose(0, 2, 1),
-                                    _cast(ys, acc)))
-            comm.charge_uniform(
-                "dot", comm.cost.gemm(xs.shape[1], x.n_cols, y.n_cols,
-                                      word_bytes=_wb(x, y)))
-        groups.append(self._sketch_partials_stacked(v, op))
-        results = comm.fused_allreduce_sum_stacked(groups)
-        return results[:-1], results[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class SolverOptions:
         pipelined/low-synch schemes post the partial fused dot products
         whose inputs are already final at the end of the previous push
         and overlap them with the next operator application
-        (:meth:`post_ifused_allreduce_sum` / ``wait``).  Off by default
+        (``comm.post_allreduce`` / ``comm.wait``).  Off by default
         because it changes the collective *count* profile (two smaller
         reductions per iteration instead of one fused one) that the
         communication-budget tests pin down; numerical results are

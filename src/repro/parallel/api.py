@@ -1,14 +1,15 @@
 """The formal :class:`Communicator` protocol and the backend factory.
 
 Everything the solvers, schemes, and distributed kernels ask of a
-communicator is written down here as one explicit protocol — the
-communication surface the simulator grew implicitly: tree-ordered global
-reductions (plain, fused, stacked, and double-double), their nonblocking
-``post_*``/``wait`` counterparts (iallreduce, ihalo, ibcast — posted
-collectives whose modeled time subsequent compute charges drain, so the
-wait charges only the exposed remainder), neighbourhood (halo) exchange
-accounting, broadcasts, concurrent-kernel charging, shard storage
-allocation, and an optional backend-executed SpMV hook.
+communicator is written down here as one explicit protocol: ONE
+tree-ordered global reduction primitive (``allreduce`` over any number
+of fused groups, its posted twin ``post_allreduce``, and the
+double-double ``allreduce_dd``), the other nonblocking ``post_*``/``wait``
+collectives (``post_ihalo``, ``post_ibcast`` — posted collectives whose
+modeled time subsequent compute charges drain, so the wait charges only
+the exposed remainder), neighbourhood (halo) exchange accounting,
+broadcasts, concurrent-kernel charging, shard storage allocation, and an
+optional backend-executed SpMV hook.
 
 Two backends implement it:
 
@@ -19,10 +20,11 @@ Two backends implement it:
 
 ``"mp"`` — :class:`~repro.parallel.mp_backend.MpComm`, the *executor*.
     Each rank is a real OS process (``multiprocessing`` + shared memory)
-    owning its shard; reductions fold on the workers in the *same* pair
-    order, so results are bit-identical to ``"sim"`` on the same problem.
-    Its tracer records **measured** wall-clock per phase, and a modeled
-    twin (:attr:`MpComm.modeled`) charges the exact SimComm formulas so
+    owning its shard; it replaces only the reduction's *transport* — the
+    packed buffer folds on the workers in the *same* pair order, so
+    results are bit-identical to ``"sim"`` on the same problem.  Its
+    tracer records **measured** wall-clock per phase, and a modeled twin
+    (:attr:`MpComm.modeled`) receives the inherited SimComm charges so
     one run yields predicted *and* measured numbers.  Posted reductions
     map onto genuinely asynchronous worker-side progress: the post
     scatters and dispatches the fold without collecting acknowledgements,
@@ -35,7 +37,7 @@ solver/scheme/MPK code runs unchanged on either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -60,9 +62,12 @@ class Communicator(Protocol):
     Reduction contract: per-rank contributions fold pairwise in
     recursive-doubling order (``items[i] + items[i + half]`` per level,
     odd leftover carried), accumulating in float64 — the order
-    :meth:`SimComm._tree_sum` defines.  Any conforming backend must
+    :meth:`SimComm._fold` defines.  Any conforming backend must
     reproduce that floating-point result bit-for-bit; the cross-backend
-    equivalence suite enforces it.
+    equivalence suite enforces it.  A reduction *group* is one array to
+    reduce, given as a ``(ranks, ...)`` stack or as a length-``ranks``
+    list of equal-shape per-rank contributions; all groups of one call
+    travel in one collective (one latency, summed payload).
     """
 
     machine: MachineSpec
@@ -74,17 +79,7 @@ class Communicator(Protocol):
     backend: str
 
     # -- global reductions --------------------------------------------
-    def allreduce_sum(self, shards: list[np.ndarray]) -> np.ndarray: ...
-
-    def allreduce_scalar(self, values: list[float]) -> float: ...
-
-    def fused_allreduce_sum(self, shard_groups: list[list[np.ndarray]]
-                            ) -> list[np.ndarray]: ...
-
-    def allreduce_sum_stacked(self, stack: np.ndarray) -> np.ndarray: ...
-
-    def fused_allreduce_sum_stacked(self, stacks: list[np.ndarray]
-                                    ) -> list[np.ndarray]: ...
+    def allreduce(self, groups: list) -> list[np.ndarray]: ...
 
     def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]: ...
@@ -96,14 +91,7 @@ class Communicator(Protocol):
     # wait drains the request's modeled cost, and wait(request) charges
     # only the exposed remainder (tagged with overlapped_seconds).
     # Results are bit-identical to the blocking counterparts.
-    def post_iallreduce_sum(self, shards: list[np.ndarray]
-                            ) -> CommRequest: ...
-
-    def post_ifused_allreduce_sum(self, shard_groups: list[list[np.ndarray]]
-                                  ) -> CommRequest: ...
-
-    def post_ifused_allreduce_sum_stacked(self, stacks: list[np.ndarray]
-                                          ) -> CommRequest: ...
+    def post_allreduce(self, groups: list) -> CommRequest: ...
 
     def post_ihalo(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> CommRequest: ...
@@ -130,6 +118,13 @@ class Communicator(Protocol):
                   out: "DistMultiVector") -> bool: ...
 
     # -- lifecycle ----------------------------------------------------
+    #: ``mark()`` resets wall-clock attribution; ``Simulation`` calls it
+    #: once set-up is done (a no-op where nothing is measured).  Declared
+    #: as a callable attribute, not a ``def``: the repo benchmark's traced
+    #: run takes every protocol *function* for a layer boundary of a
+    #: solve, and this hook runs outside any solve.
+    mark: Callable[[], None]
+
     def close(self) -> None: ...
 
 

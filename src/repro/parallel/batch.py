@@ -71,8 +71,7 @@ class BatchCharges:
 
         def fused_charge(kernel: str, seconds: float, count: int = 1,
                          payload_bytes: float | None = None, *,
-                         overlapped_seconds: float | None = None,
-                         drain: bool = True,
+                         settles=None,
                          driver_side: bool = False) -> None:
             if self._in_member:
                 idx = self._cursor.get(kernel, 0)
@@ -86,8 +85,7 @@ class BatchCharges:
                     count = 0
                 else:
                     self._seen[kernel] = idx + 1
-            orig(kernel, seconds, count, payload_bytes,
-                 overlapped_seconds=overlapped_seconds, drain=drain,
+            orig(kernel, seconds, count, payload_bytes, settles=settles,
                  driver_side=driver_side)
 
         comm._charge = fused_charge

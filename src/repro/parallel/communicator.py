@@ -14,21 +14,23 @@ halves exactly like recursive doubling.
 
 Nonblocking collectives (overlap windows)
 -----------------------------------------
-``post_iallreduce_sum`` / ``post_ifused_allreduce_sum[_stacked]`` /
-``post_ihalo`` / ``post_ibcast`` return a :class:`CommRequest` instead of
-charging immediately.  The request carries the collective's full modeled
-cost; every charge issued between post and :meth:`SimComm.wait` *drains*
-in-flight requests front-to-back (FIFO — the serialized-NIC picture of
-LogGP overlap), and the wait charges only the exposed remainder, passing
-the hidden part to the tracer as ``overlapped_seconds``.  Values are
-computed eagerly at post time in the same tree order as the blocking
-calls, so a posted reduction is **bit-identical** to its blocking
-counterpart — only the charge choreography differs.  Collective *counts*
-are unchanged: the wait charges exactly one collective (possibly of zero
-exposed seconds), never the post.
+``post_allreduce`` / ``post_ihalo`` / ``post_ibcast`` return a
+:class:`CommRequest` instead of charging immediately.  The request
+carries the collective's full modeled cost; every charge issued between
+post and :meth:`SimComm.wait` *drains* in-flight requests front-to-back
+(FIFO — the serialized-NIC picture of LogGP overlap), and the wait
+charges only the exposed remainder, passing the hidden part to the
+tracer as ``overlapped_seconds``.  A posted reduction runs the same
+pack -> fold -> unpack core as the blocking call, so it is
+**bit-identical** to its blocking counterpart — only the charge
+choreography differs.  Collective *counts* are unchanged: the wait
+charges exactly one collective (possibly of zero exposed seconds), never
+the post.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,7 +55,8 @@ class CommRequest:
     """
 
     def __init__(self, comm: "SimComm", kernel: str, seconds: float,
-                 payload_bytes: float | None, result) -> None:
+                 payload_bytes: float | None, result,
+                 pending: tuple | None = None) -> None:
         self.comm = comm
         self.kernel = kernel
         #: Full modeled cost of the collective at post time.
@@ -66,7 +69,18 @@ class CommRequest:
         #: Modeled clock at post time (for the overlap-window span).
         self.posted_at = 0.0
         self.result = result
+        #: In-flight reduction ``(fold handle, result shapes)``; the wait
+        #: finishes the fold and unpacks it into ``result``.
+        self.pending = pending
         self.done = False
+        # What an executor backend may park on a request (the simulator
+        # measures nothing and leaves these at zero):
+        #: Driver wall seconds the post itself took (scatter + dispatch),
+        #: charged to the measured stream by the wait.
+        self.measured_setup = 0.0
+        #: ``perf_counter()`` stamp taken when the post returned: the
+        #: start of the real overlap window.
+        self.posted_wall = 0.0
 
     def __repr__(self) -> str:
         state = "done" if self.done else "in-flight"
@@ -92,6 +106,13 @@ class HaloDescriptors(list):
         super().__init__(recv_bytes_by_rank)
         #: ``(machine, ranks) -> (slowest rank's seconds, its bytes)``
         self.costs: dict[tuple[MachineSpec, int], tuple[float, float]] = {}
+
+
+def _dd_combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Double-double add of two ``(rows, 2m)`` blocks laid out ``[hi | lo]``."""
+    m = a.shape[1] // 2
+    hi, lo = dd_add((a[:, :m], a[:, m:]), (b[:, :m], b[:, m:]))
+    return np.concatenate([hi, lo], axis=1)
 
 
 class SimComm:
@@ -142,30 +163,35 @@ class SimComm:
 
     def _charge(self, kernel: str, seconds: float, count: int = 1,
                 payload_bytes: float | None = None, *,
-                overlapped_seconds: float | None = None,
-                drain: bool = True, driver_side: bool = False) -> None:
+                settles: CommRequest | None = None,
+                driver_side: bool = False) -> None:
         """Record one modeled charge.
 
-        Every cost this class computes funnels through here so subclasses
-        can redirect the *modeled* stream (the mp backend sends it to its
-        modeled twin while ``self.tracer`` accumulates wall clock).
-        ``payload_bytes`` annotates collective charges for the span
-        stream; it never affects the charged seconds.  ``driver_side``
-        tags kernels the mp backend runs on the driver process (span
-        annotation only — see :class:`~repro.parallel.tracing.SpanEvent`).
+        Every cost this class computes funnels through here, so a
+        backend that also measures (mp) records its wall clock beside
+        the modeled charge in this one place.  ``payload_bytes``
+        annotates collective charges for the span stream; it never
+        affects the charged seconds.  ``driver_side`` tags kernels the
+        mp backend runs on the driver process (span annotation only —
+        see :class:`~repro.parallel.tracing.SpanEvent`).
 
         While posted collectives are in flight, the charged seconds first
-        drain them front-to-back (``drain=False`` is reserved for the
-        exposed-remainder charge of :meth:`wait` itself — under the
+        drain them front-to-back.  ``settles`` is reserved for
+        :meth:`wait`: it names the request whose exposed remainder this
+        charge is.  Such a charge drains nothing — under the
         serialized-NIC FIFO model, time spent finishing the head request
-        on the wire cannot progress the ones queued behind it).
+        on the wire cannot progress the ones queued behind it — and it
+        carries the request's hidden part as ``overlapped_seconds``.
         """
-        if drain and self._inflight and seconds > 0.0:
+        overlapped = None
+        if settles is not None:
+            overlapped = settles.hidden or None
+        elif self._inflight and seconds > 0.0:
             self._drain_inflight(seconds)
-        self.tracer.add(kernel, seconds, count=count,
-                        payload_bytes=payload_bytes,
-                        overlapped_seconds=overlapped_seconds,
-                        driver_side=driver_side)
+        self._model_tracer().add(kernel, seconds, count=count,
+                                 payload_bytes=payload_bytes,
+                                 overlapped_seconds=overlapped,
+                                 driver_side=driver_side)
 
     def _drain_inflight(self, seconds: float) -> None:
         """Let ``seconds`` of elapsing work hide in-flight comm (FIFO)."""
@@ -179,12 +205,161 @@ class SimComm:
                 req.hidden += take
                 budget -= take
 
+    # -- the reduction primitive: pack -> fold -> unpack, one charge ------
+    def _pack(self, groups) -> tuple[np.ndarray, list[tuple], float]:
+        """Validate ``groups`` and pack them into one ``(ranks, W)``
+        float64 buffer (no copy for a single fp64 stack).
+
+        Returns the buffer, each group's result shape, and the wire
+        payload.  The fold always runs in float64, but what travels is
+        the contribution dtype — a low-precision reduction
+        (``accumulate="fp32"`` partials) moves 4-byte words — so
+        ``payload = sum(elements * contribution itemsize)``; fp64
+        contributions charge exactly the result's ``nbytes``.
+        """
+        parts, shapes, payload = [], [], 0.0
+        for g, group in enumerate(groups):
+            if isinstance(group, np.ndarray):
+                if group.ndim == 0 or group.shape[0] != self.size:
+                    raise CommunicatorError(
+                        f"group {g}: expected a ({self.size}, ...) "
+                        f"contribution stack, got shape {group.shape}")
+                shape, itemsize = group.shape[1:], group.dtype.itemsize
+                parts.append(group.reshape(self.size, -1))
+            else:
+                if len(group) != self.size:
+                    raise CommunicatorError(
+                        f"group {g}: expected {self.size} per-rank "
+                        f"contributions, got {len(group)}")
+                arrs = [np.asarray(a) for a in group]
+                shape, itemsize = arrs[0].shape, arrs[0].dtype.itemsize
+                for rank, arr in enumerate(arrs):
+                    if arr.shape != shape:
+                        raise CommunicatorError(
+                            f"group {g}: rank {rank} contributes shape "
+                            f"{arr.shape} but rank 0 shape {shape}")
+                parts.append([arr.reshape(1, -1) for arr in arrs])
+            shapes.append(shape)
+            payload += float(math.prod(shape) * itemsize)
+        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+            return np.asarray(parts[0], dtype=np.float64), shapes, payload
+        widths = [math.prod(shape) for shape in shapes]
+        buf = np.empty((self.size, sum(widths)))
+        offset = 0
+        for part, width in zip(parts, widths):
+            out = buf[:, offset:offset + width]
+            if isinstance(part, np.ndarray):
+                out[...] = part  # casts to float64
+            else:
+                np.concatenate(part, axis=0, out=out)
+            offset += width
+        return buf, shapes, payload
+
+    @staticmethod
+    def _fold(buf: np.ndarray, combine=np.add) -> np.ndarray:
+        """Recursive-doubling fold of the rows of ``buf`` into one row.
+
+        Each level folds the upper half onto the lower half with ONE
+        elementwise ``combine``, pairing row ``i + half`` with row ``i``
+        and carrying an odd leftover — the order a pairwise
+        ``items[i] + items[i + half]`` list fold has.  Elementwise
+        combines are independent per column, so folding a packed buffer
+        is bit-identical to folding each group alone.  ``buf`` is never
+        written.
+        """
+        work = buf
+        while work.shape[0] > 1:
+            m = work.shape[0]
+            half = m // 2
+            merged = combine(work[:half], work[half:2 * half])
+            if m % 2:
+                merged = np.concatenate([merged, work[2 * half:]], axis=0)
+            work = merged
+        return work[0].copy() if work is buf else work[0]
+
+    @staticmethod
+    def _unpack(row: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+        """Slice one reduced row back into per-group result arrays."""
+        results = []
+        offset = 0
+        for shape in shapes:
+            width = math.prod(shape)
+            results.append(row[offset:offset + width].reshape(shape))
+            offset += width
+        return results
+
+    def _fold_begin(self, buf: np.ndarray, dd: bool = False):
+        """Start folding a packed buffer; :meth:`_fold_end` takes the
+        returned handle and yields the reduced row.
+
+        This pair is the *transport*, the only part of a reduction a
+        backend overrides.  The simulator folds at once, driver-side.
+        """
+        return self._fold(buf, _dd_combine if dd else np.add)
+
+    def _fold_end(self, handle) -> np.ndarray:
+        return handle
+
+    def _reduce(self, groups, dd: bool = False) -> list[np.ndarray]:
+        """The blocking collective behind :meth:`allreduce` and
+        :meth:`allreduce_dd`.
+
+        Charges like any other kernel (draining open overlap windows);
+        it is deliberately not ``wait(post_allreduce(...))``, whose
+        charge drains nothing.
+        """
+        buf, shapes, payload = self._pack(groups)
+        if not shapes:
+            return []
+        if dd and shapes[0] != shapes[1]:
+            raise CommunicatorError(
+                f"allreduce_dd: hi parts have shape {shapes[0]} but lo "
+                f"parts shape {shapes[1]}")
+        row = self._fold_end(self._fold_begin(buf, dd))
+        self._charge("allreduce", self.cost.allreduce(payload, self.size),
+                     payload_bytes=payload)
+        return self._unpack(row, shapes)
+
+    def allreduce(self, groups) -> list[np.ndarray]:
+        """Sum several arrays over the ranks in ONE collective: one
+        latency, summed payload; every rank receives the results.
+
+        Each *group* is one array to reduce, given as a ``(ranks, ...)``
+        stack or as a length-``ranks`` list of equal-shape per-rank
+        contributions; both kinds may be mixed in one call.  BCGS-PIP's
+        defining trick is fusing the inter-block projection and the Gram
+        matrix into one all-reduce — that is two groups.  An empty
+        ``groups`` returns ``[]`` and charges nothing.
+
+        Ranks share the returned arrays read-only (users must copy
+        before mutating — all library callers treat them as immutable,
+        matching the redundant-storage convention of Sec. VII: "the
+        resulting matrix R is stored redundantly on all the MPI
+        processes").
+        """
+        return self._reduce(groups)
+
+    def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused double-double allreduce of per-rank ``(hi, lo)`` pairs.
+
+        The pairs travel in ONE collective of twice the payload and are
+        combined with :func:`repro.dd.core.dd_add` in the same
+        recursive-doubling order as :meth:`allreduce` — the
+        communication side of the mixed-precision CholQR's dd Gram
+        accumulation.
+        """
+        hi, lo = self._reduce([his, los], dd=True)
+        return hi, lo
+
     # -- nonblocking collectives ----------------------------------------
     def _post(self, kernel: str, seconds: float,
-              payload_bytes: float | None, result) -> CommRequest:
+              payload_bytes: float | None, result=None,
+              pending: tuple | None = None) -> CommRequest:
         """Register a posted collective: no charge now, a request handle
         whose modeled cost subsequent compute charges drain."""
-        req = CommRequest(self, kernel, seconds, payload_bytes, result)
+        req = CommRequest(self, kernel, seconds, payload_bytes, result,
+                          pending)
         tr = self._model_tracer()
         req.posted_at = tr.clock
         self._inflight.append(req)
@@ -194,58 +369,27 @@ class SimComm:
                            payload_bytes=payload_bytes)
         return req
 
-    def post_iallreduce_sum(self, shards: list[np.ndarray]) -> CommRequest:
-        """Nonblocking :meth:`allreduce_sum` — post now, settle with
-        :meth:`wait`.
+    def post_allreduce(self, groups) -> CommRequest:
+        """Nonblocking :meth:`allreduce` — post now, settle with
+        :meth:`wait`, which returns the list of results.
 
-        The reduction itself runs eagerly (same tree order, bit-identical
-        result); only the charge is deferred into the overlap window.
+        The fold starts at once (same order, bit-identical results);
+        only the charge is deferred into the overlap window.  An empty
+        ``groups`` posts a zero-cost request.
         """
-        self._check_contributions(shards)
-        result = self._tree_sum(shards)
-        payload = self._payload_bytes(result, shards[0])
-        return self._post("allreduce", self.cost.allreduce(payload, self.size),
-                          payload, result)
-
-    def post_ifused_allreduce_sum(self, shard_groups: list[list[np.ndarray]]
-                                  ) -> CommRequest:
-        """Nonblocking :meth:`fused_allreduce_sum` (one posted message).
-
-        Empty groups post a zero-cost request (the blocking call charges
-        nothing for them either)."""
-        if not shard_groups:
+        buf, shapes, payload = self._pack(groups)
+        if not shapes:
             return self._post("allreduce", 0.0, 0.0, [])
-        results = []
-        payload = 0.0
-        for shards in shard_groups:
-            self._check_contributions(shards)
-            red = self._tree_sum(shards)
-            payload += self._payload_bytes(red, shards[0])
-            results.append(red)
-        return self._post("allreduce", self.cost.allreduce(payload, self.size),
-                          payload, results)
-
-    def post_ifused_allreduce_sum_stacked(self, stacks: list[np.ndarray]
-                                          ) -> CommRequest:
-        """Nonblocking :meth:`fused_allreduce_sum_stacked`."""
-        if not stacks:
-            return self._post("allreduce", 0.0, 0.0, [])
-        results = []
-        payload = 0.0
-        for stack in stacks:
-            self._check_stack(stack)
-            red = self._tree_sum_stacked(stack)
-            payload += self._payload_bytes(red, stack)
-            results.append(red)
-        return self._post("allreduce", self.cost.allreduce(payload, self.size),
-                          payload, results)
+        return self._post("allreduce",
+                          self.cost.allreduce(payload, self.size), payload,
+                          pending=(self._fold_begin(buf), shapes))
 
     def post_ihalo(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> CommRequest:
         """Nonblocking :meth:`charge_halo` — the PA2 deep-ring exchange
         posts through here and hides behind the first local SpMVs."""
         seconds, payload = self._halo_cost(recv_bytes_by_rank)
-        return self._post("halo", seconds, payload, None)
+        return self._post("halo", seconds, payload)
 
     def post_ibcast(self, value, root: int = 0) -> CommRequest:
         """Nonblocking :meth:`bcast` of a replicated array from ``root``."""
@@ -270,6 +414,10 @@ class SimComm:
         if request.comm is not self:
             raise CommunicatorError(
                 "wait() on a request posted by a different communicator")
+        if request.pending is not None:
+            handle, shapes = request.pending
+            request.result = self._unpack(self._fold_end(handle), shapes)
+            request.pending = None
         self._inflight.remove(request)
         request.done = True
         exposed = request.remaining
@@ -281,147 +429,8 @@ class SimComm:
                            cat="comm_overlap",
                            payload_bytes=request.payload_bytes)
         self._charge(request.kernel, exposed,
-                     payload_bytes=request.payload_bytes,
-                     overlapped_seconds=request.hidden or None,
-                     drain=False)
+                     payload_bytes=request.payload_bytes, settles=request)
         return request.result
-
-    # ------------------------------------------------------------------
-    def _check_contributions(self, shards: list[np.ndarray]) -> None:
-        if len(shards) != self.size:
-            raise CommunicatorError(
-                f"expected {self.size} per-rank contributions, got {len(shards)}")
-
-    @staticmethod
-    def _tree_sum(shards: list[np.ndarray]) -> np.ndarray:
-        """Pairwise (recursive-doubling order) sum of equal-shape arrays."""
-        items = [np.array(s, dtype=np.float64, copy=True) for s in shards]
-        while len(items) > 1:
-            half = len(items) // 2
-            merged = [items[i] + items[i + half] for i in range(half)]
-            if len(items) % 2:
-                merged.append(items[-1])
-            items = merged
-        return items[0]
-
-    @staticmethod
-    def _tree_sum_stacked(stack: np.ndarray) -> np.ndarray:
-        """Pairwise tree sum over axis 0 of a ``(ranks, ...)`` stack.
-
-        Vectorized twin of :meth:`_tree_sum`: each level folds the lower
-        half onto the upper half with ONE elementwise add, pairing
-        ``i + half`` with ``i`` exactly like the list version — so the
-        floating-point result is bit-identical to the loop engine's.
-        """
-        work = np.asarray(stack, dtype=np.float64)
-        if work.shape[0] == 1:
-            return np.array(work[0], copy=True)
-        while work.shape[0] > 1:
-            m = work.shape[0]
-            half = m // 2
-            merged = work[:half] + work[half:2 * half]
-            if m % 2:
-                merged = np.concatenate([merged, work[2 * half:]], axis=0)
-            work = merged
-        return work[0]
-
-    @staticmethod
-    def _payload_bytes(result: np.ndarray, contribution) -> float:
-        """Wire payload of a reduction whose per-rank contributions were
-        ``contribution``-typed.
-
-        The reduction *tree* always runs in float64, but what travels is
-        the contribution dtype: a low-precision reduction
-        (``accumulate="fp32"`` partials) moves 4-byte words.  fp64
-        contributions charge exactly ``result.nbytes`` — bit-identical to
-        the historical always-fp64 sizing.
-        """
-        return float(result.size * np.asarray(contribution).dtype.itemsize)
-
-    # ------------------------------------------------------------------
-    def allreduce_sum(self, shards: list[np.ndarray]) -> np.ndarray:
-        """Sum per-rank contributions; every rank receives the result.
-
-        ``shards`` holds one equal-shape float array per rank.  The return
-        value is the single reduced array (ranks share it read-only; users
-        must copy before mutating — all library callers treat it as
-        immutable, matching the redundant-storage convention of Sec. VII:
-        "the resulting matrix R is stored redundantly on all the MPI
-        processes").
-        """
-        self._check_contributions(shards)
-        result = self._tree_sum(shards)
-        payload = self._payload_bytes(result, shards[0])
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        return result
-
-    def allreduce_scalar(self, values: list[float]) -> float:
-        """Scalar allreduce (same cost floor as a tiny message)."""
-        self._check_contributions([np.asarray(v) for v in values])
-        result = self._tree_sum([np.asarray(float(v)) for v in values])
-        self._charge("allreduce", self.cost.allreduce(8.0, self.size),
-                     payload_bytes=8.0)
-        return float(result)
-
-    def fused_allreduce_sum(self, shard_groups: list[list[np.ndarray]]
-                            ) -> list[np.ndarray]:
-        """Reduce several arrays in one collective (single latency charge).
-
-        BCGS-PIP's defining trick is fusing the inter-block projection and
-        the Gram matrix into *one* all-reduce; this models the fused
-        message: one latency, summed payload.
-
-        ``shard_groups[g][r]`` is rank ``r``'s contribution to array ``g``.
-        """
-        if not shard_groups:
-            return []
-        results = []
-        payload = 0.0
-        for shards in shard_groups:
-            self._check_contributions(shards)
-            red = self._tree_sum(shards)
-            payload += self._payload_bytes(red, shards[0])
-            results.append(red)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        return results
-
-    # -- stacked variants (batched engine) ------------------------------
-    def _check_stack(self, stack: np.ndarray) -> None:
-        if stack.shape[0] != self.size:
-            raise CommunicatorError(
-                f"expected a ({self.size}, ...) contribution stack, got "
-                f"shape {stack.shape}")
-
-    def allreduce_sum_stacked(self, stack: np.ndarray) -> np.ndarray:
-        """:meth:`allreduce_sum` over a ``(ranks, ...)`` contribution stack.
-
-        Identical reduction tree, identical charged cost — just one
-        vectorized add per tree level instead of ``ranks`` Python calls.
-        """
-        self._check_stack(stack)
-        result = self._tree_sum_stacked(stack)
-        payload = self._payload_bytes(result, stack)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        return result
-
-    def fused_allreduce_sum_stacked(self, stacks: list[np.ndarray]
-                                    ) -> list[np.ndarray]:
-        """:meth:`fused_allreduce_sum` over contribution stacks."""
-        if not stacks:
-            return []
-        results = []
-        payload = 0.0
-        for stack in stacks:
-            self._check_stack(stack)
-            red = self._tree_sum_stacked(stack)
-            payload += self._payload_bytes(red, stack)
-            results.append(red)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        return results
 
     # ------------------------------------------------------------------
     def charge_local(self, kernel: str, per_rank_seconds: list[float],
@@ -450,18 +459,11 @@ class SimComm:
             metrics.scale_pending(float(self.size))
         self._charge(kernel, seconds, count=count, driver_side=driver_side)
 
-    @staticmethod
-    def _halo_payload(recv_bytes_by_rank: list[dict[int, float]]) -> float:
-        """Span annotation for a halo exchange: the slowest rank's total
-        inbound bytes (the elapsed-time-defining payload)."""
-        return max(
-            (float(sum(recv.values())) for recv in recv_bytes_by_rank),
-            default=0.0)
-
     def _halo_cost(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> tuple[float, float]:
         """``(seconds, payload_bytes)`` of one neighbourhood exchange:
-        elapsed = slowest rank, payload = :meth:`_halo_payload`.
+        elapsed = slowest rank, payload (a span annotation) = the largest
+        total inbound bytes of any rank.
 
         Both depend only on the descriptors, the machine and the rank
         count, so :class:`HaloDescriptors` (what halo plans hand out)
@@ -480,8 +482,9 @@ class SimComm:
                 self.cost.halo_exchange(recv, rank, self.size)
                 for rank, recv in enumerate(recv_bytes_by_rank)
             )
-            cost = memo[key] = (
-                worst, self._halo_payload(recv_bytes_by_rank))
+            payload = max(float(sum(recv.values()))
+                          for recv in recv_bytes_by_rank)
+            cost = memo[key] = (worst, payload)
         return cost
 
     def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]) -> None:
@@ -503,31 +506,6 @@ class SimComm:
         self._charge("bcast", self.cost.bcast(payload, self.size),
                      payload_bytes=payload)
         return value
-
-    # ------------------------------------------------------------------
-    def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused double-double allreduce of per-rank ``(hi, lo)`` pairs.
-
-        The pairs travel in ONE collective of twice the payload and are
-        combined with :func:`repro.dd.core.dd_add` in the same recursive-
-        doubling pair order as :meth:`_tree_sum` — the communication side
-        of the mixed-precision CholQR's dd Gram accumulation.
-        """
-        self._check_contributions(his)
-        self._check_contributions(los)
-        items = list(zip(his, los))
-        while len(items) > 1:
-            half = len(items) // 2
-            merged = [dd_add(items[i], items[i + half]) for i in range(half)]
-            if len(items) % 2:
-                merged.append(items[-1])
-            items = merged
-        hi, lo = items[0]
-        payload = float(np.asarray(hi).nbytes + np.asarray(lo).nbytes)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        return hi, lo
 
     # ------------------------------------------------------------------
     def alloc_stack(self, ranks: int, rows: int, k: int,

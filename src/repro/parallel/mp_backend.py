@@ -4,45 +4,48 @@
 protocol with *actual* OS processes — one persistent worker per rank,
 zero dependencies beyond the standard library: ``multiprocessing`` for
 the ranks and ``multiprocessing.shared_memory`` for shard storage and
-the reduction arena.
+the reduction slabs.
 
 Execution model
 ---------------
 * :meth:`MpComm.alloc_stack` places every library-allocated multivector
   stack in a shared-memory segment, so each worker can reach any shard.
-* Global reductions scatter per-rank contributions (cast to float64,
-  exactly like :meth:`SimComm._tree_sum`) into a shared ``(size, cap)``
-  arena; the workers then fold the slots **in the same recursive-doubling
-  pair order** — worker ``a`` executes ``slot[a] += slot[b]`` for its
-  level pair, with a barrier between levels — so the reduced result is
-  bit-identical to the simulator's on the same problem.
+* Global reductions are the inherited pack -> fold -> unpack core with
+  only the fold's *transport* replaced: the packed float64 buffer is
+  scattered into a shared ``(size, cap)`` slab and the workers fold the
+  slots **in the same recursive-doubling pair order** as
+  :meth:`SimComm._fold` — worker ``a`` executes ``slot[a] += slot[b]``
+  for its level pair, with a barrier between levels — so the reduced
+  result is bit-identical to the simulator's on the same problem.
 * :meth:`MpComm.exec_spmv` runs the distributed SpMV on the workers:
   each rank gathers the operand from the shared stack (the halo-exchange
   analogue) and computes its own block row.
 * The communication-avoiding MPK's ghost-zone loops stay driver-executed
   (they are already plain NumPy over shared arrays); its wall clock is
   still measured.
-* Posted reductions (``post_*`` / :meth:`MpComm.wait`) are *genuinely*
+* Posted reductions (``post_allreduce`` / ``wait``) are *genuinely*
   asynchronous: the post scatters into a pooled slab and dispatches the
   fold **without** collecting acknowledgements, so the workers reduce
   while the driver computes; the wait matches token-tagged acks
-  (stashing any that belong to other outstanding commands) and unpacks
-  slot 0.  Real wall time between post and wait is recorded as the
+  (stashing any that belong to other outstanding commands) and copies
+  slot 0.  A blocking reduction is the same begin/end pair back to
+  back.  Real wall time between post and wait is recorded as the
   measured ``overlapped_seconds``, while the modeled twin drains the
   same overlap window as the sim backend — results stay bit-identical.
 
 Measurement model (the planner/executor split)
 ----------------------------------------------
 ``MpComm.tracer`` accumulates **measured** wall-clock seconds: every
-charge point records the elapsed time since the previous one
+charge records the elapsed time since the previous one
 (``perf_counter`` deltas), which attributes each stretch of real work to
 the kernel charged right after it — the library's convention is to
 charge immediately after the work a kernel models.  ``MpComm.modeled``
-is the *modeled twin*: the exact SimComm cost formulas charged through
-the inherited code paths, with the phase stack aliased so one
-``tracer.phase(...)`` region drives both streams.  A solve on the mp
-backend therefore yields predicted AND measured numbers for every phase,
-and ``modeled`` matches a ``backend="sim"`` run bit-for-bit.
+is the *modeled twin*: every cost formula is evaluated by the inherited
+:class:`SimComm` code (this module computes none), with the phase stack
+aliased so one ``tracer.phase(...)`` region drives both streams.  A
+solve on the mp backend therefore yields predicted AND measured numbers
+for every phase, and ``modeled`` matches a ``backend="sim"`` run
+bit-for-bit.
 
 Hygiene: workers are daemons, every blocking wait has a timeout, and
 :meth:`close` (also wired to a ``weakref.finalize``) tears down
@@ -72,8 +75,8 @@ def _reduce_schedule(size: int) -> list[list[tuple[int, int]]]:
     """Recursive-doubling levels over slot indices.
 
     Level ``l`` holds ``(a, b)`` pairs meaning *slot a absorbs slot b*;
-    folding them in order reproduces :meth:`SimComm._tree_sum` exactly
-    (``items[i] + items[i + half]`` per level, odd leftover carried).
+    folding them in order reproduces :meth:`SimComm._fold` exactly
+    (row ``i + half`` onto row ``i`` per level, odd leftover carried).
     """
     idx = list(range(size))
     levels: list[list[tuple[int, int]]] = []
@@ -82,17 +85,6 @@ def _reduce_schedule(size: int) -> list[list[tuple[int, int]]]:
         levels.append([(idx[i], idx[i + half]) for i in range(half)])
         idx = idx[:half] + (idx[-1:] if len(idx) % 2 else [])
     return levels
-
-
-def _split_rows(row: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
-    """Slice one reduced flat row back into per-group result arrays."""
-    results = []
-    offset = 0
-    for shape in shapes:
-        m = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        results.append(row[offset:offset + m].reshape(shape))
-        offset += m
-    return results
 
 
 def _attach_silent(name: str) -> SharedMemory:
@@ -272,15 +264,12 @@ class MpComm(SimComm):
         self._procs: list = []
         self._shms: list[SharedMemory] = []
         self._segments: list[tuple[str, int, int]] = []  # (name, addr, nbytes)
-        self._arena: SharedMemory | None = None
-        self._arena_np: np.ndarray | None = None
-        self._arena_cap = 0
         # token-tagged ack plumbing: posted reductions leave their acks
         # in the pipes; any later recv stashes mismatched tokens here
         self._tok = 0
         self._ack_stash: list[dict] = [dict() for _ in range(self.size)]
-        # slab pool for posted reductions (the main arena may be busy
-        # with a blocking collective inside an overlap window)
+        # idle reduction slabs: a posted reduction holds its slab until
+        # the wait, so a blocking one inside the window takes another
         self._slab_pool: list[tuple[SharedMemory, np.ndarray, int]] = []
         self._pending: dict[str, float] = {}
         self._matrix_tokens: dict[int, int] = {}
@@ -298,7 +287,7 @@ class MpComm(SimComm):
             self._procs.append(proc)
         self._finalizer = weakref.finalize(
             self, _cleanup, self._conns, self._procs, self._shms)
-        self._mark = time.perf_counter()
+        self._mark = self._wait_wall = time.perf_counter()
 
     # -- measured-time bookkeeping -------------------------------------
     def _model_tracer(self):
@@ -307,16 +296,20 @@ class MpComm(SimComm):
 
     def _charge(self, kernel: str, seconds: float, count: int = 1,
                 payload_bytes: float | None = None, *,
-                overlapped_seconds: float | None = None,
-                drain: bool = True, driver_side: bool = False) -> None:
-        # the inherited SimComm cost formulas land on the modeled twin;
-        # modeled overlap windows drain exactly as on the sim backend
-        if drain and self._inflight and seconds > 0.0:
-            self._drain_inflight(seconds)
-        self.modeled.add(kernel, seconds, count=count,
-                         payload_bytes=payload_bytes,
-                         overlapped_seconds=overlapped_seconds,
-                         driver_side=driver_side)
+                settles=None, driver_side: bool = False) -> None:
+        """The inherited modeled charge (it lands on the twin), plus the
+        measured record: wall clock since the previous charge, together
+        with whatever a worker round-trip or a post parked for it."""
+        super()._charge(kernel, seconds, count, payload_bytes,
+                        settles=settles, driver_side=driver_side)
+        measured = self._pending.pop(kernel, 0.0) + self._take_elapsed()
+        hidden = None
+        if settles is not None:
+            measured += settles.measured_setup
+            hidden = max(0.0, self._wait_wall - settles.posted_wall) or None
+        self.tracer.add(kernel, measured, count=count,
+                        payload_bytes=payload_bytes,
+                        overlapped_seconds=hidden, driver_side=driver_side)
 
     def mark(self) -> None:
         """Reset the wall-clock attribution mark (drop setup time)."""
@@ -385,288 +378,58 @@ class MpComm(SimComm):
     def _roundtrip(self, cmd: dict) -> list[dict]:
         return self._collect(self._send_all(cmd), cmd.get("op"))
 
-    # -- reductions on the workers -------------------------------------
-    def _ensure_arena(self, elems: int) -> None:
-        if elems <= self._arena_cap:
-            return
-        cap = max(_MIN_ARENA_ELEMS, self._arena_cap * 2, int(elems))
-        shm = SharedMemory(create=True, size=self.size * cap * 8)
-        self._shms.append(shm)
-        self._arena = shm
-        self._arena_cap = cap
-        self._arena_np = np.ndarray((self.size, cap), dtype=np.float64,
-                                    buffer=shm.buf)
-
-    def _reduce_flat(self, flats: list[np.ndarray], mode: str = "sum"
-                     ) -> np.ndarray:
-        """Scatter one float64 row per rank, fold on the workers, gather
-        slot 0.  ``flats`` are 1-D contributions (already concatenated
-        for fused/dd collectives)."""
-        self._require_open()
-        n = int(flats[0].size)
-        self._ensure_arena(n)
-        for r, flat in enumerate(flats):
-            self._arena_np[r, :n] = flat  # casts to float64, like _tree_sum
-        self._roundtrip({"op": "reduce", "arena": self._arena.name,
-                         "cap": self._arena_cap, "elems": n,
-                         "levels": self._schedule, "mode": mode})
-        return self._arena_np[0, :n].copy()
-
-    # -- posted (asynchronous) reductions ------------------------------
+    # -- reduction transport: fold a packed buffer on the workers -------
     def _acquire_slab(self, elems: int) -> tuple[SharedMemory, np.ndarray, int]:
-        """A ``(size, cap)`` float64 scratch arena for one posted
-        reduction.  Pooled separately from the main ``_arena`` because a
-        blocking collective may run inside the overlap window and must
-        not clobber the slots the workers are still folding."""
-        needed = int(elems)
+        """A ``(size, cap)`` float64 shared scratch arena for one fold."""
         for i, slab in enumerate(self._slab_pool):
-            if slab[2] >= needed:
+            if slab[2] >= elems:
                 return self._slab_pool.pop(i)
-        cap = max(_MIN_ARENA_ELEMS, needed)
+        cap = max(_MIN_ARENA_ELEMS, elems)
         shm = SharedMemory(create=True, size=self.size * cap * 8)
         self._shms.append(shm)
         view = np.ndarray((self.size, cap), dtype=np.float64, buffer=shm.buf)
         return (shm, view, cap)
 
-    def _release_slab(self, slab: tuple[SharedMemory, np.ndarray, int]
-                      ) -> None:
-        self._slab_pool.append(slab)
+    def _fold_begin(self, buf: np.ndarray, dd: bool = False):
+        """Scatter one row per rank into a pooled slab and dispatch the
+        fold WITHOUT collecting acks — the workers reduce while the
+        driver goes on."""
+        self._require_open()
+        n = buf.shape[1]
+        slab = self._acquire_slab(n)
+        slab[1][:, :n] = buf
+        tok = self._send_all({"op": "reduce", "arena": slab[0].name,
+                              "cap": slab[2], "elems": n,
+                              "levels": self._schedule,
+                              "mode": "dd" if dd else "sum"})
+        return tok, slab, n
 
-    def _post(self, kernel, seconds, payload_bytes, result):
-        req = super()._post(kernel, seconds, payload_bytes, result)
+    def _fold_end(self, handle) -> np.ndarray:
+        """Collect the fold's token-tagged acks and copy slot 0 out."""
+        tok, slab, n = handle
+        self._collect(tok, "reduce")
+        row = slab[1][0, :n].copy()
+        self._slab_pool.append(slab)
+        return row
+
+    def _post(self, kernel, seconds, payload_bytes, result=None,
+              pending=None):
+        req = super()._post(kernel, seconds, payload_bytes, result, pending)
         # park driver setup time (scatter + dispatch) for the wait's
         # measured charge, and stamp the start of the real overlap window
-        req._measured_setup = self._take_elapsed()
-        req._posted_wall = time.perf_counter()
+        req.measured_setup = self._take_elapsed()
+        req.posted_wall = time.perf_counter()
         return req
-
-    def _post_reduce_flat(self, flats: list[np.ndarray], payload: float,
-                          unpack):
-        """Scatter into a pooled slab and dispatch the fold WITHOUT
-        collecting acks — the workers reduce while the driver computes.
-        ``unpack`` maps the reduced slot-0 row to the caller's result."""
-        self._require_open()
-        n = int(flats[0].size)
-        slab = self._acquire_slab(n)
-        shm, view, _cap = slab
-        for r, flat in enumerate(flats):
-            view[r, :n] = flat  # casts to float64, like _tree_sum
-        tok = self._send_all({"op": "reduce", "arena": shm.name,
-                              "cap": slab[2], "elems": n,
-                              "levels": self._schedule, "mode": "sum"})
-        req = self._post("allreduce",
-                         self.cost.allreduce(payload, self.size),
-                         payload, None)
-        req._mp = (tok, slab, n, unpack)
-        return req
-
-    def post_iallreduce_sum(self, shards):
-        self._check_contributions(shards)
-        arrs = [np.asarray(s) for s in shards]
-        shape = arrs[0].shape
-        payload = float(arrs[0].size * arrs[0].dtype.itemsize)
-        return self._post_reduce_flat(
-            [a.ravel() for a in arrs], payload,
-            lambda row: row.reshape(shape))
-
-    def post_ifused_allreduce_sum(self, shard_groups):
-        if not shard_groups:
-            return super().post_ifused_allreduce_sum(shard_groups)
-        groups = [[np.asarray(s) for s in shards]
-                  for shards in shard_groups]
-        for shards in groups:
-            self._check_contributions(shards)
-        flats = [np.concatenate([g[r].ravel().astype(np.float64)
-                                 for g in groups])
-                 for r in range(self.size)]
-        shapes = [g[0].shape for g in groups]
-        payload = float(sum(
-            (int(np.prod(sh, dtype=np.int64)) if sh else 1)
-            * g[0].dtype.itemsize for sh, g in zip(shapes, groups)))
-        return self._post_reduce_flat(flats, payload,
-                                      lambda row: _split_rows(row, shapes))
-
-    def post_ifused_allreduce_sum_stacked(self, stacks):
-        if not stacks:
-            return super().post_ifused_allreduce_sum_stacked(stacks)
-        stacks = [np.asarray(s) for s in stacks]
-        for stack in stacks:
-            self._check_stack(stack)
-        flats = [np.concatenate([s[r].ravel().astype(np.float64)
-                                 for s in stacks])
-                 for r in range(self.size)]
-        shapes = [s.shape[1:] for s in stacks]
-        payload = float(sum(
-            (int(np.prod(sh, dtype=np.int64)) if sh else 1)
-            * s.dtype.itemsize for sh, s in zip(shapes, stacks)))
-        return self._post_reduce_flat(flats, payload,
-                                      lambda row: _split_rows(row, shapes))
 
     def wait(self, request):
-        """Settle a posted collective: collect the workers' token-tagged
-        acks, unpack slot 0, and charge both streams.
+        """Settle a posted collective (see :meth:`SimComm.wait`).
 
-        Measured: the parked setup time plus the collect wait, with the
-        real wall clock elapsed since the post recorded as
-        ``overlapped_seconds``.  Modeled: delegated to the inherited
-        drain accounting, so ``modeled`` stays bit-identical to a
-        ``backend="sim"`` run.
+        The real overlap window closes here, before any ack is
+        collected; the measured charge reports its length as
+        ``overlapped_seconds``.
         """
-        if request.done:
-            raise CommunicatorError(f"wait() called twice on {request!r}")
-        if request.comm is not self:
-            raise CommunicatorError(
-                "wait() on a request posted by a different communicator")
-        hidden_wall = max(
-            0.0, time.perf_counter() - getattr(request, "_posted_wall",
-                                               time.perf_counter()))
-        mp_state = getattr(request, "_mp", None)
-        if mp_state is not None:
-            tok, slab, n, unpack = mp_state
-            self._collect(tok, "reduce")
-            request.result = unpack(slab[1][0, :n].copy())
-            self._release_slab(slab)
-            del request._mp
-        result = super().wait(request)
-        self.tracer.add(request.kernel,
-                        getattr(request, "_measured_setup", 0.0)
-                        + self._take_elapsed(),
-                        payload_bytes=request.payload_bytes,
-                        overlapped_seconds=hidden_wall or None)
-        return result
-
-    # -- Communicator reductions ---------------------------------------
-    def allreduce_sum(self, shards: list[np.ndarray]) -> np.ndarray:
-        self._check_contributions(shards)
-        arrs = [np.asarray(s) for s in shards]
-        result = self._reduce_flat([a.ravel() for a in arrs]
-                                   ).reshape(arrs[0].shape)
-        payload = self._payload_bytes(result, arrs[0])
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=payload)
-        return result
-
-    def allreduce_scalar(self, values: list[float]) -> float:
-        self._check_contributions([np.asarray(v) for v in values])
-        result = float(self._reduce_flat(
-            [np.asarray([float(v)]) for v in values])[0])
-        self._charge("allreduce", self.cost.allreduce(8.0, self.size),
-                     payload_bytes=8.0)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=8.0)
-        return result
-
-    def fused_allreduce_sum(self, shard_groups: list[list[np.ndarray]]
-                            ) -> list[np.ndarray]:
-        if not shard_groups:
-            return []
-        groups = [[np.asarray(s) for s in shards]
-                  for shards in shard_groups]
-        for shards in groups:
-            self._check_contributions(shards)
-        flats = [np.concatenate([g[r].ravel().astype(np.float64)
-                                 for g in groups])
-                 for r in range(self.size)]
-        merged = self._reduce_flat(flats)
-        results = []
-        payload = 0.0
-        offset = 0
-        for shards in groups:
-            shape = shards[0].shape
-            m = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            red = merged[offset:offset + m].reshape(shape)
-            offset += m
-            payload += self._payload_bytes(red, shards[0])
-            results.append(red)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=payload)
-        return results
-
-    def allreduce_sum_stacked(self, stack: np.ndarray) -> np.ndarray:
-        stack = np.asarray(stack)
-        self._check_stack(stack)
-        result = self._reduce_flat(
-            [stack[r].ravel() for r in range(self.size)]
-        ).reshape(stack.shape[1:])
-        payload = self._payload_bytes(result, stack)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=payload)
-        return result
-
-    def fused_allreduce_sum_stacked(self, stacks: list[np.ndarray]
-                                    ) -> list[np.ndarray]:
-        if not stacks:
-            return []
-        stacks = [np.asarray(s) for s in stacks]
-        for stack in stacks:
-            self._check_stack(stack)
-        flats = [np.concatenate([s[r].ravel().astype(np.float64)
-                                 for s in stacks])
-                 for r in range(self.size)]
-        merged = self._reduce_flat(flats)
-        results = []
-        payload = 0.0
-        offset = 0
-        for stack in stacks:
-            shape = stack.shape[1:]
-            m = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            red = merged[offset:offset + m].reshape(shape)
-            offset += m
-            payload += self._payload_bytes(red, stack)
-            results.append(red)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=payload)
-        return results
-
-    def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        self._check_contributions(his)
-        self._check_contributions(los)
-        shape = np.asarray(his[0]).shape
-        m = int(np.asarray(his[0]).size)
-        flats = [np.concatenate([np.asarray(h, dtype=np.float64).ravel(),
-                                 np.asarray(lo, dtype=np.float64).ravel()])
-                 for h, lo in zip(his, los)]
-        merged = self._reduce_flat(flats, mode="dd")
-        hi = merged[:m].reshape(shape)
-        lo = merged[m:].reshape(shape)
-        payload = float(hi.nbytes + lo.nbytes)
-        self._charge("allreduce", self.cost.allreduce(payload, self.size),
-                     payload_bytes=payload)
-        self.tracer.add("allreduce", self._take_elapsed(),
-                        payload_bytes=payload)
-        return hi, lo
-
-    # -- accounting: modeled via super(), measured via elapsed marks ---
-    def charge_local(self, kernel: str, per_rank_seconds: list[float],
-                     count: int = 1, driver_side: bool = False) -> None:
-        super().charge_local(kernel, per_rank_seconds, count=count,
-                             driver_side=driver_side)
-        self.tracer.add(kernel, self._pending.pop(kernel, 0.0)
-                        + self._take_elapsed(), count=count,
-                        driver_side=driver_side)
-
-    def charge_uniform(self, kernel: str, seconds: float,
-                       count: int = 1, driver_side: bool = False) -> None:
-        super().charge_uniform(kernel, seconds, count=count,
-                               driver_side=driver_side)
-        self.tracer.add(kernel, self._pending.pop(kernel, 0.0)
-                        + self._take_elapsed(), count=count,
-                        driver_side=driver_side)
-
-    def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]) -> None:
-        super().charge_halo(recv_bytes_by_rank)
-        self.tracer.add("halo", self._pending.pop("halo", 0.0)
-                        + self._take_elapsed(),
-                        payload_bytes=self._halo_payload(recv_bytes_by_rank))
+        self._wait_wall = time.perf_counter()
+        return super().wait(request)
 
     # -- shard storage and worker-executed SpMV ------------------------
     def alloc_stack(self, ranks: int, rows: int, k: int,

@@ -34,7 +34,7 @@ record them.
 
 Overlap dimension (nonblocking collectives)
 -------------------------------------------
-When a communicator posts a collective (``post_iallreduce`` & co.), the
+When a communicator posts a collective (``post_allreduce`` & co.), the
 compute charged between post and wait drains the collective's modeled
 time, and the ``wait`` charges only the exposed remainder — passing the
 hidden part as ``overlapped_seconds``.  That hidden time accumulates in

@@ -34,7 +34,7 @@ import numpy as np
 STORAGE_SPECS = ("fp64", "fp32", "bf16")
 
 #: Specs local kernels may accumulate in (the reduction tree itself is
-#: always float64, see ``SimComm._tree_sum``).
+#: always float64, see ``SimComm._fold``).
 ACCUMULATE_SPECS = ("fp64", "fp32")
 
 #: Specs a Gram matrix may be formed in.

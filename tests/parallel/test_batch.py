@@ -41,10 +41,10 @@ class TestInstallation:
         a, b = fresh_comm(), fresh_comm()
         with BatchCharges(a) as batch:
             with batch.group():
-                a.allreduce_sum([np.ones(4)] * a.size)
-                a.allreduce_sum([np.ones(4)] * a.size)
-        b.allreduce_sum([np.ones(4)] * b.size)
-        b.allreduce_sum([np.ones(4)] * b.size)
+                a.allreduce([[np.ones(4)] * a.size])
+                a.allreduce([[np.ones(4)] * a.size])
+        b.allreduce([[np.ones(4)] * b.size])
+        b.allreduce([[np.ones(4)] * b.size])
         assert a.tracer.clock == b.tracer.clock
         assert (a.tracer.collective_counts()["allreduce"]
                 == b.tracer.collective_counts()["allreduce"] == 2)
@@ -57,7 +57,7 @@ class TestFusion:
         comm = fresh_comm()
         ref = fresh_comm()
         payload = np.ones(1000)
-        ref.allreduce_sum([payload] * ref.size)
+        ref.allreduce([[payload] * ref.size])
         full = ref.tracer.clock
         fixed = ref.cost.fixed_cost("allreduce", ref.size)
         assert 0.0 < fixed < full
@@ -65,7 +65,7 @@ class TestFusion:
             with batch.group():
                 for _ in range(3):
                     with batch.member():
-                        comm.allreduce_sum([payload] * comm.size)
+                        comm.allreduce([[payload] * comm.size])
         assert comm.tracer.clock == pytest.approx(full + 2 * (full - fixed))
 
     def test_follower_count_is_zero_bytes_accumulate(self):
@@ -76,11 +76,11 @@ class TestFusion:
             with batch.group():
                 for _ in range(4):
                     with batch.member():
-                        comm.allreduce_sum([np.ones(100)] * comm.size)
+                        comm.allreduce([[np.ones(100)] * comm.size])
         counts = comm.tracer.collective_counts(payload_bytes=True)
         assert counts["allreduce"]["count"] == 1
         ref = fresh_comm()
-        ref.allreduce_sum([np.ones(100)] * ref.size)
+        ref.allreduce([[np.ones(100)] * ref.size])
         ref_bytes = ref.tracer.collective_counts(
             payload_bytes=True)["allreduce"]["bytes"]
         assert counts["allreduce"]["bytes"] == 4 * ref_bytes
@@ -93,12 +93,12 @@ class TestFusion:
         with BatchCharges(comm) as batch:
             with batch.group():
                 with batch.member():
-                    comm.allreduce_sum([np.ones(10)] * comm.size)
+                    comm.allreduce([[np.ones(10)] * comm.size])
                     comm.charge_local("dot", [1e-6] * comm.size)
-                    comm.allreduce_sum([np.ones(20)] * comm.size)
+                    comm.allreduce([[np.ones(20)] * comm.size])
                 with batch.member():
-                    comm.allreduce_sum([np.ones(10)] * comm.size)
-                    comm.allreduce_sum([np.ones(20)] * comm.size)
+                    comm.allreduce([[np.ones(10)] * comm.size])
+                    comm.allreduce([[np.ones(20)] * comm.size])
         assert comm.tracer.collective_counts()["allreduce"] == 2
 
     def test_new_group_resets_leadership(self):
@@ -107,7 +107,7 @@ class TestFusion:
             for _ in range(2):
                 with batch.group():
                     with batch.member():
-                        comm.allreduce_sum([np.ones(10)] * comm.size)
+                        comm.allreduce([[np.ones(10)] * comm.size])
         # two groups -> two leaders -> two counted collectives
         assert comm.tracer.collective_counts()["allreduce"] == 2
 
@@ -118,9 +118,9 @@ class TestFusion:
         with BatchCharges(batched) as batch:
             with batch.group():
                 with batch.member():
-                    batched.allreduce_sum([np.ones(64)] * batched.size)
+                    batched.allreduce([[np.ones(64)] * batched.size])
                     batched.charge_halo([{1: 256.0}] * batched.size)
-        plain.allreduce_sum([np.ones(64)] * plain.size)
+        plain.allreduce([[np.ones(64)] * plain.size])
         plain.charge_halo([{1: 256.0}] * plain.size)
         assert batched.tracer.clock == plain.tracer.clock
         assert (batched.tracer.collective_counts(payload_bytes=True)
@@ -133,7 +133,7 @@ class TestFusion:
             with batch.group():
                 for _ in range(2):
                     with batch.member():
-                        comm.allreduce_sum([np.ones(1)] * comm.size)
+                        comm.allreduce([[np.ones(1)] * comm.size])
         ref = fresh_comm(machine=generic_cpu(), ranks=4)
-        ref.allreduce_sum([np.ones(1)] * ref.size)
+        ref.allreduce([[np.ones(1)] * ref.size])
         assert comm.tracer.clock >= ref.tracer.clock

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,16 @@ from repro.parallel.machine import generic_cpu, summit
 from repro.parallel.mp_backend import MpComm
 from repro.parallel.tracing import Tracer
 
-#: Every method the protocol promises; conformance is checked name by
-#: name so a backend silently dropping one fails with a message naming
-#: the missing method rather than a bare isinstance failure.
-PROTOCOL_METHODS = (
-    "allreduce_sum", "allreduce_scalar", "fused_allreduce_sum",
-    "allreduce_sum_stacked", "fused_allreduce_sum_stacked", "allreduce_dd",
-    "charge_local", "charge_uniform", "charge_halo",
-    "alloc_stack", "exec_spmv", "mark", "close",
-)
+#: Every method the protocol promises, read off the protocol itself;
+#: conformance is checked name by name so a backend silently dropping
+#: one fails with a message naming the missing method rather than a
+#: bare isinstance failure.
+PROTOCOL_METHODS = tuple(
+    name for name, fn in vars(Communicator).items()
+    if inspect.isfunction(fn) and not name.startswith("_")
+) + tuple(  # hooks declared as callable attributes (``mark``)
+    name for name, annotation in Communicator.__annotations__.items()
+    if annotation.startswith("Callable"))
 
 
 @pytest.fixture
@@ -34,11 +37,27 @@ class TestProtocolConformance:
     def test_backends_tuple(self):
         assert BACKENDS == ("sim", "mp")
 
+    def test_protocol_surface(self):
+        """Three reduction entry points, and the lifecycle hooks
+        ``Simulation`` calls are declared."""
+        reductions = {n for n in PROTOCOL_METHODS if "allreduce" in n}
+        assert reductions == {"allreduce", "post_allreduce", "allreduce_dd"}
+        assert {"mark", "close", "wait", "bcast", "post_ihalo",
+                "post_ibcast"} <= set(PROTOCOL_METHODS)
+
     @pytest.mark.parametrize("cls", [SimComm, MpComm])
     def test_methods_present(self, cls):
         for name in PROTOCOL_METHODS:
             assert callable(getattr(cls, name, None)), (
                 f"{cls.__name__} is missing Communicator.{name}")
+
+    def test_mp_overrides_transport_only(self):
+        """Reductions and charge formulas are inherited: the mp backend
+        replaces how a packed buffer is folded, never what is charged."""
+        for name in ("allreduce", "post_allreduce", "allreduce_dd",
+                     "charge_local", "charge_uniform", "charge_halo"):
+            assert name not in vars(MpComm), (
+                f"MpComm re-implements {name}")
 
     def test_sim_is_communicator(self, comm4):
         assert isinstance(comm4, Communicator)
@@ -55,10 +74,21 @@ class TestProtocolConformance:
             machine = size = tracer = cost = engine = None
             backend = "half"
 
-            def allreduce_sum(self, shards):
-                return shards[0]
+            def allreduce(self, groups):
+                return [group[0] for group in groups]
 
         assert not isinstance(Half(), Communicator)
+
+
+    def test_backend_without_mark_is_not_communicator(self):
+        """``Simulation.__init__`` calls ``comm.mark()``, so the protocol
+        must demand it."""
+        members = {name: getattr(SimComm, name) for name in PROTOCOL_METHODS}
+        members.update(dict.fromkeys(
+            ("machine", "size", "tracer", "cost", "engine", "backend")))
+        assert isinstance(type("Full", (), members)(), Communicator)
+        del members["mark"]
+        assert not isinstance(type("NoMark", (), members)(), Communicator)
 
 
 class TestSimCommDefaults:
@@ -76,11 +106,11 @@ class TestSimCommDefaults:
     def test_mark_and_close_are_noops(self, comm4):
         comm4.mark()
         comm4.close()
-        comm4.allreduce_scalar([1.0] * 4)  # still usable after close
+        comm4.allreduce([np.ones(4)])  # still usable after close
 
     def test_context_manager(self):
         with SimComm(generic_cpu(), 4) as comm:
-            assert comm.allreduce_scalar([1.0] * 4) == 4.0
+            assert comm.allreduce([np.ones(4)])[0] == 4.0
 
 
 class TestMakeComm:
@@ -98,7 +128,7 @@ class TestMakeComm:
     def test_mp_backend(self):
         with make_comm("mp", generic_cpu(), 2) as comm:
             assert isinstance(comm, MpComm)
-            assert comm.allreduce_scalar([1.0, 2.0]) == 3.0
+            assert comm.allreduce([[1.0, 2.0]])[0] == 3.0
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigurationError, match="backend"):

@@ -31,16 +31,14 @@ class TestReduceSchedule:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8])
     def test_mirrors_tree_sum(self, size):
         """Folding the schedule's (a, b) pairs level by level reproduces
-        SimComm._tree_sum's pairing exactly."""
+        SimComm._fold's pairing exactly."""
         rng = np.random.default_rng(size)
-        items = [rng.standard_normal(5) for _ in range(size)]
+        items = rng.standard_normal((size, 5))
         slots = [x.copy() for x in items]
         for level in _reduce_schedule(size):
             for a, b in level:
                 slots[a] = slots[a] + slots[b]
-        sim = SimComm(generic_cpu(), size, Tracer())
-        np.testing.assert_array_equal(
-            slots[0], sim.allreduce_sum([x.copy() for x in items]))
+        assert slots[0].tobytes() == SimComm._fold(items).tobytes()
 
 
 class TestBitIdenticalReductions:
@@ -52,8 +50,8 @@ class TestBitIdenticalReductions:
         shards = [rng.standard_normal((3, 2)) for _ in range(size)]
         sim, mp = _pair(size)
         try:
-            a = sim.allreduce_sum([s.copy() for s in shards])
-            b = mp.allreduce_sum([s.copy() for s in shards])
+            (a,) = sim.allreduce([[s.copy() for s in shards]])
+            (b,) = mp.allreduce([[s.copy() for s in shards]])
             assert a.tobytes() == b.tobytes()
         finally:
             mp.close()
@@ -63,23 +61,26 @@ class TestBitIdenticalReductions:
         shards = [rng.standard_normal((4,)).astype(np.float32)
                   for _ in range(4)]
         sim = SimComm(generic_cpu(), 4, Tracer())
-        a = sim.allreduce_sum([s.copy() for s in shards])
-        b = mp4.allreduce_sum([s.copy() for s in shards])
+        (a,) = sim.allreduce([[s.copy() for s in shards]])
+        (b,) = mp4.allreduce([[s.copy() for s in shards]])
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
 
     def test_allreduce_scalar(self, mp4):
         vals = [0.1, 0.2, 0.3, 0.7]
         sim = SimComm(generic_cpu(), 4, Tracer())
-        assert mp4.allreduce_scalar(vals) == sim.allreduce_scalar(vals)
+        (a,) = sim.allreduce([vals])
+        (b,) = mp4.allreduce([vals])
+        assert a.shape == b.shape == ()
+        assert a.tobytes() == b.tobytes()
 
     def test_fused_allreduce_sum(self, mp4):
         rng = np.random.default_rng(1)
         g1 = [rng.standard_normal((2, 2)) for _ in range(4)]
         g2 = [rng.standard_normal((3,)) for _ in range(4)]
         sim = SimComm(generic_cpu(), 4, Tracer())
-        a = sim.fused_allreduce_sum([[s.copy() for s in g] for g in (g1, g2)])
-        b = mp4.fused_allreduce_sum([[s.copy() for s in g] for g in (g1, g2)])
+        a = sim.allreduce([[s.copy() for s in g] for g in (g1, g2)])
+        b = mp4.allreduce([[s.copy() for s in g] for g in (g1, g2)])
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
@@ -87,11 +88,11 @@ class TestBitIdenticalReductions:
         rng = np.random.default_rng(2)
         stack = rng.standard_normal((4, 3, 2))
         sim = SimComm(generic_cpu(), 4, Tracer())
-        assert (sim.allreduce_sum_stacked(stack.copy()).tobytes()
-                == mp4.allreduce_sum_stacked(stack.copy()).tobytes())
+        assert (sim.allreduce([stack.copy()])[0].tobytes()
+                == mp4.allreduce([stack.copy()])[0].tobytes())
         s2 = rng.standard_normal((4, 5))
-        a = sim.fused_allreduce_sum_stacked([stack.copy(), s2.copy()])
-        b = mp4.fused_allreduce_sum_stacked([stack.copy(), s2.copy()])
+        a = sim.allreduce([stack.copy(), s2.copy()])
+        b = mp4.allreduce([stack.copy(), s2.copy()])
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
@@ -112,16 +113,16 @@ class TestBitIdenticalReductions:
 
 class TestModeledTwin:
     def test_twin_matches_sim_charges_exactly(self):
-        """The duplicated charge formulas must not drift: running the
-        same collective/charge sequence on both backends leaves the mp
-        modeled twin equal to the sim tracer — clock, kernels, counts."""
+        """Running the same collective/charge sequence on both backends
+        leaves the mp modeled twin equal to the sim tracer — clock,
+        kernels, counts."""
         rng = np.random.default_rng(9)
         shards = [rng.standard_normal((4, 4)) for _ in range(3)]
         sim, mp = _pair(3)
         try:
             for comm in (sim, mp):
                 with comm.tracer.phase("ortho"):
-                    comm.allreduce_sum([s.copy() for s in shards])
+                    comm.allreduce([[s.copy() for s in shards]])
                 with comm.tracer.phase("spmv"):
                     comm.charge_local("spmv_local", [1e-4, 2e-4, 3e-4])
                     comm.charge_halo([{1: 640.0}, {0: 640.0}, {0: 64.0}])
@@ -134,14 +135,14 @@ class TestModeledTwin:
 
     def test_measured_tracer_records_wall_clock(self, mp4):
         before = mp4.tracer.clock
-        mp4.allreduce_sum([np.ones(64) for _ in range(4)])
+        mp4.allreduce([np.ones((4, 64))])
         assert mp4.tracer.clock > before
         assert mp4.tracer.sync_count() >= 1
 
     def test_phase_stack_aliased(self, mp4):
         """One phase region attributes both streams."""
         with mp4.tracer.phase("ortho"):
-            mp4.allreduce_sum([np.ones(8) for _ in range(4)])
+            mp4.allreduce([np.ones((4, 8))])
         assert ("ortho", "allreduce") in mp4.tracer.by_kernel
         assert ("ortho", "allreduce") in mp4.modeled.by_kernel
 
@@ -168,24 +169,47 @@ class TestSharedStacks:
 class TestValidationAndLifecycle:
     def test_contribution_count_checked(self, mp4):
         with pytest.raises(CommunicatorError):
-            mp4.allreduce_sum([np.zeros(2)] * 3)
+            mp4.allreduce([[np.zeros(2)] * 3])
+
+    def test_wait_guards(self, mp4):
+        """Waited twice / foreign request: checked once, in SimComm.wait."""
+        req = mp4.post_allreduce([np.ones((4, 2))])
+        mp4.wait(req)
+        with pytest.raises(CommunicatorError, match="twice"):
+            mp4.wait(req)
+        foreign = SimComm(generic_cpu(), 4, Tracer()).post_allreduce(
+            [np.ones((4, 2))])
+        with pytest.raises(CommunicatorError, match="different communicator"):
+            mp4.wait(foreign)
+
+    def test_post_parks_state_on_declared_request_fields(self, mp4):
+        sim_req = SimComm(generic_cpu(), 4, Tracer()).post_allreduce(
+            [np.ones((4, 2))])
+        assert (sim_req.measured_setup, sim_req.posted_wall) == (0.0, 0.0)
+        req = mp4.post_allreduce([np.ones((4, 2))])
+        assert req.posted_wall > 0.0 and req.measured_setup >= 0.0
+        assert req.pending is not None and req.result is None
+        mp4.wait(req)
+        assert req.pending is None
+        # nothing bolted on beside the fields CommRequest declares
+        assert set(vars(req)) == set(vars(sim_req))
 
     def test_close_idempotent_and_rejects_use(self):
         comm = MpComm(generic_cpu(), 2, Tracer())
-        assert comm.allreduce_scalar([1.0, 1.0]) == 2.0
+        assert comm.allreduce([[1.0, 1.0]])[0] == 2.0
         comm.close()
         comm.close()
         with pytest.raises(CommunicatorError):
-            comm.allreduce_scalar([1.0, 1.0])
+            comm.allreduce([[1.0, 1.0]])
         assert "closed" in repr(comm)
 
     def test_context_manager_closes(self):
         with MpComm(generic_cpu(), 2, Tracer()) as comm:
-            comm.allreduce_scalar([1.0, 2.0])
+            comm.allreduce([[1.0, 2.0]])
         with pytest.raises(CommunicatorError):
-            comm.allreduce_scalar([1.0, 2.0])
+            comm.allreduce([[1.0, 2.0]])
 
     def test_size_one_works(self):
         with MpComm(generic_cpu(), 1, Tracer()) as comm:
-            out = comm.allreduce_sum([np.arange(3.0)])
+            (out,) = comm.allreduce([[np.arange(3.0)]])
             np.testing.assert_array_equal(out, np.arange(3.0))

@@ -3,8 +3,8 @@
 These pin the LogGP-style contract of the ``post_*``/``wait`` API on the
 simulated communicator: posted collectives drain FIFO under compute
 charges, ``wait`` charges only the exposed remainder, and results are
-bit-identical to the blocking calls (values are computed eagerly at post
-time in the same tree order).
+bit-identical to the blocking calls (both run the same pack -> fold ->
+unpack core).
 """
 
 from __future__ import annotations
@@ -26,28 +26,26 @@ class TestResultsBitIdentical:
     def test_posted_allreduce_matches_blocking(self, comm4):
         rng = np.random.default_rng(3)
         shards = [rng.standard_normal((3, 2)) for _ in range(4)]
-        blocking = SimComm(generic_cpu(), 4, Tracer()).allreduce_sum(shards)
-        req = comm4.post_iallreduce_sum(shards)
-        posted = comm4.wait(req)
+        (blocking,) = SimComm(generic_cpu(), 4, Tracer()).allreduce([shards])
+        req = comm4.post_allreduce([shards])
+        (posted,) = comm4.wait(req)
         assert posted.tobytes() == blocking.tobytes()
 
     def test_posted_fused_matches_blocking(self, comm4):
         rng = np.random.default_rng(4)
         g1 = [rng.standard_normal(5) for _ in range(4)]
         g2 = [rng.standard_normal((2, 2)) for _ in range(4)]
-        blocking = SimComm(generic_cpu(), 4, Tracer()).fused_allreduce_sum(
-            [g1, g2])
-        posted = comm4.wait(comm4.post_ifused_allreduce_sum([g1, g2]))
+        blocking = SimComm(generic_cpu(), 4, Tracer()).allreduce([g1, g2])
+        posted = comm4.wait(comm4.post_allreduce([g1, g2]))
         for p, b in zip(posted, blocking):
             assert p.tobytes() == b.tobytes()
 
     def test_posted_stacked_matches_loop_variant(self, comm4):
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((4, 3, 3))
-        blocking = SimComm(generic_cpu(), 4, Tracer()).fused_allreduce_sum(
+        blocking = SimComm(generic_cpu(), 4, Tracer()).allreduce(
             [list(stack)])
-        posted = comm4.wait(
-            comm4.post_ifused_allreduce_sum_stacked([stack]))
+        posted = comm4.wait(comm4.post_allreduce([stack]))
         assert posted[0].tobytes() == blocking[0].tobytes()
 
     def test_posted_bcast_passes_value_through(self, comm4):
@@ -61,7 +59,7 @@ class TestChargeSemantics:
         """No intervening compute: the window is empty and the wait is
         charge-identical to the blocking collective."""
         shards = [np.ones(16)] * 4
-        req = comm4.post_iallreduce_sum(shards)
+        req = comm4.post_allreduce([shards])
         assert comm4.tracer.clock == 0.0  # post itself is free
         comm4.wait(req)
         assert comm4.tracer.clock == blocking_cost(comm4, 16)
@@ -73,7 +71,7 @@ class TestChargeSemantics:
         overlapped."""
         shards = [np.ones(16)] * 4
         full = blocking_cost(comm4, 16)
-        req = comm4.post_iallreduce_sum(shards)
+        req = comm4.post_allreduce([shards])
         comm4.charge_local("spmv", [10.0 * full] * 4)
         before = comm4.tracer.clock
         comm4.wait(req)
@@ -85,7 +83,7 @@ class TestChargeSemantics:
         shards = [np.ones(1024)] * 4
         full = blocking_cost(comm4, 1024)
         compute = 0.25 * full
-        req = comm4.post_iallreduce_sum(shards)
+        req = comm4.post_allreduce([shards])
         comm4.charge_local("spmv", [compute] * 4)
         comm4.wait(req)
         assert comm4.tracer.kernel_seconds("other", "allreduce") == \
@@ -98,8 +96,8 @@ class TestChargeSemantics:
         """Two in-flight requests: compute drains the OLDEST first."""
         shards = [np.ones(1024)] * 4
         full = blocking_cost(comm4, 1024)
-        first = comm4.post_iallreduce_sum(shards)
-        second = comm4.post_iallreduce_sum(shards)
+        first = comm4.post_allreduce([shards])
+        second = comm4.post_allreduce([shards])
         comm4.charge_local("spmv", [1.5 * full] * 4)
         assert first.hidden == pytest.approx(full)      # fully drained
         assert second.hidden == pytest.approx(0.5 * full)  # the spill
@@ -113,8 +111,8 @@ class TestChargeSemantics:
         request cannot progress the one queued behind it."""
         shards = [np.ones(1024)] * 4
         full = blocking_cost(comm4, 1024)
-        first = comm4.post_iallreduce_sum(shards)
-        second = comm4.post_iallreduce_sum(shards)
+        first = comm4.post_allreduce([shards])
+        second = comm4.post_allreduce([shards])
         comm4.wait(first)  # charges `full` exposed seconds
         assert second.hidden == 0.0
         comm4.wait(second)
@@ -127,7 +125,7 @@ class TestChargeSemantics:
         full = blocking_cost(comm4, 64)
         for factor in (0.0, 0.3, 1.0, 2.5):
             comm = SimComm(generic_cpu(), 4, Tracer())
-            req = comm.post_iallreduce_sum(shards)
+            req = comm.post_allreduce([shards])
             if factor:
                 comm.charge_local("spmv", [factor * full] * 4)
             comm.wait(req)
@@ -138,16 +136,16 @@ class TestChargeSemantics:
     def test_counts_unchanged_vs_blocking(self, comm4):
         """post contributes no collective count; wait counts exactly 1."""
         shards = [np.ones(8)] * 4
-        req = comm4.post_iallreduce_sum(shards)
+        req = comm4.post_allreduce([shards])
         assert comm4.tracer.sync_count() == 0
         comm4.charge_local("spmv", [1.0] * 4)
         comm4.wait(req)
         assert comm4.tracer.sync_count() == 1
 
     def test_empty_fused_post_is_zero_cost(self, comm4):
-        for req in (comm4.post_ifused_allreduce_sum([]),
-                    comm4.post_ifused_allreduce_sum_stacked([])):
-            assert comm4.wait(req) == []
+        req = comm4.post_allreduce([])
+        assert req.seconds == 0.0 and req.payload_bytes == 0.0
+        assert comm4.wait(req) == []
         assert comm4.tracer.clock == 0.0
 
 
@@ -178,14 +176,14 @@ class TestPostedHalo:
 
 class TestWaitErrors:
     def test_double_wait_raises(self, comm4):
-        req = comm4.post_iallreduce_sum([np.ones(2)] * 4)
+        req = comm4.post_allreduce([[np.ones(2)] * 4])
         comm4.wait(req)
         with pytest.raises(CommunicatorError, match="twice"):
             comm4.wait(req)
 
     def test_foreign_request_raises(self, comm4):
         other = SimComm(generic_cpu(), 4, Tracer())
-        req = other.post_iallreduce_sum([np.ones(2)] * 4)
+        req = other.post_allreduce([[np.ones(2)] * 4])
         with pytest.raises(CommunicatorError, match="different communicator"):
             comm4.wait(req)
 
@@ -206,7 +204,7 @@ class TestBcastCost:
         a = SimComm(summit(), 24, Tracer())
         b = SimComm(summit(), 24, Tracer())
         a.bcast(np.ones(64))
-        b.allreduce_sum([np.ones(64)] * 24)
+        b.allreduce([np.ones((24, 64))])
         assert 0.0 < a.tracer.clock < b.tracer.clock
 
     def test_counts_as_bcast_kernel(self, comm4):
@@ -218,7 +216,7 @@ class TestOverlapSpans:
     def test_post_marker_and_window_span(self, comm4):
         comm4.tracer.enable_spans()
         shards = [np.ones(16)] * 4
-        req = comm4.post_iallreduce_sum(shards)
+        req = comm4.post_allreduce([shards])
         comm4.charge_local("spmv", [1e-3] * 4)
         comm4.wait(req)
         cats = {s.cat: s for s in comm4.tracer.spans}
@@ -230,12 +228,12 @@ class TestOverlapSpans:
 
     def test_no_window_span_without_compute(self, comm4):
         comm4.tracer.enable_spans()
-        comm4.wait(comm4.post_iallreduce_sum([np.ones(4)] * 4))
+        comm4.wait(comm4.post_allreduce([[np.ones(4)] * 4]))
         assert all(s.cat != "comm_overlap" for s in comm4.tracer.spans)
 
     def test_exposed_charge_span_carries_overlapped(self, comm4):
         comm4.tracer.enable_spans()
-        req = comm4.post_iallreduce_sum([np.ones(2048)] * 4)
+        req = comm4.post_allreduce([[np.ones(2048)] * 4])
         comm4.charge_local("spmv", [1e-7] * 4)
         comm4.wait(req)
         charge = [s for s in comm4.tracer.spans
@@ -248,7 +246,7 @@ class TestOverlapSpans:
 class TestTracerOverlapAccounting:
     def test_totals_carry_overlapped_dimension(self, comm4):
         snap = comm4.tracer.snapshot()
-        req = comm4.post_iallreduce_sum([np.ones(2048)] * 4)
+        req = comm4.post_allreduce([[np.ones(2048)] * 4])
         comm4.charge_local("spmv", [1e-7] * 4)
         comm4.wait(req)
         totals = comm4.tracer.since(snap)
@@ -258,13 +256,13 @@ class TestTracerOverlapAccounting:
         assert doc["overlapped"]["other/allreduce"] == pytest.approx(1e-7)
 
     def test_report_mentions_hidden_comm(self, comm4):
-        req = comm4.post_iallreduce_sum([np.ones(2048)] * 4)
+        req = comm4.post_allreduce([[np.ones(2048)] * 4])
         comm4.charge_local("spmv", [1e-7] * 4)
         comm4.wait(req)
         assert "hidden comm" in comm4.tracer.report()
 
     def test_reset_clears_overlapped(self, comm4):
-        req = comm4.post_iallreduce_sum([np.ones(2048)] * 4)
+        req = comm4.post_allreduce([[np.ones(2048)] * 4])
         comm4.charge_local("spmv", [1e-7] * 4)
         comm4.wait(req)
         comm4.tracer.reset()

@@ -1,10 +1,12 @@
 """The docs/ site must track the code it documents.
 
-Two structural guards: the experiment catalogue in docs/experiments.md
+Three structural guards: the experiment catalogue in docs/experiments.md
 must list exactly the runner's registered subcommands (so adding an
 experiment without documenting it — or documenting a renamed one — is
-a tier-1 failure), and every relative link in the markdown pages must
-resolve (same check CI runs standalone via scripts/docs_lint.py).
+a tier-1 failure), every relative link in the markdown pages must
+resolve (same check CI runs standalone via scripts/docs_lint.py), and
+the two sections describing the communicator may name only collectives
+the ``Communicator`` protocol declares.
 """
 
 from __future__ import annotations
@@ -63,3 +65,32 @@ class TestDocsSite:
             [sys.executable, str(REPO / "scripts" / "docs_lint.py")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestCommunicatorSections:
+    """The protocol paragraphs must not name collectives that do not
+    exist (they once said ``stacked_allreduce_sum``)."""
+
+    SECTIONS = (("architecture.md", "## The Communicator protocol"),
+                ("cost-model.md", "## Overlap windows"))
+    #: A backticked ``name``, ``name(...)`` or ``comm.name(...)`` whose
+    #: name carries a collective's stem is a communicator call.
+    CALL = re.compile(
+        r"`(?:comm\.)?(\w*(?:allreduce|bcast|halo|wait)\w*)(?:\([^`]*\))?`")
+
+    @staticmethod
+    def _section(page: str, heading: str) -> str:
+        text = (DOCS / page).read_text()
+        start = text.index(heading + "\n")
+        end = text.find("\n## ", start + len(heading))
+        return text[start:end if end != -1 else len(text)]
+
+    def test_every_named_call_is_on_the_protocol(self):
+        from repro.parallel.api import Communicator
+        for page, heading in self.SECTIONS:
+            names = set(self.CALL.findall(self._section(page, heading)))
+            assert names, f"no communicator call named in {page} {heading!r}"
+            stale = sorted(n for n in names if not hasattr(Communicator, n))
+            assert not stale, (
+                f"docs/{page} {heading!r} names {stale}, which the "
+                f"Communicator protocol does not declare")
