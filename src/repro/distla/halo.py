@@ -19,9 +19,17 @@ so each level's dependency set is rounded up to whole owner blocks
 (``expand="block"``).  General preconditioners have no finite ghost
 closure and are rejected upstream by the kernel.
 
+The simulator computes the CA kernel's values from ONE global
+recurrence, so nothing executes the closure any more; that it is large
+enough is a structural invariant :func:`check_closure` verifies once per
+analysis instead.
+
 Payloads are charged at the operand's *storage* word size (a ghost row
 of an fp32 basis moves 4 bytes), so plans store per-peer row counts and
-convert to bytes at exchange time.
+convert to bytes at exchange time — once per ``(word_bytes, n_vectors)``
+(:func:`_descriptors`): every exchange of a solve reuses the same
+:class:`~repro.parallel.communicator.HaloDescriptors`, and the
+communicator remembers their cost on them.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.communicator import HaloDescriptors
+from repro.parallel.costmodel import StaticCharges
 from repro.parallel.partition import Partition
 from repro.precision.dtypes import word_bytes as _word_bytes
 
@@ -43,22 +52,78 @@ EXPAND_MODES = ("pointwise", "block")
 _DOUBLE = _word_bytes("fp64")
 
 
-def _row_union(a: sp.csr_matrix, rows: np.ndarray, n: int) -> np.ndarray:
-    """``rows ∪ cols(A[rows, :])`` as a sorted global index array."""
-    mask = np.zeros(n, dtype=bool)
+def _row_union(a: sp.csr_matrix, row_nnz: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """``rows ∪ cols(A[rows, :])`` as a sorted global index array
+    (``row_nnz = diff(a.indptr)``)."""
+    mask = np.zeros(a.shape[0], dtype=bool)
     mask[rows] = True
-    mask[a[rows, :].indices] = True
+    # the stored entries of the selected rows, without a submatrix
+    mask[a.indices[np.repeat(mask, row_nnz)]] = True
     return np.flatnonzero(mask)
 
 
+def _owner_ranks(rows: np.ndarray, partition: Partition) -> np.ndarray:
+    """Ranks owning at least one row of a *sorted* global row set."""
+    return np.flatnonzero(np.diff(np.searchsorted(rows, partition.offsets)))
+
+
 def _block_round(rows: np.ndarray, partition: Partition) -> np.ndarray:
-    """Round a row set up to whole owner blocks (sorted global indices)."""
+    """Round a sorted row set up to whole owner blocks."""
     if rows.size == 0:
         return rows
-    owners = np.unique(partition.owners(rows))
-    parts = [np.arange(partition.offsets[p], partition.offsets[p + 1])
-             for p in owners]
-    return np.concatenate(parts) if parts else rows
+    return np.concatenate(
+        [np.arange(partition.offsets[p], partition.offsets[p + 1])
+         for p in _owner_ranks(rows, partition)])
+
+
+def _descriptors(memo: dict, key: tuple,
+                 counts_by_rank: list[dict[int, int]], word_bytes: float,
+                 n_vectors: int) -> HaloDescriptors:
+    """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands
+    stored at ``word_bytes`` per element over ``counts_by_rank`` rows.
+
+    Built once per ``key + (word_bytes, n_vectors)`` in ``memo`` and
+    shared by every caller (read-only): plans are never mutated, so every
+    exchange of a solve moves the same descriptors.
+    """
+    key += (float(word_bytes), int(n_vectors))
+    recv = memo.get(key)
+    if recv is None:
+        scale = float(word_bytes) * int(n_vectors)
+        recv = memo[key] = HaloDescriptors(
+            {peer: cnt * scale for peer, cnt in by_peer.items()}
+            for by_peer in counts_by_rank)
+    return recv
+
+
+def check_closure(a: sp.csr_matrix, partition: Partition,
+                  levels: list[list[np.ndarray]], expand: str) -> None:
+    """The invariant that makes ``levels`` a closure of ``A M^{-1}``.
+
+    For every rank and level ``l`` below the deepest, the step landing
+    on ``L_l`` must find all it reads inside ``L_{l+1}``: the rows
+    themselves (the recurrence's ``v_k`` term), ``cols(A[L_l, :])``
+    (the SpMV operand), and for ``expand="block"`` the whole owner block
+    of each of those (a block solve reads its entire block).
+    Raises :class:`ConfigurationError` naming the first rank and level
+    that fall short.
+    """
+    row_nnz = np.diff(a.indptr)
+    held = np.zeros(partition.n_global, dtype=bool)
+    for rank, per_rank in enumerate(levels):
+        for lvl, (rows, outer) in enumerate(zip(per_rank, per_rank[1:])):
+            reads = _row_union(a, row_nnz, rows)
+            if expand == "block":
+                reads = _block_round(reads, partition)
+            held[outer] = True
+            closed = held[reads].all()
+            held[outer] = False
+            if not closed:
+                raise ConfigurationError(
+                    f"ghost closure too small on rank {rank}: level "
+                    f"{lvl} reads rows outside level {lvl + 1} "
+                    f"(expand={expand!r})")
 
 
 class HaloPlan:
@@ -76,7 +141,7 @@ class HaloPlan:
                  halo_counts: np.ndarray) -> None:
         self.recv_counts_by_peer = recv_counts_by_peer
         self.halo_counts = halo_counts
-        self._recv_bytes: dict[tuple[float, int], HaloDescriptors] = {}
+        self._recv_bytes: dict[tuple, HaloDescriptors] = {}
 
     def recv_bytes(self, word_bytes: float = _DOUBLE,
                    n_vectors: int = 1) -> HaloDescriptors:
@@ -87,14 +152,8 @@ class HaloPlan:
         caller (read-only): every SpMV of a solve exchanges the same
         descriptors, and the communicator remembers their cost on them.
         """
-        word_bytes, n_vectors = float(word_bytes), int(n_vectors)
-        recv = self._recv_bytes.get((word_bytes, n_vectors))
-        if recv is None:
-            scale = word_bytes * n_vectors
-            recv = self._recv_bytes[word_bytes, n_vectors] = HaloDescriptors(
-                {peer: cnt * scale for peer, cnt in by_peer.items()}
-                for by_peer in self.recv_counts_by_peer)
-        return recv
+        return _descriptors(self._recv_bytes, (), self.recv_counts_by_peer,
+                            word_bytes, n_vectors)
 
     @classmethod
     def analyze(cls, local_blocks: list[sp.csr_matrix],
@@ -123,22 +182,22 @@ class GhostPlan:
     then step ``j`` computes the next vector on ``L_{depth-j}`` — purely
     local, redundantly recomputing the shrinking ghost region.
 
-    Ghosted local blocks: ``level_blocks[rank][l]`` is the CSR row
-    submatrix ``A[L_l, :]`` — what rank ``rank`` multiplies at the step
-    landing on level ``l`` (only levels ``0..depth-1`` are ever
-    computed; ``L_depth`` is the exchanged input).  Column indices stay
-    global: the kernel keeps per-rank work arrays in global index space,
-    which is the simulation-side equivalent of a local ghost numbering.
+    What rank ``rank`` multiplies at the step landing on level ``l`` is
+    the row submatrix ``A[L_l, :]`` (only levels ``0..depth-1`` are ever
+    computed; ``L_depth`` is the exchanged input).  The plan keeps its
+    *size* — ``level_rows`` / ``level_nnz``, what the redundant work is
+    charged from — not the submatrix: the values come from one global
+    product (:mod:`repro.krylov.mpk`).  An analysis result: nothing
+    mutates it, which is what lets it remember descriptors and charges.
     """
 
     __slots__ = ("partition", "depth", "expand", "levels", "ghost_rows",
-                 "recv_counts_by_peer", "level_blocks",
+                 "recv_counts_by_peer",
                  "level_rows", "level_nnz", "level_ranks", "n_global",
-                 "_eager_counts", "_ring_counts")
+                 "_eager_counts", "_ring_counts", "_recv_bytes", "charge_memo")
 
     def __init__(self, partition: Partition, depth: int, expand: str,
                  levels: list[list[np.ndarray]],
-                 level_blocks: list[list[sp.csr_matrix]],
                  level_nnz: np.ndarray) -> None:
         self.partition = partition
         self.depth = depth
@@ -146,8 +205,6 @@ class GhostPlan:
         self.n_global = partition.n_global
         #: ``levels[rank][l]`` — sorted global rows of ``L_l`` on ``rank``.
         self.levels = levels
-        #: ``level_blocks[rank][l]`` — ghosted local block ``A[L_l, :]``.
-        self.level_blocks = level_blocks
         #: ``ghost_rows[rank]`` — ``L_depth`` minus the owned block.
         self.ghost_rows = []
         #: ``recv_counts_by_peer[rank]`` — ghost row counts by owner.
@@ -161,8 +218,7 @@ class GhostPlan:
         #: ``level_ranks[rank][l]`` — owner ranks intersecting ``L_l``
         #: (block-preconditioner redundant applies touch these blocks).
         self.level_ranks = [
-            [np.unique(partition.owners(lvl)) if lvl.size else
-             np.zeros(0, dtype=np.int64) for lvl in per_rank]
+            [_owner_ranks(lvl, partition) for lvl in per_rank]
             for per_rank in levels]
         for rank in range(partition.ranks):
             lo, hi = partition.offsets[rank], partition.offsets[rank + 1]
@@ -174,6 +230,12 @@ class GhostPlan:
                  in partition.group_by_owner(ghosts).items()})
         self._eager_counts = None
         self._ring_counts = None
+        self._recv_bytes: dict[tuple, HaloDescriptors] = {}
+        #: For :meth:`CostModel.memoized <repro.parallel.costmodel
+        #: .CostModel.memoized>`: per-rank charges of kernels over this
+        #: plan.  Level sizes never change, so every panel of a solve
+        #: charges the same lists.
+        self.charge_memo: dict[tuple, StaticCharges] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -194,32 +256,29 @@ class GhostPlan:
                 f"n_global={n}")
         row_nnz = np.diff(a.indptr)
         levels: list[list[np.ndarray]] = []
-        level_blocks: list[list[sp.csr_matrix]] = []
         for rank in range(partition.ranks):
             owned = np.arange(partition.offsets[rank],
                               partition.offsets[rank + 1])
             per_rank = [owned]
             for _ in range(depth):
-                grown = _row_union(a, per_rank[-1], n)
+                grown = _row_union(a, row_nnz, per_rank[-1])
                 if expand == "block":
                     grown = _block_round(grown, partition)
                 per_rank.append(grown)
             levels.append(per_rank)
-            level_blocks.append([a[per_rank[lvl], :].tocsr()
-                                 for lvl in range(depth)])
+        check_closure(a, partition, levels, expand)
         level_nnz = np.array(
             [[int(row_nnz[lvl].sum()) for lvl in per_rank]
              for per_rank in levels], dtype=np.int64)
-        return cls(partition, depth, expand, levels, level_blocks, level_nnz)
+        return cls(partition, depth, expand, levels, level_nnz)
 
     # ------------------------------------------------------------------
     def recv_bytes(self, word_bytes: float = _DOUBLE,
-                   n_vectors: int = 1) -> list[dict[int, float]]:
+                   n_vectors: int = 1) -> HaloDescriptors:
         """Per-rank ``{peer: bytes}`` of the ONE aggregated deep-halo
         exchange moving ``n_vectors`` operands at ``word_bytes``/element."""
-        scale = float(word_bytes) * n_vectors
-        return [{peer: cnt * scale for peer, cnt in by_peer.items()}
-                for by_peer in self.recv_counts_by_peer]
+        return _descriptors(self._recv_bytes, ("all",),
+                            self.recv_counts_by_peer, word_bytes, n_vectors)
 
     def _split_counts(self) -> tuple[list[dict[int, int]],
                                      list[dict[int, int]]]:
@@ -248,20 +307,18 @@ class GhostPlan:
         return self._eager_counts, self._ring_counts
 
     def eager_recv_bytes(self, word_bytes: float = _DOUBLE,
-                         n_vectors: int = 1) -> list[dict[int, float]]:
+                         n_vectors: int = 1) -> HaloDescriptors:
         """Payload of the depth-1 ghost shell — what the PA2 overlapped
         kernel exchanges eagerly (blocking) before posting the ring."""
-        scale = float(word_bytes) * n_vectors
-        return [{peer: cnt * scale for peer, cnt in by_peer.items()}
-                for by_peer in self._split_counts()[0]]
+        return _descriptors(self._recv_bytes, ("eager",),
+                            self._split_counts()[0], word_bytes, n_vectors)
 
     def ring_recv_bytes(self, word_bytes: float = _DOUBLE,
-                        n_vectors: int = 1) -> list[dict[int, float]]:
+                        n_vectors: int = 1) -> HaloDescriptors:
         """Payload of the deep-ring remainder (levels 2..depth) — what
         PA2 posts nonblocking and hides behind the first local SpMVs."""
-        scale = float(word_bytes) * n_vectors
-        return [{peer: cnt * scale for peer, cnt in by_peer.items()}
-                for by_peer in self._split_counts()[1]]
+        return _descriptors(self._recv_bytes, ("ring",),
+                            self._split_counts()[1], word_bytes, n_vectors)
 
     def ghost_counts(self) -> np.ndarray:
         """Ghost rows per rank at the deepest level (diagnostics)."""

@@ -223,6 +223,16 @@ class DistMultiVector:
             return out
         return np.concatenate(self.shards, axis=0)
 
+    def scatter_col(self, col: int, values: np.ndarray) -> None:
+        """Write a global length-``n`` vector into column ``col`` (the
+        container dtype casts; round to the storage grid beforehand)."""
+        if self._stack is not None:
+            self._stack[:, :, col] = values.reshape(self._stack.shape[:2])
+            return
+        offsets = self.partition.offsets
+        for rank, shard in enumerate(self.shards):
+            shard[:, col] = values[offsets[rank]:offsets[rank + 1]]
+
     def assign_from(self, other: "DistMultiVector") -> None:
         """Copy ``other``'s values into this vector's storage.
 

@@ -24,8 +24,6 @@ analyzes and caches one :class:`~repro.distla.halo.GhostPlan` per
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -33,17 +31,8 @@ from repro.distla.halo import GhostPlan, HaloPlan
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
-from repro.parallel.costmodel import CostModel
-from repro.parallel.machine import MachineSpec
+from repro.parallel.costmodel import CostModel, StaticCharges
 from repro.parallel.partition import Partition
-
-
-class _OpShapes(list):
-    """Stand-in metrics feed that keeps the ``(flops, bytes)`` shapes a
-    cost evaluation records, for replay into the real registry."""
-
-    def record_op(self, flops: float, bytes_moved: float) -> None:
-        self.append((float(flops), float(bytes_moved)))
 
 
 class DistSparseMatrix:
@@ -79,9 +68,8 @@ class DistSparseMatrix:
         self._diag = a.diagonal().copy()
         self._global_csr = a
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
-        #: ``(machine, word_bytes) -> (per-rank seconds, op shapes)``
-        self._spmv_charges: dict[tuple[MachineSpec, float],
-                                 tuple[list, list]] = {}
+        #: ``(word_bytes, machine) ->`` the per-rank ``spmv_local`` charges
+        self._spmv_charges: dict[tuple, StaticCharges] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -123,27 +111,20 @@ class DistSparseMatrix:
 
     # ------------------------------------------------------------------
     def _local_spmv_charges(self, cost: CostModel, word_bytes: float
-                            ) -> tuple[list[float], list[tuple[float, float]]]:
-        """Per-rank ``spmv_local`` seconds and the ``(flops, bytes)``
-        shapes behind them, evaluated once per ``(machine, word_bytes)``.
+                            ) -> StaticCharges:
+        """Per-rank ``spmv_local`` charges, evaluated once per
+        ``(machine, word_bytes)``.
 
         Every input — block nonzeros and rows, owned plus ghost operand
         entries — is fixed at construction, so each SpMV of a solve
         charges the same list.
         """
-        key = (cost.machine, float(word_bytes))
-        charges = self._spmv_charges.get(key)
-        if charges is None:
-            shapes = _OpShapes()
-            recording = replace(cost, metrics=shapes)
-            seconds = [
-                recording.spmv(block.nnz, block.shape[0],
-                               self.partition.local_count(rank)
-                               + int(self.halo.halo_counts[rank]),
-                               word_bytes=word_bytes)
-                for rank, block in enumerate(self.local_blocks)]
-            charges = self._spmv_charges[key] = (seconds, shapes)
-        return charges
+        return cost.memoized(self._spmv_charges, float(word_bytes), lambda c: [
+            c.spmv(block.nnz, block.shape[0],
+                   self.partition.local_count(rank)
+                   + int(self.halo.halo_counts[rank]),
+                   word_bytes=word_bytes)
+            for rank, block in enumerate(self.local_blocks)])
 
     def matvec(self, x: DistMultiVector, out: DistMultiVector | None = None
                ) -> DistMultiVector:
@@ -177,17 +158,10 @@ class DistSparseMatrix:
             y = self._global_csr @ x.to_global()[:, 0]
             if out.storage != "fp64":
                 y = out.quantize(y)
-            if out.stack is not None:
-                out.stack[:, :, 0] = y.reshape(out.stack.shape[:2])
-            else:
-                offsets = self.partition.offsets
-                for rank, shard in enumerate(out.shards):
-                    shard[:, 0] = y[offsets[rank]:offsets[rank + 1]]
-        seconds, shapes = self._local_spmv_charges(
-            comm.cost, max(x.word_bytes, out.word_bytes))
-        if comm.cost.metrics is not None:
-            comm.cost.metrics.record_ops(shapes)
-        comm.charge_local("spmv_local", seconds)
+            out.scatter_col(0, y)
+        self._local_spmv_charges(
+            comm.cost, max(x.word_bytes, out.word_bytes)
+        ).charge(comm, "spmv_local")
         return out
 
     def matvec_batched(self, xs: list[DistMultiVector],

@@ -1,6 +1,6 @@
 """Matrix powers kernels and the (right-)preconditioned operator.
 
-Two execution modes generate the s-step basis (Fig. 1 lines 7-9):
+Three execution modes generate the s-step basis (Fig. 1 lines 7-9):
 
 * ``"standard"`` — Trilinos' choice, which the paper follows: "applying
   each SpMV with neighborhood communication and preconditioner in
@@ -14,7 +14,10 @@ Two execution modes generate the s-step basis (Fig. 1 lines 7-9):
   then every step is a purely local SpMV that redundantly recomputes a
   ghost region shrinking by one level per step.  Latency is paid once
   per panel instead of once per column, at the price of redundant flops
-  on the ghost rings.
+  on the ghost rings.  That price is what the modeled machine pays and
+  what is *charged*; the simulator itself evaluates the one global
+  recurrence all the redundant copies agree with
+  (:meth:`MatrixPowersKernel._extend_ca`).
 * ``"ca_overlap"`` — the overlapped variant (Demmel et al.'s "PA2"):
   the depth-1 nearest-neighbour shell is exchanged eagerly (blocking),
   the deep-ring remainder is *posted* as a nonblocking exchange
@@ -26,8 +29,13 @@ Two execution modes generate the s-step basis (Fig. 1 lines 7-9):
 
 All modes evaluate the identical recurrence over identical operand
 values, so the generated basis is bit-identical — the tracer alone can
-tell them apart.  CA composes with preconditioners through the ghost
-closure (:attr:`~repro.precond.base.Preconditioner.ghost_compat`):
+tell them apart.  The CA modes' per-rank charges depend only on the
+ghost plan, the step's depth, the operand word size and the machine;
+they are evaluated once and replayed
+(:meth:`~repro.parallel.costmodel.CostModel.memoized`).
+
+CA composes with preconditioners through the ghost closure
+(:attr:`~repro.precond.base.Preconditioner.ghost_compat`):
 identity/Jacobi expand pointwise, block Jacobi rounds every level up to
 whole owner blocks, and anything else (polynomial, ...) has no finite
 closure — :class:`MatrixPowersKernel` raises ``ConfigurationError``,
@@ -63,8 +71,19 @@ class PreconditionedOperator:
 
     def __init__(self, matrix: DistSparseMatrix,
                  precond: Preconditioner | None = None) -> None:
+        if precond is None:
+            precond = IdentityPreconditioner()
+        elif (precond.is_setup
+              and precond.matrix.partition != matrix.partition):
+            # its blocks would be indexed with this matrix's rows
+            theirs, ours = precond.matrix.partition, matrix.partition
+            raise ConfigurationError(
+                f"preconditioner {precond.name!r} was set up on a matrix "
+                f"with (n, ranks) = ({theirs.n_global}, {theirs.ranks}), "
+                f"the operator's has ({ours.n_global}, {ours.ranks}); "
+                f"set it up on this simulation's matrix")
         self.matrix = matrix
-        self.precond = precond if precond is not None else IdentityPreconditioner()
+        self.precond = precond
         self._scratch: DistMultiVector | None = None
 
     @property
@@ -196,33 +215,48 @@ class MatrixPowersKernel:
         """Ghost-zone CA panel: 1 aggregated exchange + ``hi - lo`` local
         steps over a shrinking closure.
 
-        Each rank keeps a work array valid on its own closure level and
-        redundantly recomputes the shrinking ghost region — the real
-        PA1-style execution, not a shortcut: values outside a rank's
-        closure stay zero, so an under-sized closure would contaminate
-        the basis and fail the bit-identity contract with the standard
-        kernel (which the test suite asserts).
+        What the modeled machine does and what the host computes are
+        kept apart.  On the machine every rank holds its closure level
+        and redundantly recomputes the shrinking ghost region (PA1);
+        all of that is *charged*, from the plan's level sizes: the deep
+        halo, one ``spmv_local`` over ``A[L_depth, :]`` per step, the
+        preconditioner's redundant applies, the recurrence's ``axpy``.
+        The *values* a rank would hold on its closure are, row for row,
+        those of the global recurrence — each row of ``A M^{-1} v`` is
+        the same sum over the same operands whichever rank forms it —
+        so the host evaluates that recurrence once per step on the
+        whole vector, in the operation order of the standard kernel,
+        which keeps the basis bit-identical to it.  That every rank's
+        closure really contains what its steps read is the invariant
+        :func:`~repro.distla.halo.check_closure` verifies when the plan
+        is analyzed; the per-rank ghosted execution survives as the
+        oracle in ``tests/krylov/test_mpk_ca_oracle.py``.
 
         With ``overlap`` (PA2) the exchange is split: the depth-1 shell
         goes out eagerly (blocking — the first step's owned rows need
         it), the deep ring is posted nonblocking, and the first step's
         SpMV charge is split into an owned-rows part (inside the overlap
         window, draining the posted ring) and a ghost-ring remainder
-        after the wait.  The computed *values* are untouched — the
-        simulator's exchanges are charge-only — so the basis stays
+        after the wait.  Exchanges are charge-only, so the basis stays
         bit-identical to ``"ca"`` and ``"standard"``.
         """
         comm = basis.comm
         tracer = comm.tracer
         matrix = self.op.matrix
-        part = basis.partition
+        precond = self.op.precond
         steps = hi - lo
         plan = matrix.ghost_plan(steps, self.op.ghost_expand)
-        n = part.n_global
-        ranks = part.ranks
+        ranks = range(basis.partition.ranks)
+        rows, nnz = plan.level_rows, plan.level_nnz
+        word = basis.word_bytes
         ctype = basis.np_dtype
         quantized = basis.storage != "fp64"
         preconditioned = self.op.is_preconditioned
+
+        def charge(kernel: str, key: tuple, evaluate) -> None:
+            """One per-rank charge over the plan, evaluated on first use."""
+            comm.cost.memoized(plan.charge_memo, (kernel, word) + key,
+                               evaluate).charge(comm, kernel)
 
         coeffs = {col: self.basis_poly.coefficients(col - 1)
                   for col in range(lo, hi)}
@@ -238,102 +272,66 @@ class MatrixPowersKernel:
         ring_req = None
         with tracer.phase("spmv"):
             if overlap:
-                comm.charge_halo(plan.eager_recv_bytes(
-                    basis.word_bytes, n_vectors=n_vec))
-                ring = plan.ring_recv_bytes(basis.word_bytes,
-                                            n_vectors=n_vec)
+                comm.charge_halo(plan.eager_recv_bytes(word, n_vectors=n_vec))
+                ring = plan.ring_recv_bytes(word, n_vectors=n_vec)
                 if any(ring):  # s == 1 (or a tiny grid) has no ring
                     ring_req = comm.post_ihalo(ring)
             else:
-                comm.charge_halo(plan.recv_bytes(
-                    basis.word_bytes, n_vectors=n_vec))
+                comm.charge_halo(plan.recv_bytes(word, n_vectors=n_vec))
 
-        def _gathered(col: int) -> list[np.ndarray]:
-            """Per-rank work arrays of basis column ``col``: owned rows
-            plus the exchanged deep-halo ghosts, zero elsewhere."""
-            g = basis.view_cols(col).to_global()[:, 0].astype(np.float64)
-            out = []
-            for r in range(ranks):
-                w = np.zeros(n)
-                held = plan.levels[r][steps]
-                w[held] = g[held]
-                out.append(w)
-            return out
+        def gathered(col: int) -> np.ndarray:
+            return basis.view_cols(col).to_global()[:, 0].astype(np.float64)
 
-        v_k = _gathered(lo - 1)
-        v_km1 = _gathered(lo - 2) if gather_prev else [None] * ranks
-        z = [np.zeros(n) for _ in range(ranks)] if preconditioned else None
+        v_k = gathered(lo - 1)
+        v_km1 = gathered(lo - 2) if gather_prev else None
 
         for col in range(lo, hi):
             depth = hi - 1 - col  # ghost levels remaining after this step
             alpha, beta, gamma = coeffs[col]
             three_term = gamma != 0.0 and col >= 2
-            recurrence = alpha != 0.0 or gamma != 0.0 or beta != 1.0
-            v_new = []
+            z = v_k
             if preconditioned:
                 with tracer.phase("precond"):
-                    for r in range(ranks):
-                        self.op.precond.apply_ghosted(
-                            v_k[r], plan.levels[r][depth + 1], z[r], ctype)
-                    self.op.precond.charge_ghost_apply(comm, plan, depth + 1)
+                    z = precond.apply_ghosted(v_k, ctype)
+                    precond.charge_ghost_apply(comm, plan, depth + 1)
             with tracer.phase("spmv"):
-                for r in range(ranks):
-                    rows = plan.levels[r][depth]
-                    y = plan.level_blocks[r][depth] @ (
-                        z[r] if preconditioned else v_k[r])
-                    if quantized:
-                        y = basis.quantize(y).astype(np.float64)
-                    w = np.zeros(n)
-                    w[rows] = y
-                    v_new.append(w)
+                v_new = matrix._global_csr @ z
+                if quantized:
+                    v_new = basis.quantize(v_new).astype(np.float64)
                 if ring_req is not None and col == lo:
                     # PA2 first step: owned rows only need the eager
                     # shell — their charge drains the posted ring...
-                    comm.charge_local("spmv_local", [
-                        comm.cost.spmv(int(plan.level_nnz[r, 0]),
-                                       int(plan.level_rows[r, 0]),
-                                       int(plan.level_rows[r, 1]),
-                                       word_bytes=basis.word_bytes)
-                        for r in range(ranks)])
+                    charge("spmv_local", ("owned",), lambda c: [
+                        c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
+                               int(rows[r, 1]), word_bytes=word)
+                        for r in ranks])
                     # ...then the ghost-ring remainder pays whatever the
                     # wait left exposed before it may run
                     comm.wait(ring_req)
-                    comm.charge_local("spmv_local", [
-                        comm.cost.spmv(
-                            int(plan.level_nnz[r, depth]
-                                - plan.level_nnz[r, 0]),
-                            int(plan.level_rows[r, depth]
-                                - plan.level_rows[r, 0]),
-                            int(plan.level_rows[r, depth + 1]),
-                            word_bytes=basis.word_bytes)
-                        for r in range(ranks)])
+                    charge("spmv_local", ("ring", depth), lambda c: [
+                        c.spmv(int(nnz[r, depth] - nnz[r, 0]),
+                               int(rows[r, depth] - rows[r, 0]),
+                               int(rows[r, depth + 1]), word_bytes=word)
+                        for r in ranks])
                 else:
-                    comm.charge_local("spmv_local", [
-                        comm.cost.spmv(int(plan.level_nnz[r, depth]),
-                                       int(plan.level_rows[r, depth]),
-                                       int(plan.level_rows[r, depth + 1]),
-                                       word_bytes=basis.word_bytes)
-                        for r in range(ranks)])
-                if recurrence:
-                    for r in range(ranks):
-                        rows = plan.levels[r][depth]
-                        # identical operation order to the engines' lincomb
-                        acc = (1.0 / beta) * v_new[r][rows]
-                        acc += (-alpha / beta) * v_k[r][rows]
-                        if three_term:
-                            acc += (-gamma / beta) * v_km1[r][rows]
-                        if quantized:
-                            acc = basis.quantize(acc).astype(np.float64)
-                        v_new[r][rows] = acc
-                    comm.charge_local("axpy", [
-                        comm.cost.blas1(int(plan.level_rows[r, depth]),
-                                        n_streams=3 if three_term else 2,
-                                        writes=1,
-                                        word_bytes=basis.word_bytes)
-                        for r in range(ranks)])
-            for r in range(ranks):
-                basis.shards[r][:, col:col + 1] = (
-                    v_new[r][part.local_slice(r)][:, np.newaxis])
+                    charge("spmv_local", (depth,), lambda c: [
+                        c.spmv(int(nnz[r, depth]), int(rows[r, depth]),
+                               int(rows[r, depth + 1]), word_bytes=word)
+                        for r in ranks])
+                if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
+                    # identical operation order to the engines' lincomb
+                    v_new *= 1.0 / beta
+                    v_new += (-alpha / beta) * v_k
+                    if three_term:
+                        v_new += (-gamma / beta) * v_km1
+                    if quantized:
+                        v_new = basis.quantize(v_new).astype(np.float64)
+                    streams = 3 if three_term else 2
+                    charge("axpy", (depth, streams), lambda c: [
+                        c.blas1(int(rows[r, depth]), n_streams=streams,
+                                writes=1, word_bytes=word)
+                        for r in ranks])
+            basis.scatter_col(col, v_new)
             if track_prev:
                 v_km1 = v_k
             v_k = v_new

@@ -21,7 +21,8 @@ see ``tests/parallel/test_costmodel.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from repro.parallel.machine import MachineSpec
 from repro.precision.dtypes import word_bytes as bytes_per_word
@@ -35,6 +36,32 @@ _DOUBLE = bytes_per_word("fp64")
 _INT = 4     # bytes per CSR index (cuSparse uses 32-bit local indices)
 
 
+class _OpShapes(list):
+    """Stand-in metrics feed that keeps the ``(flops, bytes)`` shapes a
+    cost evaluation records, for replay into the real registry."""
+
+    def record_op(self, flops: float, bytes_moved: float) -> None:
+        self.append((float(flops), float(bytes_moved)))
+
+
+class StaticCharges(NamedTuple):
+    """Per-rank seconds of one local kernel whose inputs never change
+    during a solve (a plan, a machine, a word size), and the ``(flops,
+    bytes)`` shapes their evaluation recorded.  Built once by
+    :meth:`CostModel.memoized`, charged any number of times."""
+
+    seconds: list[float]
+    shapes: list[tuple[float, float]]
+
+    def charge(self, comm, kernel: str) -> None:
+        """One ``charge_local`` of these seconds; an attached metrics
+        registry sees the shapes a fresh evaluation would have fed it."""
+        metrics = comm.cost.metrics
+        if metrics is not None:
+            metrics.record_ops(self.shapes)
+        comm.charge_local(kernel, self.seconds)
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Maps operation shapes to modeled seconds on one :class:`MachineSpec`."""
@@ -46,6 +73,26 @@ class CostModel:
     #: charge.  ``None`` (the default) is a single ``is not None`` test
     #: per costing — returned seconds are identical either way.
     metrics: object | None = field(default=None, compare=False, repr=False)
+
+    def memoized(self, memo: dict, key,
+                 evaluate: Callable[["CostModel"], list[float]]
+                 ) -> StaticCharges:
+        """``evaluate(model)`` (a per-rank cost list), run once per
+        ``(key, machine)`` in the caller's ``memo``.
+
+        The evaluation sees a copy of this model that records operation
+        shapes instead of feeding them to the registry, so replaying the
+        result (:meth:`StaticCharges.charge`) feeds the registry what
+        evaluating afresh at every charge would have.  ``key`` must name
+        everything ``evaluate`` closes over that can vary.
+        """
+        key = (key, self.machine)
+        charges = memo.get(key)
+        if charges is None:
+            shapes = _OpShapes()
+            charges = memo[key] = StaticCharges(
+                evaluate(replace(self, metrics=shapes)), shapes)
+        return charges
 
     # ------------------------------------------------------------------
     # local device kernels

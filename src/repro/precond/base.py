@@ -15,9 +15,13 @@ of ``M^{-1} x`` are computable from a *finite* dependency set.
 ``x``: identity, Jacobi), ``"block"`` (depends on the owner rank's whole
 block: block Jacobi), or ``None`` (no finite closure: polynomial and
 other global preconditioners, which the CA kernel must reject).
-Compatible preconditioners implement :meth:`apply_ghosted` (redundant
-apply over a global work array) and :meth:`charge_ghost_apply` (the
-per-rank modeled cost of that redundant work).
+Compatible preconditioners implement :meth:`apply_ghosted` and
+:meth:`charge_ghost_apply`.  The two halves are deliberately separate:
+the *modeled* machine applies ``M^{-1}`` redundantly on every rank's
+ghost closure, and :meth:`charge_ghost_apply` charges exactly that from
+the plan's level sizes; the *host* only needs the values, which are
+those of one whole-vector apply — so :meth:`apply_ghosted` runs once
+per step, not once per rank.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ class Preconditioner(ABC):
     def is_setup(self) -> bool:
         return self._matrix is not None
 
+    @property
+    def matrix(self) -> DistSparseMatrix | None:
+        """The matrix :meth:`setup` analyzed (None before)."""
+        return self._matrix
+
     def setup(self, matrix: DistSparseMatrix) -> "Preconditioner":
         """Analyze/factor; returns self for chaining."""
         self._matrix = matrix
@@ -61,16 +70,13 @@ class Preconditioner(ABC):
         """``out = M^{-1} x`` (single-column distributed vectors)."""
 
     # -- CA-MPK ghost composition --------------------------------------
-    def apply_ghosted(self, x: np.ndarray, rows: np.ndarray,
-                      out: np.ndarray, ctype: np.dtype) -> None:
-        """Redundantly apply ``M^{-1}`` on a global-index work array.
+    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
+        """``M^{-1} x`` for a global float64 vector, as float64.
 
-        ``x`` and ``out`` are full-length float64 work arrays; only the
-        entries at ``rows`` (a ghost-closure level, block-complete for
-        ``ghost_compat == "block"``) must be read/written.  Results are
-        rounded through ``ctype`` (the operand's container dtype) so the
-        ghost values are bit-identical to what the owning rank's
-        :meth:`apply` stores.
+        The values every rank of the CA kernel holds on its closure:
+        rounded through ``ctype`` (the operand's container dtype), so
+        they are bit-identical to what :meth:`apply` stores on the
+        owning rank.
         """
         raise ConfigurationError(
             f"preconditioner {self.name!r} does not compose with the "
@@ -106,9 +112,8 @@ class IdentityPreconditioner(Preconditioner):
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
         out.assign_from(x)
 
-    def apply_ghosted(self, x: np.ndarray, rows: np.ndarray,
-                      out: np.ndarray, ctype: np.dtype) -> None:
-        out[rows] = x[rows]
+    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
+        return x
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
         """The identity costs nothing (the MPK skips it entirely)."""

@@ -4,16 +4,46 @@ Each rank smooths its own diagonal block with Gauss-Seidel sweeps; no
 inter-rank coupling is used (the off-block entries are simply dropped),
 so an apply costs zero messages — exactly the "local Gauss-Seidel
 preconditioner (block Jacobi with Gauss-Seidel in each block [2])".
+
+How the simulator executes it: the blocks do not couple, so the
+multicolor sweeps of all ranks run as ONE sweep over the block-diagonal
+part of ``A``, colour class ``c`` being the union of every block's class
+``c``.  A CSR row product reads only its own row, in stored entry order,
+so this equals the per-block :class:`~repro.precond.gauss_seidel
+.LocalGaussSeidel` sweeps bit for bit (the per-block form survives as
+the oracle in the tests); first-fit colouring only looks at neighbours
+already coloured, all of them in the row's own block, so colouring the
+block-diagonal part once equals colouring block by block.  The per-rank
+charges are constants of the matrix and the machine: evaluated once,
+replayed per apply.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
+from repro.exceptions import ConfigurationError, NumericalError
+from repro.parallel.costmodel import CostModel, StaticCharges
 from repro.precond.base import Preconditioner
+from repro.precond.coloring import color_classes, greedy_coloring
 from repro.precond.gauss_seidel import LocalGaussSeidel
+
+
+def _block_diagonal_part(a: sp.csr_matrix, offsets: np.ndarray
+                         ) -> sp.csr_matrix:
+    """The entries of ``a`` whose column lies in their row's owner block,
+    each row's kept entries in stored order."""
+    # the owner block's bounds, per row and then per stored entry
+    rows_per_block, entries_per_row = np.diff(offsets), np.diff(a.indptr)
+    lo = np.repeat(np.repeat(offsets[:-1], rows_per_block), entries_per_row)
+    hi = np.repeat(np.repeat(offsets[1:], rows_per_block), entries_per_row)
+    keep = (a.indices >= lo) & (a.indices < hi)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix(
+        (a.data[keep], a.indices[keep], kept_before[a.indptr]), shape=a.shape)
 
 
 class BlockJacobiPreconditioner(Preconditioner):
@@ -34,62 +64,80 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     def __init__(self, sweeps: int = 1, ordering: str = "multicolor") -> None:
         super().__init__()
+        if ordering not in ("natural", "multicolor"):
+            raise ConfigurationError(f"unknown ordering {ordering!r}")
+        if sweeps < 1:
+            raise ConfigurationError(f"sweeps must be >= 1, got {sweeps}")
         self.sweeps = sweeps
         self.ordering = ordering
-        self._solvers: list[LocalGaussSeidel] = []
 
     def _setup_impl(self, matrix: DistSparseMatrix) -> None:
-        self._solvers = []
-        part = matrix.partition
-        for rank, block in enumerate(matrix.local_blocks):
-            sl = part.local_slice(rank)
-            diag_block = block[:, sl.start:sl.stop].tocsr()
-            self._solvers.append(
-                LocalGaussSeidel(diag_block, ordering=self.ordering,
-                                 sweeps=self.sweeps))
+        offsets = matrix.partition.offsets
+        bounds = self._bounds = list(zip(offsets[:-1], offsets[1:]))
+        diag_part = _block_diagonal_part(matrix._global_csr, offsets)
+        #: per block: stored entries, rows, kernel launches per sweep
+        self._block_nnz = np.diff(diag_part.indptr[offsets])
+        self._block_rows = matrix.partition.counts
+        #: what an apply costs each rank: on its own block (key None),
+        #: or redundantly over a ghost plan's level (key ``(plan, level)``)
+        self._charges: dict[tuple, StaticCharges] = {}
+        if self.ordering == "natural":
+            # one sparse triangular solve per block and sweep
+            self._solvers = [
+                LocalGaussSeidel(diag_part[lo:hi, lo:hi], ordering="natural",
+                                 sweeps=self.sweeps)
+                for lo, hi in bounds]
+            self._launches = [1] * len(bounds)
+            return
+        diag = diag_part.diagonal()
+        if np.any(diag == 0.0):
+            raise NumericalError("Gauss-Seidel requires nonzero diagonal")
+        self._inv_diag = 1.0 / diag
+        colors = greedy_coloring(diag_part)
+        # multicolor ordering pays one kernel launch per colour of the block
+        self._launches = [int(colors[lo:hi].max(initial=-1)) + 1
+                          for lo, hi in bounds]
+        self._classes = color_classes(colors)
+        self._class_rows = [diag_part[idx, :] for idx in self._classes]
+
+    def _solve(self, x: np.ndarray) -> np.ndarray:
+        """``sweeps`` forward GS sweeps from zero on every block, for a
+        global float64 vector."""
+        self._check_ready()
+        if self.ordering == "natural":
+            return np.concatenate([
+                solver.apply(x[lo:hi])
+                for solver, (lo, hi) in zip(self._solvers, self._bounds)])
+        z = np.zeros_like(x)
+        for _ in range(self.sweeps):
+            for idx, rows in zip(self._classes, self._class_rows):
+                # z_c <- z_c + D_c^{-1} (x_c - (A z)_c)
+                r = x[idx] - rows @ z
+                z[idx] += self._inv_diag[idx] * r
+        return z
+
+    def _block_cost(self, cost: CostModel, rank: int) -> float:
+        """Per sweep: one pass over the block's nonzeros, plus one
+        kernel launch per further colour."""
+        rows = int(self._block_rows[rank])
+        return self.sweeps * (
+            cost.spmv(int(self._block_nnz[rank]), rows, rows)
+            + (self._launches[rank] - 1) * cost.machine.kernel_latency)
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
-        self._check_ready()
-        comm = x.comm
-        costs = []
-        for rank, solver in enumerate(self._solvers):
-            out.shards[rank][:, 0] = solver.apply(x.shards[rank][:, 0])
-            rows = solver.a.shape[0]
-            # Per sweep: one pass over the block's nonzeros; multicolor
-            # ordering additionally pays one kernel launch per color.
-            launches = solver.n_colors if self.ordering == "multicolor" else 1
-            per_sweep = (comm.cost.spmv(solver.a.nnz, rows, rows)
-                         + (launches - 1) * comm.machine.kernel_latency)
-            costs.append(self.sweeps * per_sweep)
-        comm.charge_local("spmv_local", costs)
+        out.scatter_col(0, self._solve(
+            x.to_global()[:, 0].astype(np.float64, copy=False)))
+        x.comm.cost.memoized(self._charges, None, lambda c: [
+            self._block_cost(c, rank) for rank in range(len(self._bounds))
+        ]).charge(x.comm, "spmv_local")
 
     # -- CA-MPK ghost composition --------------------------------------
-    def _block_cost(self, cost, machine, rank: int) -> float:
-        solver = self._solvers[rank]
-        rows = solver.a.shape[0]
-        launches = solver.n_colors if self.ordering == "multicolor" else 1
-        return self.sweeps * (cost.spmv(solver.a.nnz, rows, rows)
-                              + (launches - 1) * machine.kernel_latency)
-
-    def apply_ghosted(self, x: np.ndarray, rows: np.ndarray,
-                      out: np.ndarray, ctype: np.dtype) -> None:
-        """Redundantly solve every owner block intersecting ``rows``.
-
-        ``rows`` is block-complete (``ghost_compat == "block"`` rounds
-        closure levels up to whole blocks), so each involved peer's full
-        block of ``x`` is present and the GS solve reproduces the owning
-        rank's result bit-for-bit.
-        """
-        self._check_ready()
-        part = self._matrix.partition
-        for peer in np.unique(part.owners(rows)):
-            sl = part.local_slice(int(peer))
-            out[sl] = self._solvers[int(peer)].apply(x[sl]).astype(ctype)
+    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
+        return self._solve(x).astype(ctype).astype(np.float64)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        costs = []
-        for rank in range(plan.partition.ranks):
-            costs.append(sum(
-                self._block_cost(comm.cost, comm.machine, int(peer))
-                for peer in plan.level_ranks[rank][level]))
-        comm.charge_local("spmv_local", costs)
+        """Every rank redundantly solves each owner block its closure
+        ``level`` intersects (block-complete by the plan's invariant)."""
+        comm.cost.memoized(self._charges, (plan, level), lambda c: [
+            sum(self._block_cost(c, int(peer)) for peer in per_rank[level])
+            for per_rank in plan.level_ranks]).charge(comm, "spmv_local")

@@ -27,8 +27,8 @@ class JacobiPreconditioner(Preconditioner):
             raise NumericalError(
                 "Jacobi preconditioner requires a zero-free diagonal")
         inv = 1.0 / diag
-        # the global inverse diagonal backs the CA-MPK's redundant
-        # ghost-row applies (every rank holds its ghost rows' entries)
+        # the global inverse diagonal backs the CA-MPK's whole-vector
+        # apply (every rank holds its ghost rows' entries)
         self._inv_diag = inv
         self._inv_diag_shards = [
             inv[matrix.partition.local_slice(r)][:, np.newaxis]
@@ -44,15 +44,13 @@ class JacobiPreconditioner(Preconditioner):
             "scale", [comm.cost.blas1(s.size, n_streams=2, writes=1)
                       for s in x.shards])
 
-    def apply_ghosted(self, x: np.ndarray, rows: np.ndarray,
-                      out: np.ndarray, ctype: np.dtype) -> None:
+    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         self._check_ready()
         # same cast chain as apply(): multiply in float64, store through
         # the container dtype
-        out[rows] = (x[rows] * self._inv_diag[rows]).astype(ctype)
+        return (x * self._inv_diag).astype(ctype).astype(np.float64)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        comm.charge_local(
-            "scale", [comm.cost.blas1(int(plan.level_rows[r, level]),
-                                      n_streams=2, writes=1)
-                      for r in range(plan.partition.ranks)])
+        comm.cost.memoized(plan.charge_memo, ("jacobi", level), lambda c: [
+            c.blas1(int(plan.level_rows[r, level]), n_streams=2, writes=1)
+            for r in range(plan.partition.ranks)]).charge(comm, "scale")

@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.distla.halo import EXPAND_MODES, GhostPlan, HaloPlan
+from repro.distla.halo import EXPAND_MODES, GhostPlan, HaloPlan, \
+    check_closure
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError
 from repro.matrices.stencil import laplace2d
-from repro.parallel.communicator import SimComm
+from repro.parallel.communicator import HaloDescriptors, SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 
@@ -62,17 +65,18 @@ class TestGhostPlanClosure:
         assert plan.recv_counts_by_peer == halo.recv_counts_by_peer
         np.testing.assert_array_equal(plan.ghost_counts(), halo.halo_counts)
 
-    def test_level_blocks_are_row_submatrices(self):
+    def test_level_sizes_are_those_of_row_submatrices(self):
+        """What a rank multiplies at level ``l`` is ``A[L_l, :]``; the
+        plan keeps its size (what the work is charged from), not it."""
         a = laplace2d(10)
         part = Partition(100, 4)
         plan = GhostPlan.analyze(a, part, 2)
+        assert not hasattr(plan, "level_blocks")
+        assert plan.level_rows.shape == plan.level_nnz.shape == (4, 3)
         for rank in range(4):
-            for lvl in range(2):
+            for lvl in range(3):
                 rows = plan.levels[rank][lvl]
-                block = plan.level_blocks[rank][lvl]
-                assert block.shape == (rows.size, 100)
-                np.testing.assert_array_equal(block.toarray(),
-                                              a[rows, :].toarray())
+                block = a[rows, :]
                 assert plan.level_nnz[rank, lvl] == block.nnz
                 assert plan.level_rows[rank, lvl] == rows.size
 
@@ -102,6 +106,58 @@ class TestGhostPlanClosure:
         assert plan.recv_counts_by_peer == [{}]
 
 
+class TestClosureInvariant:
+    """What the per-rank ghosted execution used to prove by running:
+    every step finds all it reads inside the next closure level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(3, 9), ranks=st.integers(1, 7),
+           depth=st.integers(0, 4), expand=st.sampled_from(EXPAND_MODES),
+           stencil=st.sampled_from([5, 9]))
+    def test_analyzed_plans_are_closed(self, nx, ranks, depth, expand,
+                                       stencil):
+        a = laplace2d(nx, stencil=stencil)
+        n = a.shape[0]
+        part = Partition(n, min(ranks, n))
+        plan = GhostPlan.analyze(a, part, depth, expand=expand)
+        pattern = a.toarray() != 0.0
+        for rank in range(part.ranks):
+            sl = part.local_slice(rank)
+            np.testing.assert_array_equal(plan.levels[rank][0],
+                                          np.arange(sl.start, sl.stop))
+            for lvl in range(depth):
+                inner = set(plan.levels[rank][lvl].tolist())
+                outer = set(plan.levels[rank][lvl + 1].tolist())
+                reads = set(np.flatnonzero(
+                    pattern[plan.levels[rank][lvl], :].any(axis=0)).tolist())
+                assert inner <= outer and reads <= outer
+                if expand == "block":
+                    for owner in {part.owner(col) for col in reads}:
+                        block = part.local_slice(owner)
+                        assert set(range(block.start, block.stop)) <= outer
+
+    @pytest.mark.parametrize("expand", EXPAND_MODES)
+    def test_truncated_level_is_rejected(self, expand):
+        a = laplace2d(8)
+        part = Partition(64, 4)
+        levels = GhostPlan.analyze(a, part, 3, expand=expand).levels
+        check_closure(a, part, levels, expand)  # as analyzed: closed
+        # rank 2 loses one ghost row of its level 2
+        levels[2][2] = levels[2][2][1:]
+        with pytest.raises(ConfigurationError, match="rank 2.*level 1"):
+            check_closure(a, part, levels, expand)
+
+    def test_incomplete_owner_block_is_rejected(self):
+        """Pointwise-closed is not enough for a block preconditioner:
+        each block a step reads must be whole in the next level."""
+        a = tridiag(16)
+        part = Partition(16, 4)
+        levels = GhostPlan.analyze(a, part, 2).levels
+        check_closure(a, part, levels, "pointwise")
+        with pytest.raises(ConfigurationError, match="rank 0.*level 0"):
+            check_closure(a, part, levels, "block")
+
+
 class TestGhostPlanPayloads:
     def test_recv_bytes_scales_with_word_size(self):
         part = Partition(16, 4)
@@ -121,6 +177,40 @@ class TestGhostPlanPayloads:
         for d1, d2 in zip(one, two):
             for peer in d1:
                 assert d2[peer] == pytest.approx(2.0 * d1[peer])
+
+    @pytest.mark.parametrize("which", ["recv_bytes", "eager_recv_bytes",
+                                       "ring_recv_bytes"])
+    def test_descriptors_are_built_once_and_costed_once(self, which):
+        """One ``HaloDescriptors`` per ``(word_bytes, n_vectors)``, as
+        ``HaloPlan.recv_bytes`` hands out: the communicator remembers
+        the exchange's cost on it instead of re-evaluating every rank's
+        ``halo_exchange`` at every deep-halo charge."""
+        part = Partition(64, 4)
+        plan = GhostPlan.analyze(laplace2d(8), part, 3)
+        recv = getattr(plan, which)
+        first = recv(8.0, n_vectors=2)
+        assert isinstance(first, HaloDescriptors)
+        assert recv(8.0, n_vectors=2) is first
+        assert recv(4.0, n_vectors=2) is not first
+        assert recv(8.0, n_vectors=1) is not first
+        plain = [dict(by_peer) for by_peer in first]
+        comm = SimComm(generic_cpu(), 4)
+        comm.charge_halo(first)
+        comm.charge_halo(first)
+        assert len(first.costs) == 1
+        fresh = SimComm(generic_cpu(), 4)
+        fresh.charge_halo(plain)
+        fresh.charge_halo(plain)
+        assert comm.tracer.snapshot() == fresh.tracer.snapshot()
+
+    def test_split_payloads_sum_to_the_whole(self):
+        plan = GhostPlan.analyze(laplace2d(8), Partition(64, 4), 3)
+        for whole, eager, ring in zip(plan.recv_bytes(4.0, 2),
+                                      plan.eager_recv_bytes(4.0, 2),
+                                      plan.ring_recv_bytes(4.0, 2)):
+            assert set(eager) | set(ring) == set(whole)
+            for peer, nbytes in whole.items():
+                assert eager.get(peer, 0.0) + ring.get(peer, 0.0) == nbytes
 
     def test_halo_plan_default_word_size_is_fp64(self):
         a = laplace2d(8)
@@ -152,7 +242,9 @@ class TestGhostPlanValidation:
         part = Partition(8, 2)
         plan = GhostPlan.analyze(tridiag(8), part, 0)
         assert plan.ghost_rows[0].size == 0
-        assert plan.level_blocks == [[], []]
+        np.testing.assert_array_equal(plan.level_rows, [[4], [4]])
+        np.testing.assert_array_equal(
+            plan.level_nnz, [[tridiag(8)[:4, :].nnz], [tridiag(8)[4:, :].nnz]])
         np.testing.assert_array_equal(plan.levels[0][0], np.arange(4))
 
 

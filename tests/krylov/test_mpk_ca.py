@@ -407,3 +407,48 @@ class TestScratchInvalidation:
         # fp64 again -> rebuilds once more
         op.apply(x64, sim.zeros(1))
         assert op._scratch.storage == "fp64"
+
+
+class TestForeignPreconditioner:
+    """A preconditioner set up on another partition would have the CA
+    kernel index blocks that are not this matrix's: the solvers used to
+    skip ``setup`` on ``is_setup`` alone."""
+
+    @pytest.mark.parametrize("pc", [JacobiPreconditioner,
+                                    BlockJacobiPreconditioner])
+    @pytest.mark.parametrize("solve", ["scalar", "block"])
+    @pytest.mark.parametrize("other", [(8, 2), (10, 4)],
+                             ids=["other-ranks", "other-matrix"])
+    def test_solvers_reject_it_before_charging(self, pc, solve, other):
+        from repro.krylov.block import block_sstep_gmres
+
+        nx, ranks = other
+        foreign = Simulation(laplace2d(nx), ranks=ranks,
+                             machine=generic_cpu())
+        precond = pc().setup(foreign.matrix)
+        sim = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
+        b = sim.ones_solution_rhs()
+        before = sim.tracer.snapshot()
+        with pytest.raises(ConfigurationError) as err:
+            if solve == "scalar":
+                sstep_gmres(sim, b, s=4, restart=12, precond=precond,
+                            options=SolverOptions(mpk_mode="ca"))
+            else:
+                block_sstep_gmres(sim, b[:, np.newaxis], s=4, restart=12,
+                                  precond=precond,
+                                  options=SolverOptions(mpk_mode="ca"))
+        assert f"({nx * nx}, {ranks})" in str(err.value)
+        assert "(64, 4)" in str(err.value)
+        assert sim.tracer.snapshot() == before
+
+    def test_same_partition_is_reused_without_setup(self):
+        """Set up once, solve on a second simulation of the same shape:
+        still allowed (and still not set up again)."""
+        sim1 = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
+        precond = BlockJacobiPreconditioner().setup(sim1.matrix)
+        sim2 = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
+        res = sstep_gmres(sim2, sim2.ones_solution_rhs(), s=4, restart=12,
+                          tol=1e-8, maxiter=400, precond=precond,
+                          options=SolverOptions(mpk_mode="ca"))
+        assert res.converged
+        assert precond.matrix is sim1.matrix

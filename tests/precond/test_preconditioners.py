@@ -163,6 +163,143 @@ class TestBlockJacobi:
         assert sim.tracer.sync_count() == before  # local => no reduces
 
 
+def _mixed_blocks_matrix(reverse_rows: bool = False) -> sp.csr_matrix:
+    """40 rows whose three diagonal blocks (14/13/13 rows on 3 ranks)
+    need different colour counts — a path, a dense block, a star, under
+    random extra coupling within and between blocks; optionally with
+    every row's entries stored in descending column order."""
+    rng = np.random.default_rng(11)
+    path = sp.diags([-np.ones(13), -np.ones(13)], [-1, 1])
+    dense = sp.csr_matrix(-rng.uniform(0.1, 1.0, (13, 13)))
+    star = sp.lil_matrix((13, 13))
+    star[0, 1:] = -1.0
+    star[1:, 0] = -0.5
+    coupling = sp.random(40, 40, density=0.08, random_state=5)
+    a = sp.csr_matrix(sp.block_diag([path, dense, star]) - coupling)
+    a.setdiag(rng.uniform(20.0, 30.0, 40))
+    a = sp.csr_matrix(a)
+    a.sort_indices()
+    if reverse_rows:
+        for lo, hi in zip(a.indptr[:-1], a.indptr[1:]):
+            a.indices[lo:hi] = a.indices[lo:hi][::-1].copy()
+            a.data[lo:hi] = a.data[lo:hi][::-1].copy()
+        a.has_sorted_indices = False
+    return a
+
+
+class TestBlockJacobiFusedSweep:
+    """One multicolor sweep over the block-diagonal part of ``A`` against
+    one ``LocalGaussSeidel`` per block, and the memoized charges against
+    a fresh evaluation at every apply."""
+
+    CASES = {
+        "stencil-uniform": dict(a=lambda: laplace2d(12), ranks=4),
+        "stencil-ragged": dict(a=lambda: laplace2d(12), ranks=5),
+        "colour-counts-differ": dict(a=_mixed_blocks_matrix, ranks=3),
+        "unsorted-rows": dict(
+            a=lambda: _mixed_blocks_matrix(reverse_rows=True), ranks=3),
+        "two-sweeps": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=2),
+        "fp32": dict(a=lambda: laplace2d(12), ranks=5, storage="fp32"),
+        "natural": dict(a=_mixed_blocks_matrix, ranks=3, ordering="natural"),
+        "natural-two-sweeps": dict(a=lambda: laplace2d(12), ranks=5,
+                                   ordering="natural", sweeps=2),
+    }
+
+    @staticmethod
+    def per_block_solvers(sim, **kw):
+        offsets = sim.partition.offsets
+        return [LocalGaussSeidel(block[:, offsets[r]:offsets[r + 1]].tocsr(),
+                                 **kw)
+                for r, block in enumerate(sim.matrix.local_blocks)]
+
+    @staticmethod
+    def charge_fresh(sim, solvers, sweeps, blocks_by_rank):
+        """What the per-block code charged: every block costed anew."""
+        def block_cost(rank):
+            rows = solvers[rank].a.shape[0]
+            return sweeps * (
+                sim.comm.cost.spmv(solvers[rank].a.nnz, rows, rows)
+                + (solvers[rank].n_colors - 1)
+                * sim.machine.kernel_latency)
+        sim.comm.charge_local("spmv_local", [
+            sum(block_cost(int(b)) for b in blocks)
+            for blocks in blocks_by_rank])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_equal_per_block_sweeps(self, case):
+        spec = dict(self.CASES[case])
+        a, ranks = spec.pop("a")(), spec.pop("ranks")
+        storage = spec.pop("storage", "fp64")
+        sim = Simulation(a, ranks=ranks, machine=generic_cpu())
+        pc = BlockJacobiPreconditioner(**spec).setup(sim.matrix)
+        solvers = self.per_block_solvers(sim, **spec)
+        if case in ("colour-counts-differ", "unsorted-rows"):
+            assert len({s.n_colors for s in solvers}) > 1
+        x = sim.vector_from(
+            np.random.default_rng(2).standard_normal(sim.n), storage=storage)
+        expected = sim.zeros(1, storage=storage)
+        for r, solver in enumerate(solvers):
+            expected.shards[r][:, 0] = solver.apply(x.shards[r][:, 0])
+        out = sim.zeros(1, storage=storage)
+        pc.apply(x, out)
+        np.testing.assert_array_equal(out.to_global(), expected.to_global())
+        assert np.abs(out.to_global()).max() > 0.0
+        # the CA kernel's whole-vector form: float64 in, float64 out,
+        # rounded through the container dtype
+        ghosted = pc.apply_ghosted(
+            x.to_global()[:, 0].astype(np.float64), x.np_dtype)
+        assert ghosted.dtype == np.float64
+        np.testing.assert_array_equal(ghosted, expected.to_global()[:, 0])
+
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(ConfigurationError):
+            BlockJacobiPreconditioner(ordering="zigzag")
+        with pytest.raises(ConfigurationError):
+            BlockJacobiPreconditioner(sweeps=0)
+        sim = Simulation(sp.diags([0.0, 1.0, 1.0, 1.0]).tocsr(), ranks=2,
+                         machine=generic_cpu())
+        with pytest.raises(NumericalError):
+            BlockJacobiPreconditioner().setup(sim.matrix)
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    @pytest.mark.parametrize("ordering", ["multicolor", "natural"])
+    def test_replayed_charges_equal_fresh_ones(self, ordering, metrics):
+        """``apply`` and ``charge_ghost_apply`` evaluate their per-rank
+        lists once and replay them; tracer and registry must not be able
+        to tell."""
+        sims = [Simulation(_mixed_blocks_matrix(), ranks=3,
+                           machine=generic_cpu(), metrics=metrics)
+                for _ in range(2)]
+        replayed, fresh = sims
+        pc = BlockJacobiPreconditioner(
+            sweeps=2, ordering=ordering).setup(replayed.matrix)
+        solvers = self.per_block_solvers(fresh, ordering=ordering, sweeps=2)
+        plans = [sim.matrix.ghost_plan(2, "block") for sim in sims]
+        x = np.random.default_rng(2).standard_normal(40)
+        for sim in sims:
+            with sim.tracer.phase("precond"):
+                for _ in range(3):
+                    if sim is replayed:
+                        pc.apply(sim.vector_from(x), sim.zeros(1))
+                    else:
+                        self.charge_fresh(sim, solvers, 2,
+                                          [[r] for r in range(3)])
+                for level in (2, 1, 2, 1):
+                    if sim is replayed:
+                        pc.charge_ghost_apply(sim.comm, plans[0], level)
+                    else:
+                        self.charge_fresh(
+                            sim, solvers, 2,
+                            [per_rank[level]
+                             for per_rank in plans[1].level_ranks])
+        assert replayed.tracer.snapshot() == fresh.tracer.snapshot()
+        assert replayed.tracer.phase_seconds("precond") > 0.0
+        assert (replayed.metrics_doc().get("totals")
+                == fresh.metrics_doc().get("totals"))
+        if metrics:
+            assert replayed.metrics_doc()["totals"]["flops"] > 0
+
+
 class TestChebyshev:
     def test_gershgorin_bounds_spectrum(self):
         sim = Simulation(laplace2d(8), ranks=2, machine=generic_cpu())
