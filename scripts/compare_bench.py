@@ -10,10 +10,13 @@ Two checks, combinable in one invocation:
   (informational, never a failure); only the degenerate case of *zero*
   shared names fails, because a rename must not turn the gate green by
   vacuity — pass ``--allow-disjoint`` for intentional wholesale renames;
-* speedup gate (``--check-speedup NAME``): within the *current* artifact,
-  ``NAME[batched]`` must be at least ``--min-speedup`` (default 1.5x)
-  faster than ``NAME[loop]`` — the engine claim this repo's CI enforces
-  on ``test_block_dot`` and ``test_block_axpy``.
+* speedup gate (``--check-speedup NAME[:RATIO]``): within the *current*
+  artifact, ``NAME[batched]`` must be at least ``RATIO`` (default
+  ``--min-speedup``, 1.5x) faster than ``NAME[loop]`` — the engine claim
+  this repo's CI enforces on ``test_block_dot`` and ``test_block_axpy``
+  and, with a ratio of their own, on the ragged-partition twins
+  (``test_block_dot_ragged:1.5``, ...).  Both legs come from one run on
+  one machine, so the ratio is portable where absolute seconds are not.
 
 A candidate artifact that is *missing* an entry referenced by
 ``--check-speedup`` is a configuration error, not a failed gate — the
@@ -27,7 +30,8 @@ hard configuration error.  Examples::
     python scripts/compare_bench.py benchmarks/BENCH_kernels.json \
         bench-out/BENCH_kernels.json
     python scripts/compare_bench.py bench-out/BENCH_kernels.json \
-        --check-speedup test_block_dot --check-speedup test_block_axpy
+        --check-speedup test_block_dot --check-speedup test_block_axpy \
+        --check-speedup test_trsm_ragged:2.0
 """
 
 from __future__ import annotations
@@ -54,12 +58,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="do not fail when baseline and current share "
                         "no benchmark names (intentional wholesale rename)")
     parser.add_argument("--check-speedup", action="append", default=[],
-                        metavar="NAME",
-                        help="require NAME[batched] >= --min-speedup x faster "
-                        "than NAME[loop] in the current artifact (repeatable)")
+                        metavar="NAME[:RATIO]",
+                        help="require NAME[batched] >= RATIO x faster than "
+                        "NAME[loop] in the current artifact; RATIO defaults "
+                        "to --min-speedup (repeatable)")
     parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="required batched-vs-loop speedup (default: 1.5)")
+                        help="required batched-vs-loop speedup of a "
+                        "--check-speedup without its own RATIO (default: 1.5)")
     args = parser.parse_args(argv)
+    gates = []
+    for spec in args.check_speedup:
+        name, _, ratio = spec.partition(":")
+        try:
+            gates.append((name, float(ratio) if ratio else args.min_speedup))
+        except ValueError:
+            parser.error(f"--check-speedup {spec!r}: RATIO is not a number")
 
     baseline = load_artifact(args.baseline)
     current = load_artifact(args.current) if args.current else baseline
@@ -93,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check_speedup:
         candidate = args.current if args.current else args.baseline
         have = set(current.names())
-        missing = [entry for name in args.check_speedup
+        missing = [entry for name, _ in gates
                    for entry in (f"{name}[loop]", f"{name}[batched]")
                    if entry not in have]
         if missing:
@@ -106,12 +119,12 @@ def main(argv: list[str] | None = None) -> int:
                   "invocation or the --check-speedup names)")
             return 2
 
-    for name in args.check_speedup:
+    for name, required in gates:
         speedup = current.speedup(f"{name}[loop]", f"{name}[batched]")
-        ok = speedup >= args.min_speedup
+        ok = speedup >= required
         tag = "ok" if ok else "TOO SLOW"
         print(f"speedup {tag}: {name} batched is {speedup:.2f}x vs loop "
-              f"(required {args.min_speedup:.2f}x)")
+              f"(required {required:.2f}x)")
         failed = failed or not ok
 
     return 1 if failed else 0

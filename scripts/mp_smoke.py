@@ -14,7 +14,10 @@ asserts the executor's contract:
 * the one reduction transport runs all its modes — a posted reduction
   settled after a blocking one (two slabs live, acks out of order), a
   double-double reduction, and a mixed-dtype fused call — each
-  byte-identical to the simulator.
+  byte-identical to the simulator;
+* on a ragged partition (rank count not dividing ``n``) the flat storage
+  of a multivector still comes back shared-memory backed, and the solve
+  stays bit-identical with an exactly equal modeled twin.
 
 Deliberately NOT a pytest file: CI runs it as a separate step under a
 hard ``timeout`` so a deadlocked worker (the characteristic failure
@@ -74,8 +77,16 @@ def main() -> int:
     b = np.ones(a.shape[0])
     opts = SolverOptions(mpk_mode="auto")
 
-    def solve(backend):
-        with Simulation(a, ranks=4, backend=backend) as sim:
+    failures = transport_failures()
+
+    def solve(backend, ranks=4):
+        with Simulation(a, ranks=ranks, backend=backend) as sim:
+            if backend == "mp":
+                from repro.distla.multivector import DistMultiVector
+                probe = DistMultiVector.zeros(sim.partition, sim.comm, 2)
+                if sim.comm._describe(probe.flat) is None:
+                    failures.append(f"{ranks} ranks: flat multivector "
+                                    "storage is not in shared memory")
             res = sstep_gmres(sim, b, s=3, restart=12, tol=1e-8,
                               scheme=TwoStageScheme(12), options=opts)
             modeled = (sim.comm.modeled.clock if backend == "mp"
@@ -86,8 +97,15 @@ def main() -> int:
 
     res_sim, clock_sim, _ = solve("sim")
     res_mp, clock_mp, measured = solve("mp")
+    # 576 rows on 5 ranks: ragged shards, no (ranks, rows, k) stack
+    ragged_sim, ragged_clock_sim, _ = solve("sim", ranks=5)
+    ragged_mp, ragged_clock_mp, _ = solve("mp", ranks=5)
+    if ragged_mp.x.tobytes() != ragged_sim.x.tobytes():
+        failures.append("ragged mp solution is not bit-identical to sim")
+    if ragged_clock_mp != ragged_clock_sim:
+        failures.append(f"ragged mp modeled twin clock {ragged_clock_mp!r} "
+                        f"!= sim clock {ragged_clock_sim!r}")
 
-    failures = transport_failures()
     if not res_sim.converged:
         failures.append("sim solve did not converge")
     if res_mp.x.tobytes() != res_sim.x.tobytes():
@@ -105,7 +123,8 @@ def main() -> int:
         return 1
     wall = sum(measured.values())
     print(f"mp smoke OK: {res_mp.iterations} iterations bit-identical "
-          f"across backends; modeled {clock_sim:.4g}s, "
+          f"across backends (and {ragged_mp.iterations} on a ragged "
+          f"partition); modeled {clock_sim:.4g}s, "
           f"measured {wall:.4g}s wall")
     return 0
 

@@ -44,9 +44,9 @@ DEFAULT_SEED = 1729
 #: Reference engine: one Python-level NumPy call per simulated rank.
 ENGINE_LOOP = "loop"
 
-#: Batched engine: equal-sized shards execute as single GEMMs/streaming
-#: kernels over a contiguous ``(ranks, rows, k)`` stack; ragged partitions
-#: fall back to the loop path op-by-op.
+#: Batched engine: kernels over the one flat ``(n, k)`` array behind every
+#: multivector — batched GEMMs per run of equal-count ranks, streaming
+#: kernels over row tiles — on uniform and ragged partitions alike.
 ENGINE_BATCHED = "batched"
 
 #: All selectable engines, in documentation order.

@@ -4,38 +4,35 @@ The :mod:`repro.distla.blas` functions describe *what* a distributed
 operation computes and charges; an engine decides *how* the per-rank
 NumPy work executes:
 
-* :class:`LoopEngine` — the reference path: one Python-level BLAS call
-  per simulated rank (one GEMM per shard, one cost evaluation per rank).
-* :class:`BatchedEngine` — executes equal-sized shards as a single
-  batched kernel over the contiguous ``(ranks, rows, k)`` stack that
-  :class:`~repro.distla.multivector.DistMultiVector` keeps for uniform
-  partitions: ``block_dot`` becomes one ``matmul`` over the rank axis,
-  ``lincomb``/``scale`` become whole-stack streaming ops, and the
-  reduction tree folds with one vectorized add per level.  Any operand
-  without a stack (ragged partition, caller-supplied shards) falls back
-  to the loop path op-by-op, so results and charged costs never depend
-  on which constructor built the vector.
+* :class:`LoopEngine` — the reference: one Python-level BLAS call and
+  one cost evaluation per simulated rank.  Kept as the oracle the tests
+  hold the batched engine to, as a CI leg, and as the path for vectors
+  built from caller-supplied shards.
+* :class:`BatchedEngine` — computes on the one flat ``(n, k)`` array
+  behind every library-built ``DistMultiVector``, on any partition.
+  Reductions need per-rank partials: one batched ``matmul`` per *run* of
+  consecutive equal-count ranks (``Partition.runs``: one run when
+  uniform, two for a default ragged split) is one GEMM per rank by
+  construction.  Row-local GEMMs do the same over tiles of whole ranks,
+  elementwise kernels over row tiles that ignore rank boundaries, and
+  the triangular solve keeps one bare LAPACK call per rank.  No GEMM or
+  TRSM spans a rank boundary, because what a BLAS computes for a row
+  depends on where the row sits in the call.  Per-rank charges on a
+  ragged partition are evaluated once and replayed.
 
-Both engines preserve the MPI-faithful pairwise reduction order (see
-:class:`~repro.parallel.communicator.SimComm`) and charge identical
-modeled costs: uniform partitions make the per-rank cost formula the
-same on every rank, so ``max(costs)`` equals the single evaluated value.
-
-Selection: pass ``engine="loop"|"batched"`` to a blas call or a
-:class:`~repro.ortho.backend.DistBackend`, bind one per communicator
-(``SimComm(..., engine=...)``), or set the process default through
+Both engines keep the MPI-faithful pairwise reduction order of
+:class:`~repro.parallel.communicator.SimComm`, produce bit-identical
+values and charge identical modeled costs.  Select one per call or
+:class:`~repro.ortho.backend.DistBackend` (``engine="loop"|"batched"``),
+per communicator (``SimComm(..., engine=...)``), or process-wide through
 :func:`repro.config.set_engine` / the ``REPRO_ENGINE`` variable.
 
 Storage precision: operands may store ``fp32``/``bf16`` (see
-:mod:`repro.precision`).  Both engines then follow the same contract:
-shard-local partials are *accumulated in float64* (unless every operand
-explicitly opts into native ``fp32`` accumulation), the reduction tree
-is always float64, and results written back into low-precision storage
-are rounded to the storage grid.  Loop and batched paths apply the
-identical casts in the identical order, so results stay bit-identical
-per dtype, and local kernels are charged at the operands' storage word
-size (``fp32`` panels move half the fp64 bytes).  All-fp64 operands
-take the exact historical code paths.
+:mod:`repro.precision`).  Both engines accumulate shard-local partials
+in float64 (unless every operand opts into native ``fp32``
+accumulation), reduce in float64, round results written to
+low-precision storage to its grid — the same casts in the same order —
+and charge local kernels at the operands' storage word size.
 """
 
 from __future__ import annotations
@@ -265,171 +262,186 @@ class LoopEngine(KernelEngine):
 # batched engine
 # ---------------------------------------------------------------------------
 
-class BatchedEngine(LoopEngine):
-    """Single batched kernels over ``(ranks, rows, k)`` shard stacks.
+#: Elements of the widest operand in one tile of a row-local kernel
+#: (256 KiB of float64): operands and temporaries stay in cache between
+#: passes and none is ``(n, k)``.  Values never depend on the tiling.
+_TILE_ELEMS = 32_768
+_F64 = np.dtype(np.float64)
 
-    Inherits the loop implementations as the ragged/unstacked fallback;
-    every override first checks that all operands carry a stack.
-    """
+
+def _charge(mv, kernel: str, method: str, per_row: int, *shape) -> None:
+    """Charge a local ``kernel`` over ``mv``'s rows, costing rank ``r``
+    ``CostModel.<method>(rows_r * per_row, *shape)``: evaluated for one
+    rank when uniform, else per rank, once per ``(method, shape, machine)``
+    in the partition's memo, and replayed with its metrics shapes."""
+    comm, part = mv.comm, mv.partition
+    if part.is_uniform:
+        comm.charge_uniform(kernel, getattr(comm.cost, method)(
+            part.runs[0][2] * per_row, *shape))
+        return
+    comm.cost.memoized(
+        part.charges, (method, per_row, *shape),
+        lambda cost: [getattr(cost, method)(rows * per_row, *shape)
+                      for rows in part.counts.tolist()]).charge(comm, kernel)
+
+
+def _flats(*mvs) -> list[np.ndarray] | None:
+    """The operands' flat arrays, or None when one of them has none."""
+    flats = [mv.flat for mv in mvs]
+    return None if any(f is None for f in flats) else flats
+
+
+def _row_tiles(n: int, k: int) -> list[slice]:
+    """Row slices of about ``_TILE_ELEMS`` elements of a ``k``-column
+    operand, rank boundaries ignored (a narrow column view still touches
+    a cache line per row, hence the floor of 8 columns)."""
+    step = max(1, _TILE_ELEMS // max(8, k))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _rank_tiles(part, k: int):
+    """``(rows, ranks_in_tile, rows_per_rank)`` over every non-empty
+    rank: tiles of whole consecutive equal-count ranks, so ``flat[rows]``
+    reshapes to a stack whose batched ``matmul`` is one GEMM per rank."""
+    for n_ranks, lo, rows in part.runs:
+        if not rows:
+            continue
+        step = max(1, _TILE_ELEMS // max(1, rows * k))
+        for first in range(0, n_ranks, step):
+            count = min(step, n_ranks - first)
+            start = lo + first * rows
+            yield slice(start, start + count * rows), count, rows
+
+
+def _over_runs(part, kernel, dtype, *flats) -> np.ndarray:
+    """``kernel(*stacks)`` per run of equal-count ranks, concatenated
+    over the rank axis; a stack is the run's rows of one flat array,
+    cast to ``dtype`` and seen as ``(ranks_in_run, rows, k)``."""
+    parts = [kernel(*(_cast(f[lo:lo + n_ranks * rows], dtype)
+                      .reshape(n_ranks, rows, f.shape[1]) for f in flats))
+             for n_ranks, lo, rows in part.runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class BatchedEngine(LoopEngine):
+    """Kernels over the flat ``(n, k)`` array behind each operand; an
+    operand without one (caller-supplied shards) sends the call to the
+    inherited loop implementation."""
 
     name = config.ENGINE_BATCHED
 
-    #: Element cutoff (per operand stack) above which write-heavy kernels
-    #: keep the per-rank loop: one rank's shard fits in cache, so the loop
-    #: is effectively cache-tiled, while streaming a multi-MB stack plus
-    #: its temporaries goes to DRAM.  GEMM reductions (``block_dot``) are
-    #: exempt — BLAS tiles those internally, so batching never loses.
-    #: Both paths are elementwise-identical, so this is purely a speed
-    #: heuristic, never a semantics switch.
-    stream_elems_max: int = 131_072  # 1 MiB of float64 per operand
-
-    @staticmethod
-    def _stacks(*mvs) -> list[np.ndarray] | None:
-        stacks = [mv.stack for mv in mvs]
-        if any(s is None for s in stacks):
-            return None
-        return stacks
-
-    def _stream_stacks(self, *mvs) -> list[np.ndarray] | None:
-        """Stacks for a write-heavy streaming kernel, or None to fall back
-        (missing stack, or the written operand exceeds the cache cutoff)."""
-        stacks = self._stacks(*mvs)
-        if stacks is None or stacks[0].size > self.stream_elems_max:
-            return None
-        return stacks
-
     # -- reductions -----------------------------------------------------
     def _dot_partials(self, comm, pairs) -> list:
-        """Stacked pairs contribute one ``(ranks, k_x, k_y)`` batched
-        product; a pair without stacks takes the loop path on its own."""
+        """One ``(ranks, k_x, k_y)`` stack of per-rank products per pair."""
         groups = []
         for x, y in pairs:
-            stacks = self._stacks(x, y)
-            if stacks is None:
+            flats = _flats(x, y)
+            if flats is None:
                 groups += super()._dot_partials(comm, [(x, y)])
                 continue
-            xs, ys = stacks
-            acc = _acc_dtype(x, y)
-            groups.append(np.matmul(_cast(xs, acc).transpose(0, 2, 1),
-                                    _cast(ys, acc)))
-            comm.charge_uniform(
-                "dot", comm.cost.gemm(xs.shape[1], x.n_cols, y.n_cols,
-                                      word_bytes=_wb(x, y)))
+            groups.append(_over_runs(
+                x.partition,
+                lambda xs, ys: np.matmul(xs.transpose(0, 2, 1), ys),
+                _acc_dtype(x, y), *flats))
+            _charge(x, "dot", "gemm", 1, x.n_cols, y.n_cols, _wb(x, y))
         return groups
 
     def column_norms(self, x) -> np.ndarray:
-        stack = x.stack
-        if stack is None:
+        if x.flat is None:
             return super().column_norms(x)
-        comm = x.comm
-        work = _cast(stack, _acc_dtype(x))
-        partials = np.einsum("rij,rij->rj", work, work)
-        comm.charge_uniform(
-            "norm", comm.cost.blas1(stack[0].size, n_streams=1, writes=0,
-                                    word_bytes=x.word_bytes))
-        return np.sqrt(comm.allreduce([partials])[0])
+        partials = _over_runs(
+            x.partition, lambda w: np.einsum("rij,rij->rj", w, w),
+            _acc_dtype(x), x.flat)
+        _charge(x, "norm", "blas1", x.n_cols, 1, 0, x.word_bytes)
+        return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local updates ----------------------------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
-        stacks = self._stream_stacks(v, q)
-        if stacks is None:
+        flats = _flats(v, q)
+        if flats is None:
             return super().block_update(v, q, r)
-        sv, sq = stacks
-        comm = v.comm
-        if _all_fp64(v, q):
-            sv -= np.matmul(sq, r)
-        else:
-            f64 = np.dtype(np.float64)
-            sv[...] = v.quantize(_cast(sv, f64) - np.matmul(_cast(sq, f64), r))
-        comm.charge_uniform(
-            "update",
-            comm.cost.gemm_tall_update(sv.shape[1], q.n_cols, v.n_cols,
-                                       word_bytes=_wb(v, q)))
+        fv, fq = flats
+        kq, kv = q.n_cols, v.n_cols
+        for rows, count, each in _rank_tiles(v.partition, max(kq, kv)):
+            qr = np.matmul(_cast(fq[rows], _F64).reshape(count, each, kq),
+                           r).reshape(count * each, kv)
+            if v.storage == "fp64":
+                fv[rows] -= qr
+            else:
+                fv[rows] = v.quantize(_cast(fv[rows], _F64) - qr)
+        _charge(v, "update", "gemm_tall_update", 1, kq, kv, _wb(v, q))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
-        stack = v.stack
-        if stack is None:
+        flat = v.flat
+        if flat is None:
             return super().trsm_inplace(v, r)
-        comm = v.comm
-        ranks, rows, k = stack.shape
-        if rows and k:
-            # One triangular solve over all ranks' rows; reshape copies
-            # only when the stack is a strided column view.
-            flat = _cast(stack, np.dtype(np.float64)).reshape(ranks * rows, k)
-            solved = scipy.linalg.solve_triangular(
-                r, flat.T, trans="T", lower=False).T
-            solved = solved.reshape(ranks, rows, k)
-            stack[...] = (solved if _all_fp64(v) else v.quantize(solved))
-        comm.charge_uniform("trsm", comm.cost.trsm(rows, k,
-                                                   word_bytes=v.word_bytes))
+        if v.n_cols:
+            # the LAPACK call solve_triangular(r, shard.T, trans="T")
+            # makes, validated and looked up once instead of per rank
+            r = np.asarray_chkfinite(r)
+            np.asarray_chkfinite(flat)
+            trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (r,))
+            # scipy passes a C-ordered matrix to LAPACK as its transpose
+            a, lower, trans = ((r, False, 1) if r.flags.f_contiguous
+                               else (r.T, True, 0))
+            for rows in v.partition.local_slices:
+                if rows.stop > rows.start:
+                    x, info = trtrs(a, _cast(flat[rows], _F64).T,
+                                    lower=lower, trans=trans)
+                    if info:
+                        raise np.linalg.LinAlgError(
+                            "singular matrix: resolution failed at "
+                            f"diagonal {info - 1}")
+                    flat[rows] = v.quantize(x.T)
+        _charge(v, "trsm", "trsm", 1, v.n_cols, v.word_bytes)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
-        stacks = self._stream_stacks(v)
-        if stacks is None:
+        flat = v.flat
+        if flat is None:
             return super().scale_columns(v, scales)
-        stack = stacks[0]
-        comm = v.comm
-        if _all_fp64(v):
-            stack *= scales[np.newaxis, np.newaxis, :]
+        if v.storage == "fp64":
+            flat *= scales
         else:
-            f64 = np.dtype(np.float64)
-            stack[...] = v.quantize(_cast(stack, f64)
-                                    * scales[np.newaxis, np.newaxis, :])
-        comm.charge_uniform(
-            "scale", comm.cost.blas1(stack[0].size, n_streams=1, writes=1,
-                                     word_bytes=v.word_bytes))
+            for rows in _row_tiles(*flat.shape):
+                flat[rows] = v.quantize(_cast(flat[rows], _F64) * scales)
+        _charge(v, "scale", "blas1", v.n_cols, 1, 1, v.word_bytes)
 
     def lincomb(self, out, terms) -> None:
-        stacks = self._stream_stacks(out, *[t[1] for t in terms])
-        if stacks is None:
+        operands = [t[1] for t in terms]
+        flats = _flats(out, *operands)
+        if flats is None:
             return super().lincomb(out, terms)
-        comm = out.comm
-        fast = _all_fp64(out, *[t[1] for t in terms])
-        f64 = np.dtype(np.float64)
-        if fast:
-            acc = terms[0][0] * stacks[1]
-            for (alpha, _), stack in zip(terms[1:], stacks[2:]):
-                acc += alpha * stack
-            stacks[0][...] = acc
-        else:
-            acc = terms[0][0] * _cast(stacks[1], f64)
-            for (alpha, _), stack in zip(terms[1:], stacks[2:]):
-                acc += alpha * _cast(stack, f64)
-            stacks[0][...] = out.quantize(acc)
-        comm.charge_uniform(
-            "axpy",
-            comm.cost.blas1(stacks[0][0].size, n_streams=len(terms), writes=1,
-                            word_bytes=_wb(out, *[t[1] for t in terms])))
+        for rows in _row_tiles(*flats[0].shape):
+            acc = terms[0][0] * _cast(flats[1][rows], _F64)
+            for (alpha, _), flat in zip(terms[1:], flats[2:]):
+                acc += alpha * _cast(flat[rows], _F64)
+            flats[0][rows] = out.quantize(acc)
+        _charge(out, "axpy", "blas1", out.n_cols, len(terms), 1,
+                _wb(out, *operands))
 
     def copy_into(self, dst, src) -> None:
-        stacks = self._stream_stacks(dst, src)
-        if stacks is None:
+        if _flats(dst, src) is None:
             return super().copy_into(dst, src)
-        comm = dst.comm
-        stacks[0][...] = (stacks[1] if dst.storage == src.storage
-                          else dst.quantize(stacks[1]))
-        comm.charge_uniform(
-            "axpy", comm.cost.blas1(stacks[1][0].size, n_streams=1, writes=1,
-                                    word_bytes=_wb(dst, src)))
+        dst.assign_from(src)  # rounds to dst's storage grid when needed
+        _charge(dst, "axpy", "blas1", src.n_cols, 1, 1, _wb(dst, src))
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
-        stacks = self._stream_stacks(out, v)
-        if stacks is None:
+        flats = _flats(out, v)
+        if flats is None:
             return super().matvec_small(v, coeffs, out)
-        sout, sv = stacks
-        comm = v.comm
-        if _all_fp64(v, out):
-            sout[...] = np.matmul(sv, coeffs)
-        else:
-            sout[...] = out.quantize(np.matmul(_cast(sv, np.dtype(np.float64)),
-                                               coeffs))
-        comm.charge_uniform(
-            "update", comm.cost.gemm(sv.shape[1], v.n_cols, out.n_cols,
-                                     word_bytes=_wb(v, out)))
+        fout, fv = flats
+        kv, kout = v.n_cols, out.n_cols
+        for rows, count, each in _rank_tiles(v.partition, max(kv, kout)):
+            fout[rows] = out.quantize(
+                np.matmul(_cast(fv[rows], _F64).reshape(count, each, kv),
+                          coeffs).reshape(count * each, kout))
+        _charge(v, "update", "gemm", 1, kv, kout, _wb(v, out))
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op):
-        """``(ranks, m, k)`` contribution stack (loop path without one)."""
+        """``(ranks, m, k)`` contribution stack on a uniform partition
+        (the operators' batched kernels place rank ``r`` at row ``r *
+        rows``; a ragged partition takes the loop path)."""
         stack = v.stack
         if stack is None:
             return super()._sketch_partials(v, op)

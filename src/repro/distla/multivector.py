@@ -1,28 +1,30 @@
 """Block-row distributed multivectors (sets of long column vectors).
 
-A :class:`DistMultiVector` owns one float64 shard per rank, each of shape
-``(rows_on_rank, k)``.  Column *views* share shard memory so a Krylov
-solver can preallocate the full ``n x (m+1)`` basis once and hand
-orthogonalization kernels zero-copy windows into it — the same pattern
-Trilinos uses with Tpetra MultiVector subviews.
+A :class:`DistMultiVector` is an ``n x k`` dense block whose rows belong
+to the ranks of a :class:`~repro.parallel.partition.Partition`.  Every
+vector the library builds (``zeros``, ``from_global``, ``copy``,
+``view_cols``) keeps its values in ONE ``(n, k)`` array, :attr:`flat`,
+allocated through the communicator.  Column views are column slices of
+it — O(1) whatever the rank count — so a Krylov solver can preallocate
+the full ``n x (m+1)`` basis once and hand orthogonalization kernels
+zero-copy windows into it, the pattern Trilinos uses with Tpetra
+MultiVector subviews.
 
-When the partition is *uniform* (every rank owns the same row count) the
-library constructors additionally back the shards by one contiguous
-``(ranks, rows, k)`` array, exposed via :attr:`DistMultiVector.stack`.
-The batched execution engine (:mod:`repro.distla.engine`) runs its
-kernels directly on that stack — one batched GEMM over the rank axis
-instead of a Python loop — while the per-rank ``shards`` views stay valid
-for loop-path code and for the simulated sparse kernels.
+The per-rank structure is derived on demand: :attr:`shards` are the row
+slices of the flat array, one per rank, and :attr:`stack` is its
+``(ranks, rows, k)`` reshape, which exists only on a uniform partition.
+The batched engine (:mod:`repro.distla.engine`) computes on ``flat``;
+the loop engine, the real-process SpMV and TSQR read ``shards`` /
+``stack``.  A vector constructed from caller-supplied shards has no flat
+array and every kernel takes the per-rank path.
 
 Storage precision: every multivector carries a storage spec
 (:data:`repro.precision.dtypes.STORAGE_SPECS` — ``"fp64"``/``"fp32"``/
-``"bf16"``) that decides the shard container dtype and the word size the
-cost model charges.  Low-precision vectors are *storage* formats only:
-the kernel engines accumulate every reduction in float64 and round
-results back to the storage grid on write (``"bf16"`` values ride in
-float32 containers but are rounded to the bfloat16 grid and charged at
-2 bytes/word).  The default ``"fp64"`` reproduces the historical
-behavior bit-for-bit.
+``"bf16"``) that decides the container dtype and the word size the cost
+model charges.  Low-precision vectors are *storage* formats only: the
+engines accumulate reductions in float64 and round results to the
+storage grid on write (``"bf16"`` rides in float32 containers, rounded
+to the bfloat16 grid and charged at 2 bytes/word).
 """
 
 from __future__ import annotations
@@ -43,54 +45,55 @@ class DistMultiVector:
     (shards, views, gather/scatter) and no operators.
     """
 
-    __slots__ = ("partition", "comm", "shards", "storage", "accumulate",
-                 "_base", "_stack")
+    __slots__ = ("partition", "comm", "storage", "accumulate",
+                 "_base", "_flat", "_shards")
 
     def __init__(self, partition: Partition, comm: SimComm,
-                 shards: list[np.ndarray], _base: "DistMultiVector | None" = None,
-                 _stack: np.ndarray | None = None,
+                 shards: list[np.ndarray] | None,
+                 _base: "DistMultiVector | None" = None,
+                 _flat: np.ndarray | None = None,
                  storage: str | None = None, accumulate: str = "fp64"):
-        if len(shards) != partition.ranks:
-            raise ShapeError(
-                f"need {partition.ranks} shards, got {len(shards)}")
-        k = shards[0].shape[1] if shards else 0
-        for r, s in enumerate(shards):
-            if s.ndim != 2 or s.shape != (partition.local_count(r), k):
+        if _flat is not None:  # library-built: conformal by construction
+            dtype = _flat.dtype
+        else:
+            if len(shards) != partition.ranks:
                 raise ShapeError(
-                    f"shard {r} has shape {s.shape}, expected "
-                    f"({partition.local_count(r)}, {k})")
+                    f"need {partition.ranks} shards, got {len(shards)}")
+            k = shards[0].shape[1]
+            for r, s in enumerate(shards):
+                if s.ndim != 2 or s.shape != (partition.local_count(r), k):
+                    raise ShapeError(
+                        f"shard {r} has shape {s.shape}, expected "
+                        f"({partition.local_count(r)}, {k})")
+            dtype = shards[0].dtype
         if storage is None:
             # Infer from the container dtype (callers constructing shards
             # directly predate the precision subsystem): float32 shards
             # are fp32 storage, everything else the fp64 default.  bf16
             # cannot be inferred — its container IS float32 — so it must
             # be requested explicitly.
-            storage = ("fp32" if shards and shards[0].dtype == np.float32
-                       else "fp64")
-        elif shards and shards[0].dtype != _pdtypes.container_dtype(storage):
+            storage = "fp32" if dtype == np.float32 else "fp64"
+        elif dtype != _pdtypes.container_dtype(storage):
             # A mislabeled vector would silently compute in the wrong
-            # precision AND mischarge bytes (the engines' fast-path and
-            # word-size decisions key off `storage`).
+            # precision AND mischarge bytes (the engines' word-size
+            # decisions key off `storage`).
             raise ShapeError(
-                f"shards have dtype {shards[0].dtype}, but storage "
-                f"{storage!r} requires "
-                f"{_pdtypes.container_dtype(storage)}")
+                f"shards have dtype {dtype}, but storage {storage!r} "
+                f"requires {_pdtypes.container_dtype(storage)}")
         if accumulate not in _pdtypes.ACCUMULATE_SPECS:
             raise ShapeError(
                 f"unknown accumulate precision {accumulate!r}; expected "
                 f"one of {_pdtypes.ACCUMULATE_SPECS}")
         self.partition = partition
         self.comm = comm
-        self.shards = shards
         self.storage = _pdtypes.validate_storage(storage)
         # Precision shard-local kernels accumulate partial results in
         # before the (always-float64) reduction tree; "fp32" only takes
         # effect for low-precision storage (see repro.distla.engine).
         self.accumulate = accumulate
         self._base = _base  # keeps the owning vector alive for views
-        # (ranks, rows, k) array aliasing the shards, or None (ragged
-        # partitions, or shards supplied directly by the caller).
-        self._stack = _stack
+        self._flat = _flat  # None: shards supplied by the caller
+        self._shards = shards  # None until asked for, when `_flat` is set
 
     # ------------------------------------------------------------------
     # constructors
@@ -99,28 +102,19 @@ class DistMultiVector:
     def zeros(cls, partition: Partition, comm: SimComm, k: int,
               storage: str = "fp64",
               accumulate: str = "fp64") -> "DistMultiVector":
-        dtype = _pdtypes.container_dtype(storage)
-        if partition.is_uniform:
-            # the communicator owns stack storage: the simulator hands
-            # back heap arrays, the mp backend shared-memory segments its
-            # worker ranks can reach (see repro.parallel.api)
-            base = comm.alloc_stack(partition.ranks, partition.local_count(0),
-                                    k, dtype)
-            return cls(partition, comm, list(base), _stack=base,
-                       storage=storage, accumulate=accumulate)
-        shards = [np.zeros((partition.local_count(r), k), dtype=dtype)
-                  for r in range(partition.ranks)]
-        return cls(partition, comm, shards, storage=storage,
+        # the communicator owns vector storage: a heap array from the
+        # simulator, a shared-memory segment from the mp backend
+        flat = comm.alloc_stack(1, partition.n_global, k,
+                                _pdtypes.container_dtype(storage))[0]
+        return cls(partition, comm, None, _flat=flat, storage=storage,
                    accumulate=accumulate)
 
     @classmethod
     def from_global(cls, arr: np.ndarray, partition: Partition,
                     comm: SimComm, storage: str = "fp64",
                     accumulate: str = "fp64") -> "DistMultiVector":
-        """Scatter a global ``(n, k)`` or ``(n,)`` array into shards (copies).
-
-        Values are rounded to the ``storage`` grid on the way in.
-        """
+        """Scatter a global ``(n, k)`` or ``(n,)`` array over the ranks
+        (a copy, rounded to the ``storage`` grid)."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, np.newaxis]
@@ -128,18 +122,9 @@ class DistMultiVector:
             raise ShapeError(
                 f"array has {arr.shape[0]} rows, partition expects "
                 f"{partition.n_global}")
-        if partition.is_uniform:
-            base = comm.alloc_stack(partition.ranks, partition.local_count(0),
-                                    arr.shape[1],
-                                    _pdtypes.container_dtype(storage))
-            base[...] = _pdtypes.quantize(arr, storage).reshape(base.shape)
-            return cls(partition, comm, list(base), _stack=base,
-                       storage=storage, accumulate=accumulate)
-        shards = [np.array(_pdtypes.quantize(arr[partition.local_slice(r)],
-                                             storage), copy=True)
-                  for r in range(partition.ranks)]
-        return cls(partition, comm, shards, storage=storage,
-                   accumulate=accumulate)
+        new = cls.zeros(partition, comm, arr.shape[1], storage, accumulate)
+        new._flat[...] = _pdtypes.quantize(arr, storage)
+        return new
 
     # ------------------------------------------------------------------
     # structure
@@ -150,20 +135,36 @@ class DistMultiVector:
 
     @property
     def n_cols(self) -> int:
-        return int(self.shards[0].shape[1])
+        first = self._flat if self._flat is not None else self._shards[0]
+        return int(first.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_global, self.n_cols)
 
     @property
-    def stack(self) -> np.ndarray | None:
-        """``(ranks, rows, k)`` array aliasing the shards, or None.
+    def flat(self) -> np.ndarray | None:
+        """The ``(n, k)`` array holding every rank's rows (what the batched
+        engine computes on); None when built from caller-supplied shards."""
+        return self._flat
 
-        Present only for uniform partitions whose storage was allocated by
-        the library constructors; the batched engine keys off this.
-        """
-        return self._stack
+    @property
+    def shards(self) -> list[np.ndarray]:
+        """One ``(rows_on_rank, k)`` array per rank — row slices of
+        :attr:`flat` when there is one, built on first use."""
+        if self._shards is None:
+            self._shards = [self._flat[rows]
+                            for rows in self.partition.local_slices]
+        return self._shards
+
+    @property
+    def stack(self) -> np.ndarray | None:
+        """:attr:`flat` as a ``(ranks, rows, k)`` view (splitting the row
+        axis never copies); None without a flat array or when ragged."""
+        flat, part = self._flat, self.partition
+        if flat is None or not part.is_uniform:
+            return None
+        return flat.reshape(part.ranks, part.runs[0][2], flat.shape[1])
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -179,81 +180,68 @@ class DistMultiVector:
         """Round ``arr`` to this vector's storage grid (container dtype)."""
         return _pdtypes.quantize(arr, self.storage)
 
-    def _derived(self, shards: list[np.ndarray], stack: np.ndarray | None,
+    def _derived(self, flat: np.ndarray | None,
+                 shards: list[np.ndarray] | None,
                  base: "DistMultiVector | None") -> "DistMultiVector":
-        """A vector over ``shards`` sliced or copied from this one's.
-
-        Skips the constructor: the shards of a validated vector, cut
-        along columns or copied whole, are conformal by construction,
-        and re-checking each one per view is what made a column view
-        cost O(ranks) Python calls.  Caller-supplied shards still go
-        through ``DistMultiVector(...)`` and its per-shard check.
-        """
+        """A vector over storage sliced or copied from this one's:
+        conformal by construction, so the constructor's checks (which
+        caller-supplied shards still go through) are skipped."""
         new = object.__new__(DistMultiVector)
         new.partition = self.partition
         new.comm = self.comm
-        new.shards = shards
         new.storage = self.storage
         new.accumulate = self.accumulate
         new._base = base
-        new._stack = stack
+        new._flat = flat
+        new._shards = shards
         return new
 
     def view_cols(self, cols: slice | int) -> "DistMultiVector":
         """Zero-copy view of a column range (int selects one column)."""
         if isinstance(cols, int):
             cols = slice(cols, cols + 1)
-        shards = [s[:, cols] for s in self.shards]
-        stack = None if self._stack is None else self._stack[:, :, cols]
-        return self._derived(shards, stack, self._base or self)
+        base = self._base or self
+        if self._flat is not None:
+            return self._derived(self._flat[:, cols], None, base)
+        return self._derived(None, [s[:, cols] for s in self._shards], base)
 
     def copy(self) -> "DistMultiVector":
-        if self._stack is not None:
-            base = self._stack.copy()  # fresh contiguous (ranks, rows, k)
-            return self._derived(list(base), base, None)
-        return self._derived([np.array(s, copy=True) for s in self.shards],
-                             None, None)
+        if self._flat is not None:
+            return self._derived(self._flat.copy(), None, None)
+        return self._derived(
+            None, [np.array(s, copy=True) for s in self._shards], None)
 
     def to_global(self) -> np.ndarray:
         """Gather into one ``(n, k)`` array (simulation-side; not costed)."""
-        if self._stack is not None:
-            # one strided copy instead of a concatenation over ranks
-            out = np.empty(self.shape, dtype=self._stack.dtype)
-            out.reshape(self._stack.shape)[...] = self._stack
-            return out
-        return np.concatenate(self.shards, axis=0)
+        if self._flat is not None:
+            return self._flat.copy()
+        return np.concatenate(self._shards, axis=0)
 
     def scatter_col(self, col: int, values: np.ndarray) -> None:
         """Write a global length-``n`` vector into column ``col`` (the
         container dtype casts; round to the storage grid beforehand)."""
-        if self._stack is not None:
-            self._stack[:, :, col] = values.reshape(self._stack.shape[:2])
+        if self._flat is not None:
+            self._flat[:, col] = values
             return
-        offsets = self.partition.offsets
-        for rank, shard in enumerate(self.shards):
-            shard[:, col] = values[offsets[rank]:offsets[rank + 1]]
+        for rows, shard in zip(self.partition.local_slices, self._shards):
+            shard[:, col] = values[rows]
 
     def assign_from(self, other: "DistMultiVector") -> None:
-        """Copy ``other``'s values into this vector's storage.
-
-        Cross-precision copies round to this vector's storage grid.
-        """
+        """Copy ``other``'s values into this vector's storage (rounding
+        to its storage grid across precisions)."""
         self._check_conformal(other)
         same = self.storage == other.storage
-        if self._stack is not None and other._stack is not None:
-            self._stack[...] = (other._stack if same
-                                else self.quantize(other._stack))
-            return
-        for mine, theirs in zip(self.shards, other.shards):
+        if self._flat is not None and other._flat is not None:
+            pairs = [(self._flat, other._flat)]
+        else:
+            pairs = zip(self.shards, other.shards)
+        for mine, theirs in pairs:
             mine[...] = theirs if same else self.quantize(theirs)
 
     def fill(self, value: float) -> None:
         value = self.quantize(np.asarray(value, dtype=np.float64))
-        if self._stack is not None:
-            self._stack[...] = value
-            return
-        for s in self.shards:
-            s[...] = value
+        for block in (self._shards if self._flat is None else [self._flat]):
+            block[...] = value
 
     def _check_conformal(self, other: "DistMultiVector") -> None:
         if self.partition != other.partition:

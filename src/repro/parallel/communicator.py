@@ -510,7 +510,8 @@ class SimComm:
     # ------------------------------------------------------------------
     def alloc_stack(self, ranks: int, rows: int, k: int,
                     dtype) -> np.ndarray:
-        """Allocate a zeroed ``(ranks, rows, k)`` shard stack.
+        """Allocate a zeroed ``(ranks, rows, k)`` array (a multivector
+        asks for ``(1, n, k)``: all its rows in one block).
 
         The backend owns vector storage so executors can place shards
         where their ranks can reach them (the mp backend hands back

@@ -8,8 +8,9 @@ the reduction slabs.
 
 Execution model
 ---------------
-* :meth:`MpComm.alloc_stack` places every library-allocated multivector
-  stack in a shared-memory segment, so each worker can reach any shard.
+* :meth:`MpComm.alloc_stack` places the storage of every
+  library-allocated multivector (one ``(1, n, k)`` allocation each) in a
+  shared-memory segment, so each worker can reach any shard.
 * Global reductions are the inherited pack -> fold -> unpack core with
   only the fold's *transport* replaced: the packed float64 buffer is
   scattered into a shared ``(size, cap)`` slab and the workers fold the

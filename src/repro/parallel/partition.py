@@ -46,20 +46,41 @@ class Partition:
                 f"got {offsets.shape}")
         if offsets[0] != 0 or offsets[-1] != self.n_global:
             raise PartitionError("offsets must start at 0 and end at n_global")
-        if np.any(np.diff(offsets) < 0):
+        counts = np.diff(offsets)
+        if np.any(counts < 0):
             raise PartitionError("offsets must be non-decreasing")
         self.offsets = offsets
+        # A partition is immutable, so everything the dense kernels ask
+        # of it on every call is derived here, once.
+        counts.flags.writeable = False
+        #: Rows owned by each rank (length ``ranks``, read-only).
+        self.counts = counts
+        #: True when every rank owns the same number of rows: the flat
+        #: storage of a multivector then also reshapes to one
+        #: ``(ranks, rows, k)`` stack (``DistMultiVector.stack``).
+        self.is_uniform = bool((counts == counts[0]).all())
+        bounds = offsets.tolist()
+        #: Global-row slice owned by each rank, in rank order.
+        self.local_slices = tuple(slice(lo, hi)
+                                  for lo, hi in zip(bounds, bounds[1:]))
+        #: Maximal runs of consecutive ranks owning equally many rows, as
+        #: ``(ranks_in_run, first_row, rows_per_rank)``.  One run when
+        #: uniform, at most two for the default balanced split, one per
+        #: rank at worst; a batched kernel runs once per run.
+        edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(),
+                 self.ranks]
+        self.runs = tuple((b - a, bounds[a], int(counts[a]))
+                          for a, b in zip(edges, edges[1:]))
+        #: Memo of per-rank local-kernel charges that depend only on the
+        #: row counts, the kernel shape and the word size (filled through
+        #: :meth:`repro.parallel.costmodel.CostModel.memoized`).
+        self.charges: dict = {}
 
     # ------------------------------------------------------------------
-    @property
-    def counts(self) -> np.ndarray:
-        """Rows owned by each rank (length ``ranks``)."""
-        return np.diff(self.offsets)
-
     def local_slice(self, rank: int) -> slice:
         """Global-row slice owned by ``rank``."""
         self._check_rank(rank)
-        return slice(int(self.offsets[rank]), int(self.offsets[rank + 1]))
+        return self.local_slices[rank]
 
     def local_count(self, rank: int) -> int:
         self._check_rank(rank)
@@ -68,17 +89,6 @@ class Partition:
     def max_local_count(self) -> int:
         """Rows on the most loaded rank — what concurrent kernels cost."""
         return int(self.counts.max())
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when every rank owns the same number of rows.
-
-        Uniform partitions are what the batched execution engine can stack
-        into one contiguous ``(ranks, rows, k)`` array; ragged ones take
-        the per-rank loop fallback.
-        """
-        counts = self.counts
-        return bool((counts == counts[0]).all())
 
     def owner(self, row: int) -> int:
         """Rank owning global row ``row``."""
@@ -115,10 +125,12 @@ class Partition:
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Partition)
-                and self.n_global == other.n_global
-                and self.ranks == other.ranks
-                and np.array_equal(self.offsets, other.offsets))
+        # operands of one solve share one Partition object
+        return other is self or (
+            isinstance(other, Partition)
+            and self.n_global == other.n_global
+            and self.ranks == other.ranks
+            and np.array_equal(self.offsets, other.offsets))
 
     def __hash__(self) -> int:  # partitions are logically immutable
         return hash((self.n_global, self.ranks, self.offsets.tobytes()))

@@ -136,6 +136,26 @@ class TestCompareBenchCli:
         assert cli.main([p, "--check-speedup", "test_a",
                          "--min-speedup", "5.0"]) == 1
 
+    def test_speedup_gate_with_its_own_ratio(self, cli, tmp_path, capsys):
+        """``NAME:RATIO`` gates one benchmark at its own ratio; the others
+        keep ``--min-speedup``.  Both legs come from the same artifact."""
+        art = artifact([rec("test_a[loop]", 3e-4),
+                        rec("test_a[batched]", 1e-4),
+                        rec("test_a_ragged[loop]", 2e-4),
+                        rec("test_a_ragged[batched]", 1e-4)])
+        p = str(art.write(tmp_path / "a.json"))
+        both = ["--check-speedup", "test_a", "--check-speedup"]
+        assert cli.main([p, *both, "test_a_ragged:1.8"]) == 0
+        assert "test_a_ragged batched is 2.00x vs loop (required 1.80x)" \
+            in capsys.readouterr().out
+        assert cli.main([p, *both, "test_a_ragged:2.5"]) == 1
+        assert cli.main([p, *both, "test_a_ragged"]) == 0  # default 1.5
+        assert cli.main([p, *both, "test_a_ragged",
+                         "--min-speedup", "2.5"]) == 1
+        assert cli.main([p, "--check-speedup", "test_gone:1.2"]) == 2
+        with pytest.raises(SystemExit):
+            cli.main([p, "--check-speedup", "test_a:fast"])
+
     def test_missing_speedup_entries_hard_error(self, cli, tmp_path,
                                                 capsys):
         """A candidate missing entries referenced by --check-speedup is a

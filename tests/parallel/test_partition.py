@@ -81,3 +81,38 @@ class TestEquality:
     def test_max_local_count(self):
         part = Partition(10, 3)
         assert part.max_local_count() == 4
+
+
+class TestDerivedStructure:
+    """What the dense kernels read on every call, computed once."""
+
+    def test_runs_of_equal_count_ranks(self):
+        assert Partition(12, 4).runs == ((4, 0, 3),)
+        assert Partition(14, 4).runs == ((2, 0, 4), (2, 8, 3))
+        assert Partition(3, 5).runs == ((3, 0, 1), (2, 3, 0))
+        ragged = Partition(10, 4, offsets=np.array([0, 1, 3, 6, 10]))
+        assert ragged.runs == ((1, 0, 1), (1, 1, 2), (1, 3, 3), (1, 6, 4))
+        assert Partition(12, 4).is_uniform and not ragged.is_uniform
+
+    @given(st.integers(min_value=1, max_value=500),
+           st.integers(min_value=1, max_value=40))
+    def test_runs_and_slices_cover_the_ranks(self, n, p):
+        part = Partition(n, p)
+        assert len(part.runs) <= 2
+        assert sum(ranks for ranks, _, _ in part.runs) == p
+        assert [s.stop - s.start for s in part.local_slices] \
+            == part.counts.tolist()
+        row = 0
+        for ranks, first_row, rows in part.runs:
+            assert first_row == row
+            row += ranks * rows
+        assert row == n
+
+    def test_counts_are_read_only(self):
+        with pytest.raises(ValueError):
+            Partition(10, 3).counts[0] = 7
+
+    def test_identity_short_circuits_eq(self):
+        part = Partition(10, 3)
+        assert part == part
+        assert part != "partition"
