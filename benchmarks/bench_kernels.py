@@ -13,7 +13,9 @@ block_axpy.  The ``*_ragged`` twins of block_dot / block_update / trsm
 run the same operands on a rank count that does not divide the row
 count — the batched engine then works per run of equal-count ranks and
 replays memoized per-rank charges — and CI gates their batched/loop
-ratio, measured within the run, the same way.  Each engine bench also
+ratio, measured within the run, the same way; ``test_trsm_basis_view``
+is the ragged trsm on the operand the solver hands it, a 5-column view
+of a 61-column basis.  Each engine bench also
 records the *modeled* seconds one call charges, so ``BENCH_kernels.json``
 tracks modeled vs. wall time.
 """
@@ -65,12 +67,12 @@ def dist_setup():
     return comm, part, basis
 
 
-def _engine_operands(n):
+def _engine_operands(n, k=K):
     comm = SimComm(generic_cpu(), ENGINE_RANKS, Tracer())
     part = Partition(n, ENGINE_RANKS)
     rng = np.random.default_rng(0)
     basis = DistMultiVector.from_global(
-        rng.standard_normal((n, K)), part, comm)
+        rng.standard_normal((n, k)), part, comm)
     return comm, part, basis
 
 
@@ -114,9 +116,9 @@ def _bench_block_update(benchmark, engine, setup):
                   lambda: blas.block_update(v, q, r))
 
 
-def _bench_trsm(benchmark, engine, setup):
+def _bench_trsm(benchmark, engine, setup, cols=slice(25, 30)):
     comm, part, basis = setup
-    v = basis.view_cols(slice(25, 30))
+    v = basis.view_cols(cols)
     # Identity R: full dtrsm work, but iterating the bench cannot drift v
     # into denormals/overflow and skew the timing.
     r = np.eye(5)
@@ -169,6 +171,14 @@ def test_trsm(benchmark, engine_setup, engine):
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_trsm_ragged(benchmark, ragged_setup, engine):
     _bench_trsm(benchmark, engine, ragged_setup)
+
+
+@pytest.mark.parametrize("engine", ["loop", "batched"])
+def test_trsm_basis_view(benchmark, engine):
+    """The shape the solver runs: an s = 5 panel inside the
+    ``n x (m + 1) = 61``-column basis, on the ragged partition."""
+    _bench_trsm(benchmark, engine, _engine_operands(ENGINE_N_RAGGED, 61),
+                cols=slice(30, 35))
 
 
 def test_bcgs_pip_panel(benchmark, dist_setup):

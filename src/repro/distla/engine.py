@@ -8,21 +8,27 @@ NumPy work executes:
   one cost evaluation per simulated rank.  Kept as the oracle the tests
   hold the batched engine to, as a CI leg, and as the path for vectors
   built from caller-supplied shards.
-* :class:`BatchedEngine` — computes on the one flat ``(n, k)`` array
-  behind every library-built ``DistMultiVector``, on any partition.
-  Reductions need per-rank partials: one batched ``matmul`` per *run* of
-  consecutive equal-count ranks (``Partition.runs``: one run when
-  uniform, two for a default ragged split) is one GEMM per rank by
-  construction.  Row-local GEMMs do the same over tiles of whole ranks,
-  elementwise kernels over row tiles that ignore rank boundaries, and
-  the triangular solve keeps one bare LAPACK call per rank.  No GEMM or
-  TRSM spans a rank boundary, because what a BLAS computes for a row
-  depends on where the row sits in the call.  Per-rank charges on a
+* :class:`BatchedEngine` — computes on the one flat, column-major
+  ``(n, k)`` array behind every library-built ``DistMultiVector``, on
+  any partition; per-rank operands are strided views of it and nothing
+  is copied or transposed on the way into BLAS.  Per-rank charges on a
   ragged partition are evaluated once and replayed.
 
-Both engines keep the MPI-faithful pairwise reduction order of
-:class:`~repro.parallel.communicator.SimComm`, produce bit-identical
-values and charge identical modeled costs.  Select one per call or
+Both engines produce bit-identical values and charge identical modeled
+costs.  The contract, by kind of kernel: *reductions* fold per-rank
+partials in the MPI pair order of
+:class:`~repro.parallel.communicator.SimComm` (the paper's numerics) —
+one batched ``matmul`` per *run* of consecutive equal-count ranks
+(``Partition.runs``) is one GEMM per rank by construction; row-local
+*GEMMs* are likewise issued per rank, over tiles of whole ranks, because
+what a BLAS computes for a row depends on where the row sits in the
+call; *elementwise* kernels run over row tiles that ignore rank
+boundaries, a row's value depending on that row alone.  The triangular
+solve (:func:`_trsm_rows`) is an elementwise column sweep per diagonal
+block of 8 columns with per-rank GEMMs between blocks, so a panel of at
+most 8 columns — every s-step panel — is identical on any partition.
+
+Select an engine per call or
 :class:`~repro.ortho.backend.DistBackend` (``engine="loop"|"batched"``),
 per communicator (``SimComm(..., engine=...)``), or process-wide through
 :func:`repro.config.set_engine` / the ``REPRO_ENGINE`` variable.
@@ -38,14 +44,8 @@ and charge local kernels at the operands' storage word size.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro import config
-
-
-def _all_fp64(*mvs) -> bool:
-    """True when every operand stores fp64 (the historical fast paths)."""
-    return all(mv.storage == "fp64" for mv in mvs)
 
 
 def _acc_dtype(*mvs) -> np.dtype:
@@ -77,6 +77,73 @@ class KernelEngine:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+# ---------------------------------------------------------------------------
+# row-local kernel bodies shared by both engines
+# ---------------------------------------------------------------------------
+
+#: Elements of the widest operand in one tile of a row-local kernel
+#: (256 KiB of float64): operands and temporaries stay in cache between
+#: passes and none is ``(n, k)``.  Values never depend on the tiling.
+_TILE_ELEMS = 32_768
+#: Column-block width of the triangular solve.
+_TRSM_BLOCK = 8
+_F64 = np.dtype(np.float64)
+
+
+def _row_tiles(n: int, k: int) -> list[slice]:
+    """Row slices of about ``_TILE_ELEMS`` elements of a ``k``-column
+    operand, rank boundaries ignored."""
+    step = max(1, _TILE_ELEMS // max(1, k))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _trsm_check(r: np.ndarray, blocks) -> None:
+    """Reject non-finite input (``ValueError``) and a zero pivot before
+    the substitution writes any row."""
+    for arr in (r, *blocks):
+        np.asarray_chkfinite(arr)
+    zero = np.flatnonzero(np.diagonal(r) == 0.0)
+    if zero.size:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {zero[0]}")
+
+
+def _gemm_sub(v: np.ndarray, q: np.ndarray, r: np.ndarray,
+              count: int = 1) -> None:
+    """``v -= q @ r`` in place, one GEMM per rank; ``v`` and ``q`` are
+    the fp64 rows of ``count`` whole equal-count ranks.  Formed as
+    ``r.T @ q_rank.T`` so that each product comes out in the layout of
+    the columns it is subtracted from."""
+    each = v.shape[0] // count
+    target = v.T.reshape(v.shape[1], count, each).transpose(1, 0, 2)
+    target -= np.matmul(
+        r.T, q.T.reshape(q.shape[1], count, each).transpose(1, 0, 2))
+
+
+def _trsm_rows(w: np.ndarray, r: np.ndarray, count: int = 1) -> None:
+    """``w <- w @ inv(r)`` in place; ``w`` is the fp64 rows of ``count``
+    whole equal-count ranks, ``r`` upper triangular.
+
+    Left-looking over column blocks ``J``: the solved columns enter
+    through ``w[:, J] -= x[:, :j0] @ r[:j0, J]`` (:func:`_gemm_sub`); the
+    diagonal block is the column sweep ``x_j = (w_j - sum_i x_i r_ij) /
+    r_jj`` in elementwise operations over cache-sized row tiles.
+    """
+    n, k = w.shape
+    for j0 in range(0, k, _TRSM_BLOCK):
+        j1 = min(j0 + _TRSM_BLOCK, k)
+        if j0:
+            _gemm_sub(w[:, j0:j1], w[:, :j0], r[:j0, j0:j1], count)
+        for rows in _row_tiles(n, j1 - j0):
+            cols = [w[rows, j] for j in range(j0, j1)]
+            tmp = np.empty_like(cols[0])
+            for j, col in enumerate(cols, j0):
+                for i, solved in enumerate(cols[:j - j0], j0):
+                    np.multiply(solved, r[i, j], out=tmp)
+                    np.subtract(col, tmp, out=col)
+                np.divide(col, r[j, j], out=col)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +201,11 @@ class LoopEngine(KernelEngine):
     # -- local (communication-free) updates ------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
         comm = v.comm
-        if _all_fp64(v, q):
-            for vs, qs in zip(v.shards, q.shards):
-                vs -= qs @ r
-        else:
-            f64 = np.dtype(np.float64)
-            for vs, qs in zip(v.shards, q.shards):
-                vs[...] = v.quantize(_cast(vs, f64) - _cast(qs, f64) @ r)
+        for vs, qs in zip(v.shards, q.shards):
+            w = _cast(vs, _F64)
+            _gemm_sub(w, _cast(qs, _F64), r)
+            if w is not vs:
+                vs[...] = v.quantize(w)
         costs = [comm.cost.gemm_tall_update(vs.shape[0], q.n_cols, v.n_cols,
                                             word_bytes=_wb(v, q))
                  for vs in v.shards]
@@ -148,29 +213,21 @@ class LoopEngine(KernelEngine):
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         comm = v.comm
-        k = v.n_cols
-        f64 = np.dtype(np.float64)
-        fast = _all_fp64(v)
+        _trsm_check(r, v.shards)
         for vs in v.shards:
-            if vs.shape[0]:
-                # Solve R.T x.T = v.T  <=>  x = v R^{-1}; use the transposed
-                # triangular solve to stay in C-contiguous layout.
-                solved = scipy.linalg.solve_triangular(
-                    r, _cast(vs, f64).T, trans="T", lower=False).T
-                vs[...] = solved if fast else v.quantize(solved)
-        costs = [comm.cost.trsm(vs.shape[0], k, word_bytes=v.word_bytes)
+            w = _cast(vs, _F64)
+            _trsm_rows(w, r)
+            if w is not vs:
+                vs[...] = v.quantize(w)
+        costs = [comm.cost.trsm(vs.shape[0], v.n_cols,
+                                word_bytes=v.word_bytes)
                  for vs in v.shards]
         comm.charge_local("trsm", costs)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         comm = v.comm
-        if _all_fp64(v):
-            for vs in v.shards:
-                vs *= scales[np.newaxis, :]
-        else:
-            f64 = np.dtype(np.float64)
-            for vs in v.shards:
-                vs[...] = v.quantize(_cast(vs, f64) * scales[np.newaxis, :])
+        for vs in v.shards:
+            vs[...] = v.quantize(_cast(vs, _F64) * scales[np.newaxis, :])
         costs = [comm.cost.blas1(vs.size, n_streams=1, writes=1,
                                  word_bytes=v.word_bytes)
                  for vs in v.shards]
@@ -178,19 +235,11 @@ class LoopEngine(KernelEngine):
 
     def lincomb(self, out, terms) -> None:
         comm = out.comm
-        fast = _all_fp64(out, *[t[1] for t in terms])
-        f64 = np.dtype(np.float64)
         for r, outs in enumerate(out.shards):
-            if fast:
-                acc = terms[0][0] * terms[0][1].shards[r]
-                for alpha, x in terms[1:]:
-                    acc += alpha * x.shards[r]
-                outs[...] = acc
-            else:
-                acc = terms[0][0] * _cast(terms[0][1].shards[r], f64)
-                for alpha, x in terms[1:]:
-                    acc += alpha * _cast(x.shards[r], f64)
-                outs[...] = out.quantize(acc)
+            acc = terms[0][0] * _cast(terms[0][1].shards[r], _F64)
+            for alpha, x in terms[1:]:
+                acc += alpha * _cast(x.shards[r], _F64)
+            outs[...] = out.quantize(acc)
         costs = [comm.cost.blas1(s.size, n_streams=len(terms), writes=1,
                                  word_bytes=_wb(out, *[t[1] for t in terms]))
                  for s in out.shards]
@@ -206,13 +255,8 @@ class LoopEngine(KernelEngine):
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
         comm = v.comm
-        if _all_fp64(v, out):
-            for vs, outs in zip(v.shards, out.shards):
-                outs[...] = vs @ coeffs
-        else:
-            f64 = np.dtype(np.float64)
-            for vs, outs in zip(v.shards, out.shards):
-                outs[...] = out.quantize(_cast(vs, f64) @ coeffs)
+        for vs, outs in zip(v.shards, out.shards):
+            outs[...] = out.quantize(_cast(vs, _F64) @ coeffs)
         costs = [comm.cost.gemm(vs.shape[0], v.n_cols, out.n_cols,
                                 word_bytes=_wb(v, out))
                  for vs in v.shards]
@@ -262,13 +306,6 @@ class LoopEngine(KernelEngine):
 # batched engine
 # ---------------------------------------------------------------------------
 
-#: Elements of the widest operand in one tile of a row-local kernel
-#: (256 KiB of float64): operands and temporaries stay in cache between
-#: passes and none is ``(n, k)``.  Values never depend on the tiling.
-_TILE_ELEMS = 32_768
-_F64 = np.dtype(np.float64)
-
-
 def _charge(mv, kernel: str, method: str, per_row: int, *shape) -> None:
     """Charge a local ``kernel`` over ``mv``'s rows, costing rank ``r``
     ``CostModel.<method>(rows_r * per_row, *shape)``: evaluated for one
@@ -289,14 +326,6 @@ def _flats(*mvs) -> list[np.ndarray] | None:
     """The operands' flat arrays, or None when one of them has none."""
     flats = [mv.flat for mv in mvs]
     return None if any(f is None for f in flats) else flats
-
-
-def _row_tiles(n: int, k: int) -> list[slice]:
-    """Row slices of about ``_TILE_ELEMS`` elements of a ``k``-column
-    operand, rank boundaries ignored (a narrow column view still touches
-    a cache line per row, hence the floor of 8 columns)."""
-    step = max(1, _TILE_ELEMS // max(8, k))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _rank_tiles(part, k: int):
@@ -362,37 +391,24 @@ class BatchedEngine(LoopEngine):
             return super().block_update(v, q, r)
         fv, fq = flats
         kq, kv = q.n_cols, v.n_cols
-        for rows, count, each in _rank_tiles(v.partition, max(kq, kv)):
-            qr = np.matmul(_cast(fq[rows], _F64).reshape(count, each, kq),
-                           r).reshape(count * each, kv)
-            if v.storage == "fp64":
-                fv[rows] -= qr
-            else:
-                fv[rows] = v.quantize(_cast(fv[rows], _F64) - qr)
+        for rows, count, _ in _rank_tiles(v.partition, max(kq, kv)):
+            w = _cast(fv[rows], _F64)  # fp64: the rows themselves
+            _gemm_sub(w, _cast(fq[rows], _F64), r, count)
+            if v.storage != "fp64":
+                fv[rows] = v.quantize(w)
         _charge(v, "update", "gemm_tall_update", 1, kq, kv, _wb(v, q))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         flat = v.flat
         if flat is None:
             return super().trsm_inplace(v, r)
-        if v.n_cols:
-            # the LAPACK call solve_triangular(r, shard.T, trans="T")
-            # makes, validated and looked up once instead of per rank
-            r = np.asarray_chkfinite(r)
-            np.asarray_chkfinite(flat)
-            trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (r,))
-            # scipy passes a C-ordered matrix to LAPACK as its transpose
-            a, lower, trans = ((r, False, 1) if r.flags.f_contiguous
-                               else (r.T, True, 0))
-            for rows in v.partition.local_slices:
-                if rows.stop > rows.start:
-                    x, info = trtrs(a, _cast(flat[rows], _F64).T,
-                                    lower=lower, trans=trans)
-                    if info:
-                        raise np.linalg.LinAlgError(
-                            "singular matrix: resolution failed at "
-                            f"diagonal {info - 1}")
-                    flat[rows] = v.quantize(x.T)
+        _trsm_check(r, [flat])
+        for rows, count, _ in _rank_tiles(v.partition,
+                                           min(v.n_cols, _TRSM_BLOCK)):
+            w = _cast(flat[rows], _F64)  # fp64: the rows themselves
+            _trsm_rows(w, r, count)
+            if v.storage != "fp64":
+                flat[rows] = v.quantize(w)
         _charge(v, "trsm", "trsm", 1, v.n_cols, v.word_bytes)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:

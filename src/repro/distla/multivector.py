@@ -4,15 +4,20 @@ A :class:`DistMultiVector` is an ``n x k`` dense block whose rows belong
 to the ranks of a :class:`~repro.parallel.partition.Partition`.  Every
 vector the library builds (``zeros``, ``from_global``, ``copy``,
 ``view_cols``) keeps its values in ONE ``(n, k)`` array, :attr:`flat`,
-allocated through the communicator.  Column views are column slices of
-it — O(1) whatever the rank count — so a Krylov solver can preallocate
-the full ``n x (m+1)`` basis once and hand orthogonalization kernels
-zero-copy windows into it, the pattern Trilinos uses with Tpetra
-MultiVector subviews.
+allocated through the communicator and always COLUMN-MAJOR — the local
+layout of a Tpetra MultiVector (Kokkos ``LayoutLeft``), which the
+paper's block kernels run on; there is no row-major variant and nothing
+selects a layout.  A basis vector is contiguous, so the SpMV reads its
+operand and writes its result in place; a column range is one
+contiguous slab, so a Krylov solver can preallocate the full
+``n x (m+1)`` basis once and hand orthogonalization kernels zero-copy
+panel views (O(1) whatever the rank count) that BLAS takes as they are
+— the Tpetra subview pattern.
 
-The per-rank structure is derived on demand: :attr:`shards` are the row
-slices of the flat array, one per rank, and :attr:`stack` is its
-``(ranks, rows, k)`` reshape, which exists only on a uniform partition.
+The per-rank structure is derived on demand and never copies:
+:attr:`shards` are the row slices of the flat array, one per rank, and
+:attr:`stack` is its ``(ranks, rows, k)`` reshape (strides ``(rows, 1,
+n)`` words), which exists only on a uniform partition.
 The batched engine (:mod:`repro.distla.engine`) computes on ``flat``;
 the loop engine, the real-process SpMV and TSQR read ``shards`` /
 ``stack``.  A vector constructed from caller-supplied shards has no flat
@@ -104,8 +109,8 @@ class DistMultiVector:
               accumulate: str = "fp64") -> "DistMultiVector":
         # the communicator owns vector storage: a heap array from the
         # simulator, a shared-memory segment from the mp backend
-        flat = comm.alloc_stack(1, partition.n_global, k,
-                                _pdtypes.container_dtype(storage))[0]
+        flat = comm.alloc(partition.n_global, k,
+                          _pdtypes.container_dtype(storage))
         return cls(partition, comm, None, _flat=flat, storage=storage,
                    accumulate=accumulate)
 
@@ -144,8 +149,9 @@ class DistMultiVector:
 
     @property
     def flat(self) -> np.ndarray | None:
-        """The ``(n, k)`` array holding every rank's rows (what the batched
-        engine computes on); None when built from caller-supplied shards."""
+        """The column-major ``(n, k)`` array holding every rank's rows
+        (what the batched engine computes on); None when built from
+        caller-supplied shards."""
         return self._flat
 
     @property
@@ -207,12 +213,17 @@ class DistMultiVector:
 
     def copy(self) -> "DistMultiVector":
         if self._flat is not None:
-            return self._derived(self._flat.copy(), None, None)
+            # through the communicator: column-major, and shared memory
+            # on the mp backend
+            flat = self.comm.alloc(*self._flat.shape, self._flat.dtype)
+            flat[...] = self._flat
+            return self._derived(flat, None, None)
         return self._derived(
             None, [np.array(s, copy=True) for s in self._shards], None)
 
     def to_global(self) -> np.ndarray:
-        """Gather into one ``(n, k)`` array (simulation-side; not costed)."""
+        """Gather into one C-ordered ``(n, k)`` array (a copy;
+        simulation-side, not costed)."""
         if self._flat is not None:
             return self._flat.copy()
         return np.concatenate(self._shards, axis=0)

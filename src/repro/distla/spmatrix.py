@@ -7,10 +7,11 @@ neighbourhood exchange (paper Sec. III: "applying each SpMV with
 neighborhood communication ... in sequence" — Trilinos' standard, non-CA
 matrix powers kernel) plus per-rank local SpMV kernels.
 
-How the simulator executes it: the values come from ONE product with
-the global CSR matrix, scattered into the rank shards, and the per-rank
-charges — constants of the matrix, the machine and the operand word
-size — are evaluated once and replayed.  A CSR row product reads only
+How the simulator executes it: the values come from ONE product of the
+global CSR matrix with the operand's contiguous column, written into
+the result's contiguous column, and the per-rank charges — constants of
+the matrix, the machine and the operand word size — are evaluated once
+and replayed.  A CSR row product reads only
 its own row, in stored entry order, and ``a[rows, :]`` keeps that
 order, so the result equals the per-block products ``block_r @ x``
 bit for bit; the per-block form survives as the oracle in the tests
@@ -154,8 +155,10 @@ class DistSparseMatrix:
             # scipy upcasts low-precision operands to float64 for the
             # SpMV; results round back to ``out``'s storage grid.  The
             # product is complete before ``out`` (which may alias ``x``)
-            # is written.
-            y = self._global_csr @ x.to_global()[:, 0]
+            # is written.  A library-built operand is multiplied where
+            # it lies: its column is contiguous.
+            xcol = x.to_global()[:, 0] if x.flat is None else x.flat[:, 0]
+            y = self._global_csr @ xcol
             if out.storage != "fp64":
                 y = out.quantize(y)
             out.scatter_col(0, y)

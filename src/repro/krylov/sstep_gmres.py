@@ -507,13 +507,21 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
                 break
         yield "finish"
         if not cycle_converged:
-            try:
-                with tracer.phase("ortho"):
-                    flushed = scheme.finish_cycle()
-            except CholeskyBreakdownError:
-                flushed = False
-                breakdown = True
-                tel.event("breakdown")
+            flushed = False
+            while True:
+                try:
+                    with tracer.phase("ortho"):
+                        flushed = scheme.finish_cycle()
+                    break
+                except CholeskyBreakdownError:
+                    # the pending columns hold a dependent one that its
+                    # own panel's factorization let through; flush the
+                    # prefix before that panel instead, so the cycle
+                    # keeps its last sound checkpoint
+                    breakdown = True
+                    tel.event("breakdown")
+                    if not scheme.drop_trailing_panel():
+                        break
             if flushed:
                 cycle_converged = _check(scheme.final_cols)
 

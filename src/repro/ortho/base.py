@@ -157,6 +157,13 @@ class BlockOrthoScheme(ABC):
         """Flush pending work; returns True if new columns became final."""
         return False
 
+    def drop_trailing_panel(self) -> bool:
+        """After :meth:`finish_cycle` raised a breakdown: discard the
+        newest non-final panel and return True if a retry of the flush
+        can still finalize columns.  Schemes with nothing pending (or
+        whose failed flush already modified the panel) return False."""
+        return False
+
     # ------------------------------------------------------------------
     @property
     def final_cols(self) -> int:

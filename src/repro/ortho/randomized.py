@@ -273,6 +273,11 @@ class SketchedTwoStageScheme(TwoStageScheme):
         backend.trsm(v, t)
         return p, t @ r_s
 
+    def drop_trailing_panel(self) -> bool:
+        # the sketched pass whitens the panel before its Cholesky, so a
+        # failed flush has already modified the columns: no retry
+        return False
+
     def _fused_stage_pass(self, lo: int, hi: int
                           ) -> tuple[np.ndarray | None, np.ndarray]:
         """One stage pass in ONE collective (the RGS-style fusion).

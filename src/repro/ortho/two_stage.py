@@ -60,12 +60,14 @@ class TwoStageScheme(BlockOrthoScheme):
         self.big_step = big_step
         self.breakdown = breakdown
         self._big_lo = 0
+        self._pending_los: list[int] = []  # stage-1 panels awaiting stage 2
 
     def begin_cycle(self, backend, basis, r, observer=None, w=None,
                     cycle: int = 0) -> None:
         super().begin_cycle(backend, basis, r, observer=observer, w=w,
                             cycle=cycle)
         self._big_lo = 0
+        self._pending_los = []
 
     # ------------------------------------------------------------------
     def _stage_pass(self, lo: int, hi: int, *, stage: str
@@ -92,6 +94,7 @@ class TwoStageScheme(BlockOrthoScheme):
             self.r[:lo, lo:hi] = p
         self.r[lo:hi, lo:hi] = r_jj
         self._pushed_cols = hi
+        self._pending_los.append(lo)
         self._emit("first", panel_index=lo, lo=lo, hi=hi,
                    prefix=self._big_lo)
         # ---- Stage 2 when the big panel is full -----------------------
@@ -106,6 +109,24 @@ class TwoStageScheme(BlockOrthoScheme):
             self._second_stage(self._pushed_cols)
             return True
         return False
+
+    def drop_trailing_panel(self) -> bool:
+        """Give up the newest pre-processed panel after :meth:`finish_cycle`
+        broke down, so the flush can be retried on a shorter prefix.
+
+        Stage 1 can let a numerically dependent column through on a
+        last-bit positive pivot (a happy breakdown inside a panel); the
+        big panel's Gram matrix is then singular to rounding and stage 2
+        fails — before it touches a column, since the Cholesky factor
+        precedes the update.  The columns before the dropped panel and
+        their stage-1 ``R`` entries do not involve it, so they are still
+        a valid pending big panel.  Returns True while columns remain to
+        flush.
+        """
+        if not self._pending_los:
+            return False
+        self._pushed_cols = self._pending_los.pop()
+        return bool(self._pending_los)
 
     # ------------------------------------------------------------------
     def _second_stage(self, hi: int) -> None:
@@ -130,4 +151,5 @@ class TwoStageScheme(BlockOrthoScheme):
             self.w[lo:hi, lo:hi] = t_big
         self._big_lo = hi
         self._final_cols = hi
+        self._pending_los = []
         self._emit("big_panel", panel_index=lo, lo=lo, hi=hi, prefix=lo)

@@ -111,8 +111,7 @@ class Communicator(Protocol):
                     ) -> None: ...
 
     # -- storage and execution hooks ----------------------------------
-    def alloc_stack(self, ranks: int, rows: int, k: int,
-                    dtype: np.dtype) -> np.ndarray: ...
+    def alloc(self, n: int, k: int, dtype: np.dtype) -> np.ndarray: ...
 
     def exec_spmv(self, matrix: "DistSparseMatrix", x: "DistMultiVector",
                   out: "DistMultiVector") -> bool: ...

@@ -508,16 +508,15 @@ class SimComm:
         return value
 
     # ------------------------------------------------------------------
-    def alloc_stack(self, ranks: int, rows: int, k: int,
-                    dtype) -> np.ndarray:
-        """Allocate a zeroed ``(ranks, rows, k)`` array (a multivector
-        asks for ``(1, n, k)``: all its rows in one block).
+    def alloc(self, n: int, k: int, dtype) -> np.ndarray:
+        """Allocate the zeroed, column-major ``(n, k)`` array behind one
+        multivector: every column contiguous, a column range one slab.
 
-        The backend owns vector storage so executors can place shards
-        where their ranks can reach them (the mp backend hands back
+        The backend owns vector storage so executors can place it where
+        their ranks can reach it (the mp backend hands back
         shared-memory-backed arrays); the simulator just uses the heap.
         """
-        return np.zeros((int(ranks), int(rows), int(k)), dtype=dtype)
+        return np.zeros((int(n), int(k)), dtype=dtype, order="F")
 
     def exec_spmv(self, matrix, x, out) -> bool:
         """Offer the backend a distributed SpMV to execute itself.

@@ -8,8 +8,8 @@ the reduction slabs.
 
 Execution model
 ---------------
-* :meth:`MpComm.alloc_stack` places the storage of every
-  library-allocated multivector (one ``(1, n, k)`` allocation each) in a
+* :meth:`MpComm.alloc` places the storage of every library-allocated
+  multivector (one column-major ``(n, k)`` array each) in a
   shared-memory segment, so each worker can reach any shard.
 * Global reductions are the inherited pack -> fold -> unpack core with
   only the fold's *transport* replaced: the packed float64 buffer is
@@ -433,20 +433,19 @@ class MpComm(SimComm):
         return super().wait(request)
 
     # -- shard storage and worker-executed SpMV ------------------------
-    def alloc_stack(self, ranks: int, rows: int, k: int,
-                    dtype) -> np.ndarray:
-        """Zeroed ``(ranks, rows, k)`` stack in a shared-memory segment.
+    def alloc(self, n: int, k: int, dtype) -> np.ndarray:
+        """Zeroed column-major ``(n, k)`` array in a shared-memory segment.
 
         The segment lives until :meth:`close`; vectors allocated on this
         communicator must not outlive it.
         """
         self._require_open()
-        shape = (int(ranks), int(rows), int(k))
+        shape = (int(n), int(k))
         nbytes = max(1, int(np.prod(shape, dtype=np.int64))
                      * np.dtype(dtype).itemsize)
         shm = SharedMemory(create=True, size=nbytes)
         self._shms.append(shm)
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, order="F")
         arr[...] = 0
         addr = arr.__array_interface__["data"][0]
         self._segments.append((shm.name, addr, nbytes))

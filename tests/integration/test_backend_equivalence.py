@@ -97,18 +97,38 @@ class TestSolveEquivalence:
         assert sim_out["res"].converged
         _assert_equivalent(sim_out, mp_out)
 
-    def test_happy_breakdown_mid_panel(self):
-        """Minimal-polynomial-degree-4 operator: the Cholesky breakdown
-        and cycle truncation happen identically on the executor."""
+    @staticmethod
+    def _happy_breakdown(scale=1.0, ranks=4, engine="batched"):
         n = 64
         diag = np.repeat([1.0, 2.0, 3.0, 4.0], n // 4)
         a = sp.diags(diag).tocsr()
-        b = np.asarray(a @ np.ones(n)).ravel()
+        b = scale * np.asarray(a @ np.ones(n)).ravel()
         sim_out, mp_out = _solve_both(
-            a, b, s=2, restart=8, tol=1e-10, maxiter=200,
+            a, b, engine=engine, ranks=ranks,
+            s=2, restart=8, tol=1e-10, maxiter=200,
             scheme_factory=lambda: TwoStageScheme(8))
-        assert sim_out["res"].converged
+        res = sim_out["res"]
+        assert res.converged
+        assert any("breakdown" in rec.events for rec in res.telemetry)
         _assert_equivalent(sim_out, mp_out)
+
+    def test_happy_breakdown_mid_panel(self):
+        """Minimal-polynomial-degree-4 operator: the Cholesky breakdown
+        and cycle truncation happen identically on the executor."""
+        self._happy_breakdown()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("scale,ranks", [
+        (1.0, 7), (3.0, 2), (1e-3, 2), (7.7, 7), (1e5, 2)])
+    def test_happy_breakdown_any_last_bit(self, scale, ranks, engine):
+        """The fifth basis column is numerically dependent, so whether
+        its panel's factorization and the big panel's flush see a tiny
+        positive or a tiny negative pivot is decided by the last bit —
+        which the right-hand-side scaling, the partition and the engine
+        all move.  Every variant must converge: a failed flush falls
+        back to the last sound prefix of the cycle instead of dropping
+        the whole cycle."""
+        self._happy_breakdown(scale, ranks, engine)
 
 
 class TestOverlappedPipelined:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import EPS
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CholeskyBreakdownError, ConfigurationError
 from repro.matrices.synthetic import glued_matrix, logscaled_matrix
 from repro.ortho.analysis import (condition_number, orthogonality_error,
                                   representation_error)
@@ -142,6 +142,66 @@ class TestMechanics:
     def test_invalid_big_step(self):
         with pytest.raises(ConfigurationError):
             TwoStageScheme(big_step=0)
+
+    @pytest.mark.parametrize("sound", [0, 4, 6])
+    def test_failed_flush_retreats_panel_by_panel(self, nb, rng, sound):
+        """A flush that breaks down leaves the columns untouched, so it
+        can be retried without the newest stage-1 panel until a sound
+        prefix (here: at most ``sound`` columns) or nothing is left."""
+
+        class BreaksBeyond(TwoStageScheme):
+            def _stage_pass(self, lo, hi, *, stage):
+                if stage == "big_panel" and hi > sound:
+                    raise CholeskyBreakdownError("dependent column",
+                                                 panel_index=lo)
+                return super()._stage_pass(lo, hi, stage=stage)
+
+        v = logscaled_matrix(200, 7, 1e3, rng)
+        basis = v.copy()
+        r = np.zeros((7, 7))
+        scheme = BreaksBeyond(big_step=20)
+        scheme.begin_cycle(nb, basis, r)
+        for lo, hi in ((0, 3), (3, 5), (5, 7)):
+            assert scheme.panel_arrived(lo, hi) is False
+        flushed, retries = False, 0
+        while True:
+            try:
+                flushed = scheme.finish_cycle()
+                break
+            except CholeskyBreakdownError:
+                retries += 1
+                if not scheme.drop_trailing_panel():
+                    break
+        final = {0: 0, 4: 3, 6: 5}[sound]
+        assert scheme.final_cols == final
+        assert flushed is (final > 0)
+        assert retries == {0: 3, 4: 2, 6: 1}[sound]
+        assert scheme.pushed_cols == final
+        if final:
+            q = basis[:, :final]
+            assert orthogonality_error(q) < 1000 * EPS
+            assert representation_error(
+                v[:, :final], q, r[:final, :final]) < 1e-12
+
+    def test_nothing_to_drop_without_pending_panels(self, nb, rng):
+        scheme = TwoStageScheme(big_step=5)
+        scheme.begin_cycle(nb, rng.standard_normal((100, 10)),
+                           np.zeros((10, 10)))
+        assert scheme.drop_trailing_panel() is False
+        scheme.panel_arrived(0, 5)  # flushed by its own stage 2
+        assert scheme.drop_trailing_panel() is False
+        assert BCGSPIP2Scheme().drop_trailing_panel() is False
+
+    def test_sketched_flush_is_not_retried(self, nb, rng):
+        """Its stage pass whitens the panel before the Cholesky factor,
+        so a failed flush has already modified the columns."""
+        from repro.ortho.randomized import SketchedTwoStageScheme
+        scheme = SketchedTwoStageScheme(big_step=20)
+        scheme.begin_cycle(nb, rng.standard_normal((100, 10)),
+                           np.zeros((10, 10)))
+        scheme.panel_arrived(0, 5)
+        assert scheme.drop_trailing_panel() is False
+        assert scheme.pushed_cols == 5
 
     def test_empty_finish_is_noop(self, nb, rng):
         scheme = TwoStageScheme(big_step=5)

@@ -94,11 +94,12 @@ class TestProtocolConformance:
 class TestSimCommDefaults:
     """SimComm's protocol additions: planner-side no-op/fallback hooks."""
 
-    def test_alloc_stack_plain_zeros(self, comm4):
-        stack = comm4.alloc_stack(4, 10, 3, np.float32)
-        assert stack.shape == (4, 10, 3)
-        assert stack.dtype == np.float32
-        assert not stack.any()
+    def test_alloc_column_major_zeros(self, comm4):
+        flat = comm4.alloc(40, 3, np.float32)
+        assert flat.shape == (40, 3)
+        assert flat.dtype == np.float32
+        assert flat.flags.f_contiguous
+        assert not flat.any()
 
     def test_exec_spmv_defers_to_driver(self, comm4):
         assert comm4.exec_spmv(None, None, None) is False

@@ -148,21 +148,25 @@ class TestModeledTwin:
 
 
 class TestSharedStacks:
-    def test_alloc_stack_shape_dtype_zeroed(self, mp4):
-        stack = mp4.alloc_stack(4, 7, 2, np.float32)
-        assert stack.shape == (4, 7, 2)
-        assert stack.dtype == np.float32
-        assert not stack.any()
-        stack[1, 2, 0] = 3.0  # writable shared memory
-        assert stack[1, 2, 0] == 3.0
+    def test_alloc_column_major_zeroed(self, mp4):
+        flat = mp4.alloc(28, 2, np.float32)
+        assert flat.shape == (28, 2)
+        assert flat.dtype == np.float32
+        assert flat.flags.f_contiguous
+        assert not flat.any()
+        flat[9, 1] = 3.0  # writable shared memory
+        assert flat[9, 1] == 3.0
 
     def test_describe_finds_strided_views(self, mp4):
-        stack = mp4.alloc_stack(4, 6, 3, np.float64)
-        view = stack[:, :, 1:2]  # column view, non-contiguous
+        flat = mp4.alloc(24, 3, np.float64)
+        view = flat[:, 1:2].reshape(4, 6, 1)  # one column as a rank stack
+        assert np.shares_memory(view, flat)
         desc = mp4._describe(view)
         assert desc is not None
         assert desc["shape"] == view.shape
-        private = np.zeros((4, 6, 3))
+        assert desc["strides"] == view.strides
+        assert mp4._describe(flat[3:, ::2]) is not None  # non-contiguous
+        private = np.zeros((24, 3), order="F")
         assert mp4._describe(private) is None
 
 
