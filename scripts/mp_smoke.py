@@ -68,8 +68,9 @@ def transport_failures() -> list[str]:
 
 
 def main() -> int:
+    from repro.krylov.options import SolverOptions
     from repro.krylov.simulation import Simulation
-    from repro.krylov.sstep_gmres import SolverOptions, sstep_gmres
+    from repro.krylov.sstep_gmres import sstep_gmres
     from repro.matrices.stencil import laplace2d
     from repro.ortho.two_stage import TwoStageScheme
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,30 +107,3 @@ def engine_scope(name: str):
         yield name
     finally:
         set_engine(previous)
-
-
-@dataclass(frozen=True)
-class SolverDefaults:
-    """Bundle of the paper's default solver parameters.
-
-    A frozen dataclass so experiment code can pass one object around and
-    tests can assert against a single source of truth.
-    """
-
-    step_size: int = DEFAULT_STEP_SIZE
-    restart: int = DEFAULT_RESTART
-    tol: float = DEFAULT_TOL
-    maxiter: int = 100_000
-
-    def with_big_panel(self, big_step: int) -> "TwoStageDefaults":
-        """Return two-stage defaults with second-stage step ``big_step``."""
-        return TwoStageDefaults(step_size=self.step_size, restart=self.restart,
-                                tol=self.tol, maxiter=self.maxiter,
-                                big_step=big_step)
-
-
-@dataclass(frozen=True)
-class TwoStageDefaults(SolverDefaults):
-    """Solver defaults plus the second-stage (big panel) step size ``bs``."""
-
-    big_step: int = DEFAULT_RESTART  # bs = m is the paper's best performer

@@ -76,39 +76,6 @@ def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
     return _engine.resolve(engine, comm).block_dot_multi(pairs)
 
 
-def block_dot_batched(groups: list[list[tuple[DistMultiVector,
-                                              DistMultiVector]]],
-                      engine: EngineLike = None) -> list[list[np.ndarray]]:
-    """One :func:`block_dot_multi` per member, ONE charged pass overall.
-
-    ``groups`` holds one pair-list per batch member (one solve's fused
-    Gram products, say).  Values are bit-identical to per-member
-    :func:`block_dot_multi` calls — each member keeps its own reduction
-    trees — but the modeled charges fuse under
-    :class:`repro.parallel.batch.BatchCharges`: the batch pays ONE
-    allreduce launch whose payload carries every member's message, so
-    the collective count stays width-independent while the wire bytes
-    grow with the batch.  Empty member groups are legal and return
-    ``[]`` for that member.
-    """
-    if not groups:
-        return []
-    comms = [p[0][0].comm for p in groups if p]
-    if not comms:
-        return [[] for _ in groups]
-    comm = comms[0]
-    if any(c is not comm for c in comms):
-        raise ShapeError("batched dots must share a communicator")
-    from repro.parallel.batch import BatchCharges
-    out: list[list[np.ndarray]] = []
-    with BatchCharges(comm) as batch:
-        with batch.group():
-            for pairs in groups:
-                with batch.member():
-                    out.append(block_dot_multi(pairs, engine=engine))
-    return out
-
-
 def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
                          engine: EngineLike = None):
     """Posted :func:`block_dot_multi`: partials and their charges now,

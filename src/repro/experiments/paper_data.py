@@ -1,10 +1,10 @@
 """The paper's reported numbers (for side-by-side comparison).
 
 Transcribed from Yamazaki et al., IPDPS 2024 (arXiv:2402.15033).  The
-experiment harness prints these next to our modeled values so
-EXPERIMENTS.md can record paper-vs-measured for every artifact; the
-iteration counts also feed the paper-scale time projections (modeled
-seconds/iteration x paper iterations).
+experiment harness prints these next to our modeled values, paper vs
+measured for every artifact; the iteration counts also feed the
+paper-scale time projections (modeled seconds/iteration x paper
+iterations).
 """
 
 from __future__ import annotations

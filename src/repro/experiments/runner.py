@@ -2,7 +2,7 @@
 
 Names mirror the paper artifacts: fig6 fig7 fig8 fig9 table2 table3
 fig10 fig11 fig12 table4 fig13 ablations, plus ``all`` (quick versions
-of everything — what EXPERIMENTS.md is generated from).
+of everything).
 """
 
 from __future__ import annotations

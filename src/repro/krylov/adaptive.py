@@ -23,7 +23,8 @@ import numpy as np
 from repro.config import DEFAULT_RESTART, DEFAULT_TOL
 from repro.exceptions import ConfigurationError
 from repro.krylov.options import SolverOptions
-from repro.krylov.result import ConvergenceHistory, SolveResult
+from repro.krylov.restart import RestartedSolve, check_inputs
+from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.precond.base import Preconditioner
@@ -47,52 +48,51 @@ def adaptive_sstep_gmres(sim: Simulation, b: np.ndarray,
     a fresh scheme per attempt (schemes may bind to a step size — e.g.
     ``lambda: BCGSPIP2Scheme()``); defaults to BCGS-PIP2.
 
-    Returns the final :class:`SolveResult`; ``result.scheme`` carries the
+    Returns the :class:`SolveResult` of the whole call — iterations,
+    history, telemetry and modeled times span every attempt — with the
+    last attempt's convergence state; ``result.scheme`` carries the
     step-size trajectory, e.g. ``"bcgs-pip2[s=10->5]"``.
     """
     if s_min < 1 or s_max < s_min:
         raise ConfigurationError(
             f"need 1 <= s_min <= s_max, got [{s_min}, {s_max}]")
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
     if scheme_factory is None:
         from repro.ortho.bcgs_pip import BCGSPIP2Scheme
         scheme_factory = BCGSPIP2Scheme
+    # the outer shell: its snapshot spans all attempts and its iterate is
+    # each attempt's warm start
+    solve = RestartedSolve(sim, b, x0, precond)
     s = min(s_max, restart)
     trajectory = [s]
-    x = np.array(x0, dtype=np.float64) if x0 is not None else np.zeros(sim.n)
-    total_iters = 0
-    total_restarts = 0
-    history = ConvergenceHistory()
     telemetry: list = []
-    result: SolveResult | None = None
-    while total_iters < maxiter:
-        result = sstep_gmres(
-            sim, b, x0=x, s=s, restart=restart, tol=tol,
-            maxiter=maxiter - total_iters, scheme=scheme_factory(),
+    while True:
+        attempt = sstep_gmres(
+            sim, b, x0=solve.x_vec.to_global()[:, 0], s=s, restart=restart,
+            tol=tol, maxiter=maxiter - solve.iters, scheme=scheme_factory(),
             basis=basis, precond=precond, options=options)
         # merge bookkeeping across attempts (cycle numbers and
         # iteration counts renumbered onto the combined timeline)
-        its, res = result.history.as_arrays()
+        its, res = attempt.history.as_arrays()
         for i, r in zip(its, res):
-            history.record(int(i) + total_iters, float(r))
+            solve.history.record(int(i) + solve.iters, float(r))
         telemetry.extend(
-            dataclasses.replace(rec, cycle=rec.cycle + total_restarts,
-                                iterations=rec.iterations + total_iters)
-            for rec in result.telemetry)
-        total_iters += result.iterations
-        total_restarts += result.restarts
-        x = result.x
-        if result.converged or not result.stalled:
+            dataclasses.replace(rec, cycle=rec.cycle + solve.restarts,
+                                iterations=rec.iterations + solve.iters)
+            for rec in attempt.telemetry)
+        solve.iters += attempt.iterations
+        solve.restarts += attempt.restarts
+        solve.x_vec.scatter_col(0, attempt.x)
+        if (attempt.converged or not attempt.stalled
+                or s == s_min  # stalled at the floor: give up honestly
+                or solve.iters >= maxiter):
             break
-        if s == s_min:
-            break  # stalled at the floor: give up honestly
         s = max(s_min, s // 2)
         trajectory.append(s)
-    assert result is not None
+    solve.converged = attempt.converged
+    solve.rel_res = attempt.relative_residual
     label = "->".join(str(v) for v in trajectory)
-    result.iterations = total_iters
-    result.restarts = total_restarts
-    result.history = history
-    result.telemetry = telemetry
-    result.scheme = f"{result.scheme}[s={label}]"
-    result.solver = "adaptive_sstep_gmres"
-    return result
+    return solve.result(
+        solver="adaptive_sstep_gmres", scheme=f"{attempt.scheme}[s={label}]",
+        stalled=attempt.stalled, diagnostics=attempt.diagnostics,
+        telemetry=telemetry)

@@ -45,23 +45,12 @@ from repro.config import (
 )
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.krylov.basis import KrylovBasis
-from repro.krylov.mpk import (
-    MatrixPowersKernel,
-    PreconditionedOperator,
-    resolve_mpk_mode,
-)
 from repro.krylov.options import SolverOptions
 from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
-from repro.krylov.sstep_gmres import (
-    _default_scheme,
-    _resolve_basis,
-    _solve_member,
-)
+from repro.krylov.sstep_gmres import _build_members
 from repro.ortho.base import OrthoObserver
 from repro.parallel.batch import BatchCharges
-from repro.precision.dtypes import word_bytes as _bytes_per_word
-from repro.precision.policy import resolve_policy
 from repro.precond.base import Preconditioner
 
 
@@ -71,6 +60,10 @@ def _as_columns(sim: Simulation, bs) -> np.ndarray:
         cols = [np.asarray(b, dtype=np.float64).ravel() for b in bs]
         if not cols:
             raise ShapeError("block_sstep_gmres needs at least one RHS")
+        if any(col.shape != (sim.n,) for col in cols):
+            raise ShapeError(
+                f"every right-hand side must have {sim.n} entries, got "
+                f"{[col.shape[0] for col in cols]}")
         arr = np.stack(cols, axis=1)
     else:
         arr = np.asarray(bs, dtype=np.float64)
@@ -128,9 +121,6 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
     order, each bit-identical to the corresponding independent
     :func:`sstep_gmres` call.
     """
-    opts = SolverOptions() if options is None else options
-    if restart < s:
-        raise ConfigurationError(f"restart {restart} must be >= step {s}")
     cols = _as_columns(sim, bs)
     width = cols.shape[1]
     if isinstance(basis, KrylovBasis) and width > 1:
@@ -152,30 +142,15 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
             raise ShapeError(
                 f"x0 must be (n,) or (n, width); got {x0_arr.shape}")
 
-    policy = resolve_policy(opts.precision)
-    snap = sim.tracer.snapshot()
-    if precond is not None and not precond.is_setup:
-        precond.setup(sim.matrix)
-    op = PreconditionedOperator(sim.matrix, precond)
-    kernel_mode = resolve_mpk_mode(op, opts.mpk_mode, sim.comm, s,
-                                   word_bytes=_bytes_per_word(policy.storage))
-
-    members: list[tuple[int, object]] = []
-    for j in range(width):
-        scheme = (scheme_factory() if scheme_factory is not None
-                  else _default_scheme(policy, restart))
-        poly = _resolve_basis(basis)
-        mpk = MatrixPowersKernel(op, poly, mode=kernel_mode)
-        gen = _solve_member(sim, cols[:, j], x0s[j], s=s, restart=restart,
-                            tol=tols[j], maxiter=maxiters[j], scheme=scheme,
-                            poly=poly, op=op, mpk=mpk,
-                            kernel_mode=kernel_mode, observer=observer,
-                            opts=opts, policy=policy, snap=snap)
-        members.append((j, gen))
+    members = list(enumerate(_build_members(
+        sim, [(cols[:, j], x0s[j], tols[j], maxiters[j])
+              for j in range(width)],
+        s=s, restart=restart, scheme_factory=scheme_factory, basis=basis,
+        precond=precond, observer=observer, options=options)))
 
     results: list[SolveResult | None] = [None] * width
     with BatchCharges(sim.comm) as batch:
-        active = list(members)
+        active = members
         while active:
             with batch.group():
                 still = []

@@ -15,8 +15,8 @@ import scipy.linalg
 from repro.config import DEFAULT_RESTART, DEFAULT_TOL
 from repro.distla import blas as dblas
 from repro.exceptions import ConfigurationError
-from repro.krylov.mpk import PreconditionedOperator
-from repro.krylov.result import ConvergenceHistory, SolveResult
+from repro.krylov.restart import RestartedSolve, check_inputs
+from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.ortho.cgs import cgs2_append, mgs_append
 from repro.precond.base import Preconditioner
@@ -35,16 +35,6 @@ def _givens(a: float, b: float) -> tuple[float, float]:
     return c, t * c
 
 
-def _explicit_residual(sim: Simulation, b_vec, x_vec, scratch) -> float:
-    """``r = b - A x`` into ``scratch``; returns ||r|| (costed)."""
-    with sim.tracer.phase("spmv"):
-        sim.matrix.matvec(x_vec, out=scratch)
-    with sim.tracer.phase("other"):
-        dblas.lincomb(scratch, [(1.0, b_vec), (-1.0, scratch)])
-        beta = float(dblas.column_norms(scratch)[0])
-    return beta
-
-
 def gmres(sim: Simulation, b: np.ndarray, x0: np.ndarray | None = None, *,
           restart: int = DEFAULT_RESTART, tol: float = DEFAULT_TOL,
           maxiter: int = 100_000, precond: Preconditioner | None = None,
@@ -60,39 +50,20 @@ def gmres(sim: Simulation, b: np.ndarray, x0: np.ndarray | None = None, *,
     if variant not in ("cgs2", "mgs"):
         raise ConfigurationError(f"unknown GMRES variant {variant!r}")
     append = cgs2_append if variant == "cgs2" else mgs_append
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
     tracer = sim.tracer
     backend = sim.backend
-    snap = tracer.snapshot()
-
-    if precond is not None and not precond.is_setup:
-        precond.setup(sim.matrix)
-    op = PreconditionedOperator(sim.matrix, precond)
-
-    b = np.asarray(b, dtype=np.float64).ravel()
-    b_vec = sim.vector_from(b)
-    x_vec = sim.vector_from(x0 if x0 is not None
-                            else np.zeros(sim.n))
-    r_vec = sim.zeros(1)
+    solve = RestartedSolve(sim, b, x0, precond)
+    op = solve.op
     basis = sim.zeros(restart + 1)
-    history = ConvergenceHistory()
 
-    beta0 = None
-    iters = 0
-    restarts = 0
-    converged = False
-    rel_res = np.inf
-
-    while iters < maxiter and not converged:
-        beta = _explicit_residual(sim, b_vec, x_vec, r_vec)
-        if beta0 is None:
-            beta0 = beta if beta > 0 else 1.0
-            history.record(0, beta / beta0)
-        rel_res = beta / beta0
-        if rel_res <= tol:
-            converged = True
+    while solve.iters < maxiter and not solve.converged:
+        beta = solve.residual()
+        if solve.rel_res <= tol:
+            solve.converged = True
             break
         with tracer.phase("ortho"):
-            dblas.copy_into(basis.view_cols(0), r_vec)
+            dblas.copy_into(basis.view_cols(0), solve.r_vec)
             backend.scale_cols(basis.view_cols(0), np.array([1.0 / beta]))
         # Givens-rotated least-squares state
         h_tri = np.zeros((restart + 1, restart))
@@ -119,39 +90,18 @@ def gmres(sim: Simulation, b: np.ndarray, x0: np.ndarray | None = None, *,
             h_tri[: j + 1, j - 1] = col
             g[j] = -s * g[j - 1]
             g[j - 1] = c * g[j - 1]
-            iters += 1
+            solve.iters += 1
             j_done = j
-            rel_res = abs(g[j]) / beta0
-            history.record(iters, rel_res)
-            if rel_res <= tol or iters >= maxiter:
+            solve.rel_res = abs(g[j]) / solve.beta0
+            solve.history.record(solve.iters, solve.rel_res)
+            if solve.rel_res <= tol or solve.iters >= maxiter:
                 break
-        # solve the rotated triangular system and update the solution
+        # solve the rotated triangular system and update the solution;
+        # a met tolerance is verified by the explicit residual at loop top
         y = scipy.linalg.solve_triangular(
             h_tri[:j_done, :j_done], g[:j_done], lower=False)
         backend.host_flops(float(j_done) ** 2)
-        tmp = sim.zeros(1)
-        z = sim.zeros(1)
-        with tracer.phase("other"):
-            dblas.matvec_small(basis.view_cols(slice(0, j_done)),
-                               y[:, np.newaxis], tmp)
-        op.apply_inverse_precond(tmp, z)
-        with tracer.phase("other"):
-            dblas.lincomb(x_vec, [(1.0, x_vec), (1.0, z)])
-        restarts += 1
-        if rel_res <= tol:
-            # verified against the explicit residual at loop top
-            continue
+        solve.update(basis, j_done, y)
+        solve.restarts += 1
 
-    totals = tracer.since(snap)
-    times = dict(totals.by_phase)
-    times["total"] = totals.clock
-    ortho_breakdown = {k[1]: v for k, v in totals.by_kernel.items()
-                       if k[0] == "ortho"}
-    sync_count = sum(c for (ph, kern), c in totals.counts.items()
-                     if kern == "allreduce")
-    return SolveResult(
-        x=x_vec.to_global()[:, 0], converged=converged, iterations=iters,
-        restarts=restarts, relative_residual=float(rel_res),
-        history=history, times=times, ortho_breakdown=ortho_breakdown,
-        sync_count=sync_count, solver="gmres", scheme=variant,
-        metrics=sim.metrics_doc())
+    return solve.result(solver="gmres", scheme=variant)

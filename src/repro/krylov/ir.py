@@ -35,16 +35,17 @@ import numpy as np
 
 from repro.config import DEFAULT_RESTART, DEFAULT_STEP_SIZE, DEFAULT_TOL
 from repro.distla import blas as dblas
-from repro.exceptions import ConfigurationError
-from repro.krylov.gmres import _explicit_residual
-from repro.krylov.result import ConvergenceHistory, SolveResult
-from repro.krylov.options import OPTION_FIELD_NAMES, SolverOptions
+from repro.krylov.basis import KrylovBasis
+from repro.krylov.options import SolverOptions
+from repro.krylov.restart import RestartedSolve, check_inputs
+from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.obs.telemetry import SolveTelemetry
-from repro.ortho.base import BlockOrthoScheme
+from repro.ortho.base import BlockOrthoScheme, OrthoObserver
 from repro.precision.policy import PrecisionPolicy, resolve_policy
 from repro.precond.base import Preconditioner
+from repro.utils.validation import check_nonnegative_int
 
 #: Diagnostics thresholds past which an inner solve's convergence is no
 #: longer trusted (cf. the residual-gap analysis of arXiv:2409.03079).
@@ -60,12 +61,12 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
              inner_maxiter: int = 10_000,
              s: int = DEFAULT_STEP_SIZE, restart: int = DEFAULT_RESTART,
              scheme: BlockOrthoScheme | None = None,
+             basis: str | KrylovBasis = "monomial",
              precond: Preconditioner | None = None,
-             solve_mode: str | None = None,
+             observer: OrthoObserver | None = None,
              cond_trigger: float = DEFAULT_COND_TRIGGER,
              gap_trigger: float = DEFAULT_GAP_TRIGGER,
-             options: SolverOptions | None = None,
-             **inner_kwargs) -> SolveResult:
+             options: SolverOptions | None = None) -> SolveResult:
     """Solve ``A x = b`` by iterative refinement over low-precision
     s-step GMRES.
 
@@ -85,17 +86,14 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
         the storage floor.
     max_refinements:
         Outer iteration cap.
-    scheme / s / restart / precond / options / inner_kwargs:
+    scheme / s / restart / basis / precond / observer / options:
         Forwarded to every inner :func:`sstep_gmres` call.  ``options``
-        is an optional :class:`~repro.krylov.options.SolverOptions`
-        base for the inner solves; ``precision`` (this function's
-        contract) always overrides its precision field, and absent an
-        explicit ``solve_mode`` the inner solves default to
-        ``"sketched"`` so the basis-condition and residual-gap monitors
-        stay live — they are this loop's refinement trigger.  Loose
-        per-knob ``SolverOptions`` fields in ``inner_kwargs`` are still
-        accepted (folded into the options value without deprecation
-        noise).
+        is the :class:`~repro.krylov.options.SolverOptions` of the
+        inner solves; ``precision`` (this function's contract) always
+        overrides its precision field.  Without ``options`` the inner
+        solves run ``solve_mode="sketched"`` so the basis-condition and
+        residual-gap monitors stay live — they are this loop's
+        refinement trigger.
     cond_trigger / gap_trigger:
         When an inner solve reports ``basis_condition_max > cond_trigger``
         or ``residual_gap_max > gap_trigger``, subsequent inner solves run
@@ -111,43 +109,20 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
     carries the IR bookkeeping (refinement count, trigger events, the
     per-refinement inner summaries).
     """
-    if max_refinements < 1:
-        raise ConfigurationError(
-            f"max_refinements must be >= 1, got {max_refinements}")
+    b, x0 = check_inputs(sim, b, x0, s=s, restart=restart,
+                         max_refinements=max_refinements)
+    check_nonnegative_int(inner_maxiter, "inner_maxiter")
     policy = resolve_policy(precision)
-    knob_kwargs = {k: inner_kwargs.pop(k) for k in tuple(inner_kwargs)
-                   if k in OPTION_FIELD_NAMES}
-    if options is not None:
-        if knob_kwargs:
-            raise ConfigurationError(
-                "pass inner-solver knobs inside options=SolverOptions(...), "
-                f"not alongside it: {sorted(knob_kwargs)}")
-        inner_options = options.replace(
-            precision=policy,
-            **({} if solve_mode is None else {"solve_mode": solve_mode}))
-    else:
-        inner_options = SolverOptions(
-            solve_mode="sketched" if solve_mode is None else solve_mode,
-            precision=policy, **knob_kwargs)
+    inner_options = (SolverOptions(solve_mode="sketched")
+                     if options is None else options).replace(precision=policy)
     if inner_tol is None:
         inner_tol = max(1.0e-4, 32.0 * policy.storage_eps)
     inner_tol = float(inner_tol)
     tracer = sim.tracer
-    snap = tracer.snapshot()
+    solve = RestartedSolve(sim, b, x0, precond)
 
-    b = np.asarray(b, dtype=np.float64).ravel()
-    b_vec = sim.vector_from(b)
-    x_vec = sim.vector_from(x0 if x0 is not None else np.zeros(sim.n))
-    r_vec = sim.zeros(1)
-
-    history = ConvergenceHistory()
-    beta0 = None
-    rel_res = math.inf
-    converged = False
     refinements = 0
     triggers = 0
-    total_iters = 0
-    total_restarts = 0
     stalled = False
     inner_summaries: list[dict] = []
     inner_scheme_name = "" if scheme is None else scheme.name
@@ -156,13 +131,14 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
     tel = SolveTelemetry()  # one CycleRecord per refinement step
 
     while refinements < max_refinements:
-        gamma = _explicit_residual(sim, b_vec, x_vec, r_vec)
-        if beta0 is None:
-            beta0 = gamma if gamma > 0 else 1.0
-        rel_res = gamma / beta0
-        history.record(total_iters, rel_res)
+        solve.residual()
+        rel_res = solve.rel_res
+        if refinements:
+            # every refinement boundary is a checkpoint, not only the
+            # first residual the shell records itself
+            solve.history.record(solve.iters, rel_res)
         if rel_res <= tol:
-            converged = True
+            solve.converged = True
             break
         if rel_res >= 0.9 * prev_rel:
             # Essentially no reduction: the inner solver has hit its
@@ -181,13 +157,13 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
         # Inner solve for the correction A d ~= r, in low precision.
         tel.begin_cycle(refinements, mode=f"ir/{policy.name}")
         tel.note_residual(rel_res)
-        rhs = r_vec.to_global()[:, 0]
+        rhs = solve.r_vec.to_global()[:, 0]
         inner = sstep_gmres(sim, rhs, s=s, restart=restart, tol=inner_tol,
                             maxiter=inner_maxiter, scheme=scheme,
-                            precond=precond, options=inner_options,
-                            **inner_kwargs)
-        total_iters += inner.iterations
-        total_restarts += inner.restarts
+                            basis=basis, precond=precond, observer=observer,
+                            options=inner_options)
+        solve.iters += inner.iterations
+        solve.restarts += inner.restarts
         inner_scheme_name = inner.scheme
         diag = inner.diagnostics
         # A correction is usable only when the inner solve actually
@@ -220,32 +196,19 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
             # x += d, in fp64 on the simulated machine.
             d_vec = sim.vector_from(inner.x)
             with tracer.phase("other"):
-                dblas.lincomb(x_vec, [(1.0, x_vec), (1.0, d_vec)])
+                dblas.lincomb(solve.x_vec, [(1.0, solve.x_vec), (1.0, d_vec)])
         else:
             no_progress += 1
             tel.event("correction_skipped")
             if no_progress >= 2:
                 stalled = True
-                tel.end_cycle(total_iters)
+                tel.end_cycle(solve.iters)
                 break
         refinements += 1
-        tel.end_cycle(total_iters)
+        tel.end_cycle(solve.iters)
 
-    totals = tracer.since(snap)
-    times = dict(totals.by_phase)
-    times["total"] = totals.clock
-    ortho_breakdown = {k[1]: v for k, v in totals.by_kernel.items()
-                       if k[0] == "ortho"}
-    sync_count = sum(c for (ph, kern), c in totals.counts.items()
-                     if kern == "allreduce")
-    return SolveResult(
-        x=x_vec.to_global()[:, 0], converged=converged,
-        iterations=total_iters, restarts=total_restarts,
-        relative_residual=float(rel_res), history=history, times=times,
-        ortho_breakdown=ortho_breakdown, sync_count=sync_count,
-        solver="gmres-ir",
-        scheme=inner_scheme_name,
-        stalled=stalled,
+    return solve.result(
+        solver="gmres-ir", scheme=inner_scheme_name, stalled=stalled,
         diagnostics={
             "precision": policy.name,
             "storage": policy.storage,
@@ -254,5 +217,4 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
             "inner_tol_final": inner_tol,
             "inner_solves": inner_summaries,
         },
-        telemetry=tel.to_list(),
-        metrics=sim.metrics_doc())
+        telemetry=tel.to_list())

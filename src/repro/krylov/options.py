@@ -1,22 +1,21 @@
 """Solver configuration: :class:`SolverOptions` and its mode constants.
 
-:func:`repro.krylov.sstep_gmres.sstep_gmres` historically grew one
-keyword argument per knob (``solve_mode``, ``mpk_mode``, ``precision``,
-sketch parameters, adaptive thresholds...).  They now travel together in
-one immutable :class:`SolverOptions` value::
+Every behaviour knob of the solvers (``solve_mode``, ``mpk_mode``,
+``precision``, sketch parameters, adaptive thresholds...) travels in one
+immutable :class:`SolverOptions` value::
 
     opts = SolverOptions(solve_mode="sketched", mpk_mode="ca")
     result = sstep_gmres(sim, b, s=5, restart=30, options=opts)
 
-The old kwargs still work through a shim that emits
-``DeprecationWarning``; structural parameters that shape the iteration
-itself (``s``, ``restart``, ``tol``, ``maxiter``, ``scheme``, ``basis``,
-``precond``, ``observer``) stay first-class arguments.
+``options=`` is the only way in (a knob passed as a bare keyword is
+Python's own ``TypeError``); structural parameters that shape the
+iteration itself (``s``, ``restart``, ``tol``, ``maxiter``, ``scheme``,
+``basis``, ``precond``, ``observer``) stay first-class arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
@@ -162,6 +161,3 @@ class SolverOptions:
         import dataclasses
         return dataclasses.replace(self, **changes)
 
-
-#: Names the deprecated kwarg shim accepts (= the dataclass fields).
-OPTION_FIELD_NAMES = frozenset(f.name for f in fields(SolverOptions))

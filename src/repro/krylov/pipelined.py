@@ -39,11 +39,10 @@ import numpy as np
 from repro.config import DEFAULT_RESTART, DEFAULT_TOL
 from repro.distla import blas as dblas
 from repro.exceptions import NumericalError
-from repro.krylov.gmres import _explicit_residual
 from repro.krylov.hessenberg import least_squares_residual
-from repro.krylov.mpk import PreconditionedOperator
 from repro.krylov.options import SolverOptions
-from repro.krylov.result import ConvergenceHistory, SolveResult
+from repro.krylov.restart import RestartedSolve, check_inputs
+from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.ortho.low_sync import DCGS2Orthogonalizer
 from repro.precond.base import Preconditioner
@@ -67,37 +66,20 @@ def pipelined_gmres(sim: Simulation, b: np.ndarray,
     """
     opts = options if options is not None else SolverOptions()
     overlap = opts.comm_overlap
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
     tracer = sim.tracer
     backend = sim.backend
-    snap = tracer.snapshot()
-    if precond is not None and not precond.is_setup:
-        precond.setup(sim.matrix)
-    op = PreconditionedOperator(sim.matrix, precond)
-
-    b = np.asarray(b, dtype=np.float64).ravel()
-    b_vec = sim.vector_from(b)
-    x_vec = sim.vector_from(x0 if x0 is not None else np.zeros(sim.n))
-    r_vec = sim.zeros(1)
+    solve = RestartedSolve(sim, b, x0, precond)
+    op = solve.op
     basis = sim.zeros(restart + 1)
-    history = ConvergenceHistory()
 
-    beta0 = None
-    iters = 0
-    restarts = 0
-    converged = False
-    rel_res = np.inf
-
-    while iters < maxiter and not converged:
-        gamma = _explicit_residual(sim, b_vec, x_vec, r_vec)
-        if beta0 is None:
-            beta0 = gamma if gamma > 0 else 1.0
-            history.record(0, gamma / beta0)
-        rel_res = gamma / beta0
-        if rel_res <= tol:
-            converged = True
+    while solve.iters < maxiter and not solve.converged:
+        gamma = solve.residual()
+        if solve.rel_res <= tol:
+            solve.converged = True
             break
         with tracer.phase("ortho"):
-            dblas.copy_into(basis.view_cols(0), r_vec)
+            dblas.copy_into(basis.view_cols(0), solve.r_vec)
         ortho = DCGS2Orthogonalizer()
         with tracer.phase("ortho"):
             ortho.start(backend, basis)  # normalizes column 0 (= r/gamma)
@@ -124,7 +106,7 @@ def pipelined_gmres(sim: Simulation, b: np.ndarray,
             except NumericalError:
                 break  # new direction vanished: truncate the cycle here
             steps = j
-            iters += 1
+            solve.iters += 1
             if settled is not None:
                 # column j-1 settled: the raw vector it came from is the
                 # output of step j-1 ...
@@ -133,7 +115,7 @@ def pipelined_gmres(sim: Simulation, b: np.ndarray,
                 # operator application just consumed.
                 rep = ortho.settled_content_rep
                 w_rep[: rep.shape[0], j - 1] = rep
-            if iters >= maxiter:
+            if solve.iters >= maxiter:
                 break
         if steps < 1:
             break
@@ -156,30 +138,10 @@ def pipelined_gmres(sim: Simulation, b: np.ndarray,
         rhs[0] = gamma
         y, resid = least_squares_residual(h, gamma, rhs=rhs)
         backend.host_flops(2.0 * c ** 3)
-        rel_res = resid / beta0
-        history.record(iters, rel_res)
-        tmp = sim.zeros(1)
-        z = sim.zeros(1)
-        with tracer.phase("other"):
-            dblas.matvec_small(basis.view_cols(slice(0, c)),
-                               y[:, np.newaxis], tmp)
-        op.apply_inverse_precond(tmp, z)
-        with tracer.phase("other"):
-            dblas.lincomb(x_vec, [(1.0, x_vec), (1.0, z)])
-        restarts += 1
-        if rel_res <= tol:
-            continue  # explicit residual at loop top confirms
+        solve.rel_res = resid / solve.beta0
+        solve.history.record(solve.iters, solve.rel_res)
+        # a met tolerance is confirmed by the explicit residual at loop top
+        solve.update(basis, c, y)
+        solve.restarts += 1
 
-    totals = tracer.since(snap)
-    times = dict(totals.by_phase)
-    times["total"] = totals.clock
-    ortho_breakdown = {k[1]: v for k, v in totals.by_kernel.items()
-                       if k[0] == "ortho"}
-    sync_count = sum(cnt for (ph, kern), cnt in totals.counts.items()
-                     if kern == "allreduce")
-    return SolveResult(
-        x=x_vec.to_global()[:, 0], converged=converged, iterations=iters,
-        restarts=restarts, relative_residual=float(rel_res),
-        history=history, times=times, ortho_breakdown=ortho_breakdown,
-        sync_count=sync_count, solver="pipelined_gmres", scheme="dcgs2",
-        metrics=sim.metrics_doc())
+    return solve.result(solver="pipelined_gmres", scheme="dcgs2")

@@ -26,11 +26,9 @@ reuses for free).
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
-
-import math
 
 from repro.config import (
     DEFAULT_RESTART,
@@ -42,25 +40,15 @@ from repro.config import (
 from repro.distla import blas as dblas
 from repro.exceptions import CholeskyBreakdownError, ConfigurationError
 from repro.krylov.basis import KrylovBasis, MonomialBasis, NewtonBasis
-from repro.krylov.gmres import _explicit_residual
 from repro.krylov.hessenberg import (
     assemble_hessenberg_mixed,
     least_squares_residual,
     sketched_least_squares,
 )
-from repro.krylov.mpk import (
-    MatrixPowersKernel,
-    PreconditionedOperator,
-    resolve_mpk_mode,
-)
-from repro.krylov.options import (  # noqa: F401  (re-exported for back-compat)
-    DEFAULT_RESKETCH_THRESHOLD,
-    MPK_SOLVER_MODES,
-    OPTION_FIELD_NAMES,
-    SOLVE_MODES,
-    SolverOptions,
-)
-from repro.krylov.result import ConvergenceHistory, SolveResult
+from repro.krylov.mpk import MatrixPowersKernel, resolve_mpk_mode
+from repro.krylov.options import SolverOptions
+from repro.krylov.restart import RestartedSolve, check_inputs
+from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.obs.telemetry import SolveTelemetry
 from repro.ortho.base import BlockOrthoScheme, OrthoObserver
@@ -76,33 +64,6 @@ from repro.sketch import (
     make_operator,
     sketch_rows,
 )
-
-def _resolve_options(options: SolverOptions | None,
-                     legacy: dict) -> SolverOptions:
-    """Fold the deprecated per-knob kwargs into a :class:`SolverOptions`.
-
-    The three outcomes: clean ``options`` (or none → defaults) passes
-    through; legacy kwargs alone build an equivalent options value and
-    warn; mixing both is a :class:`ConfigurationError` because silently
-    preferring either side would hide a bug at the call site.
-    """
-    if legacy:
-        unknown = sorted(set(legacy) - OPTION_FIELD_NAMES)
-        if unknown:
-            raise TypeError(
-                f"sstep_gmres() got unexpected keyword argument(s) "
-                f"{unknown}")
-        if options is not None:
-            raise ConfigurationError(
-                "pass options=SolverOptions(...) OR the deprecated "
-                f"per-knob keyword arguments {sorted(legacy)}, not both")
-        warnings.warn(
-            f"passing {sorted(legacy)} directly to sstep_gmres() is "
-            "deprecated; bundle them as "
-            "options=SolverOptions(...) instead",
-            DeprecationWarning, stacklevel=3)
-        return SolverOptions(**legacy)
-    return SolverOptions() if options is None else options
 
 
 class _SolveSketch:
@@ -205,8 +166,7 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
                 basis: str | KrylovBasis = "monomial",
                 precond: Preconditioner | None = None,
                 observer: OrthoObserver | None = None,
-                options: SolverOptions | None = None,
-                **legacy) -> SolveResult:
+                options: SolverOptions | None = None) -> SolveResult:
     """Solve ``A x = b`` with s-step GMRES on the simulated machine.
 
     Parameters
@@ -232,37 +192,16 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
         the sketch parameters and the adaptive thresholds; see its
         docstring for the knob-by-knob reference.  Defaults to
         ``SolverOptions()`` (classical coordinate solve, standard MPK,
-        fp64 storage).
-    **legacy:
-        The pre-``SolverOptions`` per-knob keyword arguments
-        (``solve_mode=...``, ``mpk_mode=...``, ...).  Still honoured —
-        folded into an equivalent options value — but they emit
-        ``DeprecationWarning``; combining them with ``options`` raises
-        :class:`ConfigurationError`, and anything that is not a
-        ``SolverOptions`` field raises :class:`TypeError`.
+        fp64 storage).  It is the one way in: a knob passed as a bare
+        keyword is Python's own ``TypeError``.
     """
-    opts = _resolve_options(options, legacy)
-    if restart < s:
-        raise ConfigurationError(f"restart {restart} must be >= step {s}")
-    policy = resolve_policy(opts.precision)
-    if scheme is None:
-        scheme = _default_scheme(policy, restart)
-    poly = _resolve_basis(basis)
-    snap = sim.tracer.snapshot()
-
-    if precond is not None and not precond.is_setup:
-        precond.setup(sim.matrix)
-    op = PreconditionedOperator(sim.matrix, precond)
-    kernel_mode = resolve_mpk_mode(op, opts.mpk_mode, sim.comm, s,
-                                   word_bytes=_bytes_per_word(policy.storage))
-    mpk = MatrixPowersKernel(op, poly, mode=kernel_mode)
-    gen = _solve_member(sim, b, x0, s=s, restart=restart, tol=tol,
-                        maxiter=maxiter, scheme=scheme, poly=poly, op=op,
-                        mpk=mpk, kernel_mode=kernel_mode, observer=observer,
-                        opts=opts, policy=policy, snap=snap)
+    [member] = _build_members(
+        sim, [(b, x0, tol, maxiter)], s=s, restart=restart,
+        scheme_factory=None if scheme is None else lambda: scheme,
+        basis=basis, precond=precond, observer=observer, options=options)
     while True:
         try:
-            next(gen)
+            next(member)
         except StopIteration as stop:
             return stop.value
 
@@ -276,14 +215,48 @@ def _default_scheme(policy, restart: int) -> BlockOrthoScheme:
             if policy.gram != "fp64" else BCGSPIP2Scheme())
 
 
-def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
-                  s: int, restart: int, tol: float, maxiter: int,
-                  scheme: BlockOrthoScheme, poly: KrylovBasis,
-                  op: PreconditionedOperator, mpk: MatrixPowersKernel,
-                  kernel_mode: str, observer: OrthoObserver | None,
-                  opts: SolverOptions, policy, snap):
+def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
+                   restart: int, scheme_factory, basis: str | KrylovBasis,
+                   precond: Preconditioner | None,
+                   observer: OrthoObserver | None,
+                   options: SolverOptions | None) -> list:
+    """One :func:`_solve_member` generator per ``(b, x0, tol, maxiter)``
+    request — the set-up shared by the scalar and the block solver,
+    which differ only in who calls ``next()``.
+
+    Every request is checked and every member built before any is
+    stepped, so a bad request raises before anything is charged and
+    every member's snapshot is the call's entry.
+    """
+    opts = SolverOptions() if options is None else options
+    policy = resolve_policy(opts.precision)
+    solves = [RestartedSolve(
+        sim, *check_inputs(sim, b, x0, s=s, restart=restart,
+                           maxiter=maxiter), precond)
+        for b, x0, _, maxiter in requests]
+    kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode, sim.comm, s,
+                                   word_bytes=_bytes_per_word(policy.storage))
+    members = []
+    for solve, (_, _, tol, maxiter) in zip(solves, requests):
+        scheme = (scheme_factory() if scheme_factory is not None
+                  else _default_scheme(policy, restart))
+        poly = _resolve_basis(basis)
+        mpk = MatrixPowersKernel(solve.op, poly, mode=kernel_mode)
+        members.append(_solve_member(
+            solve, s=s, restart=restart, tol=tol, maxiter=maxiter,
+            scheme=scheme, poly=poly, mpk=mpk, kernel_mode=kernel_mode,
+            observer=observer, opts=opts, policy=policy))
+    return members
+
+
+def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
+                  maxiter: int, scheme: BlockOrthoScheme, poly: KrylovBasis,
+                  mpk: MatrixPowersKernel, kernel_mode: str,
+                  observer: OrthoObserver | None, opts: SolverOptions,
+                  policy):
     """The full s-step GMRES iteration for ONE right-hand side, as a
-    generator that yields at every lockstep barrier.
+    generator over its :class:`~repro.krylov.restart.RestartedSolve`
+    that yields at every lockstep barrier.
 
     Driving the generator to exhaustion IS the scalar solver —
     :func:`sstep_gmres` does exactly that, so the charge stream and
@@ -294,15 +267,16 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
     the units whose kernels fuse across members: the explicit-residual
     pass, cycle setup, each panel's basis extension, each panel's
     orthogonalization/checkpoint, the cycle flush, and the solution
-    update.  The member owns ALL its numerical state (basis, scheme,
-    factors, polynomial, telemetry); only the operator/preconditioner —
+    update.  The member owns ALL its numerical state (iterate, basis,
+    scheme, factors, polynomial, telemetry); only the preconditioner —
     stateless per apply — may be shared.
 
     Returns (via ``StopIteration.value``) the member's
-    :class:`SolveResult`; ``times`` are read from ``tracer.since(snap)``
-    — in a batch this is the shared timeline up to the member's own
-    exit.
+    :class:`SolveResult`; ``times`` are read against the snapshot its
+    ``solve`` took — in a batch this is the shared timeline up to the
+    member's own exit.
     """
+    sim = solve.sim
     solve_mode = opts.solve_mode
     mpk_mode = opts.mpk_mode
     sketch_operator = opts.sketch_operator
@@ -314,15 +288,10 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
     tracer = sim.tracer
     backend = sim.backend
 
-    b = np.asarray(b, dtype=np.float64).ravel()
-    b_vec = sim.vector_from(b)
-    x_vec = sim.vector_from(x0 if x0 is not None else np.zeros(sim.n))
-    r_vec = sim.zeros(1)
     basis_mv = sim.zeros(restart + 1, storage=policy.storage,
                          accumulate=policy.accumulate)
     r_factor = np.zeros((restart + 1, restart + 1))
     w_factor = np.zeros((restart + 1, restart + 1))
-    history = ConvergenceHistory()
     bounds = _panel_bounds(s, restart + 1)
 
     sketch_ctx: _SolveSketch | None = None
@@ -350,29 +319,21 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
         if solve_mode == "adaptive":
             diagnostics["mode_switches"] = 0
 
-    beta0 = None
-    iters = 0
-    restarts = 0
-    converged = False
-    rel_res = np.inf
     h_prev: np.ndarray | None = None
     stalled_cycles = 0
     stalled = False
     est_abs: float | None = None  # last checkpoint's residual estimate
     tel = SolveTelemetry()        # one CycleRecord per restart cycle
 
-    while iters < maxiter and not converged:
+    while solve.iters < maxiter and not solve.converged:
         yield "residual"
-        gamma = _explicit_residual(sim, b_vec, x_vec, r_vec)
-        if beta0 is None:
-            beta0 = gamma if gamma > 0 else 1.0
-            history.record(0, gamma / beta0)
+        gamma = solve.residual()
         if sketch_ctx is not None and est_abs is not None:
             # Residual-gap monitor (arXiv:2409.03079): the distance
             # between the estimated and the explicit residual, relative
             # to the initial residual norm.  The gap belongs to the
             # cycle whose estimate it checks — the one that just ended.
-            gap = abs(gamma - est_abs) / beta0
+            gap = abs(gamma - est_abs) / solve.beta0
             tel.observe_gap(gap)
             est_abs = None
             if solve_mode == "adaptive":
@@ -393,22 +354,21 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
                       and 0.0 < prev_cond <= adaptive_cond_threshold):
                     mode = "classical"
                     tel.event_last("mode_switch:classical")
-        rel_res = gamma / beta0
-        if rel_res <= tol:
-            converged = True
+        if solve.rel_res <= tol:
+            solve.converged = True
             break
         yield "setup"
-        tel.begin_cycle(restarts, mode=mode)
-        tracer.set_cycle(restarts)
+        tel.begin_cycle(solve.restarts, mode=mode)
+        tracer.set_cycle(solve.restarts)
         poly.new_cycle(h_prev)
         t_cob = poly.change_of_basis(restart)
         with tracer.phase("ortho"):
-            dblas.copy_into(basis_mv.view_cols(0), r_vec)
+            dblas.copy_into(basis_mv.view_cols(0), solve.r_vec)
             backend.scale_cols(basis_mv.view_cols(0), np.array([1.0 / gamma]))
         scheme.begin_cycle(backend, basis_mv, r_factor, observer=observer,
-                           w=w_factor, cycle=restarts)
+                           w=w_factor, cycle=solve.restarts)
         if sketch_ctx is not None and mode == "sketched":
-            sketch_ctx.begin_cycle(restarts)
+            sketch_ctx.begin_cycle(solve.restarts)
         # State of each MPK start column at the time it was consumed:
         # "raw" (never orthogonalized), "final" (fully orthogonalized) or
         # "pre" (two-stage stage-1 only); drives the Hessenberg recovery.
@@ -418,7 +378,7 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
 
         def _check(hi: int) -> bool:
             """Hessenberg + least squares at a final-R checkpoint."""
-            nonlocal best, rel_res, h_prev, est_abs
+            nonlocal best, h_prev, est_abs
             c = hi - 1
             if c < 1:
                 return False
@@ -473,10 +433,10 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
                     est_abs = resid
             best = (c, y)
             h_prev = h
-            rel_res = resid / beta0
-            history.record(iters, rel_res)
-            tel.note_residual(rel_res)
-            return rel_res <= tol
+            solve.rel_res = resid / solve.beta0
+            solve.history.record(solve.iters, solve.rel_res)
+            tel.note_residual(solve.rel_res)
+            return solve.rel_res <= tol
 
         cycle_converged = False
         breakdown = False
@@ -499,11 +459,11 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
                 breakdown = True
                 tel.event("breakdown")
                 break
-            iters += hi - max(lo, 1)
+            solve.iters += hi - max(lo, 1)
             if final and _check(scheme.final_cols):
                 cycle_converged = True
                 break
-            if iters >= maxiter:
+            if solve.iters >= maxiter:
                 break
         yield "finish"
         if not cycle_converged:
@@ -528,15 +488,7 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
         yield "update"
         # solution update from the last final checkpoint
         if best is not None:
-            c, y = best
-            tmp = sim.zeros(1)
-            z = sim.zeros(1)
-            with tracer.phase("other"):
-                dblas.matvec_small(basis_mv.view_cols(slice(0, c)),
-                                   y[:, np.newaxis], tmp)
-            op.apply_inverse_precond(tmp, z)
-            with tracer.phase("other"):
-                dblas.lincomb(x_vec, [(1.0, x_vec), (1.0, z)])
+            solve.update(basis_mv, *best)
             stalled_cycles = 0
         elif breakdown:
             # A cycle that produced no usable checkpoint cannot improve
@@ -545,14 +497,12 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
             stalled_cycles += 1
             if stalled_cycles >= 2:
                 stalled = True
-                tel.end_cycle(iters)
+                tel.end_cycle(solve.iters)
                 break
-        restarts += 1
-        tel.end_cycle(iters)
-        if cycle_converged:
-            # loop back once more: the explicit residual at the top
-            # verifies convergence (paper Fig. 1 lines 18-19)
-            continue
+        solve.restarts += 1
+        # a converged cycle loops back once more: the explicit residual
+        # at the top verifies convergence (paper Fig. 1 lines 18-19)
+        tel.end_cycle(solve.iters)
 
     tracer.set_cycle(None)
     # the legacy diagnostics keys are solve-wide reductions of the
@@ -567,17 +517,6 @@ def _solve_member(sim: Simulation, b: np.ndarray, x0: np.ndarray | None, *,
         diagnostics["residual_gap_max"] = tel.max_of("residual_gap", 0.0)
         diagnostics["embedding_distortion_max"] = tel.max_of(
             "embedding_distortion", 0.0)
-    totals = tracer.since(snap)
-    times = dict(totals.by_phase)
-    times["total"] = totals.clock
-    ortho_breakdown = {k[1]: v for k, v in totals.by_kernel.items()
-                       if k[0] == "ortho"}
-    sync_count = sum(c for (ph, kern), c in totals.counts.items()
-                     if kern == "allreduce")
-    return SolveResult(
-        x=x_vec.to_global()[:, 0], converged=converged, iterations=iters,
-        restarts=restarts, relative_residual=float(rel_res),
-        history=history, times=times, ortho_breakdown=ortho_breakdown,
-        sync_count=sync_count, solver="sstep_gmres", scheme=scheme.name,
-        stalled=stalled, diagnostics=diagnostics, telemetry=tel.to_list(),
-        metrics=sim.metrics_doc())
+    return solve.result(
+        solver="sstep_gmres", scheme=scheme.name, stalled=stalled,
+        diagnostics=diagnostics, telemetry=tel.to_list())

@@ -31,7 +31,6 @@ from repro.dd.linalg import gram_dd, matmul_dd
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
 from repro.sketch.distributed import sketch_multivector
-from repro.sketch.operators import SparseSignSketch
 
 
 class OrthoBackend(ABC):
@@ -117,15 +116,6 @@ class OrthoBackend(ABC):
     def tsqr(self, v) -> np.ndarray:
         """Communication-avoiding tall-skinny QR (binary tree of QRs)."""
 
-    def tsqr_batched(self, vs: list) -> list[np.ndarray]:
-        """:meth:`tsqr` over several same-shape panels as ONE charged
-        pass: one batched local-QR launch, one combine message per tree
-        level carrying every panel's R.  Values are bit-identical to
-        per-panel :meth:`tsqr` calls — only the charge stream fuses
-        (:class:`repro.parallel.batch.BatchCharges` semantics).  The
-        NumPy backend simply loops."""
-        return [self.tsqr(v) for v in vs]
-
     def sketch(self, v, op) -> np.ndarray:
         """Sketch ``S @ V`` with a :class:`repro.sketch.SketchOperator`.
 
@@ -143,17 +133,6 @@ class OrthoBackend(ABC):
         coefficients and panel sketch into a single collective."""
         raise NotImplementedError(
             f"{type(self).__name__} has no fused_dots_sketch")
-
-    def sketch_dot(self, v, m_rows: int, seed: int) -> np.ndarray:
-        """CountSketch product ``S @ V`` (legacy signature).
-
-        Thin shim over the :mod:`repro.sketch` subsystem kept for
-        callers predating it: builds the deterministic sparse-sign
-        operator for ``(n, m_rows, seed)`` and delegates to
-        :meth:`sketch`.  One synchronization on the distributed
-        backend, as before."""
-        op = SparseSignSketch(self.n_rows_global(v), m_rows, seed=seed)
-        return self.sketch(v, op)
 
     # -- accounting hooks ---------------------------------------------------
     def host_flops(self, flops: float) -> None:
@@ -467,27 +446,6 @@ class DistBackend(OrthoBackend):
                                       word_bytes=v.word_bytes)
                        for s in v.shards], driver_side=True)
         return r_final
-
-    def tsqr_batched(self, vs: list[DistMultiVector]) -> list[np.ndarray]:
-        """Batched binary-tree TSQR: one charged pass over ``b`` panels.
-
-        Each panel's factorization is numerically the exact
-        :meth:`tsqr` computation — same local QRs, same combine tree,
-        same rebuild — but the modeled charges fuse under
-        :class:`repro.parallel.batch.BatchCharges`: one batched local-QR
-        launch, one combine message per tree level carrying every
-        panel's stacked ``k x k`` R factors, one rebuild launch.  The
-        combine message count therefore stays width-independent while
-        its payload grows with the batch.
-        """
-        from repro.parallel.batch import BatchCharges
-        rs: list[np.ndarray] = []
-        with BatchCharges(self.comm) as batch:
-            with batch.group():
-                for v in vs:
-                    with batch.member():
-                        rs.append(self.tsqr(v))
-        return rs
 
     def sketch(self, v: DistMultiVector, op) -> np.ndarray:
         return sketch_multivector(v, op, engine=self.engine)

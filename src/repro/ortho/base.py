@@ -177,7 +177,7 @@ class BlockOrthoScheme(ABC):
         Randomized schemes that already maintain a sketch of the basis
         (e.g. :class:`repro.ortho.randomized.RBCGSScheme`) expose it
         here as an ``(m, final_cols)`` array so a sketch-space solver
-        (``sstep_gmres(..., solve_mode="sketched")``) can reuse it
+        (``SolverOptions(solve_mode="sketched")``) can reuse it
         without charging any extra collective.  Deterministic schemes
         return ``None`` and the solver sketches finalized columns
         itself.

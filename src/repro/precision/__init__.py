@@ -20,7 +20,7 @@ policy threaded through the whole stack:
 Downstream: :class:`repro.distla.multivector.DistMultiVector` carries a
 storage spec, both kernel engines accumulate reductions in fp64 over
 low-precision shards (bit-identical loop/batched per dtype) and charge
-bytes at the storage word size, ``sstep_gmres(precision=...)`` runs the
+bytes at the storage word size, ``SolverOptions(precision=...)`` runs the
 whole basis at a policy, and :func:`repro.krylov.ir.gmres_ir` wraps a
 low-precision inner solve in an fp64 iterative-refinement loop.
 """

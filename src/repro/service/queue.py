@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import DEFAULT_RESTART, DEFAULT_STEP_SIZE, DEFAULT_TOL
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError
 from repro.krylov.block import block_sstep_gmres
 from repro.krylov.options import SolverOptions
+from repro.krylov.restart import check_inputs
 from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 
@@ -150,16 +151,10 @@ class SolveQueue:
                 f"unknown solver override(s) {sorted(unknown)}; expected "
                 f"among {sorted(self.defaults)}")
         cfg = {**self.defaults, **overrides}
-        b = np.asarray(b, dtype=np.float64).ravel()
-        if b.shape != (self.sim.n,):
-            raise ShapeError(
-                f"request RHS must have {self.sim.n} entries, got {b.shape}")
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=np.float64).ravel()
-            if x0.shape != (self.sim.n,):
-                raise ShapeError(
-                    f"request x0 must have {self.sim.n} entries, "
-                    f"got {x0.shape}")
+        # the solver's own door check, here: a request that cannot run is
+        # refused at submission instead of failing its whole batch
+        b, x0 = check_inputs(self.sim, b, x0, s=cfg["s"],
+                             restart=cfg["restart"], maxiter=maxiter)
         key = _solver_key(cfg["s"], cfg["restart"], cfg["basis"],
                           cfg["scheme_factory"], cfg["precond"],
                           cfg["options"])

@@ -33,10 +33,7 @@ from repro.sketch.precondition import (
     right_apply_inverse,
     sketch_qr,
 )
-from repro.sketch.distributed import (
-    sketch_multivector,
-    sketch_multivector_batched,
-)
+from repro.sketch.distributed import sketch_multivector
 from repro.sketch.quality import leave_one_out_distortion
 from repro.sketch.seeding import derive_seed
 
@@ -52,7 +49,6 @@ __all__ = [
     "sketch_rows",
     "make_operator",
     "sketch_multivector",
-    "sketch_multivector_batched",
     "sketch_qr",
     "right_apply_inverse",
     "DEFAULT_RANK_TOL",

@@ -41,30 +41,3 @@ def sketch_multivector(v: DistMultiVector, op: SketchOperator,
             f"operator sketches {op.n_rows} rows but multivector has "
             f"{v.n_global}")
     return dengine.resolve(engine, v.comm).sketch_apply(v, op)
-
-
-def sketch_multivector_batched(vs: list[DistMultiVector], op: SketchOperator,
-                               engine: "dengine.KernelEngine | str | None"
-                               = None) -> list[np.ndarray]:
-    """:func:`sketch_multivector` over several multivectors as ONE
-    charged pass.
-
-    Values are bit-identical to per-multivector calls (each keeps its
-    own partials and reduction tree); the modeled charges fuse under
-    :class:`repro.parallel.batch.BatchCharges` — one sketch-apply kernel
-    launch across the stacked shards and one allreduce whose payload
-    carries every member's ``(m_rows, k)`` partial sum.
-    """
-    if not vs:
-        return []
-    comm = vs[0].comm
-    if any(v.comm is not comm for v in vs):
-        raise ShapeError("batched sketches must share a communicator")
-    from repro.parallel.batch import BatchCharges
-    out: list[np.ndarray] = []
-    with BatchCharges(comm) as batch:
-        with batch.group():
-            for v in vs:
-                with batch.member():
-                    out.append(sketch_multivector(v, op, engine=engine))
-    return out

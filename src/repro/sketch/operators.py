@@ -178,7 +178,7 @@ class SparseSignSketch(SketchOperator):
     def local_cost(self, cost, rows: int, k: int,
                    word_bytes: float = 8.0) -> float:
         # Streaming pass: read the shard (nnz times), scatter into the
-        # small sketch.  nnz = 1 matches the historical sketch_dot charge.
+        # small sketch.
         return cost.blas1(rows * k * self.nnz_per_row,
                           n_streams=1, writes=1, word_bytes=word_bytes)
 

@@ -1,10 +1,8 @@
-"""Batched hot-kernel entry points: one charged pass, per-member values.
+"""``DistSparseMatrix.matvec_batched``: one charged pass, per-member values.
 
-The tentpole contract for every ``*_batched`` wrapper (TSQR, block dot,
-SpMV apply, sketch apply): results are bit-identical to per-member
-calls, and the modeled charges fuse so a width-``b`` panel is ONE
-charged pass — collective counts stay width-independent while payload
-bytes accumulate.
+Results are bit-identical to per-member ``matvec`` calls, and the
+modeled charges fuse so a width-``b`` panel is ONE charged pass — the
+halo count stays width-independent while payload bytes accumulate.
 """
 
 from __future__ import annotations
@@ -12,85 +10,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ShapeError
 from repro.matrices.stencil import laplace2d
-from repro.ortho.backend import DistBackend, NumpyBackend
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import summit
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.sketch import make_operator
-from repro.sketch.distributed import (
-    sketch_multivector,
-    sketch_multivector_batched,
-)
 
-N, RANKS, WIDTH = 96, 4, 3
+RANKS, WIDTH = 4, 3
 
 
 def fresh_comm():
     return SimComm(summit(), RANKS, Tracer())
-
-
-def panels(comm, k=2, seed=0):
-    part = Partition(N, RANKS)
-    rng = np.random.default_rng(seed)
-    return [DistMultiVector.from_global(rng.standard_normal((N, k)),
-                                        part, comm)
-            for _ in range(WIDTH)]
-
-
-class TestTsqrBatched:
-    def test_values_match_loop_and_counts_fuse(self):
-        batched_comm, loop_comm = fresh_comm(), fresh_comm()
-        rs = DistBackend(batched_comm).tsqr_batched(panels(batched_comm))
-        refs = [DistBackend(loop_comm).tsqr(v) for v in panels(loop_comm)]
-        for r, ref in zip(rs, refs):
-            np.testing.assert_array_equal(r, ref)
-        fused = batched_comm.tracer.collective_counts(payload_bytes=True)
-        serial = loop_comm.tracer.collective_counts(payload_bytes=True)
-        assert fused["allreduce"]["count"] * WIDTH \
-            == serial["allreduce"]["count"]
-        assert fused["allreduce"]["bytes"] == serial["allreduce"]["bytes"]
-        assert batched_comm.tracer.clock < loop_comm.tracer.clock
-
-    def test_numpy_backend_default_loops(self):
-        rng = np.random.default_rng(1)
-        vs = [rng.standard_normal((20, 3)) for _ in range(2)]
-        grams = [v.T @ v for v in vs]
-        rs = NumpyBackend().tsqr_batched(vs)  # overwrites vs with Q
-        for r, gram in zip(rs, grams):
-            np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12)
-
-
-class TestBlockDotBatched:
-    def test_values_and_single_allreduce(self):
-        comm = fresh_comm()
-        vs = panels(comm)
-        groups = [[(v, v)] for v in vs]
-        out = blas.block_dot_batched(groups)
-        for got, v in zip(out, vs):
-            np.testing.assert_array_equal(
-                got[0], blas.block_dot_multi([(v, v)])[0])
-        # WIDTH members' reduces + WIDTH reference reduces, but only
-        # 1 + WIDTH counted collectives: the batch fused its members
-        assert comm.tracer.collective_counts()["allreduce"] == 1 + WIDTH
-
-    def test_empty_members_allowed(self):
-        comm = fresh_comm()
-        v = panels(comm)[0]
-        out = blas.block_dot_batched([[], [(v, v)], []])
-        assert out[0] == [] and out[2] == []
-        assert len(out[1]) == 1
-        assert blas.block_dot_batched([]) == []
-
-    def test_mixed_communicators_rejected(self):
-        a, b = panels(fresh_comm())[0], panels(fresh_comm())[0]
-        with pytest.raises(ShapeError, match="communicator"):
-            blas.block_dot_batched([[(a, a)], [(b, b)]])
 
 
 class TestMatvecBatched:
@@ -124,25 +57,3 @@ class TestMatvecBatched:
         x = DistMultiVector.zeros(part, comm, 1)
         with pytest.raises(ShapeError, match="output"):
             mat.matvec_batched([x, x], outs=[None])
-
-
-class TestSketchBatched:
-    @pytest.mark.parametrize("family", ["sparse", "srht_fft"])
-    def test_values_match_loop_and_counts_fuse(self, family):
-        op = make_operator(family, N, 12, seed=5)
-        comm_b = fresh_comm()
-        outs = sketch_multivector_batched(panels(comm_b), op)
-        comm_l = fresh_comm()
-        refs = [sketch_multivector(v, op) for v in panels(comm_l)]
-        for out, ref in zip(outs, refs):
-            np.testing.assert_array_equal(out, ref)
-        assert comm_b.tracer.collective_counts()["allreduce"] == 1
-        assert comm_l.tracer.collective_counts()["allreduce"] == WIDTH
-
-    def test_empty_and_mixed_comms(self):
-        op = make_operator("sparse", N, 12, seed=5)
-        assert sketch_multivector_batched([], op) == []
-        a = panels(fresh_comm())[0]
-        b = panels(fresh_comm())[0]
-        with pytest.raises(ShapeError, match="communicator"):
-            sketch_multivector_batched([a, b], op)

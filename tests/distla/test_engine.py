@@ -27,6 +27,7 @@ from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
+from repro.sketch import SparseSignSketch
 
 N_UNIFORM = 96   # divisible by 8 -> uniform partition: one run, a stack
 N_RAGGED = 101   # prime -> ragged partition: two runs of ranks, no stack
@@ -208,7 +209,7 @@ class TestStackedStorage:
 @pytest.mark.parametrize("n", [N_UNIFORM, N_RAGGED],
                          ids=["uniform", "ragged"])
 class TestSketchDotEngineEquivalence:
-    """DistBackend.sketch_dot is an execution-strategy-free operation:
+    """DistBackend.sketch is an execution-strategy-free operation:
     loop and batched engines must produce bit-identical sketches and
     charge identical modeled costs on every partition shape."""
 
@@ -220,8 +221,8 @@ class TestSketchDotEngineEquivalence:
         rng = np.random.default_rng(23)
         v = DistMultiVector.from_global(rng.standard_normal((n, KV)),
                                         part, comm)
-        out = DistBackend(comm, engine=engine).sketch_dot(
-            v, self.M_ROWS, seed=42)
+        out = DistBackend(comm, engine=engine).sketch(
+            v, SparseSignSketch(n, self.M_ROWS, seed=42))
         return out, comm.tracer
 
     def test_bit_identical(self, n, ranks):

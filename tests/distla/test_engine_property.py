@@ -70,9 +70,6 @@ def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
 
     values = [blas.block_dot(q, v, engine=engine)]
     values += blas.block_dot_multi([(q, v), (v, v)], engine=engine)
-    for member in blas.block_dot_batched([[(q, v), (q, q)], [], [(v, v)]],
-                                         engine=engine):
-        values += member
     request = blas.post_block_dot_multi([(v, q), (q, q)], engine=engine)
     blas.block_update(v, q, r_proj, engine=engine)  # inside the window
     values += comm.wait(request)

@@ -294,7 +294,7 @@ class TestAutomaticResketch:
                                options=SolverOptions(
                                    solve_mode="sketched",
                                    resketch_threshold=threshold))
-        from repro.krylov.sstep_gmres import DEFAULT_RESKETCH_THRESHOLD
+        from repro.krylov.options import DEFAULT_RESKETCH_THRESHOLD
         a = solve(None)
         b = solve(DEFAULT_RESKETCH_THRESHOLD)
         np.testing.assert_array_equal(a.x, b.x)

@@ -1,7 +1,8 @@
-"""SolverOptions: validation, the deprecated-kwarg shim, and wiring."""
+"""SolverOptions: validation, the one way in, and wiring."""
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -62,13 +63,6 @@ class TestDataclass:
         assert SOLVE_MODES == ("classical", "sketched", "adaptive")
         assert MPK_SOLVER_MODES == ("standard", "ca", "ca_overlap", "auto")
 
-    def test_constants_reexported_from_solver_module(self):
-        import importlib
-        mod = importlib.import_module("repro.krylov.sstep_gmres")
-        assert mod.SOLVE_MODES is SOLVE_MODES
-        assert mod.MPK_SOLVER_MODES is MPK_SOLVER_MODES
-        assert mod.DEFAULT_RESKETCH_THRESHOLD == DEFAULT_RESKETCH_THRESHOLD
-
     def test_top_level_exports(self):
         assert repro.SolverOptions is SolverOptions
         assert "SolverOptions" in repro.__all__
@@ -93,53 +87,37 @@ class TestOptionsPath:
         assert "solve_mode" not in res.diagnostics
 
 
-class TestDeprecatedKwargShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        sim = make_sim()
-        with pytest.warns(DeprecationWarning, match="SolverOptions"):
-            res = solve(sim, solve_mode="sketched", sketch_seed=11)
-        assert res.converged
-        assert res.diagnostics["solve_mode"] == "sketched"
+class TestOneWayIn:
+    """``options=SolverOptions(...)`` is the only route for a knob."""
 
-    def test_legacy_and_options_give_identical_results(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            res_legacy = solve(make_sim(), solve_mode="sketched",
-                               sketch_seed=11)
-        res_opts = solve(make_sim(),
-                         options=SolverOptions(solve_mode="sketched",
-                                               sketch_seed=11))
-        assert res_legacy.x.tobytes() == res_opts.x.tobytes()
-        assert res_legacy.iterations == res_opts.iterations
-
-    def test_mixing_options_and_legacy_raises(self):
-        sim = make_sim()
-        with pytest.raises(ConfigurationError, match="not both"):
-            solve(sim, options=SolverOptions(), mpk_mode="ca")
-
-    def test_unknown_kwarg_is_type_error(self):
+    def test_bare_knob_is_type_error(self):
         sim = make_sim()
         with pytest.raises(TypeError, match="unexpected keyword"):
-            solve(sim, solver_mode="sketched")  # typo'd name
+            solve(sim, solve_mode="sketched")
+        assert sim.tracer.clock == 0.0
 
-    def test_legacy_validation_still_configuration_error(self):
+    def test_gmres_ir_has_one_way_in(self):
+        from repro.krylov.ir import gmres_ir
+        params = inspect.signature(gmres_ir).parameters
+        assert "solve_mode" not in params
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
         sim = make_sim()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="solve_mode"):
-                solve(sim, solve_mode="quantum")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            gmres_ir(sim, np.ones(sim.n), mpk_mode="ca")
 
 
 class TestDownstreamWiring:
-    def test_gmres_ir_builds_options_without_warning(self):
+    def test_gmres_ir_default_options_without_warning(self):
         from repro.krylov.ir import gmres_ir
         sim = make_sim()
         b = np.ones(sim.n)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            res = gmres_ir(sim, b, s=3, restart=9, tol=1e-10,
-                           mpk_mode="standard")  # loose knob, no warning
+            warnings.simplefilter("error")
+            res = gmres_ir(sim, b, s=3, restart=9, tol=1e-10)
         assert res.converged
+        # without options the inner solves keep the monitors live
+        assert res.diagnostics["inner_solves"][0][
+            "basis_condition_max"] is not None
 
     def test_gmres_ir_options_base(self):
         from repro.krylov.ir import gmres_ir
@@ -151,13 +129,6 @@ class TestDownstreamWiring:
         # gmres_ir's precision contract overrides the options field
         assert res.converged
         assert res.diagnostics["precision"] == "fp32"
-
-    def test_gmres_ir_rejects_options_plus_knobs(self):
-        from repro.krylov.ir import gmres_ir
-        sim = make_sim()
-        with pytest.raises(ConfigurationError, match="options"):
-            gmres_ir(sim, np.ones(sim.n), options=SolverOptions(),
-                     mpk_mode="ca")
 
     def test_adaptive_forwards_options(self):
         from repro.krylov.adaptive import adaptive_sstep_gmres

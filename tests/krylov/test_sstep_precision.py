@@ -1,12 +1,14 @@
-"""``sstep_gmres(precision=...)``: policy-driven basis storage."""
+"""``SolverOptions(precision=...)``: policy-driven basis storage."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import config
-from repro.krylov.options import OPTION_FIELD_NAMES, SolverOptions
+from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
@@ -21,8 +23,8 @@ A = laplace2d(NX)
 def _solve(engine=None, **kw):
     sim = Simulation(A, ranks=4, machine=generic_cpu(), engine=engine)
     b = sim.ones_solution_rhs()
-    opts = SolverOptions(**{k: kw.pop(k) for k in tuple(kw)
-                            if k in OPTION_FIELD_NAMES})
+    knobs = {f.name for f in dataclasses.fields(SolverOptions)}
+    opts = SolverOptions(**{k: kw.pop(k) for k in tuple(kw) if k in knobs})
     return sstep_gmres(sim, b, s=5, restart=30, tol=1e-8, maxiter=4000,
                        options=opts, **kw)
 

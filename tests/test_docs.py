@@ -1,12 +1,14 @@
 """The docs/ site must track the code it documents.
 
-Three structural guards: the experiment catalogue in docs/experiments.md
+Four structural guards: the experiment catalogue in docs/experiments.md
 must list exactly the runner's registered subcommands (so adding an
 experiment without documenting it — or documenting a renamed one — is
 a tier-1 failure), every relative link in the markdown pages must
-resolve (same check CI runs standalone via scripts/docs_lint.py), and
-the two sections describing the communicator may name only collectives
-the ``Communicator`` protocol declares.
+resolve (same check CI runs standalone via scripts/docs_lint.py), every
+``repro-<name>`` command the pages tell a reader to type must be a
+console script pyproject.toml declares, and the two sections describing
+the communicator may name only collectives the ``Communicator`` protocol
+declares.
 """
 
 from __future__ import annotations
@@ -65,6 +67,31 @@ class TestDocsSite:
             [sys.executable, str(REPO / "scripts" / "docs_lint.py")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestConsoleScripts:
+    #: ``repro-name`` standing alone (not ``repro-bench-artifact/1``)
+    COMMAND = re.compile(r"\brepro-[a-z]+\b(?![-/])")
+
+    def _declared(self) -> dict[str, str]:
+        pyproject = (REPO / "pyproject.toml").read_text()
+        section = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+        return dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]+)"', section,
+                               re.MULTILINE))
+
+    def test_every_documented_command_is_declared(self):
+        declared = set(self._declared())
+        for path in (REPO / "README.md", *sorted(DOCS.glob("*.md"))):
+            mentioned = set(self.COMMAND.findall(path.read_text()))
+            assert mentioned <= declared, (
+                f"{path.name} names {sorted(mentioned - declared)}, which "
+                f"pyproject.toml [project.scripts] does not declare")
+
+    def test_every_declared_script_resolves(self):
+        from importlib import import_module
+        for name, target in self._declared().items():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(import_module(module), attr)), name
 
 
 class TestCommunicatorSections:
