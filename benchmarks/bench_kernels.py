@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
 from repro.krylov.simulation import Simulation
@@ -67,8 +66,8 @@ def dist_setup():
     return comm, part, basis
 
 
-def _engine_operands(n, k=K):
-    comm = SimComm(generic_cpu(), ENGINE_RANKS, Tracer())
+def _engine_operands(n, engine, k=K):
+    comm = SimComm(generic_cpu(), ENGINE_RANKS, Tracer(), engine=engine)
     part = Partition(n, ENGINE_RANKS)
     rng = np.random.default_rng(0)
     basis = DistMultiVector.from_global(
@@ -77,62 +76,63 @@ def _engine_operands(n, k=K):
 
 
 @pytest.fixture
-def engine_setup():
-    """Strong-scaling operands for the engine comparison benches."""
-    return _engine_operands(ENGINE_N)
+def engine_setup(engine):
+    """Strong-scaling operands for the engine comparison benches, on a
+    communicator bound to the bench's ``engine`` parameter."""
+    return _engine_operands(ENGINE_N, engine)
 
 
 @pytest.fixture
-def ragged_setup():
+def ragged_setup(engine):
     """The same operands on a partition the rank count does not divide."""
     assert ENGINE_N_RAGGED % ENGINE_RANKS
-    return _engine_operands(ENGINE_N_RAGGED)
+    return _engine_operands(ENGINE_N_RAGGED, engine)
 
 
-def _bench_engine(benchmark, engine, comm, op):
-    """Benchmark ``op`` under ``engine``, recording modeled seconds too."""
-    with config.engine_scope(engine):
-        before = comm.tracer.clock
-        op()
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = ENGINE_RANKS
-        benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
-        benchmark(op)
+def _bench_engine(benchmark, comm, op):
+    """Benchmark ``op`` on ``comm``'s engine, recording modeled seconds
+    too."""
+    before = comm.tracer.clock
+    op()
+    benchmark.extra_info["engine"] = comm.engine
+    benchmark.extra_info["ranks"] = ENGINE_RANKS
+    benchmark.extra_info["modeled_seconds"] = comm.tracer.clock - before
+    benchmark(op)
 
 
-def _bench_block_dot(benchmark, engine, setup):
+def _bench_block_dot(benchmark, setup):
     comm, part, basis = setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
-    _bench_engine(benchmark, engine, comm, lambda: blas.block_dot(q, v))
+    _bench_engine(benchmark, comm, lambda: blas.block_dot(q, v))
 
 
-def _bench_block_update(benchmark, engine, setup):
+def _bench_block_update(benchmark, setup):
     comm, part, basis = setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
     r = np.zeros((25, 5))
-    _bench_engine(benchmark, engine, comm,
+    _bench_engine(benchmark, comm,
                   lambda: blas.block_update(v, q, r))
 
 
-def _bench_trsm(benchmark, engine, setup, cols=slice(25, 30)):
+def _bench_trsm(benchmark, setup, cols=slice(25, 30)):
     comm, part, basis = setup
     v = basis.view_cols(cols)
     # Identity R: full dtrsm work, but iterating the bench cannot drift v
     # into denormals/overflow and skew the timing.
     r = np.eye(5)
-    _bench_engine(benchmark, engine, comm, lambda: blas.trsm_inplace(v, r))
+    _bench_engine(benchmark, comm, lambda: blas.trsm_inplace(v, r))
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_block_dot(benchmark, engine_setup, engine):
-    _bench_block_dot(benchmark, engine, engine_setup)
+    _bench_block_dot(benchmark, engine_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_block_dot_ragged(benchmark, ragged_setup, engine):
-    _bench_block_dot(benchmark, engine, ragged_setup)
+    _bench_block_dot(benchmark, ragged_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
@@ -140,7 +140,7 @@ def test_block_dot_fused(benchmark, engine_setup, engine):
     comm, part, basis = engine_setup
     q = basis.view_cols(slice(0, 25))
     v = basis.view_cols(slice(25, 30))
-    _bench_engine(benchmark, engine, comm,
+    _bench_engine(benchmark, comm,
                   lambda: blas.block_dot_multi([(q, v), (v, v)]))
 
 
@@ -149,35 +149,35 @@ def test_block_axpy(benchmark, engine_setup, engine):
     comm, part, basis = engine_setup
     v = basis.view_cols(slice(25, 30))
     out = DistMultiVector.zeros(part, comm, 5)
-    _bench_engine(benchmark, engine, comm,
+    _bench_engine(benchmark, comm,
                   lambda: blas.lincomb(out, [(1.0, out), (-0.5, v)]))
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_block_update(benchmark, engine_setup, engine):
-    _bench_block_update(benchmark, engine, engine_setup)
+    _bench_block_update(benchmark, engine_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_block_update_ragged(benchmark, ragged_setup, engine):
-    _bench_block_update(benchmark, engine, ragged_setup)
+    _bench_block_update(benchmark, ragged_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_trsm(benchmark, engine_setup, engine):
-    _bench_trsm(benchmark, engine, engine_setup)
+    _bench_trsm(benchmark, engine_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_trsm_ragged(benchmark, ragged_setup, engine):
-    _bench_trsm(benchmark, engine, ragged_setup)
+    _bench_trsm(benchmark, ragged_setup)
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_trsm_basis_view(benchmark, engine):
     """The shape the solver runs: an s = 5 panel inside the
     ``n x (m + 1) = 61``-column basis, on the ragged partition."""
-    _bench_trsm(benchmark, engine, _engine_operands(ENGINE_N_RAGGED, 61),
+    _bench_trsm(benchmark, _engine_operands(ENGINE_N_RAGGED, engine, 61),
                 cols=slice(30, 35))
 
 

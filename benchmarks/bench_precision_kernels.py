@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas as dblas
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import CholeskyBreakdownError
@@ -47,8 +46,8 @@ KQ = 30
 KV = 5
 
 
-def _operands(storage: str):
-    comm = SimComm(generic_cpu(), RANKS, Tracer())
+def _operands(storage: str, engine: str):
+    comm = SimComm(generic_cpu(), RANKS, Tracer(), engine=engine)
     part = Partition(N, RANKS)
     rng = np.random.default_rng(0)
     q = DistMultiVector.from_global(
@@ -67,40 +66,38 @@ def _modeled(comm, fn) -> float:
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("storage", ["fp64", "fp32"])
 def test_block_dot(benchmark, check, storage, engine):
-    comm, q, v = _operands(storage)
-    with config.engine_scope(engine):
-        modeled = _modeled(comm, lambda: dblas.block_dot(q, v))
-        if storage == "fp32":
-            comm64, q64, v64 = _operands("fp64")
-            ref = _modeled(comm64, lambda: dblas.block_dot(q64, v64))
-            check(modeled < 0.65 * ref,
-                  "fp32 storage must charge roughly half the fp64 bytes "
-                  "on the bandwidth-bound Gram GEMM")
-        benchmark.extra_info["storage"] = storage
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = RANKS
-        benchmark.extra_info["modeled_seconds"] = modeled
-        benchmark(lambda: dblas.block_dot(q, v))
+    comm, q, v = _operands(storage, engine)
+    modeled = _modeled(comm, lambda: dblas.block_dot(q, v))
+    if storage == "fp32":
+        comm64, q64, v64 = _operands("fp64", engine)
+        ref = _modeled(comm64, lambda: dblas.block_dot(q64, v64))
+        check(modeled < 0.65 * ref,
+              "fp32 storage must charge roughly half the fp64 bytes "
+              "on the bandwidth-bound Gram GEMM")
+    benchmark.extra_info["storage"] = storage
+    benchmark.extra_info["engine"] = engine
+    benchmark.extra_info["ranks"] = RANKS
+    benchmark.extra_info["modeled_seconds"] = modeled
+    benchmark(lambda: dblas.block_dot(q, v))
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 @pytest.mark.parametrize("storage", ["fp64", "fp32"])
 def test_block_update(benchmark, check, storage, engine):
-    comm, q, v = _operands(storage)
+    comm, q, v = _operands(storage, engine)
     r = np.random.default_rng(1).standard_normal((KQ, KV))
-    with config.engine_scope(engine):
-        modeled = _modeled(comm, lambda: dblas.block_update(v, q, r))
-        if storage == "fp32":
-            comm64, q64, v64 = _operands("fp64")
-            ref = _modeled(comm64, lambda: dblas.block_update(v64, q64, r))
-            check(modeled < 0.65 * ref,
-                  "fp32 storage must charge roughly half the fp64 bytes "
-                  "on the tall panel update")
-        benchmark.extra_info["storage"] = storage
-        benchmark.extra_info["engine"] = engine
-        benchmark.extra_info["ranks"] = RANKS
-        benchmark.extra_info["modeled_seconds"] = modeled
-        benchmark(lambda: dblas.block_update(v, q, r))
+    modeled = _modeled(comm, lambda: dblas.block_update(v, q, r))
+    if storage == "fp32":
+        comm64, q64, v64 = _operands("fp64", engine)
+        ref = _modeled(comm64, lambda: dblas.block_update(v64, q64, r))
+        check(modeled < 0.65 * ref,
+              "fp32 storage must charge roughly half the fp64 bytes "
+              "on the tall panel update")
+    benchmark.extra_info["storage"] = storage
+    benchmark.extra_info["engine"] = engine
+    benchmark.extra_info["ranks"] = RANKS
+    benchmark.extra_info["modeled_seconds"] = modeled
+    benchmark(lambda: dblas.block_update(v, q, r))
 
 
 def test_driver_mixed_two_stage(benchmark, check):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import config
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -54,13 +53,12 @@ def _record(benchmark, res, engine=None):
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])
 def test_solve_two_stage(benchmark, check, engine):
-    with config.engine_scope(engine):
-        factory = lambda: TwoStageScheme(big_step=RESTART)  # noqa: E731
-        res = _solve(factory, engine=engine)
-        check(res.converged, "two-stage s-step GMRES converges on the "
-                             "Laplacian")
-        _record(benchmark, res, engine=engine)
-        benchmark(lambda: _solve(factory, engine=engine))
+    factory = lambda: TwoStageScheme(big_step=RESTART)  # noqa: E731
+    res = _solve(factory, engine=engine)
+    check(res.converged, "two-stage s-step GMRES converges on the "
+                         "Laplacian")
+    _record(benchmark, res, engine=engine)
+    benchmark(lambda: _solve(factory, engine=engine))
 
 
 def test_solve_bcgs_pip2(benchmark, check):

@@ -1,16 +1,14 @@
 """Global configuration knobs for :mod:`repro`.
 
 Configuration is intentionally tiny: a default dtype, the default step
-sizes the paper uses, reproducibility seeds, and the kernel-execution
-engine of the costed BLAS layer.  Everything machine-performance-related
-lives in :class:`repro.parallel.machine.MachineSpec` instances so that
-two machine models can coexist in one process.
+sizes the paper uses, reproducibility seeds, and the names of the
+kernel-execution engines of the costed BLAS layer.  Everything
+machine-performance-related lives in
+:class:`repro.parallel.machine.MachineSpec` instances so that two
+machine models can coexist in one process.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,59 +49,18 @@ ENGINE_BATCHED = "batched"
 #: All selectable engines, in documentation order.
 ENGINES = (ENGINE_LOOP, ENGINE_BATCHED)
 
-#: Engine used when neither :func:`set_engine` nor ``REPRO_ENGINE`` says
-#: otherwise.  Batched is the default: it charges identical modeled costs
-#: and produces the same MPI-faithful reduction order as the loop engine.
+#: Engine a communicator binds when its constructor names none.  Batched
+#: is the default: it charges identical modeled costs and produces the
+#: same MPI-faithful reduction order as the loop engine.
 DEFAULT_ENGINE = ENGINE_BATCHED
-
-_active_engine: str | None = None
-
-
-def validate_engine(name: str) -> str:
-    """Return ``name`` if it names a known engine, else raise ValueError.
-
-    Constructors that *bind* an engine (``SimComm``, ``DistBackend``,
-    ``Simulation``) call this so a typo fails at the configuration site,
-    not deep inside the first BLAS call.
-    """
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINES}")
-    return name
 
 
 def get_engine() -> str:
-    """Name of the active kernel-execution engine.
+    """Name of the default kernel-execution engine.
 
-    Resolution order: :func:`set_engine` / :func:`engine_scope` override,
-    then the ``REPRO_ENGINE`` environment variable (re-read on every call
-    so test monkeypatching works), then :data:`DEFAULT_ENGINE`.
+    The communicator is the one place an engine is selected
+    (``SimComm(..., engine=...)``, reached by users through
+    ``Simulation(..., engine=...)``); this is what it binds when none is
+    named.
     """
-    if _active_engine is not None:
-        return _active_engine
-    return validate_engine(os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE))
-
-
-def set_engine(name: str | None) -> str | None:
-    """Pin the engine process-wide; returns the previous pin.
-
-    The return value is the raw prior pin — ``None`` when the process was
-    deferring to ``REPRO_ENGINE``/:data:`DEFAULT_ENGINE` — so
-    ``set_engine(set_engine("loop"))`` restores the exact prior state
-    instead of freezing the resolved default.  Passing ``None`` unpins.
-    """
-    global _active_engine
-    previous = _active_engine
-    _active_engine = None if name is None else validate_engine(name)
-    return previous
-
-
-@contextmanager
-def engine_scope(name: str):
-    """Temporarily select an engine (restores the previous state on exit,
-    including deference to ``REPRO_ENGINE`` when nothing was pinned)."""
-    previous = set_engine(name)
-    try:
-        yield name
-    finally:
-        set_engine(previous)
+    return DEFAULT_ENGINE

@@ -5,9 +5,11 @@ blocks of vectors) and :class:`DistSparseMatrix` (block-row CSR with a
 precomputed halo-exchange plan).  All numerically-relevant operations are
 routed through :mod:`repro.distla.blas` / :mod:`repro.distla.spmv`, which
 perform the per-rank computation and charge modeled time.  How the
-per-rank work executes is pluggable (:mod:`repro.distla.engine`): the
-``"loop"`` reference engine or the ``"batched"`` engine running stacked
-shards as single batched kernels, selected via :func:`repro.config.set_engine`.
+per-rank work executes is decided by the kernel engine
+(:mod:`repro.distla.engine`) the communicator was bound to at
+construction: ``"batched"``, the default, computing on the flat storage
+behind every multivector, or the ``"loop"`` reference engine, the oracle
+of the equivalence tests (``Simulation(..., engine="loop")``).
 """
 
 from repro.distla.halo import GhostPlan, HaloPlan

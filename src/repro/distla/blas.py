@@ -9,17 +9,14 @@ Kernel attribution matches the paper's breakdown figures: Gram/projection
 GEMMs are charged to ``dot`` (paper: "dot-products"), tall ``V -= Q R``
 GEMMs to ``update`` ("vector-updates"), triangular scaling to ``trsm``.
 
-Execution strategy is pluggable: this module validates shapes and then
-dispatches to a :mod:`repro.distla.engine` kernel engine — the per-rank
-``"loop"`` reference or the ``"batched"`` stacked path — resolved from
-the optional ``engine`` argument, the communicator binding, or
-:func:`repro.config.get_engine`.  Both engines produce the same reduction
-order and charge identical modeled costs.
+This module validates shapes and then dispatches to the
+:mod:`repro.distla.engine` kernel engine the operands' communicator was
+bound to at construction (``comm.engine``) — the ``"batched"`` default
+or the per-rank ``"loop"`` reference.  Both engines produce the same
+reduction order and charge identical modeled costs.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Union
 
 import numpy as np
 
@@ -27,10 +24,6 @@ from repro.dd.linalg import matmul_dd
 from repro.distla import engine as _engine
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
-
-#: What the ``engine`` argument accepts: a name, an engine instance, or
-#: None (defer to the communicator binding / process default).
-EngineLike = Optional[Union[str, _engine.KernelEngine]]
 
 
 def _check_same_partition(*mvs: DistMultiVector) -> None:
@@ -46,8 +39,7 @@ def _check_same_partition(*mvs: DistMultiVector) -> None:
 # reductions
 # ---------------------------------------------------------------------------
 
-def block_dot(x: DistMultiVector, y: DistMultiVector,
-              engine: EngineLike = None) -> np.ndarray:
+def block_dot(x: DistMultiVector, y: DistMultiVector) -> np.ndarray:
     """Global ``X.T @ Y`` — one GEMM per rank + one allreduce.
 
     Returns the ``(kx, ky)`` result, replicated (conceptually) on every
@@ -55,11 +47,11 @@ def block_dot(x: DistMultiVector, y: DistMultiVector,
     redundantly on all the MPI processes".
     """
     _check_same_partition(x, y)
-    return _engine.resolve(engine, x.comm).block_dot(x, y)
+    return _engine.resolve(x.comm).block_dot(x, y)
 
 
-def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
-                    engine: EngineLike = None) -> list[np.ndarray]:
+def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]
+                    ) -> list[np.ndarray]:
     """Several ``X.T @ Y`` products fused into a *single* allreduce.
 
     This is the communication pattern that makes BCGS-PIP a "single-reduce"
@@ -73,11 +65,10 @@ def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
         _check_same_partition(x, y)
         if x.comm is not comm:
             raise ShapeError("fused dots must share a communicator")
-    return _engine.resolve(engine, comm).block_dot_multi(pairs)
+    return _engine.resolve(comm).block_dot_multi(pairs)
 
 
-def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
-                         engine: EngineLike = None):
+def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]):
     """Posted :func:`block_dot_multi`: partials and their charges now,
     the fused allreduce posted nonblocking.
 
@@ -95,7 +86,7 @@ def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]],
         _check_same_partition(x, y)
         if x.comm is not comm:
             raise ShapeError("fused dots must share a communicator")
-    return _engine.resolve(engine, comm).post_block_dot_multi(pairs)
+    return _engine.resolve(comm).post_block_dot_multi(pairs)
 
 
 def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
@@ -132,10 +123,9 @@ def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
     return comm.allreduce_dd(his, los)
 
 
-def column_norms(x: DistMultiVector,
-                 engine: EngineLike = None) -> np.ndarray:
+def column_norms(x: DistMultiVector) -> np.ndarray:
     """2-norms of each column (one fused allreduce)."""
-    return _engine.resolve(engine, x.comm).column_norms(x)
+    return _engine.resolve(x.comm).column_norms(x)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +133,7 @@ def column_norms(x: DistMultiVector,
 # ---------------------------------------------------------------------------
 
 def block_update(v: DistMultiVector, q: DistMultiVector,
-                 r: np.ndarray, engine: EngineLike = None) -> None:
+                 r: np.ndarray) -> None:
     """In-place tall update ``V -= Q @ R`` (no communication).
 
     ``r`` is the replicated small matrix from a previous reduction.
@@ -153,47 +143,44 @@ def block_update(v: DistMultiVector, q: DistMultiVector,
     if r.shape != (q.n_cols, v.n_cols):
         raise ShapeError(
             f"R has shape {r.shape}, expected ({q.n_cols}, {v.n_cols})")
-    _engine.resolve(engine, v.comm).block_update(v, q, r)
+    _engine.resolve(v.comm).block_update(v, q, r)
 
 
-def trsm_inplace(v: DistMultiVector, r: np.ndarray,
-                 engine: EngineLike = None) -> None:
+def trsm_inplace(v: DistMultiVector, r: np.ndarray) -> None:
     """In-place ``V <- V @ R^{-1}`` with upper-triangular replicated ``R``."""
     r = np.asarray(r, dtype=np.float64)
     k = v.n_cols
     if r.shape != (k, k):
         raise ShapeError(f"R has shape {r.shape}, expected ({k}, {k})")
-    _engine.resolve(engine, v.comm).trsm_inplace(v, r)
+    _engine.resolve(v.comm).trsm_inplace(v, r)
 
 
-def scale_columns(v: DistMultiVector, scales: np.ndarray,
-                  engine: EngineLike = None) -> None:
+def scale_columns(v: DistMultiVector, scales: np.ndarray) -> None:
     """In-place per-column scaling ``V[:, j] *= scales[j]``."""
     scales = np.asarray(scales, dtype=np.float64)
     if scales.shape != (v.n_cols,):
         raise ShapeError(f"scales has shape {scales.shape}, expected ({v.n_cols},)")
-    _engine.resolve(engine, v.comm).scale_columns(v, scales)
+    _engine.resolve(v.comm).scale_columns(v, scales)
 
 
-def lincomb(out: DistMultiVector, terms: list[tuple[float, DistMultiVector]],
-            engine: EngineLike = None) -> None:
+def lincomb(out: DistMultiVector,
+            terms: list[tuple[float, DistMultiVector]]) -> None:
     """``out <- sum_i alpha_i X_i`` (streaming axpy chain, no comm)."""
     if not terms:
         out.fill(0.0)
         return
     _check_same_partition(out, *[t[1] for t in terms])
-    _engine.resolve(engine, out.comm).lincomb(out, terms)
+    _engine.resolve(out.comm).lincomb(out, terms)
 
 
-def copy_into(dst: DistMultiVector, src: DistMultiVector,
-              engine: EngineLike = None) -> None:
+def copy_into(dst: DistMultiVector, src: DistMultiVector) -> None:
     """Costed device copy ``dst <- src`` (one read + one write stream)."""
     _check_same_partition(dst, src)
-    _engine.resolve(engine, dst.comm).copy_into(dst, src)
+    _engine.resolve(dst.comm).copy_into(dst, src)
 
 
 def matvec_small(v: DistMultiVector, coeffs: np.ndarray,
-                 out: DistMultiVector, engine: EngineLike = None) -> None:
+                 out: DistMultiVector) -> None:
     """``out <- V @ coeffs`` where coeffs is a replicated small matrix.
 
     Used for forming the approximate solution ``x += V_m y`` at the end of
@@ -204,4 +191,4 @@ def matvec_small(v: DistMultiVector, coeffs: np.ndarray,
     if coeffs.shape != (v.n_cols, out.n_cols):
         raise ShapeError(
             f"coeffs has shape {coeffs.shape}, expected ({v.n_cols}, {out.n_cols})")
-    _engine.resolve(engine, v.comm).matvec_small(v, coeffs, out)
+    _engine.resolve(v.comm).matvec_small(v, coeffs, out)

@@ -6,13 +6,13 @@ NumPy work executes:
 
 * :class:`LoopEngine` — the reference: one Python-level BLAS call and
   one cost evaluation per simulated rank.  Kept as the oracle the tests
-  hold the batched engine to, as a CI leg, and as the path for vectors
-  built from caller-supplied shards.
+  hold the batched engine to; its kernel bodies run if and only if the
+  communicator says ``"loop"``.
 * :class:`BatchedEngine` — computes on the one flat, column-major
-  ``(n, k)`` array behind every library-built ``DistMultiVector``, on
-  any partition; per-rank operands are strided views of it and nothing
-  is copied or transposed on the way into BLAS.  Per-rank charges on a
-  ragged partition are evaluated once and replayed.
+  ``(n, k)`` array behind every ``DistMultiVector``, on any partition;
+  per-rank operands are strided views of it and nothing is copied or
+  transposed on the way into BLAS.  Per-rank charges on a ragged
+  partition are evaluated once and replayed.
 
 Both engines produce bit-identical values and charge identical modeled
 costs.  The contract, by kind of kernel: *reductions* fold per-rank
@@ -28,10 +28,11 @@ solve (:func:`_trsm_rows`) is an elementwise column sweep per diagonal
 block of 8 columns with per-rank GEMMs between blocks, so a panel of at
 most 8 columns — every s-step panel — is identical on any partition.
 
-Select an engine per call or
-:class:`~repro.ortho.backend.DistBackend` (``engine="loop"|"batched"``),
-per communicator (``SimComm(..., engine=...)``), or process-wide through
-:func:`repro.config.set_engine` / the ``REPRO_ENGINE`` variable.
+The engine is bound where the ranks are: ``SimComm(..., engine=...)``
+(hence ``MpComm``, ``make_comm`` and ``Simulation(..., engine=...)``)
+names it once at construction, and every kernel over that communicator
+looks it up through :func:`resolve`.  There is no per-call, per-backend
+or process-wide selection.
 
 Storage precision: operands may store ``fp32``/``bf16`` (see
 :mod:`repro.precision`).  Both engines accumulate shard-local partials
@@ -306,7 +307,7 @@ class LoopEngine(KernelEngine):
 # batched engine
 # ---------------------------------------------------------------------------
 
-def _charge(mv, kernel: str, method: str, per_row: int, *shape) -> None:
+def charge_rows(mv, kernel: str, method: str, per_row: int, *shape) -> None:
     """Charge a local ``kernel`` over ``mv``'s rows, costing rank ``r``
     ``CostModel.<method>(rows_r * per_row, *shape)``: evaluated for one
     rank when uniform, else per rank, once per ``(method, shape, machine)``
@@ -320,12 +321,6 @@ def _charge(mv, kernel: str, method: str, per_row: int, *shape) -> None:
         part.charges, (method, per_row, *shape),
         lambda cost: [getattr(cost, method)(rows * per_row, *shape)
                       for rows in part.counts.tolist()]).charge(comm, kernel)
-
-
-def _flats(*mvs) -> list[np.ndarray] | None:
-    """The operands' flat arrays, or None when one of them has none."""
-    flats = [mv.flat for mv in mvs]
-    return None if any(f is None for f in flats) else flats
 
 
 def _rank_tiles(part, k: int):
@@ -353,9 +348,10 @@ def _over_runs(part, kernel, dtype, *flats) -> np.ndarray:
 
 
 class BatchedEngine(LoopEngine):
-    """Kernels over the flat ``(n, k)`` array behind each operand; an
-    operand without one (caller-supplied shards) sends the call to the
-    inherited loop implementation."""
+    """Kernels over the flat ``(n, k)`` array behind each operand.  Every
+    per-rank body of :class:`LoopEngine` is overridden; what is inherited
+    is the reduction wrappers around ``_dot_partials`` and
+    ``_sketch_partials``."""
 
     name = config.ENGINE_BATCHED
 
@@ -364,44 +360,33 @@ class BatchedEngine(LoopEngine):
         """One ``(ranks, k_x, k_y)`` stack of per-rank products per pair."""
         groups = []
         for x, y in pairs:
-            flats = _flats(x, y)
-            if flats is None:
-                groups += super()._dot_partials(comm, [(x, y)])
-                continue
             groups.append(_over_runs(
                 x.partition,
                 lambda xs, ys: np.matmul(xs.transpose(0, 2, 1), ys),
-                _acc_dtype(x, y), *flats))
-            _charge(x, "dot", "gemm", 1, x.n_cols, y.n_cols, _wb(x, y))
+                _acc_dtype(x, y), x.flat, y.flat))
+            charge_rows(x, "dot", "gemm", 1, x.n_cols, y.n_cols, _wb(x, y))
         return groups
 
     def column_norms(self, x) -> np.ndarray:
-        if x.flat is None:
-            return super().column_norms(x)
         partials = _over_runs(
             x.partition, lambda w: np.einsum("rij,rij->rj", w, w),
             _acc_dtype(x), x.flat)
-        _charge(x, "norm", "blas1", x.n_cols, 1, 0, x.word_bytes)
+        charge_rows(x, "norm", "blas1", x.n_cols, 1, 0, x.word_bytes)
         return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local updates ----------------------------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
-        flats = _flats(v, q)
-        if flats is None:
-            return super().block_update(v, q, r)
-        fv, fq = flats
+        fv, fq = v.flat, q.flat
         kq, kv = q.n_cols, v.n_cols
         for rows, count, _ in _rank_tiles(v.partition, max(kq, kv)):
             w = _cast(fv[rows], _F64)  # fp64: the rows themselves
             _gemm_sub(w, _cast(fq[rows], _F64), r, count)
             if v.storage != "fp64":
                 fv[rows] = v.quantize(w)
-        _charge(v, "update", "gemm_tall_update", 1, kq, kv, _wb(v, q))
+        charge_rows(v, "update", "gemm_tall_update", 1, kq, kv, _wb(v, q))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         flat = v.flat
-        if flat is None:
-            return super().trsm_inplace(v, r)
         _trsm_check(r, [flat])
         for rows, count, _ in _rank_tiles(v.partition,
                                            min(v.n_cols, _TRSM_BLOCK)):
@@ -409,64 +394,64 @@ class BatchedEngine(LoopEngine):
             _trsm_rows(w, r, count)
             if v.storage != "fp64":
                 flat[rows] = v.quantize(w)
-        _charge(v, "trsm", "trsm", 1, v.n_cols, v.word_bytes)
+        charge_rows(v, "trsm", "trsm", 1, v.n_cols, v.word_bytes)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         flat = v.flat
-        if flat is None:
-            return super().scale_columns(v, scales)
         if v.storage == "fp64":
             flat *= scales
         else:
             for rows in _row_tiles(*flat.shape):
                 flat[rows] = v.quantize(_cast(flat[rows], _F64) * scales)
-        _charge(v, "scale", "blas1", v.n_cols, 1, 1, v.word_bytes)
+        charge_rows(v, "scale", "blas1", v.n_cols, 1, 1, v.word_bytes)
 
     def lincomb(self, out, terms) -> None:
         operands = [t[1] for t in terms]
-        flats = _flats(out, *operands)
-        if flats is None:
-            return super().lincomb(out, terms)
-        for rows in _row_tiles(*flats[0].shape):
-            acc = terms[0][0] * _cast(flats[1][rows], _F64)
-            for (alpha, _), flat in zip(terms[1:], flats[2:]):
-                acc += alpha * _cast(flat[rows], _F64)
-            flats[0][rows] = out.quantize(acc)
-        _charge(out, "axpy", "blas1", out.n_cols, len(terms), 1,
-                _wb(out, *operands))
+        fout = out.flat
+        for rows in _row_tiles(*fout.shape):
+            acc = terms[0][0] * _cast(operands[0].flat[rows], _F64)
+            for alpha, x in terms[1:]:
+                acc += alpha * _cast(x.flat[rows], _F64)
+            fout[rows] = out.quantize(acc)
+        charge_rows(out, "axpy", "blas1", out.n_cols, len(terms), 1,
+                    _wb(out, *operands))
 
     def copy_into(self, dst, src) -> None:
-        if _flats(dst, src) is None:
-            return super().copy_into(dst, src)
         dst.assign_from(src)  # rounds to dst's storage grid when needed
-        _charge(dst, "axpy", "blas1", src.n_cols, 1, 1, _wb(dst, src))
+        charge_rows(dst, "axpy", "blas1", src.n_cols, 1, 1, _wb(dst, src))
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
-        flats = _flats(out, v)
-        if flats is None:
-            return super().matvec_small(v, coeffs, out)
-        fout, fv = flats
+        fout, fv = out.flat, v.flat
         kv, kout = v.n_cols, out.n_cols
         for rows, count, each in _rank_tiles(v.partition, max(kv, kout)):
             fout[rows] = out.quantize(
                 np.matmul(_cast(fv[rows], _F64).reshape(count, each, kv),
                           coeffs).reshape(count * each, kout))
-        _charge(v, "update", "gemm", 1, kv, kout, _wb(v, out))
+        charge_rows(v, "update", "gemm", 1, kv, kout, _wb(v, out))
 
     # -- sketching --------------------------------------------------------
-    def _sketch_partials(self, v, op):
-        """``(ranks, m, k)`` contribution stack on a uniform partition
-        (the operators' batched kernels place rank ``r`` at row ``r *
-        rows``; a ragged partition takes the loop path)."""
-        stack = v.stack
-        if stack is None:
-            return super()._sketch_partials(v, op)
-        comm = v.comm
-        partials = op.partial_stack(stack)
-        comm.charge_uniform(
-            "dot", op.local_cost(comm.cost, stack.shape[1], v.n_cols,
-                                 word_bytes=v.word_bytes), driver_side=True)
-        return partials
+    def _sketch_partials(self, v, op) -> np.ndarray:
+        """``(ranks, m, k)`` contribution stack: the operator's batched
+        kernel once per run of equal-count ranks, each told the global
+        row its run starts at."""
+        comm, part, flat, k = v.comm, v.partition, v.flat, v.n_cols
+        parts = [op.partial_stack(
+                     flat[lo:lo + n_ranks * rows].reshape(n_ranks, rows, k),
+                     lo)
+                 for n_ranks, lo, rows in part.runs]
+        # same charge as the loop body: one evaluation fanned out when
+        # every rank has the same rows, else the slowest rank's
+        if part.is_uniform:
+            comm.charge_uniform(
+                "dot", op.local_cost(comm.cost, part.runs[0][2], k,
+                                     word_bytes=v.word_bytes),
+                driver_side=True)
+        else:
+            comm.charge_local(
+                "dot", [op.local_cost(comm.cost, rows, k,
+                                      word_bytes=v.word_bytes)
+                        for rows in part.counts.tolist()], driver_side=True)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +463,9 @@ _INSTANCES: dict[str, KernelEngine] = {
     config.ENGINE_BATCHED: BatchedEngine(),
 }
 
-# config.validate_engine (used by SimComm/DistBackend constructors) and
-# this dispatch registry must never drift apart, or a name accepted at a
-# binding site would still blow up inside the first BLAS call.
+# The names a communicator accepts at construction (config.ENGINES) and
+# this dispatch registry must never drift apart, or a name accepted at
+# the binding site would still blow up inside the first BLAS call.
 assert set(_INSTANCES) == set(config.ENGINES), \
     "engine registry out of sync with repro.config.ENGINES"
 
@@ -495,12 +480,6 @@ def get_engine(name: str) -> KernelEngine:
             f"{tuple(_INSTANCES)}") from None
 
 
-def resolve(engine: "str | KernelEngine | None", comm=None) -> KernelEngine:
-    """Resolve an engine: explicit arg > communicator binding > config."""
-    if isinstance(engine, KernelEngine):
-        return engine
-    if engine is not None:
-        return get_engine(engine)
-    if comm is not None and getattr(comm, "engine", None) is not None:
-        return get_engine(comm.engine)
-    return get_engine(config.get_engine())
+def resolve(comm) -> KernelEngine:
+    """The engine ``comm`` was bound to at construction."""
+    return get_engine(comm.engine)

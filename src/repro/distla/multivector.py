@@ -2,11 +2,12 @@
 
 A :class:`DistMultiVector` is an ``n x k`` dense block whose rows belong
 to the ranks of a :class:`~repro.parallel.partition.Partition`.  Every
-vector the library builds (``zeros``, ``from_global``, ``copy``,
-``view_cols``) keeps its values in ONE ``(n, k)`` array, :attr:`flat`,
-allocated through the communicator and always COLUMN-MAJOR — the local
-layout of a Tpetra MultiVector (Kokkos ``LayoutLeft``), which the
-paper's block kernels run on; there is no row-major variant and nothing
+vector (``zeros``, ``from_global``, ``copy``, ``view_cols``, or the
+constructor, which packs the per-rank shards it is given) keeps its
+values in ONE ``(n, k)`` array, :attr:`flat`, allocated through the
+communicator and always COLUMN-MAJOR — the local layout of a Tpetra
+MultiVector (Kokkos ``LayoutLeft``), which the paper's block kernels run
+on; there is no row-major variant, no second storage form, and nothing
 selects a layout.  A basis vector is contiguous, so the SpMV reads its
 operand and writes its result in place; a column range is one
 contiguous slab, so a Krylov solver can preallocate the full
@@ -18,10 +19,9 @@ The per-rank structure is derived on demand and never copies:
 :attr:`shards` are the row slices of the flat array, one per rank, and
 :attr:`stack` is its ``(ranks, rows, k)`` reshape (strides ``(rows, 1,
 n)`` words), which exists only on a uniform partition.
-The batched engine (:mod:`repro.distla.engine`) computes on ``flat``;
-the loop engine, the real-process SpMV and TSQR read ``shards`` /
-``stack``.  A vector constructed from caller-supplied shards has no flat
-array and every kernel takes the per-rank path.
+The batched engine (:mod:`repro.distla.engine`), the SpMV and TSQR
+compute on ``flat``; the loop engine reads ``shards``; ``stack``'s one
+reader is the real-process SpMV (``MpComm.exec_spmv``).
 
 Storage precision: every multivector carries a storage spec
 (:data:`repro.precision.dtypes.STORAGE_SPECS` — ``"fp64"``/``"fp32"``/
@@ -54,29 +54,25 @@ class DistMultiVector:
                  "_base", "_flat", "_shards")
 
     def __init__(self, partition: Partition, comm: SimComm,
-                 shards: list[np.ndarray] | None,
-                 _base: "DistMultiVector | None" = None,
-                 _flat: np.ndarray | None = None,
+                 shards: list[np.ndarray],
                  storage: str | None = None, accumulate: str = "fp64"):
-        if _flat is not None:  # library-built: conformal by construction
-            dtype = _flat.dtype
-        else:
-            if len(shards) != partition.ranks:
+        """Pack one ``(rows_on_rank, k)`` array per rank into a vector of
+        its own storage (the arrays are copied, never aliased)."""
+        if len(shards) != partition.ranks:
+            raise ShapeError(
+                f"need {partition.ranks} shards, got {len(shards)}")
+        k = shards[0].shape[1]
+        for r, s in enumerate(shards):
+            if s.ndim != 2 or s.shape != (partition.local_count(r), k):
                 raise ShapeError(
-                    f"need {partition.ranks} shards, got {len(shards)}")
-            k = shards[0].shape[1]
-            for r, s in enumerate(shards):
-                if s.ndim != 2 or s.shape != (partition.local_count(r), k):
-                    raise ShapeError(
-                        f"shard {r} has shape {s.shape}, expected "
-                        f"({partition.local_count(r)}, {k})")
-            dtype = shards[0].dtype
+                    f"shard {r} has shape {s.shape}, expected "
+                    f"({partition.local_count(r)}, {k})")
+        dtype = shards[0].dtype
         if storage is None:
-            # Infer from the container dtype (callers constructing shards
-            # directly predate the precision subsystem): float32 shards
-            # are fp32 storage, everything else the fp64 default.  bf16
-            # cannot be inferred — its container IS float32 — so it must
-            # be requested explicitly.
+            # Infer from the shards' dtype: float32 shards are fp32
+            # storage, everything else the fp64 default.  bf16 cannot be
+            # inferred — its container IS float32 — so it must be
+            # requested explicitly.
             storage = "fp32" if dtype == np.float32 else "fp64"
         elif dtype != _pdtypes.container_dtype(storage):
             # A mislabeled vector would silently compute in the wrong
@@ -85,6 +81,13 @@ class DistMultiVector:
             raise ShapeError(
                 f"shards have dtype {dtype}, but storage {storage!r} "
                 f"requires {_pdtypes.container_dtype(storage)}")
+        self._allocate(partition, comm, k, storage, accumulate)
+        for rows, shard in zip(partition.local_slices, shards):
+            self._flat[rows] = shard
+
+    def _allocate(self, partition: Partition, comm: SimComm, k: int,
+                  storage: str, accumulate: str) -> None:
+        """Bind a zeroed ``(n, k)`` vector of ``storage`` precision."""
         if accumulate not in _pdtypes.ACCUMULATE_SPECS:
             raise ShapeError(
                 f"unknown accumulate precision {accumulate!r}; expected "
@@ -96,9 +99,12 @@ class DistMultiVector:
         # before the (always-float64) reduction tree; "fp32" only takes
         # effect for low-precision storage (see repro.distla.engine).
         self.accumulate = accumulate
-        self._base = _base  # keeps the owning vector alive for views
-        self._flat = _flat  # None: shards supplied by the caller
-        self._shards = shards  # None until asked for, when `_flat` is set
+        self._base = None  # views keep their owning vector alive here
+        # the communicator owns vector storage: a heap array from the
+        # simulator, a shared-memory segment from the mp backend
+        self._flat = comm.alloc(partition.n_global, k,
+                                _pdtypes.container_dtype(storage))
+        self._shards = None  # row slices of `_flat`, built when asked for
 
     # ------------------------------------------------------------------
     # constructors
@@ -107,12 +113,9 @@ class DistMultiVector:
     def zeros(cls, partition: Partition, comm: SimComm, k: int,
               storage: str = "fp64",
               accumulate: str = "fp64") -> "DistMultiVector":
-        # the communicator owns vector storage: a heap array from the
-        # simulator, a shared-memory segment from the mp backend
-        flat = comm.alloc(partition.n_global, k,
-                          _pdtypes.container_dtype(storage))
-        return cls(partition, comm, None, _flat=flat, storage=storage,
-                   accumulate=accumulate)
+        new = object.__new__(cls)
+        new._allocate(partition, comm, k, storage, accumulate)
+        return new
 
     @classmethod
     def from_global(cls, arr: np.ndarray, partition: Partition,
@@ -140,24 +143,22 @@ class DistMultiVector:
 
     @property
     def n_cols(self) -> int:
-        first = self._flat if self._flat is not None else self._shards[0]
-        return int(first.shape[1])
+        return int(self._flat.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_global, self.n_cols)
 
     @property
-    def flat(self) -> np.ndarray | None:
+    def flat(self) -> np.ndarray:
         """The column-major ``(n, k)`` array holding every rank's rows
-        (what the batched engine computes on); None when built from
-        caller-supplied shards."""
+        (what the batched engine computes on)."""
         return self._flat
 
     @property
     def shards(self) -> list[np.ndarray]:
         """One ``(rows_on_rank, k)`` array per rank — row slices of
-        :attr:`flat` when there is one, built on first use."""
+        :attr:`flat`, built on first use."""
         if self._shards is None:
             self._shards = [self._flat[rows]
                             for rows in self.partition.local_slices]
@@ -166,9 +167,9 @@ class DistMultiVector:
     @property
     def stack(self) -> np.ndarray | None:
         """:attr:`flat` as a ``(ranks, rows, k)`` view (splitting the row
-        axis never copies); None without a flat array or when ragged."""
+        axis never copies); None when the partition is ragged."""
         flat, part = self._flat, self.partition
-        if flat is None or not part.is_uniform:
+        if not part.is_uniform:
             return None
         return flat.reshape(part.ranks, part.runs[0][2], flat.shape[1])
 
@@ -186,12 +187,10 @@ class DistMultiVector:
         """Round ``arr`` to this vector's storage grid (container dtype)."""
         return _pdtypes.quantize(arr, self.storage)
 
-    def _derived(self, flat: np.ndarray | None,
-                 shards: list[np.ndarray] | None,
+    def _derived(self, flat: np.ndarray,
                  base: "DistMultiVector | None") -> "DistMultiVector":
         """A vector over storage sliced or copied from this one's:
-        conformal by construction, so the constructor's checks (which
-        caller-supplied shards still go through) are skipped."""
+        conformal by construction, so nothing is checked."""
         new = object.__new__(DistMultiVector)
         new.partition = self.partition
         new.comm = self.comm
@@ -199,60 +198,41 @@ class DistMultiVector:
         new.accumulate = self.accumulate
         new._base = base
         new._flat = flat
-        new._shards = shards
+        new._shards = None
         return new
 
     def view_cols(self, cols: slice | int) -> "DistMultiVector":
         """Zero-copy view of a column range (int selects one column)."""
         if isinstance(cols, int):
             cols = slice(cols, cols + 1)
-        base = self._base or self
-        if self._flat is not None:
-            return self._derived(self._flat[:, cols], None, base)
-        return self._derived(None, [s[:, cols] for s in self._shards], base)
+        return self._derived(self._flat[:, cols], self._base or self)
 
     def copy(self) -> "DistMultiVector":
-        if self._flat is not None:
-            # through the communicator: column-major, and shared memory
-            # on the mp backend
-            flat = self.comm.alloc(*self._flat.shape, self._flat.dtype)
-            flat[...] = self._flat
-            return self._derived(flat, None, None)
-        return self._derived(
-            None, [np.array(s, copy=True) for s in self._shards], None)
+        # through the communicator: column-major, and shared memory on
+        # the mp backend
+        flat = self.comm.alloc(*self._flat.shape, self._flat.dtype)
+        flat[...] = self._flat
+        return self._derived(flat, None)
 
     def to_global(self) -> np.ndarray:
         """Gather into one C-ordered ``(n, k)`` array (a copy;
         simulation-side, not costed)."""
-        if self._flat is not None:
-            return self._flat.copy()
-        return np.concatenate(self._shards, axis=0)
+        return self._flat.copy()
 
     def scatter_col(self, col: int, values: np.ndarray) -> None:
         """Write a global length-``n`` vector into column ``col`` (the
         container dtype casts; round to the storage grid beforehand)."""
-        if self._flat is not None:
-            self._flat[:, col] = values
-            return
-        for rows, shard in zip(self.partition.local_slices, self._shards):
-            shard[:, col] = values[rows]
+        self._flat[:, col] = values
 
     def assign_from(self, other: "DistMultiVector") -> None:
         """Copy ``other``'s values into this vector's storage (rounding
         to its storage grid across precisions)."""
         self._check_conformal(other)
         same = self.storage == other.storage
-        if self._flat is not None and other._flat is not None:
-            pairs = [(self._flat, other._flat)]
-        else:
-            pairs = zip(self.shards, other.shards)
-        for mine, theirs in pairs:
-            mine[...] = theirs if same else self.quantize(theirs)
+        self._flat[...] = other._flat if same else self.quantize(other._flat)
 
     def fill(self, value: float) -> None:
-        value = self.quantize(np.asarray(value, dtype=np.float64))
-        for block in (self._shards if self._flat is None else [self._flat]):
-            block[...] = value
+        self._flat[...] = self.quantize(np.asarray(value, dtype=np.float64))
 
     def _check_conformal(self, other: "DistMultiVector") -> None:
         if self.partition != other.partition:

@@ -155,10 +155,9 @@ class DistSparseMatrix:
             # scipy upcasts low-precision operands to float64 for the
             # SpMV; results round back to ``out``'s storage grid.  The
             # product is complete before ``out`` (which may alias ``x``)
-            # is written.  A library-built operand is multiplied where
-            # it lies: its column is contiguous.
-            xcol = x.to_global()[:, 0] if x.flat is None else x.flat[:, 0]
-            y = self._global_csr @ xcol
+            # is written.  The operand is multiplied where it lies: its
+            # column is contiguous.
+            y = self._global_csr @ x.flat[:, 0]
             if out.storage != "fp64":
                 y = out.quantize(y)
             out.scatter_col(0, y)

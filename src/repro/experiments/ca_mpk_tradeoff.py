@@ -73,9 +73,11 @@ PRECONDS = {
 
 def generate_basis(machine: MachineSpec, mode: str, *, nx: int, ranks: int,
                    s: int, restart: int, precond_name: str = "none",
-                   seed: int = 0) -> dict:
-    """One full restart cycle of MPK panels; returns time/count stats."""
-    sim = Simulation(laplace2d(nx), ranks=ranks, machine=machine)
+                   seed: int = 0, engine: str | None = None) -> dict:
+    """One full restart cycle of MPK panels; returns time/count stats
+    (``engine`` goes to the :class:`Simulation` built here)."""
+    sim = Simulation(laplace2d(nx), ranks=ranks, machine=machine,
+                     engine=engine)
     pc = PRECONDS[precond_name]()
     if pc is not None:
         pc.setup(sim.matrix)

@@ -49,10 +49,11 @@ class Simulation:
         Optional explicit row partition; defaults to balanced block rows.
     engine:
         Kernel-execution engine (``"loop"`` / ``"batched"``) bound to this
-        simulation's communicator and backend; ``None`` defers to the
-        process default (:func:`repro.config.get_engine`).  Both engines
-        charge identical modeled costs, so this only changes host wall
-        time, never the simulated numbers.
+        simulation's communicator — the only way to select one; read it
+        back as ``sim.comm.engine``.  ``None`` binds the default
+        (:func:`repro.config.get_engine`).  Both engines charge identical
+        modeled costs, so this only changes host wall time, never the
+        simulated numbers.
     backend:
         Communicator backend, ``"sim"`` (modeled, default) or ``"mp"``
         (real worker processes).  With ``"mp"``, :meth:`close` the
@@ -90,11 +91,10 @@ class Simulation:
                               engine=engine)
         self.machine = self.comm.machine
         self.tracer = self.comm.tracer
-        self.engine = engine
         self.partition = partition
         self.metrics = None
         self.matrix = DistSparseMatrix(a, partition, self.comm)
-        self.backend = DistBackend(self.comm, engine=engine)
+        self.backend = DistBackend(self.comm)
         if spans:
             self.enable_spans()
         if metrics:

@@ -23,7 +23,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 import scipy.linalg
 
-from repro import config
 from repro.distla import blas as dblas
 from repro.distla import engine as dengine
 from repro.distla.multivector import DistMultiVector
@@ -220,20 +219,11 @@ class NumpyBackend(OrthoBackend):
 # ---------------------------------------------------------------------------
 
 class DistBackend(OrthoBackend):
-    """Simulated-cluster substrate over :class:`DistMultiVector`.
+    """Simulated-cluster substrate over :class:`DistMultiVector`; every
+    costed kernel runs on the engine ``comm`` is bound to."""
 
-    ``engine`` selects the kernel-execution engine (``"loop"`` /
-    ``"batched"``) for every costed BLAS call issued through this
-    backend; ``None`` defers to the communicator binding and then the
-    process default (:func:`repro.config.get_engine`).
-    """
-
-    def __init__(self, comm: SimComm, engine: str | None = None) -> None:
+    def __init__(self, comm: SimComm) -> None:
         self.comm = comm
-        self.engine = None if engine is None else config.validate_engine(engine)
-
-    def _engine(self) -> dengine.KernelEngine:
-        return dengine.resolve(self.engine, self.comm)
 
     # -- structure ------------------------------------------------------
     def n_cols(self, mv: DistMultiVector) -> int:
@@ -250,13 +240,13 @@ class DistBackend(OrthoBackend):
 
     # -- reductions -------------------------------------------------------
     def dot(self, x, y) -> np.ndarray:
-        return dblas.block_dot(x, y, engine=self.engine)
+        return dblas.block_dot(x, y)
 
     def fused_dots(self, pairs):
-        return dblas.block_dot_multi(pairs, engine=self.engine)
+        return dblas.block_dot_multi(pairs)
 
     def post_fused_dots(self, pairs):
-        return dblas.post_block_dot_multi(pairs, engine=self.engine)
+        return dblas.post_block_dot_multi(pairs)
 
     def wait_fused_dots(self, handle):
         return handle.comm.wait(handle)
@@ -265,49 +255,17 @@ class DistBackend(OrthoBackend):
         return dblas.dot_dd_dist(x, y)
 
     def norms(self, x) -> np.ndarray:
-        return dblas.column_norms(x, engine=self.engine)
+        return dblas.column_norms(x)
 
     # -- local updates ------------------------------------------------------
     def update(self, v, q, r) -> None:
-        dblas.block_update(v, q, r, engine=self.engine)
+        dblas.block_update(v, q, r)
 
     def trsm(self, v, r) -> None:
-        dblas.trsm_inplace(v, r, engine=self.engine)
+        dblas.trsm_inplace(v, r)
 
     def scale_cols(self, v, scales) -> None:
-        dblas.scale_columns(v, scales, engine=self.engine)
-
-    # -- helpers over distributed storage -----------------------------------
-    @staticmethod
-    def _locate(mv: DistMultiVector, grow: int) -> tuple[int, int]:
-        rank = mv.partition.owner(grow)
-        return rank, grow - int(mv.partition.offsets[rank])
-
-    def _get_entry(self, mv: DistMultiVector, grow: int, col: int = 0) -> float:
-        rank, lrow = self._locate(mv, grow)
-        return float(mv.shards[rank][lrow, col])
-
-    def _set_entry(self, mv: DistMultiVector, grow: int, value: float,
-                   col: int = 0) -> None:
-        rank, lrow = self._locate(mv, grow)
-        mv.shards[rank][lrow, col] = mv.quantize(np.asarray(value))
-
-    def _zero_rows_above(self, mv: DistMultiVector, grow: int) -> None:
-        """Zero global rows [0, grow) of every column."""
-        part = mv.partition
-        for rank in range(part.ranks):
-            lo = int(part.offsets[rank])
-            hi = int(part.offsets[rank + 1])
-            if hi <= grow:
-                mv.shards[rank][...] = 0.0
-            elif lo < grow:
-                mv.shards[rank][: grow - lo, :] = 0.0
-
-    def _top_block(self, mv: DistMultiVector, k: int) -> np.ndarray:
-        """Copy of global rows [0, k) across all columns."""
-        rows = [np.array([self._get_entry(mv, i, c) for c in range(mv.n_cols)])
-                for i in range(k)]
-        return np.vstack(rows)
+        dblas.scale_columns(v, scales)
 
     # -- composite factorizations -----------------------------------------
     def householder_qr(self, v: DistMultiVector) -> np.ndarray:
@@ -327,9 +285,9 @@ class DistBackend(OrthoBackend):
         for j in range(k):
             col = v.view_cols(j)
             u = col.copy()
-            self._zero_rows_above(u, j)
+            u.flat[:j] = 0.0
             sigma = float(self.norms(u)[0])  # sync: partial column norm
-            vjj = self._get_entry(col, j)
+            vjj = float(col.flat[j, 0])
             if sigma == 0.0:
                 reflectors.append(None)
                 continue
@@ -337,7 +295,7 @@ class DistBackend(OrthoBackend):
             # ||u after head shift||^2 analytically (dlarfg does the same):
             unorm = math.sqrt(sigma * sigma - vjj * vjj
                               + (vjj - alpha) ** 2)
-            self._set_entry(u, j, vjj - alpha)
+            u.flat[j, 0] = u.quantize(np.asarray(vjj - alpha))
             if unorm == 0.0:
                 reflectors.append(None)
                 continue
@@ -346,11 +304,10 @@ class DistBackend(OrthoBackend):
             trail = v.view_cols(slice(j, k))
             proj = self.dot(u, trail)          # sync: reflector application
             self.update(trail, u, 2.0 * proj)
-        r = np.triu(self._top_block(v, k))
+        r = np.triu(np.array(v.flat[:k], dtype=np.float64, order="C"))
         # Rebuild explicit Q = H_0 ... H_{k-1} [I; 0].
         v.fill(0.0)
-        for j in range(k):
-            self._set_entry(v, j, 1.0, col=j)
+        np.fill_diagonal(v.flat, 1.0)
         for j in reversed(range(k)):
             u = reflectors[j]
             if u is None:
@@ -380,37 +337,30 @@ class DistBackend(OrthoBackend):
         as ``Qloc @ M_leaf`` where the ``M`` factors fall out of the
         downward sweep — the unconditionally stable CA factorization.
         """
-        comm = self.comm
+        comm, part, flat = self.comm, v.partition, v.flat
         k = v.n_cols
-        stack = v.stack
-        f64 = np.dtype(np.float64)
-        batched = (isinstance(self._engine(), dengine.BatchedEngine)
-                   and stack is not None and stack.shape[1] >= k)
-        qstack = None
-        if batched:
-            work = stack if stack.dtype == f64 else stack.astype(f64)
-            qstack, rstack = np.linalg.qr(work)
-            local_rs = list(rstack)
-        else:
-            local_qs, local_rs = [], []
-            for shard in v.shards:
-                shard64 = shard if shard.dtype == f64 else shard.astype(f64)
-                if shard.shape[0] >= k:
-                    q, r = np.linalg.qr(shard64)
-                else:
-                    padded = np.vstack([shard64,
-                                        np.zeros((k - shard.shape[0], k))])
-                    q, r = np.linalg.qr(padded)
-                    q = q[: shard.shape[0]]
-                local_qs.append(q)
-                local_rs.append(r)
+        counts = part.counts.tolist()
+        # Leaves: one batched QR per run of equal-count ranks.  LAPACK
+        # factors each ``(rows, k)`` slice of the stack on its own, so
+        # this equals one call per rank bit for bit; a rank with fewer
+        # than k rows is zero-padded to k x k.
+        leaf_qs, local_rs = [], []
+        for n_ranks, lo, rows in part.runs:
+            work = flat[lo:lo + n_ranks * rows].reshape(n_ranks, rows, k)
+            if work.dtype != np.float64:
+                work = work.astype(np.float64)
+            if rows < k:
+                work = np.concatenate(
+                    [work, np.zeros((n_ranks, k - rows, k))], axis=1)
+            q, r = np.linalg.qr(work)
+            leaf_qs.append(q[:, :rows])
+            local_rs.extend(r)
         # the panel QR runs on the driver process under the mp backend
         # (ROADMAP: worker-side panel QR is an open item), so its charges
         # carry the driver_side tag calibration uses to skip them
         comm.charge_local(
-            "dot", [self._local_qr_cost(s.shape[0], k,
-                                        word_bytes=v.word_bytes)
-                    for s in v.shards], driver_side=True)
+            "dot", [self._local_qr_cost(rows, k, word_bytes=v.word_bytes)
+                    for rows in counts], driver_side=True)
 
         def tree(rs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
             """Return (R, leaf coefficient matrices M_i, depth)."""
@@ -432,26 +382,24 @@ class DistBackend(OrthoBackend):
             comm.charge_uniform("allreduce", depth * per_level, count=1,
                                 driver_side=True)
         _, r_final, signs = _sign_fix_qr(None, np.triu(r_final))
-        quantized = v.storage != "fp64"
-        if batched:
-            mstack = np.stack(coeffs) * signs[np.newaxis, np.newaxis, :]
-            rebuilt = np.matmul(qstack, mstack)
-            stack[...] = v.quantize(rebuilt) if quantized else rebuilt
-        else:
-            for shard, qloc, m in zip(v.shards, local_qs, coeffs):
-                rebuilt = qloc @ (m * signs[np.newaxis, :])
-                shard[...] = v.quantize(rebuilt) if quantized else rebuilt
+        # rebuild: ``Q_r = Qloc_r @ (M_r * signs)``, one GEMM per rank
+        mstack = np.stack(coeffs) * signs
+        first = 0
+        for (n_ranks, lo, rows), qrun in zip(part.runs, leaf_qs):
+            rebuilt = np.matmul(qrun, mstack[first:first + n_ranks])
+            flat[lo:lo + n_ranks * rows] = v.quantize(
+                rebuilt.reshape(n_ranks * rows, k))
+            first += n_ranks
         comm.charge_local(
-            "update", [comm.cost.gemm(s.shape[0], k, k,
-                                      word_bytes=v.word_bytes)
-                       for s in v.shards], driver_side=True)
+            "update", [comm.cost.gemm(rows, k, k, word_bytes=v.word_bytes)
+                       for rows in counts], driver_side=True)
         return r_final
 
     def sketch(self, v: DistMultiVector, op) -> np.ndarray:
-        return sketch_multivector(v, op, engine=self.engine)
+        return sketch_multivector(v, op)
 
     def fused_dots_sketch(self, pairs, v: DistMultiVector, op):
-        return self._engine().fused_dot_sketch(pairs, v, op)
+        return dengine.resolve(self.comm).fused_dot_sketch(pairs, v, op)
 
     # -- accounting ------------------------------------------------------
     def host_flops(self, flops: float) -> None:

@@ -74,7 +74,8 @@ class Communicator(Protocol):
     size: int
     tracer: Tracer
     cost: CostModel
-    engine: str | None
+    #: Name of the kernel-execution engine bound at construction.
+    engine: str
     #: Which :data:`BACKENDS` entry this communicator implements.
     backend: str
 

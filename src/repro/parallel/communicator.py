@@ -132,9 +132,11 @@ class SimComm:
     tracer:
         Modeled-time accumulator; a fresh one is created when omitted.
     engine:
-        Optional kernel-execution engine name (``"loop"`` / ``"batched"``)
-        binding every costed BLAS call over this communicator; ``None``
-        defers to :func:`repro.config.get_engine`.
+        Kernel-execution engine (``"loop"`` / ``"batched"``) of every
+        costed kernel over this communicator — the one place an engine is
+        selected.  ``None`` binds :func:`repro.config.get_engine`, the
+        default; an unknown name is a ``ValueError`` here, not inside the
+        first BLAS call.
     """
 
     #: Protocol backend name (:data:`repro.parallel.api.BACKENDS`).
@@ -149,7 +151,12 @@ class SimComm:
         self.size = int(size)
         self.tracer = tracer if tracer is not None else Tracer()
         self.cost = CostModel(machine)
-        self.engine = None if engine is None else config.validate_engine(engine)
+        if engine is None:
+            engine = config.get_engine()
+        elif engine not in config.ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of "
+                             f"{config.ENGINES}")
+        self.engine = engine
         #: Posted-but-unwaited collectives, oldest first (FIFO drain).
         self._inflight: list[CommRequest] = []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distla.engine import charge_rows
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import NumericalError
@@ -18,7 +19,6 @@ class JacobiPreconditioner(Preconditioner):
 
     def __init__(self) -> None:
         super().__init__()
-        self._inv_diag_shards: list[np.ndarray] = []
         self._inv_diag: np.ndarray | None = None
 
     def _setup_impl(self, matrix: DistSparseMatrix) -> None:
@@ -26,23 +26,15 @@ class JacobiPreconditioner(Preconditioner):
         if np.any(diag == 0.0):
             raise NumericalError(
                 "Jacobi preconditioner requires a zero-free diagonal")
-        inv = 1.0 / diag
-        # the global inverse diagonal backs the CA-MPK's whole-vector
-        # apply (every rank holds its ghost rows' entries)
-        self._inv_diag = inv
-        self._inv_diag_shards = [
-            inv[matrix.partition.local_slice(r)][:, np.newaxis]
-            for r in range(matrix.partition.ranks)
-        ]
+        # global: apply() scales the flat storage in one pass, and the
+        # CA-MPK's whole-vector apply needs every rank's ghost rows
+        self._inv_diag = 1.0 / diag
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
         self._check_ready()
-        comm = x.comm
-        for xs, os, inv in zip(x.shards, out.shards, self._inv_diag_shards):
-            np.multiply(xs, inv, out=os)
-        comm.charge_local(
-            "scale", [comm.cost.blas1(s.size, n_streams=2, writes=1)
-                      for s in x.shards])
+        # elementwise, so rank boundaries do not matter
+        np.multiply(x.flat, self._inv_diag[:, np.newaxis], out=out.flat)
+        charge_rows(x, "scale", "blas1", x.n_cols, 2, 1)
 
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         self._check_ready()

@@ -63,23 +63,23 @@ class SolveRequest:
 def _solver_key(s, restart, basis, scheme_factory, precond, options):
     """Hashable compatibility key for one solver configuration.
 
-    Structural knobs hash by value; stateful objects (a scheme factory,
-    a preconditioner instance, a basis object) by identity — two
-    requests share a batch only when they share the *same* instances,
-    which is the safe reading of "compatible".
+    Structural knobs compare by value — the options object itself sits
+    in the key, not its hash: distinct options can hash alike (CPython
+    has ``hash(-1) == hash(-2)``) and must still not share a batch.
+    Stateful objects (a scheme factory, a preconditioner instance, a
+    basis object) key by identity — two requests share a batch only when
+    they share the *same* instances, which is the safe reading of
+    "compatible".
     """
-    if options is not None:
-        try:
-            opt_key = hash(options)
-        except TypeError:
-            opt_key = id(options)
-    else:
-        opt_key = None
+    try:
+        hash(options)
+    except TypeError:
+        options = id(options)
     return (int(s), int(restart),
             basis if isinstance(basis, str) else id(basis),
             None if scheme_factory is None else id(scheme_factory),
             None if precond is None else id(precond),
-            opt_key)
+            options)
 
 
 class SolveQueue:
@@ -123,7 +123,12 @@ class SolveQueue:
         self._next_id = 0
         #: pending requests per compatibility key, FIFO within a key
         self._pending: dict[tuple, list[SolveRequest]] = {}
-        #: solver arguments per key (shared by every request under it)
+        #: solver arguments per key (shared by every request under it).
+        #: This is also what pins the ``id()``s in the keys: it references
+        #: the basis / scheme factory / preconditioner of every key ever
+        #: submitted, so none can be collected and its id reused by an
+        #: incompatible object — do not evict an entry while its key can
+        #: recur.
         self._configs: dict[tuple, dict] = {}
         self._results: dict[int, SolveResult] = {}
         #: width of every dispatched batch, in dispatch order

@@ -8,12 +8,13 @@ allreduce — the same single-synchronization pattern as a block dot
 product, and the reason randomized orthogonalization fits the paper's
 communication-avoiding setting.
 
-Execution goes through the :mod:`repro.distla.engine` kernel engines:
-the ``loop`` path applies the operator shard by shard, the ``batched``
-path hands the contiguous ``(ranks, rows, k)`` stack of a uniform
-partition to the operator's batched kernel and reduces with the stacked
-(vectorized, bit-identical) tree.  Both paths charge identical modeled
-costs, so artifacts never depend on the engine.
+Execution goes through the :mod:`repro.distla.engine` kernel engine the
+multivector's communicator is bound to: ``batched`` hands the operator's
+batched kernel one ``(ranks, rows, k)`` view of the flat storage per run
+of equal-count ranks (any partition) and reduces with the stacked
+(vectorized, bit-identical) tree; ``loop``, the reference, applies the
+operator shard by shard.  Both charge identical modeled costs, so
+artifacts never depend on the engine.
 """
 
 from __future__ import annotations
@@ -26,18 +27,15 @@ from repro.exceptions import ShapeError
 from repro.sketch.operators import SketchOperator
 
 
-def sketch_multivector(v: DistMultiVector, op: SketchOperator,
-                       engine: "dengine.KernelEngine | str | None" = None
+def sketch_multivector(v: DistMultiVector, op: SketchOperator
                        ) -> np.ndarray:
     """Global sketch ``S @ V`` — shard-local partials + one allreduce.
 
     Returns the ``(m_rows, k)`` sketch, replicated on every rank like
-    any other reduction result.  ``engine`` resolves exactly like the
-    costed BLAS layer: explicit argument, then the communicator binding,
-    then the process default.
+    any other reduction result.
     """
     if op.n_rows != v.n_global:
         raise ShapeError(
             f"operator sketches {op.n_rows} rows but multivector has "
             f"{v.n_global}")
-    return dengine.resolve(engine, v.comm).sketch_apply(v, op)
+    return dengine.resolve(v.comm).sketch_apply(v, op)

@@ -76,15 +76,19 @@ class SketchOperator(ABC):
         reproduces ``S @ V`` exactly.
         """
 
-    def partial_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Per-rank contributions for a uniform ``(ranks, rows, k)`` stack.
+    def partial_stack(self, stack: np.ndarray, row_offset: int
+                      ) -> np.ndarray:
+        """Per-rank contributions of a ``(ranks, rows, k)`` stack of
+        consecutive equal-count ranks starting at global row
+        ``row_offset``.
 
-        Rank ``r`` owns global rows ``[r * rows, (r+1) * rows)``.  The
-        base implementation loops :meth:`partial`; subclasses override
-        with batched kernels that stay bit-identical to the loop.
+        Slice ``r`` holds global rows ``[row_offset + r * rows,
+        row_offset + (r+1) * rows)``.  The base implementation loops
+        :meth:`partial`; subclasses override with batched kernels that
+        stay bit-identical to the loop.
         """
         rows = stack.shape[1]
-        return np.stack([self.partial(stack[r], r * rows)
+        return np.stack([self.partial(stack[r], row_offset + r * rows)
                          for r in range(stack.shape[0])])
 
     def local_cost(self, cost, rows: int, k: int,
@@ -160,14 +164,15 @@ class SparseSignSketch(SketchOperator):
                       block * self._signs[sl, j, np.newaxis])
         return out
 
-    def partial_stack(self, stack: np.ndarray) -> np.ndarray:
+    def partial_stack(self, stack: np.ndarray, row_offset: int
+                      ) -> np.ndarray:
         ranks, rows, k = stack.shape
         out = np.zeros((ranks, self.m_rows, k))
-        n_span = ranks * rows
+        span = slice(row_offset, row_offset + ranks * rows)
         rank_idx = np.repeat(np.arange(ranks), rows).reshape(ranks, rows)
         for j in range(self.nnz_per_row):
-            buckets = self._buckets[:n_span, j].reshape(ranks, rows)
-            signs = self._signs[:n_span, j].reshape(ranks, rows)
+            buckets = self._buckets[span, j].reshape(ranks, rows)
+            signs = self._signs[span, j].reshape(ranks, rows)
             # One unbuffered scatter-add; within each (rank, bucket, col)
             # slot contributions land in ascending local-row order exactly
             # like the per-rank loop, so the result is bit-identical.
@@ -232,10 +237,11 @@ class GaussianSketch(SketchOperator):
         rows = block.shape[0]
         return self._rows(row_offset, row_offset + rows).T @ block
 
-    def partial_stack(self, stack: np.ndarray) -> np.ndarray:
+    def partial_stack(self, stack: np.ndarray, row_offset: int
+                      ) -> np.ndarray:
         ranks, rows, k = stack.shape
-        blocks = np.stack([self._rows(r * rows, (r + 1) * rows).T
-                           for r in range(ranks)])
+        starts = [row_offset + r * rows for r in range(ranks)]
+        blocks = np.stack([self._rows(lo, lo + rows).T for lo in starts])
         return np.matmul(blocks, stack)
 
 
@@ -297,10 +303,11 @@ class SRHTSketch(SketchOperator):
         rows = block.shape[0]
         return self.block(row_offset, row_offset + rows) @ block
 
-    def partial_stack(self, stack: np.ndarray) -> np.ndarray:
+    def partial_stack(self, stack: np.ndarray, row_offset: int
+                      ) -> np.ndarray:
         ranks, rows, k = stack.shape
-        blocks = np.stack([self.block(r * rows, (r + 1) * rows)
-                           for r in range(ranks)])
+        starts = [row_offset + r * rows for r in range(ranks)]
+        blocks = np.stack([self.block(lo, lo + rows) for lo in starts])
         return np.matmul(blocks, stack)
 
 
@@ -367,12 +374,13 @@ class FastSRHTSketch(SRHTSketch):
         work = np.zeros((self.n_pad, block.shape[1]))
         return self._fht_partial(block, row_offset, work)
 
-    def partial_stack(self, stack: np.ndarray) -> np.ndarray:
+    def partial_stack(self, stack: np.ndarray, row_offset: int
+                      ) -> np.ndarray:
         ranks, rows, k = stack.shape
         work = np.zeros((ranks, self.n_pad, k))
         for r in range(ranks):
-            work[r, r * rows:(r + 1) * rows] = (
-                stack[r] * self._d[r * rows:(r + 1) * rows, np.newaxis])
+            span = slice(row_offset + r * rows, row_offset + (r + 1) * rows)
+            work[r, span] = stack[r] * self._d[span, np.newaxis]
         _fwht(work)
         return work[:, self._selected, :]
 

@@ -1,4 +1,4 @@
-"""Loop-vs-batched engine equivalence: results, costs, fallbacks.
+"""Loop-vs-batched engine equivalence: results, costs, the one door.
 
 The batched engine must be a pure execution-strategy change: on every
 partition shape (uniform and ragged) it has to produce results
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +22,16 @@ from repro.distla import blas
 from repro.distla import engine as engine_module
 from repro.distla.engine import BatchedEngine, LoopEngine, get_engine, resolve
 from repro.distla.multivector import DistMultiVector
+from repro.krylov.simulation import Simulation
+from repro.matrices.stencil import laplace2d
 from repro.obs.metrics import MetricsRegistry
 from repro.ortho.backend import DistBackend
+from repro.parallel.api import make_comm as make_backend_comm
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.sketch import SparseSignSketch
+from repro.sketch import SparseSignSketch, sketch_multivector
 
 N_UNIFORM = 96   # divisible by 8 -> uniform partition: one run, a stack
 N_RAGGED = 101   # prime -> ragged partition: two runs of ranks, no stack
@@ -35,15 +39,16 @@ RANKS = 8
 KQ, KV = 6, 3
 
 
-def make_comm():
-    return SimComm(generic_cpu(), RANKS, Tracer())
+def make_comm(engine=None):
+    return SimComm(generic_cpu(), RANKS, Tracer(), engine=engine)
 
 
 def apply_ops(engine, n: int):
-    """Run one of every costed BLAS op under ``engine`` (a name or an
-    instance); return (results, tracer, metrics totals)."""
+    """Run one of every costed BLAS op on a communicator bound to
+    ``engine`` (None: the default); return (results, tracer, metrics
+    totals)."""
     part = Partition(n, RANKS)
-    comm = make_comm()
+    comm = make_comm(engine)
     registry = MetricsRegistry(comm.machine, RANKS)
     comm.tracer.attach_metrics(registry)
     comm.cost = replace(comm.cost, metrics=registry)
@@ -56,16 +61,16 @@ def apply_ops(engine, n: int):
     r_tri = np.triu(rng.standard_normal((KV, KV))) + 3.0 * np.eye(KV)
     coeffs = rng.standard_normal((KV, 1))
     results = [
-        blas.block_dot(q, v, engine=engine),
-        *blas.block_dot_multi([(q, v), (v, v)], engine=engine),
-        blas.column_norms(q, engine=engine),
+        blas.block_dot(q, v),
+        *blas.block_dot_multi([(q, v), (v, v)]),
+        blas.column_norms(q),
     ]
-    blas.block_update(v, q, r_proj, engine=engine)
-    blas.trsm_inplace(v, r_tri, engine=engine)
-    blas.scale_columns(v, np.array([2.0, -1.0, 0.5]), engine=engine)
-    blas.lincomb(out, [(2.0, v), (-1.0, v)], engine=engine)
-    blas.copy_into(out, v, engine=engine)
-    blas.matvec_small(v, coeffs, small, engine=engine)
+    blas.block_update(v, q, r_proj)
+    blas.trsm_inplace(v, r_tri)
+    blas.scale_columns(v, np.array([2.0, -1.0, 0.5]))
+    blas.lincomb(out, [(2.0, v), (-1.0, v)])
+    blas.copy_into(out, v)
+    blas.matvec_small(v, coeffs, small)
     results += [v.to_global(), out.to_global(), small.to_global()]
     return results, comm.tracer, registry.snapshot().to_dict()
 
@@ -91,41 +96,13 @@ class TestEngineEquivalence:
     def test_reduction_tree_bitwise(self, n):
         """Tree-sum folds identically whether vectorized or per-rank."""
         part = Partition(n, RANKS)
-        comm = make_comm()
-        rng = np.random.default_rng(11)
-        x = DistMultiVector.from_global(rng.standard_normal((n, KQ)),
-                                        part, comm)
-        with config.engine_scope("loop"):
-            ref = blas.block_dot(x, x)
-        with config.engine_scope("batched"):
-            got = blas.block_dot(x, x)
-        np.testing.assert_array_equal(got, ref)
+        arr = np.random.default_rng(11).standard_normal((n, KQ))
 
+        def gram(engine):
+            x = DistMultiVector.from_global(arr, part, make_comm(engine))
+            return blas.block_dot(x, x)
 
-#: The per-rank kernel bodies: what `BatchedEngine` overrides.  A ragged
-#: sketch is the one documented exception (the operators' batched
-#: kernels assume rank ``r`` starts at row ``r * rows``).
-LOOP_KERNEL_BODIES = [
-    name for name, fn in vars(LoopEngine).items()
-    if inspect.isfunction(fn) and name in vars(BatchedEngine)
-    and name != "_sketch_partials"]
-
-
-def loop_body_probe():
-    """A batched engine whose ``super()`` calls land in counting
-    wrappers of the loop kernels; returns ``(engine, entered)``."""
-    entered: list[str] = []
-
-    def counting(name):
-        def body(self, *args, **kwargs):
-            entered.append(name)
-            return getattr(LoopEngine, name)(self, *args, **kwargs)
-        return body
-
-    counting_loop = type("CountingLoop", (LoopEngine,),
-                         {name: counting(name) for name in LOOP_KERNEL_BODIES})
-    probe = type("Probe", (BatchedEngine, counting_loop), {})
-    return probe(), entered
+        np.testing.assert_array_equal(gram("batched"), gram("loop"))
 
 
 class TestStackedStorage:
@@ -136,7 +113,7 @@ class TestStackedStorage:
         assert mv.stack is not None
         assert mv.stack.shape == (RANKS, N_UNIFORM // RANKS, KV)
 
-    def test_ragged_has_no_stack(self):
+    def test_ragged_has_no_stack(self, loop_body_probe):
         """No ``(ranks, rows, k)`` view of a ragged vector — and no need
         of one: the batched kernels run on its flat array and never
         enter a loop kernel body."""
@@ -145,9 +122,10 @@ class TestStackedStorage:
         mv = DistMultiVector.zeros(part, comm, KV)
         assert mv.stack is None
         assert mv.flat.shape == (N_RAGGED, KV)
-        assert len(LOOP_KERNEL_BODIES) == 8
-        engine, entered = loop_body_probe()
-        apply_ops(engine, N_RAGGED)
+        # the eight BLAS bodies and `_sketch_partials`
+        assert len(loop_body_probe.bodies) == 9
+        entered = loop_body_probe("batched")
+        apply_ops(None, N_RAGGED)
         assert entered == []
 
     def test_shards_are_lazy_views_of_flat(self):
@@ -179,31 +157,6 @@ class TestStackedStorage:
         assert float(mv.shards[0][0, 1]) == 3.0
         assert float(mv.shards[0][0, 0]) == 0.0
 
-    def test_caller_supplied_shards_fall_back(self):
-        part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
-        shards = [np.zeros((part.local_count(r), KV)) for r in range(RANKS)]
-        mv = DistMultiVector(part, comm, shards)
-        assert mv.stack is None and mv.flat is None
-        # the batched engine must still work, through the loop kernel
-        engine, entered = loop_body_probe()
-        blas.scale_columns(mv, np.ones(KV), engine=engine)
-        assert entered == ["scale_columns"]
-        assert comm.tracer.clock > 0
-
-    def test_mixed_stacked_unstacked_operands(self):
-        part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
-        rng = np.random.default_rng(3)
-        arr = rng.standard_normal((N_UNIFORM, KV))
-        stacked = DistMultiVector.from_global(arr, part, comm)
-        unstacked = DistMultiVector(
-            part, comm, [np.array(arr[part.local_slice(r)], copy=True)
-                         for r in range(RANKS)])
-        with config.engine_scope("batched"):
-            got = blas.block_dot(stacked, unstacked)
-        np.testing.assert_allclose(got, arr.T @ arr, rtol=1e-13)
-
 
 @pytest.mark.parametrize("ranks", [3, 8])
 @pytest.mark.parametrize("n", [N_UNIFORM, N_RAGGED],
@@ -217,11 +170,11 @@ class TestSketchDotEngineEquivalence:
 
     def run_sketch(self, engine, n, ranks):
         part = Partition(n, ranks)
-        comm = SimComm(generic_cpu(), ranks, Tracer())
+        comm = SimComm(generic_cpu(), ranks, Tracer(), engine=engine)
         rng = np.random.default_rng(23)
         v = DistMultiVector.from_global(rng.standard_normal((n, KV)),
                                         part, comm)
-        out = DistBackend(comm, engine=engine).sketch(
+        out = DistBackend(comm).sketch(
             v, SparseSignSketch(n, self.M_ROWS, seed=42))
         return out, comm.tracer
 
@@ -243,68 +196,60 @@ class TestSketchDotEngineEquivalence:
 
 
 class TestEngineSelection:
-    def test_config_roundtrip(self):
-        prev = config.set_engine("loop")
-        try:
-            assert config.get_engine() == "loop"
-            assert isinstance(resolve(None, None), LoopEngine)
-        finally:
-            config.set_engine(prev)
-
-    def test_set_engine_returns_raw_pin(self, monkeypatch):
-        """set_engine round-trips the *pin*, not the resolved default, so
-        restore does not freeze the process against REPRO_ENGINE."""
-        monkeypatch.setattr(config, "_active_engine", None)
-        prev = config.set_engine("loop")
-        assert prev is None
-        config.set_engine(prev)  # restore -> unpinned again
-        monkeypatch.setenv("REPRO_ENGINE", "loop")
-        assert config.get_engine() == "loop"
-
-    def test_engine_scope_restores(self):
-        before = config.get_engine()
-        with config.engine_scope("loop"):
-            assert config.get_engine() == "loop"
-        assert config.get_engine() == before
+    """One door: the communicator names the engine, at construction."""
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            config.set_engine("warp-drive")
-        with pytest.raises(ValueError):
             get_engine("warp-drive")
+        with pytest.raises(ValueError, match="warp-drive"):
+            Simulation(laplace2d(4), ranks=2, engine="warp-drive")
 
     def test_binding_typo_fails_at_construction(self):
-        with pytest.raises(ValueError, match="bacthed"):
+        with pytest.raises(ValueError, match="bacthed.*loop.*batched"):
             SimComm(generic_cpu(), RANKS, Tracer(), engine="bacthed")
         with pytest.raises(ValueError, match="bacthed"):
-            DistBackend(make_comm(), engine="bacthed")
-
-    def test_env_var_reread_when_unpinned(self, monkeypatch):
-        monkeypatch.setattr(config, "_active_engine", None)
-        monkeypatch.setenv("REPRO_ENGINE", "loop")
-        assert config.get_engine() == "loop"
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert config.get_engine() == "batched"
+            make_backend_comm("sim", engine="bacthed")
 
     def test_comm_binding_wins_over_config(self):
-        comm = SimComm(generic_cpu(), RANKS, Tracer(), engine="loop")
-        with config.engine_scope("batched"):
-            assert isinstance(resolve(None, comm), LoopEngine)
+        """The default is what a communicator binds when none is named,
+        nothing more: a named engine is the one that runs."""
+        assert config.get_engine() == config.DEFAULT_ENGINE == "batched"
+        assert make_comm().engine == "batched"
+        assert make_backend_comm("sim").engine == "batched"
+        assert type(resolve(make_comm())) is BatchedEngine
+        sim = Simulation(laplace2d(4), ranks=2, engine="loop")
+        assert sim.comm.engine == "loop"
+        assert type(resolve(sim.comm)) is LoopEngine
 
-    def test_explicit_argument_wins_over_comm(self):
-        comm = SimComm(generic_cpu(), RANKS, Tracer(), engine="loop")
-        assert isinstance(resolve("batched", comm), BatchedEngine)
-
-    def test_dist_backend_threads_engine(self):
+    def test_dist_backend_threads_engine(self, loop_body_probe):
+        """``DistBackend(comm)`` runs on its communicator's engine."""
         part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
-        rng = np.random.default_rng(5)
-        x = DistMultiVector.from_global(
-            rng.standard_normal((N_UNIFORM, KQ)), part, comm)
-        ref = x.to_global().T @ x.to_global()
-        for engine in ("loop", "batched"):
-            backend = DistBackend(comm, engine=engine)
-            np.testing.assert_allclose(backend.dot(x, x), ref, rtol=1e-13)
+        arr = np.random.default_rng(5).standard_normal((N_UNIFORM, KQ))
+        entered = loop_body_probe("loop")
+        for engine, bodies in (("batched", []), ("loop", ["_dot_partials"])):
+            comm = make_comm(engine)
+            x = DistMultiVector.from_global(arr, part, comm)
+            np.testing.assert_allclose(DistBackend(comm).dot(x, x),
+                                       arr.T @ arr, rtol=1e-13)
+            assert entered == bodies
+
+    def test_no_other_door(self):
+        """Nothing but the communicator's constructor selects an engine:
+        no per-call or per-backend parameter, no process-wide switch, no
+        environment variable."""
+        public = [fn for name, fn in vars(blas).items()
+                  if inspect.isfunction(fn) and fn.__module__ == blas.__name__
+                  and not name.startswith("_")]
+        assert len(public) >= 10  # the introspection finds them
+        for fn in (*public, sketch_multivector, DistBackend.__init__):
+            assert "engine" not in inspect.signature(fn).parameters, fn
+        assert list(inspect.signature(DistBackend).parameters) == ["comm"]
+        assert list(inspect.signature(resolve).parameters) == ["comm"]
+        for gone in ("set_engine", "engine_scope", "_active_engine",
+                     "validate_engine"):
+            assert not hasattr(config, gone), gone
+        source = Path(config.__file__).read_text()
+        assert "environ" not in source and "getenv" not in source
 
     def test_tile_size_preserves_results(self, monkeypatch):
         """Row-local kernels run tile by tile; neither values nor charges

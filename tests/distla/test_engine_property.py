@@ -8,6 +8,12 @@ every value, every modeled second and count, every collective payload
 and every metrics total must come out identical, whatever the partition
 (one rank, empty shards, fewer rows than columns, one / two / all
 distinct runs), the storage precision and the column offset of a view.
+The same holds for the kernels above the BLAS layer that used to be
+batched on uniform partitions only: the sketch of all four operator
+families, the fused dot + sketch collective, and TSQR.
+
+An engine is selected the one way there is: the communicator is bound
+to it.
 """
 
 from __future__ import annotations
@@ -22,10 +28,13 @@ from hypothesis import strategies as st
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
 from repro.obs.metrics import MetricsRegistry
+from repro.ortho.backend import DistBackend, _sign_fix_qr
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
+from repro.precision.dtypes import quantize
+from repro.sketch import make_operator, sketch_multivector
 
 
 @st.composite
@@ -41,19 +50,47 @@ def partitions(draw, n: int) -> Partition:
     return Partition(n, ranks, offsets=np.array([0, *cuts, n]))
 
 
-def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
-                        spans):
-    """One of every ``repro.distla.blas`` function on column views at
-    nonzero offsets; returns everything an engine may not change."""
+def observed_comm(engine, ranks, spans=True):
+    """A communicator bound to ``engine`` with spans and a metrics
+    registry attached; returns ``(comm, observe)`` where ``observe()`` is
+    everything an engine may not change besides the values."""
     machine = generic_cpu()
     tracer = Tracer()
     if spans:
         tracer.enable_spans()
-    comm = SimComm(machine, part.ranks, tracer)
-    registry = MetricsRegistry(machine, part.ranks)
+    comm = SimComm(machine, ranks, tracer, engine=engine)
+    assert comm.engine == engine
+    registry = MetricsRegistry(machine, ranks)
     tracer.attach_metrics(registry)
     comm.cost = replace(comm.cost, metrics=registry)
 
+    def observe() -> dict:
+        return {
+            "clock": tracer.clock,
+            "by_kernel": dict(tracer.by_kernel),
+            "counts": dict(tracer.counts),
+            "payload_bytes": dict(tracer.payload_bytes),
+            "metrics": registry.snapshot().to_dict(),
+            "spans": [s.to_dict() for s in tracer.spans],
+        }
+    return comm, observe
+
+
+def assert_same(batched: dict, loop: dict) -> None:
+    """Values byte for byte (dtype included), everything else equal."""
+    got, want = batched.pop("values"), loop.pop("values")
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert batched == loop
+
+
+def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
+                        spans):
+    """One of every ``repro.distla.blas`` function on column views at
+    nonzero offsets; returns everything an engine may not change."""
+    comm, observe = observed_comm(engine, part.ranks, spans)
     rng = np.random.default_rng(seed)
     n = part.n_global
     basis = DistMultiVector.from_global(
@@ -68,29 +105,21 @@ def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
     r_tri = np.triu(rng.standard_normal((kv, kv))) + 3.0 * np.eye(kv)
     coeffs = rng.standard_normal((kq, 1))
 
-    values = [blas.block_dot(q, v, engine=engine)]
-    values += blas.block_dot_multi([(q, v), (v, v)], engine=engine)
-    request = blas.post_block_dot_multi([(v, q), (q, q)], engine=engine)
-    blas.block_update(v, q, r_proj, engine=engine)  # inside the window
+    values = [blas.block_dot(q, v)]
+    values += blas.block_dot_multi([(q, v), (v, v)])
+    request = blas.post_block_dot_multi([(v, q), (q, q)])
+    blas.block_update(v, q, r_proj)  # inside the window
     values += comm.wait(request)
     values += blas.dot_dd_dist(q, v)
-    values.append(blas.column_norms(q, engine=engine))
-    blas.trsm_inplace(v, r_tri, engine=engine)
-    blas.scale_columns(v, rng.standard_normal(kv), engine=engine)
-    blas.lincomb(out, [(2.0, v), (-0.5, v), (0.25, out)], engine=engine)
+    values.append(blas.column_norms(q))
+    blas.trsm_inplace(v, r_tri)
+    blas.scale_columns(v, rng.standard_normal(kv))
+    blas.lincomb(out, [(2.0, v), (-0.5, v), (0.25, out)])
     values.append(out.to_global())
-    blas.copy_into(out, v, engine=engine)
-    blas.matvec_small(q, coeffs, col, engine=engine)
+    blas.copy_into(out, v)
+    blas.matvec_small(q, coeffs, col)
     values += [basis.to_global(), out.to_global()]
-    return {
-        "values": values,
-        "clock": tracer.clock,
-        "by_kernel": dict(tracer.by_kernel),
-        "counts": dict(tracer.counts),
-        "payload_bytes": dict(tracer.payload_bytes),
-        "metrics": registry.snapshot().to_dict(),
-        "spans": [s.to_dict() for s in tracer.spans],
-    }
+    return {"values": values, **observe()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,13 +131,8 @@ def test_batched_equals_loop(data, n, seed, storage, accumulate, kq, kv,
                              spans):
     part = data.draw(partitions(n))
     args = (part, seed, storage, accumulate, kq, kv, spans)
-    loop = run_every_blas_call("loop", *args)
-    batched = run_every_blas_call("batched", *args)
-    assert len(batched["values"]) == len(loop["values"])
-    for got, want in zip(batched.pop("values"), loop.pop("values")):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    assert batched == loop
+    assert_same(run_every_blas_call("batched", *args),
+                run_every_blas_call("loop", *args))
 
 
 @pytest.mark.parametrize("n, ranks", [(3969, 24), (2001, 7), (1728, 12)])
@@ -117,8 +141,89 @@ def test_batched_equals_loop_at_solver_shapes(n, ranks, storage):
     """Shard heights and panel widths of the repo benchmark, where BLAS
     takes its blocked code paths and several tiles cover a kernel."""
     args = (Partition(n, ranks), 5, storage, "fp64", 30, 25, False)
-    loop = run_every_blas_call("loop", *args)
-    batched = run_every_blas_call("batched", *args)
-    for got, want in zip(batched.pop("values"), loop.pop("values")):
-        np.testing.assert_array_equal(got, want)
-    assert batched == loop
+    assert_same(run_every_blas_call("batched", *args),
+                run_every_blas_call("loop", *args))
+
+
+# ---------------------------------------------------------------------------
+# above the BLAS layer: sketch, fused dot + sketch, TSQR
+# ---------------------------------------------------------------------------
+
+def run_sketch_kernels(engine, part, seed, storage, k, family):
+    """``sketch_multivector``, ``DistBackend.sketch`` and the fused dot +
+    sketch collective on column views at a nonzero offset."""
+    comm, observe = observed_comm(engine, part.ranks)
+    n = part.n_global
+    rng = np.random.default_rng(seed)
+    basis = DistMultiVector.from_global(
+        rng.standard_normal((n, k + 3)), part, comm, storage=storage)
+    q, v = basis.view_cols(slice(1, 3)), basis.view_cols(slice(3, 3 + k))
+    # SRHT samples without replacement from the padded length
+    op = make_operator(family, n, min(12, 1 << max(0, (n - 1).bit_length())),
+                       seed=seed)
+    backend = DistBackend(comm)
+    values = [sketch_multivector(v, op), backend.sketch(v, op)]
+    dots, sketch = backend.fused_dots_sketch([(q, v), (v, v)], v, op)
+    return {"values": [*values, *dots, sketch], **observe()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       storage=st.sampled_from(["fp64", "fp32", "bf16"]),
+       k=st.integers(1, 4),
+       family=st.sampled_from(["sparse", "gaussian", "srht", "srhtfft"]))
+def test_sketch_batched_equals_loop(data, n, seed, storage, k, family):
+    args = (data.draw(partitions(n)), seed, storage, k, family)
+    assert_same(run_sketch_kernels("batched", *args),
+                run_sketch_kernels("loop", *args))
+
+
+def tsqr_per_rank(shards: list[np.ndarray], k: int, storage: str):
+    """TSQR one rank at a time — the formulation ``DistBackend.tsqr``
+    (one batched QR and one batched GEMM per run of equal-count ranks,
+    whatever the engine) is held to.  Returns ``(R, Q)``."""
+    qs, rs = [], []
+    for shard in shards:
+        rows = shard.shape[0]
+        padded = np.vstack([shard.astype(np.float64),
+                            np.zeros((max(0, k - rows), k))])
+        q, r = np.linalg.qr(padded)
+        qs.append(q[:rows])
+        rs.append(r)
+
+    def tree(rs):
+        if len(rs) == 1:
+            return rs[0], [np.eye(k)]
+        half = (len(rs) + 1) // 2
+        r_left, m_left = tree(rs[:half])
+        r_right, m_right = tree(rs[half:])
+        q, r = np.linalg.qr(np.vstack([r_left, r_right]))
+        return r, ([m @ q[:k] for m in m_left] + [m @ q[k:] for m in m_right])
+
+    r_final, coeffs = tree(rs)
+    _, r_final, signs = _sign_fix_qr(None, np.triu(r_final))
+    return r_final, np.concatenate(
+        [quantize(q @ (m * signs), storage) for q, m in zip(qs, coeffs)])
+
+
+def run_tsqr(engine, part, arr, storage):
+    comm, observe = observed_comm(engine, part.ranks)
+    basis = DistMultiVector.from_global(arr, part, comm, storage=storage)
+    v = basis.view_cols(slice(1, arr.shape[1] - 1))
+    reference = tsqr_per_rank([s.copy() for s in v.shards], v.n_cols, storage)
+    r = DistBackend(comm).tsqr(v)
+    return {"values": [r, v.to_global()], **observe()}, reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       storage=st.sampled_from(["fp64", "fp32", "bf16"]),
+       k=st.integers(1, 5))
+def test_tsqr_batched_equals_loop_equals_per_rank(data, n, seed, storage, k):
+    part = data.draw(partitions(n))
+    arr = np.random.default_rng(seed).standard_normal((n, k + 2))
+    batched, reference = run_tsqr("batched", part, arr, storage)
+    for got, want in zip(batched["values"], reference):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert_same(batched, run_tsqr("loop", part, arr, storage)[0])

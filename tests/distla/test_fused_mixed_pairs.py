@@ -1,9 +1,10 @@
-"""One fused reduction may mix stacked and unstacked operand pairs.
+"""One fused reduction may mix library-built and shard-constructed
+operands.
 
-The batched engine builds a ``(ranks, ...)`` stack group for a pair whose
-operands carry stacks and falls back to per-rank partials for a pair that
-does not — pair by pair, inside one collective.  Result and charges must
-equal the loop engine's.
+A vector constructed from per-rank shards is packed into the same flat
+storage as every other, so the batched engine builds a ``(ranks, ...)``
+stack group for each pair alike, inside one collective.  Result and
+charges must equal the loop engine's.
 """
 
 from __future__ import annotations
@@ -26,24 +27,24 @@ def fused_pairs(comm):
     rng = np.random.default_rng(11)
     q = rng.standard_normal((N, 4))
     v = rng.standard_normal((N, 2))
-    stacked_q = DistMultiVector.from_global(q, part, comm)
-    stacked_v = DistMultiVector.from_global(v, part, comm)
-    loose_v = DistMultiVector(
+    built_q = DistMultiVector.from_global(q, part, comm)
+    built_v = DistMultiVector.from_global(v, part, comm)
+    packed_v = DistMultiVector(
         part, comm, [np.array(v[part.local_slice(r)]) for r in range(RANKS)])
-    assert stacked_q.stack is not None and loose_v.stack is None
-    return [(stacked_q, stacked_v), (loose_v, loose_v), (stacked_q, loose_v)]
+    assert packed_v.flat.tobytes() == built_v.flat.tobytes()
+    return [(built_q, built_v), (packed_v, packed_v), (built_q, packed_v)]
 
 
 @pytest.mark.parametrize("posted", [False, True], ids=["blocking", "posted"])
 def test_batched_equals_loop_on_mixed_pairs(posted):
     out = {}
     for engine in ("loop", "batched"):
-        comm = SimComm(generic_cpu(), RANKS, Tracer())
+        comm = SimComm(generic_cpu(), RANKS, Tracer(), engine=engine)
         pairs = fused_pairs(comm)
         if posted:
-            results = comm.wait(blas.post_block_dot_multi(pairs, engine=engine))
+            results = comm.wait(blas.post_block_dot_multi(pairs))
         else:
-            results = blas.block_dot_multi(pairs, engine=engine)
+            results = blas.block_dot_multi(pairs)
         out[engine] = (results, comm.tracer.snapshot())
     for got, want in zip(out["batched"][0], out["loop"][0]):
         assert got.tobytes() == want.tobytes()

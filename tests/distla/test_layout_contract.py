@@ -1,10 +1,11 @@
 """The storage layout contract and what the kernels may assume of it.
 
-Every library-built multivector keeps its values in ONE column-major
-``(n, k)`` array (Tpetra's ``LayoutLeft``): a basis vector is contiguous,
-a column range is one contiguous slab, and every per-rank structure the
-engines derive from it — shards, the rank stack, the equal-count run
-stacks, the whole-rank tiles — is a strided view.  A reshape that
+Every multivector — library-built or constructed from per-rank shards —
+keeps its values in ONE column-major ``(n, k)`` array (Tpetra's
+``LayoutLeft``): a basis vector is contiguous, a column range is one
+contiguous slab, and every per-rank structure the engines derive from it
+— shards, the rank stack, the equal-count run stacks, the whole-rank
+tiles — is a strided view.  A reshape that
 silently copied would be a silent slowdown (or, for an in-place kernel, a
 silent no-op), and a C-ordered copy would silently undo the layout, so
 both are pinned here.  The last test pins the consequence the hot kernels
@@ -61,6 +62,8 @@ def _library_built(part, comm, storage):
         "copy of a view": base.view_cols(slice(2, 6)).copy(),
         "view of a view": base.view_cols(slice(1, 6)).view_cols(slice(1, 3)),
         "one column": base.view_cols(4),
+        "from shards": DistMultiVector(
+            part, comm, [np.array(s) for s in base.shards], storage=storage),
     }
 
 
@@ -86,18 +89,33 @@ class TestColumnMajorStorage:
         assert not np.shares_memory(dup.flat, base.flat)
         assert dup.to_global().flags.c_contiguous  # the gather is C-ordered
 
+    def test_shards_are_packed_not_aliased(self, comm4):
+        """The constructor copies the arrays it is handed into storage
+        of its own, so there is one storage form."""
+        part = Partition(23, 4)
+        shards = [np.full((rows, 2), float(r))
+                  for r, rows in enumerate(part.counts.tolist())]
+        mv = DistMultiVector(part, comm4, shards)
+        assert mv.flat.shape == (23, 2) and mv.flat.flags.f_contiguous
+        np.testing.assert_array_equal(mv.to_global(), np.concatenate(shards))
+        assert not any(np.shares_memory(s, mv.flat) for s in shards)
+        mv.fill(-1.0)
+        assert [float(s[0, 0]) for s in shards] == [0.0, 1.0, 2.0, 3.0]
+
     def test_mp_copy_stays_in_shared_memory(self):
-        """``copy()`` allocates through the communicator, so the
-        real-process SpMV can still reach the copy's shards."""
+        """``copy()`` and the shard constructor allocate through the
+        communicator, so the real-process SpMV can still reach their
+        shards."""
         with make_comm("mp", generic_cpu(), 4) as comm:
             part = Partition(24, 4)
             x = DistMultiVector.from_global(np.ones(24), part, comm)
-            dup = x.copy()
-            assert comm._describe(dup.stack) is not None
+            packed = DistMultiVector(part, comm, [np.ones((6, 1))] * 4)
             a = DistSparseMatrix(
                 sp.diags([1.0, 2.0, 1.0], [-1, 0, 1], shape=(24, 24)),
                 part, comm)
-            assert comm.exec_spmv(a, dup, dup.copy()) is True
+            for mv in (x.copy(), packed):
+                assert comm._describe(mv.stack) is not None
+                assert comm.exec_spmv(a, mv, mv.copy()) is True
 
 
 class TestDerivedStructureNeverCopies:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
 from repro.parallel.communicator import SimComm
@@ -28,14 +27,14 @@ KQ, KV = 6, 3
 STORAGES = ("fp64", "fp32", "bf16")
 
 
-def make_comm():
-    return SimComm(generic_cpu(), RANKS, Tracer())
+def make_comm(engine=None):
+    return SimComm(generic_cpu(), RANKS, Tracer(), engine=engine)
 
 
 def apply_ops(engine: str, n: int, storage: str, accumulate: str = "fp64"):
     """One of every costed BLAS op over ``storage`` operands."""
     part = Partition(n, RANKS)
-    comm = make_comm()
+    comm = make_comm(engine)
     rng = np.random.default_rng(7)
     q = DistMultiVector.from_global(rng.standard_normal((n, KQ)), part, comm,
                                     storage=storage, accumulate=accumulate)
@@ -45,19 +44,18 @@ def apply_ops(engine: str, n: int, storage: str, accumulate: str = "fp64"):
     small = DistMultiVector.zeros(part, comm, 1)
     r_proj = rng.standard_normal((KQ, KV))
     r_tri = np.triu(rng.standard_normal((KV, KV))) + 3.0 * np.eye(KV)
-    with config.engine_scope(engine):
-        results = [
-            blas.block_dot(q, v),
-            *blas.block_dot_multi([(q, v), (v, v)]),
-            blas.column_norms(q),
-        ]
-        blas.block_update(v, q, r_proj)
-        blas.trsm_inplace(v, r_tri)
-        blas.scale_columns(v, np.array([2.0, -1.0, 0.5]))
-        blas.lincomb(out, [(2.0, v), (-1.0, v)])
-        blas.copy_into(out, v)
-        blas.matvec_small(v, rng.standard_normal((KV, 1)), small)
-        results += [v.to_global(), out.to_global(), small.to_global()]
+    results = [
+        blas.block_dot(q, v),
+        *blas.block_dot_multi([(q, v), (v, v)]),
+        blas.column_norms(q),
+    ]
+    blas.block_update(v, q, r_proj)
+    blas.trsm_inplace(v, r_tri)
+    blas.scale_columns(v, np.array([2.0, -1.0, 0.5]))
+    blas.lincomb(out, [(2.0, v), (-1.0, v)])
+    blas.copy_into(out, v)
+    blas.matvec_small(v, rng.standard_normal((KV, 1)), small)
+    results += [v.to_global(), out.to_global(), small.to_global()]
     return results, comm.tracer
 
 
@@ -91,7 +89,7 @@ class TestPrecisionSemantics:
         """The fp64-accumulate dot of fp32 shards equals the fp64 dot of
         the quantized data — not an fp32-accumulated one."""
         part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
+        comm = make_comm(engine)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((N_UNIFORM, KQ))
         b = rng.standard_normal((N_UNIFORM, KV))
@@ -101,9 +99,8 @@ class TestPrecisionSemantics:
             a.astype(np.float32).astype(np.float64), part, comm)
         v_ref = DistMultiVector.from_global(
             b.astype(np.float32).astype(np.float64), part, comm)
-        with config.engine_scope(engine):
-            got = blas.block_dot(q32, v32)
-            want = blas.block_dot(q_ref, v_ref)
+        got = blas.block_dot(q32, v32)
+        want = blas.block_dot(q_ref, v_ref)
         np.testing.assert_array_equal(got, want)
 
     def test_native_fp32_accumulation_opt_in(self, engine):
@@ -126,12 +123,11 @@ class TestPrecisionSemantics:
 
     def test_cross_precision_copy_quantizes(self, engine):
         part = Partition(N_UNIFORM, RANKS)
-        comm = make_comm()
+        comm = make_comm(engine)
         src = DistMultiVector.from_global(
             np.full((N_UNIFORM, 2), 1.0 + 2.0 ** -20), part, comm)
         dst = DistMultiVector.zeros(part, comm, 2, storage="fp32")
-        with config.engine_scope(engine):
-            blas.copy_into(dst, src)
+        blas.copy_into(dst, src)
         np.testing.assert_array_equal(dst.to_global(),
                                       np.float32(1.0 + 2.0 ** -20))
 

@@ -118,13 +118,12 @@ def test_matvec_batched_equals_block_products(data, n, seed, width, storage):
 
 
 def test_caller_supplied_shards_scatter_by_offsets(comm4):
-    """A uniform partition whose output has no stack (shards handed in by
-    the caller) takes the offset-slice scatter."""
+    """An output vector constructed from per-rank shards is written like
+    any other: the constructor packed it into flat storage."""
     rng = np.random.default_rng(7)
     part = Partition(24, 4)
     da = DistSparseMatrix(raw_csr(rng, 24), part, comm4)
     x = DistMultiVector.from_global(rng.standard_normal(24), part, comm4)
     out = DistMultiVector(part, comm4, [np.zeros((6, 1)) for _ in range(4)])
-    assert out.stack is None
     da.matvec(x, out=out)
     assert_bits(out, reference(da, x.to_global()[:, 0], "fp64"))

@@ -46,7 +46,7 @@ def _upper(rng, k, cond=None):
 def _solve(v, r, part, engine, storage="fp64", offset=None):
     """``trsm_inplace`` on ``v`` scattered over ``part``: standalone, or
     as the column view at ``offset`` of a wider basis."""
-    comm = SimComm(generic_cpu(), part.ranks, Tracer())
+    comm = SimComm(generic_cpu(), part.ranks, Tracer(), engine=engine)
     n, k = v.shape
     if offset is None:
         mv = DistMultiVector.from_global(v, part, comm, storage=storage)
@@ -56,7 +56,7 @@ def _solve(v, r, part, engine, storage="fp64", offset=None):
         basis = DistMultiVector.from_global(wide, part, comm,
                                             storage=storage)
         mv = basis.view_cols(slice(offset, offset + k))
-    blas.trsm_inplace(mv, r, engine=engine)
+    blas.trsm_inplace(mv, r)
     return mv.to_global()
 
 
@@ -160,9 +160,9 @@ class TestEveryWidth:
 class TestRejectedBeforeAnyWrite:
     N, K = 120, 11  # two column blocks
 
-    def _operand(self, ranks=5):
+    def _operand(self, engine, ranks=5):
         rng = np.random.default_rng(0)
-        comm = SimComm(generic_cpu(), ranks, Tracer())
+        comm = SimComm(generic_cpu(), ranks, Tracer(), engine=engine)
         basis = DistMultiVector.from_global(
             rng.standard_normal((self.N, self.K + 3)),
             Partition(self.N, ranks), comm)
@@ -171,29 +171,29 @@ class TestRejectedBeforeAnyWrite:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("pivot", [0, 4, 10])
     def test_zero_pivot_names_the_diagonal(self, engine, pivot):
-        basis, v, rng = self._operand()
+        basis, v, rng = self._operand(engine)
         before = basis.to_global()
         r = _upper(rng, self.K)
         r[pivot, pivot] = 0.0
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"resolution failed at diagonal {pivot}$"):
-            blas.trsm_inplace(v, r, engine=engine)
+            blas.trsm_inplace(v, r)
         np.testing.assert_array_equal(basis.to_global(), before)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_r_or_v_is_a_value_error(self, engine, bad):
-        basis, v, rng = self._operand()
+        basis, v, rng = self._operand(engine)
         before = basis.to_global()
         r = _upper(rng, self.K)
         r[1, 9] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            blas.trsm_inplace(v, r, engine=engine)
+            blas.trsm_inplace(v, r)
         np.testing.assert_array_equal(basis.to_global(), before)
 
         v.flat[self.N - 1, self.K - 1] = bad  # last rank, last block
         with pytest.raises(ValueError, match="infs or NaNs"):
-            blas.trsm_inplace(v, _upper(rng, self.K), engine=engine)
+            blas.trsm_inplace(v, _upper(rng, self.K))
         after = basis.to_global()
         assert np.array_equal(after, before) is False  # the planted value
         after[self.N - 1, 2 + self.K - 1] = before[self.N - 1, 2 + self.K - 1]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import config
 from repro.exceptions import ConfigurationError
 from repro.krylov.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from repro.krylov.mpk import MPK_MODES, MatrixPowersKernel, \
@@ -34,18 +33,17 @@ def make_basis(sim, k, rng, storage="fp64"):
 
 def generate(mode, engine, *, nx=12, ranks=4, poly=None, precond_factory=None,
              panels=((1, 6), (6, 9)), storage="fp64", seed=3):
-    with config.engine_scope(engine):
-        sim = Simulation(laplace2d(nx), ranks=ranks, machine=generic_cpu(),
-                         engine=engine)
-        pc = (precond_factory().setup(sim.matrix)
-              if precond_factory is not None else None)
-        op = PreconditionedOperator(sim.matrix, pc)
-        mpk = MatrixPowersKernel(op, poly, mode=mode)
-        basis = make_basis(sim, max(hi for _, hi in panels),
-                           np.random.default_rng(seed), storage=storage)
-        for lo, hi in panels:
-            mpk.extend(basis, lo, hi)
-        return basis.to_global(), sim.tracer
+    sim = Simulation(laplace2d(nx), ranks=ranks, machine=generic_cpu(),
+                     engine=engine)
+    pc = (precond_factory().setup(sim.matrix)
+          if precond_factory is not None else None)
+    op = PreconditionedOperator(sim.matrix, pc)
+    mpk = MatrixPowersKernel(op, poly, mode=mode)
+    basis = make_basis(sim, max(hi for _, hi in panels),
+                       np.random.default_rng(seed), storage=storage)
+    for lo, hi in panels:
+        mpk.extend(basis, lo, hi)
+    return basis.to_global(), sim.tracer
 
 
 POLYS = {
@@ -144,19 +142,18 @@ class TestDegeneratePaths:
         blocks = [sp.diags([2.0] * 4) + sp.diags([1.0] * 3, 1)
                   for _ in range(3)]
         a = sp.block_diag(blocks).tocsr()
-        with config.engine_scope(engine):
-            res = {}
-            for mode in MPK_MODES:
-                sim = Simulation(a, ranks=ranks, machine=generic_cpu(),
-                                 engine=engine)
-                basis = make_basis(sim, 5, np.random.default_rng(0))
-                mpk = MatrixPowersKernel(
-                    PreconditionedOperator(sim.matrix), mode=mode)
-                mpk.extend(basis, 1, 5)
-                res[mode] = (basis.to_global(),
-                             sim.tracer.kernel_seconds("spmv", "halo"))
-            np.testing.assert_array_equal(res["standard"][0], res["ca"][0])
-            assert res["ca"][1] == 0.0  # nothing to exchange
+        res = {}
+        for mode in MPK_MODES:
+            sim = Simulation(a, ranks=ranks, machine=generic_cpu(),
+                             engine=engine)
+            basis = make_basis(sim, 5, np.random.default_rng(0))
+            mpk = MatrixPowersKernel(
+                PreconditionedOperator(sim.matrix), mode=mode)
+            mpk.extend(basis, 1, 5)
+            res[mode] = (basis.to_global(),
+                         sim.tracer.kernel_seconds("spmv", "halo"))
+        np.testing.assert_array_equal(res["standard"][0], res["ca"][0])
+        assert res["ca"][1] == 0.0  # nothing to exchange
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_single_step_panel(self, engine):

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import config
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -102,8 +101,3 @@ class TestBasisStorage:
         assert mv.storage == "bf16"
         assert mv.np_dtype == np.float32
         assert mv.word_bytes == 2.0
-
-    def test_engine_scope_does_not_leak(self):
-        with config.engine_scope("loop"):
-            res = _solve(precision="fp32")
-        assert res.converged

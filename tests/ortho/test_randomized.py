@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.config import EPS
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import CholeskyBreakdownError
@@ -20,7 +19,10 @@ from repro.ortho import (
 )
 from repro.ortho.analysis import orthogonality_error
 from repro.ortho.backend import DistBackend
+from repro.parallel.communicator import SimComm
+from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
+from repro.parallel.tracing import Tracer
 
 
 def drive(scheme, v, s=5):
@@ -135,7 +137,7 @@ class TestFusedSketchedTwoStage:
         res2 = drive(SketchedTwoStageScheme(big_step=10, fused=True), v2)
         assert np.linalg.cond(res2.q) < 10.0
 
-    def test_one_collective_per_stage_pass(self, comm4, rng):
+    def test_one_collective_per_stage_pass(self, rng):
         """Acceptance: exactly one allreduce-equivalent collective per
         stage pass (stage-1 per panel + one per big panel), with
         identical charged costs and bit-identical results across the
@@ -145,26 +147,22 @@ class TestFusedSketchedTwoStage:
         part = Partition(n, 4)
         outputs = {}
         for engine in ("loop", "batched"):
-            with config.engine_scope(engine):
-                from repro.parallel.communicator import SimComm
-                from repro.parallel.machine import generic_cpu
-                from repro.parallel.tracing import Tracer
-                tracer = Tracer()
-                comm = SimComm(generic_cpu(), 4, tracer, engine=engine)
-                dv = DistMultiVector.from_global(v, part, comm)
-                scheme = SketchedTwoStageScheme(big_step=bs, fused=True)
-                r = np.zeros((k, k))
-                scheme.begin_cycle(DistBackend(comm, engine=engine), dv, r)
-                snap = tracer.snapshot()
-                for lo in range(0, k, s):
-                    scheme.panel_arrived(lo, lo + s)
-                scheme.finish_cycle()
-                totals = tracer.since(snap)
-                allreduces = sum(
-                    c for (_, kern), c in totals.counts.items()
-                    if kern == "allreduce")
-                outputs[engine] = (dv.to_global(), r.copy(), allreduces,
-                                  totals.clock)
+            tracer = Tracer()
+            comm = SimComm(generic_cpu(), 4, tracer, engine=engine)
+            dv = DistMultiVector.from_global(v, part, comm)
+            scheme = SketchedTwoStageScheme(big_step=bs, fused=True)
+            r = np.zeros((k, k))
+            scheme.begin_cycle(DistBackend(comm), dv, r)
+            snap = tracer.snapshot()
+            for lo in range(0, k, s):
+                scheme.panel_arrived(lo, lo + s)
+            scheme.finish_cycle()
+            totals = tracer.since(snap)
+            allreduces = sum(
+                c for (_, kern), c in totals.counts.items()
+                if kern == "allreduce")
+            outputs[engine] = (dv.to_global(), r.copy(), allreduces,
+                              totals.clock)
         stage_passes = k // s + k // bs  # 4 stage-1 + 2 big-panel
         assert outputs["loop"][2] == stage_passes
         assert outputs["batched"][2] == stage_passes
@@ -177,9 +175,6 @@ class TestFusedSketchedTwoStage:
     def test_fewer_syncs_than_unfused(self, rng):
         """fused=True must charge 3x fewer collectives than the unfused
         sketched scheme on the NumPy-free distributed path."""
-        from repro.parallel.communicator import SimComm
-        from repro.parallel.machine import generic_cpu
-        from repro.parallel.tracing import Tracer
         n, k = 400, 20
         v = logscaled_matrix(n, k, 1e8, rng)
         part = Partition(n, 4)
@@ -225,23 +220,22 @@ class TestDistributedEquivalence:
         lambda: RBCGSScheme(),
         lambda: SketchedTwoStageScheme(big_step=10),
     ], ids=["rbcgs", "sketched-two-stage"])
-    def test_numpy_vs_dist_and_loop_vs_batched(self, comm4, rng,
-                                               make_scheme):
+    def test_numpy_vs_dist_and_loop_vs_batched(self, rng, make_scheme):
         n, k = 600, 10
         v = logscaled_matrix(n, k, 1e8, rng)
         ref = drive(make_scheme(), v)
         part = Partition(n, 4)
         outputs = {}
         for engine in ("loop", "batched"):
-            with config.engine_scope(engine):
-                dv = DistMultiVector.from_global(v, part, comm4)
-                scheme = make_scheme()
-                r = np.zeros((k, k))
-                scheme.begin_cycle(DistBackend(comm4, engine=engine), dv, r)
-                for lo in range(0, k, 5):
-                    scheme.panel_arrived(lo, lo + 5)
-                scheme.finish_cycle()
-                outputs[engine] = (dv.to_global(), r.copy())
+            comm = SimComm(generic_cpu(), 4, Tracer(), engine=engine)
+            dv = DistMultiVector.from_global(v, part, comm)
+            scheme = make_scheme()
+            r = np.zeros((k, k))
+            scheme.begin_cycle(DistBackend(comm), dv, r)
+            for lo in range(0, k, 5):
+                scheme.panel_arrived(lo, lo + 5)
+            scheme.finish_cycle()
+            outputs[engine] = (dv.to_global(), r.copy())
         # engines agree bitwise on the full scheme output
         np.testing.assert_array_equal(outputs["loop"][0],
                                       outputs["batched"][0])
@@ -261,7 +255,6 @@ class TestInSStepGMRES:
     def test_solver_converges(self, make_scheme):
         from repro.krylov.simulation import Simulation
         from repro.krylov.sstep_gmres import sstep_gmres
-        from repro.parallel.machine import generic_cpu
         sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu())
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=20,
                           tol=1e-8, scheme=make_scheme())

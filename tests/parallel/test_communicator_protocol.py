@@ -141,5 +141,7 @@ class TestMakeComm:
         assert comm.tracer is tracer
 
     def test_engine_threaded_through(self):
-        comm = make_comm("sim", engine="loop")
-        assert comm.engine == "loop"
+        """The protocol attribute is always a name: the one given, else
+        the default the communicator bound at construction."""
+        assert make_comm("sim", engine="loop").engine == "loop"
+        assert make_comm("sim").engine == "batched"

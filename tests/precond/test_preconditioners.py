@@ -59,6 +59,49 @@ class TestJacobi:
         with pytest.raises(NumericalError):
             JacobiPreconditioner().setup(mat)
 
+    @pytest.mark.parametrize("storage", ["fp64", "fp32"])
+    @pytest.mark.parametrize("ranks, offsets", [
+        (4, None), (5, None), (4, [0, 40, 40, 100, 144])],
+        ids=["uniform", "ragged", "empty-rank"])
+    def test_apply_equals_the_per_rank_formulation(self, rng, ranks,
+                                                   offsets, storage):
+        """One multiply over the flat storage, charged per row: values,
+        charge stream and metrics totals of one multiply and one cost
+        evaluation per rank."""
+        from repro.parallel.partition import Partition
+        a = (laplace2d(12) + sp.diags(rng.uniform(1.0, 2.0, 144))).tocsr()
+        data = rng.standard_normal((144, 4))
+
+        def run(apply):
+            part = Partition(144, ranks, offsets=(
+                None if offsets is None else np.array(offsets)))
+            sim = Simulation(a, ranks=ranks, machine=generic_cpu(),
+                             partition=part, spans=True, metrics=True)
+            pc = JacobiPreconditioner().setup(sim.matrix)
+            basis = sim.vector_from(data, storage=storage)
+            for cols in (slice(0, 1), slice(1, 4)):
+                x, out = basis.view_cols(cols), sim.zeros(
+                    cols.stop - cols.start, storage=storage)
+                apply(pc, x, out)
+                yield out.to_global().tobytes()
+            yield [(s.phase, s.name, s.t0.hex(), s.t1.hex(), s.count)
+                   for s in sim.tracer.spans if s.cat == "kernel"]
+            yield sorted(sim.metrics.flops.items())
+            yield sorted(sim.metrics.mem_bytes.items())
+
+        def per_rank(pc, x, out):
+            comm = x.comm
+            for rows, xs, outs in zip(x.partition.local_slices, x.shards,
+                                      out.shards):
+                np.multiply(xs, pc._inv_diag[rows, np.newaxis], out=outs)
+            comm.charge_local(
+                "scale", [comm.cost.blas1(s.size, n_streams=2, writes=1)
+                          for s in x.shards])
+
+        got = list(run(JacobiPreconditioner.apply))
+        assert got == list(run(per_rank))
+        assert len(got[2]) == 2 and got[3]  # two charges, flops counted
+
 
 class TestColoring:
     def test_valid_coloring_on_laplacian(self):

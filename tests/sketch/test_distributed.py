@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
@@ -21,14 +20,12 @@ K = 3
 
 def sketch_under(engine: str, family: str, n: int, ranks: int,
                  seed: int = 17):
-    comm = SimComm(generic_cpu(), ranks, Tracer())
+    comm = SimComm(generic_cpu(), ranks, Tracer(), engine=engine)
     part = Partition(n, ranks)
     rng = np.random.default_rng(0)
     v = DistMultiVector.from_global(rng.standard_normal((n, K)), part, comm)
     op = make_operator(family, n, M_ROWS, seed=seed)
-    with config.engine_scope(engine):
-        out = sketch_multivector(v, op)
-    return out, comm.tracer, op, v
+    return sketch_multivector(v, op), comm.tracer, op, v
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -76,34 +73,22 @@ class TestProtocol:
         with pytest.raises(ShapeError):
             sketch_multivector(v, op)
 
-    def test_explicit_engine_argument(self):
-        comm = SimComm(generic_cpu(), 4, Tracer())
-        part = Partition(96, 4)
-        rng = np.random.default_rng(1)
-        v = DistMultiVector.from_global(rng.standard_normal((96, K)),
-                                        part, comm)
-        op = make_operator("sparse", 96, M_ROWS, seed=2)
-        a = sketch_multivector(v, op, engine="loop")
-        b = sketch_multivector(v, op, engine="batched")
-        np.testing.assert_array_equal(a, b)
-
 
 class TestFusedDotSketch:
     @pytest.mark.parametrize("n", [96, 101], ids=["uniform", "ragged"])
     def test_fused_matches_separate_and_one_sync(self, n):
         from repro.ortho.backend import DistBackend
-        comm = SimComm(generic_cpu(), 8, Tracer())
         part = Partition(n, 8)
         rng = np.random.default_rng(5)
-        q = DistMultiVector.from_global(rng.standard_normal((n, 4)),
-                                        part, comm)
-        v = DistMultiVector.from_global(rng.standard_normal((n, K)),
-                                        part, comm)
+        q_arr = rng.standard_normal((n, 4))
+        v_arr = rng.standard_normal((n, K))
         op = make_operator("sparse", n, M_ROWS, seed=9)
         for engine in ("loop", "batched"):
-            backend = DistBackend(comm, engine=engine)
-            before = comm.tracer.sync_count()
+            comm = SimComm(generic_cpu(), 8, Tracer(), engine=engine)
+            q = DistMultiVector.from_global(q_arr, part, comm)
+            v = DistMultiVector.from_global(v_arr, part, comm)
+            backend = DistBackend(comm)
             (p,), sv = backend.fused_dots_sketch([(q, v)], v, op)
-            assert comm.tracer.sync_count() - before == 1
+            assert comm.tracer.sync_count() == 1
             np.testing.assert_allclose(p, backend.dot(q, v), rtol=1e-13)
             np.testing.assert_array_equal(sv, backend.sketch(v, op))

@@ -70,12 +70,17 @@ class TestOperatorContract:
             np.testing.assert_allclose(total, full, rtol=1e-13, atol=1e-14)
 
     def test_partial_stack_bit_identical_to_loop(self, family, rng):
-        n, ranks = 160, 8
+        """A stack is a run of equal-count ranks anywhere in the rows."""
+        n, ranks, rows = 200, 8, 20
         op = make_operator(family, n, 16, seed=9)
-        stack = rng.standard_normal((ranks, n // ranks, 3))
-        loop = np.stack([op.partial(stack[r], r * (n // ranks))
-                         for r in range(ranks)])
-        np.testing.assert_array_equal(op.partial_stack(stack), loop)
+        stack = rng.standard_normal((ranks, rows, 3))
+        for first_row in (0, 37):
+            loop = np.stack([op.partial(stack[r], first_row + r * rows)
+                             for r in range(ranks)])
+            np.testing.assert_array_equal(
+                op.partial_stack(stack, first_row), loop)
+            empty = op.partial_stack(np.zeros((2, 0, 3)), first_row)
+            assert empty.shape == (2, 16, 3) and not empty.any()
 
     def test_embedding_quality(self, family, rng):
         """Singular values of S Q stay within a constant band for an
@@ -188,7 +193,7 @@ class TestFastSRHT:
         stack = rng.standard_normal((ranks, n // ranks, k))
         loop = np.stack([op.partial(stack[r], r * (n // ranks))
                          for r in range(ranks)])
-        np.testing.assert_array_equal(op.partial_stack(stack), loop)
+        np.testing.assert_array_equal(op.partial_stack(stack, 0), loop)
         np.testing.assert_allclose(
             loop.sum(axis=0), op.matrix() @ stack.reshape(n, k),
             rtol=1e-12, atol=1e-13)

@@ -35,19 +35,21 @@ class TestWorkflow:
         assert "PYTHONPATH=src python -m pytest -x -q" in runs
 
     def test_tier1_engine_matrix(self):
-        """Both kernel engines are first-class tier-1 matrix legs (not a
-        bolt-on second pytest step)."""
+        """The tier-1 matrix has no engine axis — one leg per Python —
+        and no step anywhere selects an engine through the environment:
+        the communicator is the only door, and the tests that hold a
+        kernel to the loop oracle bind it themselves."""
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
         tier1 = doc["jobs"]["tier1"]
         matrix = tier1["strategy"]["matrix"]
-        assert set(matrix["engine"]) == {"batched", "loop"}
+        assert set(matrix) == {"python-version"}
         assert len(matrix["python-version"]) >= 3
+        assert "REPRO_ENGINE" not in WORKFLOW.read_text()
+        assert "matrix.engine" not in WORKFLOW.read_text()
         runs = "\n".join(step.get("run", "") for step in tier1["steps"])
-        assert "REPRO_ENGINE=${{ matrix.engine }}" in runs
-        # exactly one invocation of the suite: the engine axis replaced
-        # the old second step (the benchmark's self-test is another
-        # suite, pinned by test_tier1_repo_benchmark_step)
+        # exactly one invocation of the suite (the benchmark's self-test
+        # is another suite, pinned by test_tier1_repo_benchmark_step)
         suite = [line for line in runs.splitlines()
                  if "python -m pytest" in line and "perf/tests" not in line]
         assert len(suite) == 1
@@ -69,8 +71,8 @@ class TestWorkflow:
 
     def test_tier1_docs_lint_step(self):
         """The docs linter runs as a standalone non-pytest tier-1 step
-        (the engine-matrix contract keeps a single pytest invocation per
-        leg; dead-link checking needs no test session anyway)."""
+        (a leg keeps a single pytest invocation; dead-link checking needs
+        no test session anyway)."""
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
         tier1 = doc["jobs"]["tier1"]
@@ -83,9 +85,8 @@ class TestWorkflow:
 
     def test_tier1_repo_benchmark_step(self):
         """The repo benchmark (BENCHMARK.json's command, at --quick
-        sizes) and its own tests run in tier-1, once per Python version:
-        the benchmark pins the engine itself, so the step skips the
-        loop legs."""
+        sizes) and its own tests run in tier-1, unconditionally, on every
+        leg (one per Python version)."""
         yaml = pytest.importorskip("yaml")
         doc = yaml.safe_load(WORKFLOW.read_text())
         tier1 = doc["jobs"]["tier1"]
@@ -95,8 +96,7 @@ class TestWorkflow:
         run = perf[0]["run"]
         assert "python3 perf/run.py --quick" in run
         assert "python -m pytest perf/tests -q" in run
-        assert "REPRO_ENGINE" not in run
-        assert perf[0]["if"] == "matrix.engine == 'batched'"
+        assert "if" not in perf[0]
         # what the step runs is what BENCHMARK.json declares
         spec = json.loads((REPO / "BENCHMARK.json").read_text())
         assert " ".join(spec["command"]) in run
@@ -126,8 +126,7 @@ class TestWorkflow:
         assert triggers["schedule"][0]["cron"].split()[:2] != ["0", "0"]
         nightly = doc["jobs"]["nightly"]
         assert "schedule" in nightly["if"]
-        assert set(nightly["strategy"]["matrix"]["engine"]) == {"batched",
-                                                               "loop"}
+        assert "strategy" not in nightly  # one leg: no engine axis
         runs = "\n".join(step.get("run", "") for step in nightly["steps"])
         assert "slow" in runs
         assert "sketch_stability" in runs
