@@ -1,16 +1,18 @@
 """Benchmark-harness fixtures and machine-readable artifact emission.
 
-Each bench file regenerates one paper artifact (table/figure) at a
-benchmark-friendly scale, asserts its qualitative claim (who wins / in
-which direction), and times the regeneration with pytest-benchmark:
+What is left here is what only a timed run can assert: ratios of two
+legs of one run (``bench_kernels.py``'s loop-vs-batched pairs,
+``bench_mpk.py``'s ``HOST_RATIO_GATE``).  Host time itself is measured
+by ``perf/run.py`` and the paper's claims are tier-1 tests
+(``tests/experiments/test_paper_claims.py``).
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 At session end every module that ran benchmarks is serialized to
 ``BENCH_<name>.json`` (``bench_kernels.py`` -> ``BENCH_kernels.json``)
 in ``$REPRO_BENCH_DIR`` (default: current directory) via
-:mod:`repro.bench.artifacts` — the documents CI uploads and diffs with
-``scripts/compare_bench.py``.
+:mod:`repro.bench.artifacts` — the documents CI uploads and
+``scripts/compare_bench.py --check-speedup`` reads its ratios from.
 """
 
 from __future__ import annotations
@@ -42,17 +44,9 @@ def check():
     return _check
 
 
-#: Modules whose artifact name differs from the ``bench_<name>`` stem.
-ARTIFACT_ALIASES = {"sketch_kernels": "sketch", "sstep_gmres": "gmres",
-                    "precision_kernels": "precision"}
-
-
 def _artifact_name(fullname: str) -> str:
     """``benchmarks/bench_kernels.py::test_x[a]`` -> ``kernels``."""
-    module = fullname.split("::", 1)[0]
-    stem = Path(module).stem
-    name = stem[len("bench_"):] if stem.startswith("bench_") else stem
-    return ARTIFACT_ALIASES.get(name, name)
+    return Path(fullname.split("::", 1)[0]).stem.removeprefix("bench_")
 
 
 def pytest_sessionfinish(session, exitstatus):

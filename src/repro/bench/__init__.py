@@ -1,15 +1,14 @@
 """Machine-readable benchmark artifacts (``BENCH_<name>.json``).
 
 :mod:`repro.bench.artifacts` turns pytest-benchmark sessions into small
-JSON documents that CI uploads, diffs across runs, and gates merges on —
-see ``scripts/compare_bench.py`` and ``.github/workflows/ci.yml``.
+JSON documents that CI uploads and reads in-run ratio gates from — see
+``scripts/compare_bench.py`` and ``.github/workflows/ci.yml``.
 """
 
 from repro.bench.artifacts import (
     BenchArtifact,
     BenchRecord,
     collect_environment,
-    compare_artifacts,
     from_pytest_benchmarks,
     load_artifact,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "BenchArtifact",
     "BenchRecord",
     "collect_environment",
-    "compare_artifacts",
     "from_pytest_benchmarks",
     "load_artifact",
 ]

@@ -5,9 +5,12 @@ behind (``BENCH_<name>.json``): per-benchmark wall-clock statistics from
 pytest-benchmark, any extra info the benchmark attached (for this library
 typically the *modeled* seconds charged by the cost model, so modeled vs.
 wall time can be tracked together), and enough environment metadata to
-interpret a diff.  ``benchmarks/conftest.py`` emits one artifact per
-benchmark module at session end; ``scripts/compare_bench.py`` diffs two
-artifacts and enforces regression/speedup gates in CI.
+interpret it.  ``benchmarks/conftest.py`` emits one artifact per
+benchmark module at session end (the experiments that write a
+``BENCH_*.json`` build theirs directly); ``scripts/compare_bench.py``
+gates CI on the ratio of two records of one artifact
+(:meth:`BenchArtifact.speedup`).  Artifacts of different runs are never
+compared: host time across commits is ``perf/run.py``'s measurement.
 
 The schema is deliberately flat and versioned (:data:`SCHEMA`); loaders
 reject documents from a different major schema so CI fails loudly instead
@@ -144,43 +147,3 @@ def from_pytest_benchmarks(name: str, benchmarks) -> BenchArtifact:
         environment=collect_environment(),
         benchmarks=records,
     )
-
-
-# ---------------------------------------------------------------------------
-# comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Regression:
-    """One benchmark that got slower than the allowed threshold."""
-
-    name: str
-    baseline_seconds: float
-    current_seconds: float
-
-    @property
-    def ratio(self) -> float:
-        return self.current_seconds / self.baseline_seconds
-
-    def __str__(self) -> str:
-        return (f"{self.name}: {self.baseline_seconds:.6g}s -> "
-                f"{self.current_seconds:.6g}s ({self.ratio:.2f}x)")
-
-
-def compare_artifacts(baseline: BenchArtifact, current: BenchArtifact,
-                      threshold: float = 0.20) -> list[Regression]:
-    """Benchmarks (matched by name) slower than ``baseline * (1+threshold)``.
-
-    Only names present in both artifacts are compared — adding or removing
-    benchmarks is not a regression.  Min-of-rounds wall time is used for
-    the same noise-robustness reason as :meth:`BenchArtifact.speedup`.
-    """
-    current_names = set(current.names())
-    regressions = []
-    for rec in baseline.benchmarks:
-        if rec.name not in current_names:
-            continue
-        cur = current.record(rec.name)
-        if cur.min > rec.min * (1.0 + threshold):
-            regressions.append(Regression(rec.name, rec.min, cur.min))
-    return regressions

@@ -34,6 +34,7 @@ from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
 from repro.parallel.costmodel import CostModel, StaticCharges
 from repro.parallel.partition import Partition
+from repro.utils.validation import check_finite
 
 
 class DistSparseMatrix:
@@ -42,8 +43,9 @@ class DistSparseMatrix:
     Parameters
     ----------
     global_matrix:
-        Any scipy sparse matrix (converted to CSR); must be square.  A
-        CSR input is held by reference: do not modify it afterwards.
+        Any scipy sparse matrix (converted to CSR); must be square with
+        finite entries.  A CSR input is held by reference: do not modify
+        it afterwards.
     partition / comm:
         Row distribution and the simulated communicator.
     """
@@ -57,6 +59,7 @@ class DistSparseMatrix:
             raise ShapeError(
                 f"matrix has {a.shape[0]} rows, partition expects "
                 f"{partition.n_global}")
+        check_finite(a.data, "matrix")
         self.partition = partition
         self.comm = comm
         self.n_global = partition.n_global

@@ -1,10 +1,10 @@
 """Paper-reproduction experiment harness.
 
-One module per table/figure of the paper (see DESIGN.md section 4 for the
+One module per table/figure of the paper (docs/experiments.md is the
 experiment index).  Each module exposes ``run(...) -> ExperimentTable``
-plus a ``main()`` for the CLI (``repro-experiments <name>``); the
-``benchmarks/`` directory wraps the same entry points in pytest-benchmark
-harnesses.
+plus a ``main()`` for the CLI (``repro-experiments <name>``);
+``tests/experiments/test_paper_claims.py`` asserts the paper's claims on
+the same entry points.
 """
 
 from repro.experiments.common import ExperimentTable, resolve_machine

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out (A1-A5).
+"""Ablation studies of the reproduction's design choices (A1-A6).
 
 A1  sync-vs-reuse: how much of the two-stage win is fewer reductions
     (latency) vs. wider local GEMMs (data reuse)?  Answered by re-running

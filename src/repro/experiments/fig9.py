@@ -14,8 +14,9 @@ without bound; with pre-processing it stays moderate for all but the
 "hard" matrices (HTC_336_4438, Ga41As41H72 — which the paper reports as
 violating condition (9)); the final error is O(eps) for all matrices.
 
-Substitution note (DESIGN.md §3): the matrices are offline *surrogates*
-matched in size/symmetry/spectrum class, and run at reduced n by default.
+Substitution note (:mod:`repro.matrices.suitesparse`): the matrices are
+offline *surrogates* matched in size/symmetry/spectrum class, and run at
+reduced n by default.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def run(run_n: int = 20_000, m: int = 60, s: int = 5, bs: int = 60,
     table.add_note("paper Fig. 9: raw chain conditioning explodes; "
                    "pre-processing keeps it bounded except for the two "
                    "hard matrices; final error O(eps) for all")
-    table.add_note("surrogate matrices (offline substitution, DESIGN.md §3)")
+    table.add_note("surrogate matrices (offline substitution, see "
+                   "repro.matrices.suitesparse)")
     return table
 
 

@@ -74,7 +74,7 @@ def run(node_counts: list | None = None, nx: int = 2000, m: int = 60,
                 (f"{paper_base[1] / paper[1]:.1f}x"
                  if paper and paper_base and key != "gmres" else "-"))
     table.add_note("modeled seconds = validated cycle cost model x paper "
-                   "iteration counts (DESIGN.md §3)")
+                   "iteration counts (docs/cost-model.md)")
     return table
 
 

@@ -8,8 +8,8 @@ GMRES annotated.
 
 Our reproduction evaluates the cycle cost model at each matrix's
 (n, nnz) — exactly the paper's values — with a surface-law halo estimate
-standing in for the ParMETIS partition (DESIGN.md §3).  Optionally a
-reduced-scale surrogate convergence run exercises the same numerics.
+standing in for the ParMETIS partition.  Optionally a reduced-scale
+surrogate convergence run exercises the same numerics.
 """
 
 from __future__ import annotations

@@ -56,7 +56,8 @@ def adaptive_sstep_gmres(sim: Simulation, b: np.ndarray,
     if s_min < 1 or s_max < s_min:
         raise ConfigurationError(
             f"need 1 <= s_min <= s_max, got [{s_min}, {s_max}]")
-    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter,
+                         tol=tol)
     if scheme_factory is None:
         from repro.ortho.bcgs_pip import BCGSPIP2Scheme
         scheme_factory = BCGSPIP2Scheme

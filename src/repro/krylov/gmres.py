@@ -50,7 +50,8 @@ def gmres(sim: Simulation, b: np.ndarray, x0: np.ndarray | None = None, *,
     if variant not in ("cgs2", "mgs"):
         raise ConfigurationError(f"unknown GMRES variant {variant!r}")
     append = cgs2_append if variant == "cgs2" else mgs_append
-    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter,
+                         tol=tol)
     tracer = sim.tracer
     backend = sim.backend
     solve = RestartedSolve(sim, b, x0, precond)

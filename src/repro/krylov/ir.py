@@ -109,14 +109,15 @@ def gmres_ir(sim: Simulation, b: np.ndarray,
     carries the IR bookkeeping (refinement count, trigger events, the
     per-refinement inner summaries).
     """
-    b, x0 = check_inputs(sim, b, x0, s=s, restart=restart,
-                         max_refinements=max_refinements)
-    check_nonnegative_int(inner_maxiter, "inner_maxiter")
     policy = resolve_policy(precision)
-    inner_options = (SolverOptions(solve_mode="sketched")
-                     if options is None else options).replace(precision=policy)
     if inner_tol is None:
         inner_tol = max(1.0e-4, 32.0 * policy.storage_eps)
+    b, x0 = check_inputs(sim, b, x0, s=s, restart=restart,
+                         max_refinements=max_refinements, tol=tol,
+                         inner_tol=inner_tol)
+    check_nonnegative_int(inner_maxiter, "inner_maxiter")
+    inner_options = (SolverOptions(solve_mode="sketched")
+                     if options is None else options).replace(precision=policy)
     inner_tol = float(inner_tol)
     tracer = sim.tracer
     solve = RestartedSolve(sim, b, x0, precond)

@@ -66,7 +66,8 @@ def pipelined_gmres(sim: Simulation, b: np.ndarray,
     """
     opts = options if options is not None else SolverOptions()
     overlap = opts.comm_overlap
-    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter)
+    b, x0 = check_inputs(sim, b, x0, restart=restart, maxiter=maxiter,
+                         tol=tol)
     tracer = sim.tracer
     backend = sim.backend
     solve = RestartedSolve(sim, b, x0, precond)

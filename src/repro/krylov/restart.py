@@ -38,15 +38,19 @@ def _checked_vector(sim: Simulation, arr, name: str) -> np.ndarray:
 
 def check_inputs(sim: Simulation, b, x0=None, *, s: int = 1,
                  restart: int = 1, maxiter: int = 0,
-                 max_refinements: int = 1
+                 max_refinements: int = 1, tol: float = 0.0,
+                 inner_tol: float = 0.0
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Refuse a solve that cannot run, before anything is charged.
 
-    ``s = 0`` or ``restart = 0`` would loop forever and a NaN in ``b``
-    would surface from inside a kernel naming no argument; here each
+    ``s = 0`` or ``restart = 0`` would loop forever, a NaN in ``b``
+    would surface from inside a kernel naming no argument, and no
+    residual ever passes a NaN or negative tolerance, so the solve runs
+    to ``maxiter`` and reports failure at machine precision; here each
     raises :class:`ConfigurationError` (:class:`ShapeError` for a wrong
-    length) naming the argument.  Callers pass the structural
-    parameters they have.  Returns ``b`` and ``x0`` as flat float64.
+    length) naming the argument.  Callers pass the parameters they
+    have (a tolerance of ``0.0`` or ``inf`` is legal).  Returns ``b``
+    and ``x0`` as flat float64.
     """
     check_positive_int(s, "s")
     check_positive_int(restart, "restart")
@@ -54,6 +58,10 @@ def check_inputs(sim: Simulation, b, x0=None, *, s: int = 1,
         raise ConfigurationError(f"restart {restart} must be >= step {s}")
     check_nonnegative_int(maxiter, "maxiter")
     check_positive_int(max_refinements, "max_refinements")
+    for name, value in (("tol", tol), ("inner_tol", inner_tol)):
+        if not value >= 0:  # NaN compares false
+            raise ConfigurationError(
+                f"{name} must be a non-negative number, got {value}")
     return (_checked_vector(sim, b, "b"),
             None if x0 is None else _checked_vector(sim, x0, "x0"))
 

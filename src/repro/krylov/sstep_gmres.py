@@ -232,8 +232,8 @@ def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
     policy = resolve_policy(opts.precision)
     solves = [RestartedSolve(
         sim, *check_inputs(sim, b, x0, s=s, restart=restart,
-                           maxiter=maxiter), precond)
-        for b, x0, _, maxiter in requests]
+                           maxiter=maxiter, tol=tol), precond)
+        for b, x0, tol, maxiter in requests]
     kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode, sim.comm, s,
                                    word_bytes=_bytes_per_word(policy.storage))
     members = []

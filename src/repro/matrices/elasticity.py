@@ -13,8 +13,8 @@ components through mixed second derivatives, giving the characteristic
 mu > 0, lambda + mu >= 0 (verified in tests).
 
 The paper does not specify its discretization; nnz/row differs slightly
-from the reported 5.7 (see DESIGN.md section 7 — Table IV's cost model
-uses the paper's nnz/n directly).
+from the reported 5.7 (Table IV's cost model uses the paper's nnz/n
+directly).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""SuiteSparse surrogate registry (offline substitution — DESIGN.md §3).
+"""SuiteSparse surrogate registry (offline substitution).
 
 The paper evaluates on matrices from the SuiteSparse Matrix Collection
 (Table IV and Fig. 9).  The collection is not available offline, so each

@@ -7,9 +7,9 @@ over per-rank shards, tree-order reductions), while every local kernel and
 every message is charged modeled time from a :class:`MachineSpec` through
 a :class:`CostModel`, accumulated by a :class:`Tracer`.
 
-See DESIGN.md section 3 for why this substitution preserves the paper's
-relevant behaviour (speedups are count-driven: synchronizations per s
-steps, kernel launches, and bytes moved as a function of block width).
+The substitution preserves the paper's relevant behaviour because its
+speedups are count-driven: synchronizations per s steps, kernel launches,
+and bytes moved as a function of block width (docs/cost-model.md).
 
 The communication surface is a formal protocol (:class:`Communicator`,
 :mod:`repro.parallel.api`) with two backends: :class:`SimComm`, the

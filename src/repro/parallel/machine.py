@@ -4,7 +4,7 @@ A :class:`MachineSpec` captures the handful of hardware constants the cost
 model needs.  The constants in the presets are public figures for the
 paper's systems; none of them are fitted to the paper's result tables (the
 reproduction target is ratios/crossovers, which depend on operation counts,
-not on the constants — see DESIGN.md section 3).
+not on the constants — see docs/cost-model.md).
 
 Device-level constants (NVIDIA V100, SXM2 16GB):
   * 7.0 TF/s FP64 peak, ~900 GB/s HBM2 peak; STREAM-like kernels reach

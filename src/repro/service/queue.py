@@ -159,7 +159,8 @@ class SolveQueue:
         # the solver's own door check, here: a request that cannot run is
         # refused at submission instead of failing its whole batch
         b, x0 = check_inputs(self.sim, b, x0, s=cfg["s"],
-                             restart=cfg["restart"], maxiter=maxiter)
+                             restart=cfg["restart"], maxiter=maxiter,
+                             tol=tol)
         key = _solver_key(cfg["s"], cfg["restart"], cfg["basis"],
                           cfg["scheme_factory"], cfg["precond"],
                           cfg["options"])

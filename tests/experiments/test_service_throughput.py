@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.bench.artifacts import load_artifact
@@ -27,7 +25,7 @@ class TestTable:
         assert table.column(1) == widths * len(machines)
 
     def test_speedup_gate_on_latency_machine(self, outputs):
-        """The CI-gated claim: width-8 >= 3x width-1 solves/sec on
+        """The batching claim: width-8 >= 3x width-1 solves/sec on
         summit_lat16x — pinned from the artifact so a silent assert
         removal inside run() cannot pass."""
         _, artifact = outputs
@@ -73,15 +71,6 @@ class TestArtifacts:
         rec = loaded.record("service[summit,w1]")
         assert rec.extra["width"] == 1
         assert rec.extra["machine"] == "summit"
-
-    def test_matches_committed_baseline_names(self, outputs):
-        """The committed benchmarks/BENCH_service.json baseline must
-        gate exactly the records the quick run produces."""
-        _, artifact = outputs
-        with open("benchmarks/BENCH_service.json") as fh:
-            baseline = json.load(fh)
-        assert {b["name"] for b in baseline["benchmarks"]} \
-            == set(artifact.names())
 
 
 def test_cli_quick(tmp_path, capsys):

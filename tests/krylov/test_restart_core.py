@@ -46,14 +46,15 @@ def _submit(sim, b, x0=None, **kw):
 
 #: name -> (call, the structural parameters it takes)
 ENTRY_POINTS = {
-    "gmres": (gmres, {"restart", "maxiter"}),
-    "pipelined_gmres": (pipelined_gmres, {"restart", "maxiter"}),
-    "sstep_gmres": (sstep_gmres, {"s", "restart", "maxiter"}),
-    "block_sstep_gmres": (_block, {"s", "restart", "maxiter"}),
+    "gmres": (gmres, {"restart", "maxiter", "tol"}),
+    "pipelined_gmres": (pipelined_gmres, {"restart", "maxiter", "tol"}),
+    "sstep_gmres": (sstep_gmres, {"s", "restart", "maxiter", "tol"}),
+    "block_sstep_gmres": (_block, {"s", "restart", "maxiter", "tol"}),
     "gmres_ir": (gmres_ir, {"s", "restart", "max_refinements",
-                            "inner_maxiter"}),
-    "adaptive_sstep_gmres": (adaptive_sstep_gmres, {"restart", "maxiter"}),
-    "SolveQueue.submit": (_submit, {"s", "restart", "maxiter"}),
+                            "inner_maxiter", "tol", "inner_tol"}),
+    "adaptive_sstep_gmres": (adaptive_sstep_gmres,
+                             {"restart", "maxiter", "tol"}),
+    "SolveQueue.submit": (_submit, {"s", "restart", "maxiter", "tol"}),
 }
 
 
@@ -81,6 +82,14 @@ BAD_INPUTS = {
     "max_refinements=0": (dict(max_refinements=0), None, None,
                           ConfigurationError,
                           "max_refinements must be positive, got 0"),
+    # no residual passes these: the solve runs to maxiter and reports failure
+    "tol=nan": (dict(tol=float("nan")), None, None, ConfigurationError,
+                "tol must be a non-negative number, got nan"),
+    "tol=-1": (dict(tol=-1.0), None, None, ConfigurationError,
+               "tol must be a non-negative number, got -1.0"),
+    "inner_tol=nan": (dict(inner_tol=float("nan")), None, None,
+                      ConfigurationError,
+                      "inner_tol must be a non-negative number, got nan"),
     "b short": ({}, np.ones(N - 1), None, ShapeError, "must have 64 entries"),
     "b nan": ({}, _with(3, np.nan), None,
               ConfigurationError, "b contains non-finite entries"),

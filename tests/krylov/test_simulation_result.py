@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.krylov.result import ConvergenceHistory, SolveResult
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
@@ -36,6 +36,21 @@ class TestSimulation:
     def test_partition_mismatch(self):
         with pytest.raises(ShapeError):
             Simulation(laplace2d(6), ranks=3, partition=Partition(36, 4))
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf])
+    def test_non_finite_matrix_refused_before_any_charge(self, entry,
+                                                         backend):
+        """Let in, it surfaces from inside the first trsm as a bare
+        ValueError naming no argument, 14 charges into the solve."""
+        a = laplace2d(6).tocsr()
+        a.data[7] = entry
+        tracer = Tracer()
+        with pytest.raises(ConfigurationError,
+                           match="matrix contains non-finite entries"):
+            Simulation(a, ranks=4, machine=generic_cpu(), tracer=tracer,
+                       backend=backend)
+        assert tracer.clock == 0.0 and not tracer.counts
 
     def test_ones_solution_rhs(self):
         sim = Simulation(laplace2d(5), ranks=2, machine=vortex())

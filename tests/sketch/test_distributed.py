@@ -11,7 +11,7 @@ from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.sketch import make_operator, sketch_multivector
+from repro.sketch import make_operator, sketch_multivector, sketch_rows
 
 FAMILIES = ["sparse", "gaussian", "srht"]
 M_ROWS = 24
@@ -48,6 +48,28 @@ class TestEngineEquivalence:
         out, _, op, v = sketch_under("batched", family, n, ranks)
         ref = op.apply(v.to_global())
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
+
+
+def test_fp64_charged_costs_are_pinned():
+    """Regression net for the word-size parameterization: the modeled
+    seconds one sketch of an 8192 x 30 fp64 basis charges on 64 ranks
+    (a wrong word size would be off by 2x; the tolerance only absorbs
+    last-digit noise of the environment)."""
+    n, ranks, k = 8_192, 64, 30
+    comm = SimComm(generic_cpu(), ranks, Tracer())
+    basis = DistMultiVector.from_global(
+        np.random.default_rng(0).standard_normal((n, k)),
+        Partition(n, ranks), comm)
+    for family, seconds in (
+            ("sparse", float.fromhex("0x1.ef2d33a98f6fbp-16")),
+            ("gaussian", float.fromhex("0x1.8707a96930cb4p-16")),
+            ("srht", float.fromhex("0x1.8707a96930cb4p-16"))):
+        op = make_operator(family, n, sketch_rows(k, n, family=family),
+                           seed=0xC0FFEE)
+        before = comm.tracer.clock
+        sketch_multivector(basis, op)
+        assert comm.tracer.clock - before == pytest.approx(
+            seconds, rel=1e-12), family
 
 
 class TestProtocol:
