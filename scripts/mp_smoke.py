@@ -90,6 +90,10 @@ def main() -> int:
                                     "storage is not in shared memory")
             res = sstep_gmres(sim, b, s=3, restart=12, tol=1e-8,
                               scheme=TwoStageScheme(12), options=opts)
+            if backend == "mp" and (not sim.comm.modeled.flops
+                                    or sim.tracer.flops):
+                failures.append(f"{ranks} ranks: flops / bytes belong on "
+                                "the modeled twin and nowhere else")
             modeled = (sim.comm.modeled.clock if backend == "mp"
                        else sim.tracer.clock)
             measured_phases = (dict(sim.tracer.by_phase)

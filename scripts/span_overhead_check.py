@@ -4,8 +4,10 @@ Three assertions, run in bench-smoke:
 
 1. **Micro overhead.**  With spans disabled, one ``Tracer.add`` call
    pays a single ``is not None`` test over the pre-span implementation
-   (the metrics feed adds one more).  We time a batch of charges and
-   require the per-call cost to stay under an absolute bound generous
+   (the histogram hook adds one more).  We time a batch of bare
+   ``add(kernel, seconds)`` charges — the estimator's path — and a
+   batch that carries a cost-model record's flops / bytes, and require
+   the per-call cost of both to stay under an absolute bound generous
    enough for any CI host but far below anything a regression (e.g.
    unconditional span allocation) would produce.
 
@@ -15,11 +17,12 @@ Three assertions, run in bench-smoke:
    pinned modeled numbers (``tests/krylov/test_restart_golden.py``,
    ``BENCHMARK.json``'s 1e-12 bounds) hold whether or not spans record.
 
-3. **Bit identity (metrics).**  Attaching a metrics registry must be
-   charge-identical and modeled-cost-identical too: the registry only
-   *observes* the charge stream and the cost model's (flops, bytes)
-   shapes, never the returned seconds.  Asserted the same way, plus a
-   sanity check that the enabled registry actually accumulated.
+3. **Bit identity (metrics).**  A metrics registry must be
+   charge-identical and modeled-cost-identical too: every charge
+   carries its flops / bytes either way, and the registry only adds
+   duration histograms and a snapshot derived from the tracer's totals.
+   Asserted the same way, plus a sanity check that the enabled
+   registry's snapshot is not empty.
 
 Run as ``PYTHONPATH=src python scripts/span_overhead_check.py``.
 """
@@ -46,25 +49,31 @@ CALLS = 100_000
 ROUNDS = 5
 
 
-def _time_adds(tracer: Tracer, calls: int) -> float:
+def _time_adds(tracer: Tracer, calls: int, record: bool = False) -> float:
     t0 = time.perf_counter()
-    for _ in range(calls):
-        tracer.add("dot", 1.0e-9)
+    if record:
+        for _ in range(calls):
+            tracer.add("dot", 1.0e-9, flops=64.0, mem_bytes=512.0)
+    else:
+        for _ in range(calls):
+            tracer.add("dot", 1.0e-9)
     return time.perf_counter() - t0
 
 
-def micro_overhead() -> tuple[float, float]:
-    """Median per-call microseconds with spans (disabled, enabled)."""
-    disabled, enabled = [], []
+def micro_overhead() -> tuple[float, float, float]:
+    """Median per-call microseconds of a bare charge with spans disabled,
+    of one carrying flops / bytes (spans disabled), and of a bare charge
+    with spans enabled."""
+    bare, record, enabled = [], [], []
     for _ in range(ROUNDS):
-        off = Tracer()
-        disabled.append(_time_adds(off, CALLS))
+        bare.append(_time_adds(Tracer(), CALLS))
+        record.append(_time_adds(Tracer(), CALLS, record=True))
         on = Tracer()
         on.enable_spans()
         enabled.append(_time_adds(on, CALLS))
     to_us = 1.0e6 / CALLS
-    return (float(np.median(disabled)) * to_us,
-            float(np.median(enabled)) * to_us)
+    return tuple(float(np.median(x)) * to_us
+                 for x in (bare, record, enabled))
 
 
 def solve_doc(spans: bool = False, metrics: bool = False) -> tuple[dict, dict]:
@@ -78,11 +87,12 @@ def solve_doc(spans: bool = False, metrics: bool = False) -> tuple[dict, dict]:
 
 
 def main() -> int:
-    off_us, on_us = micro_overhead()
-    print(f"spans disabled: {off_us:.3f} us/charge   "
-          f"enabled: {on_us:.3f} us/charge   "
+    off_us, record_us, on_us = micro_overhead()
+    print(f"spans disabled: bare add {off_us:.3f} us/charge   "
+          f"with flops/bytes {record_us:.3f} us/charge   "
+          f"spans enabled: {on_us:.3f} us/charge   "
           f"(bound {MAX_DISABLED_US_PER_CALL} us)")
-    if off_us > MAX_DISABLED_US_PER_CALL:
+    if max(off_us, record_us) > MAX_DISABLED_US_PER_CALL:
         print("FAIL: disabled-span charge overhead above bound")
         return 1
 

@@ -111,13 +111,15 @@ def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
     # the panel streams at its storage word size (fp32 shards move half
     # the fp64 bytes); only the dd flop penalty is precision-independent
     wb = max(x.word_bytes, y.word_bytes)
-    costs = []
-    for xs in x.shards:
-        base = comm.cost.gemm(xs.shape[0], x.n_cols, y.n_cols, word_bytes=wb)
-        flops_term = (2.0 * xs.shape[0] * x.n_cols * y.n_cols * dd_pen
+
+    def rank_seconds(cost, rows: int) -> float:
+        base = cost.gemm(rows, x.n_cols, y.n_cols, word_bytes=wb)
+        flops_term = (2.0 * rows * x.n_cols * y.n_cols * dd_pen
                       / comm.machine.peak_flops)
-        costs.append(max(base, comm.machine.kernel_latency + flops_term))
-    comm.charge_local("dot", costs)
+        return max(base, comm.machine.kernel_latency + flops_term)
+
+    comm.charge("dot", comm.cost.record(lambda c: [
+        rank_seconds(c, xs.shape[0]) for xs in x.shards]))
     # One collective, double payload; combining in dd keeps full accuracy
     # (the communicator folds the (hi, lo) pairs in tree order).
     return comm.allreduce_dd(his, los)

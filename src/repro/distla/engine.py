@@ -11,8 +11,8 @@ NumPy work executes:
 * :class:`BatchedEngine` — computes on the one flat, column-major
   ``(n, k)`` array behind every ``DistMultiVector``, on any partition;
   per-rank operands are strided views of it and nothing is copied or
-  transposed on the way into BLAS.  Per-rank charges on a ragged
-  partition are evaluated once and replayed.
+  transposed on the way into BLAS.  The charge of a kernel shape is
+  evaluated once per run of equal-count ranks and kept on the partition.
 
 Both engines produce bit-identical values and charge identical modeled
 costs.  The contract, by kind of kernel: *reductions* fold per-rank
@@ -165,10 +165,9 @@ class LoopEngine(KernelEngine):
             acc = _acc_dtype(x, y)
             groups.append([_cast(xs, acc).T @ _cast(ys, acc)
                            for xs, ys in zip(x.shards, y.shards)])
-            costs = [comm.cost.gemm(xs.shape[0], x.n_cols, y.n_cols,
-                                    word_bytes=_wb(x, y))
-                     for xs in x.shards]
-            comm.charge_local("dot", costs)
+            comm.charge("dot", comm.cost.record(lambda c: [
+                c.gemm(xs.shape[0], x.n_cols, y.n_cols, word_bytes=_wb(x, y))
+                for xs in x.shards]))
         return groups
 
     def block_dot(self, x, y) -> np.ndarray:
@@ -193,10 +192,9 @@ class LoopEngine(KernelEngine):
         for s in x.shards:
             ss = _cast(s, acc)
             partials.append(np.einsum("ij,ij->j", ss, ss))
-        costs = [comm.cost.blas1(s.size, n_streams=1, writes=0,
-                                 word_bytes=x.word_bytes)
-                 for s in x.shards]
-        comm.charge_local("norm", costs)
+        comm.charge("norm", comm.cost.record(lambda c: [
+            c.blas1(s.size, n_streams=1, writes=0, word_bytes=x.word_bytes)
+            for s in x.shards]))
         return np.sqrt(comm.allreduce([partials])[0])
 
     # -- local (communication-free) updates ------------------------------
@@ -207,10 +205,10 @@ class LoopEngine(KernelEngine):
             _gemm_sub(w, _cast(qs, _F64), r)
             if w is not vs:
                 vs[...] = v.quantize(w)
-        costs = [comm.cost.gemm_tall_update(vs.shape[0], q.n_cols, v.n_cols,
-                                            word_bytes=_wb(v, q))
-                 for vs in v.shards]
-        comm.charge_local("update", costs)
+        comm.charge("update", comm.cost.record(lambda c: [
+            c.gemm_tall_update(vs.shape[0], q.n_cols, v.n_cols,
+                               word_bytes=_wb(v, q))
+            for vs in v.shards]))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         comm = v.comm
@@ -220,19 +218,17 @@ class LoopEngine(KernelEngine):
             _trsm_rows(w, r)
             if w is not vs:
                 vs[...] = v.quantize(w)
-        costs = [comm.cost.trsm(vs.shape[0], v.n_cols,
-                                word_bytes=v.word_bytes)
-                 for vs in v.shards]
-        comm.charge_local("trsm", costs)
+        comm.charge("trsm", comm.cost.record(lambda c: [
+            c.trsm(vs.shape[0], v.n_cols, word_bytes=v.word_bytes)
+            for vs in v.shards]))
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         comm = v.comm
         for vs in v.shards:
             vs[...] = v.quantize(_cast(vs, _F64) * scales[np.newaxis, :])
-        costs = [comm.cost.blas1(vs.size, n_streams=1, writes=1,
-                                 word_bytes=v.word_bytes)
-                 for vs in v.shards]
-        comm.charge_local("scale", costs)
+        comm.charge("scale", comm.cost.record(lambda c: [
+            c.blas1(vs.size, n_streams=1, writes=1, word_bytes=v.word_bytes)
+            for vs in v.shards]))
 
     def lincomb(self, out, terms) -> None:
         comm = out.comm
@@ -241,27 +237,25 @@ class LoopEngine(KernelEngine):
             for alpha, x in terms[1:]:
                 acc += alpha * _cast(x.shards[r], _F64)
             outs[...] = out.quantize(acc)
-        costs = [comm.cost.blas1(s.size, n_streams=len(terms), writes=1,
-                                 word_bytes=_wb(out, *[t[1] for t in terms]))
-                 for s in out.shards]
-        comm.charge_local("axpy", costs)
+        comm.charge("axpy", comm.cost.record(lambda c: [
+            c.blas1(s.size, n_streams=len(terms), writes=1,
+                    word_bytes=_wb(out, *[t[1] for t in terms]))
+            for s in out.shards]))
 
     def copy_into(self, dst, src) -> None:
         comm = dst.comm
         dst.assign_from(src)  # rounds to dst's storage grid when needed
-        costs = [comm.cost.blas1(s.size, n_streams=1, writes=1,
-                                 word_bytes=_wb(dst, src))
-                 for s in src.shards]
-        comm.charge_local("axpy", costs)
+        comm.charge("axpy", comm.cost.record(lambda c: [
+            c.blas1(s.size, n_streams=1, writes=1, word_bytes=_wb(dst, src))
+            for s in src.shards]))
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
         comm = v.comm
         for vs, outs in zip(v.shards, out.shards):
             outs[...] = out.quantize(_cast(vs, _F64) @ coeffs)
-        costs = [comm.cost.gemm(vs.shape[0], v.n_cols, out.n_cols,
-                                word_bytes=_wb(v, out))
-                 for vs in v.shards]
-        comm.charge_local("update", costs)
+        comm.charge("update", comm.cost.record(lambda c: [
+            c.gemm(vs.shape[0], v.n_cols, out.n_cols, word_bytes=_wb(v, out))
+            for vs in v.shards]))
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op) -> list[np.ndarray]:
@@ -280,10 +274,9 @@ class LoopEngine(KernelEngine):
                     for r, shard in enumerate(v.shards)]
         # sketch application runs on the driver process under the mp
         # backend (see ROADMAP), so tag the charge for calibration
-        comm.charge_local(
-            "dot", [op.local_cost(comm.cost, s.shape[0], v.n_cols,
-                                  word_bytes=v.word_bytes)
-                    for s in v.shards], driver_side=True)
+        comm.charge("dot", comm.cost.record(lambda c: [
+            op.local_cost(c, s.shape[0], v.n_cols, word_bytes=v.word_bytes)
+            for s in v.shards]), driver_side=True)
         return partials
 
     def sketch_apply(self, v, op) -> np.ndarray:
@@ -310,17 +303,13 @@ class LoopEngine(KernelEngine):
 def charge_rows(mv, kernel: str, method: str, per_row: int, *shape) -> None:
     """Charge a local ``kernel`` over ``mv``'s rows, costing rank ``r``
     ``CostModel.<method>(rows_r * per_row, *shape)``: evaluated for one
-    rank when uniform, else per rank, once per ``(method, shape, machine)``
-    in the partition's memo, and replayed with its metrics shapes."""
+    rank of each run of equal-count ranks, once per ``(method, shape,
+    machine)`` in the partition's memo."""
     comm, part = mv.comm, mv.partition
-    if part.is_uniform:
-        comm.charge_uniform(kernel, getattr(comm.cost, method)(
-            part.runs[0][2] * per_row, *shape))
-        return
-    comm.cost.memoized(
+    comm.charge(kernel, comm.cost.memoized(
         part.charges, (method, per_row, *shape),
-        lambda cost: [getattr(cost, method)(rows * per_row, *shape)
-                      for rows in part.counts.tolist()]).charge(comm, kernel)
+        lambda c: [getattr(c.times(n_ranks), method)(rows * per_row, *shape)
+                   for n_ranks, _, rows in part.runs]))
 
 
 def _rank_tiles(part, k: int):
@@ -439,18 +428,10 @@ class BatchedEngine(LoopEngine):
                      flat[lo:lo + n_ranks * rows].reshape(n_ranks, rows, k),
                      lo)
                  for n_ranks, lo, rows in part.runs]
-        # same charge as the loop body: one evaluation fanned out when
-        # every rank has the same rows, else the slowest rank's
-        if part.is_uniform:
-            comm.charge_uniform(
-                "dot", op.local_cost(comm.cost, part.runs[0][2], k,
-                                     word_bytes=v.word_bytes),
-                driver_side=True)
-        else:
-            comm.charge_local(
-                "dot", [op.local_cost(comm.cost, rows, k,
-                                      word_bytes=v.word_bytes)
-                        for rows in part.counts.tolist()], driver_side=True)
+        # same charge as the loop body
+        comm.charge("dot", comm.cost.record(lambda c: [
+            op.local_cost(c.times(n_ranks), rows, k, word_bytes=v.word_bytes)
+            for n_ranks, _, rows in part.runs]), driver_side=True)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.communicator import HaloDescriptors
-from repro.parallel.costmodel import StaticCharges
+from repro.parallel.costmodel import KernelCharge
 from repro.parallel.partition import Partition
 from repro.precision.dtypes import word_bytes as _word_bytes
 
@@ -232,10 +232,10 @@ class GhostPlan:
         self._ring_counts = None
         self._recv_bytes: dict[tuple, HaloDescriptors] = {}
         #: For :meth:`CostModel.memoized <repro.parallel.costmodel
-        #: .CostModel.memoized>`: per-rank charges of kernels over this
-        #: plan.  Level sizes never change, so every panel of a solve
-        #: charges the same lists.
-        self.charge_memo: dict[tuple, StaticCharges] = {}
+        #: .CostModel.memoized>`: charges of kernels over this plan.
+        #: Level sizes never change, so every panel of a solve charges
+        #: the same records.
+        self.charge_memo: dict[tuple, KernelCharge] = {}
 
     # ------------------------------------------------------------------
     @classmethod

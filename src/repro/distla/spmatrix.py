@@ -32,7 +32,7 @@ from repro.distla.halo import GhostPlan, HaloPlan
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
-from repro.parallel.costmodel import CostModel, StaticCharges
+from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.parallel.partition import Partition
 from repro.utils.validation import check_finite
 
@@ -72,8 +72,8 @@ class DistSparseMatrix:
         self._diag = a.diagonal().copy()
         self._global_csr = a
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
-        #: ``(word_bytes, machine) ->`` the per-rank ``spmv_local`` charges
-        self._spmv_charges: dict[tuple, StaticCharges] = {}
+        #: ``(word_bytes, machine) ->`` the ``spmv_local`` charge
+        self._spmv_charges: dict[tuple, KernelCharge] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -105,23 +105,22 @@ class DistSparseMatrix:
             # cache miss so short solves don't get deep-halo planning
             # for free (reuse across panels/solves stays free)
             with self.comm.tracer.phase("spmv"):
-                self.comm.charge_local("ghost_plan", [
-                    self.comm.cost.ghost_plan_analysis(
+                self.comm.charge("ghost_plan", self.comm.cost.record(
+                    lambda c: [c.ghost_plan_analysis(
                         float(plan.level_rows[r].sum()),
                         float(plan.level_nnz[r].sum()))
-                    for r in range(self.partition.ranks)
-                ])
+                        for r in range(self.partition.ranks)]))
         return plan
 
     # ------------------------------------------------------------------
-    def _local_spmv_charges(self, cost: CostModel, word_bytes: float
-                            ) -> StaticCharges:
-        """Per-rank ``spmv_local`` charges, evaluated once per
-        ``(machine, word_bytes)``.
+    def _local_spmv_charge(self, cost: CostModel, word_bytes: float
+                           ) -> KernelCharge:
+        """The ``spmv_local`` charge, evaluated once per ``(machine,
+        word_bytes)``.
 
         Every input — block nonzeros and rows, owned plus ghost operand
         entries — is fixed at construction, so each SpMV of a solve
-        charges the same list.
+        charges the same record.
         """
         return cost.memoized(self._spmv_charges, float(word_bytes), lambda c: [
             c.spmv(block.nnz, block.shape[0],
@@ -164,9 +163,8 @@ class DistSparseMatrix:
             if out.storage != "fp64":
                 y = out.quantize(y)
             out.scatter_col(0, y)
-        self._local_spmv_charges(
-            comm.cost, max(x.word_bytes, out.word_bytes)
-        ).charge(comm, "spmv_local")
+        comm.charge("spmv_local", self._local_spmv_charge(
+            comm.cost, max(x.word_bytes, out.word_bytes)))
         return out
 
     def matvec_batched(self, xs: list[DistMultiVector],
@@ -175,7 +173,7 @@ class DistSparseMatrix:
         """Several :meth:`matvec` applications as ONE charged pass.
 
         Values are identical to per-operand calls; the modeled charges
-        fuse under :class:`repro.parallel.batch.BatchCharges` — one halo
+        fuse as the members of one communicator ``group()`` — one halo
         exchange whose payload carries every operand's ghost rows, one
         local-SpMV launch over the stacked operands.  The batched
         multi-RHS solver's panel generation is exactly this pattern.
@@ -185,13 +183,11 @@ class DistSparseMatrix:
         if len(outs) != len(xs):
             raise ShapeError(
                 f"{len(xs)} operands but {len(outs)} output vectors")
-        from repro.parallel.batch import BatchCharges
         results: list[DistMultiVector] = []
-        with BatchCharges(self.comm) as batch:
-            with batch.group():
-                for x, out in zip(xs, outs):
-                    with batch.member():
-                        results.append(self.matvec(x, out=out))
+        with self.comm.group():
+            for x, out in zip(xs, outs):
+                with self.comm.member():
+                    results.append(self.matvec(x, out=out))
         return results
 
     def to_scipy(self) -> sp.csr_matrix:

@@ -6,9 +6,12 @@ cycle's handful of allreduces across every solve in flight, not just
 across the ``s`` steps of one solve.  :func:`block_sstep_gmres` runs
 ``b`` right-hand sides as lockstep *member* solves over a shared Krylov
 block: every member advances one barrier unit per round (the yield
-points of :func:`repro.krylov.sstep_gmres._solve_member`), and
-:class:`repro.parallel.batch.BatchCharges` fuses the round's modeled
-charges — one collective message, one kernel launch, ``b`` payloads.
+points of :func:`repro.krylov.sstep_gmres._solve_member`) inside the
+communicator's fusion scopes — a round is one ``comm.group()``, a
+member's unit one ``comm.member()`` — and the charge funnel fuses the
+round's modeled charges: the first member to reach an occurrence of a
+kernel pays it in full, the others only their marginal work, so a round
+is one collective message, one kernel launch, ``b`` payloads.
 
 Each member owns ALL of its numerical state: its own basis block,
 orthogonalization scheme, ``R``/``W`` factors, basis polynomial,
@@ -50,7 +53,6 @@ from repro.krylov.result import SolveResult
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import _build_members
 from repro.ortho.base import OrthoObserver
-from repro.parallel.batch import BatchCharges
 from repro.precond.base import Preconditioner
 
 
@@ -149,23 +151,23 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
         precond=precond, observer=observer, options=options)))
 
     results: list[SolveResult | None] = [None] * width
-    with BatchCharges(sim.comm) as batch:
-        active = members
-        while active:
-            with batch.group():
-                still = []
-                for j, gen in active:
-                    with batch.member():
-                        try:
-                            next(gen)
-                        except StopIteration as stop:
-                            res = stop.value
-                            res.solver = "block_sstep_gmres"
-                            res.diagnostics["batch_width"] = width
-                            res.diagnostics["batch_index"] = j
-                            res.diagnostics["exit_cycle"] = res.restarts
-                            results[j] = res
-                        else:
-                            still.append((j, gen))
-                active = still
+    comm = sim.comm
+    active = members
+    while active:
+        with comm.group():
+            still = []
+            for j, gen in active:
+                with comm.member():
+                    try:
+                        next(gen)
+                    except StopIteration as stop:
+                        res = stop.value
+                        res.solver = "block_sstep_gmres"
+                        res.diagnostics["batch_width"] = width
+                        res.diagnostics["batch_index"] = j
+                        res.diagnostics["exit_cycle"] = res.restarts
+                        results[j] = res
+                    else:
+                        still.append((j, gen))
+            active = still
     return results  # type: ignore[return-value]

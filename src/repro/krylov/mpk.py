@@ -255,8 +255,8 @@ class MatrixPowersKernel:
 
         def charge(kernel: str, key: tuple, evaluate) -> None:
             """One per-rank charge over the plan, evaluated on first use."""
-            comm.cost.memoized(plan.charge_memo, (kernel, word) + key,
-                               evaluate).charge(comm, kernel)
+            comm.charge(kernel, comm.cost.memoized(
+                plan.charge_memo, (kernel, word) + key, evaluate))
 
         coeffs = {col: self.basis_poly.coefficients(col - 1)
                   for col in range(lo, hi)}

@@ -66,11 +66,11 @@ class Simulation:
         the :mod:`repro.obs` exporters and drift monitor.  Off by
         default — the disabled path costs one pointer test per charge.
     metrics:
-        When True, attach a
-        :class:`~repro.obs.metrics.MetricsRegistry` to the modeled
-        timeline (see :meth:`enable_metrics`): per-kernel flop/byte
-        counters, arithmetic intensity and roofline utilization against
-        this machine's peaks.  Off by default — same one-pointer-test
+        When True, put a :class:`~repro.obs.metrics.MetricsRegistry` on
+        the modeled timeline (see :meth:`enable_metrics`): per-charge
+        duration histograms and a non-empty :meth:`metrics_doc` (flops,
+        bytes, roofline utilization — derived from totals the tracer
+        keeps either way).  Off by default — same one-pointer-test
         disabled path as spans; charges are identical either way.
     """
 
@@ -148,31 +148,20 @@ class Simulation:
         (:func:`repro.obs.export.export_chrome_trace`).  Idempotent.
         """
         self.tracer.enable_spans()
-        modeled = getattr(self.comm, "modeled", None)
-        if modeled is not None:
-            modeled.enable_spans()
+        self.comm.modeled.enable_spans()
 
     def enable_metrics(self) -> None:
-        """Attach a metrics registry to the *modeled* timeline.
-
-        Creates one :class:`~repro.obs.metrics.MetricsRegistry` (at
-        ``sim.metrics``), points the modeled tracer's charge feed at it
-        and rebinds the communicator's cost model so every local-kernel
-        costing reports its (flops, bytes) shape.  Idempotent.  The
-        registry accumulates across every solve on this simulation;
-        :meth:`metrics_doc` snapshots it.
+        """Put a metrics registry (``sim.metrics``) on the *modeled*
+        timeline: the tracer itself, or on ``backend="mp"`` the
+        communicator's modeled twin.  Idempotent.  It covers every solve
+        on this simulation; :meth:`metrics_doc` snapshots it.
         """
         if self.metrics is not None:
             return
-        from dataclasses import replace
-
         from repro.obs.metrics import MetricsRegistry
 
-        self.metrics = MetricsRegistry(self.machine, self.ranks)
-        modeled = getattr(self.comm, "modeled", None)
-        (modeled if modeled is not None else self.tracer
-         ).attach_metrics(self.metrics)
-        self.comm.cost = replace(self.comm.cost, metrics=self.metrics)
+        self.metrics = MetricsRegistry(self.machine, self.ranks,
+                                       self.comm.modeled)
 
     def metrics_doc(self) -> dict:
         """JSON snapshot of the metrics registry ({} when disabled).

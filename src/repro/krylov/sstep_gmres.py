@@ -262,8 +262,8 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     :func:`sstep_gmres` does exactly that, so the charge stream and
     every numerical value are the unbatched solve's by construction.
     :func:`repro.krylov.block.block_sstep_gmres` instead advances ``b``
-    member generators round-robin, one yield per fusion group, under
-    :class:`repro.parallel.batch.BatchCharges`.  Yield points delimit
+    member generators round-robin, one yield per communicator fusion
+    ``group()``.  Yield points delimit
     the units whose kernels fuse across members: the explicit-residual
     pass, cycle setup, each panel's basis extension, each panel's
     orthogonalization/checkpoint, the cycle flush, and the solution

@@ -23,11 +23,12 @@ per-cycle numerics monitors — into first-class artifacts:
     and share drift — the CI-gated number in ``BENCH_measured.json``.
 
 :mod:`repro.obs.metrics`
-    :class:`MetricsRegistry` — counters / gauges / histograms fed from
-    the charge sites: per-kernel flops, bytes moved (memory + network),
-    arithmetic intensity and roofline utilization against the
-    :class:`~repro.parallel.machine.MachineSpec` peaks; snapshots ride
-    on ``SolveResult.metrics`` and export as JSON or Prometheus text.
+    :class:`MetricsRegistry` — per-charge duration histograms plus a
+    snapshot derived from the tracer's totals: per-kernel flops, bytes
+    moved (memory + network), arithmetic intensity and roofline
+    utilization against the :class:`~repro.parallel.machine.MachineSpec`
+    peaks; rides on ``SolveResult.metrics``, exports as JSON or
+    Prometheus text.
 
 :mod:`repro.obs.calibrate`
     LogGP calibration: least-squares fit of the machine constants from

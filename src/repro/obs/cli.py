@@ -15,10 +15,11 @@ trace-event JSON or JSONL, sniffed automatically):
     track against its measured one.
 
 ``repro-trace metrics trace.json [--prometheus]``
-    Replay a trace's kernel charges into a metrics registry and print
-    the JSON snapshot (or Prometheus text exposition).  Flop/byte
-    gauges need a live :class:`CostModel` feed, so a replay carries
-    seconds / calls / network bytes only.
+    Replay a trace's kernel charges and print the metrics snapshot of
+    the rebuilt totals as JSON (or Prometheus text exposition).  Every
+    kernel span carries its whole charge record, so the replay
+    reproduces the live run's ``metrics_doc()`` — flops, bytes and
+    roofline gauges included.
 
 ``repro-trace calibrate trace.json [--machine M] [--ranks N]``
     Fit LogGP machine constants from an mp run's twin span streams
@@ -38,35 +39,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from repro.obs.drift import drift_report
 from repro.obs.export import export_chrome_trace, export_jsonl, load_spans
 from repro.parallel.machine import PRESETS
-from repro.parallel.tracing import TraceTotals
+from repro.parallel.tracing import Tracer
 
 
-def _accumulate(spans) -> dict[str, TraceTotals]:
-    """Rebuild per-stream accumulator totals from driver kernel spans."""
-    per_stream: dict[str, dict] = defaultdict(
-        lambda: {"clock": 0.0, "by_phase": defaultdict(float),
-                 "by_kernel": defaultdict(float), "counts": defaultdict(int),
-                 "payload": defaultdict(float)})
-    for s in spans:
-        if s.cat != "kernel" or s.rank is not None:
-            continue
-        acc = per_stream[s.stream]
-        acc["clock"] = max(acc["clock"], s.t1)
-        acc["by_phase"][s.phase] += s.duration
-        acc["by_kernel"][(s.phase, s.name)] += s.duration
-        acc["counts"][(s.phase, s.name)] += s.count
-        if s.payload_bytes:
-            acc["payload"][(s.phase, s.name)] += s.payload_bytes
-    return {stream: TraceTotals(acc["clock"], dict(acc["by_phase"]),
-                                dict(acc["by_kernel"]), dict(acc["counts"]),
-                                payload_bytes=dict(acc["payload"]))
-            for stream, acc in per_stream.items()}
+def _replayed(spans) -> dict[str, Tracer]:
+    """Per stream, a tracer rebuilt from the driver kernel spans."""
+    streams = {s.stream for s in spans
+               if s.cat == "kernel" and s.rank is None}
+    return {stream: Tracer(stream=stream).replay(spans)
+            for stream in streams}
+
+
+def _stream_views(spans):
+    """Per stream with kernel charges: its rebuilt tracer, rank lanes,
+    collective payload bytes and span count."""
+    for stream, tracer in sorted(_replayed(spans).items()):
+        own = [s for s in spans if s.stream == stream]
+        lanes = {s.rank for s in own if s.rank is not None}
+        payload = sum(s.payload_bytes for s in own
+                      if s.payload_bytes is not None and s.rank is None)
+        yield tracer, len(lanes), float(payload), len(own)
 
 
 def summarize_doc(spans) -> dict:
@@ -75,21 +72,13 @@ def summarize_doc(spans) -> dict:
     The JSON form behind ``repro-trace summarize --json``; the
     calibration experiment embeds it in ``BENCH_calibration.json``.
     """
-    streams = {}
-    for stream, totals in sorted(_accumulate(spans).items()):
-        lanes = {s.rank for s in spans
-                 if s.stream == stream and s.rank is not None}
-        payload = sum(s.payload_bytes for s in spans
-                      if s.stream == stream and s.payload_bytes is not None
-                      and s.rank is None)
-        n = sum(1 for s in spans if s.stream == stream)
-        streams[stream] = {
+    return {"n_spans": len(spans), "streams": {
+        tracer.stream: {
             "spans": n,
-            "rank_lanes": len(lanes),
-            "collective_payload_bytes": float(payload),
-            "totals": totals.to_dict(),
-        }
-    return {"n_spans": len(spans), "streams": streams}
+            "rank_lanes": lanes,
+            "collective_payload_bytes": payload,
+            "totals": tracer.snapshot().to_dict(),
+        } for tracer, lanes, payload, n in _stream_views(spans)}}
 
 
 def _summarize(args) -> int:
@@ -101,23 +90,11 @@ def _summarize(args) -> int:
         print(f"{args.trace}: no spans")
         return 1
     print(f"{args.trace}: {len(spans)} spans")
-    for stream, totals in sorted(_accumulate(spans).items()):
-        lanes = {s.rank for s in spans
-                 if s.stream == stream and s.rank is not None}
-        payload = sum(s.payload_bytes for s in spans
-                      if s.stream == stream and s.payload_bytes is not None
-                      and s.rank is None)
-        print(f"\n[{stream}] clock {totals.clock:.6f} s"
-              + (f", {len(lanes)} rank lanes" if lanes else "")
-              + f", {payload:.0f} collective payload bytes")
-        for phase in sorted(totals.by_phase, key=lambda p: -totals.by_phase[p]):
-            kerns = sorted(
-                ((k[1], v) for k, v in totals.by_kernel.items()
-                 if k[0] == phase), key=lambda kv: -kv[1])
-            detail = ", ".join(
-                f"{k} {v:.6f}s (x{totals.counts[(phase, k)]})"
-                for k, v in kerns)
-            print(f"  {phase:<12s} {totals.by_phase[phase]:.6f} s  [{detail}]")
+    for tracer, lanes, payload, _ in _stream_views(spans):
+        print(f"\n[{tracer.stream}]"
+              + (f" {lanes} rank lanes," if lanes else "")
+              + f" {payload:.0f} collective payload bytes")
+        print(tracer.report())
     return 0
 
 
@@ -125,22 +102,16 @@ def _metrics(args) -> int:
     from repro.obs.metrics import MetricsRegistry
 
     spans = load_spans(args.trace)
-    machine = PRESETS[args.machine]()
-    wanted = [s for s in spans
-              if s.cat == "kernel" and s.rank is None
-              and s.stream == args.stream]
-    if not wanted:
-        print(f"{args.trace}: no driver kernel spans on stream "
-              f"{args.stream!r}", file=sys.stderr)
-        return 1
     ranks = args.ranks
     if ranks is None:
         lanes = {s.rank for s in spans if s.rank is not None}
         ranks = len(lanes) if lanes else 1
-    reg = MetricsRegistry(machine, ranks)
-    for s in wanted:
-        reg.observe(s.phase, s.name, s.duration, s.count,
-                    s.payload_bytes, s.driver_side)
+    reg = MetricsRegistry(PRESETS[args.machine](), ranks,
+                          Tracer(stream=args.stream))
+    if not reg.tracer.replay(spans).counts:
+        print(f"{args.trace}: no driver kernel spans on stream "
+              f"{args.stream!r}", file=sys.stderr)
+        return 1
     snap = reg.snapshot()
     if args.prometheus:
         print(snap.to_prometheus(), end="")
@@ -175,7 +146,7 @@ def _diff(args) -> int:
     spans_a = load_spans(args.a)
     if args.b is not None:
         spans_b = load_spans(args.b)
-        acc_a, acc_b = _accumulate(spans_a), _accumulate(spans_b)
+        acc_a, acc_b = _replayed(spans_a), _replayed(spans_b)
         if len(acc_a) != 1 or len(acc_b) != 1:
             # multi-stream files diff stream-by-stream on matching tags
             common = sorted(set(acc_a) & set(acc_b))
@@ -196,17 +167,15 @@ def _diff(args) -> int:
                            measured_spans=spans_b)
         print(rep.summary())
         return 0
-    acc = _accumulate(spans_a)
+    acc = _replayed(spans_a)
     if not ("modeled" in acc and "measured" in acc):
         print(f"{args.a} holds streams {sorted(acc)}; need both 'modeled' "
               f"and 'measured' to self-diff (or pass a second trace)")
         return 1
-    by_stream = defaultdict(list)
-    for s in spans_a:
-        by_stream[s.stream].append(s)
-    rep = drift_report(acc["modeled"], acc["measured"],
-                       modeled_spans=by_stream["modeled"],
-                       measured_spans=by_stream["measured"])
+    rep = drift_report(
+        acc["modeled"], acc["measured"],
+        modeled_spans=[s for s in spans_a if s.stream == "modeled"],
+        measured_spans=[s for s in spans_a if s.stream == "measured"])
     print(rep.summary())
     return 0
 

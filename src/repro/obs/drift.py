@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.parallel.tracing import SpanEvent, Tracer, TraceTotals
+from repro.parallel.tracing import SpanEvent, Tracer
 
 #: Default gate on :attr:`DriftReport.max_share_drift` — deliberately
 #: loose (the CI host's Python-process timings are nothing like the
@@ -148,10 +148,6 @@ def pair_kernel_spans(modeled_spans, measured_spans
     return pairs, mismatches
 
 
-def _totals(source) -> TraceTotals:
-    return source.snapshot() if isinstance(source, Tracer) else source
-
-
 def drift_report(modeled, measured, *,
                  modeled_spans=None, measured_spans=None) -> DriftReport:
     """Compare a modeled timeline against a measured one.
@@ -165,21 +161,19 @@ def drift_report(modeled, measured, *,
         modeled_spans = modeled.spans
     if measured_spans is None and isinstance(measured, Tracer):
         measured_spans = measured.spans
-    mod = _totals(modeled)
-    mea = _totals(measured)
     pairs, mismatches = pair_kernel_spans(modeled_spans or (),
                                           measured_spans or ())
     paired_by_phase: dict[str, int] = {}
     for m, _ in pairs:
         paired_by_phase[m.phase] = paired_by_phase.get(m.phase, 0) + 1
 
-    mod_total = float(mod.clock)
-    mea_total = float(mea.clock)
+    mod_total = float(modeled.clock)
+    mea_total = float(measured.clock)
     scale = mea_total / mod_total if mod_total > 0 else float("nan")
     phases = []
-    for phase in sorted(set(mod.by_phase) | set(mea.by_phase)):
-        ms = float(mod.by_phase.get(phase, 0.0))
-        xs = float(mea.by_phase.get(phase, 0.0))
+    for phase in sorted(set(modeled.by_phase) | set(measured.by_phase)):
+        ms = float(modeled.by_phase.get(phase, 0.0))
+        xs = float(measured.by_phase.get(phase, 0.0))
         m_share = ms / mod_total if mod_total > 0 else 0.0
         x_share = xs / mea_total if mea_total > 0 else 0.0
         scaled = ms * scale if scale == scale else 0.0  # NaN-safe

@@ -70,6 +70,9 @@ def chrome_trace_doc(*sources) -> dict:
             args["overlapped_seconds"] = sp.overlapped_seconds
         if sp.driver_side:
             args["driver_side"] = True
+        if sp.flops is not None:
+            args["flops"] = sp.flops
+            args["mem_bytes"] = sp.mem_bytes
         events.append({
             "name": sp.name, "cat": sp.cat, "ph": "X",
             "ts": sp.t0 * 1e6, "dur": sp.duration * 1e6,
@@ -129,7 +132,8 @@ def _spans_from_chrome(doc: dict) -> list[SpanEvent]:
             cycle=args.get("cycle"),
             rank=None if tid == 0 else tid - 1,
             overlapped_seconds=args.get("overlapped_seconds"),
-            driver_side=bool(args.get("driver_side", False))))
+            driver_side=bool(args.get("driver_side", False)),
+            flops=args.get("flops"), mem_bytes=args.get("mem_bytes")))
     return spans
 
 

@@ -1,31 +1,25 @@
-"""Metrics registry: counters / gauges / histograms over the charge stream.
+"""Metrics: a machine-facing view of a tracer's totals, plus histograms.
 
-The tracer's accumulators answer "how many seconds went where"; this
-module answers the *machine-facing* questions behind the paper's cost
-argument — how many flops each kernel retired, how many bytes it moved
-(device memory AND network wire, split by collective kind), what its
-arithmetic intensity is, and what fraction of the
-:class:`~repro.parallel.machine.MachineSpec` roofline it sustained.
+The tracer's rows answer "how many seconds went where"; every charge
+that came from a cost-model formula also carries the flops it retired
+and the device-memory bytes it moved (:class:`~repro.parallel.costmodel
+.KernelCharge`), and every collective its wire payload.  This module
+keeps none of that a second time.  :meth:`MetricsRegistry.snapshot`
+*derives*, from the totals of the tracer it was built on, the
+machine-facing view behind the paper's cost argument — per
+``(phase, kernel)`` seconds / calls / flops / bytes, network bytes per
+collective kind, arithmetic intensity, and the fraction of the
+:class:`~repro.parallel.machine.MachineSpec` roofline sustained.  What a
+registry adds of its own is the one thing totals cannot give: a
+log-bucketed histogram of per-charge durations per kernel, fed through
+the tracer's ``on_charge`` hook.
 
-Feed path (two hooks, both no-ops when disabled):
-
-1. :meth:`MetricsRegistry.record_op` — called by
-   :class:`~repro.parallel.costmodel.CostModel` whenever a local-kernel
-   cost is computed, with the (flops, bytes_moved) operation shape.
-   Shapes queue as *pending*.
-2. :meth:`MetricsRegistry.observe` — called by
-   :meth:`~repro.parallel.tracing.Tracer.add` on every charge.  The
-   pending shapes drain into the charge's (phase, kernel) counters, so
-   flop/byte totals land exactly where the seconds land.
-
-Collective charges carry no pending shapes; their ``payload_bytes``
-feed the per-kind network-byte counters instead.  Everything snapshots
-to JSON (:meth:`MetricsSnapshot.to_dict`) and Prometheus text
-exposition (:meth:`MetricsSnapshot.to_prometheus`).
-
+Everything snapshots to JSON (:meth:`MetricsSnapshot.to_dict`) and
+Prometheus text exposition (:meth:`MetricsSnapshot.to_prometheus`).
 Enable per simulation with ``Simulation(..., metrics=True)`` (or
 :meth:`Simulation.enable_metrics`); the snapshot rides on
-``SolveResult.metrics``.
+``SolveResult.metrics``.  ``repro-trace metrics`` rebuilds the same
+snapshot from an exported span stream.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.parallel.machine import MachineSpec
-from repro.parallel.tracing import COLLECTIVE_KERNELS, _key_str
+from repro.parallel.tracing import Tracer, _key_str
 
 #: Histogram bucket upper bounds for per-charge durations (seconds):
 #: log-spaced x4 from 1 microsecond to ~16 s, plus +Inf implicitly.
@@ -69,91 +63,37 @@ class _Hist:
 
 
 class MetricsRegistry:
-    """Counters / gauges / histograms fed from the charge sites.
+    """Duration histograms of one tracer's charges, and the snapshot of
+    its totals against one machine's peaks.
 
-    One registry instruments one modeled timeline: attach with
-    ``tracer.attach_metrics(registry)`` plus a ``CostModel(machine,
-    metrics=registry)``.  Accumulates for the tracer's lifetime;
-    :meth:`snapshot` is cheap and repeatable.
+    Constructing it hooks ``tracer.on_charge``; from then on every charge
+    lands one histogram sample.  Everything else a snapshot reports is
+    read off the tracer's own totals at snapshot time, so it is cheap,
+    repeatable, and never out of step with the clock.
     """
 
-    def __init__(self, machine: MachineSpec, ranks: int):
+    def __init__(self, machine: MachineSpec, ranks: int, tracer: Tracer):
         self.machine = machine
         self.ranks = int(ranks)
-        self.seconds: dict[tuple[str, str], float] = {}
-        self.calls: dict[tuple[str, str], int] = {}
-        self.flops: dict[tuple[str, str], float] = {}
-        self.mem_bytes: dict[tuple[str, str], float] = {}
-        self.driver_seconds: dict[tuple[str, str], float] = {}
-        self.net_bytes: dict[str, float] = dict.fromkeys(
-            COLLECTIVE_KERNELS, 0.0)
+        self.tracer = tracer
         self.hist: dict[str, _Hist] = {}
-        self._pending: list[tuple[float, float]] = []
+        tracer.on_charge = self.observe
 
-    # -- feed ----------------------------------------------------------
-    def record_op(self, flops: float, bytes_moved: float) -> None:
-        """Queue one costed operation shape (from :class:`CostModel`)."""
-        self._pending.append((float(flops), float(bytes_moved)))
-
-    def record_ops(self, shapes: list[tuple[float, float]]) -> None:
-        """Queue several ``(flops, bytes_moved)`` shapes, in order — what
-        a site that evaluated the cost model once replays per charge."""
-        self._pending.extend(shapes)
-
-    def scale_pending(self, factor: float) -> None:
-        """Multiply queued shapes by ``factor``.
-
-        ``charge_uniform`` sites evaluate the cost model once for a
-        shard shape that every rank executes, so the charge fans the
-        queued (flops, bytes) out by the rank count.  Keeps the
-        counters the *aggregate over all costed shards* regardless of
-        whether the active engine evaluated per rank (loop) or once
-        per uniform stack (batched).
-        """
-        if self._pending and factor != 1.0:
-            self._pending = [(f * factor, b * factor)
-                             for f, b in self._pending]
-
-    def observe(self, phase: str, kernel: str, seconds: float, count: int,
-                payload_bytes: float | None, driver_side: bool) -> None:
-        """Land one charge (from :meth:`Tracer.add`), draining pending
-        operation shapes into its (phase, kernel) bucket."""
-        key = (phase, kernel)
-        self.seconds[key] = self.seconds.get(key, 0.0) + seconds
-        self.calls[key] = self.calls.get(key, 0) + count
-        if driver_side:
-            self.driver_seconds[key] = (
-                self.driver_seconds.get(key, 0.0) + seconds)
-        if self._pending:
-            f = sum(p[0] for p in self._pending)
-            b = sum(p[1] for p in self._pending)
-            self._pending.clear()
-            self.flops[key] = self.flops.get(key, 0.0) + f
-            self.mem_bytes[key] = self.mem_bytes.get(key, 0.0) + b
-        if payload_bytes and kernel in self.net_bytes:
-            self.net_bytes[kernel] += payload_bytes
+    def observe(self, kernel: str, seconds: float) -> None:
+        """Land one charge's duration (the ``Tracer.on_charge`` hook)."""
         h = self.hist.get(kernel)
         if h is None:
             h = self.hist[kernel] = _Hist()
         h.observe(seconds)
 
-    # -- export --------------------------------------------------------
     def snapshot(self) -> "MetricsSnapshot":
-        """Derive gauges (intensity, roofline utilization) from the
-        counters and freeze everything into a :class:`MetricsSnapshot`."""
-        m = self.machine
-        kernels: dict[tuple[str, str], dict] = {}
-        for key in sorted(self.seconds):
-            sec = self.seconds[key]
-            f = self.flops.get(key, 0.0)
-            b = self.mem_bytes.get(key, 0.0)
-            row = {
-                "seconds": sec,
-                "calls": self.calls.get(key, 0),
-                "flops": f,
-                "mem_bytes": b,
-                "driver_seconds": self.driver_seconds.get(key, 0.0),
-            }
+        """Derive the per-kernel rows and gauges (intensity, roofline
+        utilization) from the tracer's totals and freeze them, with the
+        histograms, into a :class:`MetricsSnapshot`."""
+        m, t = self.machine, self.tracer
+
+        def gauges(row: dict) -> dict:
+            sec, f, b = row["seconds"], row["flops"], row["mem_bytes"]
             if b > 0.0:
                 row["arithmetic_intensity"] = f / b
             if sec > 0.0:
@@ -164,31 +104,30 @@ class MetricsRegistry:
                                                * m.peak_flops)
                 row["mem_bw_utilization"] = b / (sec * self.ranks
                                                  * m.mem_bandwidth)
-            kernels[key] = row
-        total_sec = sum(self.seconds.values())
-        total_f = sum(self.flops.values())
-        total_b = sum(self.mem_bytes.values())
-        totals = {
-            "seconds": total_sec,
-            "flops": total_f,
-            "mem_bytes": total_b,
-            "net_bytes": sum(self.net_bytes.values()),
-        }
-        if total_b > 0.0:
-            totals["arithmetic_intensity"] = total_f / total_b
-        if total_sec > 0.0:
-            totals["flop_utilization"] = total_f / (
-                total_sec * self.ranks * m.peak_flops)
-            totals["mem_bw_utilization"] = total_b / (
-                total_sec * self.ranks * m.mem_bandwidth)
+            return row
+
+        kernels = {key: gauges({
+            "seconds": t.by_kernel[key],
+            "calls": t.counts.get(key, 0),
+            "flops": t.flops.get(key, 0.0),
+            "mem_bytes": t.mem_bytes.get(key, 0.0),
+            "driver_seconds": t.driver_seconds.get(key, 0.0),
+        }) for key in sorted(t.by_kernel)}
+        net_bytes = {kind: entry["bytes"] for kind, entry
+                     in t.collective_counts(payload_bytes=True).items()}
+        totals = gauges({
+            "seconds": sum(t.by_kernel.values()),
+            "flops": sum(t.flops.values()),
+            "mem_bytes": sum(t.mem_bytes.values()),
+        })
+        totals["net_bytes"] = sum(net_bytes.values())
         hists = {
             kern: {"buckets": [[le, n] for le, n in h.cumulative()],
                    "sum": h.total, "count": h.count}
             for kern, h in sorted(self.hist.items())}
         return MetricsSnapshot(
             machine=m.name, ranks=self.ranks, kernels=kernels,
-            net_bytes=dict(self.net_bytes), totals=totals,
-            histograms=hists)
+            net_bytes=net_bytes, totals=totals, histograms=hists)
 
 
 @dataclass

@@ -133,12 +133,9 @@ class OrthoBackend(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} has no fused_dots_sketch")
 
-    # -- accounting hooks ---------------------------------------------------
+    # -- accounting hook ----------------------------------------------------
     def host_flops(self, flops: float) -> None:
         """Charge redundant host-side dense flops (no-op on NumPy)."""
-
-    def charge_small(self, kernel: str, seconds: float) -> None:
-        """Charge a fixed modeled cost (no-op on NumPy)."""
 
 
 def _sign_fix_qr(q: np.ndarray | None, r: np.ndarray,
@@ -375,12 +372,13 @@ class DistBackend(OrthoBackend):
             return r, ms, max(d_left, d_right) + 1
 
         r_final, coeffs, depth = tree(local_rs)
-        # one small message + one 2k x k host QR per tree level
-        per_level = (comm.cost.point_to_point(8.0 * k * k, same_node=False)
-                     + comm.cost.host_dense(8.0 * k ** 3 / 3.0))
+        # one small message + one 2k x k host QR per tree level (the
+        # flops of one node's QR stand for every rank)
         if depth:
-            comm.charge_uniform("allreduce", depth * per_level, count=1,
-                                driver_side=True)
+            comm.charge("allreduce", comm.cost.record(lambda c: depth * (
+                c.point_to_point(8.0 * k * k, same_node=False)
+                + c.times(comm.size).host_dense(8.0 * k ** 3 / 3.0))),
+                driver_side=True)
         _, r_final, signs = _sign_fix_qr(None, np.triu(r_final))
         # rebuild: ``Q_r = Qloc_r @ (M_r * signs)``, one GEMM per rank
         mstack = np.stack(coeffs) * signs
@@ -390,9 +388,9 @@ class DistBackend(OrthoBackend):
             flat[lo:lo + n_ranks * rows] = v.quantize(
                 rebuilt.reshape(n_ranks * rows, k))
             first += n_ranks
-        comm.charge_local(
-            "update", [comm.cost.gemm(rows, k, k, word_bytes=v.word_bytes)
-                       for rows in counts], driver_side=True)
+        comm.charge("update", comm.cost.record(lambda c: [
+            c.gemm(rows, k, k, word_bytes=v.word_bytes) for rows in counts]),
+            driver_side=True)
         return r_final
 
     def sketch(self, v: DistMultiVector, op) -> np.ndarray:
@@ -403,7 +401,7 @@ class DistBackend(OrthoBackend):
 
     # -- accounting ------------------------------------------------------
     def host_flops(self, flops: float) -> None:
-        self.comm.charge_uniform("host", self.comm.cost.host_dense(flops))
-
-    def charge_small(self, kernel: str, seconds: float) -> None:
-        self.comm.charge_uniform(kernel, seconds)
+        # redundant on every rank: one evaluation, counted per rank
+        comm = self.comm
+        comm.charge("host", comm.cost.record(
+            lambda c: c.times(comm.size).host_dense(flops)))

@@ -8,8 +8,9 @@ double-double ``allreduce_dd``), the other nonblocking ``post_*``/``wait``
 collectives (``post_ihalo``, ``post_ibcast`` — posted collectives whose
 modeled time subsequent compute charges drain, so the wait charges only
 the exposed remainder), neighbourhood (halo) exchange accounting,
-broadcasts, concurrent-kernel charging, shard storage allocation, and an
-optional backend-executed SpMV hook.
+broadcasts, concurrent-kernel charging (a cost-model record, or raw
+per-rank seconds), the fusion scopes of lockstep batches, shard storage
+allocation, and an optional backend-executed SpMV hook.
 
 Two backends implement it:
 
@@ -37,13 +38,14 @@ solver/scheme/MPK code runs unchanged on either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import (TYPE_CHECKING, Callable, ContextManager, Protocol,
+                    runtime_checkable)
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.communicator import CommRequest
-from repro.parallel.costmodel import CostModel
+from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.parallel.machine import MachineSpec, summit
 from repro.parallel.tracing import Tracer
 
@@ -73,6 +75,9 @@ class Communicator(Protocol):
     machine: MachineSpec
     size: int
     tracer: Tracer
+    #: The tracer carrying modeled charges (``tracer`` itself on "sim",
+    #: the modeled twin on "mp").
+    modeled: Tracer
     cost: CostModel
     #: Name of the kernel-execution engine bound at construction.
     engine: str
@@ -102,11 +107,14 @@ class Communicator(Protocol):
     def wait(self, request: CommRequest): ...
 
     # -- local-kernel and neighbourhood accounting --------------------
+    # Two ways to charge local work: the cost model's record of the
+    # kernel (seconds of the slowest rank, flops and bytes of all), or
+    # raw per-rank seconds for costs its formulas did not produce.
+    def charge(self, kernel: str, charge: KernelCharge, count: int = 1,
+               driver_side: bool = False) -> None: ...
+
     def charge_local(self, kernel: str, per_rank_seconds: list[float],
                      count: int = 1, driver_side: bool = False) -> None: ...
-
-    def charge_uniform(self, kernel: str, seconds: float,
-                       count: int = 1, driver_side: bool = False) -> None: ...
 
     def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]
                     ) -> None: ...
@@ -117,12 +125,18 @@ class Communicator(Protocol):
     def exec_spmv(self, matrix: "DistSparseMatrix", x: "DistMultiVector",
                   out: "DistMultiVector") -> bool: ...
 
-    # -- lifecycle ----------------------------------------------------
+    # -- scopes and lifecycle -----------------------------------------
+    # Declared as callable attributes, not ``def``s: the repo benchmark's
+    # traced run takes every protocol *function* for a layer boundary of
+    # a solve, and these do no work of their own.
+    #: ``with comm.group():`` is one lockstep round of a batch, ``with
+    #: comm.member():`` one member's unit of work inside it; a kernel
+    #: occurrence several members of a round reach is charged as ONE
+    #: fused pass (:meth:`SimComm._charge`).
+    group: Callable[[], ContextManager]
+    member: Callable[[], ContextManager]
     #: ``mark()`` resets wall-clock attribution; ``Simulation`` calls it
-    #: once set-up is done (a no-op where nothing is measured).  Declared
-    #: as a callable attribute, not a ``def``: the repo benchmark's traced
-    #: run takes every protocol *function* for a layer boundary of a
-    #: solve, and this hook runs outside any solve.
+    #: once set-up is done (a no-op where nothing is measured).
     mark: Callable[[], None]
 
     def close(self) -> None: ...

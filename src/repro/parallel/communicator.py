@@ -31,13 +31,14 @@ the post.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro import config
 from repro.dd.core import dd_add
 from repro.exceptions import CommunicatorError
-from repro.parallel.costmodel import CostModel
+from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer
 
@@ -150,6 +151,10 @@ class SimComm:
         self.machine = machine
         self.size = int(size)
         self.tracer = tracer if tracer is not None else Tracer()
+        #: The tracer carrying *modeled* charges: this communicator's own
+        #: here; the mp backend's modeled twin there (its ``tracer`` runs
+        #: on the measured clock).
+        self.modeled = self.tracer
         self.cost = CostModel(machine)
         if engine is None:
             engine = config.get_engine()
@@ -159,28 +164,32 @@ class SimComm:
         self.engine = engine
         #: Posted-but-unwaited collectives, oldest first (FIFO drain).
         self._inflight: list[CommRequest] = []
-
-    def _model_tracer(self) -> Tracer:
-        """The tracer carrying *modeled* charges.
-
-        ``self.tracer`` here; the mp backend overrides this to its
-        modeled twin (its own ``tracer`` runs on the measured clock).
-        """
-        return self.tracer
+        #: Fusion state (:meth:`group` / :meth:`member`): kernel ->
+        #: occurrences a leader has charged in the open group, and kernel
+        #: -> the current member's occurrence index; ``None`` outside.
+        self._fused: dict[str, int] | None = None
+        self._cursor: dict[str, int] | None = None
 
     def _charge(self, kernel: str, seconds: float, count: int = 1,
                 payload_bytes: float | None = None, *,
+                flops: float | None = None, mem_bytes: float | None = None,
                 settles: CommRequest | None = None,
                 driver_side: bool = False) -> None:
-        """Record one modeled charge.
+        """Hand one modeled charge record to the tracer.
 
-        Every cost this class computes funnels through here, so a
-        backend that also measures (mp) records its wall clock beside
-        the modeled charge in this one place.  ``payload_bytes``
-        annotates collective charges for the span stream; it never
-        affects the charged seconds.  ``driver_side`` tags kernels the
-        mp backend runs on the driver process (span annotation only —
-        see :class:`~repro.parallel.tracing.SpanEvent`).
+        Every cost this class computes funnels through here — on the
+        simulator, on the mp backend (whose :meth:`_charge_measured` then
+        records its wall clock beside it) and inside lockstep batches.
+        ``payload_bytes`` (collectives), ``flops`` / ``mem_bytes`` (a
+        :class:`KernelCharge`) and ``driver_side`` (kernels the mp
+        backend runs on the driver process) never affect the seconds.
+
+        Inside a fusion :meth:`member`, the first member to reach
+        occurrence ``i`` of ``kernel`` in the open :meth:`group` is the
+        leader and charges in full; a later member there is a follower:
+        the launch / latency part is paid, so it charges its marginal
+        work ``max(0, seconds - fixed_cost)`` with ``count=0`` — and its
+        whole payload and shapes, which the fused pass does carry.
 
         While posted collectives are in flight, the charged seconds first
         drain them front-to-back.  ``settles`` is reserved for
@@ -190,15 +199,60 @@ class SimComm:
         on the wire cannot progress the ones queued behind it — and it
         carries the request's hidden part as ``overlapped_seconds``.
         """
+        cursor = self._cursor
+        if cursor is not None:
+            idx = cursor.get(kernel, 0)
+            cursor[kernel] = idx + 1
+            if idx < self._fused.get(kernel, 0):
+                seconds = max(0.0, seconds
+                              - self.cost.fixed_cost(kernel, self.size))
+                count = 0
+            else:
+                self._fused[kernel] = idx + 1
         overlapped = None
         if settles is not None:
             overlapped = settles.hidden or None
         elif self._inflight and seconds > 0.0:
             self._drain_inflight(seconds)
-        self._model_tracer().add(kernel, seconds, count=count,
-                                 payload_bytes=payload_bytes,
-                                 overlapped_seconds=overlapped,
-                                 driver_side=driver_side)
+        self.modeled.add(kernel, seconds, count, payload_bytes, overlapped,
+                         driver_side, flops, mem_bytes)
+        self._charge_measured(kernel, count, payload_bytes, settles,
+                              driver_side)
+
+    def _charge_measured(self, kernel: str, count: int,
+                         payload_bytes: float | None,
+                         settles: CommRequest | None,
+                         driver_side: bool) -> None:
+        """Record the wall clock of the charge just made (no-op: nothing
+        is measured here; the mp backend overrides)."""
+
+    # -- lockstep fusion scopes -----------------------------------------
+    @contextmanager
+    def group(self):
+        """One lockstep round of a batch: the :meth:`member` scopes inside
+        share fused occurrences (see :meth:`_charge`).  Charges outside
+        any member fuse nothing; a group opened inside another is inert —
+        its members' charges belong to the enclosing member's stream."""
+        if self._fused is not None:
+            yield
+            return
+        self._fused = {}
+        try:
+            yield
+        finally:
+            self._fused = None
+
+    @contextmanager
+    def member(self):
+        """One member's unit of work within the open :meth:`group`."""
+        if self._fused is None or self._cursor is not None:
+            yield
+            return
+        self._cursor = {}
+        try:
+            yield
+        finally:
+            self._cursor = None
 
     def _drain_inflight(self, seconds: float) -> None:
         """Let ``seconds`` of elapsing work hide in-flight comm (FIFO)."""
@@ -367,7 +421,7 @@ class SimComm:
         whose modeled cost subsequent compute charges drain."""
         req = CommRequest(self, kernel, seconds, payload_bytes, result,
                           pending)
-        tr = self._model_tracer()
+        tr = self.modeled
         req.posted_at = tr.clock
         self._inflight.append(req)
         if tr.spans_enabled:
@@ -429,7 +483,7 @@ class SimComm:
         request.done = True
         exposed = request.remaining
         request.remaining = 0.0
-        tr = self._model_tracer()
+        tr = self.modeled
         if tr.spans_enabled and tr.clock > request.posted_at:
             # the overlap window: post to wait-start on the modeled clock
             tr.record_span(request.kernel, request.posted_at, tr.clock,
@@ -440,31 +494,22 @@ class SimComm:
         return request.result
 
     # ------------------------------------------------------------------
+    def charge(self, kernel: str, charge: KernelCharge, count: int = 1,
+               driver_side: bool = False) -> None:
+        """Charge a concurrent local kernel by its cost-model record."""
+        self._charge(kernel, charge.seconds, count, flops=charge.flops,
+                     mem_bytes=charge.mem_bytes, driver_side=driver_side)
+
     def charge_local(self, kernel: str, per_rank_seconds: list[float],
                      count: int = 1, driver_side: bool = False) -> None:
-        """Charge a concurrent local kernel: elapsed = max over ranks."""
+        """Charge a concurrent local kernel whose cost did not come from
+        the cost model's formulas (so it carries no flops / bytes):
+        elapsed = max over ranks."""
         if len(per_rank_seconds) != self.size:
             raise CommunicatorError(
                 f"expected {self.size} per-rank costs, got {len(per_rank_seconds)}")
         self._charge(kernel, max(per_rank_seconds), count=count,
                      driver_side=driver_side)
-
-    def charge_uniform(self, kernel: str, seconds: float, count: int = 1,
-                       driver_side: bool = False) -> None:
-        """Charge a kernel whose cost is identical on every rank.
-
-        The cost model was evaluated for ONE rank's shard; fan the
-        queued metrics shapes out by the rank count so flop/byte
-        counters stay the aggregate over all shards — identical to a
-        per-rank :meth:`charge_local` evaluation under the loop engine
-        (and a near-exact aggregate for the driver-side TSQR tree,
-        whose ``ranks - 1`` node factorizations are charged from one
-        per-node shape).
-        """
-        metrics = self.cost.metrics
-        if metrics is not None:
-            metrics.scale_pending(float(self.size))
-        self._charge(kernel, seconds, count=count, driver_side=driver_side)
 
     def _halo_cost(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> tuple[float, float]:

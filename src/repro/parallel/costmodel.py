@@ -21,7 +21,7 @@ see ``tests/parallel/test_costmodel.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from repro.parallel.machine import MachineSpec
@@ -36,30 +36,19 @@ _DOUBLE = bytes_per_word("fp64")
 _INT = 4     # bytes per CSR index (cuSparse uses 32-bit local indices)
 
 
-class _OpShapes(list):
-    """Stand-in metrics feed that keeps the ``(flops, bytes)`` shapes a
-    cost evaluation records, for replay into the real registry."""
+class KernelCharge(NamedTuple):
+    """What one concurrent local kernel costs: the record a charge hands
+    to the tracer.  Built by :meth:`CostModel.record`, kept wherever its
+    inputs never change (:meth:`CostModel.memoized`), charged with
+    :meth:`SimComm.charge <repro.parallel.communicator.SimComm.charge>`
+    any number of times."""
 
-    def record_op(self, flops: float, bytes_moved: float) -> None:
-        self.append((float(flops), float(bytes_moved)))
-
-
-class StaticCharges(NamedTuple):
-    """Per-rank seconds of one local kernel whose inputs never change
-    during a solve (a plan, a machine, a word size), and the ``(flops,
-    bytes)`` shapes their evaluation recorded.  Built once by
-    :meth:`CostModel.memoized`, charged any number of times."""
-
-    seconds: list[float]
-    shapes: list[tuple[float, float]]
-
-    def charge(self, comm, kernel: str) -> None:
-        """One ``charge_local`` of these seconds; an attached metrics
-        registry sees the shapes a fresh evaluation would have fed it."""
-        metrics = comm.cost.metrics
-        if metrics is not None:
-            metrics.record_ops(self.shapes)
-        comm.charge_local(kernel, self.seconds)
+    #: Elapsed modeled seconds: the slowest rank's.
+    seconds: float
+    #: Floating-point operations of every rank's shard, summed.
+    flops: float
+    #: Device-memory bytes every rank's shard moves, summed.
+    mem_bytes: float
 
 
 @dataclass(frozen=True)
@@ -67,39 +56,50 @@ class CostModel:
     """Maps operation shapes to modeled seconds on one :class:`MachineSpec`."""
 
     machine: MachineSpec
-    #: Optional :class:`repro.obs.metrics.MetricsRegistry` feed.  When
-    #: set, every local-kernel costing records its (flops, bytes_moved)
-    #: operation shape; the registry pairs those with the next tracer
-    #: charge.  ``None`` (the default) is a single ``is not None`` test
-    #: per costing — returned seconds are identical either way.
-    metrics: object | None = field(default=None, compare=False, repr=False)
+    #: Running ``[flops, bytes_moved]`` of ONE evaluation: a list only on
+    #: the copy :meth:`record` hands to its ``evaluate``, ``None`` on
+    #: every model a caller holds (one ``is not None`` test per costing).
+    _shapes: list | None = field(default=None, compare=False, repr=False)
+    #: How many ranks each shape recorded through this copy stands for.
+    _ranks: int = field(default=1, compare=False, repr=False)
+
+    def record(self, evaluate: Callable[["CostModel"], "float | list[float]"]
+               ) -> KernelCharge:
+        """The :class:`KernelCharge` of a kernel that takes
+        ``evaluate(model)`` seconds — one figure, or one per concurrently
+        running rank (the slowest counts).  ``evaluate`` sees a copy of
+        this model that totals the operation shape of every formula it
+        calls."""
+        shapes = [0.0, 0.0]
+        seconds = evaluate(CostModel(self.machine, shapes))
+        return KernelCharge(
+            max(seconds) if isinstance(seconds, list) else seconds, *shapes)
+
+    def times(self, ranks: int) -> "CostModel":
+        """This model, for costing ONE shard that ``ranks`` ranks all
+        execute: same seconds, every recorded shape counted ``ranks``
+        times."""
+        return CostModel(self.machine, self._shapes, ranks)
 
     def memoized(self, memo: dict, key,
-                 evaluate: Callable[["CostModel"], list[float]]
-                 ) -> StaticCharges:
-        """``evaluate(model)`` (a per-rank cost list), run once per
-        ``(key, machine)`` in the caller's ``memo``.
-
-        The evaluation sees a copy of this model that records operation
-        shapes instead of feeding them to the registry, so replaying the
-        result (:meth:`StaticCharges.charge`) feeds the registry what
-        evaluating afresh at every charge would have.  ``key`` must name
-        everything ``evaluate`` closes over that can vary.
-        """
+                 evaluate: Callable[["CostModel"], "float | list[float]"]
+                 ) -> KernelCharge:
+        """``self.record(evaluate)``, run once per ``(key, machine)`` in
+        the caller's ``memo``.  ``key`` must name everything ``evaluate``
+        closes over that can vary."""
         key = (key, self.machine)
-        charges = memo.get(key)
-        if charges is None:
-            shapes = _OpShapes()
-            charges = memo[key] = StaticCharges(
-                evaluate(replace(self, metrics=shapes)), shapes)
-        return charges
+        charge = memo.get(key)
+        if charge is None:
+            charge = memo[key] = self.record(evaluate)
+        return charge
 
     # ------------------------------------------------------------------
     # local device kernels
     # ------------------------------------------------------------------
     def _roofline(self, flops: float, bytes_moved: float, efficiency: float) -> float:
-        if self.metrics is not None:
-            self.metrics.record_op(flops, bytes_moved)
+        if self._shapes is not None:
+            self._shapes[0] += flops * self._ranks
+            self._shapes[1] += bytes_moved * self._ranks
         m = self.machine
         t_flops = flops / m.peak_flops
         t_bytes = bytes_moved / (m.mem_bandwidth * efficiency)
@@ -203,8 +203,8 @@ class CostModel:
         """Small redundant dense math on the host (Cholesky of an s x s
         Gram, Hessenberg least squares) — paper Sec. VII runs these on CPU
         on every rank."""
-        if self.metrics is not None:
-            self.metrics.record_op(flops, 0.0)
+        if self._shapes is not None:
+            self._shapes[0] += flops * self._ranks
         return flops / self.machine.host_flops
 
     def ghost_plan_analysis(self, level_rows: float, level_nnz: float) -> float:
@@ -329,8 +329,8 @@ class CostModel:
         syncs, per-hop message latency) does not grow with the operand.
         A fused pass over ``b`` stacked operands therefore pays the
         fixed part once and the work term per member — this method is
-        the split :class:`repro.parallel.batch.BatchCharges` subtracts
-        from follower members' charges.  Host-side redundant math
+        the split the communicator's charge funnel subtracts from follower
+        members' charges inside a fusion ``group()``.  Host-side redundant math
         (``host``, ``ghost_plan``) has no launch cost and batching buys
         it nothing.
         """

@@ -252,6 +252,7 @@ class MpComm(SimComm):
                  timeout: float = 60.0) -> None:
         super().__init__(machine, size, tracer, engine=engine)
         self.tracer.stream = "measured"
+        # modeled charges (and overlap-window spans) land on the twin
         self.modeled = Tracer()
         # one `with tracer.phase(...)` (and one cycle marker) drives
         # both streams
@@ -291,18 +292,12 @@ class MpComm(SimComm):
         self._mark = self._wait_wall = time.perf_counter()
 
     # -- measured-time bookkeeping -------------------------------------
-    def _model_tracer(self):
-        # modeled charges (and overlap-window spans) land on the twin
-        return self.modeled
-
-    def _charge(self, kernel: str, seconds: float, count: int = 1,
-                payload_bytes: float | None = None, *,
-                settles=None, driver_side: bool = False) -> None:
-        """The inherited modeled charge (it lands on the twin), plus the
-        measured record: wall clock since the previous charge, together
-        with whatever a worker round-trip or a post parked for it."""
-        super()._charge(kernel, seconds, count, payload_bytes,
-                        settles=settles, driver_side=driver_side)
+    def _charge_measured(self, kernel, count, payload_bytes, settles,
+                         driver_side) -> None:
+        """The measured record beside the modeled charge the inherited
+        funnel just put on the twin: wall clock since the previous
+        charge, together with whatever a worker round-trip or a post
+        parked for it."""
         measured = self._pending.pop(kernel, 0.0) + self._take_elapsed()
         hidden = None
         if settles is not None:
@@ -484,7 +479,7 @@ class MpComm(SimComm):
 
         The measured cost is split into a halo part (slowest worker's
         operand gather) and a local-compute part, parked in ``_pending``
-        for the `charge_halo` / `charge_local("spmv_local")` calls the
+        for the `charge_halo` / `charge("spmv_local", ...)` calls the
         caller issues next.  With spans enabled, each worker's own
         gather/compute timings land as rank-tagged spans (per-rank trace
         lanes) without touching the accumulators.

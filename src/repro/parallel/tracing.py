@@ -1,11 +1,27 @@
 """Time accounting for the simulated (or real-process) machine.
 
 A :class:`Tracer` owns one clock.  Code charges time with
-``tracer.add(kernel, seconds)`` inside a ``with tracer.phase("ortho")``
-region; totals are kept per phase and per (phase, kernel) pair, plus call
-counters.  This is what regenerates the paper's time-breakdown figures
-(Figs. 10-12: dot-products vs vector-updates vs the rest of the
-orthogonalization) and the SpMV/Ortho/Total columns of Tables II-IV.
+``tracer.add(kernel, seconds, ...)`` inside a ``with
+tracer.phase("ortho")`` region; totals are kept per phase and per
+(phase, kernel) pair.  This is what regenerates the paper's
+time-breakdown figures (Figs. 10-12: dot-products vs vector-updates vs
+the rest of the orthogonalization) and the SpMV/Ortho/Total columns of
+Tables II-IV.
+
+One charge, one record
+----------------------
+A charge is ONE record handed to :meth:`Tracer.add` in one call —
+kernel, seconds, occurrence count, and where they apply the wire
+payload of a collective, the flops and device-memory bytes of a
+cost-model :class:`~repro.parallel.costmodel.KernelCharge` (summed over
+every rank's shard), the hidden part of a posted collective and the
+driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
+the :class:`TraceTotals` columns and is the only place rows are
+written; spans, snapshots, the metrics view
+(:mod:`repro.obs.metrics`) and a replayed export (:meth:`Tracer.replay`)
+are all read off that one stream.  Nothing reaches the totals by a side
+channel, so the flop / byte columns are kept whether or not anyone
+reads them.
 
 Two kinds of tracer exist, distinguished by :attr:`Tracer.stream`:
 
@@ -23,8 +39,8 @@ Structured span stream (opt-in)
 Beyond the lossy accumulators, a tracer can keep a **structured span
 stream**: one :class:`SpanEvent` per charge (and per ``phase()`` region)
 with begin/end timestamps on the tracer's clock, the enclosing phase,
-the kernel, the restart-cycle marker, the reduction payload bytes and
-the stream tag.  Spans power the Chrome-trace / JSONL exporters and the
+the kernel, the restart-cycle marker, the rest of the charge's record
+and the stream tag.  Spans power the Chrome-trace / JSONL exporters and the
 predicted-vs-measured drift monitor in :mod:`repro.obs`.
 
 Spans are **disabled by default** and the disabled path is a no-op: one
@@ -92,11 +108,12 @@ class SpanEvent:
     """One begin/end interval on a tracer's clock.
 
     ``cat`` is ``"kernel"`` for charge spans (one per :meth:`Tracer.add`
-    call), ``"phase"`` for ``with tracer.phase(...)`` regions, and free
-    for :meth:`Tracer.record_span` callers (the mp backend tags per-rank
-    sub-spans of the worker-executed SpMV).  ``rank`` is ``None`` for
-    driver-global spans (the simulator charges the max over ranks) and a
-    rank index for per-rank lanes.
+    call, carrying that charge's whole record), ``"phase"`` for ``with
+    tracer.phase(...)`` regions, and free for :meth:`Tracer.record_span`
+    callers (the mp backend tags per-rank sub-spans of the
+    worker-executed SpMV).  ``rank`` is ``None`` for driver-global spans
+    (the simulator charges the max over ranks) and a rank index for
+    per-rank lanes.
     """
 
     name: str
@@ -118,21 +135,20 @@ class SpanEvent:
     #: wall-clock carries no worker round-trip, so LogGP calibration
     #: must exclude them from network fits.
     driver_side: bool = False
+    #: Operations and device-memory bytes of a cost-model charge, summed
+    #: over the ranks (``None`` where the charge was raw seconds).
+    flops: float | None = None
+    mem_bytes: float | None = None
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
 
     def to_dict(self) -> dict:
-        """JSON-safe flat dict (the JSONL exporter's line schema)."""
-        return {
-            "name": self.name, "t0": self.t0, "t1": self.t1,
-            "phase": self.phase, "stream": self.stream, "cat": self.cat,
-            "count": self.count, "payload_bytes": self.payload_bytes,
-            "cycle": self.cycle, "rank": self.rank,
-            "overlapped_seconds": self.overlapped_seconds,
-            "driver_side": self.driver_side,
-        }
+        """JSON-safe flat dict, one key per field in field order (the
+        JSONL exporter's line schema)."""
+        return {name: getattr(self, name)
+                for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpanEvent":
@@ -144,7 +160,8 @@ class SpanEvent:
                    payload_bytes=doc.get("payload_bytes"),
                    cycle=doc.get("cycle"), rank=doc.get("rank"),
                    overlapped_seconds=doc.get("overlapped_seconds"),
-                   driver_side=bool(doc.get("driver_side", False)))
+                   driver_side=bool(doc.get("driver_side", False)),
+                   flops=doc.get("flops"), mem_bytes=doc.get("mem_bytes"))
 
 
 def _key_str(key: tuple[str, str]) -> str:
@@ -152,22 +169,40 @@ def _key_str(key: tuple[str, str]) -> str:
     return f"{key[0]}/{key[1]}"
 
 
+def _float_column():
+    return field(default_factory=lambda: defaultdict(float))
+
+
+#: The ``(phase, kernel)``-keyed columns of :class:`TraceTotals`.
+_COLUMNS = ("by_kernel", "counts", "overlapped", "payload_bytes", "flops",
+            "mem_bytes", "driver_seconds")
+
+
 @dataclass
 class TraceTotals:
-    """Immutable-ish snapshot of tracer accumulators (for diffs)."""
+    """What a tracer has accumulated: the clock, seconds per phase, and
+    one row per ``(phase, kernel)`` whose columns are the fields of the
+    charge record.  A :class:`Tracer` is the live one; :meth:`Tracer
+    .snapshot` and :meth:`Tracer.since` return detached copies."""
 
-    clock: float
-    by_phase: dict[str, float]
-    by_kernel: dict[tuple[str, str], float]
-    counts: dict[tuple[str, str], int]
-    #: Hidden comm seconds per (phase, kernel): the part of each posted
-    #: collective that compute drained before its ``wait`` (empty for
-    #: purely blocking runs).
-    overlapped: dict = field(default_factory=dict)
-    #: Wire payload bytes per (phase, kernel) — fed from the
-    #: ``payload_bytes`` argument of :meth:`Tracer.add`, so only
-    #: collective charges contribute (local kernels pass None).
-    payload_bytes: dict = field(default_factory=dict)
+    clock: float = 0.0
+    by_phase: dict = _float_column()
+    #: Charged seconds.
+    by_kernel: dict = _float_column()
+    #: Occurrences charged (a fused follower counts zero).
+    counts: dict = field(default_factory=lambda: defaultdict(int))
+    #: Hidden comm seconds: the part of each posted collective that
+    #: compute drained before its ``wait`` (empty for blocking runs).
+    overlapped: dict = _float_column()
+    #: Wire payload bytes (collective charges only).
+    payload_bytes: dict = _float_column()
+    #: Operations / device-memory bytes of every rank's shard, from the
+    #: charges that carried a cost-model record (raw-seconds charges add
+    #: no row).
+    flops: dict = _float_column()
+    mem_bytes: dict = _float_column()
+    #: Seconds of the charges tagged ``driver_side``.
+    driver_seconds: dict = _float_column()
 
     def to_dict(self) -> dict:
         """JSON-safe document: tuple keys flattened to ``"phase/kernel"``.
@@ -175,23 +210,19 @@ class TraceTotals:
         The machine-readable form experiment artifacts embed instead of
         hand-rolled breakdown dicts.
         """
-        return {
-            "clock": float(self.clock),
-            "by_phase": {p: float(v) for p, v in self.by_phase.items()},
-            "by_kernel": {_key_str(k): float(v)
-                          for k, v in self.by_kernel.items()},
-            "counts": {_key_str(k): int(c) for k, c in self.counts.items()},
-            "overlapped": {_key_str(k): float(v)
-                           for k, v in self.overlapped.items()},
-            "payload_bytes": {_key_str(k): float(v)
-                              for k, v in self.payload_bytes.items()},
-        }
+        doc = {"clock": float(self.clock),
+               "by_phase": {p: float(v) for p, v in self.by_phase.items()}}
+        for name in _COLUMNS:
+            cast = int if name == "counts" else float
+            doc[name] = {_key_str(k): cast(v)
+                         for k, v in getattr(self, name).items()}
+        return doc
 
 
 @dataclass
-class Tracer:
-    """Accumulates seconds per phase/kernel plus a global clock, and —
-    when enabled — a structured :class:`SpanEvent` stream.
+class Tracer(TraceTotals):
+    """The live totals plus a global clock, and — when enabled — a
+    structured :class:`SpanEvent` stream.
 
     ``stream`` labels which clock this tracer runs on (``"modeled"`` or
     ``"measured"``); it is stamped into every span.  The phase stack and
@@ -199,17 +230,15 @@ class Tracer:
     attribute through them (see :meth:`share_phase_stack`).
     """
 
-    clock: float = 0.0
-    by_phase: dict = field(default_factory=lambda: defaultdict(float))
-    by_kernel: dict = field(default_factory=lambda: defaultdict(float))
-    counts: dict = field(default_factory=lambda: defaultdict(int))
-    overlapped: dict = field(default_factory=lambda: defaultdict(float))
-    payload_bytes: dict = field(default_factory=lambda: defaultdict(float))
     stream: str = "modeled"
+    #: Called as ``on_charge(kernel, seconds)`` after every charge when
+    #: set — the duration-histogram hook of
+    #: :class:`repro.obs.metrics.MetricsRegistry`.  ``None`` (the
+    #: default) is one pointer test per charge.
+    on_charge: object | None = None
     _phase_stack: list = field(default_factory=lambda: ["other"])
     _cycle: list = field(default_factory=lambda: [None])
     _spans: list | None = None
-    _metrics: object | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -260,46 +289,65 @@ class Tracer:
     def add(self, kernel: str, seconds: float, count: int = 1,
             payload_bytes: float | None = None,
             overlapped_seconds: float | None = None,
-            driver_side: bool = False) -> None:
-        """Advance the clock by ``seconds``, attributed to ``kernel``.
+            driver_side: bool = False, flops: float | None = None,
+            mem_bytes: float | None = None) -> None:
+        """Fold one charge record into the totals: advance the clock by
+        ``seconds`` and add every field to the ``(current phase,
+        kernel)`` row.  The only place rows are written — a live charge
+        and a replayed span (:meth:`replay`) both come through here.
 
-        ``payload_bytes`` optionally records the wire payload of a
-        collective; it accumulates in :attr:`payload_bytes` and lands in
-        the span stream (charged seconds are unchanged whether or not it
-        is passed).
-
+        ``payload_bytes`` is the wire payload of a collective.
         ``overlapped_seconds`` marks this charge as the *exposed*
-        remainder of a posted collective and records how much of the
-        collective was hidden behind compute before its ``wait``.  The
-        hidden part never advances the clock (that time already elapsed
-        inside the draining charges); it accumulates in
-        :attr:`overlapped` as a separate dimension.
-
+        remainder of a posted collective and says how much of it was
+        hidden behind compute before its ``wait``; the hidden part never
+        advances the clock (that time already elapsed inside the
+        draining charges).  ``flops`` / ``mem_bytes`` come, together,
+        from a cost-model record (``None`` for raw seconds).
         ``driver_side`` tags charges the mp backend executes on the
-        driver process (see :class:`SpanEvent`); it only lands in the
-        span stream and the metrics feed.
+        driver process (see :class:`SpanEvent`).  None of them changes
+        the charged seconds.
         """
         if seconds < 0:
             raise ValueError(f"negative cost for kernel {kernel!r}: {seconds}")
         phase = self._phase_stack[-1]
+        key = (phase, kernel)
         t0 = self.clock
         self.clock = t0 + seconds
         self.by_phase[phase] += seconds
-        self.by_kernel[(phase, kernel)] += seconds
-        self.counts[(phase, kernel)] += count
+        self.by_kernel[key] += seconds
+        self.counts[key] += count
         if overlapped_seconds:
-            self.overlapped[(phase, kernel)] += overlapped_seconds
+            self.overlapped[key] += overlapped_seconds
         if payload_bytes:
-            self.payload_bytes[(phase, kernel)] += payload_bytes
-        if self._metrics is not None:
-            self._metrics.observe(phase, kernel, seconds, count,
-                                  payload_bytes, driver_side)
+            self.payload_bytes[key] += payload_bytes
+        if flops is not None:
+            self.flops[key] += flops
+            self.mem_bytes[key] += mem_bytes
+        if driver_side:
+            self.driver_seconds[key] += seconds
+        if self.on_charge is not None:
+            self.on_charge(kernel, seconds)
         if self._spans is not None:
             self._spans.append(SpanEvent(
                 kernel, t0, self.clock, phase, self.stream, count=count,
                 payload_bytes=payload_bytes, cycle=self._cycle[0],
                 overlapped_seconds=overlapped_seconds,
-                driver_side=driver_side))
+                driver_side=driver_side, flops=flops, mem_bytes=mem_bytes))
+
+    def replay(self, spans) -> "Tracer":
+        """Fold the driver kernel spans of this tracer's stream back in,
+        each under its own phase — what rebuilds the totals of an
+        exported trace.  Seconds are span durations, so they match the
+        live totals to rounding; every other column matches exactly."""
+        for s in spans:
+            if s.cat == "kernel" and s.rank is None and s.stream == self.stream:
+                self._phase_stack.append(s.phase)
+                self.add(s.name, s.duration, s.count, s.payload_bytes,
+                         s.overlapped_seconds, s.driver_side, s.flops,
+                         s.mem_bytes)
+                self._phase_stack.pop()
+                self.clock = s.t1
+        return self
 
     # -- span stream ----------------------------------------------------
     def enable_spans(self) -> None:
@@ -341,54 +389,34 @@ class Tracer:
             cycle=self._cycle[0] if cycle is None else cycle, rank=rank,
             driver_side=driver_side))
 
-    # -- metrics feed ---------------------------------------------------
-    def attach_metrics(self, registry) -> None:
-        """Feed every subsequent charge into ``registry`` (a
-        :class:`repro.obs.metrics.MetricsRegistry`).  Disabled by
-        default; the disabled path is one ``is not None`` test per
-        charge — accumulator and clock behaviour are identical either
-        way (``scripts/span_overhead_check.py`` gates this)."""
-        self._metrics = registry
-
-    def detach_metrics(self) -> None:
-        self._metrics = None
-
     # ------------------------------------------------------------------
     def snapshot(self) -> TraceTotals:
         """Copy of the accumulators, e.g. to diff around a solver call."""
         return TraceTotals(self.clock, dict(self.by_phase),
-                           dict(self.by_kernel), dict(self.counts),
-                           dict(self.overlapped), dict(self.payload_bytes))
+                           *(dict(getattr(self, name)) for name in _COLUMNS))
 
     def since(self, snap: TraceTotals) -> TraceTotals:
         """Totals accumulated after ``snap`` was taken.
 
-        Seconds and call counts alike are element-wise differences: a
-        kernel charged 3 times before the snapshot and 5 times in total
-        diffs to count 2 (keys absent from ``snap`` diff against zero).
+        Every column is an element-wise difference: a kernel charged 3
+        times before the snapshot and 5 times in total diffs to count 2
+        (keys absent from ``snap`` diff against zero).
         """
-        by_phase = {k: v - snap.by_phase.get(k, 0.0)
-                    for k, v in self.by_phase.items()}
-        by_kernel = {k: v - snap.by_kernel.get(k, 0.0)
-                     for k, v in self.by_kernel.items()}
-        counts = {k: v - snap.counts.get(k, 0)
-                  for k, v in self.counts.items()}
-        overlapped = {k: v - snap.overlapped.get(k, 0.0)
-                      for k, v in self.overlapped.items()}
-        payload = {k: v - snap.payload_bytes.get(k, 0.0)
-                   for k, v in self.payload_bytes.items()}
-        return TraceTotals(self.clock - snap.clock, by_phase, by_kernel,
-                           counts, overlapped, payload)
+        def diff(name: str) -> dict:
+            before = getattr(snap, name)
+            return {k: v - before.get(k, 0)
+                    for k, v in getattr(self, name).items()}
+
+        return TraceTotals(self.clock - snap.clock, diff("by_phase"),
+                           *map(diff, _COLUMNS))
 
     def reset(self) -> None:
         """Zero accumulators and drop recorded spans (phase stack and
         span-enablement are preserved)."""
         self.clock = 0.0
         self.by_phase.clear()
-        self.by_kernel.clear()
-        self.counts.clear()
-        self.overlapped.clear()
-        self.payload_bytes.clear()
+        for name in _COLUMNS:
+            getattr(self, name).clear()
         if self._spans is not None:
             self._spans.clear()
 
@@ -454,7 +482,7 @@ class Tracer:
         tag; with ``include_spans=True`` and spans enabled, a ``spans``
         list of :meth:`SpanEvent.to_dict` entries is appended.
         """
-        doc = self.snapshot().to_dict()
+        doc = super().to_dict()
         doc["stream"] = self.stream
         if include_spans and self._spans is not None:
             doc["spans"] = [s.to_dict() for s in self._spans]

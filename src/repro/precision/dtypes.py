@@ -100,11 +100,13 @@ def round_bf16(arr: np.ndarray) -> np.ndarray:
     pass through (their low mantissa bits are zero); NaNs stay NaN
     (rounding a NaN payload may move it within the NaN space, which is
     fine).  Overflow to inf happens exactly where bfloat16 would
-    overflow, since the exponent field is the same as float32's.
+    overflow, since the exponent field is the same as float32's.  The
+    result has the shape of ``arr`` (0-d included) and, for a
+    column-major tile, its layout: nothing is made contiguous first.
     """
     with np.errstate(over="ignore"):  # overflow-to-inf is the semantics
-        a32 = np.ascontiguousarray(arr, dtype=np.float32)
-    bits = a32.view(np.uint32)
+        a32 = np.asarray(arr, dtype=np.float32)
+    bits = a32.view(np.uint32)  # same itemsize: legal for any strides
     rounded = bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16))
                                           & np.uint32(1))
     rounded &= np.uint32(0xFFFF0000)

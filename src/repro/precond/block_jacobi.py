@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError, NumericalError
-from repro.parallel.costmodel import CostModel, StaticCharges
+from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.precond.base import Preconditioner
 from repro.precond.coloring import color_classes, greedy_coloring
 from repro.precond.gauss_seidel import LocalGaussSeidel
@@ -80,7 +80,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._block_rows = matrix.partition.counts
         #: what an apply costs each rank: on its own block (key None),
         #: or redundantly over a ghost plan's level (key ``(plan, level)``)
-        self._charges: dict[tuple, StaticCharges] = {}
+        self._charges: dict[tuple, KernelCharge] = {}
         if self.ordering == "natural":
             # one sparse triangular solve per block and sweep
             self._solvers = [
@@ -127,9 +127,10 @@ class BlockJacobiPreconditioner(Preconditioner):
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
         out.scatter_col(0, self._solve(
             x.to_global()[:, 0].astype(np.float64, copy=False)))
-        x.comm.cost.memoized(self._charges, None, lambda c: [
-            self._block_cost(c, rank) for rank in range(len(self._bounds))
-        ]).charge(x.comm, "spmv_local")
+        x.comm.charge("spmv_local", x.comm.cost.memoized(
+            self._charges, None, lambda c: [
+                self._block_cost(c, rank)
+                for rank in range(len(self._bounds))]))
 
     # -- CA-MPK ghost composition --------------------------------------
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
@@ -138,6 +139,7 @@ class BlockJacobiPreconditioner(Preconditioner):
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
         """Every rank redundantly solves each owner block its closure
         ``level`` intersects (block-complete by the plan's invariant)."""
-        comm.cost.memoized(self._charges, (plan, level), lambda c: [
-            sum(self._block_cost(c, int(peer)) for peer in per_rank[level])
-            for per_rank in plan.level_ranks]).charge(comm, "spmv_local")
+        comm.charge("spmv_local", comm.cost.memoized(
+            self._charges, (plan, level), lambda c: [
+                sum(self._block_cost(c, int(peer)) for peer in per_rank[level])
+                for per_rank in plan.level_ranks]))

@@ -43,6 +43,7 @@ class JacobiPreconditioner(Preconditioner):
         return (x * self._inv_diag).astype(ctype).astype(np.float64)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        comm.cost.memoized(plan.charge_memo, ("jacobi", level), lambda c: [
-            c.blas1(int(plan.level_rows[r, level]), n_streams=2, writes=1)
-            for r in range(plan.partition.ranks)]).charge(comm, "scale")
+        comm.charge("scale", comm.cost.memoized(
+            plan.charge_memo, ("jacobi", level), lambda c: [
+                c.blas1(int(plan.level_rows[r, level]), n_streams=2, writes=1)
+                for r in range(plan.partition.ranks)]))

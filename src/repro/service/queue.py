@@ -123,12 +123,13 @@ class SolveQueue:
         self._next_id = 0
         #: pending requests per compatibility key, FIFO within a key
         self._pending: dict[tuple, list[SolveRequest]] = {}
-        #: solver arguments per key (shared by every request under it).
-        #: This is also what pins the ``id()``s in the keys: it references
-        #: the basis / scheme factory / preconditioner of every key ever
-        #: submitted, so none can be collected and its id reused by an
-        #: incompatible object — do not evict an entry while its key can
-        #: recur.
+        #: solver arguments per key with pending requests (shared by every
+        #: request under it).  This is also what pins the ``id()``s in the
+        #: keys: while a request waits under a key, the entry references
+        #: that key's basis / scheme factory / preconditioner, so none can
+        #: be collected and its id reused by an incompatible object.  The
+        #: entry goes when the key's last pending request is dispatched;
+        #: a key that recurs later stores the new submission's objects.
         self._configs: dict[tuple, dict] = {}
         self._results: dict[int, SolveResult] = {}
         #: width of every dispatched batch, in dispatch order
@@ -237,7 +238,7 @@ class SolveQueue:
             if reqs:
                 self._pending[key] = reqs
             else:
-                del self._pending[key]
+                del self._pending[key], self._configs[key]
         return launched
 
     def flush(self) -> int:
@@ -249,6 +250,7 @@ class SolveQueue:
                 batch = reqs[lo:lo + self.max_width]
                 self._dispatch(key, batch)
                 launched += len(batch)
+            del self._configs[key]
         return launched
 
     def __repr__(self) -> str:

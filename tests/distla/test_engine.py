@@ -11,7 +11,6 @@ over arbitrary partitions, precisions and column views.
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +48,7 @@ def apply_ops(engine, n: int):
     totals)."""
     part = Partition(n, RANKS)
     comm = make_comm(engine)
-    registry = MetricsRegistry(comm.machine, RANKS)
-    comm.tracer.attach_metrics(registry)
-    comm.cost = replace(comm.cost, metrics=registry)
+    registry = MetricsRegistry(comm.machine, RANKS, comm.tracer)
     rng = np.random.default_rng(7)
     q = DistMultiVector.from_global(rng.standard_normal((n, KQ)), part, comm)
     v = DistMultiVector.from_global(rng.standard_normal((n, KV)), part, comm)

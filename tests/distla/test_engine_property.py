@@ -18,7 +18,6 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,9 +59,7 @@ def observed_comm(engine, ranks, spans=True):
         tracer.enable_spans()
     comm = SimComm(machine, ranks, tracer, engine=engine)
     assert comm.engine == engine
-    registry = MetricsRegistry(machine, ranks)
-    tracer.attach_metrics(registry)
-    comm.cost = replace(comm.cost, metrics=registry)
+    registry = MetricsRegistry(machine, ranks, tracer)
 
     def observe() -> dict:
         return {

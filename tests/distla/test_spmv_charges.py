@@ -5,9 +5,8 @@ and its halo exchange's cost once and replays them.  These tests hold
 the replay to the evaluation:
 
 * the modeled charge stream of one ``sstep_gmres`` restart cycle, event
-  by event, and the metrics registry's flop/byte counters, against
-  values recorded with the per-rank loop that evaluated every cost on
-  every call;
+  by event, and the tracer's flop/byte columns, against values recorded
+  with the per-rank loop that evaluated every cost on every call;
 * the memo keys: alternating operand precisions and vector counts on
   one matrix charges what a fresh matrix charges;
 * the point of it all: a warm ``matvec`` makes as many Python-level
@@ -29,9 +28,7 @@ from repro.exceptions import CommunicatorError, ShapeError
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.communicator import SimComm
-from repro.parallel.costmodel import CostModel
 from repro.parallel.machine import generic_cpu, summit
 from repro.parallel.partition import Partition
 
@@ -128,33 +125,19 @@ class TestGoldenCharges:
             "\n".join(map(repr, stream)).encode()).hexdigest()
         assert digest == gold["digest"]
 
-    def test_metrics_registry(self, grid, engine):
+    @pytest.mark.parametrize("metrics", [False, True])
+    def test_flop_and_byte_columns(self, grid, engine, metrics):
         gold = GOLDEN[grid]
-        sim = one_cycle(gold, engine, metrics=True)
-        # attaching the registry moves no charge ...
+        sim = one_cycle(gold, engine, metrics=metrics)
+        # a registry moves no charge ...
         assert sim.tracer.clock == gold["clock"]
-        # ... and the replayed shapes land where the evaluated ones did
-        assert sim.metrics.flops == gold["flops"]
-        assert sim.metrics.mem_bytes == gold["mem_bytes"]
+        # ... and the kept records land where the evaluated shapes did,
+        # whether or not anyone asked for metrics
+        assert sim.tracer.flops == gold["flops"]
+        assert sim.tracer.mem_bytes == gold["mem_bytes"]
 
 
 # ----------------------------------------------------------------------
-def _charged(comm: SimComm, registry: MetricsRegistry) -> dict:
-    t = comm.tracer
-    return {"clock": t.clock, "seconds": dict(t.by_kernel),
-            "counts": dict(t.counts), "payload": dict(t.payload_bytes),
-            "flops": dict(registry.flops),
-            "mem_bytes": dict(registry.mem_bytes)}
-
-
-def _metered_comm(machine, ranks: int) -> tuple[SimComm, MetricsRegistry]:
-    comm = SimComm(machine, ranks)
-    registry = MetricsRegistry(machine, ranks)
-    comm.tracer.attach_metrics(registry)
-    comm.cost = CostModel(machine, metrics=registry)
-    return comm, registry
-
-
 class TestMemoKeys:
     """Each call charges what a fresh evaluation charges."""
 
@@ -177,7 +160,7 @@ class TestMemoKeys:
                  ("bf16", "fp32"), ("fp64", "fp64")]
 
         def run(matrix_for_call):
-            comm, registry = _metered_comm(summit(), self.RANKS)
+            comm = SimComm(summit(), self.RANKS)
             seen = []
             for x_storage, out_storage in order:
                 out = DistMultiVector.zeros(partition, comm, 1,
@@ -185,7 +168,7 @@ class TestMemoKeys:
                 with comm.tracer.phase("spmv"):
                     matrix_for_call(comm).matvec(
                         self._operand(partition, comm, x_storage), out=out)
-                seen.append(_charged(comm, registry))
+                seen.append(comm.tracer.to_dict())
             return seen
 
         shared: list[DistSparseMatrix] = []

@@ -48,10 +48,9 @@ def _fake_outcome(uncal_err, cal_err, uncal_drift, cal_drift):
                            measured_total=1.0, scale=1.0)
 
     t = Tracer()
-    t.add("dot", 1.0)
+    reg = MetricsRegistry(generic_cpu(), 4, t)
+    t.add("dot", 1.0, flops=8.0, mem_bytes=64.0)
     totals = t.snapshot()
-    reg = MetricsRegistry(generic_cpu(), 4)
-    reg.observe("ortho", "dot", 1.0, 1, None, False)
     return {
         "scheme": "two-stage",
         "fit": calibrate([], base=generic_cpu()),

@@ -52,10 +52,9 @@ class PerRankJacobi:
         out[rows] = (x[rows] * self.inv_diag[rows]).astype(ctype)
 
     def charge_ghost_apply(self, comm, plan, level):
-        comm.charge_local(
-            "scale", [comm.cost.blas1(int(plan.level_rows[r, level]),
-                                      n_streams=2, writes=1)
-                      for r in range(plan.partition.ranks)])
+        comm.charge("scale", comm.cost.record(lambda c: [
+            c.blas1(int(plan.level_rows[r, level]), n_streams=2, writes=1)
+            for r in range(plan.partition.ranks)]))
 
 
 class PerRankBlockJacobi:
@@ -76,18 +75,18 @@ class PerRankBlockJacobi:
             sl = self.part.local_slice(int(peer))
             out[sl] = self.solvers[int(peer)].apply(x[sl]).astype(ctype)
 
-    def block_cost(self, comm, rank):
+    def block_cost(self, cost, rank):
         solver = self.solvers[rank]
         rows = solver.a.shape[0]
         return self.sweeps * (
-            comm.cost.spmv(solver.a.nnz, rows, rows)
-            + (solver.n_colors - 1) * comm.machine.kernel_latency)
+            cost.spmv(solver.a.nnz, rows, rows)
+            + (solver.n_colors - 1) * cost.machine.kernel_latency)
 
     def charge_ghost_apply(self, comm, plan, level):
-        comm.charge_local("spmv_local", [
-            sum(self.block_cost(comm, int(peer))
+        comm.charge("spmv_local", comm.cost.record(lambda c: [
+            sum(self.block_cost(c, int(peer))
                 for peer in np.unique(self.part.owners(plan.levels[rank][level])))
-            for rank in range(self.part.ranks)])
+            for rank in range(self.part.ranks)]))
 
 
 PRECONDS = {
@@ -153,10 +152,10 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
         return out
 
     def spmv_charge(nnz, rows, cols):
-        comm.charge_local("spmv_local", [
-            comm.cost.spmv(int(nnz[r]), int(rows[r]), int(cols[r]),
-                           word_bytes=basis.word_bytes)
-            for r in range(ranks)])
+        comm.charge("spmv_local", comm.cost.record(lambda c: [
+            c.spmv(int(nnz[r]), int(rows[r]), int(cols[r]),
+                   word_bytes=basis.word_bytes)
+            for r in range(ranks)]))
 
     v_k = gathered(lo - 1)
     v_km1 = gathered(lo - 2) if gather_prev else [None] * ranks
@@ -201,11 +200,11 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
                     if quantized:
                         acc = basis.quantize(acc).astype(np.float64)
                     v_new[r][lvl] = acc
-                comm.charge_local("axpy", [
-                    comm.cost.blas1(int(rows[r, depth]),
-                                    n_streams=3 if three_term else 2,
-                                    writes=1, word_bytes=basis.word_bytes)
-                    for r in range(ranks)])
+                comm.charge("axpy", comm.cost.record(lambda c: [
+                    c.blas1(int(rows[r, depth]),
+                            n_streams=3 if three_term else 2,
+                            writes=1, word_bytes=basis.word_bytes)
+                    for r in range(ranks)]))
         for r in range(ranks):
             basis.shards[r][:, col:col + 1] = (
                 v_new[r][part.local_slice(r)][:, np.newaxis])
@@ -223,8 +222,8 @@ def _start(sim, storage, k):
 
 
 def run_pair(poly, pc, storage, ranks, mode, metrics=False, **pc_kw):
-    """(basis, tracer totals, registry totals) of the fused kernel and of
-    the oracle, each on a fresh simulation."""
+    """(basis, tracer totals, collective counts, metrics totals) of the
+    fused kernel and of the oracle, each on a fresh simulation."""
     factory, per_rank = PRECONDS[pc]
     out = []
     for fused in (True, False):
@@ -256,7 +255,7 @@ def assert_same(fused, oracle):
     np.testing.assert_array_equal(fused[0], oracle[0])
     assert np.abs(fused[0][:, -1]).max() > 0.0
     # clock, seconds and counts per (phase, kernel), hidden seconds,
-    # payload bytes — bit for bit
+    # payload bytes, flops and memory bytes — bit for bit
     assert fused[1] == oracle[1]
     assert fused[2] == oracle[2]
     assert fused[3] == oracle[3]
@@ -282,9 +281,9 @@ def test_ca_overlap_matches_per_rank_execution(poly, storage, partition):
 
 
 @pytest.mark.parametrize("pc", sorted(PRECONDS))
-def test_replayed_charges_feed_the_registry_like_fresh_ones(pc):
-    """With a metrics registry attached the memoized lists replay the
-    ``(flops, bytes)`` shapes a fresh evaluation feeds it."""
+def test_kept_charges_read_in_the_metrics_like_fresh_ones(pc):
+    """The metrics snapshot of memoized records equals that of records
+    evaluated afresh at every charge."""
     fused, oracle = run_pair("chebyshev", pc, "fp64", 5, "ca", metrics=True)
     assert_same(fused, oracle)
     assert fused[3]["flops"] > 0 and fused[3]["mem_bytes"] > 0

@@ -8,7 +8,7 @@ charge stream follows from shapes and not from last-bit numerics), on a
 BEFORE the solvers were rewritten on the shared restart core and must
 not move: the digest is the sha256 of the kernel-span stream
 ``(phase, kernel, t0.hex(), t1.hex(), count, payload_bytes)`` followed
-by the metrics registry's flop / byte totals; next to it, in readable
+by the tracer's per-kernel flop / byte totals; next to it, in readable
 form, each result's ``(iterations, restarts, sync_count, len(history))``.
 Charges are plain Python float arithmetic on fixed shapes, so neither
 the machine, the BLAS nor the engine enters.  An intentional change to
@@ -118,8 +118,8 @@ def fingerprint(sim: Simulation, result) -> tuple[int, str, list[tuple]]:
     results = result if isinstance(result, list) else [result]
     lines = list(map(repr, charge_stream(sim)))
     events = len(lines)
-    lines.append(repr(sorted(sim.metrics.flops.items())))
-    lines.append(repr(sorted(sim.metrics.mem_bytes.items())))
+    lines.append(repr(sorted(sim.tracer.flops.items())))
+    lines.append(repr(sorted(sim.tracer.mem_bytes.items())))
     return (events, hashlib.sha256("\n".join(lines).encode()).hexdigest(),
             [(r.iterations, r.restarts, r.sync_count, len(r.history))
              for r in results])

@@ -1,4 +1,5 @@
-"""MetricsRegistry: charge-stream feed, derived gauges, Prometheus text."""
+"""MetricsRegistry: a view of the tracer's totals, derived gauges,
+duration histograms, Prometheus text."""
 
 from __future__ import annotations
 
@@ -11,88 +12,103 @@ from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
 from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
+from repro.ortho.backend import DistBackend
 from repro.ortho.two_stage import TwoStageScheme
+from repro.parallel.communicator import SimComm
+from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.parallel.machine import generic_cpu
 from repro.parallel.tracing import Tracer
 
 
 def _registry(ranks=4):
-    return MetricsRegistry(generic_cpu(), ranks)
+    return MetricsRegistry(generic_cpu(), ranks, Tracer())
 
 
-class TestFeed:
-    def test_observe_accumulates_seconds_and_calls(self):
-        reg = _registry()
-        reg.observe("ortho", "dot", 0.5, 2, None, False)
-        reg.observe("ortho", "dot", 0.25, 1, None, False)
-        assert reg.seconds[("ortho", "dot")] == 0.75
-        assert reg.calls[("ortho", "dot")] == 3
+class TestRecord:
+    """What a charge's record counts (the facts the old pending queue
+    and its rank fan-out used to state)."""
 
-    def test_pending_op_shapes_drain_into_next_charge(self):
-        """CostModel.record_op shapes land on the (phase, kernel) of the
-        charge that follows them — exactly where the seconds land."""
-        reg = _registry()
-        reg.record_op(100.0, 800.0)
-        reg.record_op(50.0, 400.0)
-        reg.observe("ortho", "dot", 0.5, 1, None, False)
-        assert reg.flops[("ortho", "dot")] == 150.0
-        assert reg.mem_bytes[("ortho", "dot")] == 1200.0
-        assert reg._pending == []
-        # the next charge gets nothing carried over
-        reg.observe("ortho", "update", 0.5, 1, None, False)
-        assert ("ortho", "update") not in reg.flops
+    def test_record_totals_the_shapes_of_its_evaluation(self):
+        cost = CostModel(generic_cpu())
+        charge = cost.record(lambda c: [c.gemm(100, 3, 2), c.gemm(50, 3, 2)])
+        assert charge.seconds == cost.gemm(100, 3, 2)      # slowest rank
+        assert charge.flops == 2.0 * (100 + 50) * 3 * 2
+        assert charge.mem_bytes == 8.0 * (150 * 3 + 2 * 3 * 2 + 150 * 2)
+        # the recorder lived for that evaluation alone: the model the
+        # caller holds keeps nothing, and a second record starts empty
+        assert cost._shapes is None
+        assert cost.record(lambda c: 0.5) == KernelCharge(0.5, 0.0, 0.0)
 
-    def test_collective_payload_feeds_net_bytes_only(self):
-        reg = _registry()
-        reg.observe("ortho", "allreduce", 0.1, 1, 64.0, False)
-        reg.observe("spmv", "halo", 0.1, 1, 256.0, False)
-        reg.observe("ortho", "dot", 0.1, 1, 999.0, False)  # not a collective
-        assert reg.net_bytes["allreduce"] == 64.0
-        assert reg.net_bytes["halo"] == 256.0
-        assert reg.net_bytes["bcast"] == 0.0
-        assert ("ortho", "dot") not in reg.flops
+    def test_uniform_charge_counts_ranks_times_one_shard(self):
+        """One shard costed, every rank executing it: ``times(ranks)``
+        fans the shapes out, the seconds stay one shard's."""
+        cost = CostModel(generic_cpu())
+        one = cost.record(lambda c: c.gemm(100, 3, 2))
+        fanned = cost.record(lambda c: c.times(4).gemm(100, 3, 2))
+        assert fanned == KernelCharge(one.seconds, 4 * one.flops,
+                                      4 * one.mem_bytes)
+        # ... which is what evaluating it per rank totals
+        assert fanned == cost.record(
+            lambda c: [c.gemm(100, 3, 2) for _ in range(4)])
 
-    def test_driver_side_seconds_tracked_separately(self):
-        reg = _registry()
-        reg.observe("ortho", "dot", 0.5, 1, None, True)
-        reg.observe("ortho", "dot", 0.25, 1, None, False)
-        assert reg.driver_seconds[("ortho", "dot")] == 0.5
-        assert reg.seconds[("ortho", "dot")] == 0.75
+    def test_host_flops_count_once_per_rank(self):
+        comm = SimComm(generic_cpu(), 4, Tracer())
+        with comm.tracer.phase("ortho"):
+            DistBackend(comm).host_flops(1000.0)
+        t, key = comm.tracer, ("ortho", "host")
+        assert t.by_kernel[key] == 1000.0 / comm.machine.host_flops
+        assert (t.flops[key], t.mem_bytes[key]) == (4000.0, 0.0)
 
-    def test_scale_pending_fans_shapes_out_by_ranks(self):
-        """charge_uniform sites cost ONE rank's shard; the rank fan-out
-        multiplies the queued shapes before they drain."""
-        reg = _registry()
-        reg.record_op(100.0, 800.0)
-        reg.scale_pending(4.0)
-        reg.observe("ortho", "dot", 0.5, 1, None, False)
-        assert reg.flops[("ortho", "dot")] == 400.0
-        assert reg.mem_bytes[("ortho", "dot")] == 3200.0
-        # no-op on an empty queue and at factor 1.0
-        reg.scale_pending(4.0)
-        reg.record_op(10.0, 80.0)
-        reg.scale_pending(1.0)
-        reg.observe("ortho", "update", 0.5, 1, None, False)
-        assert reg.flops[("ortho", "update")] == 10.0
+    def test_collectives_feed_net_bytes_not_flops(self):
+        comm = SimComm(generic_cpu(), 4, Tracer())
+        reg = MetricsRegistry(comm.machine, 4, comm.tracer)
+        with comm.tracer.phase("ortho"):
+            comm.allreduce([np.ones((4, 8))])
+        with comm.tracer.phase("spmv"):
+            comm.charge_halo([{1: 256.0}, {0: 256.0}, {}, {}])
+        comm.tracer.add("dot", 0.1, payload_bytes=999.0)  # not a collective
+        snap = reg.snapshot()
+        assert snap.net_bytes == {"allreduce": 64.0, "halo": 256.0,
+                                  "bcast": 0.0}
+        assert not comm.tracer.flops and not comm.tracer.mem_bytes
+        assert snap.totals["flops"] == 0.0
 
-    def test_tracer_attach_feeds_registry_with_phase(self):
-        reg = _registry()
-        t = Tracer()
-        t.attach_metrics(reg)
-        with t.phase("ortho"):
-            t.add("allreduce", 0.1, payload_bytes=32.0)
-        t.detach_metrics()
-        t.add("dot", 1.0)  # after detach: not observed
-        assert reg.seconds == {("ortho", "allreduce"): 0.1}
-        assert reg.net_bytes["allreduce"] == 32.0
+    def test_raw_seconds_charge_carries_no_shapes(self):
+        comm = SimComm(generic_cpu(), 2, Tracer())
+        comm.charge_local("dot", [1e-6, 2e-6])
+        comm.charge("update", KernelCharge(1e-6, 10.0, 80.0))
+        assert comm.tracer.flops == {("other", "update"): 10.0}
+
+    def test_flops_are_carried_whether_or_not_metrics_are_on(self):
+        docs = []
+        for metrics in (False, True):
+            sim = Simulation(laplace2d(12), ranks=4, machine=generic_cpu(),
+                             metrics=metrics)
+            sstep_gmres(sim, np.ones(sim.n), s=3, restart=9, tol=1.0e-8,
+                        maxiter=18)
+            docs.append(sim.tracer.to_dict())
+        assert docs[0] == docs[1]
+        assert sum(docs[0]["flops"].values()) > 0.0
 
 
 class TestSnapshot:
+    def test_rows_are_read_off_the_tracer(self):
+        reg = _registry()
+        t = reg.tracer
+        with t.phase("ortho"):
+            t.add("dot", 0.5, count=2, flops=100.0, mem_bytes=800.0,
+                  driver_side=True)
+            t.add("dot", 0.25, flops=50.0, mem_bytes=400.0)
+        row = reg.snapshot().kernels[("ortho", "dot")]
+        assert row["seconds"] == 0.75 and row["calls"] == 3
+        assert row["flops"] == 150.0 and row["mem_bytes"] == 1200.0
+        assert row["driver_seconds"] == 0.5
+
     def test_derived_gauges(self):
         reg = _registry(ranks=4)
         m = reg.machine
-        reg.record_op(1.0e9, 2.0e8)
-        reg.observe("ortho", "dot", 0.5, 1, None, False)
+        with reg.tracer.phase("ortho"):
+            reg.tracer.add("dot", 0.5, flops=1.0e9, mem_bytes=2.0e8)
         row = reg.snapshot().kernels[("ortho", "dot")]
         assert math.isclose(row["arithmetic_intensity"], 5.0)
         assert math.isclose(row["flop_utilization"],
@@ -102,9 +118,11 @@ class TestSnapshot:
 
     def test_totals_cover_all_kernels(self):
         reg = _registry()
-        reg.record_op(100.0, 50.0)
-        reg.observe("ortho", "dot", 0.5, 1, None, False)
-        reg.observe("spmv", "halo", 0.1, 1, 64.0, False)
+        t = reg.tracer
+        with t.phase("ortho"):
+            t.add("dot", 0.5, flops=100.0, mem_bytes=50.0)
+        with t.phase("spmv"):
+            t.add("halo", 0.1, payload_bytes=64.0)
         snap = reg.snapshot()
         assert snap.totals["seconds"] == 0.6
         assert snap.totals["flops"] == 100.0
@@ -113,15 +131,17 @@ class TestSnapshot:
 
     def test_zero_byte_kernel_has_no_intensity_gauge(self):
         reg = _registry()
-        reg.observe("ortho", "allreduce", 0.1, 1, 8.0, False)
+        with reg.tracer.phase("ortho"):
+            reg.tracer.add("allreduce", 0.1, payload_bytes=8.0)
         row = reg.snapshot().kernels[("ortho", "allreduce")]
         assert "arithmetic_intensity" not in row
         assert "flop_utilization" in row  # seconds > 0
 
     def test_to_dict_flattens_keys_and_is_json_safe(self):
         reg = _registry()
-        reg.record_op(10.0, 5.0)
-        reg.observe("ortho", "dot", 0.5, 2, None, True)
+        with reg.tracer.phase("ortho"):
+            reg.tracer.add("dot", 0.5, count=2, flops=10.0, mem_bytes=5.0,
+                           driver_side=True)
         doc = reg.snapshot().to_dict()
         json.dumps(doc)
         assert doc["machine"] == reg.machine.name
@@ -130,9 +150,9 @@ class TestSnapshot:
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
         reg = _registry()
-        reg.observe("other", "dot", DURATION_BUCKETS[0] / 2, 1, None, False)
-        reg.observe("other", "dot", DURATION_BUCKETS[3], 1, None, False)
-        reg.observe("other", "dot", DURATION_BUCKETS[-1] * 10, 1, None, False)
+        reg.tracer.add("dot", DURATION_BUCKETS[0] / 2)
+        reg.tracer.add("dot", DURATION_BUCKETS[3])
+        reg.tracer.add("dot", DURATION_BUCKETS[-1] * 10)
         h = reg.snapshot().histograms["dot"]
         les = [le for le, _ in h["buckets"]]
         counts = [n for _, n in h["buckets"]]
@@ -143,16 +163,28 @@ class TestSnapshot:
 
     def test_snapshot_is_repeatable(self):
         reg = _registry()
-        reg.observe("ortho", "dot", 0.5, 1, None, False)
+        reg.tracer.add("dot", 0.5)
         assert reg.snapshot().to_dict() == reg.snapshot().to_dict()
+
+    def test_histograms_are_the_registrys_own(self):
+        """Totals belong to the tracer (charged before the registry
+        existed, they still show); only the histogram starts at the hook."""
+        t = Tracer()
+        t.add("dot", 0.5)
+        reg = MetricsRegistry(generic_cpu(), 4, t)
+        t.add("dot", 0.25)
+        snap = reg.snapshot()
+        assert snap.kernels[("other", "dot")]["seconds"] == 0.75
+        assert snap.histograms["dot"]["count"] == 1
 
 
 class TestPrometheus:
     def _snap(self):
         reg = _registry()
-        reg.record_op(1.0e6, 1.0e5)
-        reg.observe("ortho", "dot", 0.5, 2, None, True)
-        reg.observe("ortho", "allreduce", 0.1, 1, 64.0, False)
+        with reg.tracer.phase("ortho"):
+            reg.tracer.add("dot", 0.5, count=2, flops=1.0e6,
+                           mem_bytes=1.0e5, driver_side=True)
+            reg.tracer.add("allreduce", 0.1, payload_bytes=64.0)
         return reg.snapshot()
 
     def test_exposition_format(self):
@@ -214,8 +246,8 @@ class TestSimulationIntegration:
         assert 'kind="halo"' in text
 
     def test_counters_are_engine_invariant(self):
-        """Loop costs every rank's shard; batched costs one uniform
-        shard and fans it out by the rank count — the aggregate flop,
+        """Loop costs every rank's shard; batched costs one shard per run
+        of equal-count ranks and counts it per rank — the aggregate flop,
         memory-byte, and wire-byte counters must agree exactly."""
         totals = {}
         for engine in ("loop", "batched"):

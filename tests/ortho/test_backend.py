@@ -104,6 +104,23 @@ class TestFactorizations:
         assert np.all(np.diag(r) >= 0)
         assert np.allclose(r, np.triu(r))
 
+    @pytest.mark.parametrize("storage, ortho_tol", [
+        ("fp64", 1e-12), ("fp32", 2e-6), ("bf16", 4e-2)])
+    def test_householder_dist_over_every_storage(self, backends, rng,
+                                                 storage, ortho_tol):
+        """R upper triangular, Q orthonormal to the storage grid — bf16
+        used to die on the 0-d ``quantize`` of the reflector head."""
+        nb, db, part, comm = backends
+        v = rng.standard_normal((97, 4))
+        dv = DistMultiVector.from_global(v, part, comm, storage=storage)
+        stored = dv.to_global().astype(np.float64)
+        r = db.householder_qr(dv)
+        q = dv.to_global().astype(np.float64)
+        assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) >= 0)
+        assert np.abs(q.T @ q - np.eye(4)).max() <= ortho_tol
+        assert (np.abs(q @ r - stored).max()
+                <= 10 * ortho_tol * np.abs(stored).max())
+
     def test_householder_dist_charges_many_syncs(self, backends, rng):
         nb, db, part, comm = backends
         v = dist_of(rng.standard_normal((97, 4)), part, comm)

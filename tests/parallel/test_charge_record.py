@@ -1,0 +1,229 @@
+"""One charge record through one funnel.
+
+A modeled charge is one record — seconds, count, payload, flops, memory
+bytes, the overlapped and driver-side tags — handed to ``Tracer.add``
+once; the metrics snapshot, the span stream and a replayed export are
+views of it.  Held here:
+
+* on *ragged* partitions the loop and batched engines leave bit-identical
+  totals, every column of every ``(phase, kernel)`` row;
+* a kept record charges what a fresh evaluation does (memo warm == memo
+  cold): a second identical solve repeats the first's totals;
+* an exported ``spans=True, metrics=True`` solve replays, through
+  ``repro-trace metrics``, into the live ``metrics_doc()``;
+* structurally, ``Tracer.add`` is called from the two ``_charge``
+  funnels and the estimator only, and nobody assigns ``_charge``.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.krylov.options import SolverOptions
+from repro.krylov.simulation import Simulation
+from repro.krylov.sstep_gmres import sstep_gmres
+from repro.matrices.stencil import laplace2d
+from repro.obs.cli import main as trace_main
+from repro.obs.export import export_chrome_trace, export_jsonl
+from repro.ortho.bcgs import BCGS2Scheme
+from repro.ortho.bcgs_pip import BCGSPIP2Scheme
+from repro.ortho.two_stage import TwoStageScheme
+from repro.parallel.machine import generic_cpu
+from repro.parallel.partition import Partition
+from repro.precond.block_jacobi import BlockJacobiPreconditioner
+
+NX = 20
+#: default split of 400 rows over 7 ranks (two runs), and explicit
+#: offsets (a run per rank)
+RAGGED = {
+    "two-runs": lambda: Partition(NX * NX, 7),
+    "offsets": lambda: Partition(NX * NX, 5, offsets=np.array(
+        [0, 50, 130, 230, 310, 400])),
+}
+SOLVES = {
+    "bcgs2": dict(scheme=BCGS2Scheme),
+    "pip2": dict(scheme=BCGSPIP2Scheme),
+    "two-stage": dict(scheme=lambda: TwoStageScheme(20)),
+    "block-jacobi-ca": dict(scheme=lambda: TwoStageScheme(20),
+                            precond=BlockJacobiPreconditioner,
+                            options=SolverOptions(mpk_mode="ca")),
+}
+
+
+def solve(sim: Simulation, scheme, precond=None, options=None):
+    return sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=20,
+                       tol=1e-30, maxiter=40, scheme=scheme(),
+                       precond=None if precond is None else precond(),
+                       options=options)
+
+
+def ragged_sim(shape: str, **kw) -> Simulation:
+    part = RAGGED[shape]()
+    assert not part.is_uniform
+    return Simulation(laplace2d(NX), ranks=part.ranks, partition=part,
+                      machine=generic_cpu(), **kw)
+
+
+@pytest.mark.parametrize("shape", sorted(RAGGED))
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_engines_leave_identical_totals_on_ragged_partitions(name, shape):
+    docs = {}
+    for engine in ("loop", "batched"):
+        sim = ragged_sim(shape, engine=engine)
+        solve(sim, **SOLVES[name])
+        docs[engine] = sim.tracer.to_dict()
+    loop, batched = docs["loop"], docs["batched"]
+    for column in ("by_kernel", "counts", "flops", "mem_bytes"):
+        assert batched[column] == loop[column], column
+    assert batched == loop
+    assert sum(batched["flops"].values()) > 0.0
+    assert sum(batched["mem_bytes"].values()) > 0.0
+
+
+@pytest.mark.parametrize("name", ["two-stage", "block-jacobi"])
+@pytest.mark.parametrize("shape", ["uniform", *sorted(RAGGED)])
+def test_second_identical_solve_repeats_the_first(shape, name):
+    """The first solve fills every memo, the second only reads them."""
+    sim = (Simulation(laplace2d(NX), ranks=4, machine=generic_cpu())
+           if shape == "uniform" else ragged_sim(shape))
+    kw = dict(SOLVES["two-stage"])
+    if name == "block-jacobi":
+        pc = BlockJacobiPreconditioner().setup(sim.matrix)
+        kw["precond"] = lambda: pc
+    solve(sim, **kw)
+    cold = sim.tracer.to_dict()
+    sim.tracer.reset()
+    solve(sim, **kw)
+    assert sim.tracer.to_dict() == cold
+    # and on one running clock every total doubles: exactly where the
+    # sums are exact (counts, whole bytes), to rounding elsewhere (a
+    # host Cholesky retires c^3 / 3 flops)
+    solve(sim, **kw)
+    both = sim.tracer.to_dict()
+    for column in ("counts", "payload_bytes", "mem_bytes"):
+        assert both[column] == {k: 2 * v for k, v in cold[column].items()}
+    assert both["clock"] == pytest.approx(2 * cold["clock"], rel=1e-12)
+    for column in ("by_kernel", "flops"):
+        assert both[column] == pytest.approx(
+            {k: 2 * v for k, v in cold[column].items()}, rel=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+def test_exported_trace_replays_into_the_live_metrics(tmp_path, capsys, fmt):
+    sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
+                     spans=True, metrics=True)
+    solve(sim, **SOLVES["block-jacobi-ca"])
+    live = sim.metrics_doc()
+    path = tmp_path / f"trace.{fmt}"
+    (export_jsonl if fmt == "jsonl" else export_chrome_trace)(
+        path, sim.tracer)
+    assert trace_main(["metrics", str(path), "--machine", "generic_cpu",
+                       "--ranks", "4"]) == 0
+    replayed = json.loads(capsys.readouterr().out)
+
+    # seconds come back as span durations (t1 - t0; microseconds in the
+    # Chrome format), everything counted comes back exactly
+    rel = 1e-9 if fmt == "jsonl" else 1e-6
+    assert replayed["machine"] == live["machine"]
+    assert replayed["ranks"] == live["ranks"]
+    assert replayed["net_bytes"] == live["net_bytes"]
+    assert set(replayed["kernels"]) == set(live["kernels"])
+    for key, row in live["kernels"].items():
+        got = replayed["kernels"][key]
+        for field in ("calls", "flops", "mem_bytes"):
+            assert got[field] == row[field], (key, field)
+        assert got == pytest.approx(row, rel=rel), key
+    for field in ("flops", "mem_bytes", "net_bytes"):
+        assert replayed["totals"][field] == live["totals"][field] > 0.0
+    assert replayed["totals"] == pytest.approx(live["totals"], rel=rel)
+    assert "flop_utilization" in replayed["totals"]
+    assert set(replayed["histograms"]) == set(live["histograms"])
+    for kern, hist in live["histograms"].items():
+        assert replayed["histograms"][kern]["count"] == hist["count"]
+        assert replayed["histograms"][kern]["sum"] == pytest.approx(
+            hist["sum"], rel=rel)
+
+
+# ----------------------------------------------------------------------
+SRC = Path(repro.__file__).resolve().parent
+
+
+def _enclosing_functions(tree: ast.AST):
+    """``(qualified name, node)`` of every call in ``tree``."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call):
+                yield ".".join(scope), child
+            yield from walk(child, inner)
+    yield from walk(tree, ())
+
+
+def _is_tracer_add(call: ast.Call) -> bool:
+    """``<tracer-ish>.add(<str kernel or name>, seconds, ...)``: a call of
+    an ``add`` attribute with at least two arguments (``set.add`` takes
+    one)."""
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "add"
+            and len(call.args) + len(call.keywords) >= 2)
+
+
+def test_tracer_add_is_called_from_the_funnels_and_the_estimator_only():
+    callers = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope, call in _enclosing_functions(tree):
+            if _is_tracer_add(call):
+                callers.add((path.relative_to(SRC).as_posix(),
+                             scope.split(".")[0], scope.split(".")[-1]))
+    estimator = {c for c in callers
+                 if c[0] == "experiments/estimator.py"}
+    assert estimator and all(c[1] == "CycleCostEstimator"
+                             for c in estimator)
+    assert callers - estimator == {
+        ("parallel/communicator.py", "SimComm", "_charge"),
+        ("parallel/mp_backend.py", "MpComm", "_charge_measured"),
+        # the replay of exported spans folds through the same function
+        ("parallel/tracing.py", "Tracer", "replay"),
+    }
+
+
+def test_nothing_assigns_the_charge_funnel():
+    """``_charge`` is defined once, as ``SimComm``'s method: no instance
+    patch (``comm._charge = ...``, ``setattr``, ``__dict__["_charge"]``)
+    and no second definition."""
+    defs, offenders = [], []
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name == "_charge":
+                defs.append(rel)
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and target.attr == "_charge"):
+                    offenders.append((rel, node.lineno))
+                if (isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Constant)
+                        and target.slice.value == "_charge"):
+                    offenders.append((rel, node.lineno))
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") == "setattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "_charge"):
+                offenders.append((rel, node.lineno))
+    assert defs == ["parallel/communicator.py"]
+    assert offenders == []

@@ -21,7 +21,7 @@ from repro.parallel.tracing import Tracer
 PROTOCOL_METHODS = tuple(
     name for name, fn in vars(Communicator).items()
     if inspect.isfunction(fn) and not name.startswith("_")
-) + tuple(  # hooks declared as callable attributes (``mark``)
+) + tuple(  # declared as callable attributes (``mark``, the scopes)
     name for name, annotation in Communicator.__annotations__.items()
     if annotation.startswith("Callable"))
 
@@ -55,7 +55,8 @@ class TestProtocolConformance:
         """Reductions and charge formulas are inherited: the mp backend
         replaces how a packed buffer is folded, never what is charged."""
         for name in ("allreduce", "post_allreduce", "allreduce_dd",
-                     "charge_local", "charge_uniform", "charge_halo"):
+                     "charge", "charge_local", "charge_halo", "_charge",
+                     "group", "member"):
             assert name not in vars(MpComm), (
                 f"MpComm re-implements {name}")
 
@@ -71,7 +72,7 @@ class TestProtocolConformance:
 
     def test_incomplete_object_is_not_communicator(self):
         class Half:
-            machine = size = tracer = cost = engine = None
+            machine = size = tracer = modeled = cost = engine = None
             backend = "half"
 
             def allreduce(self, groups):
@@ -85,7 +86,8 @@ class TestProtocolConformance:
         must demand it."""
         members = {name: getattr(SimComm, name) for name in PROTOCOL_METHODS}
         members.update(dict.fromkeys(
-            ("machine", "size", "tracer", "cost", "engine", "backend")))
+            ("machine", "size", "tracer", "modeled", "cost", "engine",
+             "backend")))
         assert isinstance(type("Full", (), members)(), Communicator)
         del members["mark"]
         assert not isinstance(type("NoMark", (), members)(), Communicator)

@@ -9,6 +9,7 @@ import pytest
 from repro.dd.linalg import matmul_dd
 from repro.exceptions import CommunicatorError
 from repro.parallel.communicator import SimComm
+from repro.parallel.costmodel import KernelCharge
 from repro.parallel.machine import generic_cpu
 from repro.parallel.mp_backend import MpComm, _reduce_schedule
 from repro.parallel.tracing import Tracer
@@ -126,10 +127,11 @@ class TestModeledTwin:
                 with comm.tracer.phase("spmv"):
                     comm.charge_local("spmv_local", [1e-4, 2e-4, 3e-4])
                     comm.charge_halo([{1: 640.0}, {0: 640.0}, {0: 64.0}])
-                comm.charge_uniform("host", 5e-5)
-            assert mp.modeled.clock == sim.tracer.clock
-            assert mp.modeled.by_kernel == sim.tracer.by_kernel
-            assert mp.modeled.counts == sim.tracer.counts
+                comm.charge("host", KernelCharge(5e-5, 30.0, 240.0))
+            assert mp.modeled.snapshot() == sim.tracer.snapshot()
+            # the shapes land on the modeled twin only
+            assert mp.modeled.flops == {("other", "host"): 30.0}
+            assert not mp.tracer.flops and not mp.tracer.mem_bytes
         finally:
             mp.close()
 

@@ -234,22 +234,60 @@ class TestSpanStream:
         flags = [s.driver_side for s in t.spans]
         assert flags == [True, False, True]
 
-    def test_attached_metrics_observe_every_charge(self):
-        class Probe:
-            observed = []
-
-            def observe(self, *args):
-                Probe.observed.append(args)
-
+    def test_on_charge_hook_sees_every_charge(self):
+        observed = []
         t = Tracer()
-        t.attach_metrics(Probe())
+        t.on_charge = lambda *args: observed.append(args)
         with t.phase("ortho"):
             t.add("allreduce", 0.5, count=2, payload_bytes=8.0,
                   driver_side=True)
-        assert Probe.observed == [("ortho", "allreduce", 0.5, 2, 8.0, True)]
-        t.detach_metrics()
+        assert observed == [("allreduce", 0.5)]
+        t.on_charge = None
         t.add("dot", 1.0)
-        assert len(Probe.observed) == 1
+        assert len(observed) == 1
+
+    def test_record_fields_fold_into_rows_and_spans(self):
+        """flops / mem_bytes / driver seconds are columns beside seconds,
+        counts and payload, and a span carries the whole record."""
+        t = Tracer()
+        t.enable_spans()
+        with t.phase("ortho"):
+            t.add("dot", 0.5, flops=10.0, mem_bytes=80.0, driver_side=True)
+            t.add("dot", 0.25, flops=6.0, mem_bytes=48.0)
+            t.add("allreduce", 0.1, payload_bytes=8.0)   # raw seconds
+        key = ("ortho", "dot")
+        assert (t.flops[key], t.mem_bytes[key]) == (16.0, 128.0)
+        assert t.driver_seconds == {key: 0.5}
+        assert ("ortho", "allreduce") not in t.flops
+        assert [(s.flops, s.mem_bytes) for s in t.spans
+                if s.cat == "kernel"] == [(10.0, 80.0), (6.0, 48.0),
+                                          (None, None)]
+        snap = t.snapshot()
+        t.add("dot", 1.0, flops=1.0, mem_bytes=2.0)
+        assert t.since(snap).flops == {key: 0.0, ("other", "dot"): 1.0}
+        doc = t.to_dict()
+        assert doc["flops"] == {"ortho/dot": 16.0, "other/dot": 1.0}
+        assert doc["driver_seconds"] == {"ortho/dot": 0.5}
+        t.reset()
+        assert not t.flops and not t.mem_bytes and not t.driver_seconds
+
+    def test_replay_rebuilds_the_totals_from_spans(self):
+        live = Tracer()
+        live.enable_spans()
+        with live.phase("ortho"):
+            live.add("dot", 0.5, flops=10.0, mem_bytes=80.0)
+            live.add("allreduce", 0.25, payload_bytes=8.0,
+                     overlapped_seconds=0.125)
+        with live.phase("spmv"):
+            live.add("halo", 0.125, count=0, payload_bytes=4.0,
+                     driver_side=True)
+        other = Tracer(stream="measured")
+        other.enable_spans()
+        other.add("dot", 9.0)
+        spans = live.spans + other.spans
+        # binary-fraction durations: t1 - t0 is exact, so is the replay
+        assert Tracer().replay(spans).snapshot() == live.snapshot()
+        assert Tracer(stream="measured").replay(spans).clock == 9.0
 
 
 class TestSharePhaseStack:

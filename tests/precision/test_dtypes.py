@@ -93,6 +93,50 @@ class TestRoundBf16:
         assert np.isposinf(out[2]) and np.isneginf(out[3])
         assert np.isnan(out[4])
 
+    @staticmethod
+    def _round_contiguous(arr):
+        """``round_bf16`` as it was while it made its input C-contiguous
+        first (which also turned a 0-d value into a 1-d one)."""
+        a32 = np.ascontiguousarray(arr, dtype=np.float32)
+        bits = a32.view(np.uint32)
+        rounded = bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16))
+                                              & np.uint32(1))
+        rounded &= np.uint32(0xFFFF0000)
+        return np.where(np.isnan(a32), bits, rounded).view(np.float32)
+
+    def test_shape_and_layout_preserved_values_unchanged(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((12, 5)) * 10.0 ** rng.integers(
+            -6, 6, size=(12, 5))
+        base[3, 2], base[7, 0] = np.nan, np.inf
+        cases = {
+            "1-d": base[:, 0].copy(),
+            "C-ordered": base,
+            "F-ordered": np.asfortranarray(base),
+            "F-ordered fp32": np.asfortranarray(base, dtype=np.float32),
+            "strided rows": base[::3],
+            "strided columns": base[:, 1::2],
+            "column of an F tile": np.asfortranarray(base)[:, 2:3],
+        }
+        for name, arr in cases.items():
+            out = dtypes.round_bf16(arr)
+            assert out.shape == arr.shape and out.dtype == np.float32, name
+            assert (out.view(np.uint32).tobytes()
+                    == np.ascontiguousarray(self._round_contiguous(arr))
+                    .view(np.uint32).tobytes()), name
+        tile = dtypes.round_bf16(cases["F-ordered"])
+        assert tile.flags.f_contiguous  # no C-ordered copy of the tile
+
+    def test_zero_d_input_stays_zero_d(self):
+        for value in (1.0 + 2.0 ** -8, np.float32(-3.3), np.asarray(2.5e-3)):
+            out = dtypes.round_bf16(value)
+            assert out.shape == () and out.dtype == np.float32
+            assert out == self._round_contiguous(value)[0]
+            assert dtypes.quantize(value, "bf16").shape == ()
+        target = np.zeros((3, 1), dtype=np.float32)
+        target[1, 0] = dtypes.quantize(np.asarray(0.3), "bf16")
+        assert target[1, 0] == np.float32(0.30078125)
+
     def test_negative_nan_payload_no_wraparound(self):
         # a sign=1 NaN with a full payload must stay NaN (the rounding
         # add would wrap the uint32 without the guard)

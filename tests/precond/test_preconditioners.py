@@ -86,17 +86,16 @@ class TestJacobi:
                 yield out.to_global().tobytes()
             yield [(s.phase, s.name, s.t0.hex(), s.t1.hex(), s.count)
                    for s in sim.tracer.spans if s.cat == "kernel"]
-            yield sorted(sim.metrics.flops.items())
-            yield sorted(sim.metrics.mem_bytes.items())
+            yield sorted(sim.tracer.flops.items())
+            yield sorted(sim.tracer.mem_bytes.items())
 
         def per_rank(pc, x, out):
             comm = x.comm
             for rows, xs, outs in zip(x.partition.local_slices, x.shards,
                                       out.shards):
                 np.multiply(xs, pc._inv_diag[rows, np.newaxis], out=outs)
-            comm.charge_local(
-                "scale", [comm.cost.blas1(s.size, n_streams=2, writes=1)
-                          for s in x.shards])
+            comm.charge("scale", comm.cost.record(lambda c: [
+                c.blas1(s.size, n_streams=2, writes=1) for s in x.shards]))
 
         got = list(run(JacobiPreconditioner.apply))
         assert got == list(run(per_rank))
@@ -258,15 +257,15 @@ class TestBlockJacobiFusedSweep:
     @staticmethod
     def charge_fresh(sim, solvers, sweeps, blocks_by_rank):
         """What the per-block code charged: every block costed anew."""
-        def block_cost(rank):
+        def block_cost(cost, rank):
             rows = solvers[rank].a.shape[0]
             return sweeps * (
-                sim.comm.cost.spmv(solvers[rank].a.nnz, rows, rows)
+                cost.spmv(solvers[rank].a.nnz, rows, rows)
                 + (solvers[rank].n_colors - 1)
                 * sim.machine.kernel_latency)
-        sim.comm.charge_local("spmv_local", [
-            sum(block_cost(int(b)) for b in blocks)
-            for blocks in blocks_by_rank])
+        sim.comm.charge("spmv_local", sim.comm.cost.record(lambda c: [
+            sum(block_cost(c, int(b)) for b in blocks)
+            for blocks in blocks_by_rank]))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_values_equal_per_block_sweeps(self, case):
@@ -308,8 +307,8 @@ class TestBlockJacobiFusedSweep:
     @pytest.mark.parametrize("ordering", ["multicolor", "natural"])
     def test_replayed_charges_equal_fresh_ones(self, ordering, metrics):
         """``apply`` and ``charge_ghost_apply`` evaluate their per-rank
-        lists once and replay them; tracer and registry must not be able
-        to tell."""
+        records once and keep them; tracer and registry must not be
+        able to tell."""
         sims = [Simulation(_mixed_blocks_matrix(), ranks=3,
                            machine=generic_cpu(), metrics=metrics)
                 for _ in range(2)]

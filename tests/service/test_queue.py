@@ -137,6 +137,62 @@ class TestCompatibilityGrouping:
         assert xs[0].tobytes() != xs[1].tobytes()  # the seed matters
 
 
+class TestConfigLifetime:
+    """A key's solver arguments live as long as a request waits under it."""
+
+    def test_configs_are_dropped_with_the_last_pending_request(self):
+        sim = fresh_sim(nx=6, ranks=2)
+        q = make_queue(sim, max_width=8, max_wait=0.0)
+        b = rhs(sim.n, 1)[0]
+        made = []
+
+        def factory_number(i):
+            def factory():
+                made.append(i)
+                return BCGSPIP2Scheme()
+            return factory
+
+        for i in range(500):
+            q.submit(b, maxiter=S, now=0.0, scheme_factory=factory_number(i))
+            if i % 50 == 49:        # the factories are distinct keys
+                assert len(q._configs) == 50
+                (q.flush if i % 100 == 99 else q.pump)()
+                assert not q._configs and not q._pending
+        assert sorted(made) == list(range(500))
+        assert q.dispatched_widths == [1] * 500
+
+    def test_partial_dispatch_keeps_the_config_of_waiting_requests(self):
+        sim = fresh_sim()
+        q = make_queue(sim, max_width=2, max_wait=100.0)
+        for b in rhs(sim.n, 3):
+            q.submit(b, maxiter=S, now=0.0)
+        assert q.pump(now=0.0) == 2      # one full slice, one left waiting
+        assert len(q._configs) == 1 and q.pending == 1
+        q.flush()
+        assert not q._configs
+
+    def test_recurring_key_takes_the_new_submission(self, monkeypatch):
+        """Once evicted, a key no longer pins its objects, so the same
+        key may come back naming different ones (an ``id()`` reused
+        after collection): the new submission's must be used."""
+        from repro.service import queue as queue_module
+
+        monkeypatch.setattr(queue_module, "_solver_key",
+                            lambda *args: ("one key",))
+        sim = fresh_sim()
+        q = make_queue(sim, max_width=8, max_wait=0.0)
+        b = rhs(sim.n, 1)[0]
+        first = q.submit(b, tol=1e-8, now=0.0, s=2)
+        q.flush()
+        second = q.submit(b, tol=1e-8, now=0.0, s=S)
+        assert q._configs[("one key",)]["s"] == S
+        q.flush()
+        for rid, step in ((first, 2), (second, S)):
+            ref = sstep_gmres(fresh_sim(), b, s=step, restart=RESTART,
+                              tol=1e-8)
+            assert q.result(rid).x.tobytes() == ref.x.tobytes()
+
+
 class TestResults:
     def test_results_match_independent_solves(self):
         sim = fresh_sim()
