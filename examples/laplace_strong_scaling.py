@@ -26,17 +26,16 @@ def live_check(nodes: int, nx: int = 40) -> None:
           f"reduced nx={nx} ==")
     a = repro.matrices.laplace2d(nx, stencil=9)
     rows = []
-    for label, scheme in [("pip2", repro.BCGSPIP2Scheme()),
-                          ("two-stage", repro.TwoStageScheme(60))]:
+    for label, config, scheme in [
+            ("pip2", "pip2", repro.BCGSPIP2Scheme()),
+            ("two-stage", "two_stage", repro.TwoStageScheme(60))]:
         sim = repro.Simulation(a, ranks=ranks, machine=summit())
         b = sim.ones_solution_rhs()
         res = repro.sstep_gmres(sim, b, s=5, restart=60, tol=1e-30,
                                 maxiter=60, scheme=scheme)
         est = CycleCostEstimator(summit(), ranks,
                                  ProblemShape.stencil2d(nx, 9), m=60, s=5)
-        tr = (est.sstep_cycle("two_stage", bs=60) if label == "two-stage"
-              else est.sstep_cycle("pip2"))
-        model = est.phase_seconds(tr)
+        model = est.phase_seconds(est.cycle(config))
         rows.append([label, f"{res.ortho_time * 1e3:.3f}",
                      f"{model['ortho'] * 1e3:.3f}",
                      f"{res.total_time * 1e3:.3f}",

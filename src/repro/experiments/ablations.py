@@ -251,6 +251,14 @@ def run_step_strategies(nx: int = 40, tol: float = 1e-8,
     return table
 
 
+RUNS = {"A1": run_sync_vs_reuse, "A2": run_bs_grid,
+        "A3": run_basis_conditioning, "A4": run_step_size_cliff,
+        "A5": run_intra_kernels, "A6": run_step_strategies}
+
+QUICK = {"A3": {"nx": 20}, "A4": {"n": 5000}, "A5": {"n": 20_000},
+         "A6": {"nx": 24}}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -258,17 +266,10 @@ def main(argv: list | None = None) -> None:
                    choices=["A1", "A2", "A3", "A4", "A5", "A6", "all"])
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    runs = {
-        "A1": lambda: run_sync_vs_reuse(),
-        "A2": lambda: run_bs_grid(),
-        "A3": lambda: run_basis_conditioning(nx=20 if args.quick else 40),
-        "A4": lambda: run_step_size_cliff(n=5000 if args.quick else 20000),
-        "A5": lambda: run_intra_kernels(n=20000 if args.quick else 100000),
-        "A6": lambda: run_step_strategies(nx=24 if args.quick else 40),
-    }
-    which = list(runs) if args.which == "all" else [args.which]
+    which = list(RUNS) if args.which == "all" else [args.which]
     for key in which:
-        print(runs[key]().render())
+        sizes = QUICK.get(key, {}) if args.quick else {}
+        print(RUNS[key](**sizes).render())
         print()
 
 

@@ -249,6 +249,9 @@ def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
     return table, artifact
 
 
+QUICK = {"nx": 24, "restart": 12, "repeats": 1}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -262,12 +265,11 @@ def main(argv: list | None = None) -> None:
                         "Chrome trace files")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    nx = 24 if args.quick else args.nx
-    restart = 12 if args.quick else args.restart
-    s = min(args.s, restart)
-    repeats = 1 if args.quick else args.repeats
-    table, artifact = run(nx=nx, ranks=args.ranks, s=s, restart=restart,
-                          repeats=repeats, trace_dir=args.out)
+    sizes = QUICK if args.quick else dict(nx=args.nx, restart=args.restart,
+                                          repeats=args.repeats)
+    table, artifact = run(ranks=args.ranks,
+                          s=min(args.s, sizes["restart"]), trace_dir=args.out,
+                          **sizes)
     print(table.render())
     path = artifact.write(Path(args.out) / "BENCH_measured.json")
     print(f"\nwrote {path}")

@@ -155,6 +155,9 @@ def run(nx: int = 48, ranks: int = 24, s: int = 5, restart: int = 30,
     return table
 
 
+QUICK = {"nx": 24, "ranks": 8}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -165,8 +168,8 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--precond", choices=sorted(PRECONDS), default="none")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    nx = 24 if args.quick else args.nx
-    ranks = 8 if args.quick else args.ranks
+    nx = QUICK["nx"] if args.quick else args.nx
+    ranks = QUICK["ranks"] if args.quick else args.ranks
     print(run(nx=nx, ranks=ranks, s=args.s, restart=args.restart,
               precond_name=args.precond).render())
     if not args.quick:

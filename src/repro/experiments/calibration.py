@@ -209,6 +209,9 @@ def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
     return table, artifact, "\n".join(prom_chunks)
 
 
+QUICK = {"nx": 24, "restart": 12}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -221,11 +224,9 @@ def main(argv: list | None = None) -> None:
                         "metrics_calibration.prom")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    nx = 24 if args.quick else args.nx
-    restart = 12 if args.quick else args.restart
-    s = min(args.s, restart)
-    table, artifact, prom = run(nx=nx, ranks=args.ranks, s=s,
-                                restart=restart)
+    sizes = QUICK if args.quick else dict(nx=args.nx, restart=args.restart)
+    table, artifact, prom = run(ranks=args.ranks,
+                                s=min(args.s, sizes["restart"]), **sizes)
     print(table.render())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,34 +1,58 @@
-"""Analytic per-cycle cost estimator (paper-scale performance tables).
+"""Per-cycle cost estimator: the live scheme classes, priced at paper scale.
 
 The paper's performance experiments run at n = 2000^2 .. 1.5M on up to
 192 GPUs — far beyond what the execution-driven simulator can hold in
-NumPy at full scale.  Per-iteration *cost structure*, however, is
-independent of the numerical values: it is a fixed sequence of kernels
-whose shapes depend only on (n, nnz, halo, P, m, s, bs, scheme).  This
-module replays that sequence symbolically against the same
-:class:`~repro.parallel.costmodel.CostModel` the live simulator charges,
-so
+NumPy.  But what a restart cycle *issues* depends on column widths
+alone, so nothing about a scheme is restated here
+(``docs/cost-model.md``, "Paper-scale pricing"):
 
-    estimator(cycle)  ==  tracer diff of one live solver cycle
+* **recorded** — once per ``(scheme, m, s, bs)`` the real
+  :class:`~repro.ortho.base.BlockOrthoScheme` (``cgs2_append`` for
+  standard GMRES) factors a small well-conditioned random matrix through
+  a logging ``NumpyBackend``; the log is its ``OrthoBackend`` primitives
+  with their widths and, per panel, the columns it then called final.
+  ``CycleCostEstimator._PRICES`` is the ONE table from a primitive to a
+  ``CostModel`` formula; one it lacks is a :class:`ConfigurationError`;
+* **shape-priced** — SpMV, halo and preconditioner have no live
+  counterpart at paper scale (``_spmv``, :class:`PrecondShape`);
+* **hand-written** — the solver shell around the scheme (explicit
+  residual, cycle prologue, checkpoint host math, solution update).
 
-holds to within a few percent (asserted in
-``tests/experiments/test_estimator.py``).  Tables II-IV and Figs. 10-13
-are generated by evaluating the estimator at the paper's exact problem
-shapes and multiplying by the paper's (or measured reduced-scale)
-iteration counts.
+Every ``(phase, kernel)`` row equals the tracer diff of one live solver
+cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
+(the ``nl + halo_cols`` operand shape) under the ceiling named in
+``tests/experiments/test_estimator.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.krylov.sstep_gmres import _panel_bounds
+from repro.ortho.backend import NumpyBackend
+from repro.ortho.base import BlockOrthoScheme
+from repro.ortho.bcgs import BCGS2Scheme
+from repro.ortho.bcgs_pip import BCGSPIP2Scheme
+from repro.ortho.cgs import cgs2_append
+from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.costmodel import CostModel
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer
 
 _D = 8.0  # bytes per float64
+
+#: The solver configurations of Tables III/IV and Fig. 13, in paper
+#: order (what :meth:`CycleCostEstimator.cycle` takes), and the scheme
+#: each s-step one names.
+CONFIGS = ("gmres", "bcgs2", "pip2", "two_stage")
+_SCHEMES = {"bcgs2": BCGS2Scheme, "pip2": BCGSPIP2Scheme,
+            "two_stage": TwoStageScheme}
 
 
 @dataclass(frozen=True)
@@ -86,6 +110,102 @@ class PrecondShape:
         return self.sweeps * per_sweep
 
 
+def _unpriced(name: str):
+    def refuse(self, *args, **kwargs):
+        raise ConfigurationError(
+            f"the estimator has no price for the OrthoBackend primitive "
+            f"{name!r}; it prices {', '.join(CycleCostEstimator._PRICES)}")
+    return refuse
+
+
+class _StreamRecorder(NumpyBackend):
+    """Logs ``(primitive, column widths)`` of every call the estimator
+    prices and refuses the rest."""
+
+    def __init__(self) -> None:
+        self.ops: list[tuple] = []
+
+    def take(self) -> tuple:
+        ops, self.ops = tuple(self.ops), []
+        return ops
+
+    def dot(self, x, y):
+        self.ops.append(("dot", ((x.shape[1], y.shape[1]),)))
+        return super().dot(x, y)
+
+    def fused_dots(self, pairs):
+        self.ops.append(("fused_dots",
+                         tuple((x.shape[1], y.shape[1]) for x, y in pairs)))
+        return super().fused_dots(pairs)
+
+    def norms(self, x):
+        self.ops.append(("norms", (x.shape[1],)))
+        return super().norms(x)
+
+    def update(self, v, q, r) -> None:
+        self.ops.append(("update", (q.shape[1], v.shape[1])))
+        super().update(v, q, r)
+
+    def trsm(self, v, r) -> None:
+        self.ops.append(("trsm", (v.shape[1],)))
+        super().trsm(v, r)
+
+    def scale_cols(self, v, scales) -> None:
+        self.ops.append(("scale_cols", (v.shape[1],)))
+        super().scale_cols(v, scales)
+
+    def host_flops(self, flops: float) -> None:
+        self.ops.append(("host_flops", (flops,)))
+
+    # sketch sizes depend on n and the QR kernels charge through
+    # DistBackend._local_qr_cost: neither is a width-only stream
+    dot_dd = _unpriced("dot_dd")
+    sketch = _unpriced("sketch")
+    fused_dots_sketch = _unpriced("fused_dots_sketch")
+    householder_qr = _unpriced("householder_qr")
+    tsqr = _unpriced("tsqr")
+
+
+def _record(scheme_factory: Callable[[], BlockOrthoScheme] | None,
+            m: int, s: int) -> tuple:
+    """The primitive stream of one restart cycle of ``m`` steps:
+    ``(lo, hi, ops, final_cols)`` per arriving panel ``[lo, hi)``, then
+    the ``finish_cycle`` flush; ``final_cols`` is ``None`` unless the
+    scheme called the panel final.  ``None`` records standard GMRES: one
+    never-final CGS2 column per step."""
+    backend = _StreamRecorder()
+    # well conditioned, so no factorization can break down whatever s is
+    basis = np.random.default_rng(0).standard_normal((4 * (m + 1), m + 1))
+    stream = []
+    if scheme_factory is None:
+        cgs2_append(backend, basis, 0)   # the prologue prices this one
+        backend.take()
+        for j in range(1, m + 1):
+            cgs2_append(backend, basis, j)
+            stream.append((j, j + 1, backend.take(), None))
+        return tuple(stream)
+    scheme = scheme_factory()
+    scheme.begin_cycle(backend, basis, np.zeros((m + 1, m + 1)))
+    for lo, hi in _panel_bounds(s, m + 1):
+        final = scheme.panel_arrived(lo, hi)
+        stream.append((lo, hi, backend.take(),
+                       scheme.final_cols if final else None))
+    flushed = scheme.finish_cycle()
+    stream.append((m + 1, m + 1, backend.take(),
+                   scheme.final_cols if flushed else None))
+    return tuple(stream)
+
+
+@functools.lru_cache(maxsize=128)
+def _config_stream(config: str, m: int, s: int, bs: int | None) -> tuple:
+    """:func:`_record` of a ``CONFIGS`` entry, kept for the process: the
+    stream is immutable and ``(config, m, s, bs)`` is all it depends on."""
+    scheme = _SCHEMES.get(config)            # None: standard GMRES
+    if bs is not None:
+        scheme = functools.partial(scheme, big_step=bs)
+    return _record(scheme, m, s)
+
+
 class CycleCostEstimator:
     """Modeled phase times for one restart cycle of each solver config."""
 
@@ -103,116 +223,113 @@ class CycleCostEstimator:
         self.cost = CostModel(machine)
         self.nl = math.ceil(shape.n / self.ranks)
         self.nnz_l = shape.nnz / self.ranks
+        # the shape-priced charges depend on nothing a cycle changes
+        self._halo_s = self._halo_seconds()
+        self._spmv_s = self.cost.spmv(self.nnz_l, self.nl,
+                                      self.nl + shape.halo_cols)
+        self._precond_s = (None if precond is None else precond.apply_cost(
+            self.cost, self.nnz_l, self.nl))
 
     # ------------------------------------------------------------------
-    # kernel-level helpers (each mirrors one distla/blas call)
+    # the one primitive -> formula table (mirrors distla/engine.py)
     # ------------------------------------------------------------------
-    def _spmv(self, t: Tracer) -> None:
-        with t.phase("spmv"):
-            if self.ranks > 1:
-                per_peer = _D * self.shape.halo_cols / self.shape.halo_neighbors
-                rpn = self.machine.ranks_per_node
-                if self.machine.nodes_for(self.ranks) > 1:
-                    # worst rank sits at a node boundary: one neighbour is
-                    # off-node (rank rpn-1 talking to rpn-2 and rpn)
-                    rank = rpn - 1
-                    halo = {rank - 1 - p: per_peer
-                            for p in range(self.shape.halo_neighbors - 1)}
-                    halo[rank + 1] = per_peer
-                else:
-                    rank = 0
-                    halo = {p + 1: per_peer
-                            for p in range(self.shape.halo_neighbors)}
-                t.add("halo", self.cost.halo_exchange(halo, rank, self.ranks))
-            t.add("spmv_local",
-                  self.cost.spmv(self.nnz_l, self.nl,
-                                 self.nl + self.shape.halo_cols))
-        if self.precond is not None:
-            with t.phase("precond"):
-                t.add("spmv_local",
-                      self.precond.apply_cost(self.cost, self.nnz_l, self.nl))
-
-    def _allreduce(self, t: Tracer, doubles: float) -> None:
+    def _reduce(self, t: Tracer, doubles: float) -> None:
         t.add("allreduce", self.cost.allreduce(_D * doubles, self.ranks))
 
-    def _dot(self, t: Tracer, j: float, c: float, fused_payload=None) -> None:
-        t.add("dot", self.cost.gemm(self.nl, j, c))
-        if fused_payload is None:
-            self._allreduce(t, j * c)
+    def _dots(self, t: Tracer, *pairs: tuple) -> None:
+        """``X.T @ Y`` per ``(x cols, y cols)`` pair, then ONE collective."""
+        doubles = 0
+        for j, c in pairs:
+            t.add("dot", self.cost.gemm(self.nl, j, c))
+            doubles += j * c
+        self._reduce(t, doubles)
 
-    def _update(self, t: Tracer, j: float, c: float) -> None:
+    def _norms(self, t: Tracer, cols: int) -> None:
+        t.add("norm", self.cost.blas1(self.nl * cols, n_streams=1, writes=0))
+        self._reduce(t, cols)
+
+    def _update(self, t: Tracer, j: int, c: int) -> None:
         t.add("update", self.cost.gemm_tall_update(self.nl, j, c))
 
-    def _trsm(self, t: Tracer, c: float) -> None:
+    def _trsm(self, t: Tracer, c: int) -> None:
         t.add("trsm", self.cost.trsm(self.nl, c))
 
-    def _norm(self, t: Tracer, cols: float = 1.0) -> None:
-        t.add("norm", self.cost.blas1(self.nl * cols, n_streams=1, writes=0))
-        self._allreduce(t, cols)
-
-    def _blas1(self, t: Tracer, cols: float, streams: int, writes: int = 1,
-               kernel: str = "axpy") -> None:
-        t.add(kernel, self.cost.blas1(self.nl * cols, n_streams=streams,
-                                      writes=writes))
+    def _scale(self, t: Tracer, cols: int) -> None:
+        t.add("scale", self.cost.blas1(self.nl * cols, n_streams=1, writes=1))
 
     def _host(self, t: Tracer, flops: float) -> None:
         t.add("host", self.cost.host_dense(flops))
 
+    _PRICES = {"dot": _dots, "fused_dots": _dots, "norms": _norms,
+               "update": _update, "trsm": _trsm, "scale_cols": _scale,
+               "host_flops": _host}
+
+    def _price(self, t: Tracer, ops: tuple) -> None:
+        prices = self._PRICES
+        for primitive, widths in ops:
+            prices[primitive](self, t, *widths)
+
     # ------------------------------------------------------------------
-    # composite pieces shared by the solvers
+    # shape-priced: no live counterpart at paper scale
     # ------------------------------------------------------------------
+    def _halo_seconds(self) -> float | None:
+        """One halo exchange as the worst rank sees it (none on one rank)."""
+        if self.ranks == 1:
+            return None
+        per_peer = _D * self.shape.halo_cols / self.shape.halo_neighbors
+        rpn = self.machine.ranks_per_node
+        if self.machine.nodes_for(self.ranks) > 1:
+            # worst rank sits at a node boundary: one neighbour is
+            # off-node (rank rpn-1 talking to rpn-2 and rpn)
+            rank = rpn - 1
+            halo = {rank - 1 - p: per_peer
+                    for p in range(self.shape.halo_neighbors - 1)}
+            halo[rank + 1] = per_peer
+        else:
+            rank = 0
+            halo = {p + 1: per_peer for p in range(self.shape.halo_neighbors)}
+        return self.cost.halo_exchange(halo, rank, self.ranks)
+
+    def _precond(self, t: Tracer) -> None:
+        if self._precond_s is not None:
+            with t.phase("precond"):
+                t.add("spmv_local", self._precond_s)
+
+    def _spmv(self, t: Tracer) -> None:
+        with t.phase("spmv"):
+            if self._halo_s is not None:
+                t.add("halo", self._halo_s)
+            t.add("spmv_local", self._spmv_s)
+        self._precond(t)
+
+    # ------------------------------------------------------------------
+    # the solver shell (krylov/restart.py, the checkpoint of sstep_gmres)
+    # ------------------------------------------------------------------
+    def _axpy(self, t: Tracer, streams: int) -> None:
+        t.add("axpy", self.cost.blas1(self.nl, n_streams=streams, writes=1))
+
     def _explicit_residual(self, t: Tracer) -> None:
         self._spmv(t)
         with t.phase("other"):
-            self._blas1(t, 1, streams=2)          # lincomb b - Ax
-            self._norm(t)
+            self._axpy(t, streams=2)              # lincomb b - Ax
+            self._norms(t, 1)
 
     def _cycle_prologue(self, t: Tracer) -> None:
         self._explicit_residual(t)
         with t.phase("ortho"):
-            self._blas1(t, 1, streams=1)          # copy r into basis
-            self._blas1(t, 1, streams=1, kernel="scale")
+            self._axpy(t, streams=1)              # copy r into basis
+            self._scale(t, 1)
 
     def _solution_update(self, t: Tracer, c: int) -> None:
         with t.phase("other"):
             t.add("update", self.cost.gemm(self.nl, c, 1))  # matvec_small
-            self._blas1(t, 1, streams=2)
-        if self.precond is not None:
-            with t.phase("precond"):
-                t.add("spmv_local",
-                      self.precond.apply_cost(self.cost, self.nnz_l, self.nl))
+            self._axpy(t, streams=2)
+        self._precond(t)
 
     def _checkpoint(self, t: Tracer, c: int) -> None:
         with t.phase("other"):
-            self._host(t, 4.0 * c ** 3)   # Hessenberg assembly + LS
-
-    def _pip_pass(self, t: Tracer, prefix: int, c: int) -> None:
-        """One BCGS-PIP pass: fused dots, one reduce, update, trsm."""
-        if prefix == 0:
-            t.add("dot", self.cost.gemm(self.nl, c, c))
-            self._allreduce(t, c * c)
-            self._host(t, c ** 3 / 3.0)
-            self._trsm(t, c)
-            return
-        t.add("dot", self.cost.gemm(self.nl, prefix, c))
-        t.add("dot", self.cost.gemm(self.nl, c, c))
-        self._allreduce(t, prefix * c + c * c)
-        self._host(t, 2.0 * prefix * c * c + c ** 3 / 3.0)
-        self._update(t, prefix, c)
-        self._trsm(t, c)
-
-    def _cholqr(self, t: Tracer, c: int) -> None:
-        t.add("dot", self.cost.gemm(self.nl, c, c))
-        self._allreduce(t, c * c)
-        self._host(t, c ** 3 / 3.0)
-        self._trsm(t, c)
-
-    def _panel_bounds(self) -> list[tuple[int, int]]:
-        bounds = [(0, min(self.s + 1, self.m + 1))]
-        while bounds[-1][1] < self.m + 1:
-            lo = bounds[-1][1]
-            bounds.append((lo, min(lo + self.s, self.m + 1)))
-        return bounds
+            # Hessenberg assembly + least squares, 2 c^3 host flops each
+            t.add("host", self.cost.host_dense(4.0 * c ** 3), count=2)
 
     # ------------------------------------------------------------------
     # public: one full cycle per solver configuration
@@ -221,71 +338,49 @@ class CycleCostEstimator:
         """GMRES(m) + CGS2 (paper baseline)."""
         t = Tracer()
         self._cycle_prologue(t)
-        for j in range(1, self.m + 1):
+        for j, _, ops, _ in _config_stream("gmres", self.m, 1, None):
             self._spmv(t)
             with t.phase("ortho"):
-                self._dot(t, j, 1)
-                self._update(t, j, 1)
-                self._dot(t, j, 1)
-                self._update(t, j, 1)
-                self._norm(t)
-                self._blas1(t, 1, streams=1, kernel="scale")
-            self._host(t, 6.0 * j)
-        self._host(t, float(self.m) ** 2)
+                self._price(t, ops)
+            self._host(t, 6.0 * j)                  # Givens update
+        self._host(t, float(self.m) ** 2)           # triangular solve
         self._solution_update(t, self.m)
         return t
 
-    def sstep_cycle(self, scheme: str, bs: int | None = None) -> Tracer:
-        """s-step GMRES with 'bcgs2', 'pip2', or 'two_stage' (needs bs)."""
+    def sstep_cycle(self, scheme: str | Callable[[], BlockOrthoScheme],
+                    bs: int | None = None) -> Tracer:
+        """s-step GMRES under 'bcgs2', 'pip2', 'two_stage' (needs ``bs``)
+        or the zero-argument scheme factory ``block_sstep_gmres`` takes
+        (recorded at every call)."""
+        if callable(scheme):
+            stream = _record(scheme, self.m, self.s)
+        elif scheme not in _SCHEMES:
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        elif scheme == "two_stage" and bs is None:
+            raise ConfigurationError("two_stage needs bs")
+        else:
+            stream = _config_stream(
+                scheme, self.m, self.s, bs if scheme == "two_stage" else None)
         t = Tracer()
         self._cycle_prologue(t)
-        bounds = self._panel_bounds()
-        if scheme == "two_stage":
-            if bs is None:
-                raise ConfigurationError("two_stage needs bs")
-            big_lo = 0
-        for lo, hi in bounds:
-            c = hi - lo
+        for lo, hi, ops, final_cols in stream:
             for _ in range(max(lo, 1), hi):
                 self._spmv(t)
             with t.phase("ortho"):
-                if scheme == "pip2":
-                    self._pip_pass(t, lo, c)
-                    self._pip_pass(t, lo, c)
-                    self._host(t, 2.0 * lo * c * c + 2.0 * c ** 3)
-                elif scheme == "bcgs2":
-                    if lo > 0:
-                        self._dot(t, lo, c)
-                        self._update(t, lo, c)
-                    self._cholqr(t, c)   # CholQR2 = 2 passes
-                    self._cholqr(t, c)
-                    if lo > 0:
-                        self._dot(t, lo, c)
-                        self._update(t, lo, c)
-                        self._cholqr(t, c)
-                        self._host(t, 2.0 * lo * c * c)
-                elif scheme == "two_stage":
-                    self._pip_pass(t, lo, c)
-                    if hi - big_lo >= bs:
-                        width = hi - big_lo
-                        self._pip_pass(t, big_lo, width)
-                        self._host(t, 2.0 * big_lo * width * width
-                                   + 2.0 * width ** 3)
-                        big_lo = hi
-                else:
-                    raise ConfigurationError(f"unknown scheme {scheme!r}")
-            if scheme != "two_stage":
-                self._checkpoint(t, hi - 1)
-            elif big_lo == hi:
-                self._checkpoint(t, hi - 1)
-        if scheme == "two_stage" and big_lo < self.m + 1:
-            width = self.m + 1 - big_lo
-            with t.phase("ortho"):
-                self._pip_pass(t, big_lo, width)
-                self._host(t, 2.0 * big_lo * width * width + 2.0 * width ** 3)
-            self._checkpoint(t, self.m)
+                self._price(t, ops)
+            if final_cols is not None:
+                self._checkpoint(t, final_cols - 1)
         self._solution_update(t, self.m)
         return t
+
+    def cycle(self, config: str, bs: int | None = None) -> Tracer:
+        """One restart cycle of a ``CONFIGS`` entry; two-stage runs at
+        the paper's best ``bs = m`` unless told otherwise."""
+        if config == "gmres":
+            return self.standard_gmres_cycle()
+        if config == "two_stage" and bs is None:
+            bs = self.m
+        return self.sstep_cycle(config, bs=bs)
 
     # ------------------------------------------------------------------
     def phase_seconds(self, tracer: Tracer) -> dict:

@@ -28,15 +28,8 @@ def ortho_breakdown(scheme: str, nodes: int, nx: int = 2000, m: int = 60,
     mach = resolve_machine(machine)
     est = CycleCostEstimator(mach, nodes * mach.ranks_per_node,
                              ProblemShape.stencil2d(nx, 9), m=m, s=s)
-    if scheme == "gmres":
-        tr = est.standard_gmres_cycle()
-        cycles = TABLE3_ITERS["gmres"] / m
-    elif scheme == "two_stage":
-        tr = est.sstep_cycle("two_stage", bs=m)
-        cycles = TABLE3_ITERS["two_stage"] / m
-    else:
-        tr = est.sstep_cycle(scheme)
-        cycles = TABLE3_ITERS[scheme] / m
+    tr = est.cycle(scheme)
+    cycles = TABLE3_ITERS[scheme] / m
     kernels = {k[1]: v * cycles for k, v in tr.by_kernel.items()
                if k[0] == "ortho"}
     dot = kernels.get("dot", 0.0) + kernels.get("allreduce", 0.0)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
 from repro.experiments.estimator import (
+    CONFIGS,
     CycleCostEstimator,
     PrecondShape,
     ProblemShape,
 )
-
-CONFIGS = ["gmres", "bcgs2", "pip2", "two_stage"]
 
 
 def per_iteration_times(nodes: int, nx: int = 2000, m: int = 60, s: int = 5,
@@ -34,13 +33,7 @@ def per_iteration_times(nodes: int, nx: int = 2000, m: int = 60, s: int = 5,
         precond=PrecondShape(sweeps=sweeps, colors=colors))
     out = {}
     for key in CONFIGS:
-        if key == "gmres":
-            tr = est.standard_gmres_cycle()
-        elif key == "two_stage":
-            tr = est.sstep_cycle("two_stage", bs=m)
-        else:
-            tr = est.sstep_cycle(key)
-        ph = est.per_iteration(tr)
+        ph = est.per_iteration(est.cycle(key))
         out[key] = {"spmv_prec": ph["spmv"] + ph["precond"],
                     "ortho": ph["ortho"], "total": ph["total"]}
     return out

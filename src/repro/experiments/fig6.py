@@ -68,6 +68,9 @@ def run(n: int = 100_000, k: int = 5,
     return table
 
 
+QUICK = {"n": 20_000, "seeds": 3}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -76,9 +79,8 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--quick", action="store_true",
                    help="reduced n and seed count")
     args = p.parse_args(argv)
-    n = 20_000 if args.quick else args.n
-    seeds = 3 if args.quick else args.seeds
-    print(run(n=n, seeds=seeds).render())
+    sizes = QUICK if args.quick else {"n": args.n, "seeds": args.seeds}
+    print(run(**sizes).render())
 
 
 if __name__ == "__main__":

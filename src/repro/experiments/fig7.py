@@ -63,6 +63,9 @@ def run(n: int = 100_000, s: int = 5, n_panels: int = 6,
     return table
 
 
+QUICK = {"n": 10_000, "seeds": 3}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -70,9 +73,8 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    n = 10_000 if args.quick else args.n
-    seeds = 3 if args.quick else args.seeds
-    print(run(n=n, seeds=seeds).render())
+    sizes = QUICK if args.quick else {"n": args.n, "seeds": args.seeds}
+    print(run(**sizes).render())
 
 
 if __name__ == "__main__":

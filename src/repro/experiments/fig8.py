@@ -62,14 +62,16 @@ def run(n: int = 100_000, m: int = 180, bs: int = 60, s: int = 5,
     return table
 
 
+QUICK = {"n": 10_000}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    n = 10_000 if args.quick else args.n
-    print(run(n=n).render())
+    print(run(**(QUICK if args.quick else {"n": args.n})).render())
 
 
 if __name__ == "__main__":

@@ -261,6 +261,10 @@ def run(nx: int = 64, ranks: int = 16, s: int = 8, restart: int = 24,
     return table, artifact, trace_doc
 
 
+QUICK = {"nx": 48, "ranks": 8, "s": 5, "restart": 15, "bw_inter": 1.0e6,
+         "multipliers": LATENCY_MULTIPLIERS[:-1]}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -273,13 +277,9 @@ def main(argv: list | None = None) -> None:
                         "trace_overlap.json")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    kwargs = dict(nx=args.nx, ranks=args.ranks, s=args.s,
-                  restart=args.restart)
-    if args.quick:
-        kwargs = dict(nx=48, ranks=8, s=5, restart=15,
-                      multipliers=LATENCY_MULTIPLIERS[:-1],
-                      bw_inter=1.0e6)
-    table, artifact, trace_doc = run(**kwargs)
+    sizes = QUICK if args.quick else dict(nx=args.nx, ranks=args.ranks,
+                                          s=args.s, restart=args.restart)
+    table, artifact, trace_doc = run(**sizes)
     print(table.render())
     out = Path(args.out)
     path = artifact.write(out / "BENCH_overlap.json")

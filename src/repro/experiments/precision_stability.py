@@ -188,6 +188,9 @@ def run(n: int = 4000, k: int = 30, nx: int = 32,
     return [run_ortho(n=n, k=k), run_ir(nx=nx, maxiter=maxiter)]
 
 
+QUICK = {"n": 1500, "nx": 20, "maxiter": 3000}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -196,10 +199,8 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--nx", type=int, default=32)
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    n = 1500 if args.quick else args.n
-    nx = 20 if args.quick else args.nx
-    maxiter = 3000 if args.quick else 20_000
-    for table in run(n=n, k=args.k, nx=nx, maxiter=maxiter):
+    sizes = QUICK if args.quick else {"n": args.n, "nx": args.nx}
+    for table in run(k=args.k, **sizes):
         print(table.render(), "\n")
 
 

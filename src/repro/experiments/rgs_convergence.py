@@ -128,6 +128,9 @@ def run(n: int = 400, configs=CONFIGS, tol: float = 1e-8,
     return table
 
 
+QUICK = {"n": 250, "maxiter": 800}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -135,9 +138,8 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--maxiter", type=int, default=1500)
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    n = 250 if args.quick else args.n
-    maxiter = 800 if args.quick else args.maxiter
-    print(run(n=n, maxiter=maxiter).render())
+    sizes = QUICK if args.quick else {"n": args.n, "maxiter": args.maxiter}
+    print(run(**sizes).render())
 
 
 if __name__ == "__main__":

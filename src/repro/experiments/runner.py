@@ -54,38 +54,29 @@ _DISPATCH = {
 }
 
 
+def _quick_tables():
+    """Every artifact at its module's own ``QUICK`` size, in paper order."""
+    for mod in (fig6, fig7, fig8, fig9, table2):
+        yield mod.run(**mod.QUICK)
+    yield table3.run()
+    yield from fig10_12.run_all()
+    yield table4.run()
+    yield fig13.run()
+    for key, run in ablations.RUNS.items():
+        yield run(**ablations.QUICK.get(key, {}))
+    for mod in (sketch_stability, rgs_convergence):
+        yield mod.run(**mod.QUICK)
+    yield from precision_stability.run(**precision_stability.QUICK)
+    yield ca_mpk_tradeoff.run(**ca_mpk_tradeoff.QUICK)
+    for mod in (overlap_tradeoff, service_throughput, backend_validation,
+                calibration):
+        yield mod.run(**mod.QUICK)[0]   # (table, artifact, ...)
+
+
 def run_all_quick() -> None:
     """Quick pass over every artifact (reduced sizes), in paper order."""
-    print(fig6.run(n=20_000, seeds=3).render(), "\n")
-    print(fig7.run(n=10_000, seeds=3).render(), "\n")
-    print(fig8.run(n=20_000).render(), "\n")
-    print(fig9.run(run_n=5_000).render(), "\n")
-    print(table2.run(measure_nx=64).render(), "\n")
-    print(table3.run().render(), "\n")
-    for t in fig10_12.run_all():
-        print(t.render(), "\n")
-    print(table4.run().render(), "\n")
-    print(fig13.run().render(), "\n")
-    print(ablations.run_sync_vs_reuse().render(), "\n")
-    print(ablations.run_bs_grid().render(), "\n")
-    print(ablations.run_basis_conditioning(nx=24).render(), "\n")
-    print(ablations.run_step_size_cliff(n=5000).render(), "\n")
-    print(ablations.run_intra_kernels(n=20000).render(), "\n")
-    print(ablations.run_step_strategies(nx=32).render(), "\n")
-    print(sketch_stability.run(n=2000).render(), "\n")
-    print(rgs_convergence.run(n=250, maxiter=800).render(), "\n")
-    for t in precision_stability.run(n=1500, nx=20, maxiter=3000):
-        print(t.render(), "\n")
-    print(ca_mpk_tradeoff.run(nx=24, ranks=8).render(), "\n")
-    print(overlap_tradeoff.run(
-        nx=48, ranks=8, s=5, restart=15, bw_inter=1.0e6,
-        multipliers=overlap_tradeoff.LATENCY_MULTIPLIERS[:-1])[0].render(),
-        "\n")
-    print(service_throughput.run(nx=12, ranks=4, s=4, restart=12)[0]
-          .render(), "\n")
-    print(backend_validation.run(nx=24, restart=12, repeats=1)[0].render(),
-          "\n")
-    print(calibration.run(nx=24, restart=12)[0].render(), "\n")
+    for table in _quick_tables():
+        print(table.render(), "\n")
 
 
 def main(argv: list | None = None) -> int:

@@ -222,6 +222,9 @@ def run(nx: int = 16, ranks: int = 4, s: int = 5, restart: int = 20,
     return table, artifact
 
 
+QUICK = {"nx": 12, "ranks": 4, "s": 4, "restart": 12}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -233,11 +236,9 @@ def main(argv: list | None = None) -> None:
                    help="directory for BENCH_service.json")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    kwargs = dict(nx=args.nx, ranks=args.ranks, s=args.s,
-                  restart=args.restart)
-    if args.quick:
-        kwargs = dict(nx=12, ranks=4, s=4, restart=12)
-    table, artifact = run(**kwargs)
+    sizes = QUICK if args.quick else dict(nx=args.nx, ranks=args.ranks,
+                                          s=args.s, restart=args.restart)
+    table, artifact = run(**sizes)
     print(table.render())
     out = Path(args.out)
     path = artifact.write(out / "BENCH_service.json")

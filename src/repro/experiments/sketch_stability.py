@@ -80,6 +80,9 @@ def run(n: int = 4000, k: int = 30, s: int = 5,
     return table
 
 
+QUICK = {"n": 1500}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -87,7 +90,7 @@ def main(argv: list | None = None) -> None:
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    n = 1500 if args.quick else args.n
+    n = QUICK["n"] if args.quick else args.n
     print(run(n=n, k=args.k).render())
 
 

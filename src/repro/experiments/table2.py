@@ -22,8 +22,10 @@ from repro.matrices.stencil import laplace2d
 from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 
-CONFIGS = ["gmres", "bcgs2", "two_stage_bs5", "two_stage_bs20",
-           "two_stage_bs40", "two_stage_bs60"]
+#: ``(row label, estimator config, bs)`` of the sweep, in paper order
+SWEEP = (("gmres", "gmres", None), ("bcgs2", "bcgs2", None),
+         *((f"two_stage_bs{bs}", "two_stage", bs) for bs in (5, 20, 40, 60)))
+CONFIGS = [label for label, _, _ in SWEEP]
 
 
 def modeled_times(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
@@ -32,12 +34,8 @@ def modeled_times(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
     mach = resolve_machine(machine)
     est = CycleCostEstimator(mach, ranks, ProblemShape.stencil2d(nx, 5),
                              m=m, s=s)
-    out = {"gmres": est.phase_seconds(est.standard_gmres_cycle()),
-           "bcgs2": est.phase_seconds(est.sstep_cycle("bcgs2"))}
-    for bs in (5, 20, 40, 60):
-        out[f"two_stage_bs{bs}"] = est.phase_seconds(
-            est.sstep_cycle("two_stage", bs=bs))
-    return out
+    return {label: est.phase_seconds(est.cycle(config, bs))
+            for label, config, bs in SWEEP}
 
 
 def measured_iterations(nx: int = 120, ranks: int = 4, m: int = 60,
@@ -45,18 +43,18 @@ def measured_iterations(nx: int = 120, ranks: int = 4, m: int = 60,
                         maxiter: int = 60_000) -> dict:
     """Reduced-scale convergence run: iteration counts per config."""
     out = {}
-    for key in CONFIGS:
+    for label, config, bs in SWEEP:
         sim = Simulation(laplace2d(nx), ranks=ranks,
                          machine=resolve_machine("vortex"))
         b = sim.ones_solution_rhs()
-        if key == "gmres":
+        if config == "gmres":
             res = gmres(sim, b, restart=m, tol=tol, maxiter=maxiter)
         else:
-            scheme = (BCGS2Scheme() if key == "bcgs2"
-                      else TwoStageScheme(big_step=int(key.split("bs")[1])))
+            scheme = (BCGS2Scheme() if config == "bcgs2"
+                      else TwoStageScheme(big_step=bs))
             res = sstep_gmres(sim, b, s=s, restart=m, tol=tol,
                               maxiter=maxiter, scheme=scheme)
-        out[key] = res.iterations
+        out[label] = res.iterations
     return out
 
 
@@ -90,6 +88,9 @@ def run(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
     return table
 
 
+QUICK = {"measure_nx": 64}
+
+
 def main(argv: list | None = None) -> None:
     import argparse
     p = argparse.ArgumentParser(description=__doc__)
@@ -98,8 +99,8 @@ def main(argv: list | None = None) -> None:
                    help="also run a reduced-scale convergence study")
     p.add_argument("--quick", action="store_true")
     args = p.parse_args(argv)
-    measure = args.measure_nx or (64 if args.quick else 0)
-    print(run(nx=args.nx, measure_nx=measure or None).render())
+    measure = args.measure_nx or (QUICK["measure_nx"] if args.quick else None)
+    print(run(nx=args.nx, measure_nx=measure).render())
 
 
 if __name__ == "__main__":

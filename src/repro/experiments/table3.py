@@ -17,10 +17,8 @@ two-stage over GMRES grows from ~1.7x (1 node) to ~2.5x (32 nodes).
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
 from repro.experiments.paper_data import TABLE3, TABLE3_ITERS
-
-CONFIGS = ["gmres", "bcgs2", "pip2", "two_stage"]
 
 
 def modeled_config_times(nodes: int, nx: int = 2000, m: int = 60,
@@ -29,20 +27,14 @@ def modeled_config_times(nodes: int, nx: int = 2000, m: int = 60,
     ranks = nodes * mach.ranks_per_node
     est = CycleCostEstimator(mach, ranks, ProblemShape.stencil2d(nx, 9),
                              m=m, s=s)
-    cycles = {k: TABLE3_ITERS[k] / m for k in CONFIGS}
     out = {}
     for key in CONFIGS:
-        if key == "gmres":
-            tr = est.standard_gmres_cycle()
-        elif key == "two_stage":
-            tr = est.sstep_cycle("two_stage", bs=m)
-        else:
-            tr = est.sstep_cycle(key)
-        ph = est.phase_seconds(tr)
+        cycles = TABLE3_ITERS[key] / m
+        ph = est.phase_seconds(est.cycle(key))
         out[key] = {
-            "spmv": cycles[key] * (ph["spmv"] + ph["precond"]),
-            "ortho": cycles[key] * ph["ortho"],
-            "total": cycles[key] * ph["total"],
+            "spmv": cycles * (ph["spmv"] + ph["precond"]),
+            "ortho": cycles * ph["ortho"],
+            "total": cycles * ph["total"],
         }
     return out
 

@@ -15,10 +15,8 @@ surrogate convergence run exercises the same numerics.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
 from repro.experiments.paper_data import TABLE4, TABLE4_SHAPES
-
-CONFIGS = ["gmres", "bcgs2", "pip2", "two_stage"]
 
 
 def problem_shape(name: str, ranks: int) -> ProblemShape:
@@ -39,13 +37,7 @@ def per_iteration_times(name: str, nodes: int = 16, m: int = 60,
     est = CycleCostEstimator(mach, ranks, shape, m=m, s=s)
     out = {}
     for key in CONFIGS:
-        if key == "gmres":
-            tr = est.standard_gmres_cycle()
-        elif key == "two_stage":
-            tr = est.sstep_cycle("two_stage", bs=m)
-        else:
-            tr = est.sstep_cycle(key)
-        ph = est.per_iteration(tr)
+        ph = est.per_iteration(est.cycle(key))
         out[key] = {"spmv": ph["spmv"] + ph["precond"],
                     "ortho": ph["ortho"], "total": ph["total"]}
     return out

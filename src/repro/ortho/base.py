@@ -39,6 +39,9 @@ class PanelInfo:
     pass), ``"big_panel"`` (two-stage second stage over ``bs`` columns).
     ``lo``/``hi`` delimit the basis columns the event finalized or
     pre-processed; ``prefix`` counts fully-final columns before ``lo``.
+    BCGS-PIP2, the two-stage scheme at ``big_step = 1``, names its
+    stage 2 ``"second"``.  What the stages issue is what the estimator
+    records and prices (``docs/cost-model.md``, "Paper-scale pricing").
     """
 
     stage: str

@@ -16,6 +16,10 @@ When the Pythagorean Gram update loses positive definiteness (condition
 (5) violated), the Cholesky factorization breaks down; the ``breakdown``
 policy either raises (default — the caller decides) or applies a shifted
 factorization in the spirit of shifted CholQR [11].
+
+:class:`BCGSPIP2Scheme` is :class:`~repro.ortho.two_stage.TwoStageScheme`
+with every panel its own big panel; ``docs/cost-model.md`` ("Paper-scale
+pricing") says how both are priced at the paper's sizes.
 """
 
 from __future__ import annotations
@@ -111,36 +115,31 @@ class BCGSPIPScheme(BlockOrthoScheme):
         return True
 
 
-class BCGSPIP2Scheme(BlockOrthoScheme):
+# two_stage builds on bcgs_pip_panel above and BCGS-PIP2 below builds on
+# two_stage (repro.ortho imports this module first)
+from repro.ortho.two_stage import TwoStageScheme  # noqa: E402
+
+
+class BCGSPIP2Scheme(TwoStageScheme):
     """BCGS-PIP applied twice (Fig. 4b): O(eps) error, 2 syncs per panel.
 
     The paper's new one-stage variant ("s-step + BCGS-PIP2" in
-    Tables III/IV).
+    Tables III/IV), as the identity the paper states: the second pass
+    and the ``R`` fix-up of Fig. 4b lines 5-6 are stage 2 of Fig. 5.
     """
 
     name = "bcgs-pip2"
     finality = "panel"
+    final_stage = "second"
 
     def __init__(self, breakdown: str = "raise") -> None:
-        super().__init__()
-        self.breakdown = breakdown
+        super().__init__(big_step=1, breakdown=breakdown)
 
     def panel_arrived(self, lo: int, hi: int) -> bool:
-        self._check_panel(lo, hi)
-        backend = self.backend
-        c = hi - lo
-        p1, r1 = bcgs_pip_panel(backend, self.basis, lo, lo, hi,
-                                breakdown=self.breakdown, panel_index=lo)
-        self._emit("first", panel_index=lo, lo=lo, hi=hi, prefix=lo)
-        t1, t2 = bcgs_pip_panel(backend, self.basis, lo, lo, hi,
-                                breakdown=self.breakdown, panel_index=lo)
-        # Fig. 4b lines 5-6: R_prefix = T1 R1 + P1 ; R_jj = T2 R1.
-        if p1 is not None:
-            backend.host_flops(2.0 * lo * c * c)
-            self.r[:lo, lo:hi] = t1 @ r1 + p1
-        self.r[lo:hi, lo:hi] = t2 @ r1
-        backend.host_flops(2.0 * c ** 3)
-        self._pushed_cols = hi
-        self._final_cols = hi
-        self._emit("second", panel_index=lo, lo=lo, hi=hi, prefix=lo)
-        return True
+        try:
+            return super().panel_arrived(lo, hi)
+        except CholeskyBreakdownError:
+            # one-stage contract: a panel whose second pass broke down was
+            # never pushed, so there is nothing for finish_cycle() to retry
+            self.drop_trailing_panel()
+            raise

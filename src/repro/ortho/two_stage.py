@@ -17,9 +17,12 @@ followed by the R fix-up of lines 18-19:
 (1 synchronization per bs steps, and — crucially for data reuse — local
 GEMMs of width ``bs`` instead of ``s``.)
 
-Extremes: ``bs == s`` reproduces one-stage BCGS-PIP2 exactly;
-``bs == m`` is one pre-processing pass per panel plus a single big
-orthogonalization per restart cycle — the paper's best performer.
+Extremes: ``bs <= s`` makes every panel its own big panel, which IS
+one-stage BCGS-PIP2 (:class:`repro.ortho.bcgs_pip.BCGSPIP2Scheme` is
+this class at ``big_step = 1``); ``bs == m`` is one pre-processing pass
+per panel plus a single big orthogonalization per restart cycle — the
+paper's best performer (priced at the paper's sizes as
+``docs/cost-model.md``, "Paper-scale pricing", describes).
 
 R columns only become *final* at stage-2 boundaries, so a solver driving
 this scheme can only test convergence every ``bs`` steps — reproducing
@@ -52,6 +55,8 @@ class TwoStageScheme(BlockOrthoScheme):
 
     name = "two-stage"
     finality = "big_panel"
+    #: observer stage of the pass that makes columns final
+    final_stage = "big_panel"
 
     def __init__(self, big_step: int, breakdown: str = "raise") -> None:
         super().__init__()
@@ -152,4 +157,4 @@ class TwoStageScheme(BlockOrthoScheme):
         self._big_lo = hi
         self._final_cols = hi
         self._pending_los = []
-        self._emit("big_panel", panel_index=lo, lo=lo, hi=hi, prefix=lo)
+        self._emit(self.final_stage, panel_index=lo, lo=lo, hi=hi, prefix=lo)
