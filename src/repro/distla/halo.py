@@ -324,10 +324,6 @@ class GhostPlan:
         """Ghost rows per rank at the deepest level (diagnostics)."""
         return np.array([g.size for g in self.ghost_rows], dtype=np.int64)
 
-    def redundant_rows(self, level: int) -> np.ndarray:
-        """Per-rank rows computed *beyond* the owned block at ``level``."""
-        return self.level_rows[:, level] - self.partition.counts
-
     def __repr__(self) -> str:
         return (f"GhostPlan(depth={self.depth}, expand={self.expand!r}, "
                 f"ranks={self.partition.ranks}, "

@@ -84,9 +84,6 @@ class DistSparseMatrix:
         """Copy of the global diagonal (used by Jacobi preconditioners)."""
         return self._diag.copy()
 
-    def local_nnz(self, rank: int) -> int:
-        return int(self.local_blocks[rank].nnz)
-
     def ghost_plan(self, depth: int, expand: str = "pointwise") -> GhostPlan:
         """Cached s-level ghost-zone closure (see :mod:`repro.distla.halo`).
 

@@ -47,10 +47,6 @@ class CholeskyBreakdownError(NumericalError):
         self.panel_index = panel_index
 
 
-class RankDeficiencyError(NumericalError):
-    """Input block is numerically rank deficient (kappa * n * eps >= 1)."""
-
-
 class ConvergenceError(NumericalError):
     """An iterative solver failed to reach the requested tolerance.
 

@@ -12,8 +12,9 @@ timing the ranks.  This experiment removes that excuse:
    (:func:`repro.obs.calibrate.calibrate`), producing a MachineSpec
    describing *this host*;
 3. re-run the identical solve on ``backend="sim"`` under the
-   calibrated machine (metrics enabled) and compare its predictions
-   against the same measured timeline.
+   calibrated machine (spans recorded, so its metrics snapshot is one
+   :meth:`~repro.obs.metrics.MetricsSnapshot.of` away) and compare its
+   predictions against the same measured timeline.
 
 Asserted per scheme: the calibrated model's worst per-phase error —
 relative error after scale removal AND share drift — is **strictly
@@ -48,6 +49,7 @@ from repro.matrices.stencil import laplace2d
 from repro.obs.calibrate import calibrate
 from repro.obs.cli import summarize_doc
 from repro.obs.drift import DEFAULT_DRIFT_BOUND, drift_report
+from repro.obs.metrics import MetricsSnapshot
 
 #: Share-drift gate for the *calibrated* model — tighter than the
 #: uncalibrated :data:`DEFAULT_DRIFT_BOUND` (0.95): once the constants
@@ -90,13 +92,14 @@ def run_scheme(scheme_name: str, *, nx: int, ranks: int, s: int,
 
     scheme, options = _scheme_setup(scheme_name, restart)
     with Simulation(a, ranks=ranks, machine=fit.machine, backend="sim",
-                    spans=True, metrics=True) as cal_sim:
+                    spans=True) as cal_sim:
         snap = cal_sim.tracer.snapshot()
         sstep_gmres(cal_sim, b, s=s, restart=restart, tol=tol,
                     maxiter=maxiter, scheme=scheme, options=options)
         cal_totals = cal_sim.tracer.since(snap)
         cal_spans = cal_sim.tracer.spans
-        metrics_snapshot = cal_sim.metrics.snapshot()
+        metrics_snapshot = MetricsSnapshot.of(cal_sim.tracer, cal_spans,
+                                              fit.machine, ranks)
 
     cal = drift_report(cal_totals, measured_totals,
                        modeled_spans=cal_spans,

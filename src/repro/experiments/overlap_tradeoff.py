@@ -101,8 +101,7 @@ def _overlap_stats(tracer, snap) -> dict:
     """
     totals = tracer.since(snap)
     exposed = sum(sp.duration for sp in tracer.spans
-                  if sp.cat == "kernel"
-                  and sp.overlapped_seconds is not None)
+                  if sp.is_charge and sp.overlapped_seconds is not None)
     hidden = sum(totals.overlapped.values())
     posted = exposed + hidden
     return {

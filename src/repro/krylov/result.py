@@ -68,12 +68,12 @@ class SolveResult:
     #: (per refinement for GMRES-IR) — residual norm, residual gap,
     #: basis condition, embedding distortion, solve mode and events.
     telemetry: list = field(default_factory=list)
-    #: Metrics snapshot from the simulation's
-    #: :class:`repro.obs.metrics.MetricsRegistry` (see
-    #: :meth:`Simulation.metrics_doc`): per-kernel flops, bytes moved,
-    #: arithmetic intensity, roofline utilization, collective wire
-    #: bytes.  Empty dict when metrics were not enabled.  Cumulative
-    #: over the simulation's lifetime, not per-solve.
+    #: :class:`repro.obs.metrics.MetricsSnapshot` of the simulation's
+    #: modeled totals and span stream (:meth:`Simulation.metrics_doc`):
+    #: per-kernel flops, bytes moved, arithmetic intensity, roofline
+    #: utilization, collective wire bytes, duration histograms.  Empty
+    #: dict when metrics were not enabled.  Cumulative over the
+    #: simulation's lifetime, not per-solve.
     metrics: dict = field(default_factory=dict)
 
     @property

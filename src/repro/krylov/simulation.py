@@ -66,12 +66,12 @@ class Simulation:
         the :mod:`repro.obs` exporters and drift monitor.  Off by
         default — the disabled path costs one pointer test per charge.
     metrics:
-        When True, put a :class:`~repro.obs.metrics.MetricsRegistry` on
-        the modeled timeline (see :meth:`enable_metrics`): per-charge
-        duration histograms and a non-empty :meth:`metrics_doc` (flops,
-        bytes, roofline utilization — derived from totals the tracer
-        keeps either way).  Off by default — same one-pointer-test
-        disabled path as spans; charges are identical either way.
+        When True, record the modeled span stream (see
+        :meth:`enable_metrics`) and report a non-empty :meth:`metrics_doc`:
+        flops, bytes and roofline utilization from the totals the tracer
+        keeps either way, duration histograms from the spans.  Off by
+        default; charges are identical either way.  ``spans=True`` alone
+        leaves :meth:`metrics_doc` empty.
     """
 
     def __init__(self, a: sp.spmatrix, ranks: int = 4,
@@ -92,7 +92,8 @@ class Simulation:
         self.machine = self.comm.machine
         self.tracer = self.comm.tracer
         self.partition = partition
-        self.metrics = None
+        #: whether :meth:`metrics_doc` reports (see :meth:`enable_metrics`)
+        self.metrics = False
         self.matrix = DistSparseMatrix(a, partition, self.comm)
         self.backend = DistBackend(self.comm)
         if spans:
@@ -110,11 +111,6 @@ class Simulation:
     @property
     def ranks(self) -> int:
         return self.partition.ranks
-
-    @property
-    def comm_backend(self) -> str:
-        """Which communicator backend this simulation runs on."""
-        return self.comm.backend
 
     def vector_from(self, arr: np.ndarray, storage: str = "fp64",
                     accumulate: str = "fp64") -> DistMultiVector:
@@ -151,25 +147,27 @@ class Simulation:
         self.comm.modeled.enable_spans()
 
     def enable_metrics(self) -> None:
-        """Put a metrics registry (``sim.metrics``) on the *modeled*
-        timeline: the tracer itself, or on ``backend="mp"`` the
-        communicator's modeled twin.  Idempotent.  It covers every solve
-        on this simulation; :meth:`metrics_doc` snapshots it.
+        """Record the span stream of the *modeled* timeline — the tracer
+        itself, or on ``backend="mp"`` the communicator's modeled twin —
+        and make :meth:`metrics_doc` report it.  Idempotent; covers every
+        solve on this simulation from here on.
         """
-        if self.metrics is not None:
-            return
-        from repro.obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry(self.machine, self.ranks,
-                                       self.comm.modeled)
+        self.metrics = True
+        self.comm.modeled.enable_spans()
 
     def metrics_doc(self) -> dict:
-        """JSON snapshot of the metrics registry ({} when disabled).
+        """JSON form of the :class:`~repro.obs.metrics.MetricsSnapshot` of
+        the modeled timeline ({} unless metrics are on).
 
         What solvers stamp onto ``SolveResult.metrics``.
         """
-        return {} if self.metrics is None else (
-            self.metrics.snapshot().to_dict())
+        if not self.metrics:
+            return {}
+        from repro.obs.metrics import MetricsSnapshot
+
+        modeled = self.comm.modeled
+        return MetricsSnapshot.of(modeled, modeled.spans, self.machine,
+                                  self.ranks).to_dict()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -23,12 +23,14 @@ per-cycle numerics monitors — into first-class artifacts:
     and share drift — the CI-gated number in ``BENCH_measured.json``.
 
 :mod:`repro.obs.metrics`
-    :class:`MetricsRegistry` — per-charge duration histograms plus a
-    snapshot derived from the tracer's totals: per-kernel flops, bytes
-    moved (memory + network), arithmetic intensity and roofline
-    utilization against the :class:`~repro.parallel.machine.MachineSpec`
-    peaks; rides on ``SolveResult.metrics``, exports as JSON or
-    Prometheus text.
+    :meth:`MetricsSnapshot.of` — one snapshot of a tracer's totals and
+    its charge spans, for a live run and a loaded export alike:
+    per-kernel flops, bytes moved (memory + network), arithmetic
+    intensity and roofline utilization against the
+    :class:`~repro.parallel.machine.MachineSpec` peaks, and per-charge
+    duration histograms read off the span stream (nothing hooks
+    ``Tracer.add``); rides on ``SolveResult.metrics``, exports as JSON
+    or Prometheus text.
 
 :mod:`repro.obs.calibrate`
     LogGP calibration: least-squares fit of the machine constants from
@@ -50,14 +52,13 @@ from repro.obs.export import (
     export_jsonl,
     load_spans,
 )
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.telemetry import CycleRecord, SolveTelemetry
 
 __all__ = [
     "DEFAULT_DRIFT_BOUND",
     "CalibrationFit",
     "CycleRecord",
-    "MetricsRegistry",
     "MetricsSnapshot",
     "SolveTelemetry",
     "DriftReport",

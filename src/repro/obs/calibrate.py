@@ -43,6 +43,7 @@ from repro.parallel.machine import MachineSpec, summit
 from repro.parallel.tracing import COLLECTIVE_KERNELS, SpanEvent
 
 from repro.obs.drift import pair_kernel_spans
+from repro.obs.export import infer_ranks
 
 #: Fallback rank count when the stream carries no rank-lane spans and
 #: the caller does not say (matches the :class:`Simulation` default).
@@ -126,12 +127,6 @@ def _fit_two(rows: list[tuple[float, float, float]]) -> tuple[float, float]:
     return 1.0, 1.0
 
 
-def _infer_ranks(spans: list[SpanEvent]) -> int | None:
-    """Max rank-lane index + 1 (the mp backend's per-rank SpMV spans)."""
-    ranks = [s.rank for s in spans if s.rank is not None]
-    return max(ranks) + 1 if ranks else None
-
-
 def _net_decomposition(span: SpanEvent, cost: CostModel,
                        ranks: int) -> tuple[float, float] | None:
     """(latency part, wire part) of one modeled collective charge.
@@ -186,9 +181,7 @@ def calibrate(spans, base: MachineSpec | None = None,
     base = base if base is not None else summit()
     spans = list(spans)
     if ranks is None:
-        ranks = _infer_ranks(spans)
-    if ranks is None:
-        ranks = DEFAULT_RANKS
+        ranks = infer_ranks(spans) or DEFAULT_RANKS
     modeled = [s for s in spans if s.stream == "modeled"]
     measured = [s for s in spans if s.stream == "measured"]
     pairs, mismatches = pair_kernel_spans(modeled, measured)

@@ -14,12 +14,13 @@ trace-event JSON or JSONL, sniffed automatically):
     containing both streams (an mp-backend export), diffs its modeled
     track against its measured one.
 
-``repro-trace metrics trace.json [--prometheus]``
-    Replay a trace's kernel charges and print the metrics snapshot of
-    the rebuilt totals as JSON (or Prometheus text exposition).  Every
-    kernel span carries its whole charge record, so the replay
-    reproduces the live run's ``metrics_doc()`` — flops, bytes and
-    roofline gauges included.
+``repro-trace metrics trace.json [--ranks N] [--prometheus]``
+    Print the metrics snapshot of one stream's charge spans as JSON (or
+    Prometheus text exposition): the same snapshot a live run's
+    ``metrics_doc()`` is.  Every charge span carries its whole record,
+    so flops, bytes, roofline gauges and duration histograms all come
+    back.  ``--ranks`` is required when the trace has no rank lanes
+    (every ``backend="sim"`` export).
 
 ``repro-trace calibrate trace.json [--machine M] [--ranks N]``
     Fit LogGP machine constants from an mp run's twin span streams
@@ -29,6 +30,9 @@ trace-event JSON or JSONL, sniffed automatically):
 ``repro-trace export in.jsonl out.json``
     Convert between the JSONL and Chrome formats (target chosen by the
     output extension, or forced with ``--format``).
+
+A malformed trace file (or a rank count ``metrics`` cannot infer) is
+reported on stderr with exit status 2.
 
 Installed as a console script by ``pip install``; equally runnable from
 a checkout as ``PYTHONPATH=src python -m repro.obs.cli``.
@@ -41,16 +45,17 @@ import json
 import sys
 from pathlib import Path
 
+from repro.exceptions import ConfigurationError
 from repro.obs.drift import drift_report
-from repro.obs.export import export_chrome_trace, export_jsonl, load_spans
+from repro.obs.export import (export_chrome_trace, export_jsonl, infer_ranks,
+                              load_spans)
 from repro.parallel.machine import PRESETS
 from repro.parallel.tracing import Tracer
 
 
 def _replayed(spans) -> dict[str, Tracer]:
-    """Per stream, a tracer rebuilt from the driver kernel spans."""
-    streams = {s.stream for s in spans
-               if s.cat == "kernel" and s.rank is None}
+    """Per stream, a tracer rebuilt from the charge spans."""
+    streams = {s.stream for s in spans if s.is_charge}
     return {stream: Tracer(stream=stream).replay(spans)
             for stream in streams}
 
@@ -62,7 +67,7 @@ def _stream_views(spans):
         own = [s for s in spans if s.stream == stream]
         lanes = {s.rank for s in own if s.rank is not None}
         payload = sum(s.payload_bytes for s in own
-                      if s.payload_bytes is not None and s.rank is None)
+                      if s.payload_bytes is not None and s.is_charge)
         yield tracer, len(lanes), float(payload), len(own)
 
 
@@ -99,20 +104,20 @@ def _summarize(args) -> int:
 
 
 def _metrics(args) -> int:
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsSnapshot
 
     spans = load_spans(args.trace)
-    ranks = args.ranks
-    if ranks is None:
-        lanes = {s.rank for s in spans if s.rank is not None}
-        ranks = len(lanes) if lanes else 1
-    reg = MetricsRegistry(PRESETS[args.machine](), ranks,
-                          Tracer(stream=args.stream))
-    if not reg.tracer.replay(spans).counts:
+    own = [s for s in spans if s.stream == args.stream]
+    tracer = Tracer(stream=args.stream).replay(own)
+    if not tracer.counts:
         print(f"{args.trace}: no driver kernel spans on stream "
               f"{args.stream!r}", file=sys.stderr)
         return 1
-    snap = reg.snapshot()
+    ranks = args.ranks if args.ranks is not None else infer_ranks(spans)
+    if ranks is None:
+        raise ConfigurationError(f"{args.trace}: no rank lanes to infer the "
+                                 f"rank count from; pass --ranks")
+    snap = MetricsSnapshot.of(tracer, own, PRESETS[args.machine](), ranks)
     if args.prometheus:
         print(snap.to_prometheus(), end="")
     else:
@@ -205,11 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_summarize)
 
     m = sub.add_parser("metrics",
-                       help="replay a trace into a metrics registry")
+                       help="metrics snapshot of a trace's charge spans")
     m.add_argument("trace")
     m.add_argument("--machine", choices=sorted(PRESETS), default="summit")
     m.add_argument("--ranks", type=int, default=None,
-                   help="rank count (default: inferred from rank lanes)")
+                   help="rank count (default: inferred from rank lanes; "
+                        "required when the trace has none)")
     m.add_argument("--stream", choices=("modeled", "measured"),
                    default="modeled")
     m.add_argument("--prometheus", action="store_true",
@@ -246,6 +252,9 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConfigurationError as exc:
+        print(f"repro-trace: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout closed early (e.g. piped into head) — standard CLI exit
         sys.stderr.close()

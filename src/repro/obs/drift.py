@@ -120,15 +120,10 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _kernel_spans(spans) -> list[SpanEvent]:
-    """Driver-side kernel spans only — phase envelopes and per-rank lane
-    spans are presentation, not charges, and must not be paired."""
-    return [s for s in spans if s.cat == "kernel" and s.rank is None]
-
-
 def pair_kernel_spans(modeled_spans, measured_spans
                       ) -> tuple[list[tuple[SpanEvent, SpanEvent]], int]:
-    """Pair the two streams' kernel charges in order.
+    """Pair the two streams' charge spans in order (phase envelopes and
+    per-rank lanes are presentation, not charges, and are not paired).
 
     Both backends funnel every charge through the same call sites, so
     the n-th modeled kernel span and the n-th measured one describe the
@@ -136,8 +131,8 @@ def pair_kernel_spans(modeled_spans, measured_spans
     length difference) counts as a mismatch.  Returns
     ``(pairs, mismatches)`` where pairs holds only the agreeing ones.
     """
-    mod = _kernel_spans(modeled_spans)
-    mea = _kernel_spans(measured_spans)
+    mod = [s for s in modeled_spans if s.is_charge]
+    mea = [s for s in measured_spans if s.is_charge]
     pairs = []
     mismatches = abs(len(mod) - len(mea))
     for m, x in zip(mod, mea):

@@ -11,19 +11,28 @@ events carry the human-readable track names.
 
 The JSONL form is one :meth:`SpanEvent.to_dict` object per line — the
 grep/pandas-friendly twin.  :func:`load_spans` reads either format back
-(sniffed by content, not extension).
+(sniffed by content, not extension).  Both are written from the
+:class:`SpanEvent` fields: a Chrome event carries ``name`` / ``cat`` /
+times / stream / rank in its envelope and every other field in ``args``
+unless it is at its default.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
+from repro.exceptions import ConfigurationError
 from repro.parallel.tracing import SpanEvent, Tracer
 
 #: Trace-event process ids per stream tag (unknown streams land on 9).
 STREAM_PIDS = {"modeled": 1, "measured": 2}
 _PID_STREAMS = {pid: stream for stream, pid in STREAM_PIDS.items()}
+#: The span fields a trace event's envelope carries (``ts`` / ``dur``,
+#: ``pid``, ``tid``); the rest go to ``args``.
+_ENVELOPE = ("name", "t0", "t1", "stream", "cat", "rank")
+_ARGS = tuple(f for f in fields(SpanEvent) if f.name not in _ENVELOPE)
 
 
 def _gather_spans(sources) -> list[SpanEvent]:
@@ -59,20 +68,8 @@ def chrome_trace_doc(*sources) -> dict:
         tid = _lane(sp.rank)
         processes.setdefault(pid, sp.stream)
         lanes.add((pid, tid))
-        args: dict = {"phase": sp.phase}
-        if sp.cycle is not None:
-            args["cycle"] = sp.cycle
-        if sp.payload_bytes is not None:
-            args["payload_bytes"] = sp.payload_bytes
-        if sp.count != 1:
-            args["count"] = sp.count
-        if sp.overlapped_seconds is not None:
-            args["overlapped_seconds"] = sp.overlapped_seconds
-        if sp.driver_side:
-            args["driver_side"] = True
-        if sp.flops is not None:
-            args["flops"] = sp.flops
-            args["mem_bytes"] = sp.mem_bytes
+        args = {f.name: getattr(sp, f.name) for f in _ARGS
+                if getattr(sp, f.name) != f.default}
         events.append({
             "name": sp.name, "cat": sp.cat, "ph": "X",
             "ts": sp.t0 * 1e6, "dur": sp.duration * 1e6,
@@ -120,20 +117,14 @@ def _spans_from_chrome(doc: dict) -> list[SpanEvent]:
     for ev in doc.get("traceEvents", ()):
         if ev.get("ph") != "X":
             continue
-        args = ev.get("args", {})
         t0 = float(ev["ts"]) / 1e6
         tid = int(ev.get("tid", 0))
-        spans.append(SpanEvent(
-            name=ev["name"], t0=t0, t1=t0 + float(ev.get("dur", 0.0)) / 1e6,
-            phase=args.get("phase", "other"),
-            stream=streams.get(ev.get("pid"), "modeled"),
-            cat=ev.get("cat", "kernel"), count=int(args.get("count", 1)),
-            payload_bytes=args.get("payload_bytes"),
-            cycle=args.get("cycle"),
-            rank=None if tid == 0 else tid - 1,
-            overlapped_seconds=args.get("overlapped_seconds"),
-            driver_side=bool(args.get("driver_side", False)),
-            flops=args.get("flops"), mem_bytes=args.get("mem_bytes")))
+        spans.append(SpanEvent.from_dict({
+            **ev.get("args", {}), "name": ev["name"], "t0": t0,
+            "t1": t0 + float(ev.get("dur", 0.0)) / 1e6,
+            "stream": streams.get(ev.get("pid"), "modeled"),
+            "cat": ev.get("cat", "kernel"),
+            "rank": None if tid == 0 else tid - 1}))
     return spans
 
 
@@ -142,16 +133,35 @@ def load_spans(path) -> list[SpanEvent]:
 
     Format is sniffed from the content: a document whose top level is an
     object with ``traceEvents`` parses as Chrome trace; anything else is
-    treated as JSONL (blank lines skipped).
+    treated as JSONL (blank lines skipped).  A malformed file raises
+    :class:`~repro.exceptions.ConfigurationError` naming it (and, for
+    JSONL, the 1-based line).
     """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError:
             doc = None
         if isinstance(doc, dict) and "traceEvents" in doc:
-            return _spans_from_chrome(doc)
-    return [SpanEvent.from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
+            try:
+                return _spans_from_chrome(doc)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigurationError(
+                    f"{path}: malformed trace event ({exc!r})") from exc
+    spans = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                spans.append(SpanEvent.from_dict(json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: not a span record ({exc})") from exc
+    return spans
+
+
+def infer_ranks(spans) -> int | None:
+    """Rank count a span stream shows: the highest rank lane + 1, or
+    ``None`` when no span sits on a rank lane (a ``backend="sim"`` run)."""
+    lanes = [s.rank for s in spans if s.rank is not None]
+    return max(lanes) + 1 if lanes else None

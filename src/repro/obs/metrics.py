@@ -1,30 +1,31 @@
-"""Metrics: a machine-facing view of a tracer's totals, plus histograms.
+"""Metrics: a machine-facing view of a tracer's totals and span stream.
 
 The tracer's rows answer "how many seconds went where"; every charge
 that came from a cost-model formula also carries the flops it retired
 and the device-memory bytes it moved (:class:`~repro.parallel.costmodel
 .KernelCharge`), and every collective its wire payload.  This module
-keeps none of that a second time.  :meth:`MetricsRegistry.snapshot`
-*derives*, from the totals of the tracer it was built on, the
-machine-facing view behind the paper's cost argument — per
-``(phase, kernel)`` seconds / calls / flops / bytes, network bytes per
-collective kind, arithmetic intensity, and the fraction of the
-:class:`~repro.parallel.machine.MachineSpec` roofline sustained.  What a
-registry adds of its own is the one thing totals cannot give: a
-log-bucketed histogram of per-charge durations per kernel, fed through
-the tracer's ``on_charge`` hook.
+keeps none of that a second time.  :meth:`MetricsSnapshot.of` *derives*
+everything it reports — per ``(phase, kernel)`` seconds / calls / flops
+/ bytes, network bytes per collective kind, arithmetic intensity, the
+fraction of the :class:`~repro.parallel.machine.MachineSpec` roofline
+sustained, and a log-bucketed histogram of per-charge durations per
+kernel — from one tracer's totals and its charge spans
+(:attr:`~repro.parallel.tracing.SpanEvent.is_charge`).  Nothing hooks
+:meth:`Tracer.add`.
 
 Everything snapshots to JSON (:meth:`MetricsSnapshot.to_dict`) and
 Prometheus text exposition (:meth:`MetricsSnapshot.to_prometheus`).
-Enable per simulation with ``Simulation(..., metrics=True)`` (or
-:meth:`Simulation.enable_metrics`); the snapshot rides on
-``SolveResult.metrics``.  ``repro-trace metrics`` rebuilds the same
-snapshot from an exported span stream.
+``Simulation(..., metrics=True)`` (or :meth:`Simulation.enable_metrics`)
+records the modeled span stream, and ``Simulation.metrics_doc()`` — what
+rides on ``SolveResult.metrics`` — is the snapshot of it; ``repro-trace
+metrics`` builds the same snapshot from an exported span stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer, _key_str
@@ -34,64 +35,49 @@ from repro.parallel.tracing import Tracer, _key_str
 DURATION_BUCKETS = tuple(1e-6 * 4.0 ** i for i in range(13))
 
 
-@dataclass
-class _Hist:
-    """One log-bucketed duration histogram (cumulative on export)."""
-
-    buckets: list[int] = field(
-        default_factory=lambda: [0] * (len(DURATION_BUCKETS) + 1))
-    total: float = 0.0
-    count: int = 0
-
-    def observe(self, value: float) -> None:
-        self.total += value
-        self.count += 1
-        for i, bound in enumerate(DURATION_BUCKETS):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """Prometheus-style (le, cumulative_count) pairs, +Inf last."""
-        out, running = [], 0
-        for bound, n in zip(DURATION_BUCKETS, self.buckets):
+def _histograms(spans) -> dict[str, dict]:
+    """Per kernel, the ``t1 - t0`` of its charge spans: Prometheus-style
+    cumulative ``[le, count]`` buckets (+Inf last), their sum, count."""
+    durations: dict[str, list[float]] = {}
+    for s in spans:
+        if s.is_charge:
+            durations.setdefault(s.name, []).append(s.duration)
+    hists = {}
+    for kern, values in sorted(durations.items()):
+        counts = [0] * (len(DURATION_BUCKETS) + 1)
+        for v in values:
+            counts[bisect_left(DURATION_BUCKETS, v)] += 1
+        running, buckets = 0, []
+        for le, n in zip((*DURATION_BUCKETS, float("inf")), counts):
             running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + self.buckets[-1]))
-        return out
+            buckets.append([le, running])
+        hists[kern] = {"buckets": buckets, "sum": math.fsum(values),
+                       "count": len(values)}
+    return hists
 
 
-class MetricsRegistry:
-    """Duration histograms of one tracer's charges, and the snapshot of
-    its totals against one machine's peaks.
+@dataclass
+class MetricsSnapshot:
+    """Per-kernel rows, derived gauges and duration histograms of one
+    run, ready to export."""
 
-    Constructing it hooks ``tracer.on_charge``; from then on every charge
-    lands one histogram sample.  Everything else a snapshot reports is
-    read off the tracer's own totals at snapshot time, so it is cheap,
-    repeatable, and never out of step with the clock.
-    """
+    machine: str
+    ranks: int
+    kernels: dict[tuple[str, str], dict]
+    net_bytes: dict[str, float]
+    totals: dict
+    histograms: dict[str, dict]
 
-    def __init__(self, machine: MachineSpec, ranks: int, tracer: Tracer):
-        self.machine = machine
-        self.ranks = int(ranks)
-        self.tracer = tracer
-        self.hist: dict[str, _Hist] = {}
-        tracer.on_charge = self.observe
+    @classmethod
+    def of(cls, t: Tracer, spans, machine: MachineSpec,
+           ranks: int) -> "MetricsSnapshot":
+        """The snapshot of tracer ``t`` (live, or replayed from an export)
+        and of the charge spans among ``spans``, against ``machine``'s
+        peaks over ``ranks`` ranks.
 
-    def observe(self, kernel: str, seconds: float) -> None:
-        """Land one charge's duration (the ``Tracer.on_charge`` hook)."""
-        h = self.hist.get(kernel)
-        if h is None:
-            h = self.hist[kernel] = _Hist()
-        h.observe(seconds)
-
-    def snapshot(self) -> "MetricsSnapshot":
-        """Derive the per-kernel rows and gauges (intensity, roofline
-        utilization) from the tracer's totals and freeze them, with the
-        histograms, into a :class:`MetricsSnapshot`."""
-        m, t = self.machine, self.tracer
-
+        Rows, net bytes and gauges are read off the totals; histograms
+        off the spans, so a run and its export give the same buckets.
+        """
         def gauges(row: dict) -> dict:
             sec, f, b = row["seconds"], row["flops"], row["mem_bytes"]
             if b > 0.0:
@@ -100,10 +86,10 @@ class MetricsRegistry:
                 # charged seconds are wall time (max over ranks); flops
                 # and bytes are the aggregate of every costed shard, so
                 # utilization is against the whole machine's peaks
-                row["flop_utilization"] = f / (sec * self.ranks
-                                               * m.peak_flops)
-                row["mem_bw_utilization"] = b / (sec * self.ranks
-                                                 * m.mem_bandwidth)
+                row["flop_utilization"] = f / (sec * ranks
+                                               * machine.peak_flops)
+                row["mem_bw_utilization"] = b / (sec * ranks
+                                                 * machine.mem_bandwidth)
             return row
 
         kernels = {key: gauges({
@@ -115,31 +101,15 @@ class MetricsRegistry:
         }) for key in sorted(t.by_kernel)}
         net_bytes = {kind: entry["bytes"] for kind, entry
                      in t.collective_counts(payload_bytes=True).items()}
-        totals = gauges({
+        row = gauges({
             "seconds": sum(t.by_kernel.values()),
             "flops": sum(t.flops.values()),
             "mem_bytes": sum(t.mem_bytes.values()),
         })
-        totals["net_bytes"] = sum(net_bytes.values())
-        hists = {
-            kern: {"buckets": [[le, n] for le, n in h.cumulative()],
-                   "sum": h.total, "count": h.count}
-            for kern, h in sorted(self.hist.items())}
-        return MetricsSnapshot(
-            machine=m.name, ranks=self.ranks, kernels=kernels,
-            net_bytes=net_bytes, totals=totals, histograms=hists)
-
-
-@dataclass
-class MetricsSnapshot:
-    """Frozen registry state plus derived gauges, ready to export."""
-
-    machine: str
-    ranks: int
-    kernels: dict[tuple[str, str], dict]
-    net_bytes: dict[str, float]
-    totals: dict
-    histograms: dict[str, dict]
+        row["net_bytes"] = sum(net_bytes.values())
+        return cls(machine=machine.name, ranks=int(ranks), kernels=kernels,
+                   net_bytes=net_bytes, totals=row,
+                   histograms=_histograms(spans))
 
     def to_dict(self) -> dict:
         """JSON-safe document (tuple keys flattened to "phase/kernel").

@@ -40,13 +40,14 @@ Beyond the lossy accumulators, a tracer can keep a **structured span
 stream**: one :class:`SpanEvent` per charge (and per ``phase()`` region)
 with begin/end timestamps on the tracer's clock, the enclosing phase,
 the kernel, the restart-cycle marker, the rest of the charge's record
-and the stream tag.  Spans power the Chrome-trace / JSONL exporters and the
-predicted-vs-measured drift monitor in :mod:`repro.obs`.
+and the stream tag.  Spans power the Chrome-trace / JSONL exporters, the
+duration histograms of the metrics snapshot and the predicted-vs-measured
+drift monitor in :mod:`repro.obs`.
 
 Spans are **disabled by default** and the disabled path is a no-op: one
 ``is not None`` test per charge, nothing allocated.  Call
-:meth:`Tracer.enable_spans` (or ``Simulation(..., spans=True)``) to
-record them.
+:meth:`Tracer.enable_spans` (or ``Simulation(..., spans=True)`` /
+``metrics=True``) to record them.
 
 Overlap dimension (nonblocking collectives)
 -------------------------------------------
@@ -114,13 +115,17 @@ class SpanEvent:
     worker-executed SpMV).  ``rank`` is ``None`` for driver-global spans
     (the simulator charges the max over ranks) and a rank index for
     per-rank lanes.
+
+    The fields are the span schema: :meth:`to_dict` / :meth:`from_dict`
+    and both trace formats of :mod:`repro.obs.export` are derived from
+    them, so a field added here travels through every exporter.
     """
 
     name: str
     t0: float
     t1: float
-    phase: str
-    stream: str
+    phase: str = "other"
+    stream: str = "modeled"
     cat: str = "kernel"
     count: int = 1
     payload_bytes: float | None = None
@@ -144,6 +149,12 @@ class SpanEvent:
     def duration(self) -> float:
         return self.t1 - self.t0
 
+    @property
+    def is_charge(self) -> bool:
+        """True for the span of one :meth:`Tracer.add` call: a driver-side
+        kernel span, not a phase envelope or a per-rank lane."""
+        return self.cat == "kernel" and self.rank is None
+
     def to_dict(self) -> dict:
         """JSON-safe flat dict, one key per field in field order (the
         JSONL exporter's line schema)."""
@@ -152,16 +163,13 @@ class SpanEvent:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpanEvent":
-        return cls(name=doc["name"], t0=float(doc["t0"]), t1=float(doc["t1"]),
-                   phase=doc.get("phase", "other"),
-                   stream=doc.get("stream", "modeled"),
-                   cat=doc.get("cat", "kernel"),
-                   count=int(doc.get("count", 1)),
-                   payload_bytes=doc.get("payload_bytes"),
-                   cycle=doc.get("cycle"), rank=doc.get("rank"),
-                   overlapped_seconds=doc.get("overlapped_seconds"),
-                   driver_side=bool(doc.get("driver_side", False)),
-                   flops=doc.get("flops"), mem_bytes=doc.get("mem_bytes"))
+        """Inverse of :meth:`to_dict`: every field read by name, an absent
+        one at its default.  Raises ``TypeError`` (or ``ValueError``) when
+        ``name``, ``t0`` or ``t1`` is missing or a time is not a number."""
+        span = cls(**{name: doc[name] for name in cls.__dataclass_fields__
+                      if name in doc})
+        span.t0, span.t1 = float(span.t0), float(span.t1)
+        return span
 
 
 def _key_str(key: tuple[str, str]) -> str:
@@ -231,11 +239,6 @@ class Tracer(TraceTotals):
     """
 
     stream: str = "modeled"
-    #: Called as ``on_charge(kernel, seconds)`` after every charge when
-    #: set — the duration-histogram hook of
-    #: :class:`repro.obs.metrics.MetricsRegistry`.  ``None`` (the
-    #: default) is one pointer test per charge.
-    on_charge: object | None = None
     _phase_stack: list = field(default_factory=lambda: ["other"])
     _cycle: list = field(default_factory=lambda: [None])
     _spans: list | None = None
@@ -325,8 +328,6 @@ class Tracer(TraceTotals):
             self.mem_bytes[key] += mem_bytes
         if driver_side:
             self.driver_seconds[key] += seconds
-        if self.on_charge is not None:
-            self.on_charge(kernel, seconds)
         if self._spans is not None:
             self._spans.append(SpanEvent(
                 kernel, t0, self.clock, phase, self.stream, count=count,
@@ -335,12 +336,12 @@ class Tracer(TraceTotals):
                 driver_side=driver_side, flops=flops, mem_bytes=mem_bytes))
 
     def replay(self, spans) -> "Tracer":
-        """Fold the driver kernel spans of this tracer's stream back in,
-        each under its own phase — what rebuilds the totals of an
-        exported trace.  Seconds are span durations, so they match the
-        live totals to rounding; every other column matches exactly."""
+        """Fold the charge spans of this tracer's stream back in, each
+        under its own phase — what rebuilds the totals of an exported
+        trace.  Seconds are span durations, so they match the live totals
+        to rounding; every other column matches exactly."""
         for s in spans:
-            if s.cat == "kernel" and s.rank is None and s.stream == self.stream:
+            if s.is_charge and s.stream == self.stream:
                 self._phase_stack.append(s.phase)
                 self.add(s.name, s.duration, s.count, s.payload_bytes,
                          s.overlapped_seconds, s.driver_side, s.flops,

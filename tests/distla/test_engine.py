@@ -23,7 +23,7 @@ from repro.distla.engine import BatchedEngine, LoopEngine, get_engine, resolve
 from repro.distla.multivector import DistMultiVector
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsSnapshot
 from repro.ortho.backend import DistBackend
 from repro.parallel.api import make_comm as make_backend_comm
 from repro.parallel.communicator import SimComm
@@ -48,7 +48,7 @@ def apply_ops(engine, n: int):
     totals)."""
     part = Partition(n, RANKS)
     comm = make_comm(engine)
-    registry = MetricsRegistry(comm.machine, RANKS, comm.tracer)
+    comm.tracer.enable_spans()
     rng = np.random.default_rng(7)
     q = DistMultiVector.from_global(rng.standard_normal((n, KQ)), part, comm)
     v = DistMultiVector.from_global(rng.standard_normal((n, KV)), part, comm)
@@ -69,7 +69,8 @@ def apply_ops(engine, n: int):
     blas.copy_into(out, v)
     blas.matvec_small(v, coeffs, small)
     results += [v.to_global(), out.to_global(), small.to_global()]
-    return results, comm.tracer, registry.snapshot().to_dict()
+    return results, comm.tracer, MetricsSnapshot.of(
+        comm.tracer, comm.tracer.spans, comm.machine, RANKS).to_dict()
 
 
 @pytest.mark.parametrize("n", [N_UNIFORM, N_RAGGED],

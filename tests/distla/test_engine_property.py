@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsSnapshot
 from repro.ortho.backend import DistBackend, _sign_fix_qr
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
@@ -50,16 +50,15 @@ def partitions(draw, n: int) -> Partition:
 
 
 def observed_comm(engine, ranks, spans=True):
-    """A communicator bound to ``engine`` with spans and a metrics
-    registry attached; returns ``(comm, observe)`` where ``observe()`` is
-    everything an engine may not change besides the values."""
+    """A communicator bound to ``engine``, spans recorded when asked;
+    returns ``(comm, observe)`` where ``observe()`` is everything an
+    engine may not change besides the values."""
     machine = generic_cpu()
     tracer = Tracer()
     if spans:
         tracer.enable_spans()
     comm = SimComm(machine, ranks, tracer, engine=engine)
     assert comm.engine == engine
-    registry = MetricsRegistry(machine, ranks, tracer)
 
     def observe() -> dict:
         return {
@@ -67,7 +66,8 @@ def observed_comm(engine, ranks, spans=True):
             "by_kernel": dict(tracer.by_kernel),
             "counts": dict(tracer.counts),
             "payload_bytes": dict(tracer.payload_bytes),
-            "metrics": registry.snapshot().to_dict(),
+            "metrics": MetricsSnapshot.of(tracer, tracer.spans, machine,
+                                          ranks).to_dict(),
             "spans": [s.to_dict() for s in tracer.spans],
         }
     return comm, observe

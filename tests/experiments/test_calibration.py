@@ -10,7 +10,7 @@ from repro.bench.artifacts import SCHEMA, load_artifact
 from repro.experiments import calibration
 from repro.obs.calibrate import calibrate
 from repro.obs.drift import DEFAULT_DRIFT_BOUND, DriftReport, PhaseDrift
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsSnapshot
 from repro.parallel.machine import generic_cpu
 from repro.parallel.tracing import Tracer
 
@@ -48,7 +48,7 @@ def _fake_outcome(uncal_err, cal_err, uncal_drift, cal_drift):
                            measured_total=1.0, scale=1.0)
 
     t = Tracer()
-    reg = MetricsRegistry(generic_cpu(), 4, t)
+    t.enable_spans()
     t.add("dot", 1.0, flops=8.0, mem_bytes=64.0)
     totals = t.snapshot()
     return {
@@ -60,7 +60,7 @@ def _fake_outcome(uncal_err, cal_err, uncal_drift, cal_drift):
         "uncal_totals": totals,
         "cal_totals": totals,
         "measured_summary": {"n_spans": 0, "streams": {}},
-        "metrics_snapshot": reg.snapshot(),
+        "metrics_snapshot": MetricsSnapshot.of(t, t.spans, generic_cpu(), 4),
         "uncal_breakdown": {"total": 1.0},
         "cal_breakdown": {"total": 1.0},
         "measured_breakdown": {"total": 1.0},

@@ -13,6 +13,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+
 from repro.krylov.gmres import gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -24,6 +26,7 @@ from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu, summit
+from repro.parallel.partition import Partition
 
 #: Live end-to-end solves; CI's quick lane deselects them with -m "not slow".
 pytestmark = pytest.mark.slow
@@ -37,8 +40,53 @@ def one_cycle(scheme, nx=16, ranks=6, m=20, s=5):
     return res
 
 
+@st.composite
+def cycle_shapes(draw, nx: int = 16, max_m: int = 40):
+    """``(s, bs, m, partition)``: ``bs = k s`` and ``m = j bs <= max_m``
+    over a uniform split or explicit ragged offsets of ``nx * nx`` rows."""
+    s = draw(st.integers(2, 5))
+    bs = s * draw(st.integers(1, max_m // s))
+    m = bs * draw(st.integers(1, max_m // bs))
+    n, ranks = nx * nx, draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return s, bs, m, Partition(n, ranks)
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=ranks - 1,
+                         max_size=ranks - 1, unique=True))
+    return s, bs, m, Partition(n, ranks, offsets=np.array([0, *sorted(cuts),
+                                                           n]))
+
+
 class TestSynchronizationAlgebra:
     """Sync counts per cycle match the paper's closed forms (live run)."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(shape=cycle_shapes())
+    def test_sync_closed_forms_hold_live_and_estimated(self, shape):
+        """One live cycle (``tol=0``, ``maxiter=m``) under each scheme
+        syncs exactly its closed form, and the estimator's recorded
+        cycle of the same ``(m, s, bs)`` prices the same count.
+
+        The right-hand side is random: the all-ones solution's smooth one
+        reaches a happy breakdown of the 256-row Krylov space within
+        ~25 steps, where the two-stage flush retries on a shorter prefix
+        (three more syncs) instead of following the closed form."""
+        s, bs, m, part = shape
+        rhs = np.random.default_rng(0).standard_normal(part.n_global)
+        expected = {
+            "two_stage": (lambda: TwoStageScheme(big_step=bs),
+                          1 + m // s + m // bs),
+            "pip2": (BCGSPIP2Scheme, 1 + 2 * m // s),
+            "bcgs2": (BCGS2Scheme, 3 + 5 * (m // s - 1)),
+        }
+        est = CycleCostEstimator(summit(), part.ranks,
+                                 ProblemShape.stencil2d(16), m=m, s=s)
+        for config, (scheme, syncs) in expected.items():
+            sim = Simulation(laplace2d(16), ranks=part.ranks,
+                             partition=part, machine=summit())
+            res = sstep_gmres(sim, rhs, s=s, restart=m, tol=0.0, maxiter=m,
+                              scheme=scheme())
+            assert res.sync_count == syncs, (config, res.sync_count)
+            assert est.cycle(config, bs=bs).sync_count() == syncs, config
 
     def test_bcgs2_five_per_panel(self):
         res = one_cycle(BCGS2Scheme())

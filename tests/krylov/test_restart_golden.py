@@ -14,12 +14,18 @@ Charges are plain Python float arithmetic on fixed shapes, so neither
 the machine, the BLAS nor the engine enters.  An intentional change to
 a charge updates the numbers here in the same commit and says why.
 
+The same solves hold the metrics contract: a run's ``metrics_doc()`` and
+``repro-trace metrics`` over its export are one computation
+(``MetricsSnapshot.of``), so they agree exactly wherever an export is
+lossless.
+
 ``python tests/krylov/test_restart_golden.py`` prints the table.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +39,8 @@ from repro.krylov.pipelined import pipelined_gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
+from repro.obs.cli import main as trace_main
+from repro.obs.export import export_chrome_trace, export_jsonl
 from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
@@ -232,6 +240,40 @@ def test_result_reads_the_tracer_since_the_call(name):
     for r in results:
         phases = sum(v for k, v in r.times.items() if k != "total")
         assert phases == pytest.approx(r.times["total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", list(CASES))
+def test_exported_trace_reproduces_the_live_metrics(name, engine, tmp_path,
+                                                    capsys):
+    """Counted columns and histograms come back exactly from JSONL;
+    seconds are span durations (``t1 - t0``; microseconds in the Chrome
+    format), so seconds and the gauges built on them come back to
+    rounding."""
+    sim, _ = run_case(name, engine)
+    live = sim.metrics_doc()
+    for export, rel in ((export_jsonl, 1e-9), (export_chrome_trace, 1e-6)):
+        path = export(tmp_path / f"trace-{export.__name__}", sim.tracer)
+        assert trace_main(["metrics", str(path), "--machine", "generic_cpu",
+                           "--ranks", str(RANKS)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["machine"], got["ranks"]) == (live["machine"], RANKS)
+        assert got["net_bytes"] == live["net_bytes"]
+        assert set(got["kernels"]) == set(live["kernels"])
+        for key, row in live["kernels"].items():
+            for field in ("calls", "flops", "mem_bytes"):
+                assert got["kernels"][key][field] == row[field], (key, field)
+            assert got["kernels"][key] == pytest.approx(row, rel=rel), key
+        for field in ("flops", "mem_bytes", "net_bytes"):
+            assert got["totals"][field] == live["totals"][field]
+        assert got["totals"] == pytest.approx(live["totals"], rel=rel)
+        if export is export_jsonl:
+            assert got["histograms"] == live["histograms"]
+        assert {k: h["count"] for k, h in got["histograms"].items()} == {
+            k: h["count"] for k, h in live["histograms"].items()}
+        for kern, hist in live["histograms"].items():
+            assert got["histograms"][kern]["sum"] == pytest.approx(
+                hist["sum"], rel=rel)
 
 
 def test_adaptive_case_shrinks_the_step():

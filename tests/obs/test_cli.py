@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
+from repro.krylov.options import SolverOptions
+from repro.krylov.pipelined import pipelined_gmres
+from repro.krylov.simulation import Simulation
+from repro.krylov.sstep_gmres import sstep_gmres
+from repro.matrices.stencil import laplace2d
 from repro.obs.cli import main
-from repro.obs.export import export_chrome_trace, load_spans
-from repro.parallel.tracing import Tracer
+from repro.obs.export import (export_chrome_trace, export_jsonl, infer_ranks,
+                              load_spans)
+from repro.parallel.tracing import SpanEvent, Tracer
 
 
 @pytest.fixture()
@@ -39,6 +47,20 @@ class TestSummarize:
         assert "[modeled]" in out and "[measured]" in out
         assert "1 rank lanes" in out
         assert "72 collective payload bytes" in out
+
+    def test_payload_counts_charges_not_overlap_markers(self, tmp_path,
+                                                        capsys):
+        """A posted collective leaves a ``post`` marker and an overlap
+        window span beside its charge; only the charge's payload moved."""
+        sim = Simulation(laplace2d(16), ranks=4, spans=True)
+        pipelined_gmres(sim, np.ones(sim.n), restart=10, tol=0.0,
+                        maxiter=10, options=SolverOptions(comm_overlap=True))
+        assert {"post", "comm_overlap"} <= {s.cat for s in sim.tracer.spans}
+        path = export_jsonl(tmp_path / "overlap.jsonl", sim.tracer)
+        assert main(["summarize", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["streams"]["modeled"]["collective_payload_bytes"] == sum(
+            sim.tracer.payload_bytes.values())
 
     def test_empty_trace_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -84,6 +106,21 @@ class TestMetrics:
         assert "# TYPE repro_kernel_seconds_total counter" in out
         assert 'repro_net_bytes_total{kind="halo"} 64.0' in out
 
+    def test_sim_export_needs_ranks(self, tmp_path, capsys):
+        """A ``backend="sim"`` export has no rank lanes: the rank count
+        cannot be read off it, so it must be given, not assumed 1."""
+        sim = Simulation(laplace2d(16), ranks=4, metrics=True)
+        sstep_gmres(sim, np.ones(sim.n), s=4, restart=8, tol=0.0,
+                    maxiter=8)
+        path = export_jsonl(tmp_path / "sim.jsonl", sim.tracer)
+        assert main(["metrics", str(path)]) == 2
+        assert "--ranks" in capsys.readouterr().err
+        assert main(["metrics", str(path), "--ranks", "4"]) == 0
+        got = json.loads(capsys.readouterr().out)["totals"]
+        live = sim.metrics_doc()["totals"]
+        assert got["flop_utilization"] == pytest.approx(
+            live["flop_utilization"], rel=1e-9)
+
     def test_missing_stream_fails(self, tmp_path, capsys):
         t = Tracer()  # modeled-only trace
         t.enable_spans()
@@ -91,6 +128,44 @@ class TestMetrics:
         path = export_chrome_trace(tmp_path / "m.json", t)
         assert main(["metrics", str(path), "--stream", "measured"]) == 1
         assert "no driver kernel spans" in capsys.readouterr().err
+
+
+def test_rank_inference_reads_the_highest_lane():
+    lane = SpanEvent("halo", 0.0, 1.0, rank=5)
+    driver = SpanEvent("halo", 0.0, 1.0)
+    assert infer_ranks([driver, lane]) == 6
+    assert infer_ranks([driver]) is None
+
+
+#: name -> (file content, what the error must name besides the file)
+MALFORMED = {
+    "jsonl-line-missing-t1": (
+        '{"name": "dot", "t0": 0.0, "t1": 1.0}\n'
+        '{"name": "dot", "t0": 1.0}\n', ":2:"),
+    "empty-document": ("{}\n", ":1:"),
+    "truncated-last-line": (
+        '{"name": "dot", "t0": 0.0, "t1": 1.0}\n{"name": "dot", "t0"',
+        ":2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_trace_is_a_typed_error(case, tmp_path, capsys):
+    text, where = MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"bad.jsonl{where}"):
+        load_spans(path)
+    assert main(["summarize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_malformed_chrome_event_names_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"traceEvents": [{"ph": "X", "name": "dot"}]}')
+    with pytest.raises(ConfigurationError, match="bad.json"):
+        load_spans(path)
 
 
 class TestCalibrate:

@@ -1,5 +1,5 @@
-"""MetricsRegistry: a view of the tracer's totals, derived gauges,
-duration histograms, Prometheus text."""
+"""MetricsSnapshot: a view of a tracer's totals and charge spans —
+derived gauges, duration histograms, Prometheus text."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
-from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DURATION_BUCKETS, MetricsSnapshot
 from repro.ortho.backend import DistBackend
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.communicator import SimComm
@@ -20,8 +20,14 @@ from repro.parallel.machine import generic_cpu
 from repro.parallel.tracing import Tracer
 
 
-def _registry(ranks=4):
-    return MetricsRegistry(generic_cpu(), ranks, Tracer())
+def _tracer() -> Tracer:
+    t = Tracer()
+    t.enable_spans()
+    return t
+
+
+def _snap(t: Tracer, ranks=4) -> MetricsSnapshot:
+    return MetricsSnapshot.of(t, t.spans, generic_cpu(), ranks)
 
 
 class TestRecord:
@@ -61,13 +67,12 @@ class TestRecord:
 
     def test_collectives_feed_net_bytes_not_flops(self):
         comm = SimComm(generic_cpu(), 4, Tracer())
-        reg = MetricsRegistry(comm.machine, 4, comm.tracer)
         with comm.tracer.phase("ortho"):
             comm.allreduce([np.ones((4, 8))])
         with comm.tracer.phase("spmv"):
             comm.charge_halo([{1: 256.0}, {0: 256.0}, {}, {}])
         comm.tracer.add("dot", 0.1, payload_bytes=999.0)  # not a collective
-        snap = reg.snapshot()
+        snap = _snap(comm.tracer)
         assert snap.net_bytes == {"allreduce": 64.0, "halo": 256.0,
                                   "bcast": 0.0}
         assert not comm.tracer.flops and not comm.tracer.mem_bytes
@@ -93,23 +98,21 @@ class TestRecord:
 
 class TestSnapshot:
     def test_rows_are_read_off_the_tracer(self):
-        reg = _registry()
-        t = reg.tracer
+        t = _tracer()
         with t.phase("ortho"):
             t.add("dot", 0.5, count=2, flops=100.0, mem_bytes=800.0,
                   driver_side=True)
             t.add("dot", 0.25, flops=50.0, mem_bytes=400.0)
-        row = reg.snapshot().kernels[("ortho", "dot")]
+        row = _snap(t).kernels[("ortho", "dot")]
         assert row["seconds"] == 0.75 and row["calls"] == 3
         assert row["flops"] == 150.0 and row["mem_bytes"] == 1200.0
         assert row["driver_seconds"] == 0.5
 
     def test_derived_gauges(self):
-        reg = _registry(ranks=4)
-        m = reg.machine
-        with reg.tracer.phase("ortho"):
-            reg.tracer.add("dot", 0.5, flops=1.0e9, mem_bytes=2.0e8)
-        row = reg.snapshot().kernels[("ortho", "dot")]
+        t, m = _tracer(), generic_cpu()
+        with t.phase("ortho"):
+            t.add("dot", 0.5, flops=1.0e9, mem_bytes=2.0e8)
+        row = _snap(t, ranks=4).kernels[("ortho", "dot")]
         assert math.isclose(row["arithmetic_intensity"], 5.0)
         assert math.isclose(row["flop_utilization"],
                             1.0e9 / (0.5 * 4 * m.peak_flops))
@@ -117,43 +120,42 @@ class TestSnapshot:
                             2.0e8 / (0.5 * 4 * m.mem_bandwidth))
 
     def test_totals_cover_all_kernels(self):
-        reg = _registry()
-        t = reg.tracer
+        t = _tracer()
         with t.phase("ortho"):
             t.add("dot", 0.5, flops=100.0, mem_bytes=50.0)
         with t.phase("spmv"):
             t.add("halo", 0.1, payload_bytes=64.0)
-        snap = reg.snapshot()
+        snap = _snap(t)
         assert snap.totals["seconds"] == 0.6
         assert snap.totals["flops"] == 100.0
         assert snap.totals["net_bytes"] == 64.0
         assert math.isclose(snap.totals["arithmetic_intensity"], 2.0)
 
     def test_zero_byte_kernel_has_no_intensity_gauge(self):
-        reg = _registry()
-        with reg.tracer.phase("ortho"):
-            reg.tracer.add("allreduce", 0.1, payload_bytes=8.0)
-        row = reg.snapshot().kernels[("ortho", "allreduce")]
+        t = _tracer()
+        with t.phase("ortho"):
+            t.add("allreduce", 0.1, payload_bytes=8.0)
+        row = _snap(t).kernels[("ortho", "allreduce")]
         assert "arithmetic_intensity" not in row
         assert "flop_utilization" in row  # seconds > 0
 
     def test_to_dict_flattens_keys_and_is_json_safe(self):
-        reg = _registry()
-        with reg.tracer.phase("ortho"):
-            reg.tracer.add("dot", 0.5, count=2, flops=10.0, mem_bytes=5.0,
-                           driver_side=True)
-        doc = reg.snapshot().to_dict()
+        t = _tracer()
+        with t.phase("ortho"):
+            t.add("dot", 0.5, count=2, flops=10.0, mem_bytes=5.0,
+                  driver_side=True)
+        doc = _snap(t).to_dict()
         json.dumps(doc)
-        assert doc["machine"] == reg.machine.name
+        assert doc["machine"] == generic_cpu().name
         assert doc["kernels"]["ortho/dot"]["calls"] == 2
         assert doc["kernels"]["ortho/dot"]["driver_seconds"] == 0.5
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
-        reg = _registry()
-        reg.tracer.add("dot", DURATION_BUCKETS[0] / 2)
-        reg.tracer.add("dot", DURATION_BUCKETS[3])
-        reg.tracer.add("dot", DURATION_BUCKETS[-1] * 10)
-        h = reg.snapshot().histograms["dot"]
+        t = _tracer()
+        t.add("dot", DURATION_BUCKETS[0] / 2)
+        t.add("dot", DURATION_BUCKETS[3])
+        t.add("dot", DURATION_BUCKETS[-1] * 10)
+        h = _snap(t).histograms["dot"]
         les = [le for le, _ in h["buckets"]]
         counts = [n for _, n in h["buckets"]]
         assert les[-1] == float("inf")
@@ -162,30 +164,38 @@ class TestSnapshot:
         assert h["count"] == 3
 
     def test_snapshot_is_repeatable(self):
-        reg = _registry()
-        reg.tracer.add("dot", 0.5)
-        assert reg.snapshot().to_dict() == reg.snapshot().to_dict()
+        t = _tracer()
+        t.add("dot", 0.5)
+        assert _snap(t).to_dict() == _snap(t).to_dict()
 
-    def test_histograms_are_the_registrys_own(self):
-        """Totals belong to the tracer (charged before the registry
-        existed, they still show); only the histogram starts at the hook."""
+    def test_histograms_are_a_view_of_the_charge_spans(self):
+        """Totals belong to the tracer (charged before spans recorded,
+        they still show); histograms count the charge spans given — not
+        phase envelopes, rank lanes or posted-collective markers."""
         t = Tracer()
         t.add("dot", 0.5)
-        reg = MetricsRegistry(generic_cpu(), 4, t)
-        t.add("dot", 0.25)
-        snap = reg.snapshot()
-        assert snap.kernels[("other", "dot")]["seconds"] == 0.75
-        assert snap.histograms["dot"]["count"] == 1
+        t.enable_spans()
+        with t.phase("ortho"):
+            t.add("dot", 0.25)
+        t.record_span("dot", 0.0, 1.0, rank=2)
+        t.record_span("dot", 1.0, 1.0, cat="post")
+        snap = _snap(t)
+        assert snap.kernels[("other", "dot")]["seconds"] == 0.5
+        assert snap.kernels[("ortho", "dot")]["seconds"] == 0.25
+        assert snap.histograms == {"dot": {
+            "buckets": snap.histograms["dot"]["buckets"],
+            "sum": 0.25, "count": 1}}
+        assert MetricsSnapshot.of(t, [], generic_cpu(), 4).histograms == {}
 
 
 class TestPrometheus:
     def _snap(self):
-        reg = _registry()
-        with reg.tracer.phase("ortho"):
-            reg.tracer.add("dot", 0.5, count=2, flops=1.0e6,
-                           mem_bytes=1.0e5, driver_side=True)
-            reg.tracer.add("allreduce", 0.1, payload_bytes=64.0)
-        return reg.snapshot()
+        t = _tracer()
+        with t.phase("ortho"):
+            t.add("dot", 0.5, count=2, flops=1.0e6, mem_bytes=1.0e5,
+                  driver_side=True)
+            t.add("allreduce", 0.1, payload_bytes=64.0)
+        return _snap(t)
 
     def test_exposition_format(self):
         text = self._snap().to_prometheus()
@@ -219,9 +229,23 @@ class TestSimulationIntegration:
 
     def test_disabled_by_default(self):
         sim, res = self._solve()
-        assert sim.metrics is None
+        assert sim.metrics is False
         assert res.metrics == {}
         assert sim.metrics_doc() == {}
+        assert not sim.tracer.spans_enabled
+
+    def test_spans_alone_leave_metrics_doc_empty(self):
+        sim, res = self._solve(spans=True)
+        assert sim.tracer.spans and res.metrics == sim.metrics_doc() == {}
+
+    def test_metrics_record_the_modeled_span_stream(self):
+        sim, res = self._solve(metrics=True)
+        spans = sim.tracer.spans
+        assert res.metrics == sim.metrics_doc() == MetricsSnapshot.of(
+            sim.tracer, spans, sim.machine, sim.ranks).to_dict()
+        charges = sum(s.is_charge for s in spans)
+        assert charges == sum(h["count"]
+                              for h in res.metrics["histograms"].values())
 
     def test_enabled_snapshot_rides_on_result(self):
         sim, res = self._solve(metrics=True)
@@ -229,19 +253,20 @@ class TestSimulationIntegration:
         assert res.metrics["ranks"] == 4
         assert res.metrics["totals"]["flops"] > 0.0
         assert res.metrics["net_bytes"]["allreduce"] > 0.0
-        # seconds in the registry match the tracer's accumulators
+        # seconds in the snapshot match the tracer's accumulators
         assert math.isclose(res.metrics["totals"]["seconds"],
                             sum(sim.tracer.by_phase.values()))
 
     def test_enable_metrics_is_idempotent(self):
         sim, _ = self._solve(metrics=True)
-        reg = sim.metrics
+        doc = sim.metrics_doc()
         sim.enable_metrics()
-        assert sim.metrics is reg
+        assert sim.metrics is True and sim.metrics_doc() == doc
 
     def test_prometheus_from_live_solve(self):
         sim, _ = self._solve(metrics=True)
-        text = sim.metrics.snapshot().to_prometheus()
+        text = MetricsSnapshot.of(sim.tracer, sim.tracer.spans, sim.machine,
+                                  sim.ranks).to_prometheus()
         assert "repro_kernel_flops_total" in text
         assert 'kind="halo"' in text
 
