@@ -17,7 +17,7 @@ import numpy as np
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import CholeskyBreakdownError, ConfigurationError, NumericalError
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.sweep import PAPER_CONFIGS, strong_scaling, sweep
 from repro.krylov.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from repro.krylov.mpk import MatrixPowersKernel, PreconditionedOperator
 from repro.krylov.simulation import Simulation
@@ -56,12 +56,13 @@ def run_sync_vs_reuse(nodes: int = 32, nx: int = 2000, m: int = 60,
         f"({nodes} nodes)",
         headers=["machine", "pip2 ortho/cycle", "two-stage ortho/cycle",
                  "speedup"])
-    for label, machine in [("summit (full latency)", mach),
-                           ("zero-latency variant", zero_lat)]:
-        est = CycleCostEstimator(machine, nodes * mach.ranks_per_node,
-                                 ProblemShape.stencil2d(nx, 9), m=m, s=s)
-        pip2 = est.phase_seconds(est.sstep_cycle("pip2"))["ortho"]
-        two = est.phase_seconds(est.sstep_cycle("two_stage", bs=m))["ortho"]
+    machines = {"summit (full latency)": mach,
+                "zero-latency variant": zero_lat}
+    grid = [point._replace(key=label) for label, machine in machines.items()
+            for point in strong_scaling([nodes], PAPER_CONFIGS[2:], nx, m,
+                                        s, machine)]
+    for label, ph in sweep(grid).pivot().items():
+        pip2, two = ph["pip2"]["ortho"], ph["two_stage"]["ortho"]
         table.add_row(label, fmt(pip2), fmt(two), f"{pip2 / two:.2f}x")
     table.add_note("residual speedup on the zero-latency machine = pure "
                    "data-reuse (wider GEMM) effect; the rest is avoided "
@@ -77,19 +78,14 @@ def run_bs_grid(node_counts: list | None = None, nx: int = 2000,
                 m: int = 60, s: int = 5) -> ExperimentTable:
     node_counts = node_counts or [1, 4, 16, 32]
     bs_values = [b for b in (5, 10, 15, 20, 30, 40, 50, 60) if b % s == 0]
-    mach = resolve_machine("summit")
     table = ExperimentTable(
         "ablation-A2", "Ortho seconds/cycle over the (bs, nodes) grid",
         headers=["bs"] + [f"{n} nodes" for n in node_counts])
-    rows = {bs: [bs] for bs in bs_values}
-    for nodes in node_counts:
-        est = CycleCostEstimator(mach, nodes * mach.ranks_per_node,
-                                 ProblemShape.stencil2d(nx, 9), m=m, s=s)
-        for bs in bs_values:
-            t = est.phase_seconds(est.sstep_cycle("two_stage", bs=bs))
-            rows[bs].append(fmt(t["ortho"]))
+    configs = tuple((str(bs), "two_stage", bs) for bs in bs_values)
+    ortho = sweep(strong_scaling(node_counts, configs, nx, m, s)).pivot()
     for bs in bs_values:
-        table.add_row(*rows[bs])
+        table.add_row(bs, *(fmt(ortho[n][str(bs)]["ortho"])
+                            for n in node_counts))
     table.add_note("paper Table II: monotone improvement with bs, "
                    "best at bs = m")
     return table

@@ -22,6 +22,9 @@ Every ``(phase, kernel)`` row equals the tracer diff of one live solver
 cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
 (the ``nl + halo_cols`` operand shape) under the ceiling named in
 ``tests/experiments/test_estimator.py``.
+
+Inside ``experiments/`` the one caller is :func:`repro.experiments.sweep.sweep`,
+which prices every artifact's grid into one frame of rows.
 """
 
 from __future__ import annotations
@@ -214,6 +217,8 @@ class CycleCostEstimator:
                  precond: PrecondShape | None = None) -> None:
         if m < s:
             raise ConfigurationError(f"restart {m} must be >= step {s}")
+        if ranks < 1:
+            raise ConfigurationError(f"ranks must be >= 1, got {ranks}")
         self.machine = machine
         self.ranks = int(ranks)
         self.shape = shape
@@ -392,7 +397,3 @@ class CycleCostEstimator:
         out.setdefault("ortho", 0.0)
         out.setdefault("other", 0.0)
         return out
-
-    def per_iteration(self, tracer: Tracer) -> dict:
-        """Phase seconds divided by the m iterations of the cycle."""
-        return {k: v / self.m for k, v in self.phase_seconds(tracer).items()}

@@ -15,43 +15,48 @@ time through the bs-wide second stage.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentTable, fmt, resolve_machine
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.exceptions import ConfigurationError
+from repro.experiments.common import ExperimentTable, fmt
 from repro.experiments.paper_data import TABLE3_ITERS
+from repro.experiments.sweep import Frame, strong_scaling, sweep
 
 SCHEMES = {"fig10": "bcgs2", "fig11": "pip2", "fig12": "two_stage"}
 
 
-def ortho_breakdown(scheme: str, nodes: int, nx: int = 2000, m: int = 60,
-                    s: int = 5, machine: str = "summit") -> dict:
-    """Ortho-phase kernel seconds for one cycle, scaled to paper iters."""
-    mach = resolve_machine(machine)
-    est = CycleCostEstimator(mach, nodes * mach.ranks_per_node,
-                             ProblemShape.stencil2d(nx, 9), m=m, s=s)
-    tr = est.cycle(scheme)
-    cycles = TABLE3_ITERS[scheme] / m
-    kernels = {k[1]: v * cycles for k, v in tr.by_kernel.items()
-               if k[0] == "ortho"}
-    dot = kernels.get("dot", 0.0) + kernels.get("allreduce", 0.0)
-    update = kernels.get("update", 0.0) + kernels.get("trsm", 0.0)
-    other = sum(v for k, v in kernels.items()
-                if k not in ("dot", "allreduce", "update", "trsm"))
-    total = dot + update + other
-    return {"dot": dot, "update": update, "other": other, "total": total,
-            "reduce_only": kernels.get("allreduce", 0.0) * 1.0}
+def breakdowns(frame: Frame, m: int = 60) -> dict:
+    """``{nodes: {scheme: {dot, update, other, total, reduce_only}}}``:
+    the frame's ortho-phase kernel seconds, scaled to the paper's
+    iterations and grouped as the paper plots them."""
+    out: dict = {}
+    for nodes, per_scheme in frame.pivot("ortho").items():
+        for scheme, per_cycle in per_scheme.items():
+            k = {name: v * (TABLE3_ITERS[scheme] / m)
+                 for name, v in per_cycle.items()}
+            b = {"dot": k.get("dot", 0.0) + k.get("allreduce", 0.0),
+                 "update": k.get("update", 0.0) + k.get("trsm", 0.0),
+                 "other": sum(v for name, v in k.items() if name not in
+                              ("dot", "allreduce", "update", "trsm")),
+                 "reduce_only": k.get("allreduce", 0.0)}
+            b["total"] = b["dot"] + b["update"] + b["other"]
+            out.setdefault(nodes, {})[scheme] = b
+    return out
 
 
 def run(figure: str = "fig10", node_counts: list | None = None,
         nx: int = 2000, m: int = 60, s: int = 5) -> ExperimentTable:
+    if figure not in SCHEMES:
+        raise ConfigurationError(
+            f"unknown figure {figure!r}; figures: {', '.join(SCHEMES)}")
     scheme = SCHEMES[figure]
-    node_counts = node_counts or [1, 2, 4, 8, 16, 32]
+    frame = sweep(strong_scaling(node_counts, ((scheme, scheme, None),),
+                                 nx, m, s))
     table = ExperimentTable(
         figure,
         f"Ortho time breakdown [{scheme}] for 2D Laplace n={nx}^2",
         headers=["nodes", "dot s", "update s", "other s", "total s",
                  "dot %", "update %", "reduce-only s"])
-    for nodes in node_counts:
-        b = ortho_breakdown(scheme, nodes, nx=nx, m=m, s=s)
+    for nodes, per_scheme in breakdowns(frame, m).items():
+        b = per_scheme[scheme]
         table.add_row(nodes, fmt(b["dot"]), fmt(b["update"]),
                       fmt(b["other"]), fmt(b["total"]),
                       f"{100 * b['dot'] / b['total']:.0f}%",

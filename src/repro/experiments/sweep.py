@@ -1,0 +1,96 @@
+"""One priced sweep, many views (``docs/experiments.md``).
+
+Tables II-IV, Figs. 10-13 and ablations A1/A2 are per-cycle phase and
+kernel seconds of solver configurations at a grid of ``(machine, ranks,
+shape)`` points.  :func:`sweep` is the one loop in ``experiments/`` that
+builds a :class:`CycleCostEstimator` and prices a cycle; each artifact is
+``grid -> sweep -> view -> format`` over the :class:`Frame` it returns.
+"""
+
+from __future__ import annotations
+
+import numbers
+from collections import Counter, namedtuple
+from typing import Iterable, Mapping
+
+from repro.exceptions import ConfigurationError
+from repro.experiments.common import resolve_machine
+from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
+
+#: ``(label, config, bs)`` of the paper's four configurations; two-stage
+#: runs at ``bs = m``
+PAPER_CONFIGS = tuple((config, config, None) for config in CONFIGS)
+
+
+#: one estimator, named ``key`` in the frame (a node count, matrix name
+#: or row label), and the ``(label, config, bs)`` triples it prices
+Point = namedtuple("Point", "key machine ranks shape precond m s configs")
+
+#: per-cycle tracer seconds and count of one ``(phase, kernel)``;
+#: ``kernel=None`` is the phase's own total (``"total"``: the clock)
+Row = namedtuple("Row", "key label phase kernel seconds count")
+
+
+class Frame(list):
+    """The rows of one :func:`sweep`, in grid, config and tracer order."""
+
+    def pivot(self, phase: str | None = None) -> dict:
+        """``{key: {label: {name: seconds}}}`` of the phase rows, or with
+        ``phase`` given, of that phase's kernel rows."""
+        out: dict = {}
+        for r in self:
+            if phase in (None, r.phase) and (r.kernel is None) == (phase is None):
+                out.setdefault(r.key, {}).setdefault(r.label, {})[
+                    r.kernel or r.phase] = r.seconds
+        return out
+
+    def per_run(self, iters: Mapping, m: int) -> dict:
+        """SpMV (+ preconditioner), Ortho and Total seconds of a whole run
+        of ``iters[label] / m`` cycles (Tables II, III)."""
+        return {key: {label: {"spmv": iters[label] / m * (ph["spmv"] + ph["precond"]),
+                              "ortho": iters[label] / m * ph["ortho"],
+                              "total": iters[label] / m * ph["total"]}
+                      for label, ph in per_label.items()}
+                for key, per_label in self.pivot().items()}
+
+    def per_iteration(self, m: int) -> dict:
+        """The same columns per iteration (Table IV, Fig. 13)."""
+        return {key: {label: {"spmv": ph["spmv"] / m + ph["precond"] / m,
+                              "ortho": ph["ortho"] / m,
+                              "total": ph["total"] / m}
+                      for label, ph in per_label.items()}
+                for key, per_label in self.pivot().items()}
+
+
+def sweep(points: Iterable[Point]) -> Frame:
+    """Price one restart cycle of every config at every point."""
+    frame = Frame()
+    for p in points:
+        est = CycleCostEstimator(p.machine, p.ranks, p.shape, m=p.m, s=p.s,
+                                 precond=p.precond)
+        for label, config, bs in p.configs:
+            tracer = est.cycle(config, bs)
+            counts = Counter()
+            for row, seconds in tracer.by_kernel.items():
+                counts[row[0]] += tracer.counts[row]
+                counts["total"] += tracer.counts[row]
+                frame.append(Row(p.key, label, *row, seconds, tracer.counts[row]))
+            frame.extend(Row(p.key, label, phase, None, seconds, counts[phase])
+                         for phase, seconds in est.phase_seconds(tracer).items())
+    return frame
+
+
+def strong_scaling(node_counts: Iterable | None, configs: tuple,
+                   nx: int = 2000, m: int = 60, s: int = 5,
+                   machine="summit", precond=None) -> list[Point]:
+    """Table III's grid, keyed by node count (1 .. 32 by default):
+    9-point 2D Laplace ``n = nx^2``, ``ranks_per_node`` ranks per node."""
+    node_counts = list(node_counts or (1, 2, 4, 8, 16, 32))
+    bad = [n for n in node_counts if not isinstance(n, numbers.Integral) or n < 1]
+    if bad or len(set(node_counts)) < len(node_counts):
+        raise ConfigurationError(f"node counts must be distinct integers "
+                                 f">= 1, got {bad or node_counts}")
+    mach = resolve_machine(machine)
+    shape = ProblemShape.stencil2d(nx, 9)
+    return [Point(nodes, mach, nodes * mach.ranks_per_node, shape, precond,
+                  m, s, configs) for nodes in node_counts]

@@ -13,8 +13,9 @@ confirm their bs-quantization structure.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.estimator import ProblemShape
 from repro.experiments.paper_data import TABLE2
+from repro.experiments.sweep import Point, sweep
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.krylov.gmres import gmres
@@ -25,17 +26,6 @@ from repro.ortho.two_stage import TwoStageScheme
 #: ``(row label, estimator config, bs)`` of the sweep, in paper order
 SWEEP = (("gmres", "gmres", None), ("bcgs2", "bcgs2", None),
          *((f"two_stage_bs{bs}", "two_stage", bs) for bs in (5, 20, 40, 60)))
-CONFIGS = [label for label, _, _ in SWEEP]
-
-
-def modeled_times(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
-                  machine: str = "vortex") -> dict:
-    """Per-config phase seconds per cycle at paper scale."""
-    mach = resolve_machine(machine)
-    est = CycleCostEstimator(mach, ranks, ProblemShape.stencil2d(nx, 5),
-                             m=m, s=s)
-    return {label: est.phase_seconds(est.cycle(config, bs))
-            for label, config, bs in SWEEP}
 
 
 def measured_iterations(nx: int = 120, ranks: int = 4, m: int = 60,
@@ -60,7 +50,9 @@ def measured_iterations(nx: int = 120, ranks: int = 4, m: int = 60,
 
 def run(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
         measure_nx: int | None = None) -> ExperimentTable:
-    per_cycle = modeled_times(nx=nx, ranks=ranks, m=m, s=s)
+    ours = sweep([Point(ranks, resolve_machine("vortex"), ranks,
+                        ProblemShape.stencil2d(nx, 5), None, m, s, SWEEP)]
+                 ).per_run({k: TABLE2[k]["iters"] for k in TABLE2}, m)[ranks]
     measured = (measured_iterations(nx=measure_nx, m=m, s=s)
                 if measure_nx else None)
     table = ExperimentTable(
@@ -69,14 +61,10 @@ def run(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
         headers=["config", "iters(paper)", "SpMV s", "Ortho s", "Total s",
                  "paper SpMV", "paper Ortho", "paper Total"]
                 + (["iters(measured@%d^2)" % measure_nx] if measured else []))
-    for key in CONFIGS:
+    for key, t in ours.items():
         paper = TABLE2[key]
-        cycles = paper["iters"] / m
-        ph = per_cycle[key]
         row = [key, paper["iters"],
-               fmt(cycles * (ph["spmv"] + ph["precond"])),
-               fmt(cycles * ph["ortho"]),
-               fmt(cycles * ph["total"]),
+               fmt(t["spmv"]), fmt(t["ortho"]), fmt(t["total"]),
                paper["spmv"], paper["ortho"], paper["total"]]
         if measured:
             row.append(measured[key])

@@ -16,44 +16,31 @@ two-stage over GMRES grows from ~1.7x (1 node) to ~2.5x (32 nodes).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
-from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
+from repro.experiments.common import ExperimentTable, fmt, speedup
 from repro.experiments.paper_data import TABLE3, TABLE3_ITERS
+from repro.experiments.sweep import PAPER_CONFIGS, strong_scaling, sweep
 
 
 def modeled_config_times(nodes: int, nx: int = 2000, m: int = 60,
                          s: int = 5, machine: str = "summit") -> dict:
-    mach = resolve_machine(machine)
-    ranks = nodes * mach.ranks_per_node
-    est = CycleCostEstimator(mach, ranks, ProblemShape.stencil2d(nx, 9),
-                             m=m, s=s)
-    out = {}
-    for key in CONFIGS:
-        cycles = TABLE3_ITERS[key] / m
-        ph = est.phase_seconds(est.cycle(key))
-        out[key] = {
-            "spmv": cycles * (ph["spmv"] + ph["precond"]),
-            "ortho": cycles * ph["ortho"],
-            "total": cycles * ph["total"],
-        }
-    return out
+    return sweep(strong_scaling([nodes], PAPER_CONFIGS, nx, m, s, machine)
+                 ).per_run(TABLE3_ITERS, m)[nodes]
 
 
 def run(node_counts: list | None = None, nx: int = 2000, m: int = 60,
         s: int = 5) -> ExperimentTable:
-    node_counts = node_counts or [1, 2, 4, 8, 16, 32]
+    ours = sweep(strong_scaling(node_counts, PAPER_CONFIGS, nx, m, s)
+                 ).per_run(TABLE3_ITERS, m)
     table = ExperimentTable(
         "table3",
         f"Strong scaling, 9-pt 2D Laplace n={nx}^2, 6 ranks/node (Summit)",
         headers=["nodes", "config", "iters(paper)", "SpMV s", "Ortho s",
                  "Total s", "ortho speedup", "total speedup",
                  "paper ortho", "paper total", "paper ortho-spdp"])
-    for nodes in node_counts:
-        ours = modeled_config_times(nodes, nx=nx, m=m, s=s)
-        base = ours["gmres"]
+    for nodes, per_config in ours.items():
+        base = per_config["gmres"]
         paper_rows = TABLE3.get(nodes, {})
-        for key in CONFIGS:
-            t = ours[key]
+        for key, t in per_config.items():
             paper = paper_rows.get(key)
             paper_base = paper_rows.get("gmres")
             table.add_row(

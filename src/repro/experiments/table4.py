@@ -14,9 +14,11 @@ surrogate convergence run exercises the same numerics.
 
 from __future__ import annotations
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
-from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
+from repro.experiments.estimator import ProblemShape
 from repro.experiments.paper_data import TABLE4, TABLE4_SHAPES
+from repro.experiments.sweep import PAPER_CONFIGS, Point, sweep
 
 
 def problem_shape(name: str, ranks: int) -> ProblemShape:
@@ -29,23 +31,27 @@ def problem_shape(name: str, ranks: int) -> ProblemShape:
     return ProblemShape.irregular(paper_n, nnz_per_row, ranks)
 
 
-def per_iteration_times(name: str, nodes: int = 16, m: int = 60,
-                        s: int = 5, machine: str = "summit") -> dict:
+def grid(matrices: list | None = None, nodes: int = 16, m: int = 60,
+         s: int = 5, machine: str = "summit") -> list[Point]:
+    """Table IV's grid, keyed by matrix name (all of them by default)."""
+    matrices = list(matrices or TABLE4_SHAPES)
+    if set(matrices) - set(TABLE4_SHAPES) or len(set(matrices)) < len(matrices):
+        raise ConfigurationError(f"Table IV matrices must be distinct names "
+                                 f"from {', '.join(TABLE4_SHAPES)}; got {matrices}")
     mach = resolve_machine(machine)
     ranks = nodes * mach.ranks_per_node
-    shape = problem_shape(name, ranks)
-    est = CycleCostEstimator(mach, ranks, shape, m=m, s=s)
-    out = {}
-    for key in CONFIGS:
-        ph = est.per_iteration(est.cycle(key))
-        out[key] = {"spmv": ph["spmv"] + ph["precond"],
-                    "ortho": ph["ortho"], "total": ph["total"]}
-    return out
+    return [Point(name, mach, ranks, problem_shape(name, ranks), None, m, s,
+                  PAPER_CONFIGS) for name in matrices]
+
+
+def per_iteration_times(name: str, nodes: int = 16, m: int = 60,
+                        s: int = 5, machine: str = "summit") -> dict:
+    return sweep(grid([name], nodes, m, s, machine)).per_iteration(m)[name]
 
 
 def run(nodes: int = 16, m: int = 60, s: int = 5,
         matrices: list | None = None) -> ExperimentTable:
-    matrices = matrices or list(TABLE4_SHAPES)
+    ours = sweep(grid(matrices, nodes, m, s)).per_iteration(m)
     table = ExperimentTable(
         "table4",
         f"Time per iteration (ms) on {nodes} Summit nodes "
@@ -53,11 +59,9 @@ def run(nodes: int = 16, m: int = 60, s: int = 5,
         headers=["matrix", "config", "SpMV ms", "Ortho ms", "Total ms",
                  "ortho spdp", "total spdp", "paper ortho ms",
                  "paper total ms", "paper iters"])
-    for name in matrices:
-        ours = per_iteration_times(name, nodes=nodes, m=m, s=s)
-        base = ours["gmres"]
-        for key in CONFIGS:
-            t = ours[key]
+    for name, per_config in ours.items():
+        base = per_config["gmres"]
+        for key, t in per_config.items():
             paper = TABLE4[name][key]
             table.add_row(
                 name, key,

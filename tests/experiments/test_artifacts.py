@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -9,6 +11,9 @@ from repro.experiments import fig6, fig7, fig8, fig9, fig10_12, fig13
 from repro.experiments import sketch_stability
 from repro.experiments import table2, table3, table4, ablations
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
+from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.paper_data import TABLE3, TABLE3_ITERS
+from repro.experiments.sweep import PAPER_CONFIGS, strong_scaling, sweep
 
 
 class TestCommon:
@@ -98,7 +103,7 @@ class TestSketchStability:
 class TestPerformanceTables:
     def test_table2_structure(self):
         t = table2.run()
-        assert [r[0] for r in t.rows] == table2.CONFIGS
+        assert [r[0] for r in t.rows] == [label for label, _, _ in table2.SWEEP]
         ortho = [float(r[3]) for r in t.rows]
         assert ortho == sorted(ortho, reverse=True)
 
@@ -160,3 +165,129 @@ class TestRunner:
         from repro.experiments.runner import main
         assert main(["table3", "--nodes", "1"]) == 0
         assert "Strong scaling" in capsys.readouterr().out
+
+
+#: sha256 of ``render()`` of every estimator-backed artifact, recorded
+#: before its pricing loop became a view of one sweep; a view may change
+#: how it reaches a number, never the printed text
+RENDER_DIGESTS = {
+    "table2": (
+        lambda: table2.run(),
+        "3ff3a62b457683c4d1e759d2fec9e80983bbf3f618b376ca0817b1bc2de2cc6e"),
+    "table2 quick": (
+        lambda: table2.run(**table2.QUICK),
+        "245826d3c39e6285e401264961e8d067945b382f492a2c51c7b4cd0866283b33"),
+    "table3": (
+        lambda: table3.run(),
+        "9077471fab11961d0f1ac75769388e7aa441ed6ec626547b1cc1db2ef1d2fe9e"),
+    "table3 nodes 1 4": (
+        lambda: table3.run(node_counts=[1, 4]),
+        "4448f8c464b83809592fb41082db83bf42df17d3df82fc1f687a54b2c0b1508d"),
+    "fig10": (
+        lambda: fig10_12.run("fig10"),
+        "ca3b269b5bd37c245702db24570efe1bc3c07eb06c5e01f3766d9aa9ba2996a6"),
+    "fig11": (
+        lambda: fig10_12.run("fig11"),
+        "e591d69ffeefc2dd96a4eb51088224348afaef09ae4e8cbb36a4bb5a7d8d4e37"),
+    "fig12": (
+        lambda: fig10_12.run("fig12"),
+        "4e0c0065c3d95b883d52a4e1803645f3d31a8ef9d1c21208dc6315186f2fa653"),
+    "table4": (
+        lambda: table4.run(),
+        "bfa409bda44445549d90a00cab03bcdfce29aef7bec34cc42a25c8b1f8c8c507"),
+    "fig13": (
+        lambda: fig13.run(),
+        "1a0df5c9aea565cce89ae325700a0fe3457635d73d5e5d10bf80862b0da02631"),
+    "ablation A1": (
+        lambda: ablations.run_sync_vs_reuse(),
+        "34eb2a68975205c11058dd8a3e2065b4684e9f5bf33707ead866bd0a7194e71a"),
+    "ablation A1 quick": (
+        lambda: ablations.RUNS["A1"](**ablations.QUICK.get("A1", {})),
+        "34eb2a68975205c11058dd8a3e2065b4684e9f5bf33707ead866bd0a7194e71a"),
+    "ablation A1 4 nodes": (
+        lambda: ablations.run_sync_vs_reuse(nodes=4),
+        "6250056019b1363fa083dfa08fb5a1cb6b5a2d21f0073caaf2a755a54419a529"),
+    "ablation A2": (
+        lambda: ablations.run_bs_grid(),
+        "111166295172bfad52cfb14f978ab34b9f8971226969e12c0ba8ed5fada0f307"),
+    "ablation A2 quick": (
+        lambda: ablations.RUNS["A2"](**ablations.QUICK.get("A2", {})),
+        "111166295172bfad52cfb14f978ab34b9f8971226969e12c0ba8ed5fada0f307"),
+    "ablation A2 claims grid": (
+        lambda: ablations.run_bs_grid(node_counts=[1, 4, 16, 32]),
+        "111166295172bfad52cfb14f978ab34b9f8971226969e12c0ba8ed5fada0f307"),
+}
+
+
+@pytest.mark.parametrize("name", RENDER_DIGESTS)
+def test_printed_text_is_pinned(name):
+    run, digest = RENDER_DIGESTS[name]
+    assert hashlib.sha256(run().render().encode()).hexdigest() == digest
+
+
+class TestGridErrors:
+    """A bad grid input is a ConfigurationError naming it and the valid
+    set, raised before any cycle is priced."""
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        calls = []
+        for name in ("sstep_cycle", "standard_gmres_cycle"):
+            monkeypatch.setattr(CycleCostEstimator, name,
+                                lambda *a, **kw: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("run, named", [
+        (lambda: table4.run(matrices=["ecology2", "nope"]), ["nope", "ML_Geer"]),
+        (lambda: fig10_12.run("fig14"), ["fig14", "fig10"]),
+        (lambda: table3.run(node_counts=[1, 0]), ["0", ">= 1"]),
+        (lambda: fig13.run(node_counts=[2, -1]), ["-1", ">= 1"]),
+    ], ids=["table4 matrix", "fig10_12 figure", "table3 nodes",
+            "fig13 nodes"])
+    def test_bad_input(self, priced, run, named):
+        with pytest.raises(ConfigurationError) as err:
+            run()
+        assert all(word in str(err.value) for word in named)
+        assert priced == []
+
+    def test_estimator_rejects_no_ranks(self):
+        with pytest.raises(ConfigurationError, match="ranks"):
+            CycleCostEstimator(resolve_machine("summit"), 0,
+                               ProblemShape.stencil2d(100), m=10, s=5)
+
+
+class TestOneFrame:
+    """Artifacts are views of one frame, so they agree with each other."""
+
+    def test_fig10_12_total_is_table3_ortho(self):
+        table = sweep(strong_scaling(TABLE3, PAPER_CONFIGS)).per_run(
+            TABLE3_ITERS, 60)
+        schemes = tuple((s, s, None) for s in fig10_12.SCHEMES.values())
+        frame = sweep(strong_scaling(TABLE3, schemes))
+        for nodes, per_scheme in fig10_12.breakdowns(frame).items():
+            for scheme, b in per_scheme.items():
+                assert b["total"] == pytest.approx(
+                    table[nodes][scheme]["ortho"], rel=1e-12, abs=0), scheme
+        assert len(frame.pivot("ortho")) == len(TABLE3)
+
+    @pytest.mark.parametrize("grid", [
+        lambda: strong_scaling([1, 32], PAPER_CONFIGS),
+        lambda: fig13.grid([4]),
+        lambda: table4.grid(["ecology2", "Laplace3D"]),
+    ], ids=["table3", "fig13", "table4"])
+    def test_kernel_rows_sum_to_their_phase_row(self, grid):
+        frame = sweep(grid())
+        sums, phases = {}, {}
+        for r in frame:
+            if r.kernel is None:
+                phases[(r.key, r.label, r.phase)] = r
+            else:
+                for phase in (r.phase, "total"):
+                    key = (r.key, r.label, phase)
+                    seconds, count = sums.get(key, (0.0, 0))
+                    sums[key] = (seconds + r.seconds, count + r.count)
+        assert set(sums) <= set(phases)
+        for key, row in phases.items():
+            seconds, count = sums.get(key, (0.0, 0))
+            assert seconds == pytest.approx(row.seconds, rel=1e-12, abs=0), key
+            assert count == row.count, key

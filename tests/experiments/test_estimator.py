@@ -18,6 +18,7 @@ from repro.experiments.estimator import (
     PrecondShape,
     ProblemShape,
 )
+from repro.experiments.sweep import PAPER_CONFIGS
 from repro.krylov.gmres import gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -200,12 +201,17 @@ class TestOneConfigDoor:
                 == est.sstep_cycle("two_stage", bs=10).clock)
 
     def test_configs_is_defined_once(self):
-        assert all(mod.CONFIGS is CONFIGS for mod in (table3, table4, fig13))
-        assert table2.CONFIGS[:2] == list(CONFIGS[:2])
+        """The estimator's ``CONFIGS`` is the one list; the sweep's paper
+        grid and Table II's rows are spelled from it."""
+        assert [label for label, _, _ in PAPER_CONFIGS] == list(CONFIGS)
+        assert all(config in CONFIGS for _, config, _ in table2.SWEEP)
+        assert not any(hasattr(mod, "CONFIGS")
+                       for mod in (table2, table3, table4, fig13, fig10_12))
 
     def test_each_table_prices_only_what_it_prints(self, monkeypatch):
-        """24 + 28 + 24 + 18: Fig. 10-12 price one scheme per node count,
-        not four (the benchmark's ``experiments.estimator.cycles``)."""
+        """24 + 28 + 24 + 18 (+ 6 for Table II): Fig. 10-12 price one
+        scheme per node count, not four (the benchmark's
+        ``experiments.estimator.cycles``)."""
         calls = []
         for name in ("sstep_cycle", "standard_gmres_cycle"):
             inner = getattr(CycleCostEstimator, name)
@@ -215,7 +221,8 @@ class TestOneConfigDoor:
                 return _inner(self, *args, **kw)
             monkeypatch.setattr(CycleCostEstimator, name, counted)
         for run, cycles in ((table3.run, 24), (table4.run, 28),
-                            (fig13.run, 24), (fig10_12.run_all, 18)):
+                            (fig13.run, 24), (fig10_12.run_all, 18),
+                            (table2.run, 6)):
             calls.clear()
             run()
             assert len(calls) == cycles, run.__module__
