@@ -7,7 +7,8 @@ typically the *modeled* seconds charged by the cost model, so modeled vs.
 wall time can be tracked together), and enough environment metadata to
 interpret it.  ``benchmarks/conftest.py`` emits one artifact per
 benchmark module at session end (the experiments that write a
-``BENCH_*.json`` build theirs directly); ``scripts/compare_bench.py``
+``BENCH_*.json`` build theirs with :meth:`BenchArtifact.fresh`);
+``scripts/compare_bench.py``
 gates CI on the ratio of two records of one artifact
 (:meth:`BenchArtifact.speedup`).  Artifacts of different runs are never
 compared: host time across commits is ``perf/run.py``'s measurement.
@@ -55,6 +56,14 @@ class BenchArtifact:
     environment: dict
     benchmarks: list[BenchRecord]
     schema: str = SCHEMA
+
+    @classmethod
+    def fresh(cls, name: str, records: list[BenchRecord]) -> BenchArtifact:
+        """A new artifact of ``records``, stamped now with this
+        environment (:func:`collect_environment`)."""
+        return cls(name,
+                   datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                   collect_environment(), records)
 
     # ------------------------------------------------------------------
     def record(self, name: str) -> BenchRecord:
@@ -141,9 +150,4 @@ def from_pytest_benchmarks(name: str, benchmarks) -> BenchArtifact:
             iterations=int(getattr(bench, "iterations", 1) or 1),
             extra=dict(bench.extra_info or {}),
         ))
-    return BenchArtifact(
-        name=name,
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=collect_environment(),
-        benchmarks=records,
-    )
+    return BenchArtifact.fresh(name, records)

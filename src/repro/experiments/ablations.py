@@ -253,21 +253,3 @@ RUNS = {"A1": run_sync_vs_reuse, "A2": run_bs_grid,
 
 QUICK = {"A3": {"nx": 20}, "A4": {"n": 5000}, "A5": {"n": 20_000},
          "A6": {"nx": 24}}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("which", nargs="?", default="all",
-                   choices=["A1", "A2", "A3", "A4", "A5", "A6", "all"])
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    which = list(RUNS) if args.which == "all" else [args.which]
-    for key in which:
-        sizes = QUICK.get(key, {}) if args.quick else {}
-        print(RUNS[key](**sizes).render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

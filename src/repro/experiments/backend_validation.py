@@ -23,7 +23,7 @@ two timelines side by side.  Three properties are checked/reported:
 
 Emits ``BENCH_measured.json`` (standard
 :class:`~repro.bench.artifacts.BenchArtifact` schema): one record per
-scheme, wall-clock stats over ``--repeats`` mp runs, with the modeled
+scheme, wall-clock stats over ``repeats`` mp runs, with the modeled
 totals and both phase breakdowns attached as extras.  The smoke-size
 variant is asserted in ``tests/experiments/test_backend_validation.py``.
 """
@@ -32,16 +32,9 @@ from __future__ import annotations
 
 import json
 
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
 
-from repro.bench.artifacts import (
-    BenchArtifact,
-    BenchRecord,
-    collect_environment,
-)
+from repro.bench.artifacts import BenchArtifact, BenchRecord
 from repro.experiments.common import ExperimentTable, fmt
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
@@ -161,19 +154,18 @@ def run_scheme(scheme_name: str, *, nx: int, ranks: int, s: int,
 
 def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
         tol: float = 1.0e-8, maxiter: int = 4000, repeats: int = 3,
-        schemes=SCHEMES, trace_dir=None,
-        drift_bound: float | None = DEFAULT_DRIFT_BOUND
-        ) -> tuple[ExperimentTable, BenchArtifact]:
-    """Validate every scheme; returns (table, BENCH_measured artifact).
+        schemes=SCHEMES,
+        drift_bound: float | None = DEFAULT_DRIFT_BOUND) -> ExperimentTable:
+    """Validate every scheme; the table carries ``BENCH_measured.json``
+    and, per scheme, a Chrome trace-event file ``trace_<scheme>.json``
+    (modeled + measured tracks, per-rank lanes).
 
     Every record's extras carry the full modeled/measured tracer totals
     (:meth:`TraceTotals.to_dict`) and a ``drift`` section from
     :func:`repro.obs.drift.drift_report`; when ``drift_bound`` is set
     (default :data:`~repro.obs.drift.DEFAULT_DRIFT_BOUND`) the worst
     per-phase share drift is asserted below it — the nightly model-vs-
-    measurement gate.  With ``trace_dir``, a Chrome trace-event file
-    ``trace_<scheme>.json`` (modeled + measured tracks, per-rank lanes)
-    is written per scheme.
+    measurement gate.
     """
     table = ExperimentTable(
         "backend_validation",
@@ -202,10 +194,7 @@ def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
                 f"{name}: predicted-vs-measured share drift "
                 f"{drift.max_share_drift:.3f} exceeds the configured "
                 f"bound {drift_bound} —\n{drift.summary()}")
-        if trace_dir is not None:
-            trace_path = Path(trace_dir) / f"trace_{name}.json"
-            trace_path.parent.mkdir(parents=True, exist_ok=True)
-            trace_path.write_text(json.dumps(out["trace_doc"]) + "\n")
+        table.files[f"trace_{name}.json"] = json.dumps(out["trace_doc"]) + "\n"
         records.append(BenchRecord(
             name=f"backend_validation[{name}]",
             group="backend_validation",
@@ -241,39 +230,9 @@ def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
                    "the measured timeline)"
                    + (f"; worst drift gated < {drift_bound}"
                       if drift_bound is not None else ""))
-    artifact = BenchArtifact(
-        name="measured",
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=collect_environment(),
-        benchmarks=records)
-    return table, artifact
+    table.files["BENCH_measured.json"] = BenchArtifact.fresh(
+        "measured", records).to_json()
+    return table
 
 
 QUICK = {"nx": 24, "restart": 12, "repeats": 1}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=40)
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--restart", type=int, default=30)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", default=".",
-                   help="directory for BENCH_measured.json and the "
-                        "Chrome trace files")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else dict(nx=args.nx, restart=args.restart,
-                                          repeats=args.repeats)
-    table, artifact = run(ranks=args.ranks,
-                          s=min(args.s, sizes["restart"]), trace_dir=args.out,
-                          **sizes)
-    print(table.render())
-    path = artifact.write(Path(args.out) / "BENCH_measured.json")
-    print(f"\nwrote {path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -156,28 +156,3 @@ def run(nx: int = 48, ranks: int = 24, s: int = 5, restart: int = 30,
 
 
 QUICK = {"nx": 24, "ranks": 8}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=48)
-    p.add_argument("--ranks", type=int, default=24)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--restart", type=int, default=30)
-    p.add_argument("--precond", choices=sorted(PRECONDS), default="none")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    nx = QUICK["nx"] if args.quick else args.nx
-    ranks = QUICK["ranks"] if args.quick else args.ranks
-    print(run(nx=nx, ranks=ranks, s=args.s, restart=args.restart,
-              precond_name=args.precond).render())
-    if not args.quick:
-        for pc in ("jacobi", "block_jacobi"):
-            print()
-            print(run(nx=nx, ranks=ranks, s=args.s, restart=args.restart,
-                      precond_name=pc).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -27,16 +27,9 @@ snapshot of the calibrated run.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
 
-from repro.bench.artifacts import (
-    BenchArtifact,
-    BenchRecord,
-    collect_environment,
-)
+from repro.bench.artifacts import BenchArtifact, BenchRecord
 from repro.experiments.backend_validation import (
     SCHEMES,
     _scheme_setup,
@@ -122,16 +115,15 @@ def run_scheme(scheme_name: str, *, nx: int, ranks: int, s: int,
 
 def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
         tol: float = 1.0e-8, maxiter: int = 4000, schemes=SCHEMES,
-        drift_bound: float | None = CALIBRATED_DRIFT_BOUND
-        ) -> tuple[ExperimentTable, BenchArtifact, str]:
-    """Calibrate every scheme; returns (table, artifact, prometheus).
+        drift_bound: float | None = CALIBRATED_DRIFT_BOUND) -> ExperimentTable:
+    """Calibrate every scheme; the table carries ``BENCH_calibration.json``
+    and ``metrics_calibration.prom``.
 
     Per scheme, asserts the calibrated model beats the uncalibrated
     twin on BOTH error metrics (worst finite per-phase relative error
     and worst share drift, strictly), and — when ``drift_bound`` is set
-    — that the calibrated share drift sits under it.  The returned
-    Prometheus text is the calibrated run's metrics snapshot (the
-    nightly-uploaded ``metrics_calibration.prom``).
+    — that the calibrated share drift sits under it.  The Prometheus
+    text is the calibrated runs' metrics snapshots.
     """
     table = ExperimentTable(
         "calibration",
@@ -204,41 +196,11 @@ def run(nx: int = 40, ranks: int = 4, s: int = 5, restart: int = 30,
                       if drift_bound is not None else ""))
     table.add_note("driver-side charges (panel QR, sketch apply, TSQR "
                    "tree) are excluded from the network fit")
-    artifact = BenchArtifact(
-        name="calibration",
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=collect_environment(),
-        benchmarks=records)
-    return table, artifact, "\n".join(prom_chunks)
+    table.files = {
+        "BENCH_calibration.json":
+            BenchArtifact.fresh("calibration", records).to_json(),
+        "metrics_calibration.prom": "\n".join(prom_chunks)}
+    return table
 
 
 QUICK = {"nx": 24, "restart": 12}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=40)
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--restart", type=int, default=30)
-    p.add_argument("--out", default=".",
-                   help="directory for BENCH_calibration.json and "
-                        "metrics_calibration.prom")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else dict(nx=args.nx, restart=args.restart)
-    table, artifact, prom = run(ranks=args.ranks,
-                                s=min(args.s, sizes["restart"]), **sizes)
-    print(table.render())
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = artifact.write(out_dir / "BENCH_calibration.json")
-    prom_path = out_dir / "metrics_calibration.prom"
-    prom_path.write_text(prom)
-    print(f"\nwrote {path}")
-    print(f"wrote {prom_path}")
-
-
-if __name__ == "__main__":
-    main()

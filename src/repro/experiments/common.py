@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.machine import PRESETS, MachineSpec
@@ -15,7 +16,9 @@ class ExperimentTable:
 
     ``rows`` are printable cell lists matching ``headers``; ``notes``
     explain substitutions (reduced scale, surrogate matrices, modeled
-    times) so the printed output is self-describing.
+    times) so the printed output is self-describing.  ``files`` maps a
+    file name to the text the run produced for it (``BENCH_*.json``
+    artifacts, traces); ``repro-experiments`` writes them under ``--out``.
     """
 
     experiment_id: str
@@ -23,6 +26,7 @@ class ExperimentTable:
     headers: list
     rows: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
 
     def add_row(self, *cells) -> None:
         self.rows.append(list(cells))
@@ -43,17 +47,15 @@ class ExperimentTable:
     def column(self, col: int) -> list:
         return [row[col] for row in self.rows]
 
-    def to_csv(self, path) -> None:
-        """Write headers + rows as CSV (notes become '#' comment lines)."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for note in [f"# [{self.experiment_id}] {self.title}",
-                         *(f"# note: {n}" for n in self.notes)]:
-                fh.write(note + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.headers)
-            writer.writerows(self.rows)
+    def write_files(self, out) -> list[Path]:
+        """Write every entry of ``files`` under directory ``out``."""
+        paths = []
+        for name, text in self.files.items():
+            path = Path(out) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            paths.append(path)
+        return paths
 
 
 def resolve_machine(name: str | MachineSpec) -> MachineSpec:

@@ -69,19 +69,3 @@ def run(figure: str = "fig10", node_counts: list | None = None,
 
 def run_all(node_counts: list | None = None, **kw) -> list:
     return [run(fig, node_counts=node_counts, **kw) for fig in SCHEMES]
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("figure", nargs="?", default="all",
-                   choices=["fig10", "fig11", "fig12", "all"])
-    args = p.parse_args(argv)
-    figs = list(SCHEMES) if args.figure == "all" else [args.figure]
-    for f in figs:
-        print(run(f).render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -48,15 +48,3 @@ def run(node_counts: list | None = None, nx: int = 2000, m: int = 60,
                    "persist, total speedups shrink because the "
                    "preconditioner grows the non-ortho share")
     return table
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=2000)
-    args = p.parse_args(argv)
-    print(run(nx=args.nx).render())
-
-
-if __name__ == "__main__":
-    main()

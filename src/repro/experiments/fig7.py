@@ -64,18 +64,3 @@ def run(n: int = 100_000, s: int = 5, n_panels: int = 6,
 
 
 QUICK = {"n": 10_000, "seeds": 3}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else {"n": args.n, "seeds": args.seeds}
-    print(run(**sizes).render())
-
-
-if __name__ == "__main__":
-    main()

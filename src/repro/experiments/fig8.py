@@ -63,16 +63,3 @@ def run(n: int = 100_000, m: int = 180, bs: int = 60, s: int = 5,
 
 
 QUICK = {"n": 10_000}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    print(run(**(QUICK if args.quick else {"n": args.n})).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -153,16 +153,3 @@ def run(run_n: int = 20_000, m: int = 60, s: int = 5, bs: int = 60,
 
 
 QUICK = {"run_n": 4000}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--run-n", type=int, default=20_000)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    print(run(**(QUICK if args.quick else {"run_n": args.run_n})).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -41,16 +41,9 @@ from __future__ import annotations
 
 import json
 
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
 
-from repro.bench.artifacts import (
-    BenchArtifact,
-    BenchRecord,
-    collect_environment,
-)
+from repro.bench.artifacts import BenchArtifact, BenchRecord
 from repro.experiments.common import ExperimentTable, fmt
 from repro.krylov.basis import MonomialBasis
 from repro.krylov.mpk import MatrixPowersKernel, PreconditionedOperator
@@ -153,9 +146,9 @@ def pipelined_run(overlap: bool, machine: MachineSpec, *, nx: int,
 def run(nx: int = 64, ranks: int = 16, s: int = 8, restart: int = 24,
         pipe_nx: int = 48, pipe_ranks: int = 8, pipe_restart: int = 15,
         multipliers=LATENCY_MULTIPLIERS,
-        bw_inter: float = CONGESTED_BW
-        ) -> tuple[ExperimentTable, BenchArtifact, dict]:
-    """Sweep latency multipliers; returns (table, artifact, trace_doc).
+        bw_inter: float = CONGESTED_BW) -> ExperimentTable:
+    """Sweep latency multipliers; the table carries ``BENCH_overlap.json``
+    and ``trace_overlap.json``.
 
     Asserts, per multiplier: bit-identity of the overlapped variants to
     their blocking counterparts, and — across multipliers — strictly
@@ -252,42 +245,11 @@ def run(nx: int = 64, ranks: int = 16, s: int = 8, restart: int = 24,
                    "exposure shrinks strictly with L (asserted)")
     table.add_note("overlapped variants are bit-identical to blocking per "
                    "row (asserted); overlap moves charges, never values")
-    artifact = BenchArtifact(
-        name="overlap",
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=collect_environment(),
-        benchmarks=records)
-    return table, artifact, trace_doc
+    table.files = {
+        "BENCH_overlap.json": BenchArtifact.fresh("overlap", records).to_json(),
+        "trace_overlap.json": json.dumps(trace_doc) + "\n"}
+    return table
 
 
 QUICK = {"nx": 48, "ranks": 8, "s": 5, "restart": 15, "bw_inter": 1.0e6,
          "multipliers": LATENCY_MULTIPLIERS[:-1]}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ranks", type=int, default=16)
-    p.add_argument("--s", type=int, default=8)
-    p.add_argument("--restart", type=int, default=24)
-    p.add_argument("--out", default=".",
-                   help="directory for BENCH_overlap.json and "
-                        "trace_overlap.json")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else dict(nx=args.nx, ranks=args.ranks,
-                                          s=args.s, restart=args.restart)
-    table, artifact, trace_doc = run(**sizes)
-    print(table.render())
-    out = Path(args.out)
-    path = artifact.write(out / "BENCH_overlap.json")
-    print(f"\nwrote {path}")
-    trace_path = out / "trace_overlap.json"
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    trace_path.write_text(json.dumps(trace_doc) + "\n")
-    print(f"wrote {trace_path}")
-
-
-if __name__ == "__main__":
-    main()

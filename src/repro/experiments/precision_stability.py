@@ -189,20 +189,3 @@ def run(n: int = 4000, k: int = 30, nx: int = 32,
 
 
 QUICK = {"n": 1500, "nx": 20, "maxiter": 3000}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--nx", type=int, default=32)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else {"n": args.n, "nx": args.nx}
-    for table in run(k=args.k, **sizes):
-        print(table.render(), "\n")
-
-
-if __name__ == "__main__":
-    main()

@@ -129,18 +129,3 @@ def run(n: int = 400, configs=CONFIGS, tol: float = 1e-8,
 
 
 QUICK = {"n": 250, "maxiter": 800}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--maxiter", type=int, default=1500)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else {"n": args.n, "maxiter": args.maxiter}
-    print(run(**sizes).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -1,13 +1,18 @@
-"""CLI dispatcher: ``repro-experiments <name> [args...]``.
+"""The one CLI of the experiments: ``repro-experiments NAME [--quick] [--out DIR]``.
 
-Names mirror the paper artifacts: fig6 fig7 fig8 fig9 table2 table3
-fig10 fig11 fig12 table4 fig13 ablations, plus ``all`` (quick versions
-of everything).
+``NAME`` is a key of :data:`REGISTRY` (the paper's artifacts and this
+reproduction's studies) or ``all``.  The runner prints every table the
+entry's runs return and writes every file a table carries
+(:attr:`ExperimentTable.files`) under ``--out`` (default ``.``).
+``--quick`` runs each at its module's ``QUICK`` size; ``all`` runs every
+entry that way, in paper order.  Any other size is set through the
+module's ``run(**kw)``.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
+from functools import partial
 
 from repro.experiments import (
     ablations,
@@ -30,69 +35,66 @@ from repro.experiments import (
     table4,
 )
 
-_DISPATCH = {
-    "fig6": fig6.main,
-    "fig7": fig7.main,
-    "fig8": fig8.main,
-    "fig9": fig9.main,
-    "table2": table2.main,
-    "table3": table3.main,
-    "fig10": lambda argv: fig10_12.main(["fig10"] + (argv or [])),
-    "fig11": lambda argv: fig10_12.main(["fig11"] + (argv or [])),
-    "fig12": lambda argv: fig10_12.main(["fig12"] + (argv or [])),
-    "table4": table4.main,
-    "fig13": fig13.main,
-    "ablations": ablations.main,
-    "sketch": sketch_stability.main,
-    "rgs": rgs_convergence.main,
-    "precision": precision_stability.main,
-    "ca_mpk": ca_mpk_tradeoff.main,
-    "overlap": overlap_tradeoff.main,
-    "service": service_throughput.main,
-    "backend": backend_validation.main,
-    "calibrate": calibration.main,
+
+def _module(mod) -> list:
+    """A module's ``run`` at its ``QUICK`` size (its defaults if none)."""
+    return [(mod.run, getattr(mod, "QUICK", {}))]
+
+
+#: name -> its runs, each ``(run, quick kwargs)``, in print order; a run
+#: whose quick kwargs are ``None`` is made at full size only
+REGISTRY = {
+    "fig6": _module(fig6),
+    "fig7": _module(fig7),
+    "fig8": _module(fig8),
+    "fig9": _module(fig9),
+    "table2": _module(table2),
+    "table3": _module(table3),
+    **{fig: [(partial(fig10_12.run, fig), {})] for fig in fig10_12.SCHEMES},
+    "table4": _module(table4),
+    "fig13": _module(fig13),
+    "ablations": [(run, ablations.QUICK.get(key, {}))
+                  for key, run in ablations.RUNS.items()],
+    "sketch": _module(sketch_stability),
+    "rgs": _module(rgs_convergence),
+    "precision": _module(precision_stability),
+    "ca_mpk": _module(ca_mpk_tradeoff) + [
+        (partial(ca_mpk_tradeoff.run, precond_name=pc), None)
+        for pc in ("jacobi", "block_jacobi")],
+    "overlap": _module(overlap_tradeoff),
+    "service": _module(service_throughput),
+    "backend": _module(backend_validation),
+    "calibrate": _module(calibration),
 }
 
 
-def _quick_tables():
-    """Every artifact at its module's own ``QUICK`` size, in paper order."""
-    for mod in (fig6, fig7, fig8, fig9, table2):
-        yield mod.run(**mod.QUICK)
-    yield table3.run()
-    yield from fig10_12.run_all()
-    yield table4.run()
-    yield fig13.run()
-    for key, run in ablations.RUNS.items():
-        yield run(**ablations.QUICK.get(key, {}))
-    for mod in (sketch_stability, rgs_convergence):
-        yield mod.run(**mod.QUICK)
-    yield from precision_stability.run(**precision_stability.QUICK)
-    yield ca_mpk_tradeoff.run(**ca_mpk_tradeoff.QUICK)
-    for mod in (overlap_tradeoff, service_throughput, backend_validation,
-                calibration):
-        yield mod.run(**mod.QUICK)[0]   # (table, artifact, ...)
+def tables(name: str, quick: bool = False):
+    """Every table entry ``name`` prints, in order."""
+    quick = quick or name == "all"
+    for key in REGISTRY if name == "all" else [name]:
+        for run, sizes in REGISTRY[key]:
+            if quick and sizes is None:
+                continue
+            out = run(**sizes) if quick else run()
+            yield from out if isinstance(out, list) else [out]
 
 
-def run_all_quick() -> None:
-    """Quick pass over every artifact (reduced sizes), in paper order."""
-    for table in _quick_tables():
-        print(table.render(), "\n")
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="repro-experiments", description=__doc__)
+    p.add_argument("name", choices=[*REGISTRY, "all"])
+    p.add_argument("--quick", action="store_true",
+                   help="run at each module's QUICK size")
+    p.add_argument("--out", default=".", metavar="DIR",
+                   help="directory for the files a run writes (default: .)")
+    return p
 
 
 def main(argv: list | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        names = " ".join(sorted(_DISPATCH) + ["all"])
-        print(f"usage: repro-experiments <name> [options]\nnames: {names}")
-        return 0
-    name, rest = argv[0], argv[1:]
-    if name == "all":
-        run_all_quick()
-        return 0
-    if name not in _DISPATCH:
-        print(f"unknown experiment {name!r}; try --help")
-        return 2
-    _DISPATCH[name](rest)
+    args = build_parser().parse_args(argv)
+    for table in tables(args.name, args.quick):
+        print(table.render() + "\n")
+        for path in table.write_files(args.out):
+            print(f"wrote {path}")
     return 0
 
 

@@ -37,16 +37,9 @@ The ``--quick`` variant shrinks the grid and is asserted in
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
 
-from repro.bench.artifacts import (
-    BenchArtifact,
-    BenchRecord,
-    collect_environment,
-)
+from repro.bench.artifacts import BenchArtifact, BenchRecord
 from repro.experiments.ca_mpk_tradeoff import _summit_lat
 from repro.experiments.common import ExperimentTable, fmt
 from repro.krylov.simulation import Simulation
@@ -106,8 +99,8 @@ def run_width(machine_factory, width: int, backlog: list[np.ndarray], *,
 
 
 def run(nx: int = 16, ranks: int = 4, s: int = 5, restart: int = 20,
-        widths=WIDTHS) -> tuple[ExperimentTable, BenchArtifact]:
-    """Sweep width x machine; returns (table, artifact).
+        widths=WIDTHS) -> ExperimentTable:
+    """Sweep width x machine; the table carries ``BENCH_service.json``.
 
     See the module docstring for the in-run assertions.
     """
@@ -214,36 +207,9 @@ def run(nx: int = 16, ranks: int = 4, s: int = 5, restart: int = 20,
     table.add_note("every request's solution is bit-identical at every "
                    "width (asserted): batching changes when work runs, "
                    "never what it computes")
-    artifact = BenchArtifact(
-        name="service",
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=collect_environment(),
-        benchmarks=records)
-    return table, artifact
+    table.files = {
+        "BENCH_service.json": BenchArtifact.fresh("service", records).to_json()}
+    return table
 
 
 QUICK = {"nx": 12, "ranks": 4, "s": 4, "restart": 12}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=16)
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--restart", type=int, default=20)
-    p.add_argument("--out", default=".",
-                   help="directory for BENCH_service.json")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    sizes = QUICK if args.quick else dict(nx=args.nx, ranks=args.ranks,
-                                          s=args.s, restart=args.restart)
-    table, artifact = run(**sizes)
-    print(table.render())
-    out = Path(args.out)
-    path = artifact.write(out / "BENCH_service.json")
-    print(f"\nwrote {path}")
-
-
-if __name__ == "__main__":
-    main()

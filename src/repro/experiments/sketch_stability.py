@@ -81,18 +81,3 @@ def run(n: int = 4000, k: int = 30, s: int = 5,
 
 
 QUICK = {"n": 1500}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    n = QUICK["n"] if args.quick else args.n
-    print(run(n=n, k=args.k).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -77,19 +77,3 @@ def run(nx: int = 2000, ranks: int = 4, m: int = 60, s: int = 5,
 
 
 QUICK = {"measure_nx": 64}
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=2000)
-    p.add_argument("--measure-nx", type=int, default=0,
-                   help="also run a reduced-scale convergence study")
-    p.add_argument("--quick", action="store_true")
-    args = p.parse_args(argv)
-    measure = args.measure_nx or (QUICK["measure_nx"] if args.quick else None)
-    print(run(nx=args.nx, measure_nx=measure).render())
-
-
-if __name__ == "__main__":
-    main()

@@ -55,16 +55,3 @@ def run(node_counts: list | None = None, nx: int = 2000, m: int = 60,
     table.add_note("modeled seconds = validated cycle cost model x paper "
                    "iteration counts (docs/cost-model.md)")
     return table
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nx", type=int, default=2000)
-    p.add_argument("--nodes", type=int, nargs="*", default=None)
-    args = p.parse_args(argv)
-    print(run(node_counts=args.nodes, nx=args.nx).render())
-
-
-if __name__ == "__main__":
-    main()

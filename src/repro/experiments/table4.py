@@ -73,15 +73,3 @@ def run(nodes: int = 16, m: int = 60, s: int = 5,
     table.add_note("modeled ms/iteration at the paper's (n, nnz) with a "
                    "surface-law halo standing in for ParMETIS partitions")
     return table
-
-
-def main(argv: list | None = None) -> None:
-    import argparse
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--nodes", type=int, default=16)
-    args = p.parse_args(argv)
-    print(run(nodes=args.nodes).render())
-
-
-if __name__ == "__main__":
-    main()

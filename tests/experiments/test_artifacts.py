@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import fig6, fig7, fig8, fig9, fig10_12, fig13
-from repro.experiments import sketch_stability
+from repro.experiments import runner, sketch_stability
 from repro.experiments import table2, table3, table4, ablations
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
 from repro.experiments.estimator import CycleCostEstimator, ProblemShape
@@ -40,20 +41,6 @@ class TestCommon:
         assert fmt(1.5) == "1.5"
         assert speedup(10.0, 5.0) == "2.0x"
         assert speedup(10.0, 0.0) == "-"
-
-    def test_to_csv_roundtrip(self, tmp_path):
-        import csv
-        t = ExperimentTable("x", "title", headers=["a", "b"])
-        t.add_row(1, "two")
-        t.add_note("a note")
-        path = tmp_path / "out.csv"
-        t.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# [x] title")
-        assert lines[1] == "# note: a note"
-        rows = list(csv.reader(lines[2:]))
-        assert rows[0] == ["a", "b"]
-        assert rows[1] == ["1", "two"]
 
 
 class TestNumericsFigures:
@@ -95,8 +82,7 @@ class TestSketchStability:
         assert float(extreme[3]) < 1e-8
 
     def test_runner_dispatch(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["sketch", "--n", "600", "--k", "10"]) == 0
+        assert runner.main(["sketch", "--quick"]) == 0
         assert "sketched" in capsys.readouterr().out
 
 
@@ -152,19 +138,54 @@ class TestAblations:
 
 
 class TestRunner:
+    """``repro-experiments``: one parser for every entry; a bad command
+    line exits 2 naming the offending input and the valid set."""
+
+    NAMES = [*runner.REGISTRY, "all"]
+
+    @staticmethod
+    def _exit_2(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            runner.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-experiments ")
+        return err
+
     def test_dispatch_help(self, capsys):
-        from repro.experiments.runner import main
-        assert main([]) == 0
-        assert "table3" in capsys.readouterr().out
+        """A bare command prints usage listing all 21 names."""
+        err = self._exit_2([], capsys)
+        assert len(self.NAMES) == 21
+        assert all(name in err for name in self.NAMES)
 
     def test_dispatch_unknown(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["bogus"]) == 2
+        err = self._exit_2(["bogus"], capsys)
+        assert "'bogus'" in err
+        assert all(name in err for name in self.NAMES)
 
-    def test_dispatch_table3(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["table3", "--nodes", "1"]) == 0
-        assert "Strong scaling" in capsys.readouterr().out
+    def test_dispatch_deleted_flag(self, capsys):
+        err = self._exit_2(["table3", "--nodes", "1"], capsys)
+        assert "unrecognized arguments: --nodes 1" in err
+        assert "[--quick] [--out DIR]" in err
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_entry_takes_quick_and_out(self, name, tmp_path):
+        args = runner.build_parser().parse_args(
+            [name, "--quick", "--out", str(tmp_path)])
+        assert (args.name, args.quick, args.out) == (name, True, str(tmp_path))
+
+    DEFAULT_SIZE = {"table3": table3.run, "table4": table4.run,
+                    "fig13": fig13.run,
+                    **{fig: functools.partial(fig10_12.run, fig)
+                       for fig in fig10_12.SCHEMES}}
+
+    @pytest.mark.parametrize("name", DEFAULT_SIZE)
+    def test_quick_without_quick_size_prints_the_default(self, name, capsys):
+        """An entry with no ``QUICK`` size prints its default-size table
+        under ``--quick``."""
+        assert runner.main([name, "--quick"]) == 0
+        expected = self.DEFAULT_SIZE[name]().render()
+        assert capsys.readouterr().out == expected + "\n\n"
 
 
 #: sha256 of ``render()`` of every estimator-backed artifact, recorded

@@ -18,8 +18,11 @@ def trace_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def outcome(trace_dir):
-    return backend_validation.run(nx=16, s=3, restart=9, repeats=1,
-                                  trace_dir=trace_dir)
+    """(table, its BENCH artifact loaded back); every file the table
+    carries is written to ``trace_dir``."""
+    table = backend_validation.run(nx=16, s=3, restart=9, repeats=1)
+    table.write_files(trace_dir)
+    return table, load_artifact(trace_dir / "BENCH_measured.json")
 
 
 class TestTable:
@@ -94,6 +97,10 @@ class TestArtifact:
 
 class TestTraceExport:
     def test_trace_file_per_scheme(self, outcome, trace_dir):
+        table, _ = outcome
+        assert list(table.files) == [
+            *(f"trace_{name}.json" for name in backend_validation.SCHEMES),
+            "BENCH_measured.json"]
         for name in backend_validation.SCHEMES:
             assert (trace_dir / f"trace_{name}.json").exists()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ca_mpk_tradeoff
+from repro.experiments import ca_mpk_tradeoff, runner
 from repro.parallel.machine import generic_cpu
 
 
@@ -48,7 +48,7 @@ class TestTradeoffTable:
         assert bj["redundant_frac"] > none["redundant_frac"]
 
 def test_cli_quick(capsys):
-    ca_mpk_tradeoff.main(["--quick"])
+    assert runner.main(["ca_mpk", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "ca_mpk_tradeoff" in out
     assert "summit_lat16x" in out

@@ -75,13 +75,17 @@ class TestGateIsArmed:
                             lambda *a, **k: _fake_outcome(**kw))
         return calibration.run(schemes=("two-stage",))
 
-    def test_passes_when_strictly_better_and_bounded(self, monkeypatch):
-        table, art, prom = self._patched(
+    def test_passes_when_strictly_better_and_bounded(self, monkeypatch,
+                                                     tmp_path):
+        table = self._patched(
             monkeypatch, uncal_err=1.0, cal_err=0.4,
             uncal_drift=0.4, cal_drift=0.1)
         assert len(table.rows) == 2
+        table.write_files(tmp_path)
+        art = load_artifact(tmp_path / "BENCH_calibration.json")
         assert art.names() == ["calibration[two-stage]"]
-        assert "repro_kernel_seconds_total" in prom
+        assert ("repro_kernel_seconds_total"
+                in table.files["metrics_calibration.prom"])
 
     def test_rel_error_regression_trips(self, monkeypatch):
         with pytest.raises(AssertionError, match="relative error"):
@@ -100,10 +104,15 @@ class TestGateIsArmed:
 
 
 @pytest.fixture(scope="module")
-def outcome():
-    """One real mp-run calibration at the nightly --quick size."""
-    return calibration.run(nx=24, ranks=4, s=5, restart=12,
-                           schemes=("two-stage",))
+def outcome(tmp_path_factory):
+    """One real mp-run calibration at the nightly --quick size: (table,
+    its BENCH artifact loaded back, its Prometheus text)."""
+    table = calibration.run(nx=24, ranks=4, s=5, restart=12,
+                            schemes=("two-stage",))
+    out = tmp_path_factory.mktemp("calibration")
+    table.write_files(out)
+    return (table, load_artifact(out / "BENCH_calibration.json"),
+            (out / "metrics_calibration.prom").read_text())
 
 
 class TestRealRun:

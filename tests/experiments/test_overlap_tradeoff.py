@@ -7,15 +7,20 @@ import json
 import pytest
 
 from repro.bench.artifacts import load_artifact
-from repro.experiments import overlap_tradeoff
+from repro.experiments import overlap_tradeoff, runner
 
 QUICK = dict(nx=32, ranks=8, s=5, restart=15, pipe_nx=32, pipe_restart=10,
              multipliers=(1.0, 2.0, 4.0), bw_inter=1.0e6)
 
 
 @pytest.fixture(scope="module")
-def outputs():
-    return overlap_tradeoff.run(**QUICK)
+def outputs(tmp_path_factory):
+    """(table, its BENCH artifact loaded back, its trace document)."""
+    table = overlap_tradeoff.run(**QUICK)
+    out = tmp_path_factory.mktemp("overlap")
+    table.write_files(out)
+    return (table, load_artifact(out / "BENCH_overlap.json"),
+            json.loads((out / "trace_overlap.json").read_text()))
 
 
 class TestTable:
@@ -46,12 +51,15 @@ class TestTable:
 
 
 class TestArtifacts:
-    def test_bench_artifact_round_trips(self, outputs, tmp_path):
-        _, artifact, _ = outputs
-        path = artifact.write(tmp_path / "BENCH_overlap.json")
-        loaded = load_artifact(path)
-        assert loaded.names() == artifact.names()
-        rec = loaded.record("overlap_tradeoff[mpk_pa2,lat1x]")
+    def test_bench_artifact_round_trips(self, outputs):
+        table, artifact, _ = outputs
+        assert sorted(table.files) == ["BENCH_overlap.json",
+                                       "trace_overlap.json"]
+        assert artifact.names() == [
+            f"overlap_tradeoff[{consumer},lat{lat:g}x]"
+            for lat in QUICK["multipliers"]
+            for consumer in ("mpk_pa2", "pipelined")]
+        rec = artifact.record("overlap_tradeoff[mpk_pa2,lat1x]")
         assert rec.extra["latency_multiplier"] == 1.0
         assert "overlapped" in rec.extra["totals"]
 
@@ -66,13 +74,9 @@ class TestArtifacts:
                    and "overlapped_seconds" in ev.get("args", {})]
         assert exposed  # the wait charges carry the hidden annotation
 
-    def test_trace_doc_is_json_serializable(self, outputs):
-        _, _, trace_doc = outputs
-        assert json.loads(json.dumps(trace_doc)) == trace_doc
-
 
 def test_cli_quick(tmp_path, capsys):
-    overlap_tradeoff.main(["--quick", "--out", str(tmp_path)])
+    assert runner.main(["overlap", "--quick", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "overlap_tradeoff" in out
     assert (tmp_path / "BENCH_overlap.json").exists()

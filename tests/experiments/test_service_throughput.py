@@ -5,14 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.artifacts import load_artifact
-from repro.experiments import service_throughput
+from repro.experiments import runner, service_throughput
 
 QUICK = dict(nx=12, ranks=4, s=4, restart=12)
 
 
 @pytest.fixture(scope="module")
-def outputs():
-    return service_throughput.run(**QUICK)
+def outputs(tmp_path_factory):
+    """(table, its BENCH artifact loaded back)."""
+    table = service_throughput.run(**QUICK)
+    out = tmp_path_factory.mktemp("service")
+    table.write_files(out)
+    return table, load_artifact(out / "BENCH_service.json")
 
 
 class TestTable:
@@ -63,18 +67,20 @@ class TestTable:
 
 
 class TestArtifacts:
-    def test_bench_artifact_round_trips(self, outputs, tmp_path):
-        _, artifact = outputs
-        path = artifact.write(tmp_path / "BENCH_service.json")
-        loaded = load_artifact(path)
-        assert loaded.names() == artifact.names()
-        rec = loaded.record("service[summit,w1]")
+    def test_bench_artifact_round_trips(self, outputs):
+        table, artifact = outputs
+        assert list(table.files) == ["BENCH_service.json"]
+        assert artifact.names() == [
+            f"service[{machine},w{w}]"
+            for machine, _ in service_throughput.MACHINES
+            for w in service_throughput.WIDTHS]
+        rec = artifact.record("service[summit,w1]")
         assert rec.extra["width"] == 1
         assert rec.extra["machine"] == "summit"
 
 
 def test_cli_quick(tmp_path, capsys):
-    service_throughput.main(["--quick", "--out", str(tmp_path)])
+    assert runner.main(["service", "--quick", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "service_throughput" in out
     assert (tmp_path / "BENCH_service.json").exists()

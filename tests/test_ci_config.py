@@ -8,12 +8,15 @@ exist — so a rename cannot silently turn CI green-by-vacuity.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+#: how CI invokes an experiment: ``{RUNNER} <registry name> ...``
+RUNNER = "repro.experiments.runner"
 
 
 class TestWorkflow:
@@ -129,27 +132,24 @@ class TestWorkflow:
         assert "strategy" not in nightly  # one leg: no engine axis
         runs = "\n".join(step.get("run", "") for step in nightly["steps"])
         assert "slow" in runs
-        assert "sketch_stability" in runs
-        assert "rgs_convergence" in runs
-        assert "precision_stability" in runs
-        assert "ca_mpk_tradeoff" in runs
+        for name in ("sketch", "rgs", "precision", "ca_mpk"):
+            assert f"{RUNNER} {name} --quick" in runs, name
         # the overlap-window trade-off smoke drops BENCH_overlap.json
         # and trace_overlap.json into the uploaded dir
         overlap_step = next((s.get("run", "") for s in nightly["steps"]
-                             if "overlap_tradeoff" in s.get("run", "")),
+                             if f"{RUNNER} overlap" in s.get("run", "")),
                             "")
-        assert overlap_step, "nightly has no overlap_tradeoff smoke"
+        assert overlap_step, "nightly has no overlap smoke"
         assert "--quick" in overlap_step
         assert "--out experiment-out" in overlap_step
         # the service-throughput smoke re-asserts the batching claims
         # nightly and drops BENCH_service.json into the uploaded dir
-        assert "service_throughput --quick" in runs, (
-            "nightly has no service_throughput smoke")
+        assert f"{RUNNER} service --quick" in runs, (
+            "nightly has no service smoke")
         assert "tee experiment-out/service_throughput.txt" in runs
         # predicted-vs-measured validation runs nightly under a hard
         # timeout and drops BENCH_measured.json into the uploaded dir
-        assert "backend_validation" in runs
-        assert "timeout" in runs
+        assert f"timeout 600 python -m {RUNNER} backend" in runs
         assert "--out experiment-out" in runs
         uploads = [step for step in nightly["steps"]
                    if "upload-artifact" in str(step.get("uses", ""))]
@@ -172,7 +172,7 @@ class TestWorkflow:
         runs = [s.get("run", "") for s in steps]
         assert (runs.index(run)
                 > runs.index(next(r for r in runs
-                                  if "backend_validation" in r)))
+                                  if f"{RUNNER} backend" in r)))
 
     def test_nightly_calibration_step(self):
         """The LogGP calibration experiment runs nightly under a hard
@@ -182,7 +182,7 @@ class TestWorkflow:
         doc = yaml.safe_load(WORKFLOW.read_text())
         steps = doc["jobs"]["nightly"]["steps"]
         cal = [s for s in steps
-               if "repro.experiments.calibration" in s.get("run", "")]
+               if f"{RUNNER} calibrate" in s.get("run", "")]
         assert cal, "nightly has no calibration step"
         run = cal[0]["run"]
         assert "--quick" in run
@@ -192,7 +192,7 @@ class TestWorkflow:
         runs = [s.get("run", "") for s in steps]
         assert (runs.index(run)
                 > runs.index(next(r for r in runs
-                                  if "backend_validation" in r)))
+                                  if f"{RUNNER} backend" in r)))
         uploads = [i for i, s in enumerate(steps)
                    if "upload-artifact" in str(s.get("uses", ""))]
         assert steps.index(cal[0]) < uploads[0]
@@ -243,24 +243,22 @@ class TestWorkflow:
                     "perf/run.py",
                     "perf/tests",
                     "benchmarks/bench_kernels.py",
-                    "benchmarks/bench_mpk.py",
-                    "src/repro/experiments/sketch_stability.py",
-                    "src/repro/experiments/rgs_convergence.py",
-                    "src/repro/experiments/precision_stability.py",
-                    "src/repro/experiments/ca_mpk_tradeoff.py",
-                    "src/repro/experiments/overlap_tradeoff.py",
-                    "src/repro/experiments/backend_validation.py",
-                    "src/repro/experiments/calibration.py",
-                    "src/repro/experiments/service_throughput.py"):
-            path = ref
-            if ref.startswith("src/repro/experiments/"):
-                # referenced as a module invocation in the nightly job
-                module = ref.removeprefix("src/repro/experiments/")
-                assert module.removesuffix(".py") in text, (
-                    f"{ref} not exercised by CI")
-            else:
-                assert ref in text, f"{ref} not exercised by CI"
-            assert (REPO / path).exists(), f"{ref} missing from repo"
+                    "benchmarks/bench_mpk.py"):
+            assert ref in text, f"{ref} not exercised by CI"
+            assert (REPO / ref).exists(), f"{ref} missing from repo"
+        for name in ("sketch", "rgs", "precision", "ca_mpk", "overlap",
+                     "service", "backend", "calibrate"):
+            assert f"{RUNNER} {name} " in text, f"{name} not exercised by CI"
+
+    def test_every_runner_name_is_registered(self):
+        """A ``repro.experiments.runner <name>`` step names an entry of
+        the runner's registry (a renamed entry cannot leave CI running
+        an argparse error)."""
+        from repro.experiments.runner import REGISTRY
+        names = re.findall(rf"{re.escape(RUNNER)} (\S+)",
+                           WORKFLOW.read_text())
+        assert len(names) == 8
+        assert set(names) <= set(REGISTRY), sorted(set(names) - set(REGISTRY))
 
 
 class TestPyproject:

@@ -34,7 +34,7 @@ class TestExperimentsCatalogue:
         subcommand, plus the synthetic ``all``."""
         from repro.experiments import runner
         documented = self._documented_names()
-        registered = set(runner._DISPATCH) | {"all"}
+        registered = set(runner.REGISTRY) | {"all"}
         missing = registered - documented
         stale = documented - registered
         assert not missing, f"undocumented experiments: {sorted(missing)}"
