@@ -47,6 +47,7 @@ from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.costmodel import CostModel
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer
+from repro.utils.validation import check_positive_int
 
 _D = 8.0  # bytes per float64
 
@@ -210,11 +211,20 @@ def _config_stream(config: str, m: int, s: int, bs: int | None) -> tuple:
 
 
 class CycleCostEstimator:
-    """Modeled phase times for one restart cycle of each solver config."""
+    """Modeled phase times for one restart cycle of each solver config.
+
+    A cycle is a list of ``((phase, kernel), seconds, count)`` charges
+    folded into a fresh :class:`Tracer` at once (:meth:`Tracer.fold`).
+    Every block of it is priced once per estimator: the SpMV step and the
+    solver shell here, each ``(phase, primitive, widths)`` of a recorded
+    stream on first use, kept in a dict that dies with the estimator.
+    """
 
     def __init__(self, machine: MachineSpec, ranks: int, shape: ProblemShape,
                  m: int, s: int = 5,
                  precond: PrecondShape | None = None) -> None:
+        check_positive_int(s, "s")
+        check_positive_int(m, "m")
         if m < s:
             raise ConfigurationError(f"restart {m} must be >= step {s}")
         if ranks < 1:
@@ -228,59 +238,77 @@ class CycleCostEstimator:
         self.cost = CostModel(machine)
         self.nl = math.ceil(shape.n / self.ranks)
         self.nnz_l = shape.nnz / self.ranks
+        self._blocks: dict = {}
         # the shape-priced charges depend on nothing a cycle changes
-        self._halo_s = self._halo_seconds()
-        self._spmv_s = self.cost.spmv(self.nnz_l, self.nl,
-                                      self.nl + shape.halo_cols)
-        self._precond_s = (None if precond is None else precond.apply_cost(
-            self.cost, self.nnz_l, self.nl))
+        self._precond = () if precond is None else (
+            (("precond", "spmv_local"),
+             precond.apply_cost(self.cost, self.nnz_l, self.nl), 1),)
+        #: one SpMV step: halo, local product, preconditioner apply
+        self._spmv = (*self._halo(), (
+            ("spmv", "spmv_local"),
+            self.cost.spmv(self.nnz_l, self.nl, self.nl + shape.halo_cols),
+            1), *self._precond)
+        self._prologue = self._cycle_prologue()
+        self._epilogue = self._solution_update(self.m)
 
     # ------------------------------------------------------------------
-    # the one primitive -> formula table (mirrors distla/engine.py)
+    # the one primitive -> formula table (mirrors distla/engine.py); an
+    # entry returns the (kernel, seconds) charges of one primitive
     # ------------------------------------------------------------------
-    def _reduce(self, t: Tracer, doubles: float) -> None:
-        t.add("allreduce", self.cost.allreduce(_D * doubles, self.ranks))
+    def _reduce(self, doubles: float) -> tuple:
+        return "allreduce", self.cost.allreduce(_D * doubles, self.ranks)
 
-    def _dots(self, t: Tracer, *pairs: tuple) -> None:
+    def _dots(self, *pairs: tuple) -> list:
         """``X.T @ Y`` per ``(x cols, y cols)`` pair, then ONE collective."""
-        doubles = 0
+        out, doubles = [], 0
         for j, c in pairs:
-            t.add("dot", self.cost.gemm(self.nl, j, c))
+            out.append(("dot", self.cost.gemm(self.nl, j, c)))
             doubles += j * c
-        self._reduce(t, doubles)
+        out.append(self._reduce(doubles))
+        return out
 
-    def _norms(self, t: Tracer, cols: int) -> None:
-        t.add("norm", self.cost.blas1(self.nl * cols, n_streams=1, writes=0))
-        self._reduce(t, cols)
+    def _norms(self, cols: int) -> list:
+        return [("norm", self.cost.blas1(self.nl * cols, n_streams=1,
+                                         writes=0)),
+                self._reduce(cols)]
 
-    def _update(self, t: Tracer, j: int, c: int) -> None:
-        t.add("update", self.cost.gemm_tall_update(self.nl, j, c))
+    def _update(self, j: int, c: int) -> list:
+        return [("update", self.cost.gemm_tall_update(self.nl, j, c))]
 
-    def _trsm(self, t: Tracer, c: int) -> None:
-        t.add("trsm", self.cost.trsm(self.nl, c))
+    def _trsm(self, c: int) -> list:
+        return [("trsm", self.cost.trsm(self.nl, c))]
 
-    def _scale(self, t: Tracer, cols: int) -> None:
-        t.add("scale", self.cost.blas1(self.nl * cols, n_streams=1, writes=1))
+    def _scale(self, cols: int) -> list:
+        return [("scale", self.cost.blas1(self.nl * cols, n_streams=1,
+                                          writes=1))]
 
-    def _host(self, t: Tracer, flops: float) -> None:
-        t.add("host", self.cost.host_dense(flops))
+    def _host(self, flops: float) -> list:
+        return [("host", self.cost.host_dense(flops))]
 
     _PRICES = {"dot": _dots, "fused_dots": _dots, "norms": _norms,
                "update": _update, "trsm": _trsm, "scale_cols": _scale,
                "host_flops": _host}
 
-    def _price(self, t: Tracer, ops: tuple) -> None:
-        prices = self._PRICES
+    def _price(self, charges: list, phase: str, ops: tuple) -> None:
+        """Append the charges of ``ops`` in ``phase``, each distinct op
+        priced on its first use by this estimator."""
+        blocks = self._blocks
         for primitive, widths in ops:
-            prices[primitive](self, t, *widths)
+            key = (phase, primitive, widths)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = tuple(
+                    ((phase, kernel), seconds, 1) for kernel, seconds
+                    in self._PRICES[primitive](self, *widths))
+            charges += block
 
     # ------------------------------------------------------------------
     # shape-priced: no live counterpart at paper scale
     # ------------------------------------------------------------------
-    def _halo_seconds(self) -> float | None:
+    def _halo(self) -> tuple:
         """One halo exchange as the worst rank sees it (none on one rank)."""
         if self.ranks == 1:
-            return None
+            return ()
         per_peer = _D * self.shape.halo_cols / self.shape.halo_neighbors
         rpn = self.machine.ranks_per_node
         if self.machine.nodes_for(self.ranks) > 1:
@@ -293,64 +321,47 @@ class CycleCostEstimator:
         else:
             rank = 0
             halo = {p + 1: per_peer for p in range(self.shape.halo_neighbors)}
-        return self.cost.halo_exchange(halo, rank, self.ranks)
-
-    def _precond(self, t: Tracer) -> None:
-        if self._precond_s is not None:
-            with t.phase("precond"):
-                t.add("spmv_local", self._precond_s)
-
-    def _spmv(self, t: Tracer) -> None:
-        with t.phase("spmv"):
-            if self._halo_s is not None:
-                t.add("halo", self._halo_s)
-            t.add("spmv_local", self._spmv_s)
-        self._precond(t)
+        return ((("spmv", "halo"),
+                 self.cost.halo_exchange(halo, rank, self.ranks), 1),)
 
     # ------------------------------------------------------------------
     # the solver shell (krylov/restart.py, the checkpoint of sstep_gmres)
     # ------------------------------------------------------------------
-    def _axpy(self, t: Tracer, streams: int) -> None:
-        t.add("axpy", self.cost.blas1(self.nl, n_streams=streams, writes=1))
+    def _axpy(self, phase: str, streams: int) -> tuple:
+        return ((phase, "axpy"),
+                self.cost.blas1(self.nl, n_streams=streams, writes=1), 1)
 
-    def _explicit_residual(self, t: Tracer) -> None:
-        self._spmv(t)
-        with t.phase("other"):
-            self._axpy(t, streams=2)              # lincomb b - Ax
-            self._norms(t, 1)
+    def _cycle_prologue(self) -> list:
+        """The explicit residual, then ``r`` copied and scaled into the
+        basis."""
+        charges = [*self._spmv, self._axpy("other", streams=2)]  # b - Ax
+        self._price(charges, "other", (("norms", (1,)),))
+        charges.append(self._axpy("ortho", streams=1))       # copy r
+        self._price(charges, "ortho", (("scale_cols", (1,)),))
+        return charges
 
-    def _cycle_prologue(self, t: Tracer) -> None:
-        self._explicit_residual(t)
-        with t.phase("ortho"):
-            self._axpy(t, streams=1)              # copy r into basis
-            self._scale(t, 1)
+    def _solution_update(self, c: int) -> list:
+        return [(("other", "update"), self.cost.gemm(self.nl, c, 1), 1),
+                self._axpy("other", streams=2),           # matvec_small
+                *self._precond]
 
-    def _solution_update(self, t: Tracer, c: int) -> None:
-        with t.phase("other"):
-            t.add("update", self.cost.gemm(self.nl, c, 1))  # matvec_small
-            self._axpy(t, streams=2)
-        self._precond(t)
-
-    def _checkpoint(self, t: Tracer, c: int) -> None:
-        with t.phase("other"):
-            # Hessenberg assembly + least squares, 2 c^3 host flops each
-            t.add("host", self.cost.host_dense(4.0 * c ** 3), count=2)
+    def _checkpoint(self, c: int) -> tuple:
+        # Hessenberg assembly + least squares, 2 c^3 host flops each
+        return ("other", "host"), self.cost.host_dense(4.0 * c ** 3), 2
 
     # ------------------------------------------------------------------
     # public: one full cycle per solver configuration
     # ------------------------------------------------------------------
     def standard_gmres_cycle(self) -> Tracer:
         """GMRES(m) + CGS2 (paper baseline)."""
-        t = Tracer()
-        self._cycle_prologue(t)
+        charges = list(self._prologue)
         for j, _, ops, _ in _config_stream("gmres", self.m, 1, None):
-            self._spmv(t)
-            with t.phase("ortho"):
-                self._price(t, ops)
-            self._host(t, 6.0 * j)                  # Givens update
-        self._host(t, float(self.m) ** 2)           # triangular solve
-        self._solution_update(t, self.m)
-        return t
+            charges += self._spmv
+            self._price(charges, "ortho", ops)
+            self._price(charges, "other", (("host_flops", (6.0 * j,)),))
+        self._price(charges, "other", (("host_flops", (float(self.m) ** 2,)),))
+        charges += self._epilogue
+        return Tracer().fold(charges)
 
     def sstep_cycle(self, scheme: str | Callable[[], BlockOrthoScheme],
                     bs: int | None = None) -> Tracer:
@@ -366,17 +377,14 @@ class CycleCostEstimator:
         else:
             stream = _config_stream(
                 scheme, self.m, self.s, bs if scheme == "two_stage" else None)
-        t = Tracer()
-        self._cycle_prologue(t)
+        charges = list(self._prologue)
         for lo, hi, ops, final_cols in stream:
-            for _ in range(max(lo, 1), hi):
-                self._spmv(t)
-            with t.phase("ortho"):
-                self._price(t, ops)
+            charges += self._spmv * (hi - max(lo, 1))
+            self._price(charges, "ortho", ops)
             if final_cols is not None:
-                self._checkpoint(t, final_cols - 1)
-        self._solution_update(t, self.m)
-        return t
+                charges.append(self._checkpoint(final_cols - 1))
+        charges += self._epilogue
+        return Tracer().fold(charges)
 
     def cycle(self, config: str, bs: int | None = None) -> Tracer:
         """One restart cycle of a ``CONFIGS`` entry; two-stage runs at

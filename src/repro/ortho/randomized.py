@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DEFAULT_SEED
+from repro.exceptions import CholeskyBreakdownError
 from repro.ortho.base import BlockOrthoScheme
 from repro.ortho.bcgs_pip import _pythagorean_factor, bcgs_pip_panel
 from repro.ortho.two_stage import TwoStageScheme
@@ -273,10 +274,14 @@ class SketchedTwoStageScheme(TwoStageScheme):
         backend.trsm(v, t)
         return p, t @ r_s
 
-    def drop_trailing_panel(self) -> bool:
-        # the sketched pass whitens the panel before its Cholesky, so a
-        # failed flush has already modified the columns: no retry
-        return False
+    def _second_stage(self, hi: int) -> None:
+        try:
+            super()._second_stage(hi)
+        except CholeskyBreakdownError:
+            # the pass had projected and whitened the big panel before its
+            # Cholesky failed: nothing is left pending for a flush to retry
+            self._pushed_cols, self._pending_los = self._big_lo, []
+            raise
 
     def _fused_stage_pass(self, lo: int, hi: int
                           ) -> tuple[np.ndarray | None, np.ndarray]:

@@ -16,8 +16,9 @@ payload of a collective, the flops and device-memory bytes of a
 cost-model :class:`~repro.parallel.costmodel.KernelCharge` (summed over
 every rank's shard), the hidden part of a posted collective and the
 driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
-the :class:`TraceTotals` columns and is the only place rows are
-written; spans, snapshots, the metrics view
+the :class:`TraceTotals` columns; the one other row writer is its batch
+twin :meth:`Tracer.fold`, which folds a list of raw-seconds charges
+exactly as one ``add`` each would.  Spans, snapshots, the metrics view
 (:mod:`repro.obs.metrics`) and a replayed export (:meth:`Tracer.replay`)
 are all read off that one stream.  Nothing reaches the totals by a side
 channel, so the flop / byte columns are kept whether or not anyone
@@ -296,8 +297,8 @@ class Tracer(TraceTotals):
             mem_bytes: float | None = None) -> None:
         """Fold one charge record into the totals: advance the clock by
         ``seconds`` and add every field to the ``(current phase,
-        kernel)`` row.  The only place rows are written — a live charge
-        and a replayed span (:meth:`replay`) both come through here.
+        kernel)`` row.  A live charge and a replayed span (:meth:`replay`)
+        both come through here; :meth:`fold` is its batch twin.
 
         ``payload_bytes`` is the wire payload of a collective.
         ``overlapped_seconds`` marks this charge as the *exposed*
@@ -334,6 +335,30 @@ class Tracer(TraceTotals):
                 payload_bytes=payload_bytes, cycle=self._cycle[0],
                 overlapped_seconds=overlapped_seconds,
                 driver_side=driver_side, flops=flops, mem_bytes=mem_bytes))
+
+    def fold(self, charges) -> "Tracer":
+        """Fold raw-seconds charges ``((phase, kernel), seconds, count)``
+        in list order, each under its own phase, in one call: clock, rows,
+        key order and spans are bit-identical to one :meth:`add` per
+        charge (plain ``+``, first-seen keys).  Returns the tracer."""
+        clock, spans = self.clock, self._spans
+        by_phase, by_kernel, counts = self.by_phase, self.by_kernel, self.counts
+        try:
+            for key, seconds, count in charges:
+                if seconds < 0:
+                    raise ValueError(
+                        f"negative cost for kernel {key[1]!r}: {seconds}")
+                t0, clock = clock, clock + seconds
+                by_phase[key[0]] += seconds
+                by_kernel[key] += seconds
+                counts[key] += count
+                if spans is not None:
+                    spans.append(SpanEvent(
+                        key[1], t0, clock, key[0], self.stream, count=count,
+                        cycle=self._cycle[0]))
+        finally:
+            self.clock = clock
+        return self
 
     def replay(self, spans) -> "Tracer":
         """Fold the charge spans of this tracer's stream back in, each

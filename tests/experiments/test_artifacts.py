@@ -246,6 +246,31 @@ def test_printed_text_is_pinned(name):
     assert hashlib.sha256(run().render().encode()).hexdigest() == digest
 
 
+#: sha256 over every ``Row`` of the frames behind Tables II-IV, Fig. 13
+#: and ablations A1 / A2, in frame order, seconds as ``float.hex``:
+#: recorded before the estimator folded cycles in one batch; what the
+#: printed digests round away must not move either
+FRAME_DIGEST = "77570f1aed90351270b6b15574063b169cfb467b433484a36a457020a6f88f43"
+
+
+def test_sweep_frames_are_pinned_below_the_printed_digits(monkeypatch):
+    digest = hashlib.sha256()
+
+    def recording(points, _sweep=sweep):
+        frame = _sweep(points)
+        for r in frame:
+            digest.update(f"{r.key}|{r.label}|{r.phase}|{r.kernel}|"
+                          f"{float(r.seconds).hex()}|{r.count}\n".encode())
+        return frame
+
+    for module in (table2, table3, table4, fig13, ablations):
+        monkeypatch.setattr(module, "sweep", recording)
+    for run in (table2.run, table3.run, table4.run, fig13.run,
+                ablations.run_sync_vs_reuse, ablations.run_bs_grid):
+        run()
+    assert digest.hexdigest() == FRAME_DIGEST
+
+
 class TestGridErrors:
     """A bad grid input is a ConfigurationError naming it and the valid
     set, raised before any cycle is priced."""
@@ -269,6 +294,12 @@ class TestGridErrors:
         with pytest.raises(ConfigurationError) as err:
             run()
         assert all(word in str(err.value) for word in named)
+        assert priced == []
+
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_sweep_rejects_a_non_positive_step(self, priced, s):
+        with pytest.raises(ConfigurationError, match="^s must be positive"):
+            sweep(strong_scaling([1, 2], PAPER_CONFIGS, s=s))
         assert priced == []
 
     def test_estimator_rejects_no_ranks(self):

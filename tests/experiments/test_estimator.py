@@ -183,6 +183,15 @@ class TestEstimatorStructure:
         with pytest.raises(ConfigurationError):
             CycleCostEstimator(summit(), 2, ProblemShape.stencil2d(10), 3, 5)
 
+    @pytest.mark.parametrize("m, s, named", [
+        (60, 0, "s"), (60, -3, "s"), (0, 0, "s"), (0, 5, "m"), (-1, 1, "m"),
+        (60, 2.5, "s"), (60.0, 5, "m")])
+    def test_step_and_restart_must_be_positive_ints(self, m, s, named):
+        """``s <= 0`` used to make the recording's panel loop spin forever."""
+        with pytest.raises(ConfigurationError, match=rf"^{named} must be"):
+            CycleCostEstimator(summit(), 6, ProblemShape.stencil2d(200),
+                               m=m, s=s)
+
     def test_irregular_shape_halo_capped(self):
         sh = ProblemShape.irregular(1000, 50.0, ranks=2)
         assert sh.halo_cols <= 500

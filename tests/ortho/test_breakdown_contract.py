@@ -30,6 +30,7 @@ import pytest
 
 import repro.ortho.bcgs_pip as bcgs_pip
 import repro.ortho.cholqr as cholqr
+import repro.ortho.randomized as randomized
 import repro.precision.kernels as kernels
 from repro.exceptions import CholeskyBreakdownError
 from repro.krylov.simulation import Simulation
@@ -69,6 +70,10 @@ TWO_STAGE = [
     (11, (11, 11), False, 11),    # stage 1 of the third, nothing pending
     (None, (16, 11), "raises", 11),  # the flush of [11, 16)
 ]
+#: the sketched pass projects and whitens the big panel before its
+#: Cholesky, so a failed stage 2 drops the pending big panel: nothing is
+#: left for the flush to retry on modified columns
+SKETCHED = {3: (6, (0, 0), False, 0)}
 
 
 class CountingBackend(NumpyBackend):
@@ -150,25 +155,47 @@ def test_state_after_the_kth_cholesky_raises(monkeypatch, rng, name, k):
         assert (scheme.pushed_cols, scheme.final_cols) == (lo, lo)
         return
 
-    lo, state, finish, final = TWO_STAGE[k - 1]
+    sketched = name == "sketched_two_stage"
+    lo, state, finish, final = (SKETCHED if sketched else {}).get(
+        k, TWO_STAGE[k - 1])
     assert raised_at == lo
     assert (scheme.pushed_cols, scheme.final_cols) == state
     if finish == "raises":
         with pytest.raises(CholeskyBreakdownError):
             scheme.finish_cycle()
-        assert (scheme.pushed_cols, scheme.final_cols) == state
+        assert (scheme.pushed_cols, scheme.final_cols) == (
+            (final, final) if sketched else state)
         assert scheme.drop_trailing_panel() is False
-        if name != "sketched_two_stage":
-            # its failed pass had whitened the columns: no retry, ever
-            assert scheme.finish_cycle() is False
+        assert scheme.finish_cycle() is False
     else:
         assert scheme.finish_cycle() is finish
-    if name == "sketched_two_stage" and k in (3, 5):
-        # a retry of a sketched pass runs on whitened columns; a real
-        # breakdown persists, so drop_trailing_panel() -> False ends it
-        return
     assert scheme.final_cols == final
     prefix_is_sound()
+
+
+def test_sketched_stage_two_failing_once_is_not_retried(monkeypatch):
+    """A one-shot failure of the sketched big-panel pass: the flush must
+    not re-run stage 2 on the columns the failed pass had already projected
+    and whitened (it used to return True with a wrong ``R``)."""
+    calls = itertools.count(1)
+    real = randomized._pythagorean_factor
+
+    def factor(*args, **kwargs):
+        if next(calls) == 3:                  # stage 2 over [0, 11)
+            raise CholeskyBreakdownError("forced", panel_index=0)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(randomized, "_pythagorean_factor", factor)
+    n, m = 400, 20
+    v = np.random.default_rng(7).standard_normal((n, m + 1))
+    basis, r = v.copy(), np.zeros((m + 1, m + 1))
+    scheme = get_scheme("sketched_two_stage")(big_step=10, breakdown="raise")
+    scheme.begin_cycle(NumpyBackend(), basis, r)
+    bounds = iter(_panel_bounds(S, m + 1))
+    assert scheme.panel_arrived(*next(bounds)) is False
+    with pytest.raises(CholeskyBreakdownError):
+        scheme.panel_arrived(*next(bounds))
+    assert scheme.finish_cycle() is False
+    assert (scheme.pushed_cols, scheme.final_cols) == (0, 0)
 
 
 @pytest.mark.parametrize("name, k", cases())

@@ -192,16 +192,25 @@ class TestMechanics:
         assert scheme.drop_trailing_panel() is False
         assert BCGSPIP2Scheme().drop_trailing_panel() is False
 
-    def test_sketched_flush_is_not_retried(self, nb, rng):
+    def test_sketched_flush_is_not_retried(self, nb, rng, monkeypatch):
         """Its stage pass whitens the panel before the Cholesky factor,
-        so a failed flush has already modified the columns."""
-        from repro.ortho.randomized import SketchedTwoStageScheme
-        scheme = SketchedTwoStageScheme(big_step=20)
+        so a failed flush has already modified the columns: it drops the
+        pending big panel rather than leave it for a retry."""
+        from repro.ortho import randomized
+        scheme = randomized.SketchedTwoStageScheme(big_step=20,
+                                                   breakdown="raise")
         scheme.begin_cycle(nb, rng.standard_normal((100, 10)),
                            np.zeros((10, 10)))
         scheme.panel_arrived(0, 5)
+
+        def broken(*args, **kwargs):
+            raise CholeskyBreakdownError("forced", panel_index=0)
+        monkeypatch.setattr(randomized, "_pythagorean_factor", broken)
+        with pytest.raises(CholeskyBreakdownError):
+            scheme.finish_cycle()
         assert scheme.drop_trailing_panel() is False
-        assert scheme.pushed_cols == 5
+        assert scheme.finish_cycle() is False
+        assert (scheme.pushed_cols, scheme.final_cols) == (0, 0)
 
     def test_empty_finish_is_noop(self, nb, rng):
         scheme = TwoStageScheme(big_step=5)

@@ -13,7 +13,9 @@ views of it.  Held here:
   metrics``, the live ``metrics_doc()``: held over every golden case in
   ``tests/krylov/test_restart_golden.py``);
 * structurally, ``Tracer.add`` is called from the two ``_charge``
-  funnels and the estimator only, and nobody assigns ``_charge``.
+  funnels (and the replay) only, the estimator folds whole cycles through
+  ``Tracer.fold``, the one other row writer, and nobody assigns
+  ``_charge``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
+from repro.parallel.tracing import _COLUMNS
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 
 NX = 20
@@ -137,24 +140,47 @@ def _is_tracer_add(call: ast.Call) -> bool:
             and len(call.args) + len(call.keywords) >= 2)
 
 
-def test_tracer_add_is_called_from_the_funnels_and_the_estimator_only():
-    callers = set()
+def _writes_a_row(node: ast.AST, bare: bool) -> bool:
+    """``<obj>.<column>[key] += ...``, or with ``bare`` also a local alias
+    ``<column>[key] += ...``."""
+    if not (isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)):
+        return False
+    column = node.target.value
+    name = (column.attr if isinstance(column, ast.Attribute)
+            else column.id if bare and isinstance(column, ast.Name) else None)
+    return name in ("by_phase", *_COLUMNS)
+
+
+def test_tracer_add_is_called_from_the_funnels_and_fold_from_the_estimator():
+    """One ``add`` per live charge; the paper-scale estimator hands a whole
+    cycle to the batch fold instead, and ``add`` and ``fold`` are the only
+    functions that write a row — both in ``tracing.py``."""
+    callers, folds, writers = set(), set(), set()
     for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text())
         for scope, call in _enclosing_functions(tree):
+            where = (rel, scope.split(".")[0], scope.split(".")[-1])
             if _is_tracer_add(call):
-                callers.add((path.relative_to(SRC).as_posix(),
-                             scope.split(".")[0], scope.split(".")[-1]))
-    estimator = {c for c in callers
-                 if c[0] == "experiments/estimator.py"}
-    assert estimator and all(c[1] == "CycleCostEstimator"
-                             for c in estimator)
-    assert callers - estimator == {
+                callers.add(where)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "fold":
+                folds.add(where)
+        bare = rel == "parallel/tracing.py"
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    _writes_a_row(node, bare) for node in ast.walk(fn)):
+                writers.add((rel, fn.name))
+    assert callers == {
         ("parallel/communicator.py", "SimComm", "_charge"),
         ("parallel/mp_backend.py", "MpComm", "_charge_measured"),
         # the replay of exported spans folds through the same function
         ("parallel/tracing.py", "Tracer", "replay"),
     }
+    assert folds == {("experiments/estimator.py", "CycleCostEstimator", fn)
+                     for fn in ("sstep_cycle", "standard_gmres_cycle")}
+    assert writers == {("parallel/tracing.py", "add"),
+                       ("parallel/tracing.py", "fold")}
 
 
 def test_nothing_assigns_the_charge_funnel():

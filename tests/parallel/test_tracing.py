@@ -7,6 +7,8 @@ import inspect
 import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.parallel.tracing import (COLLECTIVE_KERNELS, SpanEvent, Tracer,
                                     phase_names)
@@ -290,6 +292,46 @@ class TestSpanStream:
         # binary-fraction durations: t1 - t0 is exact, so is the replay
         assert Tracer().replay(spans).snapshot() == live.snapshot()
         assert Tracer(stream="measured").replay(spans).clock == 9.0
+
+
+#: ``((phase, kernel), seconds, count)`` lists, zero seconds and counts
+#: 0 / 2 included, few enough keys that rows repeat
+CHARGES = st.lists(st.tuples(
+    st.tuples(st.sampled_from(["spmv", "ortho", "other"]),
+              st.sampled_from(["dot", "allreduce", "halo"])),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_nan=False)),
+    st.sampled_from([0, 1, 2])), max_size=40)
+
+
+class TestFold:
+    """``Tracer.fold`` is one ``add`` per charge, under the charge's own
+    phase, in list order: bit for bit, key order included."""
+
+    @staticmethod
+    def _rows(t: Tracer) -> tuple:
+        return (t.clock.hex(), [(k, v.hex()) for k, v in t.by_phase.items()],
+                [(k, v.hex()) for k, v in t.by_kernel.items()],
+                list(t.counts.items()),
+                [s.to_dict() for s in t.spans if s.cat == "kernel"])
+
+    @given(before=CHARGES, charges=CHARGES, spans=st.booleans())
+    def test_fold_is_sequential_add(self, before, charges, spans):
+        added, folded = Tracer(), Tracer()
+        if spans:
+            added.enable_spans()
+            folded.enable_spans()
+        for (phase, kernel), seconds, count in before + charges:
+            with added.phase(phase):
+                added.add(kernel, seconds, count=count)
+        folded.fold(before)
+        folded.fold(charges)
+        assert self._rows(folded) == self._rows(added)
+
+    def test_negative_charge_names_its_kernel(self):
+        t = Tracer()
+        with pytest.raises(ValueError, match="'update'"):
+            t.fold([(("ortho", "dot"), 1.0, 1), (("ortho", "update"), -1e-9, 1)])
+        assert t.clock == 1.0 and t.by_phase == {"ortho": 1.0}
 
 
 class TestSharePhaseStack:

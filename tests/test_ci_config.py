@@ -86,6 +86,22 @@ class TestWorkflow:
         assert "pytest" not in run
         assert "scripts/docs_lint.py" in run
 
+    def test_tier1_strong_scaling_example_step(self):
+        """The strong-scaling example prices cycles through the estimator
+        the way a reader would; tier-1 runs it, outside pytest, on every
+        leg."""
+        yaml = pytest.importorskip("yaml")
+        doc = yaml.safe_load(WORKFLOW.read_text())
+        tier1 = doc["jobs"]["tier1"]
+        steps = [step for step in tier1["steps"]
+                 if "laplace_strong_scaling" in step.get("run", "")]
+        assert len(steps) == 1, "tier-1 must run the strong-scaling example"
+        run = steps[0]["run"]
+        assert run == ("PYTHONPATH=src python "
+                       "examples/laplace_strong_scaling.py --skip-live")
+        assert "if" not in steps[0]
+        assert (REPO / "examples" / "laplace_strong_scaling.py").is_file()
+
     def test_tier1_repo_benchmark_step(self):
         """The repo benchmark (BENCHMARK.json's command, at --quick
         sizes) and its own tests run in tier-1, unconditionally, on every
