@@ -101,28 +101,18 @@ def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
     mixed-precision CholQR [26].
     """
     _check_same_partition(x, y)
-    comm = x.comm
     his, los = [], []
     for xs, ys in zip(x.shards, y.shards):
         hi, lo = matmul_dd(xs, ys)
         his.append(hi)
         los.append(lo)
-    dd_pen = comm.cost.dd_factor()
     # the panel streams at its storage word size (fp32 shards move half
     # the fp64 bytes); only the dd flop penalty is precision-independent
-    wb = max(x.word_bytes, y.word_bytes)
-
-    def rank_seconds(cost, rows: int) -> float:
-        base = cost.gemm(rows, x.n_cols, y.n_cols, word_bytes=wb)
-        flops_term = (2.0 * rows * x.n_cols * y.n_cols * dd_pen
-                      / comm.machine.peak_flops)
-        return max(base, comm.machine.kernel_latency + flops_term)
-
-    comm.charge("dot", comm.cost.record(lambda c: [
-        rank_seconds(c, xs.shape[0]) for xs in x.shards]))
+    _engine.charge_rows(x, "dot_dd", x.n_cols, y.n_cols,
+                        max(x.word_bytes, y.word_bytes))
     # One collective, double payload; combining in dd keeps full accuracy
     # (the communicator folds the (hi, lo) pairs in tree order).
-    return comm.allreduce_dd(his, los)
+    return x.comm.allreduce_dd(his, los)
 
 
 def column_norms(x: DistMultiVector) -> np.ndarray:

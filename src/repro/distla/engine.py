@@ -15,8 +15,11 @@ NumPy work executes:
   evaluated once per run of equal-count ranks and kept on the partition.
 
 Both engines produce bit-identical values and charge identical modeled
-costs.  The contract, by kind of kernel: *reductions* fold per-rank
-partials in the MPI pair order of
+costs: a kernel names its op of the one price table,
+:data:`~repro.parallel.costmodel.LOCAL_OPS`, priced per shard
+(:func:`charge_shards`) or per run of equal-count ranks
+(:func:`charge_rows`).  The contract, by kind of kernel: *reductions*
+fold per-rank partials in the MPI pair order of
 :class:`~repro.parallel.communicator.SimComm` (the paper's numerics) —
 one batched ``matmul`` per *run* of consecutive equal-count ranks
 (``Partition.runs``) is one GEMM per rank by construction; row-local
@@ -47,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import config
+from repro.parallel.costmodel import LOCAL_OPS
 
 
 def _acc_dtype(*mvs) -> np.dtype:
@@ -151,13 +155,22 @@ def _trsm_rows(w: np.ndarray, r: np.ndarray, count: int = 1) -> None:
 # loop engine (reference semantics)
 # ---------------------------------------------------------------------------
 
+def charge_shards(mv, op: str, *args) -> None:
+    """Charge the local ``op`` of :data:`~repro.parallel.costmodel.LOCAL_OPS`
+    over ``mv``'s rows, its formula evaluated once per shard."""
+    comm = mv.comm
+    kernel, formula = LOCAL_OPS[op]
+    comm.charge(kernel, comm.cost.record(lambda c: [
+        formula(c, s.shape[0], *args) for s in mv.shards]))
+
+
 class LoopEngine(KernelEngine):
     """One NumPy call per simulated rank — the reference execution path."""
 
     name = config.ENGINE_LOOP
 
     # -- reductions -----------------------------------------------------
-    def _dot_partials(self, comm, pairs) -> list:
+    def _dot_partials(self, pairs) -> list:
         """One reduction group per ``(X, Y)`` pair — rank ``r``
         contributes ``X_r.T @ Y_r`` — and one ``dot`` charge per pair."""
         groups = []
@@ -165,97 +178,71 @@ class LoopEngine(KernelEngine):
             acc = _acc_dtype(x, y)
             groups.append([_cast(xs, acc).T @ _cast(ys, acc)
                            for xs, ys in zip(x.shards, y.shards)])
-            comm.charge("dot", comm.cost.record(lambda c: [
-                c.gemm(xs.shape[0], x.n_cols, y.n_cols, word_bytes=_wb(x, y))
-                for xs in x.shards]))
+            charge_shards(x, "dot", x.n_cols, y.n_cols, _wb(x, y))
         return groups
 
     def block_dot(self, x, y) -> np.ndarray:
-        return x.comm.allreduce(self._dot_partials(x.comm, [(x, y)]))[0]
+        return x.comm.allreduce(self._dot_partials([(x, y)]))[0]
 
     def block_dot_multi(self, pairs) -> list[np.ndarray]:
-        comm = pairs[0][0].comm
-        return comm.allreduce(self._dot_partials(comm, pairs))
+        return pairs[0][0].comm.allreduce(self._dot_partials(pairs))
 
     def post_block_dot_multi(self, pairs):
         """Posted :meth:`block_dot_multi`: local partials (and their
         charges) now, the fused allreduce in flight — settle with
         ``comm.wait(handle)``.  Results are bit-identical to the
         blocking call."""
-        comm = pairs[0][0].comm
-        return comm.post_allreduce(self._dot_partials(comm, pairs))
+        return pairs[0][0].comm.post_allreduce(self._dot_partials(pairs))
 
     def column_norms(self, x) -> np.ndarray:
-        comm = x.comm
         acc = _acc_dtype(x)
         partials = []
         for s in x.shards:
             ss = _cast(s, acc)
             partials.append(np.einsum("ij,ij->j", ss, ss))
-        comm.charge("norm", comm.cost.record(lambda c: [
-            c.blas1(s.size, n_streams=1, writes=0, word_bytes=x.word_bytes)
-            for s in x.shards]))
-        return np.sqrt(comm.allreduce([partials])[0])
+        charge_shards(x, "norm", x.n_cols, x.word_bytes)
+        return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local (communication-free) updates ------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
-        comm = v.comm
         for vs, qs in zip(v.shards, q.shards):
             w = _cast(vs, _F64)
             _gemm_sub(w, _cast(qs, _F64), r)
             if w is not vs:
                 vs[...] = v.quantize(w)
-        comm.charge("update", comm.cost.record(lambda c: [
-            c.gemm_tall_update(vs.shape[0], q.n_cols, v.n_cols,
-                               word_bytes=_wb(v, q))
-            for vs in v.shards]))
+        charge_shards(v, "update", q.n_cols, v.n_cols, _wb(v, q))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
-        comm = v.comm
         _trsm_check(r, v.shards)
         for vs in v.shards:
             w = _cast(vs, _F64)
             _trsm_rows(w, r)
             if w is not vs:
                 vs[...] = v.quantize(w)
-        comm.charge("trsm", comm.cost.record(lambda c: [
-            c.trsm(vs.shape[0], v.n_cols, word_bytes=v.word_bytes)
-            for vs in v.shards]))
+        charge_shards(v, "trsm", v.n_cols, v.word_bytes)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
-        comm = v.comm
         for vs in v.shards:
             vs[...] = v.quantize(_cast(vs, _F64) * scales[np.newaxis, :])
-        comm.charge("scale", comm.cost.record(lambda c: [
-            c.blas1(vs.size, n_streams=1, writes=1, word_bytes=v.word_bytes)
-            for vs in v.shards]))
+        charge_shards(v, "scale", v.n_cols, 1, v.word_bytes)
 
     def lincomb(self, out, terms) -> None:
-        comm = out.comm
         for r, outs in enumerate(out.shards):
             acc = terms[0][0] * _cast(terms[0][1].shards[r], _F64)
             for alpha, x in terms[1:]:
                 acc += alpha * _cast(x.shards[r], _F64)
             outs[...] = out.quantize(acc)
-        comm.charge("axpy", comm.cost.record(lambda c: [
-            c.blas1(s.size, n_streams=len(terms), writes=1,
-                    word_bytes=_wb(out, *[t[1] for t in terms]))
-            for s in out.shards]))
+        charge_shards(out, "axpy", out.n_cols, len(terms),
+                      _wb(out, *[t[1] for t in terms]))
 
     def copy_into(self, dst, src) -> None:
-        comm = dst.comm
         dst.assign_from(src)  # rounds to dst's storage grid when needed
-        comm.charge("axpy", comm.cost.record(lambda c: [
-            c.blas1(s.size, n_streams=1, writes=1, word_bytes=_wb(dst, src))
-            for s in src.shards]))
+        charge_shards(src, "axpy", src.n_cols, 1, _wb(dst, src))
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
-        comm = v.comm
         for vs, outs in zip(v.shards, out.shards):
             outs[...] = out.quantize(_cast(vs, _F64) @ coeffs)
-        comm.charge("update", comm.cost.record(lambda c: [
-            c.gemm(vs.shape[0], v.n_cols, out.n_cols, word_bytes=_wb(v, out))
-            for vs in v.shards]))
+        charge_shards(v, "matvec", v.n_cols, out.n_cols, _wb(v, out))
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op) -> list[np.ndarray]:
@@ -290,7 +277,7 @@ class LoopEngine(KernelEngine):
         The randomized schemes' analogue of BCGS-PIP fusion: projection
         coefficients and the panel sketch travel in a single message.
         """
-        groups = self._dot_partials(v.comm, pairs)
+        groups = self._dot_partials(pairs)
         groups.append(self._sketch_partials(v, op))
         results = v.comm.allreduce(groups)
         return results[:-1], results[-1]
@@ -300,15 +287,16 @@ class LoopEngine(KernelEngine):
 # batched engine
 # ---------------------------------------------------------------------------
 
-def charge_rows(mv, kernel: str, method: str, per_row: int, *shape) -> None:
-    """Charge a local ``kernel`` over ``mv``'s rows, costing rank ``r``
-    ``CostModel.<method>(rows_r * per_row, *shape)``: evaluated for one
-    rank of each run of equal-count ranks, once per ``(method, shape,
-    machine)`` in the partition's memo."""
+def charge_rows(mv, op: str, *args) -> None:
+    """Charge the local ``op`` of :data:`~repro.parallel.costmodel.LOCAL_OPS`
+    over ``mv``'s rows: its formula evaluated for one rank of each run of
+    equal-count ranks, once per ``(op, *args, machine)`` in the
+    partition's memo."""
     comm, part = mv.comm, mv.partition
+    kernel, formula = LOCAL_OPS[op]
     comm.charge(kernel, comm.cost.memoized(
-        part.charges, (method, per_row, *shape),
-        lambda c: [getattr(c.times(n_ranks), method)(rows * per_row, *shape)
+        part.charges, (op, *args),
+        lambda c: [formula(c.times(n_ranks), rows, *args)
                    for n_ranks, _, rows in part.runs]))
 
 
@@ -345,7 +333,7 @@ class BatchedEngine(LoopEngine):
     name = config.ENGINE_BATCHED
 
     # -- reductions -----------------------------------------------------
-    def _dot_partials(self, comm, pairs) -> list:
+    def _dot_partials(self, pairs) -> list:
         """One ``(ranks, k_x, k_y)`` stack of per-rank products per pair."""
         groups = []
         for x, y in pairs:
@@ -353,14 +341,14 @@ class BatchedEngine(LoopEngine):
                 x.partition,
                 lambda xs, ys: np.matmul(xs.transpose(0, 2, 1), ys),
                 _acc_dtype(x, y), x.flat, y.flat))
-            charge_rows(x, "dot", "gemm", 1, x.n_cols, y.n_cols, _wb(x, y))
+            charge_rows(x, "dot", x.n_cols, y.n_cols, _wb(x, y))
         return groups
 
     def column_norms(self, x) -> np.ndarray:
         partials = _over_runs(
             x.partition, lambda w: np.einsum("rij,rij->rj", w, w),
             _acc_dtype(x), x.flat)
-        charge_rows(x, "norm", "blas1", x.n_cols, 1, 0, x.word_bytes)
+        charge_rows(x, "norm", x.n_cols, x.word_bytes)
         return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local updates ----------------------------------------------------
@@ -372,7 +360,7 @@ class BatchedEngine(LoopEngine):
             _gemm_sub(w, _cast(fq[rows], _F64), r, count)
             if v.storage != "fp64":
                 fv[rows] = v.quantize(w)
-        charge_rows(v, "update", "gemm_tall_update", 1, kq, kv, _wb(v, q))
+        charge_rows(v, "update", kq, kv, _wb(v, q))
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         flat = v.flat
@@ -383,7 +371,7 @@ class BatchedEngine(LoopEngine):
             _trsm_rows(w, r, count)
             if v.storage != "fp64":
                 flat[rows] = v.quantize(w)
-        charge_rows(v, "trsm", "trsm", 1, v.n_cols, v.word_bytes)
+        charge_rows(v, "trsm", v.n_cols, v.word_bytes)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         flat = v.flat
@@ -392,7 +380,7 @@ class BatchedEngine(LoopEngine):
         else:
             for rows in _row_tiles(*flat.shape):
                 flat[rows] = v.quantize(_cast(flat[rows], _F64) * scales)
-        charge_rows(v, "scale", "blas1", v.n_cols, 1, 1, v.word_bytes)
+        charge_rows(v, "scale", v.n_cols, 1, v.word_bytes)
 
     def lincomb(self, out, terms) -> None:
         operands = [t[1] for t in terms]
@@ -402,12 +390,11 @@ class BatchedEngine(LoopEngine):
             for alpha, x in terms[1:]:
                 acc += alpha * _cast(x.flat[rows], _F64)
             fout[rows] = out.quantize(acc)
-        charge_rows(out, "axpy", "blas1", out.n_cols, len(terms), 1,
-                    _wb(out, *operands))
+        charge_rows(out, "axpy", out.n_cols, len(terms), _wb(out, *operands))
 
     def copy_into(self, dst, src) -> None:
         dst.assign_from(src)  # rounds to dst's storage grid when needed
-        charge_rows(dst, "axpy", "blas1", src.n_cols, 1, 1, _wb(dst, src))
+        charge_rows(dst, "axpy", src.n_cols, 1, _wb(dst, src))
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
         fout, fv = out.flat, v.flat
@@ -416,7 +403,7 @@ class BatchedEngine(LoopEngine):
             fout[rows] = out.quantize(
                 np.matmul(_cast(fv[rows], _F64).reshape(count, each, kv),
                           coeffs).reshape(count * each, kout))
-        charge_rows(v, "update", "gemm", 1, kv, kout, _wb(v, out))
+        charge_rows(v, "matvec", kv, kout, _wb(v, out))
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op) -> np.ndarray:

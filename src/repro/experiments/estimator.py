@@ -9,14 +9,18 @@ alone, so nothing about a scheme is restated here
 * **recorded** — once per ``(scheme, m, s, bs)`` the real
   :class:`~repro.ortho.base.BlockOrthoScheme` (``cgs2_append`` for
   standard GMRES) factors a small well-conditioned random matrix through
-  a logging ``NumpyBackend``; the log is its ``OrthoBackend`` primitives
-  with their widths and, per panel, the columns it then called final.
-  ``CycleCostEstimator._PRICES`` is the ONE table from a primitive to a
-  ``CostModel`` formula; one it lacks is a :class:`ConfigurationError`;
+  a logging ``NumpyBackend``; the log is, per ``OrthoBackend`` call, the
+  ops ``DistBackend`` charges for it (local ops by column widths, the
+  doubles of its one collective, host flops) and, per panel, the columns
+  the scheme then called final.  A local op is priced by
+  :data:`~repro.parallel.costmodel.LOCAL_OPS`, the table the live
+  engines charge through; a primitive no such ops describe (``sketch``,
+  ``householder_qr``, ``tsqr``) is a :class:`ConfigurationError`;
 * **shape-priced** — SpMV, halo and preconditioner have no live
   counterpart at paper scale (``_spmv``, :class:`PrecondShape`);
-* **hand-written** — the solver shell around the scheme (explicit
-  residual, cycle prologue, checkpoint host math, solution update).
+* **hand-written** — the ops of the solver shell around the scheme
+  (explicit residual, cycle prologue, checkpoint host math, solution
+  update), priced by the same loop as a recorded stream.
 
 Every ``(phase, kernel)`` row equals the tracer diff of one live solver
 cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
@@ -44,7 +48,7 @@ from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.cgs import cgs2_append
 from repro.ortho.two_stage import TwoStageScheme
-from repro.parallel.costmodel import CostModel
+from repro.parallel.costmodel import LOCAL_OPS, CostModel
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer
 from repro.utils.validation import check_positive_int
@@ -75,10 +79,16 @@ class ProblemShape:
     halo_cols: float
     halo_neighbors: int = 2
 
+    def __post_init__(self) -> None:
+        check_positive_int(self.halo_neighbors, "halo_neighbors")
+
     @classmethod
     def stencil2d(cls, nx: int, stencil: int = 9) -> "ProblemShape":
-        nnz_per_row = {5: 5.0, 9: 9.0}[stencil]
-        return cls(n=nx * nx, nnz=nnz_per_row * nx * nx, halo_cols=2.0 * nx)
+        if stencil not in (5, 9):
+            raise ConfigurationError(
+                f"stencil must be one of (5, 9), got {stencil!r}")
+        return cls(n=nx * nx, nnz=float(stencil) * nx * nx,
+                   halo_cols=2.0 * nx)
 
     @classmethod
     def stencil3d(cls, nx: int, dofs_per_node: int = 1,
@@ -118,13 +128,15 @@ def _unpriced(name: str):
     def refuse(self, *args, **kwargs):
         raise ConfigurationError(
             f"the estimator has no price for the OrthoBackend primitive "
-            f"{name!r}; it prices {', '.join(CycleCostEstimator._PRICES)}")
+            f"{name!r}: it prices local ops of {', '.join(LOCAL_OPS)}")
     return refuse
 
 
 class _StreamRecorder(NumpyBackend):
-    """Logs ``(primitive, column widths)`` of every call the estimator
-    prices and refuses the rest."""
+    """Logs, per ``OrthoBackend`` call, the ops ``DistBackend`` charges
+    for it — its local ops of :data:`LOCAL_OPS` by column widths, then
+    the doubles of its one collective — and refuses the calls no such
+    ops describe."""
 
     def __init__(self) -> None:
         self.ops: list[tuple] = []
@@ -133,46 +145,58 @@ class _StreamRecorder(NumpyBackend):
         ops, self.ops = tuple(self.ops), []
         return ops
 
+    def _dots(self, op: str, pairs, words: int = 1) -> None:
+        self.ops.append((*((op, x.shape[1], y.shape[1]) for x, y in pairs),
+                         ("allreduce", words * sum(x.shape[1] * y.shape[1]
+                                                   for x, y in pairs))))
+
     def dot(self, x, y):
-        self.ops.append(("dot", ((x.shape[1], y.shape[1]),)))
-        return super().dot(x, y)
+        return self.fused_dots([(x, y)])[0]
 
     def fused_dots(self, pairs):
-        self.ops.append(("fused_dots",
-                         tuple((x.shape[1], y.shape[1]) for x, y in pairs)))
+        self._dots("dot", pairs)
         return super().fused_dots(pairs)
 
+    def dot_dd(self, x, y):
+        self._dots("dot_dd", [(x, y)], words=2)   # (hi, lo) pairs
+        return super().dot_dd(x, y)
+
     def norms(self, x):
-        self.ops.append(("norms", (x.shape[1],)))
+        self.ops.append((("norm", x.shape[1]), ("allreduce", x.shape[1])))
         return super().norms(x)
 
     def update(self, v, q, r) -> None:
-        self.ops.append(("update", (q.shape[1], v.shape[1])))
+        self.ops.append((("update", q.shape[1], v.shape[1]),))
         super().update(v, q, r)
 
     def trsm(self, v, r) -> None:
-        self.ops.append(("trsm", (v.shape[1],)))
+        self.ops.append((("trsm", v.shape[1]),))
         super().trsm(v, r)
 
     def scale_cols(self, v, scales) -> None:
-        self.ops.append(("scale_cols", (v.shape[1],)))
+        self.ops.append((("scale", v.shape[1], 1),))
         super().scale_cols(v, scales)
 
     def host_flops(self, flops: float) -> None:
-        self.ops.append(("host_flops", (flops,)))
+        self.ops.append((("host", flops),))
 
     # sketch sizes depend on n and the QR kernels charge through
     # DistBackend._local_qr_cost: neither is a width-only stream
-    dot_dd = _unpriced("dot_dd")
     sketch = _unpriced("sketch")
     fused_dots_sketch = _unpriced("fused_dots_sketch")
     householder_qr = _unpriced("householder_qr")
     tsqr = _unpriced("tsqr")
 
 
+#: The solver shell's ops before the first panel (``krylov/restart.py``):
+#: the residual ``b - A x`` and its norm, ``r`` copied and scaled.
+_RESIDUAL = ((("axpy", 1, 2),), (("norm", 1), ("allreduce", 1)))
+_FIRST_COLUMN = ((("axpy", 1, 1),), (("scale", 1, 1),))
+
+
 def _record(scheme_factory: Callable[[], BlockOrthoScheme] | None,
             m: int, s: int) -> tuple:
-    """The primitive stream of one restart cycle of ``m`` steps:
+    """The op stream of one restart cycle of ``m`` steps:
     ``(lo, hi, ops, final_cols)`` per arriving panel ``[lo, hi)``, then
     the ``finish_cycle`` flush; ``final_cols`` is ``None`` unless the
     scheme called the panel final.  ``None`` records standard GMRES: one
@@ -216,24 +240,20 @@ class CycleCostEstimator:
     A cycle is a list of ``((phase, kernel), seconds, count)`` charges
     folded into a fresh :class:`Tracer` at once (:meth:`Tracer.fold`).
     Every block of it is priced once per estimator: the SpMV step and the
-    solver shell here, each ``(phase, primitive, widths)`` of a recorded
+    solver shell here, each ``(phase, backend call)`` of a recorded
     stream on first use, kept in a dict that dies with the estimator.
     """
 
     def __init__(self, machine: MachineSpec, ranks: int, shape: ProblemShape,
                  m: int, s: int = 5,
                  precond: PrecondShape | None = None) -> None:
-        check_positive_int(s, "s")
-        check_positive_int(m, "m")
+        self.s = check_positive_int(s, "s")
+        self.m = check_positive_int(m, "m")
         if m < s:
             raise ConfigurationError(f"restart {m} must be >= step {s}")
-        if ranks < 1:
-            raise ConfigurationError(f"ranks must be >= 1, got {ranks}")
         self.machine = machine
-        self.ranks = int(ranks)
+        self.ranks = check_positive_int(ranks, "ranks")
         self.shape = shape
-        self.m = int(m)
-        self.s = int(s)
         self.precond = precond
         self.cost = CostModel(machine)
         self.nl = math.ceil(shape.n / self.ranks)
@@ -248,58 +268,40 @@ class CycleCostEstimator:
             ("spmv", "spmv_local"),
             self.cost.spmv(self.nnz_l, self.nl, self.nl + shape.halo_cols),
             1), *self._precond)
-        self._prologue = self._cycle_prologue()
-        self._epilogue = self._solution_update(self.m)
+        self._prologue = list(self._spmv)
+        self._price(self._prologue, "other", _RESIDUAL)
+        self._price(self._prologue, "ortho", _FIRST_COLUMN)
+        #: the solution update ``x += V y``, then a preconditioner apply
+        self._epilogue = []
+        self._price(self._epilogue, "other",
+                    ((("matvec", self.m, 1),), (("axpy", 1, 2),)))
+        self._epilogue += self._precond
 
-    # ------------------------------------------------------------------
-    # the one primitive -> formula table (mirrors distla/engine.py); an
-    # entry returns the (kernel, seconds) charges of one primitive
-    # ------------------------------------------------------------------
-    def _reduce(self, doubles: float) -> tuple:
-        return "allreduce", self.cost.allreduce(_D * doubles, self.ranks)
-
-    def _dots(self, *pairs: tuple) -> list:
-        """``X.T @ Y`` per ``(x cols, y cols)`` pair, then ONE collective."""
-        out, doubles = [], 0
-        for j, c in pairs:
-            out.append(("dot", self.cost.gemm(self.nl, j, c)))
-            doubles += j * c
-        out.append(self._reduce(doubles))
-        return out
-
-    def _norms(self, cols: int) -> list:
-        return [("norm", self.cost.blas1(self.nl * cols, n_streams=1,
-                                         writes=0)),
-                self._reduce(cols)]
-
-    def _update(self, j: int, c: int) -> list:
-        return [("update", self.cost.gemm_tall_update(self.nl, j, c))]
-
-    def _trsm(self, c: int) -> list:
-        return [("trsm", self.cost.trsm(self.nl, c))]
-
-    def _scale(self, cols: int) -> list:
-        return [("scale", self.cost.blas1(self.nl * cols, n_streams=1,
-                                          writes=1))]
-
-    def _host(self, flops: float) -> list:
-        return [("host", self.cost.host_dense(flops))]
-
-    _PRICES = {"dot": _dots, "fused_dots": _dots, "norms": _norms,
-               "update": _update, "trsm": _trsm, "scale_cols": _scale,
-               "host_flops": _host}
+    def _block(self, phase: str, call: tuple) -> tuple:
+        """The charges of one backend call's ops in ``phase``: a
+        collective of ``n`` doubles, ``n`` host flops, or a local op of
+        :data:`LOCAL_OPS` over the ``nl`` rows of one rank."""
+        cost, block = self.cost, []
+        for op, *args in call:
+            if op == "allreduce":
+                kernel, seconds = op, cost.allreduce(_D * args[0], self.ranks)
+            elif op == "host":
+                kernel, seconds = op, cost.host_dense(args[0])
+            else:
+                kernel, formula = LOCAL_OPS[op]
+                seconds = formula(cost, self.nl, *args)
+            block.append(((phase, kernel), seconds, 1))
+        return tuple(block)
 
     def _price(self, charges: list, phase: str, ops: tuple) -> None:
-        """Append the charges of ``ops`` in ``phase``, each distinct op
-        priced on its first use by this estimator."""
+        """Append the charges of ``ops`` — one tuple of ops per backend
+        call — in ``phase``, each distinct call priced on its first use
+        by this estimator."""
         blocks = self._blocks
-        for primitive, widths in ops:
-            key = (phase, primitive, widths)
-            block = blocks.get(key)
+        for call in ops:
+            block = blocks.get((phase, call))
             if block is None:
-                block = blocks[key] = tuple(
-                    ((phase, kernel), seconds, 1) for kernel, seconds
-                    in self._PRICES[primitive](self, *widths))
+                block = blocks[phase, call] = self._block(phase, call)
             charges += block
 
     # ------------------------------------------------------------------
@@ -327,24 +329,6 @@ class CycleCostEstimator:
     # ------------------------------------------------------------------
     # the solver shell (krylov/restart.py, the checkpoint of sstep_gmres)
     # ------------------------------------------------------------------
-    def _axpy(self, phase: str, streams: int) -> tuple:
-        return ((phase, "axpy"),
-                self.cost.blas1(self.nl, n_streams=streams, writes=1), 1)
-
-    def _cycle_prologue(self) -> list:
-        """The explicit residual, then ``r`` copied and scaled into the
-        basis."""
-        charges = [*self._spmv, self._axpy("other", streams=2)]  # b - Ax
-        self._price(charges, "other", (("norms", (1,)),))
-        charges.append(self._axpy("ortho", streams=1))       # copy r
-        self._price(charges, "ortho", (("scale_cols", (1,)),))
-        return charges
-
-    def _solution_update(self, c: int) -> list:
-        return [(("other", "update"), self.cost.gemm(self.nl, c, 1), 1),
-                self._axpy("other", streams=2),           # matvec_small
-                *self._precond]
-
     def _checkpoint(self, c: int) -> tuple:
         # Hessenberg assembly + least squares, 2 c^3 host flops each
         return ("other", "host"), self.cost.host_dense(4.0 * c ** 3), 2
@@ -358,8 +342,8 @@ class CycleCostEstimator:
         for j, _, ops, _ in _config_stream("gmres", self.m, 1, None):
             charges += self._spmv
             self._price(charges, "ortho", ops)
-            self._price(charges, "other", (("host_flops", (6.0 * j,)),))
-        self._price(charges, "other", (("host_flops", (float(self.m) ** 2,)),))
+            self._price(charges, "other", ((("host", 6.0 * j),),))
+        self._price(charges, "other", ((("host", float(self.m) ** 2),),))
         charges += self._epilogue
         return Tracer().fold(charges)
 

@@ -29,6 +29,7 @@ from repro.distla.multivector import DistMultiVector
 from repro.dd.linalg import gram_dd, matmul_dd
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
+from repro.parallel.costmodel import LOCAL_OPS
 from repro.sketch.distributed import sketch_multivector
 
 
@@ -388,8 +389,9 @@ class DistBackend(OrthoBackend):
             flat[lo:lo + n_ranks * rows] = v.quantize(
                 rebuilt.reshape(n_ranks * rows, k))
             first += n_ranks
-        comm.charge("update", comm.cost.record(lambda c: [
-            c.gemm(rows, k, k, word_bytes=v.word_bytes) for rows in counts]),
+        kernel, formula = LOCAL_OPS["matvec"]
+        comm.charge(kernel, comm.cost.record(lambda c: [
+            formula(c, rows, k, k, v.word_bytes) for rows in counts]),
             driver_side=True)
         return r_final
 

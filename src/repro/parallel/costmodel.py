@@ -14,8 +14,9 @@ inter-node hops at IB latency, plus one device synchronization per
 collective (the GPU pipeline must drain before MPI may touch the buffer).
 
 Every method returns seconds as a plain float; the caller decides the
-tracing category.  The model is deliberately small and fully unit-tested —
-see ``tests/parallel/test_costmodel.py``.
+tracing category (a local kernel's through :data:`LOCAL_OPS`).  The model
+is deliberately small and fully unit-tested — see
+``tests/parallel/test_costmodel.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from repro.precision.dtypes import word_bytes as bytes_per_word
 #: all fp64 charges bit-identical to the pre-precision-subsystem model.
 _DOUBLE = bytes_per_word("fp64")
 _INT = 4     # bytes per CSR index (cuSparse uses 32-bit local indices)
+#: Native flops per double-double flop (the operands stay float64, so
+#: bandwidth is unchanged): the dd Gram's penalty.
+_DD_FLOPS = 20.0
 
 
 class KernelCharge(NamedTuple):
@@ -174,12 +178,6 @@ class CostModel:
         flops = 2.0 * n_elems
         bytes_moved = word_bytes * n_elems * (n_streams + writes)
         return self._roofline(flops, bytes_moved, self.machine.stream_efficiency)
-
-    def dd_factor(self) -> float:
-        """Flop multiplier for double-double arithmetic (~20 native flops
-        per dd flop; bandwidth cost unchanged since operands stay float64).
-        Used by the mixed-precision CholQR cost accounting."""
-        return 20.0
 
     def spmv(self, nnz: float, n_rows: float, n_cols_touched: float,
              word_bytes: float = _DOUBLE) -> float:
@@ -350,3 +348,39 @@ class CostModel:
         if kernel in ("host", "ghost_plan"):
             return 0.0
         return m.kernel_latency
+
+
+# ---------------------------------------------------------------------------
+# the one local-kernel price table
+# ---------------------------------------------------------------------------
+
+def _dot_dd(cost, rows, k_x, k_y, word_bytes=_DOUBLE) -> float:
+    """dd ``X.T @ Y``: the GEMM, floored by its flops at the dd penalty."""
+    m = cost.machine
+    return max(cost.gemm(rows, k_x, k_y, word_bytes), m.kernel_latency
+               + 2.0 * rows * k_x * k_y * _DD_FLOPS / m.peak_flops)
+
+
+def _norm(cost, rows, cols, word_bytes=_DOUBLE) -> float:
+    return cost.blas1(rows * cols, 1, 0, word_bytes)     # nothing written
+
+
+def _stream(cost, rows, cols, reads, word_bytes=_DOUBLE) -> float:
+    return cost.blas1(rows * cols, reads, 1, word_bytes)  # one written
+
+
+#: Local (communication-free) op -> ``(charged kernel, formula)``, the ONE
+#: place a local op meets its formula: ``formula(model, rows, *args)``
+#: costs one rank's ``rows``-row shard; ``args`` are the column widths
+#: (``j, k`` of a ``(rows, j)``-by-``(rows, k)`` op, ``k`` of a panel), the
+#: operands read (``scale``, ``axpy``), the word size (fp64 if omitted).
+LOCAL_OPS = {
+    "dot": ("dot", CostModel.gemm),                    # X.T @ Y
+    "dot_dd": ("dot", _dot_dd),                        # X.T @ Y in dd
+    "norm": ("norm", _norm),                           # ||V[:, j]||
+    "update": ("update", CostModel.gemm_tall_update),  # V -= Q @ R
+    "matvec": ("update", CostModel.gemm),              # out = V @ C
+    "trsm": ("trsm", CostModel.trsm),                  # V @ R^{-1}
+    "scale": ("scale", _stream),                       # V * d
+    "axpy": ("axpy", _stream),                         # sum_i a_i X_i
+}

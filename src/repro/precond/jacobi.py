@@ -34,7 +34,7 @@ class JacobiPreconditioner(Preconditioner):
         self._check_ready()
         # elementwise, so rank boundaries do not matter
         np.multiply(x.flat, self._inv_diag[:, np.newaxis], out=out.flat)
-        charge_rows(x, "scale", "blas1", x.n_cols, 2, 1)
+        charge_rows(x, "scale", x.n_cols, 2)  # reads x and the diagonal
 
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         self._check_ready()

@@ -4,11 +4,13 @@ row of a priced cycle is one live solver cycle's, count for count."""
 from __future__ import annotations
 
 import ast
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 import repro.experiments
+from repro.distla.engine import charge_rows
 from repro.exceptions import ConfigurationError
 from repro.experiments import estimator as est_mod
 from repro.experiments import fig10_12, fig13, table2, table3, table4
@@ -18,6 +20,7 @@ from repro.experiments.estimator import (
     PrecondShape,
     ProblemShape,
 )
+from repro.experiments.paper_data import TABLE4_SHAPES
 from repro.experiments.sweep import PAPER_CONFIGS
 from repro.krylov.gmres import gmres
 from repro.krylov.simulation import Simulation
@@ -26,6 +29,7 @@ from repro.matrices.stencil import laplace2d
 from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme, BCGSPIPScheme
 from repro.ortho.cholqr import CholQR
+from repro.ortho.hhqr import HouseholderQR
 from repro.ortho.randomized import RBCGSScheme
 from repro.ortho.registry import list_schemes
 from repro.ortho.two_stage import TwoStageScheme
@@ -100,6 +104,15 @@ class TestEstimatorMatchesLiveRun:
         assert_rows_equal(estimator().sstep_cycle(factory),
                           live_cycle(factory()))
 
+    @pytest.mark.parametrize("bs", [5, 10, 20])
+    def test_mixed_two_stage(self, bs):
+        """``dot_dd`` is a table op: the dd Gram's charge and its
+        double-payload collective, priced with no estimator code."""
+        def factory():
+            return MixedPrecisionTwoStageScheme(big_step=bs)
+        assert_rows_equal(estimator().sstep_cycle(factory),
+                          live_cycle(factory()))
+
     def test_pip2_is_two_stage_at_bs_equal_s(self):
         one = estimator().sstep_cycle("pip2")
         two = estimator().sstep_cycle("two_stage", bs=S)
@@ -109,8 +122,8 @@ class TestEstimatorMatchesLiveRun:
 
 class TestRecordedStream:
     @pytest.mark.parametrize("factory, primitive", [
-        (lambda: MixedPrecisionTwoStageScheme(big_step=M), "dot_dd"),
-        (RBCGSScheme, "sketch")], ids=["mixed-two-stage", "rbcgs"])
+        (lambda: BCGS2Scheme(intra_first=HouseholderQR()), "householder_qr"),
+        (RBCGSScheme, "sketch")], ids=["bcgs2+hhqr", "rbcgs"])
     def test_unpriced_primitive_is_named(self, factory, primitive):
         with pytest.raises(ConfigurationError, match=repr(primitive)):
             estimator().sstep_cycle(factory)
@@ -192,6 +205,33 @@ class TestEstimatorStructure:
             CycleCostEstimator(summit(), 6, ProblemShape.stencil2d(200),
                                m=m, s=s)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ProblemShape.stencil2d(200, stencil=7),
+         r"^stencil must be one of \(5, 9\), got 7$"),
+        (lambda: ProblemShape(n=400, nnz=2000.0, halo_cols=40.0,
+                              halo_neighbors=0),
+         r"^halo_neighbors must be positive, got 0$"),
+        (lambda: CycleCostEstimator(summit(), 2.5,
+                                    ProblemShape.stencil2d(200), m=60, s=5),
+         r"^ranks must be an int, got float$"),
+        (lambda: CycleCostEstimator(summit(), 0,
+                                    ProblemShape.stencil2d(200), m=60, s=5),
+         r"^ranks must be positive, got 0$")],
+        ids=["stencil-7", "no-halo-neighbors", "fractional-ranks",
+             "no-ranks"])
+    def test_shape_and_ranks_are_checked_at_the_door(self, build, message):
+        """A bare ``KeyError``, a ``ZeroDivisionError`` in the first
+        multi-rank cycle and silently priced 2 ranks, before."""
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+    @pytest.mark.parametrize("ranks", [1, 6, 96, 192])
+    def test_table4_shapes_still_build(self, ranks):
+        for name in TABLE4_SHAPES:
+            shape = table4.problem_shape(name, ranks)
+            est = CycleCostEstimator(summit(), ranks, shape, m=60, s=5)
+            assert est.cycle("pip2").clock > 0, name
+
     def test_irregular_shape_halo_capped(self):
         sh = ProblemShape.irregular(1000, 50.0, ranks=2)
         assert sh.halo_cols <= 500
@@ -239,11 +279,11 @@ class TestOneConfigDoor:
 
 # ----------------------------------------------------------------------
 EXPERIMENTS = Path(repro.experiments.__file__).resolve().parent
+SRC = EXPERIMENTS.parent
 FORMULAS = {"gemm", "gemm_tall_update", "trsm", "blas1"}
-#: the pricing table's entries, then the solver shell's own two
-MAY_CALL_A_FORMULA = ({fn.__name__
-                       for fn in CycleCostEstimator._PRICES.values()}
-                      | {"_axpy", "_solution_update"})
+#: the modules that charge or price a local op: through the table only
+TABLE_READERS = [SRC / "distla" / "engine.py", SRC / "distla" / "blas.py",
+                 SRC / "ortho" / "backend.py", *sorted(EXPERIMENTS.glob("*.py"))]
 
 
 def _functions(tree: ast.AST):
@@ -260,19 +300,31 @@ def _is_formula_call(node: ast.AST) -> bool:
             and not isinstance(node.func.value, ast.Call))
 
 
-def test_formulas_are_called_from_the_pricing_table_only():
-    """Inside ``experiments/`` a dense cost formula is evaluated by an
-    entry of ``CycleCostEstimator._PRICES`` (or, for the lincomb / copy /
-    small mat-vec that are no ortho primitive, by the solver shell)."""
-    callers = set()
-    for path in EXPERIMENTS.glob("*.py"):
-        for fn in _functions(ast.parse(path.read_text())):
-            for node in ast.walk(fn):
-                if _is_formula_call(node):
-                    callers.add((path.name, fn.name))
-    assert callers
-    assert {name for _, name in callers} <= MAY_CALL_A_FORMULA
-    assert {path for path, _ in callers} == {"estimator.py"}
+def _formula_callers(path: Path) -> set:
+    return {(path.name, fn.name) for fn in _functions(ast.parse(path.read_text()))
+            for node in ast.walk(fn) if _is_formula_call(node)}
+
+
+def test_dense_formulas_are_called_from_the_table_only():
+    """``LOCAL_OPS`` in ``parallel/costmodel.py`` is the one table from a
+    local op to its formula: neither engine, ``distla/blas.py``,
+    ``ortho/backend.py`` nor ``experiments/`` calls a dense formula, and
+    no other module defines the table."""
+    assert len(TABLE_READERS) > 3 and all(p.is_file() for p in TABLE_READERS)
+    assert [c for path in TABLE_READERS for c in _formula_callers(path)] == []
+    # the guard sees a formula call where there is one
+    assert _formula_callers(SRC / "parallel" / "costmodel.py")
+    tables = {path.relative_to(SRC).as_posix()
+              for path in SRC.rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "LOCAL_OPS"
+                      for t in node.targets)}
+    assert tables == {"parallel/costmodel.py"}
+
+
+def test_charge_rows_takes_an_op_and_its_args():
+    assert list(signature(charge_rows).parameters) == ["mv", "op", "args"]
 
 
 def test_no_estimator_function_is_named_after_a_scheme():

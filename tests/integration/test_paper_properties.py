@@ -1,8 +1,11 @@
 """End-to-end checks of the paper's headline structural claims.
 
-These run the *live* solvers (not the analytic estimator) and verify the
-synchronization algebra, the convergence equivalences, and the stability
-claims the paper's abstract and Section V promise.
+These run the *live* solvers (and, for the synchronization algebra, the
+estimator beside them) and verify the synchronization algebra, the
+convergence equivalences, and the stability claims the paper's abstract
+and Section V promise.  The module takes a few seconds, so it runs in
+every tier-1 leg: no ``slow`` mark (CI's quick lane deselects
+``-m "not slow"``).
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu, summit
 from repro.parallel.partition import Partition
-
-#: Live end-to-end solves; CI's quick lane deselects them with -m "not slow".
-pytestmark = pytest.mark.slow
 
 
 def one_cycle(scheme, nx=16, ranks=6, m=20, s=5):

@@ -120,6 +120,28 @@ class TestWorkflow:
         spec = json.loads((REPO / "BENCHMARK.json").read_text())
         assert " ".join(spec["command"]) in run
 
+    def test_tier1_runs_the_paper_properties(self):
+        """Tier-1 CI deselects ``slow``; the live-vs-estimated sync
+        algebra and the two-stage O(eps) checks of
+        ``test_paper_properties.py`` carry no such mark (module-wide or
+        per test), while the paper-size Fig. 8 claim keeps its own."""
+        yaml = pytest.importorskip("yaml")
+        doc = yaml.safe_load(WORKFLOW.read_text())
+        runs = "\n".join(step.get("run", "")
+                         for step in doc["jobs"]["tier1"]["steps"])
+        assert '-m "not slow"' in runs
+        properties = (REPO / "tests" / "integration"
+                      / "test_paper_properties.py").read_text()
+        for name in ("test_sync_closed_forms_hold_live_and_estimated",
+                     "test_two_stage_O_eps_on_random_glued"):
+            assert f"def {name}(" in properties, name
+        assert "pytestmark" not in properties
+        assert "mark.slow" not in properties
+        claims = (REPO / "tests" / "experiments"
+                  / "test_paper_claims.py").read_text()
+        assert ('@claims("fig8 at n=20000"' in claims
+                and claims.count("marks=pytest.mark.slow") == 1)
+
     def test_setup_python_uses_pip_cache(self):
         """Every setup-python step caches pip to keep matrix wall-clock
         flat."""
