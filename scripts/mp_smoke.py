@@ -15,6 +15,10 @@ asserts the executor's contract:
   settled after a blocking one (two slabs live, acks out of order), a
   double-double reduction, and a mixed-dtype fused call — each
   byte-identical to the simulator;
+* the driver-side kernels — TSQR of one 6-column panel and one Gaussian
+  sketch — give byte-identical R, Q and sketch on both backends, and
+  their table-priced charges leave the modeled twin equal to the sim
+  tracer;
 * on a ragged partition (rank count not dividing ``n``) the flat storage
   of a multivector still comes back shared-memory backed, and the solve
   stays bit-identical with an exactly equal modeled twin.
@@ -67,6 +71,34 @@ def transport_failures() -> list[str]:
     return failures
 
 
+def driver_side_failures() -> list[str]:
+    """TSQR of one panel and one Gaussian sketch on both backends."""
+    from repro.distla.multivector import DistMultiVector
+    from repro.krylov.simulation import Simulation
+    from repro.matrices.stencil import laplace2d
+    from repro.sketch import make_operator, sketch_multivector
+
+    a = laplace2d(12)
+    panel = np.random.default_rng(1).standard_normal((a.shape[0], 6))
+
+    def drive(backend):
+        with Simulation(a, ranks=3, backend=backend) as sim:
+            v = DistMultiVector.from_global(panel, sim.partition, sim.comm)
+            r = sim.backend.tsqr(v)
+            op = make_operator("gaussian", sim.n, 16, seed=3)
+            out = {"R": r.tobytes(), "Q": v.to_global().tobytes(),
+                   "sketch": sketch_multivector(v, op).tobytes()}
+            return out, sim.comm.modeled.snapshot()
+
+    (want, sim_charges), (got, mp_charges) = drive("sim"), drive("mp")
+    failures = [f"mp driver-side {name} is not bit-identical to sim"
+                for name in want if got[name] != want[name]]
+    if mp_charges != sim_charges:
+        failures.append("mp modeled twin differs from the sim charges of "
+                        "TSQR and the sketch")
+    return failures
+
+
 def main() -> int:
     from repro.krylov.options import SolverOptions
     from repro.krylov.simulation import Simulation
@@ -78,7 +110,7 @@ def main() -> int:
     b = np.ones(a.shape[0])
     opts = SolverOptions(mpk_mode="auto")
 
-    failures = transport_failures()
+    failures = transport_failures() + driver_side_failures()
 
     def solve(backend, ranks=4):
         with Simulation(a, ranks=ranks, backend=backend) as sim:

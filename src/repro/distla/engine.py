@@ -250,7 +250,7 @@ class LoopEngine(KernelEngine):
 
         ``op`` is duck-typed (a :class:`repro.sketch.operators`
         ``SketchOperator``): ``partial(shard, row_offset)`` produces one
-        shard's contribution, ``local_cost`` its modeled seconds.
+        shard's contribution, ``local_op(k)`` names its table entry.
         """
         comm = v.comm
         offsets = v.partition.offsets
@@ -261,9 +261,11 @@ class LoopEngine(KernelEngine):
                     for r, shard in enumerate(v.shards)]
         # sketch application runs on the driver process under the mp
         # backend (see ROADMAP), so tag the charge for calibration
-        comm.charge("dot", comm.cost.record(lambda c: [
-            op.local_cost(c, s.shape[0], v.n_cols, word_bytes=v.word_bytes)
-            for s in v.shards]), driver_side=True)
+        name, *args = op.local_op(v.n_cols)
+        kernel, formula = LOCAL_OPS[name]
+        comm.charge(kernel, comm.cost.record(lambda c: [
+            formula(c, s.shape[0], *args, v.word_bytes) for s in v.shards]),
+            driver_side=True)
         return partials
 
     def sketch_apply(self, v, op) -> np.ndarray:
@@ -416,8 +418,10 @@ class BatchedEngine(LoopEngine):
                      lo)
                  for n_ranks, lo, rows in part.runs]
         # same charge as the loop body
-        comm.charge("dot", comm.cost.record(lambda c: [
-            op.local_cost(c.times(n_ranks), rows, k, word_bytes=v.word_bytes)
+        name, *args = op.local_op(k)
+        kernel, formula = LOCAL_OPS[name]
+        comm.charge(kernel, comm.cost.record(lambda c: [
+            formula(c.times(n_ranks), rows, *args, v.word_bytes)
             for n_ranks, _, rows in part.runs]), driver_side=True)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -16,8 +16,9 @@ alone, so nothing about a scheme is restated here
   :data:`~repro.parallel.costmodel.LOCAL_OPS`, the table the live
   engines charge through; a primitive no such ops describe (``sketch``,
   ``householder_qr``, ``tsqr``) is a :class:`ConfigurationError`;
-* **shape-priced** — SpMV, halo and preconditioner have no live
-  counterpart at paper scale (``_spmv``, :class:`PrecondShape`);
+* **shape-priced** — SpMV and halo have no live counterpart at paper
+  scale (``_spmv``); the block-Jacobi apply is the ``gs_sweep`` op of
+  :class:`PrecondShape`, priced like a recorded one;
 * **hand-written** — the ops of the solver shell around the scheme
   (explicit residual, cycle prologue, checkpoint host math, solution
   update), priced by the same loop as a recorded stream.
@@ -112,23 +113,19 @@ class ProblemShape:
 
 @dataclass
 class PrecondShape:
-    """Cost shape of one preconditioner application (local GS sweep)."""
+    """Shape of one block-Jacobi apply: ``sweeps`` multicolor
+    Gauss-Seidel sweeps of ``colors`` colours over a rank's block,
+    priced by the ``gs_sweep`` entry the live preconditioner charges."""
 
     sweeps: int = 1
     colors: int = 2
 
-    def apply_cost(self, cost: CostModel, nnz_local: float,
-                   rows_local: float) -> float:
-        per_sweep = (cost.spmv(nnz_local, rows_local, rows_local)
-                     + (self.colors - 1) * cost.machine.kernel_latency)
-        return self.sweeps * per_sweep
 
-
-def _unpriced(name: str):
+def _unpriced(name: str, reason: str = "its sketch size depends on n"):
     def refuse(self, *args, **kwargs):
         raise ConfigurationError(
             f"the estimator has no price for the OrthoBackend primitive "
-            f"{name!r}: it prices local ops of {', '.join(LOCAL_OPS)}")
+            f"{name!r}: {reason}")
     return refuse
 
 
@@ -180,12 +177,12 @@ class _StreamRecorder(NumpyBackend):
     def host_flops(self, flops: float) -> None:
         self.ops.append((("host", flops),))
 
-    # sketch sizes depend on n and the QR kernels charge through
-    # DistBackend._local_qr_cost: neither is a width-only stream
     sketch = _unpriced("sketch")
     fused_dots_sketch = _unpriced("fused_dots_sketch")
-    householder_qr = _unpriced("householder_qr")
-    tsqr = _unpriced("tsqr")
+    householder_qr = _unpriced(
+        "householder_qr", "NumPy runs it as one LAPACK call, not as the "
+        "local ops DistBackend charges")
+    tsqr = _unpriced("tsqr", "its reduction tree depends on the rank count")
 
 
 #: The solver shell's ops before the first panel (``krylov/restart.py``):
@@ -260,9 +257,9 @@ class CycleCostEstimator:
         self.nnz_l = shape.nnz / self.ranks
         self._blocks: dict = {}
         # the shape-priced charges depend on nothing a cycle changes
-        self._precond = () if precond is None else (
-            (("precond", "spmv_local"),
-             precond.apply_cost(self.cost, self.nnz_l, self.nl), 1),)
+        self._precond = () if precond is None else self._block(
+            "precond", (("gs_sweep", self.nnz_l, precond.sweeps,
+                         precond.colors),))
         #: one SpMV step: halo, local product, preconditioner apply
         self._spmv = (*self._halo(), (
             ("spmv", "spmv_local"),

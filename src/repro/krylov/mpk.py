@@ -55,6 +55,7 @@ from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError
 from repro.krylov.basis import KrylovBasis, MonomialBasis
+from repro.parallel.costmodel import LOCAL_OPS
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 
 #: Valid ``mode`` values for :class:`MatrixPowersKernel`.
@@ -327,9 +328,9 @@ class MatrixPowersKernel:
                     if quantized:
                         v_new = basis.quantize(v_new).astype(np.float64)
                     streams = 3 if three_term else 2
-                    charge("axpy", (depth, streams), lambda c: [
-                        c.blas1(int(rows[r, depth]), n_streams=streams,
-                                writes=1, word_bytes=word)
+                    kernel, formula = LOCAL_OPS["axpy"]
+                    charge(kernel, (depth, streams), lambda c: [
+                        formula(c, int(rows[r, depth]), 1, streams, word)
                         for r in ranks])
             basis.scatter_col(col, v_new)
             if track_prev:

@@ -15,10 +15,14 @@ iteration itself (``s``, ``restart``, ``tol``, ``maxiter``, ``scheme``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
+from repro.precision.policy import resolve_policy
+from repro.sketch.operators import canonical_family
+from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.precision.policy import PrecisionPolicy
@@ -54,6 +58,11 @@ DEFAULT_RESKETCH_THRESHOLD = 10.0
 @dataclass(frozen=True)
 class SolverOptions:
     """Immutable bundle of :func:`sstep_gmres` behaviour knobs.
+
+    Every field is checked when the options are built, before a solve
+    charges anything: a bad value raises ``ConfigurationError`` naming
+    its field, an unknown ``precision`` the ``ValueError`` of
+    ``resolve_policy``.
 
     Parameters
     ----------
@@ -155,6 +164,20 @@ class SolverOptions:
             raise ConfigurationError(
                 f"unknown mpk_mode {self.mpk_mode!r}; expected one of "
                 f"{MPK_SOLVER_MODES}")
+        resolve_policy(self.precision)   # ValueError naming the policy
+        try:
+            canonical_family(self.sketch_operator)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sketch_operator: {exc}") from None
+        if self.sketch_oversample is not None:
+            check_positive_int(self.sketch_oversample, "sketch_oversample")
+        # thresholds may be negative or zero (a forced redraw, a solver
+        # kept sketched); NaN would silently disable the comparison
+        for name in ("resketch_threshold", "adaptive_cond_threshold",
+                     "adaptive_gap_threshold"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ConfigurationError(f"{name} must not be NaN")
 
     def replace(self, **changes) -> "SolverOptions":
         """Copy with ``changes`` applied (re-validates)."""

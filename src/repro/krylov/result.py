@@ -36,7 +36,7 @@ class SolveResult:
     """Everything a paper table needs from one solve.
 
     ``times`` holds *modeled* seconds by phase ("spmv", "precond",
-    "ortho", "small_dense", "other") plus "total"; ``ortho_breakdown``
+    "ortho", "other") plus "total"; ``ortho_breakdown``
     holds the per-kernel split inside the ortho phase (the paper's
     Figs. 10-12: dot / update / trsm / allreduce / ...).
     """

@@ -12,7 +12,7 @@ MachineSpec whose predictions earn a tight drift bound
 Two independent fits over the in-order span pairing of
 :func:`repro.obs.drift.pair_kernel_spans`:
 
-**Network** (``allreduce`` / ``bcast`` pairs, ``driver_side`` spans
+**Network** (``allreduce`` pairs, ``driver_side`` spans
 excluded — the TSQR tree reduction runs on the driver and would skew
 the latency estimate):  each modeled duration decomposes exactly into a
 latency part ``L`` (device syncs + per-hop latencies) and a wire part
@@ -131,17 +131,16 @@ def _net_decomposition(span: SpanEvent, cost: CostModel,
                        ranks: int) -> tuple[float, float] | None:
     """(latency part, wire part) of one modeled collective charge.
 
-    Mirrors :meth:`CostModel.allreduce` / :meth:`CostModel.bcast`
-    exactly; halo charges return None (their per-peer decomposition is
-    not recoverable from the span payload annotation alone).
+    Mirrors :meth:`CostModel.allreduce` exactly; halo charges return
+    None (their per-peer decomposition is not recoverable from the span
+    payload annotation alone).
     """
-    if span.name not in ("allreduce", "bcast") or ranks <= 1:
+    if span.name != "allreduce" or ranks <= 1:
         return None
     m = cost.machine
     intra, inter = cost._tree_hops(ranks)
     payload = float(span.payload_bytes or 0.0)
-    syncs = 2.0 if span.name == "allreduce" else 1.0
-    lat = (syncs * m.device_sync_latency + intra * m.net_latency_intra
+    lat = (2.0 * m.device_sync_latency + intra * m.net_latency_intra
            + inter * m.net_latency_inter)
     wire = (intra * payload / m.net_bandwidth_intra
             + inter * payload / m.net_bandwidth_inter)

@@ -316,17 +316,6 @@ class DistBackend(OrthoBackend):
         self.scale_cols(v, signs)
         return r
 
-    def _local_qr_cost(self, rows: int, k: int,
-                       word_bytes: float = 8.0) -> float:
-        """Modeled cost of one local Householder panel factorization."""
-        m = self.comm.machine
-        flops = 4.0 * rows * k * k  # factor + explicit local Q
-        # k panel sweeps, blocked; bytes scale with the storage word size
-        bytes_moved = word_bytes * rows * k * max(1, k // 4)
-        return (k * m.kernel_latency
-                + max(flops / m.peak_flops,
-                      bytes_moved / (m.mem_bandwidth * m.gemm_bw_efficiency)))
-
     def tsqr(self, v: DistMultiVector) -> np.ndarray:
         """Binary-tree TSQR (Demmel et al. [9]) with exact Q reconstruction.
 
@@ -356,9 +345,10 @@ class DistBackend(OrthoBackend):
         # the panel QR runs on the driver process under the mp backend
         # (ROADMAP: worker-side panel QR is an open item), so its charges
         # carry the driver_side tag calibration uses to skip them
-        comm.charge_local(
-            "dot", [self._local_qr_cost(rows, k, word_bytes=v.word_bytes)
-                    for rows in counts], driver_side=True)
+        kernel, formula = LOCAL_OPS["qr"]
+        comm.charge(kernel, comm.cost.record(lambda c: [
+            formula(c, rows, k, v.word_bytes) for rows in counts]),
+            driver_side=True)
 
         def tree(rs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
             """Return (R, leaf coefficient matrices M_i, depth)."""

@@ -4,13 +4,12 @@ Everything the solvers, schemes, and distributed kernels ask of a
 communicator is written down here as one explicit protocol: ONE
 tree-ordered global reduction primitive (``allreduce`` over any number
 of fused groups, its posted twin ``post_allreduce``, and the
-double-double ``allreduce_dd``), the other nonblocking ``post_*``/``wait``
-collectives (``post_ihalo``, ``post_ibcast`` — posted collectives whose
-modeled time subsequent compute charges drain, so the wait charges only
-the exposed remainder), neighbourhood (halo) exchange accounting,
-broadcasts, concurrent-kernel charging (a cost-model record, or raw
-per-rank seconds), the fusion scopes of lockstep batches, shard storage
-allocation, and an optional backend-executed SpMV hook.
+double-double ``allreduce_dd``), the posted neighbourhood exchange
+``post_ihalo`` and ``wait`` (posted collectives' modeled time drains
+under subsequent compute charges, so the wait charges only the exposed
+remainder), neighbourhood (halo) exchange accounting, concurrent-kernel
+charging (a cost-model record), the fusion scopes of lockstep batches,
+shard storage allocation, and an optional backend-executed SpMV hook.
 
 Two backends implement it:
 
@@ -90,8 +89,6 @@ class Communicator(Protocol):
     def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]: ...
 
-    def bcast(self, value, root: int = 0): ...
-
     # -- nonblocking collectives (overlap windows) --------------------
     # post_* returns a CommRequest; compute charged between post and
     # wait drains the request's modeled cost, and wait(request) charges
@@ -102,19 +99,13 @@ class Communicator(Protocol):
     def post_ihalo(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> CommRequest: ...
 
-    def post_ibcast(self, value, root: int = 0) -> CommRequest: ...
-
     def wait(self, request: CommRequest): ...
 
     # -- local-kernel and neighbourhood accounting --------------------
-    # Two ways to charge local work: the cost model's record of the
-    # kernel (seconds of the slowest rank, flops and bytes of all), or
-    # raw per-rank seconds for costs its formulas did not produce.
+    # Local work is charged by the cost model's record of the kernel:
+    # seconds of the slowest rank, flops and bytes of all.
     def charge(self, kernel: str, charge: KernelCharge, count: int = 1,
                driver_side: bool = False) -> None: ...
-
-    def charge_local(self, kernel: str, per_rank_seconds: list[float],
-                     count: int = 1, driver_side: bool = False) -> None: ...
 
     def charge_halo(self, recv_bytes_by_rank: list[dict[int, float]]
                     ) -> None: ...

@@ -14,7 +14,7 @@ halves exactly like recursive doubling.
 
 Nonblocking collectives (overlap windows)
 -----------------------------------------
-``post_allreduce`` / ``post_ihalo`` / ``post_ibcast`` return a
+``post_allreduce`` / ``post_ihalo`` return a
 :class:`CommRequest` instead of charging immediately.  The request
 carries the collective's full modeled cost; every charge issued between
 post and :meth:`SimComm.wait` *drains* in-flight requests front-to-back
@@ -452,15 +452,6 @@ class SimComm:
         seconds, payload = self._halo_cost(recv_bytes_by_rank)
         return self._post("halo", seconds, payload)
 
-    def post_ibcast(self, value, root: int = 0) -> CommRequest:
-        """Nonblocking :meth:`bcast` of a replicated array from ``root``."""
-        if not 0 <= root < self.size:
-            raise CommunicatorError(
-                f"bcast root {root} out of range for size {self.size}")
-        payload = float(np.asarray(value).nbytes)
-        return self._post("bcast", self.cost.bcast(payload, self.size),
-                          payload, value)
-
     def wait(self, request: CommRequest):
         """Settle a posted collective and return its result.
 
@@ -500,17 +491,6 @@ class SimComm:
         self._charge(kernel, charge.seconds, count, flops=charge.flops,
                      mem_bytes=charge.mem_bytes, driver_side=driver_side)
 
-    def charge_local(self, kernel: str, per_rank_seconds: list[float],
-                     count: int = 1, driver_side: bool = False) -> None:
-        """Charge a concurrent local kernel whose cost did not come from
-        the cost model's formulas (so it carries no flops / bytes):
-        elapsed = max over ranks."""
-        if len(per_rank_seconds) != self.size:
-            raise CommunicatorError(
-                f"expected {self.size} per-rank costs, got {len(per_rank_seconds)}")
-        self._charge(kernel, max(per_rank_seconds), count=count,
-                     driver_side=driver_side)
-
     def _halo_cost(self, recv_bytes_by_rank: list[dict[int, float]]
                    ) -> tuple[float, float]:
         """``(seconds, payload_bytes)`` of one neighbourhood exchange:
@@ -543,21 +523,6 @@ class SimComm:
         """Charge a neighbourhood exchange: elapsed = slowest rank."""
         seconds, payload = self._halo_cost(recv_bytes_by_rank)
         self._charge("halo", seconds, payload_bytes=payload)
-
-    def bcast(self, value, root: int = 0):
-        """Broadcast a replicated array from ``root`` (blocking).
-
-        The simulator keeps small replicated data driver-side, so the
-        value passes through unchanged; the charge is the one-way tree
-        fan-out of :meth:`CostModel.bcast`.
-        """
-        if not 0 <= root < self.size:
-            raise CommunicatorError(
-                f"bcast root {root} out of range for size {self.size}")
-        payload = float(np.asarray(value).nbytes)
-        self._charge("bcast", self.cost.bcast(payload, self.size),
-                     payload_bytes=payload)
-        return value
 
     # ------------------------------------------------------------------
     def alloc(self, n: int, k: int, dtype) -> np.ndarray:

@@ -220,25 +220,6 @@ class CostModel:
         """
         return self.host_dense(8.0 * level_nnz + 32.0 * level_rows)
 
-    def srht_apply(self, n_pad: float, n_cols: float, m_rows: float,
-                   word_bytes: float = _DOUBLE) -> float:
-        """Batched FFT-style SRHT: one fast Walsh–Hadamard transform over
-        the zero-padded shard, applied to all ``n_cols`` columns at once.
-
-        The butterfly network does ``n_pad log2(n_pad)`` adds per column
-        (versus ``2 m n_pad`` for the explicit tall GEMM the closed-form
-        operator charges), then gathers and sign-flips the ``m_rows``
-        sampled rows.  Bytes: stream the padded work array in and out
-        once — the log2(n_pad) passes are cache-tiled — plus the sampled
-        output.  Used by :class:`repro.sketch.operators.FastSRHTSketch`.
-        """
-        lg = max(1.0, math.log2(max(n_pad, 2.0)))
-        flops = n_pad * lg * n_cols + 2.0 * m_rows * n_cols
-        bytes_moved = word_bytes * (2.0 * n_pad * n_cols
-                                    + m_rows * n_cols)
-        return self._roofline(flops, bytes_moved,
-                              self.machine.stream_efficiency)
-
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
@@ -265,23 +246,6 @@ class CostModel:
         m = self.machine
         intra, inter = self._tree_hops(ranks)
         t = 2.0 * m.device_sync_latency
-        t += intra * (m.net_latency_intra + bytes_payload / m.net_bandwidth_intra)
-        t += inter * (m.net_latency_inter + bytes_payload / m.net_bandwidth_inter)
-        return t
-
-    def bcast(self, bytes_payload: float, ranks: int) -> float:
-        """Broadcast of ``bytes_payload`` from one root to ``ranks`` devices.
-
-        Same hierarchical tree as :meth:`allreduce` but one-way: a single
-        device sync drains the root's pipeline, then the payload fans out
-        down the intra/inter hop levels.  Half the sync cost of an
-        allreduce because nothing is gathered back.
-        """
-        if ranks <= 1:
-            return 0.0
-        m = self.machine
-        intra, inter = self._tree_hops(ranks)
-        t = m.device_sync_latency
         t += intra * (m.net_latency_intra + bytes_payload / m.net_bandwidth_intra)
         t += inter * (m.net_latency_inter + bytes_payload / m.net_bandwidth_inter)
         return t
@@ -335,8 +299,6 @@ class CostModel:
         m = self.machine
         if kernel == "allreduce":
             return self.allreduce(0.0, ranks)
-        if kernel == "bcast":
-            return self.bcast(0.0, ranks)
         if kernel == "halo":
             if ranks <= 1:
                 return 0.0
@@ -361,6 +323,39 @@ def _dot_dd(cost, rows, k_x, k_y, word_bytes=_DOUBLE) -> float:
                + 2.0 * rows * k_x * k_y * _DD_FLOPS / m.peak_flops)
 
 
+def _qr(cost, rows, k, word_bytes=_DOUBLE) -> float:
+    """Householder panel QR and its explicit local Q: ``k`` blocked
+    sweeps, one launch each, streaming at the wide-GEMM efficiency."""
+    m = cost.machine
+    flops = 4.0 * rows * k * k
+    bytes_moved = word_bytes * rows * k * max(1, k // 4)
+    if cost._shapes is not None:      # recorded like every roofline
+        cost._shapes[0] += flops * cost._ranks
+        cost._shapes[1] += bytes_moved * cost._ranks
+    return (k * m.kernel_latency
+            + max(flops / m.peak_flops,
+                  bytes_moved / (m.mem_bandwidth * m.gemm_bw_efficiency)))
+
+
+def _sketch_dense(cost, rows, m_rows, k, word_bytes=_DOUBLE) -> float:
+    """``S[:, rows] @ V``: the tall GEMM of a dense sketch family."""
+    return cost.gemm(m_rows, rows, k, word_bytes)
+
+
+def _sketch_sparse(cost, rows, k, nnz, word_bytes=_DOUBLE) -> float:
+    """Sparse-sign scatter-add: read the shard ``nnz`` times, write the
+    small sketch."""
+    return cost.blas1(rows * k * nnz, 1, 1, word_bytes)
+
+
+def _gs_sweep(cost, rows, nnz, sweeps, colors) -> float:
+    """``sweeps`` Gauss-Seidel sweeps over a ``rows``-row block of
+    ``nnz`` entries: one pass over the nonzeros each, plus one kernel
+    launch per further colour."""
+    return sweeps * (cost.spmv(nnz, rows, rows)
+                     + (colors - 1) * cost.machine.kernel_latency)
+
+
 def _norm(cost, rows, cols, word_bytes=_DOUBLE) -> float:
     return cost.blas1(rows * cols, 1, 0, word_bytes)     # nothing written
 
@@ -373,7 +368,9 @@ def _stream(cost, rows, cols, reads, word_bytes=_DOUBLE) -> float:
 #: place a local op meets its formula: ``formula(model, rows, *args)``
 #: costs one rank's ``rows``-row shard; ``args`` are the column widths
 #: (``j, k`` of a ``(rows, j)``-by-``(rows, k)`` op, ``k`` of a panel), the
-#: operands read (``scale``, ``axpy``), the word size (fp64 if omitted).
+#: operands read (``scale``, ``axpy``), the sketch rows (``sketch_dense``)
+#: or entries per row (``sketch_sparse``), the block's nonzeros, sweeps
+#: and colours (``gs_sweep``), the word size (fp64 if omitted).
 LOCAL_OPS = {
     "dot": ("dot", CostModel.gemm),                    # X.T @ Y
     "dot_dd": ("dot", _dot_dd),                        # X.T @ Y in dd
@@ -383,4 +380,8 @@ LOCAL_OPS = {
     "trsm": ("trsm", CostModel.trsm),                  # V @ R^{-1}
     "scale": ("scale", _stream),                       # V * d
     "axpy": ("axpy", _stream),                         # sum_i a_i X_i
+    "qr": ("dot", _qr),                                # TSQR leaf V = Q R
+    "sketch_dense": ("dot", _sketch_dense),            # S[:, rows] @ V
+    "sketch_sparse": ("dot", _sketch_sparse),          # scatter-add
+    "gs_sweep": ("spmv_local", _gs_sweep),             # block GS smoother
 }

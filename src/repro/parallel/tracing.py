@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 #: Canonical phase names used across the library; free-form names are also
 #: accepted (they simply show up as extra rows in reports).
-PHASES = ("spmv", "precond", "ortho", "small_dense", "other")
+PHASES = ("spmv", "precond", "ortho", "other")
 
 #: Canonical kernel names (sub-categories inside a phase).
 KERNELS = (
@@ -82,19 +82,18 @@ KERNELS = (
     "update",     # V -= Q R tall updates (the paper's "vector-updates")
     "norm",
     "scale",
-    "chol",
     "trsm",
     "allreduce",
     "halo",
-    "bcast",
     "spmv_local",
     "host",
+    "ghost_plan",  # symbolic analysis of a CA-MPK ghost closure
     "axpy",
 )
 
 #: Kernels that are communication collectives (global or neighbourhood);
 #: what :meth:`Tracer.collective_counts` reports.
-COLLECTIVE_KERNELS = ("allreduce", "halo", "bcast")
+COLLECTIVE_KERNELS = ("allreduce", "halo")
 
 #: Stream tags a tracer's clock can run on.
 STREAMS = ("modeled", "measured")
@@ -473,11 +472,11 @@ class Tracer(TraceTotals):
                           payload_bytes: bool = False) -> dict:
         """Call counts of every collective kernel, optionally per phase.
 
-        Returns ``{"allreduce": n, "halo": m, "bcast": k}`` — all of
+        Returns ``{"allreduce": n, "halo": m}`` — all of
         :data:`COLLECTIVE_KERNELS`, zero-filled for collectives never
-        charged — covering global reductions, neighbourhood exchanges
-        and broadcasts alike (:meth:`sync_count` reports only the
-        allreduce entry).
+        charged — covering global reductions and neighbourhood
+        exchanges alike (:meth:`sync_count` reports only the allreduce
+        entry).
 
         With ``payload_bytes=True`` each entry becomes ``{"count": n,
         "bytes": b}`` where ``bytes`` totals the wire payload charged

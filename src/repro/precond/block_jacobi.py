@@ -26,10 +26,12 @@ import scipy.sparse as sp
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError, NumericalError
-from repro.parallel.costmodel import CostModel, KernelCharge
+from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
 from repro.precond.base import Preconditioner
 from repro.precond.coloring import color_classes, greedy_coloring
 from repro.precond.gauss_seidel import LocalGaussSeidel
+
+_KERNEL, _GS_SWEEP = LOCAL_OPS["gs_sweep"]
 
 
 def _block_diagonal_part(a: sp.csr_matrix, offsets: np.ndarray
@@ -116,21 +118,18 @@ class BlockJacobiPreconditioner(Preconditioner):
                 z[idx] += self._inv_diag[idx] * r
         return z
 
-    def _block_cost(self, cost: CostModel, rank: int) -> float:
-        """Per sweep: one pass over the block's nonzeros, plus one
-        kernel launch per further colour."""
-        rows = int(self._block_rows[rank])
-        return self.sweeps * (
-            cost.spmv(int(self._block_nnz[rank]), rows, rows)
-            + (self._launches[rank] - 1) * cost.machine.kernel_latency)
+    def _sweep(self, cost, rank: int) -> float:
+        """The ``gs_sweep`` price of rank ``rank``'s block."""
+        return _GS_SWEEP(cost, int(self._block_rows[rank]),
+                         int(self._block_nnz[rank]), self.sweeps,
+                         self._launches[rank])
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
         out.scatter_col(0, self._solve(
             x.to_global()[:, 0].astype(np.float64, copy=False)))
-        x.comm.charge("spmv_local", x.comm.cost.memoized(
+        x.comm.charge(_KERNEL, x.comm.cost.memoized(
             self._charges, None, lambda c: [
-                self._block_cost(c, rank)
-                for rank in range(len(self._bounds))]))
+                self._sweep(c, rank) for rank in range(len(self._bounds))]))
 
     # -- CA-MPK ghost composition --------------------------------------
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
@@ -139,7 +138,7 @@ class BlockJacobiPreconditioner(Preconditioner):
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
         """Every rank redundantly solves each owner block its closure
         ``level`` intersects (block-complete by the plan's invariant)."""
-        comm.charge("spmv_local", comm.cost.memoized(
+        comm.charge(_KERNEL, comm.cost.memoized(
             self._charges, (plan, level), lambda c: [
-                sum(self._block_cost(c, int(peer)) for peer in per_rank[level])
+                sum(self._sweep(c, int(peer)) for peer in per_rank[level])
                 for per_rank in plan.level_ranks]))

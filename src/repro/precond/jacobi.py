@@ -8,6 +8,7 @@ from repro.distla.engine import charge_rows
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import NumericalError
+from repro.parallel.costmodel import LOCAL_OPS
 from repro.precond.base import Preconditioner
 
 
@@ -43,7 +44,8 @@ class JacobiPreconditioner(Preconditioner):
         return (x * self._inv_diag).astype(ctype).astype(np.float64)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        comm.charge("scale", comm.cost.memoized(
+        kernel, formula = LOCAL_OPS["scale"]
+        comm.charge(kernel, comm.cost.memoized(
             plan.charge_memo, ("jacobi", level), lambda c: [
-                c.blas1(int(plan.level_rows[r, level]), n_streams=2, writes=1)
+                formula(c, int(plan.level_rows[r, level]), 1, 2)
                 for r in range(plan.partition.ranks)]))

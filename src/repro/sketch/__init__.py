@@ -18,7 +18,6 @@ benchmarks all draw on:
 
 from repro.sketch.operators import (
     OPERATOR_FAMILIES,
-    FastSRHTSketch,
     GaussianSketch,
     SRHTSketch,
     SketchOperator,
@@ -42,7 +41,6 @@ __all__ = [
     "SparseSignSketch",
     "GaussianSketch",
     "SRHTSketch",
-    "FastSRHTSketch",
     "OPERATOR_FAMILIES",
     "canonical_family",
     "embedding_dim",

@@ -91,17 +91,11 @@ class SketchOperator(ABC):
         return np.stack([self.partial(stack[r], row_offset + r * rows)
                          for r in range(stack.shape[0])])
 
-    def local_cost(self, cost, rows: int, k: int,
-                   word_bytes: float = 8.0) -> float:
-        """Modeled seconds to apply one ``(rows, k)`` shard contribution.
-
-        ``cost`` is a :class:`repro.parallel.costmodel.CostModel`; dense
-        families charge the tall GEMM, sparse families the streaming
-        scatter-add.  ``word_bytes`` is the storage word size of the
-        sketched multivector (the dominant stream), so fp32 shards are
-        charged at half the fp64 traffic like every other panel kernel.
-        """
-        return cost.gemm(self.m_rows, rows, k, word_bytes=word_bytes)
+    def local_op(self, k: int) -> tuple:
+        """``(op, *args)`` of the :data:`~repro.parallel.costmodel.LOCAL_OPS`
+        entry pricing one ``(rows, k)`` shard contribution, ``rows`` and
+        the storage word size (the dominant stream) left to the caller."""
+        return ("sketch_dense", self.m_rows, k)
 
     # -- conveniences ----------------------------------------------------
     def apply(self, arr: np.ndarray) -> np.ndarray:
@@ -180,12 +174,8 @@ class SparseSignSketch(SketchOperator):
                       stack * signs[:, :, np.newaxis])
         return out
 
-    def local_cost(self, cost, rows: int, k: int,
-                   word_bytes: float = 8.0) -> float:
-        # Streaming pass: read the shard (nnz times), scatter into the
-        # small sketch.
-        return cost.blas1(rows * k * self.nnz_per_row,
-                          n_streams=1, writes=1, word_bytes=word_bytes)
+    def local_op(self, k: int) -> tuple:
+        return ("sketch_sparse", k, self.nnz_per_row)
 
 
 # ---------------------------------------------------------------------------
@@ -311,85 +301,6 @@ class SRHTSketch(SketchOperator):
         return np.matmul(blocks, stack)
 
 
-def _fwht(work: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh–Hadamard transform along axis ``-2``.
-
-    Iterative radix-2 butterflies over a power-of-two length, vectorized
-    across every leading axis AND the trailing column axis — the whole
-    stacked shard transforms in one pass per level, never per column.
-    Computes the natural-order transform ``y_i = sum_j (-1)^popcount(i&j)
-    x_j`` (unnormalized), matching :meth:`SRHTSketch.block`'s closed
-    form.
-    """
-    p = work.shape[-2]
-    h = 1
-    while h < p:
-        v = work.reshape(work.shape[:-2] + (p // (2 * h), 2, h,
-                                            work.shape[-1]))
-        top = v[..., 0, :, :] + v[..., 1, :, :]
-        bot = v[..., 0, :, :] - v[..., 1, :, :]
-        v[..., 0, :, :] = top
-        v[..., 1, :, :] = bot
-        h *= 2
-    return work
-
-
-class FastSRHTSketch(SRHTSketch):
-    """SRHT applied via the fast Walsh–Hadamard transform (family
-    ``"srht_fft"``).
-
-    Same embedding as :class:`SRHTSketch` — identical seed derivation,
-    identical sign diagonal and row sample, so the two families draw
-    the *same operator* for the same ``(n, m, seed)`` — but the shard
-    application runs the ``O(n_pad log n_pad)`` butterfly network once
-    across all ``k`` stacked columns instead of the explicit
-    ``(m, rows) @ (rows, k)`` GEMM: zero-pad the shard into its global
-    offset, scale by ``D``, transform, gather the sampled rows.  Each
-    rank's contribution still decomposes shard-locally (``H (D v)``
-    restricted to a rank's rows is a full-length transform of a mostly
-    zero operand), so the one-allreduce distributed pattern is
-    untouched.
-
-    Values agree with the closed-form family to summation-order
-    rounding (butterfly adds versus GEMM dots), which is why this is a
-    separate opt-in family: the default ``"srht"`` keeps its frozen
-    bit-exact artifacts.  The modeled cost switches to
-    :meth:`repro.parallel.costmodel.CostModel.srht_apply` — the fast
-    transform this subclass genuinely executes.
-    """
-
-    family = "srht_fft"
-
-    def _fht_partial(self, block: np.ndarray, row_offset: int,
-                     out_work: np.ndarray) -> np.ndarray:
-        """Shared loop/stacked kernel: pad, D-scale, transform, sample."""
-        rows = block.shape[-2]
-        scale = self._d[row_offset:row_offset + rows]
-        out_work[..., row_offset:row_offset + rows, :] = (
-            block * scale[:, np.newaxis])
-        _fwht(out_work)
-        return out_work[..., self._selected, :]
-
-    def partial(self, block: np.ndarray, row_offset: int) -> np.ndarray:
-        work = np.zeros((self.n_pad, block.shape[1]))
-        return self._fht_partial(block, row_offset, work)
-
-    def partial_stack(self, stack: np.ndarray, row_offset: int
-                      ) -> np.ndarray:
-        ranks, rows, k = stack.shape
-        work = np.zeros((ranks, self.n_pad, k))
-        for r in range(ranks):
-            span = slice(row_offset + r * rows, row_offset + (r + 1) * rows)
-            work[r, span] = stack[r] * self._d[span, np.newaxis]
-        _fwht(work)
-        return work[:, self._selected, :]
-
-    def local_cost(self, cost, rows: int, k: int,
-                   word_bytes: float = 8.0) -> float:
-        return cost.srht_apply(self.n_pad, k, self.m_rows,
-                               word_bytes=word_bytes)
-
-
 # ---------------------------------------------------------------------------
 # sizing heuristics and registry
 # ---------------------------------------------------------------------------
@@ -397,8 +308,7 @@ class FastSRHTSketch(SRHTSketch):
 #: Practical oversampling constants per family: sketch rows per subspace
 #: dimension at the reference distortion 1/2.  Sparse-sign needs more
 #: rows than a dense embedding for the same failure probability.
-_FAMILY_OVERSAMPLE = {"sparse": 4.0, "gaussian": 2.0, "srht": 2.0,
-                      "srhtfft": 2.0}
+_FAMILY_OVERSAMPLE = {"sparse": 4.0, "gaussian": 2.0, "srht": 2.0}
 
 #: Selectable operator families (aliases included).
 OPERATOR_FAMILIES: dict[str, type[SketchOperator]] = {
@@ -406,7 +316,6 @@ OPERATOR_FAMILIES: dict[str, type[SketchOperator]] = {
     "countsketch": SparseSignSketch,
     "gaussian": GaussianSketch,
     "srht": SRHTSketch,
-    "srhtfft": FastSRHTSketch,
 }
 
 
@@ -458,7 +367,7 @@ def sketch_rows(k: int, n_rows: int, *, family: str = "sparse",
     else:
         m = embedding_dim(k, family=family, min_pad=min_pad)
     m = min(m, max(n_rows, k + min_pad))
-    if canonical_family(family) in ("srht", "srhtfft"):
+    if canonical_family(family) == "srht":
         m = min(m, 1 << max(0, (n_rows - 1).bit_length()))
     return m
 

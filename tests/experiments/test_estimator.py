@@ -283,7 +283,10 @@ SRC = EXPERIMENTS.parent
 FORMULAS = {"gemm", "gemm_tall_update", "trsm", "blas1"}
 #: the modules that charge or price a local op: through the table only
 TABLE_READERS = [SRC / "distla" / "engine.py", SRC / "distla" / "blas.py",
-                 SRC / "ortho" / "backend.py", *sorted(EXPERIMENTS.glob("*.py"))]
+                 SRC / "ortho" / "backend.py", SRC / "sketch" / "operators.py",
+                 SRC / "krylov" / "mpk.py",
+                 *sorted((SRC / "precond").glob("*.py")),
+                 *sorted(EXPERIMENTS.glob("*.py"))]
 
 
 def _functions(tree: ast.AST):
@@ -308,8 +311,9 @@ def _formula_callers(path: Path) -> set:
 def test_dense_formulas_are_called_from_the_table_only():
     """``LOCAL_OPS`` in ``parallel/costmodel.py`` is the one table from a
     local op to its formula: neither engine, ``distla/blas.py``,
-    ``ortho/backend.py`` nor ``experiments/`` calls a dense formula, and
-    no other module defines the table."""
+    ``ortho/backend.py``, the sketch operators, the CA-MPK, the
+    preconditioners nor ``experiments/`` calls a dense formula, and no
+    other module defines the table."""
     assert len(TABLE_READERS) > 3 and all(p.is_file() for p in TABLE_READERS)
     assert [c for path in TABLE_READERS for c in _formula_callers(path)] == []
     # the guard sees a formula call where there is one

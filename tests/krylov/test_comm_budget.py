@@ -68,8 +68,6 @@ def run_one_cycle(scheme_factory, engine, **option_kw):
     assert res.restarts == 1
     total = sim.tracer.collective_counts(payload_bytes=True)
     ortho = sim.tracer.collective_counts("ortho", payload_bytes=True)
-    # no solver path broadcasts inside a cycle
-    assert total["bcast"] == {"count": 0, "bytes": 0.0}
     return total, ortho
 
 
@@ -205,7 +203,6 @@ class TestBlockSolverBudget:
             options=SolverOptions(**option_kw))
         assert all(r.restarts == 1 for r in results)
         total = sim.tracer.collective_counts(payload_bytes=True)
-        assert total["bcast"] == {"count": 0, "bytes": 0.0}
         return total
 
     @pytest.mark.parametrize("engine", ENGINES)

@@ -49,7 +49,7 @@ def run_kernels(comm, part) -> None:
                                         comm)
     q, v = basis.view_cols(slice(0, 2)), basis.view_cols(slice(2, 5))
     backend = DistBackend(comm)
-    for family in ("sparse", "gaussian", "srht", "srhtfft"):
+    for family in ("sparse", "gaussian", "srht"):
         op = make_operator(family, n, 16, seed=1)
         sketch_multivector(v, op)
         backend.fused_dots_sketch([(q, v)], v, op)

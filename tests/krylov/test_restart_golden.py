@@ -25,6 +25,7 @@ lossless.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
+from repro.parallel.tracing import KERNELS, PHASES
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 
 ENGINES = ["loop", "batched"]
@@ -219,6 +221,15 @@ def test_every_case_is_pinned():
 def test_charge_stream_unchanged(name, engine):
     sim, result = run_case(name, engine)
     assert fingerprint(sim, result) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", list(CASES))
+def test_every_row_is_a_listed_phase_and_kernel(name, engine):
+    """``tracing.PHASES`` and ``KERNELS`` name what the solvers charge."""
+    sim, _ = run_case(name, engine)
+    rows = set(sim.tracer.by_kernel)
+    assert rows and rows <= set(itertools.product(PHASES, KERNELS))
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -53,6 +53,36 @@ class TestDataclass:
         with pytest.raises(ConfigurationError, match="mpk_mode"):
             SolverOptions(mpk_mode="telepathy")
 
+    @pytest.mark.parametrize("field, value", [
+        ("sketch_operator", "bogus"),
+        ("resketch_threshold", float("nan")),
+        ("adaptive_cond_threshold", float("nan")),
+        ("adaptive_gap_threshold", float("nan")),
+        ("sketch_oversample", 0),
+        ("sketch_oversample", -3),
+        ("sketch_oversample", 2.5),
+    ])
+    def test_bad_field_is_refused_at_construction(self, field, value):
+        """Refused when the options are built — before a solve could
+        charge anything (a bad family used to surface only after the
+        ``mpk_mode="auto"`` ghost-plan analysis was charged)."""
+        with pytest.raises(ConfigurationError, match=field):
+            SolverOptions(solve_mode="sketched", mpk_mode="auto",
+                          **{field: value})
+
+    def test_unknown_precision_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="fp17"):
+            SolverOptions(precision="fp17")
+
+    @pytest.mark.parametrize("field, value", [
+        ("resketch_threshold", -1.0), ("resketch_threshold", 0.0),
+        ("resketch_threshold", None), ("adaptive_cond_threshold", 0.0),
+        ("adaptive_gap_threshold", -1.0), ("sketch_oversample", 1),
+        ("sketch_operator", "CountSketch"), ("precision", "FP32"),
+    ])
+    def test_legal_edge_values_are_kept(self, field, value):
+        assert getattr(SolverOptions(**{field: value}), field) == value
+
     def test_replace_revalidates(self):
         opts = SolverOptions().replace(solve_mode="sketched")
         assert opts.solve_mode == "sketched"
@@ -125,7 +155,7 @@ class TestDownstreamWiring:
         b = np.ones(sim.n)
         res = gmres_ir(sim, b, s=3, restart=9, tol=1e-10,
                        options=SolverOptions(solve_mode="sketched",
-                                             precision="fp16"))
+                                             precision="bf16"))
         # gmres_ir's precision contract overrides the options field
         assert res.converged
         assert res.diagnostics["precision"] == "fp32"

@@ -26,12 +26,11 @@ def _twin(name, phase, modeled_s, measured_s, t0=0.0, *, payload=None,
     return [mod, mea]
 
 
-def _net_parts(cost, kind, payload, ranks=RANKS):
+def _net_parts(cost, payload, ranks=RANKS):
     """The exact (latency, wire) decomposition the fitter inverts."""
     m = cost.machine
     intra, inter = cost._tree_hops(ranks)
-    syncs = 2.0 if kind == "allreduce" else 1.0
-    lat = (syncs * m.device_sync_latency + intra * m.net_latency_intra
+    lat = (2.0 * m.device_sync_latency + intra * m.net_latency_intra
            + inter * m.net_latency_inter)
     wire = (intra * payload / m.net_bandwidth_intra
             + inter * payload / m.net_bandwidth_inter)
@@ -43,10 +42,9 @@ def _synthetic_net_stream(base, lam, beta, payloads):
     cost = CostModel(base)
     spans = []
     t = 0.0
-    for i, payload in enumerate(payloads):
-        kind = "allreduce" if i % 2 == 0 else "bcast"
-        lat, wire = _net_parts(cost, kind, payload)
-        spans += _twin(kind, "ortho", lat + wire, lam * lat + beta * wire,
+    for payload in payloads:
+        lat, wire = _net_parts(cost, payload)
+        spans += _twin("allreduce", "ortho", lat + wire, lam * lat + beta * wire,
                        t, payload=payload)
         t += 1.0
     return spans

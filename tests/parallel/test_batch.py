@@ -119,7 +119,7 @@ class TestFusion:
         with comm.group():
             with comm.member():
                 comm.allreduce([[np.ones(10)] * comm.size])
-                comm.charge_local("dot", [1e-6] * comm.size)
+                comm.charge("dot", KernelCharge(1e-6, 0.0, 0.0))
                 comm.allreduce([[np.ones(20)] * comm.size])
             with comm.member():
                 comm.allreduce([[np.ones(10)] * comm.size])

@@ -9,6 +9,9 @@ views of it.  Held here:
   totals, every column of every ``(phase, kernel)`` row;
 * a kept record charges what a fresh evaluation does (memo warm == memo
   cold): a second identical solve repeats the first's totals;
+* no local charge is raw seconds: every kernel span but a collective's
+  carries its flops and memory bytes (TSQR, the sketch applies and the
+  block-Jacobi sweeps included);
 * (an exported ``metrics=True`` solve gives, through ``repro-trace
   metrics``, the live ``metrics_doc()``: held over every golden case in
   ``tests/krylov/test_restart_golden.py``);
@@ -33,6 +36,8 @@ from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
 from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
+from repro.ortho.randomized import RBCGSScheme
+from repro.ortho.tsqr import TSQRFactor
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
@@ -85,6 +90,31 @@ def test_engines_leave_identical_totals_on_ragged_partitions(name, shape):
     assert batched == loop
     assert sum(batched["flops"].values()) > 0.0
     assert sum(batched["mem_bytes"].values()) > 0.0
+
+
+#: solves whose local kernels were once charged outside the price table
+SHAPED = {
+    "bcgs2-tsqr": dict(scheme=lambda: BCGS2Scheme(intra_first=TSQRFactor())),
+    "rbcgs-sketched": dict(scheme=RBCGSScheme,
+                           options=SolverOptions(solve_mode="sketched")),
+    "block-jacobi-auto": dict(scheme=lambda: TwoStageScheme(20),
+                              precond=BlockJacobiPreconditioner,
+                              options=SolverOptions(mpk_mode="auto")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED))
+def test_no_local_charge_is_raw_seconds(name):
+    sim = Simulation(laplace2d(NX), ranks=4, machine=generic_cpu(),
+                     spans=True)
+    solve(sim, **SHAPED[name])
+    local = [s for s in sim.tracer.spans
+             if s.cat == "kernel" and s.name not in ("allreduce", "halo")]
+    bare = {(s.phase, s.name, s.driver_side) for s in local
+            if s.flops is None or s.mem_bytes is None}
+    assert bare == set()
+    # the driver-side charges (TSQR's panel, the sketch partials) are here
+    assert name == "block-jacobi-auto" or any(s.driver_side for s in local)
 
 
 @pytest.mark.parametrize("name", ["two-stage", "block-jacobi"])

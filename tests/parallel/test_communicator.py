@@ -68,14 +68,6 @@ class TestFusedAllreduce:
 
 
 class TestLocalCharges:
-    def test_charge_local_takes_max(self, comm4):
-        comm4.charge_local("dot", [1.0, 5.0, 2.0, 3.0])
-        assert comm4.tracer.kernel_seconds("other", "dot") == 5.0
-
-    def test_charge_local_wrong_count(self, comm4):
-        with pytest.raises(CommunicatorError):
-            comm4.charge_local("dot", [1.0, 2.0])
-
     def test_charge_halo(self, comm4):
         comm4.charge_halo([{1: 800.0}, {0: 800.0}, {3: 800.0}, {2: 800.0}])
         assert comm4.tracer.kernel_seconds("other", "halo") > 0

@@ -42,8 +42,7 @@ class TestProtocolConformance:
         ``Simulation`` calls are declared."""
         reductions = {n for n in PROTOCOL_METHODS if "allreduce" in n}
         assert reductions == {"allreduce", "post_allreduce", "allreduce_dd"}
-        assert {"mark", "close", "wait", "bcast", "post_ihalo",
-                "post_ibcast"} <= set(PROTOCOL_METHODS)
+        assert {"mark", "close", "wait", "post_ihalo"} <= set(PROTOCOL_METHODS)
 
     @pytest.mark.parametrize("cls", [SimComm, MpComm])
     def test_methods_present(self, cls):
@@ -55,7 +54,7 @@ class TestProtocolConformance:
         """Reductions and charge formulas are inherited: the mp backend
         replaces how a packed buffer is folded, never what is charged."""
         for name in ("allreduce", "post_allreduce", "allreduce_dd",
-                     "charge", "charge_local", "charge_halo", "_charge",
+                     "charge", "charge_halo", "_charge",
                      "group", "member"):
             assert name not in vars(MpComm), (
                 f"MpComm re-implements {name}")

@@ -29,7 +29,11 @@ N = 150
 RANKS = 6
 #: the args between ``rows`` and the word size, per table op
 ARGS = {"dot": (3, 2), "dot_dd": (4, 4), "norm": (3,), "update": (5, 3),
-        "matvec": (6, 1), "trsm": (5,), "scale": (3, 2), "axpy": (2, 3)}
+        "matvec": (6, 1), "trsm": (5,), "scale": (3, 2), "axpy": (2, 3),
+        "qr": (6,), "sketch_dense": (16, 3), "sketch_sparse": (3, 2),
+        "gs_sweep": (90, 2, 3)}
+#: ops whose formula takes no word size (the matrix streams fp64)
+WORDLESS = {"gs_sweep"}
 PARTITIONS = {
     "uniform": lambda: Partition(N, RANKS),
     # two runs of equal-count ranks, one empty rank
@@ -42,11 +46,15 @@ def test_every_table_op_has_a_case():
     assert set(ARGS) == set(LOCAL_OPS)
 
 
+def op_args(op: str, word: float) -> tuple:
+    return ARGS[op] if op in WORDLESS else (*ARGS[op], word)
+
+
 def charged(charge, partition: Partition, op: str, storage: str):
     """The tracer row, flops and bytes one ``charge`` of ``op`` leaves."""
     comm = SimComm(summit(), RANKS, Tracer())
     mv = DistMultiVector.zeros(partition, comm, 3, storage=storage)
-    charge(mv, op, *ARGS[op], mv.word_bytes)
+    charge(mv, op, *op_args(op, mv.word_bytes))
     tracer = comm.tracer
     return dict(tracer.by_kernel), dict(tracer.flops), dict(tracer.mem_bytes)
 
@@ -68,5 +76,5 @@ def test_per_shard_and_per_run_records_agree(op, shape, storage):
             summit(), RANKS, ProblemShape(n=N, nnz=5.0 * N, halo_cols=10.0),
             m=5, s=5)
         assert est.nl == math.ceil(N / RANKS) == partition.counts[0]
-        op_args = (op, *ARGS[op], word_bytes(storage))
-        assert est._block(row[0], (op_args,)) == ((row, seconds, 1),)
+        call = (op, *op_args(op, word_bytes(storage)))
+        assert est._block(row[0], (call,)) == ((row, seconds, 1),)

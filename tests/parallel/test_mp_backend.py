@@ -125,12 +125,13 @@ class TestModeledTwin:
                 with comm.tracer.phase("ortho"):
                     comm.allreduce([[s.copy() for s in shards]])
                 with comm.tracer.phase("spmv"):
-                    comm.charge_local("spmv_local", [1e-4, 2e-4, 3e-4])
+                    comm.charge("spmv_local", KernelCharge(3e-4, 60.0, 480.0))
                     comm.charge_halo([{1: 640.0}, {0: 640.0}, {0: 64.0}])
                 comm.charge("host", KernelCharge(5e-5, 30.0, 240.0))
             assert mp.modeled.snapshot() == sim.tracer.snapshot()
             # the shapes land on the modeled twin only
-            assert mp.modeled.flops == {("other", "host"): 30.0}
+            assert mp.modeled.flops == {("spmv", "spmv_local"): 60.0,
+                                        ("other", "host"): 30.0}
             assert not mp.tracer.flops and not mp.tracer.mem_bytes
         finally:
             mp.close()

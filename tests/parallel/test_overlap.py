@@ -14,12 +14,18 @@ import pytest
 
 from repro.exceptions import CommunicatorError
 from repro.parallel.communicator import SimComm
+from repro.parallel.costmodel import KernelCharge
 from repro.parallel.machine import generic_cpu, summit
 from repro.parallel.tracing import Tracer
 
 
 def blocking_cost(comm, payload_elems: int) -> float:
     return comm.cost.allreduce(payload_elems * 8.0, comm.size)
+
+
+def charge_compute(comm, seconds: float) -> None:
+    """Charge ``seconds`` of local work inside the overlap window."""
+    comm.charge("spmv", KernelCharge(seconds, 0.0, 0.0))
 
 
 class TestResultsBitIdentical:
@@ -48,11 +54,6 @@ class TestResultsBitIdentical:
         posted = comm4.wait(comm4.post_allreduce([stack]))
         assert posted[0].tobytes() == blocking[0].tobytes()
 
-    def test_posted_bcast_passes_value_through(self, comm4):
-        value = np.arange(6.0)
-        out = comm4.wait(comm4.post_ibcast(value))
-        assert out is value
-
 
 class TestChargeSemantics:
     def test_wait_before_compute_charges_full_cost(self, comm4):
@@ -72,7 +73,7 @@ class TestChargeSemantics:
         shards = [np.ones(16)] * 4
         full = blocking_cost(comm4, 16)
         req = comm4.post_allreduce([shards])
-        comm4.charge_local("spmv", [10.0 * full] * 4)
+        charge_compute(comm4, 10.0 * full)
         before = comm4.tracer.clock
         comm4.wait(req)
         assert comm4.tracer.clock == before  # zero exposed seconds
@@ -84,7 +85,7 @@ class TestChargeSemantics:
         full = blocking_cost(comm4, 1024)
         compute = 0.25 * full
         req = comm4.post_allreduce([shards])
-        comm4.charge_local("spmv", [compute] * 4)
+        charge_compute(comm4, compute)
         comm4.wait(req)
         assert comm4.tracer.kernel_seconds("other", "allreduce") == \
             pytest.approx(full - compute)
@@ -98,7 +99,7 @@ class TestChargeSemantics:
         full = blocking_cost(comm4, 1024)
         first = comm4.post_allreduce([shards])
         second = comm4.post_allreduce([shards])
-        comm4.charge_local("spmv", [1.5 * full] * 4)
+        charge_compute(comm4, 1.5 * full)
         assert first.hidden == pytest.approx(full)      # fully drained
         assert second.hidden == pytest.approx(0.5 * full)  # the spill
         comm4.wait(first)
@@ -127,7 +128,7 @@ class TestChargeSemantics:
             comm = SimComm(generic_cpu(), 4, Tracer())
             req = comm.post_allreduce([shards])
             if factor:
-                comm.charge_local("spmv", [factor * full] * 4)
+                charge_compute(comm, factor * full)
             comm.wait(req)
             compute = factor * full
             assert compute <= comm.tracer.clock <= compute + full + 1e-18
@@ -138,7 +139,7 @@ class TestChargeSemantics:
         shards = [np.ones(8)] * 4
         req = comm4.post_allreduce([shards])
         assert comm4.tracer.sync_count() == 0
-        comm4.charge_local("spmv", [1.0] * 4)
+        charge_compute(comm4, 1.0)
         comm4.wait(req)
         assert comm4.tracer.sync_count() == 1
 
@@ -164,7 +165,7 @@ class TestPostedHalo:
         comm = SimComm(summit(), 8, Tracer())
         recv = [{(r + 1) % 8: 4096.0} for r in range(8)]
         req = comm.post_ihalo(recv)
-        comm.charge_local("spmv", [1.0] * 8)  # way more than the halo
+        charge_compute(comm, 1.0)  # way more than the halo
         comm.wait(req)
         assert comm.tracer.kernel_seconds("other", "halo") == 0.0
         assert comm.tracer.overlapped_seconds(kernel="halo") > 0.0
@@ -187,37 +188,13 @@ class TestWaitErrors:
         with pytest.raises(CommunicatorError, match="different communicator"):
             comm4.wait(req)
 
-    def test_bcast_root_validated(self, comm4):
-        with pytest.raises(CommunicatorError, match="root"):
-            comm4.post_ibcast(np.ones(2), root=7)
-        with pytest.raises(CommunicatorError, match="root"):
-            comm4.bcast(np.ones(2), root=-1)
-
-
-class TestBcastCost:
-    def test_single_rank_is_free(self):
-        comm = SimComm(generic_cpu(), 1, Tracer())
-        comm.bcast(np.ones(100))
-        assert comm.tracer.clock == 0.0
-
-    def test_cheaper_than_allreduce(self):
-        a = SimComm(summit(), 24, Tracer())
-        b = SimComm(summit(), 24, Tracer())
-        a.bcast(np.ones(64))
-        b.allreduce([np.ones((24, 64))])
-        assert 0.0 < a.tracer.clock < b.tracer.clock
-
-    def test_counts_as_bcast_kernel(self, comm4):
-        comm4.bcast(np.ones(4))
-        assert comm4.tracer.counts[("other", "bcast")] == 1
-
 
 class TestOverlapSpans:
     def test_post_marker_and_window_span(self, comm4):
         comm4.tracer.enable_spans()
         shards = [np.ones(16)] * 4
         req = comm4.post_allreduce([shards])
-        comm4.charge_local("spmv", [1e-3] * 4)
+        charge_compute(comm4, 1e-3)
         comm4.wait(req)
         cats = {s.cat: s for s in comm4.tracer.spans}
         post = cats["post"]
@@ -234,7 +211,7 @@ class TestOverlapSpans:
     def test_exposed_charge_span_carries_overlapped(self, comm4):
         comm4.tracer.enable_spans()
         req = comm4.post_allreduce([[np.ones(2048)] * 4])
-        comm4.charge_local("spmv", [1e-7] * 4)
+        charge_compute(comm4, 1e-7)
         comm4.wait(req)
         charge = [s for s in comm4.tracer.spans
                   if s.cat == "kernel" and s.name == "allreduce"][-1]
@@ -247,7 +224,7 @@ class TestTracerOverlapAccounting:
     def test_totals_carry_overlapped_dimension(self, comm4):
         snap = comm4.tracer.snapshot()
         req = comm4.post_allreduce([[np.ones(2048)] * 4])
-        comm4.charge_local("spmv", [1e-7] * 4)
+        charge_compute(comm4, 1e-7)
         comm4.wait(req)
         totals = comm4.tracer.since(snap)
         assert totals.overlapped[("other", "allreduce")] == \
@@ -257,13 +234,13 @@ class TestTracerOverlapAccounting:
 
     def test_report_mentions_hidden_comm(self, comm4):
         req = comm4.post_allreduce([[np.ones(2048)] * 4])
-        comm4.charge_local("spmv", [1e-7] * 4)
+        charge_compute(comm4, 1e-7)
         comm4.wait(req)
         assert "hidden comm" in comm4.tracer.report()
 
     def test_reset_clears_overlapped(self, comm4):
         req = comm4.post_allreduce([[np.ones(2048)] * 4])
-        comm4.charge_local("spmv", [1e-7] * 4)
+        charge_compute(comm4, 1e-7)
         comm4.wait(req)
         comm4.tracer.reset()
         assert comm4.tracer.overlapped_seconds() == 0.0

@@ -240,7 +240,7 @@ class TestBlockingInsideOverlapWindow:
         assert comm.tracer.overlapped_seconds(kernel="halo") == reduce_s
         assert comm.tracer.clock == reduce_s + (halo.seconds - reduce_s)
         assert comm.tracer.collective_counts() == {
-            "allreduce": 1, "halo": 1, "bcast": 0}
+            "allreduce": 1, "halo": 1}
 
     def test_wait_of_posted_allreduce_drains_nothing(self):
         comm = SimComm(summit(), 8, Tracer())

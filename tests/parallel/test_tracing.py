@@ -133,13 +133,11 @@ class TestAccessors:
         t = Tracer()
         with t.phase("ortho"):
             t.add("allreduce", 0.1, count=2)
-            t.add("bcast", 0.1)
         with t.phase("spmv"):
             t.add("halo", 0.1, count=3)
             t.add("spmv_local", 1.0)  # not a collective
-        assert t.collective_counts() == {"allreduce": 2, "halo": 3, "bcast": 1}
-        assert t.collective_counts("ortho") == {"allreduce": 2, "halo": 0,
-                                                "bcast": 1}
+        assert t.collective_counts() == {"allreduce": 2, "halo": 3}
+        assert t.collective_counts("ortho") == {"allreduce": 2, "halo": 0}
         assert t.sync_count("ortho") == 2
 
     def test_collective_counts_with_payload_bytes(self):
@@ -151,12 +149,10 @@ class TestAccessors:
             t.add("allreduce", 0.1, payload_bytes=8.0)
         assert t.collective_counts(payload_bytes=True) == {
             "allreduce": {"count": 3, "bytes": 72.0},
-            "halo": {"count": 1, "bytes": 256.0},
-            "bcast": {"count": 0, "bytes": 0.0}}
+            "halo": {"count": 1, "bytes": 256.0}}
         assert t.collective_counts("ortho", payload_bytes=True) == {
             "allreduce": {"count": 2, "bytes": 64.0},
-            "halo": {"count": 0, "bytes": 0.0},
-            "bcast": {"count": 0, "bytes": 0.0}}
+            "halo": {"count": 0, "bytes": 0.0}}
 
     def test_payload_accumulator_and_since_diff(self):
         t = Tracer()

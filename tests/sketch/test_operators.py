@@ -21,7 +21,7 @@ from repro.sketch import (
 from repro.sketch.operators import _GAUSS_CHUNK
 from repro.utils.rng import haar_orthonormal
 
-FAMILIES = ["sparse", "gaussian", "srht", "srht_fft"]
+FAMILIES = ["sparse", "gaussian", "srht"]
 
 
 class TestSeeding:
@@ -165,63 +165,6 @@ class TestSRHT:
     def test_m_exceeding_padding_rejected(self):
         with pytest.raises(ConfigurationError):
             SRHTSketch(10, 17, seed=0)  # pad = 16 < 17
-
-
-class TestFastSRHT:
-    """The FFT-path SRHT family: same embedding, butterfly application."""
-
-    def test_same_draw_as_closed_form_twin(self):
-        """``srht_fft`` inherits the seed derivation, so the same
-        ``(n, m, seed)`` produces the SAME operator as ``srht`` — values
-        agree to summation-order rounding (butterflies vs GEMM dots)."""
-        from repro.sketch import FastSRHTSketch
-        slow = SRHTSketch(173, 24, seed=9)
-        fast = FastSRHTSketch(173, 24, seed=9)
-        np.testing.assert_array_equal(slow._d, fast._d)
-        np.testing.assert_array_equal(slow._selected, fast._selected)
-        np.testing.assert_allclose(fast.matrix(), slow.matrix(),
-                                   rtol=1e-13, atol=1e-14)
-
-    def test_stacked_shard_transforms_once(self):
-        """partial_stack runs ONE vectorized transform over the whole
-        (ranks, n_pad, k) shard stack — and stays bit-identical to the
-        per-rank loop (the engine-equivalence contract)."""
-        from repro.sketch import FastSRHTSketch
-        rng = np.random.default_rng(4)
-        n, ranks, k = 160, 8, 5
-        op = FastSRHTSketch(n, 16, seed=2)
-        stack = rng.standard_normal((ranks, n // ranks, k))
-        loop = np.stack([op.partial(stack[r], r * (n // ranks))
-                         for r in range(ranks)])
-        np.testing.assert_array_equal(op.partial_stack(stack, 0), loop)
-        np.testing.assert_allclose(
-            loop.sum(axis=0), op.matrix() @ stack.reshape(n, k),
-            rtol=1e-12, atol=1e-13)
-
-    def test_local_cost_uses_fast_transform_entry(self):
-        """Modeled cost switches from the dense-GEMM default to the
-        cost model's ``srht_apply`` (n log n butterflies)."""
-        from repro.parallel.costmodel import CostModel
-        from repro.parallel.machine import generic_cpu
-        from repro.sketch import FastSRHTSketch
-        cost = CostModel(generic_cpu())
-        slow = SRHTSketch(4096, 64, seed=0)
-        fast = FastSRHTSketch(4096, 64, seed=0)
-        assert fast.local_cost(cost, 4096, 8) \
-            == cost.srht_apply(fast.n_pad, 8, 64)
-        # ... and at this size the fast transform is modeled cheaper
-        assert fast.local_cost(cost, 4096, 8) < slow.local_cost(
-            cost, 4096, 8)
-
-    def test_registry_aliases(self):
-        from repro.sketch import FastSRHTSketch
-        assert canonical_family("srht_fft") == "srhtfft"
-        assert canonical_family("SRHT-FFT") == "srhtfft"
-        op = make_operator("srht_fft", 100, 12, seed=1)
-        assert isinstance(op, FastSRHTSketch)
-        assert op.family == "srht_fft"
-        # the padded-length clamp extends to the fft family
-        assert sketch_rows(12, 16, family="srht_fft", oversample=50) <= 16
 
 
 class TestSizingAndRegistry:
