@@ -21,7 +21,11 @@ asserts the executor's contract:
   tracer;
 * on a ragged partition (rank count not dividing ``n``) the flat storage
   of a multivector still comes back shared-memory backed, and the solve
-  stays bit-identical with an exactly equal modeled twin.
+  stays bit-identical with an exactly equal modeled twin;
+* a block-Jacobi preconditioned solve through the CA matrix powers
+  kernel (``mpk_mode="ca"``, so a ghost closure with ``expand="block"``)
+  on that ragged partition is bit-identical too, with an equal modeled
+  clock.
 
 Deliberately NOT a pytest file: CI runs it as a separate step under a
 hard ``timeout`` so a deadlocked worker (the characteristic failure
@@ -99,6 +103,43 @@ def driver_side_failures() -> list[str]:
     return failures
 
 
+def block_ca_failures() -> list[str]:
+    """Block-Jacobi through the CA-MPK on 5 ragged ranks, both backends."""
+    from repro.krylov.options import SolverOptions
+    from repro.krylov.simulation import Simulation
+    from repro.krylov.sstep_gmres import sstep_gmres
+    from repro.matrices.stencil import laplace2d
+    from repro.ortho.two_stage import TwoStageScheme
+    from repro.precond import BlockJacobiPreconditioner
+
+    a = laplace2d(24)
+
+    def solve(backend):
+        with Simulation(a, ranks=5, backend=backend) as sim:
+            res = sstep_gmres(
+                sim, np.ones(a.shape[0]), s=3, restart=12, tol=1e-8,
+                scheme=TwoStageScheme(12),
+                precond=BlockJacobiPreconditioner().setup(sim.matrix),
+                options=SolverOptions(mpk_mode="ca"))
+            clock = (sim.comm.modeled.clock if backend == "mp"
+                     else sim.tracer.clock)
+        return res, clock
+
+    (want, want_clock), (got, got_clock) = solve("sim"), solve("mp")
+    failures = []
+    if not want.converged:
+        failures.append("block-Jacobi CA-MPK sim solve did not converge")
+    if want.diagnostics.get("mpk_mode") != "ca":
+        failures.append("block-Jacobi solve did not run the CA-MPK")
+    if got.x.tobytes() != want.x.tobytes():
+        failures.append("block-Jacobi CA-MPK mp solution is not "
+                        "bit-identical to sim")
+    if got_clock != want_clock:
+        failures.append(f"block-Jacobi CA-MPK mp modeled twin clock "
+                        f"{got_clock!r} != sim clock {want_clock!r}")
+    return failures
+
+
 def main() -> int:
     from repro.krylov.options import SolverOptions
     from repro.krylov.simulation import Simulation
@@ -110,7 +151,8 @@ def main() -> int:
     b = np.ones(a.shape[0])
     opts = SolverOptions(mpk_mode="auto")
 
-    failures = transport_failures() + driver_side_failures()
+    failures = (transport_failures() + driver_side_failures()
+                + block_ca_failures())
 
     def solve(backend, ranks=4):
         with Simulation(a, ranks=ranks, backend=backend) as sim:
@@ -161,7 +203,8 @@ def main() -> int:
     wall = sum(measured.values())
     print(f"mp smoke OK: {res_mp.iterations} iterations bit-identical "
           f"across backends (and {ragged_mp.iterations} on a ragged "
-          f"partition); modeled {clock_sim:.4g}s, "
+          f"partition, block-Jacobi CA-MPK included); modeled "
+          f"{clock_sim:.4g}s, "
           f"measured {wall:.4g}s wall")
     return 0
 

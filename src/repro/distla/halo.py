@@ -24,6 +24,17 @@ recurrence, so nothing executes the closure any more; that it is large
 enough is a structural invariant :func:`check_closure` verifies once per
 analysis instead.
 
+Both analyses run over the whole partition at once, never rank by rank.
+A level set of every rank is one ``(ranks x m)`` 0/1 indicator: a
+closure level is one sparse product of the previous level's *frontier*
+(the rows it added) with the pattern of ``A`` (``expand="pointwise"``,
+``m = n``), or with the ``(ranks x ranks)`` graph of which owner blocks
+touch which (``expand="block"``, every level a union of whole blocks,
+materialized as rows once per level).  Who receives what from whom is
+one ``(ranks x ranks)`` count matrix per level.  The indicators are
+dense bools, ``(depth + 1) * ranks * n`` bytes, and live only while a
+plan is analyzed and checked.
+
 Payloads are charged at the operand's *storage* word size (a ghost row
 of an fp32 basis moves 4 bytes), so plans store per-peer row counts and
 convert to bytes at exchange time — once per ``(word_bytes, n_vectors)``
@@ -52,29 +63,118 @@ EXPAND_MODES = ("pointwise", "block")
 _DOUBLE = _word_bytes("fp64")
 
 
-def _row_union(a: sp.csr_matrix, row_nnz: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
-    """``rows ∪ cols(A[rows, :])`` as a sorted global index array
-    (``row_nnz = diff(a.indptr)``)."""
-    mask = np.zeros(a.shape[0], dtype=bool)
-    mask[rows] = True
-    # the stored entries of the selected rows, without a submatrix
-    mask[a.indices[np.repeat(mask, row_nnz)]] = True
-    return np.flatnonzero(mask)
+def _bounds(sizes: np.ndarray) -> np.ndarray:
+    """Padded cumulative sum: segment ``r`` is ``bounds[r]:bounds[r+1]``
+    (empty segments stay empty)."""
+    bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds
 
 
-def _owner_ranks(rows: np.ndarray, partition: Partition) -> np.ndarray:
-    """Ranks owning at least one row of a *sorted* global row set."""
-    return np.flatnonzero(np.diff(np.searchsorted(rows, partition.offsets)))
+def _segments(sizes: np.ndarray, values) -> list:
+    """``values`` cut into consecutive pieces of ``sizes`` (views)."""
+    cuts = _bounds(sizes).tolist()
+    return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _block_round(rows: np.ndarray, partition: Partition) -> np.ndarray:
-    """Round a sorted row set up to whole owner blocks."""
-    if rows.size == 0:
-        return rows
-    return np.concatenate(
-        [np.arange(partition.offsets[p], partition.offsets[p + 1])
-         for p in _owner_ranks(rows, partition)])
+def _per_rank(pieces: list, ranks: int) -> list[list]:
+    """Pieces ordered level-major (``l * ranks + r``) as ``[rank][l]``."""
+    return [pieces[rank::ranks] for rank in range(ranks)]
+
+
+def _owners(partition: Partition) -> np.ndarray:
+    """Owning rank of every global row."""
+    return np.repeat(np.arange(partition.ranks), partition.counts)
+
+
+def _pattern(a: sp.csr_matrix) -> sp.csr_matrix:
+    """0/1 pattern of the stored entries of ``a``: row ``i`` of an
+    indicator times it is ``cols(A[i, :])``."""
+    return sp.csr_matrix((np.ones(a.indices.size, dtype=bool), a.indices,
+                          a.indptr), shape=a.shape)
+
+
+def _block_pattern(a: sp.csr_matrix, owner: np.ndarray,
+                   ranks: int) -> sp.csr_matrix:
+    """``(n x ranks)`` 0/1: row ``i`` reads a column of owner block ``q``
+    other than its own (one entry per block).  A row whose columns all
+    stay in its own block has an empty row here."""
+    peer = owner[a.indices]
+    off = peer != np.repeat(owner, np.diff(a.indptr))
+    reads = sp.csr_matrix((np.ones(int(off.sum()), dtype=bool), peer[off],
+                           _bounds(off)[a.indptr]),
+                          shape=(a.shape[0], ranks))
+    reads.sum_duplicates()
+    return reads
+
+
+def _pairs(held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set entries ``(row, node)`` of a dense ``(k x m)`` bool
+    indicator, row-major."""
+    return np.divmod(np.flatnonzero(held), held.shape[1])
+
+
+def _indicator(rank: np.ndarray, node: np.ndarray,
+               shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR ``(ranks x m)`` 0/1 indicator of the pairs ``(rank, node)``,
+    ``rank`` ascending."""
+    indptr = _bounds(np.bincount(rank, minlength=shape[0]))
+    return sp.csr_matrix((np.ones(node.size, dtype=bool), node, indptr),
+                         shape=shape)
+
+
+def _entry_ranks(indptr: np.ndarray) -> np.ndarray:
+    """Rank of every entry of a ``(ranks x m)`` CSR structure."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _whole_blocks(held: np.ndarray, partition: Partition) -> np.ndarray:
+    """``(k x ranks)`` bool: row ``i`` of the dense ``(k x n)`` indicator
+    ``held`` holds all of owner block ``q``.
+
+    Reduced over the non-empty blocks only: their starts strictly
+    increase, and each block runs to the next one's start (or ``n``) —
+    the empty blocks in between have no width.  An empty block is whole.
+    """
+    whole = np.ones((held.shape[0], partition.ranks), dtype=bool)
+    full = partition.counts > 0
+    whole[:, full] = np.logical_and.reduceat(
+        held, partition.offsets[:-1][full], axis=1)
+    return whole
+
+
+def _by_peer(counts: np.ndarray) -> list[dict[int, int]]:
+    """Per-rank ``{peer: count}`` of the nonzero entries of a
+    ``(ranks x ranks)`` count matrix, peers ascending."""
+    rank, peer = np.nonzero(counts)
+    sizes = np.count_nonzero(counts, axis=1)
+    return [dict(zip(p, c)) for p, c in zip(
+        _segments(sizes, peer.tolist()),
+        _segments(sizes, counts[rank, peer].tolist()))]
+
+
+def _reach(graph: sp.csr_matrix, start: np.ndarray,
+           depth: int) -> np.ndarray:
+    """Frontier BFS over ``graph`` from every rank at once.
+
+    ``start`` is the ``(ranks x m)`` bool indicator of level 0; returns
+    the ``(depth + 1, ranks, m)`` indicators of levels ``0..depth``.
+    Level ``l+1`` adds what the nodes *added* at level ``l`` read (a node
+    reads ``cols(graph[node, :])``, hence ``frontier @ graph``): older
+    nodes were read one level earlier.
+    """
+    levels = np.empty((depth + 1, *start.shape), dtype=bool)
+    levels[0] = start
+    frontier = _indicator(*_pairs(start), start.shape)
+    for held, below in zip(levels[1:], levels):
+        held[...] = below
+        reached = frontier @ graph
+        rank = _entry_ranks(reached.indptr)
+        fresh = ~held[rank, reached.indices]
+        rank, node = rank[fresh], reached.indices[fresh]
+        held[rank, node] = True
+        frontier = _indicator(rank, node, start.shape)
+    return levels
 
 
 def _descriptors(memo: dict, key: tuple,
@@ -108,22 +208,55 @@ def check_closure(a: sp.csr_matrix, partition: Partition,
     of each of those (a block solve reads its entire block).
     Raises :class:`ConfigurationError` naming the first rank and level
     that fall short.
+
+    Reads only ``a``, ``partition`` and ``levels`` — nothing the
+    analysis built on the way — and checks every rank and level at once,
+    on dense ``(levels * ranks x n)`` indicators of the given sets.  Of
+    ``cols(A[L_l, :])`` it traverses only the rows of ``L_l`` missing
+    from ``L_{l-1}`` (one product of their indicator with the pattern of
+    ``A``, or with the row-to-other-owner-block pattern): the others
+    were read one level down, and their reads lie in ``L_{l+1}`` when
+    that level held and ``L_l ⊆ L_{l+1}``, which is checked for every
+    row.  So the first level failing on a rank is the one a full
+    traversal names.
     """
-    row_nnz = np.diff(a.indptr)
-    held = np.zeros(partition.n_global, dtype=bool)
-    for rank, per_rank in enumerate(levels):
-        for lvl, (rows, outer) in enumerate(zip(per_rank, per_rank[1:])):
-            reads = _row_union(a, row_nnz, rows)
-            if expand == "block":
-                reads = _block_round(reads, partition)
-            held[outer] = True
-            closed = held[reads].all()
-            held[outer] = False
-            if not closed:
-                raise ConfigurationError(
-                    f"ghost closure too small on rank {rank}: level "
-                    f"{lvl} reads rows outside level {lvl + 1} "
-                    f"(expand={expand!r})")
+    ranks, n = partition.ranks, partition.n_global
+    owner = _owners(partition)
+    block = expand == "block"
+    reads_of = _block_pattern(a, owner, ranks) if block else _pattern(a)
+    # a row with nothing to read here adds nothing beyond itself
+    readers = np.diff(reads_of.indptr) > 0
+    # held[l * ranks + r]: the rows levels[r][l] names
+    by_level = list(zip(*levels))
+    held = np.zeros((len(by_level), ranks, n), dtype=bool)
+    starts = np.arange(0, ranks * n, n)
+    for level, rows in zip(held, by_level):
+        sizes = np.fromiter(map(len, rows), dtype=np.intp, count=ranks)
+        level.ravel()[np.concatenate(rows) + np.repeat(starts, sizes)] = True
+    held = held.reshape(-1, n)
+    inner, outer = held[:-ranks], held[ranks:]  # L_l, L_{l+1}; l < depth
+    if block:
+        # a read lands in a block L_{l+1} holds whole
+        landed = _whole_blocks(outer, partition)
+        inside = np.repeat(landed, partition.counts, axis=1)
+    else:
+        inside = landed = outer
+    # L_l itself (its owner blocks, for "block") inside L_{l+1}
+    short = (inner & ~inside).any(axis=1)
+    # what the rows new at level l read
+    fresh = inner & readers
+    fresh[ranks:] &= ~inner[:-ranks]
+    pair, rows = _pairs(fresh)
+    reads = _indicator(pair, rows, fresh.shape) @ reads_of
+    read_pair = _entry_ranks(reads.indptr)
+    short[read_pair[~landed[read_pair, reads.indices]]] = True
+    short = short.reshape(-1, ranks).T  # (ranks x depth)
+    if short.any():
+        rank, lvl = np.argwhere(short)[0].tolist()
+        raise ConfigurationError(
+            f"ghost closure too small on rank {rank}: level "
+            f"{lvl} reads rows outside level {lvl + 1} "
+            f"(expand={expand!r})")
 
 
 class HaloPlan:
@@ -158,17 +291,28 @@ class HaloPlan:
     @classmethod
     def analyze(cls, local_blocks: list[sp.csr_matrix],
                 partition: Partition) -> "HaloPlan":
-        recv: list[dict[int, int]] = []
-        counts = np.zeros(partition.ranks, dtype=np.int64)
-        for rank, block in enumerate(local_blocks):
-            lo, hi = partition.offsets[rank], partition.offsets[rank + 1]
-            cols = np.unique(block.indices)
-            external = cols[(cols < lo) | (cols >= hi)]
-            counts[rank] = external.size
-            by_peer = {peer: int(rows.size) for peer, rows
-                       in partition.group_by_owner(external).items()}
-            recv.append(by_peer)
-        return cls(recv, counts)
+        """Count the distinct off-rank columns of every rank by owner.
+
+        The depth-1 closure of every rank at once: the ownership
+        indicator times the pattern of the stacked blocks (the global
+        CSR) is, row ``r``, every column rank ``r``'s rows read, each
+        once; one ``bincount`` of the off-rank ones by ``(rank, owner)``
+        follows.  No per-rank ``np.unique``.
+        """
+        ranks, n = partition.ranks, partition.n_global
+        owner = _owners(partition)
+        cols = np.concatenate([block.indices for block in local_blocks])
+        row_nnz = np.concatenate([np.diff(block.indptr)
+                                  for block in local_blocks])
+        pattern = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols,
+                                 _bounds(row_nnz)), shape=(n, n))
+        reads = _indicator(owner, np.arange(n), (ranks, n)) @ pattern
+        rank = _entry_ranks(reads.indptr)
+        peer = owner[reads.indices]
+        off = peer != rank
+        counts = np.bincount(rank[off] * ranks + peer[off],
+                             minlength=ranks * ranks).reshape(ranks, ranks)
+        return cls(_by_peer(counts), counts.sum(axis=1))
 
 
 class GhostPlan:
@@ -194,40 +338,56 @@ class GhostPlan:
     __slots__ = ("partition", "depth", "expand", "levels", "ghost_rows",
                  "recv_counts_by_peer",
                  "level_rows", "level_nnz", "level_ranks", "n_global",
-                 "_eager_counts", "_ring_counts", "_recv_bytes", "charge_memo")
+                 "_near_counts", "_ghost_counts", "_eager_counts",
+                 "_ring_counts", "_recv_bytes", "charge_memo")
 
     def __init__(self, partition: Partition, depth: int, expand: str,
-                 levels: list[list[np.ndarray]],
-                 level_nnz: np.ndarray) -> None:
+                 held: np.ndarray, row_nnz: np.ndarray) -> None:
+        """``held[l]`` is the dense ``(ranks x n)`` bool indicator of
+        ``L_l`` (``held`` is ``(depth + 1, ranks, n)``); ``row_nnz`` the
+        stored entries of every row of ``A``."""
         self.partition = partition
         self.depth = depth
         self.expand = expand
-        self.n_global = partition.n_global
-        #: ``levels[rank][l]`` — sorted global rows of ``L_l`` on ``rank``.
-        self.levels = levels
-        #: ``ghost_rows[rank]`` — ``L_depth`` minus the owned block.
-        self.ghost_rows = []
-        #: ``recv_counts_by_peer[rank]`` — ghost row counts by owner.
-        self.recv_counts_by_peer = []
+        ranks = partition.ranks
+        self.n_global = n = partition.n_global
+        flat = held.reshape(-1, n)  # row l * ranks + r
+
+        def rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The rows each row of the ``(k x n)`` indicator ``h``
+            holds, row after row, and ``(k x ranks)`` how many of them
+            each owner block has (cuts of its sorted flat keys)."""
+            found = np.flatnonzero(h)  # keys i * n + row, ascending
+            base = np.arange(0, h.size, n)
+            at = np.searchsorted(found, base[:, None] + partition.offsets)
+            found -= np.repeat(base, at[:, -1] - at[:, 0])
+            return found, np.diff(at, axis=1)
+
+        found, counts = rows(flat)
+        # counts[l, r, q]: rows of L_l on rank r owned by rank q
+        counts = counts.reshape(-1, ranks, ranks)
+        sizes = counts.sum(axis=2)
         #: ``level_rows[rank, l]`` / ``level_nnz[rank, l]`` — size and CSR
         #: nonzeros of ``A[L_l, :]`` per rank (redundant-work costing).
-        self.level_rows = np.array(
-            [[lvl.size for lvl in per_rank] for per_rank in levels],
-            dtype=np.int64)
-        self.level_nnz = level_nnz
+        self.level_rows = np.ascontiguousarray(sizes.T)
+        nnz = np.einsum("ij,j->i", flat, row_nnz, dtype=np.int64)
+        self.level_nnz = np.ascontiguousarray(nnz.reshape(-1, ranks).T)
+        #: ``levels[rank][l]`` — sorted global rows of ``L_l`` on ``rank``.
+        self.levels = _per_rank(_segments(sizes.ravel(), found), ranks)
         #: ``level_ranks[rank][l]`` — owner ranks intersecting ``L_l``
         #: (block-preconditioner redundant applies touch these blocks).
-        self.level_ranks = [
-            [_owner_ranks(lvl, partition) for lvl in per_rank]
-            for per_rank in levels]
-        for rank in range(partition.ranks):
-            lo, hi = partition.offsets[rank], partition.offsets[rank + 1]
-            top = levels[rank][depth]
-            ghosts = top[(top < lo) | (top >= hi)]
-            self.ghost_rows.append(ghosts)
-            self.recv_counts_by_peer.append(
-                {peer: int(rows.size) for peer, rows
-                 in partition.group_by_owner(ghosts).items()})
+        owners = counts.reshape(-1, ranks)
+        self.level_ranks = _per_rank(_segments(
+            np.count_nonzero(owners, axis=1), np.nonzero(owners)[1]), ranks)
+        off_rank = ~np.eye(ranks, dtype=bool)
+        self._near_counts = counts[min(1, depth)] * off_rank
+        self._ghost_counts = counts[depth] * off_rank
+        owned = _owners(partition) == np.arange(ranks)[:, None]
+        ghosts, _ = rows(held[depth] & ~owned)
+        #: ``ghost_rows[rank]`` — ``L_depth`` minus the owned block.
+        self.ghost_rows = _segments(self._ghost_counts.sum(axis=1), ghosts)
+        #: ``recv_counts_by_peer[rank]`` — ghost row counts by owner.
+        self.recv_counts_by_peer = _by_peer(self._ghost_counts)
         self._eager_counts = None
         self._ring_counts = None
         self._recv_bytes: dict[tuple, HaloDescriptors] = {}
@@ -241,7 +401,9 @@ class GhostPlan:
     @classmethod
     def analyze(cls, a: sp.csr_matrix, partition: Partition, depth: int,
                 expand: str = "pointwise") -> "GhostPlan":
-        """Build the closure for ``depth`` operator applications."""
+        """Build the closure for ``depth`` operator applications, every
+        rank at once (see the module docstring), then verify it with
+        :func:`check_closure`."""
         if depth < 0:
             raise ConfigurationError(f"ghost depth must be >= 0, got {depth}")
         if expand not in EXPAND_MODES:
@@ -249,28 +411,25 @@ class GhostPlan:
                 f"unknown expand mode {expand!r}; expected one of "
                 f"{EXPAND_MODES}")
         a = sp.csr_matrix(a)
-        n = partition.n_global
+        n, ranks = partition.n_global, partition.ranks
         if a.shape != (n, n):
             raise ConfigurationError(
                 f"matrix shape {a.shape} does not match partition "
                 f"n_global={n}")
-        row_nnz = np.diff(a.indptr)
-        levels: list[list[np.ndarray]] = []
-        for rank in range(partition.ranks):
-            owned = np.arange(partition.offsets[rank],
-                              partition.offsets[rank + 1])
-            per_rank = [owned]
-            for _ in range(depth):
-                grown = _row_union(a, row_nnz, per_rank[-1])
-                if expand == "block":
-                    grown = _block_round(grown, partition)
-                per_rank.append(grown)
-            levels.append(per_rank)
-        check_closure(a, partition, levels, expand)
-        level_nnz = np.array(
-            [[int(row_nnz[lvl].sum()) for lvl in per_rank]
-             for per_rank in levels], dtype=np.int64)
-        return cls(partition, depth, expand, levels, level_nnz)
+        owner = _owners(partition)
+        if expand == "block":
+            # blocks[p, q]: a row of block p reads a column of block q
+            blocks = _indicator(owner, np.arange(n), (ranks, n)) @ \
+                _block_pattern(a, owner, ranks)
+            held = np.repeat(_reach(blocks, np.eye(ranks, dtype=bool), depth),
+                             partition.counts, axis=2)
+        else:
+            held = _reach(_pattern(a), owner == np.arange(ranks)[:, None],
+                          depth)
+        plan = cls(partition, depth, expand, held, np.diff(a.indptr))
+        del held  # the check builds its own indicators from plan.levels
+        check_closure(a, partition, plan.levels, expand)
+        return plan
 
     # ------------------------------------------------------------------
     def recv_bytes(self, word_bytes: float = _DOUBLE,
@@ -286,24 +445,14 @@ class GhostPlan:
 
         ``eager`` is the depth-1 nearest-neighbour shell of the closure
         (``L_1`` minus the owned block); ``ring`` is everything deeper
-        (``L_depth`` ghosts minus the eager shell).  Together they
-        partition :attr:`ghost_rows` exactly, so eager + ring payloads
-        sum to :meth:`recv_bytes` peer for peer.
+        (``L_depth`` ghosts minus the eager shell).  Levels are nested,
+        so ring counts are the ``L_depth`` minus the ``L_1`` counts peer
+        for peer, and eager + ring payloads sum to :meth:`recv_bytes`.
         """
         if self._eager_counts is None:
-            eager, ring = [], []
-            for rank in range(self.partition.ranks):
-                lo = self.partition.offsets[rank]
-                hi = self.partition.offsets[rank + 1]
-                near_lvl = self.levels[rank][min(1, self.depth)]
-                near = near_lvl[(near_lvl < lo) | (near_lvl >= hi)]
-                far = np.setdiff1d(self.ghost_rows[rank], near,
-                                   assume_unique=True)
-                eager.append({peer: int(rows.size) for peer, rows
-                              in self.partition.group_by_owner(near).items()})
-                ring.append({peer: int(rows.size) for peer, rows
-                             in self.partition.group_by_owner(far).items()})
-            self._eager_counts, self._ring_counts = eager, ring
+            self._eager_counts = _by_peer(self._near_counts)
+            self._ring_counts = _by_peer(self._ghost_counts
+                                         - self._near_counts)
         return self._eager_counts, self._ring_counts
 
     def eager_recv_bytes(self, word_bytes: float = _DOUBLE,
