@@ -30,14 +30,12 @@ See ``examples/quickstart.py`` and README.md.
 from repro._version import __version__
 from repro import (config, dd, distla, matrices, obs, ortho, parallel,
                    precision, precond, sketch)
-from repro.obs import CycleRecord, DriftReport, drift_report
-from repro.parallel import BACKENDS, Communicator, make_comm
+from repro.obs import drift_report
+from repro.parallel import Communicator, make_comm
 from repro.exceptions import (
     CholeskyBreakdownError,
     ConfigurationError,
-    ConvergenceError,
     NumericalError,
-    ReproError,
 )
 from repro.ortho import (
     BCGS2Scheme,
@@ -54,7 +52,6 @@ from repro.ortho import (
     SketchedTwoStageScheme,
     TSQRFactor,
     TwoStageScheme,
-    get_intra_qr,
     get_scheme,
 )
 from repro.precision import PrecisionPolicy, resolve_policy
@@ -70,19 +67,15 @@ __all__ = [
     "distla",
     "matrices",
     "obs",
-    "CycleRecord",
-    "DriftReport",
     "drift_report",
     "ortho",
     "parallel",
     "precision",
     "precond",
     "sketch",
-    "ReproError",
     "ConfigurationError",
     "NumericalError",
     "CholeskyBreakdownError",
-    "ConvergenceError",
     "BCGS2Scheme",
     "BCGSPIPScheme",
     "BCGSPIP2Scheme",
@@ -92,7 +85,6 @@ __all__ = [
     "MixedPrecisionTwoStageScheme",
     "PrecisionPolicy",
     "resolve_policy",
-    "get_intra_qr",
     "get_scheme",
     "CholQR",
     "CholQR2",
@@ -101,7 +93,6 @@ __all__ = [
     "SketchedCholQR",
     "HouseholderQR",
     "TSQRFactor",
-    "BACKENDS",
     "Communicator",
     "make_comm",
     "Simulation",

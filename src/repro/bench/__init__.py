@@ -8,7 +8,6 @@ JSON documents that CI uploads and reads in-run ratio gates from — see
 from repro.bench.artifacts import (
     BenchArtifact,
     BenchRecord,
-    collect_environment,
     from_pytest_benchmarks,
     load_artifact,
 )
@@ -16,7 +15,6 @@ from repro.bench.artifacts import (
 __all__ = [
     "BenchArtifact",
     "BenchRecord",
-    "collect_environment",
     "from_pytest_benchmarks",
     "load_artifact",
 ]

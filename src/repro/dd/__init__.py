@@ -13,37 +13,21 @@ and the Gram-matrix kernels :func:`repro.dd.linalg.gram_dd` /
 from repro.dd.core import (
     DDArray,
     dd_add,
-    dd_add_double,
-    dd_div,
-    dd_from_double,
     dd_mul,
-    dd_mul_double,
-    dd_neg,
-    dd_sqrt,
     dd_sub,
     dd_sum,
     dd_to_double,
-    quick_two_sum,
     two_prod,
-    two_sum,
 )
 from repro.dd.linalg import cholesky_dd, dot_dd, gram_dd, matmul_dd
 
 __all__ = [
     "DDArray",
-    "two_sum",
-    "quick_two_sum",
     "two_prod",
-    "dd_from_double",
     "dd_to_double",
     "dd_add",
-    "dd_add_double",
     "dd_sub",
-    "dd_neg",
     "dd_mul",
-    "dd_mul_double",
-    "dd_div",
-    "dd_sqrt",
     "dd_sum",
     "gram_dd",
     "dot_dd",

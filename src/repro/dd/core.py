@@ -91,14 +91,6 @@ def dd_add(x, y):
     return s1, s2
 
 
-def dd_add_double(x, a):
-    """dd + float64."""
-    xhi, xlo = x
-    s1, s2 = two_sum(xhi, a)
-    s2 = s2 + xlo
-    return quick_two_sum(s1, s2)
-
-
 def dd_neg(x):
     """Negate a dd pair."""
     hi, lo = x

@@ -15,7 +15,6 @@ of the equivalence tests (``Simulation(..., engine="loop")``).
 from repro.distla.halo import GhostPlan, HaloPlan
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
-from repro.distla.engine import BatchedEngine, KernelEngine, LoopEngine
 from repro.distla.blas import (
     block_dot,
     block_dot_multi,
@@ -31,9 +30,6 @@ __all__ = [
     "DistSparseMatrix",
     "GhostPlan",
     "HaloPlan",
-    "KernelEngine",
-    "LoopEngine",
-    "BatchedEngine",
     "block_dot",
     "block_dot_multi",
     "block_update",

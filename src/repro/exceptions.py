@@ -47,16 +47,5 @@ class CholeskyBreakdownError(NumericalError):
         self.panel_index = panel_index
 
 
-class ConvergenceError(NumericalError):
-    """An iterative solver failed to reach the requested tolerance.
-
-    Carries the partially-converged state so callers can inspect or restart.
-    """
-
-    def __init__(self, message: str, *, result=None) -> None:
-        super().__init__(message)
-        self.result = result
-
-
 class CommunicatorError(ReproError):
     """Misuse of the simulated communicator (rank mismatch, shard count...)."""

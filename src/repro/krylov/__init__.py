@@ -15,7 +15,7 @@ from repro.krylov.basis import (
     NewtonBasis,
 )
 from repro.krylov.mpk import MatrixPowersKernel, PreconditionedOperator
-from repro.krylov.hessenberg import assemble_hessenberg, least_squares_residual
+from repro.krylov.hessenberg import least_squares_residual
 from repro.krylov.gmres import gmres
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.krylov.block import block_sstep_gmres
@@ -34,7 +34,6 @@ __all__ = [
     "ChebyshevBasis",
     "MatrixPowersKernel",
     "PreconditionedOperator",
-    "assemble_hessenberg",
     "least_squares_residual",
     "gmres",
     "sstep_gmres",

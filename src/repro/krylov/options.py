@@ -1,8 +1,8 @@
 """Solver configuration: :class:`SolverOptions` and its mode constants.
 
-Every behaviour knob of the solvers (``solve_mode``, ``mpk_mode``,
-``precision``, sketch parameters, adaptive thresholds...) travels in one
-immutable :class:`SolverOptions` value::
+The behaviour knobs of the solvers that a caller actually sets —
+``solve_mode``, ``mpk_mode``, ``comm_overlap`` and ``precision`` —
+travel in one immutable :class:`SolverOptions` value::
 
     opts = SolverOptions(solve_mode="sketched", mpk_mode="ca")
     result = sstep_gmres(sim, b, s=5, restart=30, options=opts)
@@ -10,28 +10,25 @@ immutable :class:`SolverOptions` value::
 ``options=`` is the only way in (a knob passed as a bare keyword is
 Python's own ``TypeError``); structural parameters that shape the
 iteration itself (``s``, ``restart``, ``tol``, ``maxiter``, ``scheme``,
-``basis``, ``precond``, ``observer``) stay first-class arguments.
+``basis``, ``precond``, ``observer``) stay first-class arguments.  A
+knob exists when two non-test callers need different values; the
+sketched solve's embedding family, size, seed and redraw threshold are
+constants of :mod:`repro.krylov.sstep_gmres`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 from repro.precision.policy import resolve_policy
-from repro.sketch.operators import canonical_family
-from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.precision.policy import PrecisionPolicy
 
-#: Valid ``solve_mode`` values.  ``"adaptive"`` starts sketched (so the
-#: basis-condition / residual-gap monitors are live) and switches to the
-#: cheaper classical coordinate solve — and back — as the diagnostics
-#: cross their thresholds.
-SOLVE_MODES = ("classical", "sketched", "adaptive")
+#: Valid ``solve_mode`` values.
+SOLVE_MODES = ("classical", "sketched")
 
 #: Valid ``mpk_mode`` values: the three kernel modes plus ``"auto"``
 #: (communication-avoiding whenever the preconditioner composes,
@@ -44,16 +41,6 @@ SOLVE_MODES = ("classical", "sketched", "adaptive")
 #: ``"ca"``.
 MPK_SOLVER_MODES = ("standard", "ca", "ca_overlap", "auto")
 
-#: Default leave-one-out distortion above which a sketched solve redraws
-#: its embedding at the next cycle.  Calibration note: the split test
-#: evaluates *half*-sized embeddings, so at solver sketch sizes (~4x
-#: oversampling, 2x per half) healthy estimates land around 1-3, not
-#: near zero — the default only fires when the held-out spectrum is far
-#: outside that band (an unlucky draw stretching some direction several
-#: fold).  Lower it for tighter certification, or pass ``None`` to
-#: disable the automatic redraw.
-DEFAULT_RESKETCH_THRESHOLD = 10.0
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -61,8 +48,7 @@ class SolverOptions:
 
     Every field is checked when the options are built, before a solve
     charges anything: a bad value raises ``ConfigurationError`` naming
-    its field, an unknown ``precision`` the ``ValueError`` of
-    ``resolve_policy``.
+    its field or, for ``precision``, the unknown spec.
 
     Parameters
     ----------
@@ -76,8 +62,10 @@ class SolverOptions:
         sketch-orthonormal one produced by
         :class:`~repro.ortho.randomized.SketchedTwoStageScheme` with
         ``fused=True``.  The sketched path also emits residual-gap /
-        basis-condition diagnostics into ``SolveResult.diagnostics``.
-        ``"adaptive"`` switches between the two at restart boundaries.
+        basis-condition diagnostics into ``SolveResult.diagnostics``
+        and redraws its embedding when the leave-one-out distortion
+        estimate crosses
+        :data:`~repro.krylov.sstep_gmres.DEFAULT_RESKETCH_THRESHOLD`.
     mpk_mode:
         How the matrix powers kernel communicates: ``"standard"`` (one
         halo exchange per basis column — the paper's and Trilinos'
@@ -118,42 +106,12 @@ class SolverOptions:
         fp64; pair low-precision storage with
         :func:`repro.krylov.ir.gmres_ir` to recover fp64-level backward
         error.
-    sketch_operator / sketch_oversample / sketch_seed:
-        Sketch family, embedding-size override and base seed for the
-        sketched solve path (ignored in classical mode).  When the
-        scheme exposes :attr:`~repro.ortho.base.BlockOrthoScheme.
-        basis_sketch`, its sketch is reused and these knobs are
-        irrelevant.
-    resketch_threshold:
-        Leave-one-out distortion above which a sketched/adaptive solve
-        *redraws* its embedding at the next restart cycle (operator
-        re-derived from ``(seed, cycle, resketch_count)``), instead of
-        only reporting the estimate; ``None`` disables the automatic
-        re-sketch.  ``diagnostics["resketch_count"]`` records how often
-        it fired.
-    adaptive_cond_threshold / adaptive_gap_threshold:
-        Switching thresholds for ``solve_mode="adaptive"``: the solver
-        drops from sketched to classical once a cycle's basis-condition
-        estimate stays below ``adaptive_cond_threshold`` AND its
-        residual gap below ``adaptive_gap_threshold`` (default
-        ``sqrt(eps)``), and escalates back to sketched as soon as the
-        gap crosses the threshold.  Requires a scheme that actually
-        orthogonalizes (not the fused RGS-contract schemes, whose bases
-        are only sketch-orthonormal and never valid for the classical
-        coordinate solve).
     """
 
     solve_mode: str = "classical"
     mpk_mode: str = "standard"
     comm_overlap: bool = False
     precision: "PrecisionPolicy | str | None" = None
-    sketch_operator: str = "sparse"
-    sketch_oversample: int | None = None
-    sketch_seed: int | None = None
-    resketch_threshold: float | None = field(
-        default=DEFAULT_RESKETCH_THRESHOLD)
-    adaptive_cond_threshold: float = 1.0e6
-    adaptive_gap_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.solve_mode not in SOLVE_MODES:
@@ -164,23 +122,9 @@ class SolverOptions:
             raise ConfigurationError(
                 f"unknown mpk_mode {self.mpk_mode!r}; expected one of "
                 f"{MPK_SOLVER_MODES}")
-        resolve_policy(self.precision)   # ValueError naming the policy
-        try:
-            canonical_family(self.sketch_operator)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"sketch_operator: {exc}") from None
-        if self.sketch_oversample is not None:
-            check_positive_int(self.sketch_oversample, "sketch_oversample")
-        # thresholds may be negative or zero (a forced redraw, a solver
-        # kept sketched); NaN would silently disable the comparison
-        for name in ("resketch_threshold", "adaptive_cond_threshold",
-                     "adaptive_gap_threshold"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ConfigurationError(f"{name} must not be NaN")
+        resolve_policy(self.precision)   # ConfigurationError naming it
 
     def replace(self, **changes) -> "SolverOptions":
         """Copy with ``changes`` applied (re-validates)."""
         import dataclasses
         return dataclasses.replace(self, **changes)
-

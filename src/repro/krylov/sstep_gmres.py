@@ -35,7 +35,6 @@ from repro.config import (
     DEFAULT_SEED,
     DEFAULT_STEP_SIZE,
     DEFAULT_TOL,
-    EPS,
 )
 from repro.distla import blas as dblas
 from repro.exceptions import CholeskyBreakdownError, ConfigurationError
@@ -58,12 +57,24 @@ from repro.precision.dtypes import word_bytes as _bytes_per_word
 from repro.precision.policy import resolve_policy
 from repro.precond.base import Preconditioner
 from repro.sketch import (
-    canonical_family,
     derive_seed,
     leave_one_out_distortion,
     make_operator,
     sketch_rows,
 )
+
+#: Embedding family of the sketched solve path (``sketch_rows``' own
+#: default oversampling sizes it; :data:`DEFAULT_SEED` seeds it).
+SKETCH_FAMILY = "sparse"
+
+#: Leave-one-out distortion above which a sketched solve redraws its
+#: embedding at the next cycle.  Calibration note: the split test
+#: evaluates *half*-sized embeddings, so at solver sketch sizes (~4x
+#: oversampling, 2x per half) healthy estimates land around 1-3, not
+#: near zero — the threshold only fires when the held-out spectrum is
+#: far outside that band (an unlucky draw stretching some direction
+#: several fold).
+DEFAULT_RESKETCH_THRESHOLD = 10.0
 
 
 class _SolveSketch:
@@ -77,8 +88,8 @@ class _SolveSketch:
     demand — one extra fused-size allreduce per checkpoint, charged to
     the ortho phase like every other reduction the solver issues.
 
-    The operator is derived deterministically from ``(seed, cycle,
-    resketch_count)`` so repeated solves reproduce bit-for-bit while
+    The operator is derived deterministically from ``(DEFAULT_SEED,
+    cycle, resketch_count)`` so repeated solves reproduce bit-for-bit while
     each restart cycle draws a fresh embedding (reusing one across
     adaptively generated cycles would void the w.h.p. guarantee).  When
     the leave-one-out monitor reports the current embedding cannot be
@@ -88,16 +99,10 @@ class _SolveSketch:
     redraw, maintaining its own from then on.
     """
 
-    def __init__(self, backend, n: int, width: int, family: str,
-                 oversample: int | None, seed: int) -> None:
+    def __init__(self, backend, n: int, width: int) -> None:
         self.backend = backend
         self.n = n
-        self.width = width
-        self.family = canonical_family(family)
-        self.oversample = oversample
-        self.seed = seed
-        self.m_rows = sketch_rows(width, n, family=self.family,
-                                  oversample=self.oversample)
+        self.m_rows = sketch_rows(width, n, family=SKETCH_FAMILY)
         self.resketch_count = 0
         self._resketch_armed = False
         self._op = None
@@ -112,8 +117,8 @@ class _SolveSketch:
         # that never re-sketch reproduce pre-resketch results bit-for-bit
         ctx = (("sstep-gmres-solve", cycle) if self.resketch_count == 0
                else ("sstep-gmres-solve", cycle, self.resketch_count))
-        self._op = make_operator(self.family, self.n, self.m_rows,
-                                 derive_seed(self.seed, *ctx))
+        self._op = make_operator(SKETCH_FAMILY, self.n, self.m_rows,
+                                 derive_seed(DEFAULT_SEED, *ctx))
         self._sq.fill(0.0)
         self._cols = 0
 
@@ -187,13 +192,13 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
     observer:
         Forwarded to the scheme for numerics instrumentation.
     options:
-        A :class:`~repro.krylov.options.SolverOptions` bundling every
-        behaviour knob — ``solve_mode``, ``mpk_mode``, ``precision``,
-        the sketch parameters and the adaptive thresholds; see its
-        docstring for the knob-by-knob reference.  Defaults to
-        ``SolverOptions()`` (classical coordinate solve, standard MPK,
-        fp64 storage).  It is the one way in: a knob passed as a bare
-        keyword is Python's own ``TypeError``.
+        A :class:`~repro.krylov.options.SolverOptions` bundling the
+        behaviour knobs — ``solve_mode``, ``mpk_mode``, ``comm_overlap``
+        and ``precision``; see its docstring for the knob-by-knob
+        reference.  Defaults to ``SolverOptions()`` (classical
+        coordinate solve, standard MPK, fp64 storage).  It is the one
+        way in: a knob passed as a bare keyword is Python's own
+        ``TypeError``.
     """
     [member] = _build_members(
         sim, [(b, x0, tol, maxiter)], s=s, restart=restart,
@@ -279,12 +284,6 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     sim = solve.sim
     solve_mode = opts.solve_mode
     mpk_mode = opts.mpk_mode
-    sketch_operator = opts.sketch_operator
-    sketch_oversample = opts.sketch_oversample
-    sketch_seed = opts.sketch_seed
-    resketch_threshold = opts.resketch_threshold
-    adaptive_cond_threshold = opts.adaptive_cond_threshold
-    adaptive_gap_threshold = opts.adaptive_gap_threshold
     tracer = sim.tracer
     backend = sim.backend
 
@@ -301,23 +300,14 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     if not policy.is_default:
         diagnostics["precision"] = policy.name
         diagnostics["storage"] = policy.storage
-    # mode = the *current* cycle's least-squares path; fixed for the
-    # classical/sketched modes, switched between cycles by "adaptive".
-    mode = "classical" if solve_mode == "classical" else "sketched"
-    gap_threshold = (math.sqrt(EPS) if adaptive_gap_threshold is None
-                     else float(adaptive_gap_threshold))
-    if solve_mode in ("sketched", "adaptive"):
-        sketch_ctx = _SolveSketch(
-            backend, sim.n, restart + 1, sketch_operator, sketch_oversample,
-            DEFAULT_SEED if sketch_seed is None else sketch_seed)
+    if solve_mode == "sketched":
+        sketch_ctx = _SolveSketch(backend, sim.n, restart + 1)
         diagnostics.update({"solve_mode": solve_mode,
                             "basis_condition_max": 0.0,
                             "residual_gap_max": 0.0,
                             "embedding_distortion_max": 0.0,
                             "embedding_rows": sketch_ctx.m_rows,
                             "resketch_count": 0})
-        if solve_mode == "adaptive":
-            diagnostics["mode_switches"] = 0
 
     h_prev: np.ndarray | None = None
     stalled_cycles = 0
@@ -333,32 +323,13 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
             # between the estimated and the explicit residual, relative
             # to the initial residual norm.  The gap belongs to the
             # cycle whose estimate it checks — the one that just ended.
-            gap = abs(gamma - est_abs) / solve.beta0
-            tel.observe_gap(gap)
+            tel.observe_gap(abs(gamma - est_abs) / solve.beta0)
             est_abs = None
-            if solve_mode == "adaptive":
-                # Switch between cycles, never inside one: classical is
-                # cheaper (no sketch collectives) but its coordinate
-                # least squares silently degrades when orthogonality
-                # slips — the residual gap is exactly that slip.  The
-                # switch-back guard reads the finished cycle's worst
-                # kappa(S V) off its telemetry record.
-                prev = tel.last
-                prev_cond = (prev.basis_condition
-                             if prev is not None
-                             and prev.basis_condition is not None else 0.0)
-                if mode == "classical" and gap > gap_threshold:
-                    mode = "sketched"
-                    tel.event_last("mode_switch:sketched")
-                elif (mode == "sketched" and gap <= gap_threshold
-                      and 0.0 < prev_cond <= adaptive_cond_threshold):
-                    mode = "classical"
-                    tel.event_last("mode_switch:classical")
         if solve.rel_res <= tol:
             solve.converged = True
             break
         yield "setup"
-        tel.begin_cycle(solve.restarts, mode=mode)
+        tel.begin_cycle(solve.restarts, mode=solve_mode)
         tracer.set_cycle(solve.restarts)
         poly.new_cycle(h_prev)
         t_cob = poly.change_of_basis(restart)
@@ -367,7 +338,7 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
             backend.scale_cols(basis_mv.view_cols(0), np.array([1.0 / gamma]))
         scheme.begin_cycle(backend, basis_mv, r_factor, observer=observer,
                            w=w_factor, cycle=solve.restarts)
-        if sketch_ctx is not None and mode == "sketched":
+        if sketch_ctx is not None:
             sketch_ctx.begin_cycle(solve.restarts)
         # State of each MPK start column at the time it was consumed:
         # "raw" (never orthogonalized), "final" (fully orthogonalized) or
@@ -394,7 +365,7 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
             h = assemble_hessenberg_mixed(r_factor, w_tilde, poly, c)
             backend.host_flops(2.0 * c ** 3)
             rhs = gamma * r_factor[: c + 1, 0]
-            if sketch_ctx is not None and mode == "sketched":
+            if sketch_ctx is not None:
                 with tracer.phase("ortho"):
                     sq = sketch_ctx.basis_sketch(scheme, basis_mv, c + 1)
                 y, resid, info = sketched_least_squares(sq, h, rhs)
@@ -409,9 +380,7 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
                 loo = leave_one_out_distortion(sq)
                 backend.host_flops(4.0 * sq.shape[0] * (c + 1) ** 2)
                 tel.observe("embedding_distortion", loo)
-                if (resketch_threshold is not None
-                        and math.isfinite(loo)
-                        and loo > resketch_threshold):
+                if math.isfinite(loo) and loo > DEFAULT_RESKETCH_THRESHOLD:
                     # a *measured* distortion past the threshold: redraw
                     # the cycle operator from (seed, cycle,
                     # resketch_count) at the next restart instead of
@@ -426,11 +395,6 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
             else:
                 y, resid = least_squares_residual(h, gamma, rhs=rhs)
                 backend.host_flops(2.0 * c ** 3)
-                if sketch_ctx is not None:
-                    # adaptive mode in a classical cycle: keep the
-                    # residual-gap monitor armed so degradation is
-                    # caught at the next restart.
-                    est_abs = resid
             best = (c, y)
             h_prev = h
             solve.rel_res = resid / solve.beta0
@@ -507,9 +471,6 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     tracer.set_cycle(None)
     # the legacy diagnostics keys are solve-wide reductions of the
     # per-cycle telemetry records (identical values by construction)
-    if solve_mode == "adaptive":
-        diagnostics["final_mode"] = mode
-        diagnostics["mode_switches"] = tel.count_event("mode_switch")
     if sketch_ctx is not None:
         diagnostics["resketch_count"] = sketch_ctx.resketch_count
         diagnostics["basis_condition_max"] = tel.max_of(

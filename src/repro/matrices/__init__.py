@@ -2,44 +2,19 @@
 synthetic matrices with controlled conditioning for the numerics studies.
 """
 
-from repro.matrices.stencil import (
-    convection_diffusion_2d,
-    laplace2d,
-    laplace3d,
-)
-from repro.matrices.elasticity import elasticity3d
-from repro.matrices.synthetic import (
-    GluedMatrix,
-    glued_matrix,
-    logscaled_matrix,
-)
-from repro.matrices.suitesparse import (
-    SurrogateSpec,
-    build_surrogate,
-    list_surrogates,
-    scale_columns_rows,
-    surrogate,
-)
-from repro.matrices.io import read_matrix_market, write_matrix_market
-from repro.matrices.ordering import bandwidth, halo_volume, permute, rcm_ordering
+from repro.matrices.stencil import convection_diffusion_2d, laplace2d
+from repro.matrices.synthetic import glued_matrix, logscaled_matrix
+from repro.matrices.suitesparse import (build_surrogate, scale_columns_rows,
+                                        surrogate)
+from repro.matrices.io import read_matrix_market
 
 __all__ = [
     "laplace2d",
-    "laplace3d",
     "convection_diffusion_2d",
-    "elasticity3d",
     "logscaled_matrix",
     "glued_matrix",
-    "GluedMatrix",
-    "SurrogateSpec",
     "surrogate",
     "build_surrogate",
-    "list_surrogates",
     "scale_columns_rows",
     "read_matrix_market",
-    "write_matrix_market",
-    "rcm_ordering",
-    "permute",
-    "bandwidth",
-    "halo_volume",
 ]

@@ -43,9 +43,8 @@ per-cycle numerics monitors — into first-class artifacts:
     ``python -m repro.obs.cli``.
 """
 
-from repro.obs.calibrate import CalibrationFit, calibrate, fit_machine
-from repro.obs.drift import (DEFAULT_DRIFT_BOUND, DriftReport, PhaseDrift,
-                             drift_report)
+from repro.obs.calibrate import calibrate
+from repro.obs.drift import DEFAULT_DRIFT_BOUND, drift_report
 from repro.obs.export import (
     chrome_trace_doc,
     export_chrome_trace,
@@ -53,21 +52,16 @@ from repro.obs.export import (
     load_spans,
 )
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.telemetry import CycleRecord, SolveTelemetry
+from repro.obs.telemetry import SolveTelemetry
 
 __all__ = [
     "DEFAULT_DRIFT_BOUND",
-    "CalibrationFit",
-    "CycleRecord",
     "MetricsSnapshot",
     "SolveTelemetry",
-    "DriftReport",
-    "PhaseDrift",
     "drift_report",
     "calibrate",
     "chrome_trace_doc",
     "export_chrome_trace",
     "export_jsonl",
-    "fit_machine",
     "load_spans",
 ]

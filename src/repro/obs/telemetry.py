@@ -6,10 +6,9 @@ residual-gap test of arXiv:2409.03079, the basis-condition estimate
 arXiv:2503.16717 — through an ad-hoc ``diagnostics`` dict of running
 maxima.  :class:`SolveTelemetry` records the same observations as one
 structured :class:`CycleRecord` per restart cycle instead, so a caller
-can see *which* cycle went bad, when the adaptive driver switched modes,
-and where a re-sketch was requested.  The legacy ``diagnostics`` keys
-are derived from the records at the end of the solve (``max_of`` /
-``count_event``), so their values are unchanged.
+can see *which* cycle went bad and where a re-sketch was requested.  The
+legacy ``diagnostics`` maxima are derived from the records at the end of
+the solve (``max_of``), so their values are unchanged.
 
 The builder mirrors how the solver discovers facts about a cycle:
 
@@ -22,9 +21,7 @@ The builder mirrors how the solver discovers facts about a cycle:
   count;
 * :meth:`observe_gap` lands on the *previous* (already frozen) record,
   because the explicit residual that reveals a cycle's estimated/true
-  gap is only computed at the top of the next cycle;
-* :meth:`event_last` likewise attributes restart-boundary decisions
-  (adaptive mode switches) to the cycle whose monitors triggered them.
+  gap is only computed at the top of the next cycle.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ class CycleRecord:
     fields are ``None`` when the cycle never produced the observation
     (e.g. ``basis_condition`` in a classical-mode cycle).  ``events``
     is an ordered tuple of tags such as ``"resketch_requested"``,
-    ``"breakdown"``, ``"mode_switch:sketched"`` or
-    ``"trigger:loosen_inner_tol"``.
+    ``"breakdown"`` or ``"trigger:loosen_inner_tol"``.
     """
 
     cycle: int
@@ -118,15 +114,6 @@ class SolveTelemetry:
         if self._pending is not None:
             self._events.append(str(name))
 
-    def event_last(self, name: str) -> None:
-        """Tag the most recently *completed* cycle — for decisions made
-        at the next restart boundary from that cycle's monitors."""
-        if not self.records:
-            return
-        last = self.records[-1]
-        self.records[-1] = dataclasses.replace(
-            last, events=last.events + (str(name),))
-
     def observe_gap(self, gap: float) -> None:
         """Attach a residual-gap measurement to the last completed cycle
         (the explicit residual exposing it is computed one restart
@@ -158,11 +145,6 @@ class SolveTelemetry:
         return rec
 
     # -- reading --------------------------------------------------------
-    @property
-    def last(self) -> CycleRecord | None:
-        """Most recently completed record (None before the first)."""
-        return self.records[-1] if self.records else None
-
     def max_of(self, field: str, default: float | None = None):
         """Max of a measurement field across all records, skipping
         ``None`` observations; ``default`` when nothing was observed."""
@@ -171,14 +153,6 @@ class SolveTelemetry:
         if self._pending is not None and self._pending.get(field) is not None:
             values.append(self._pending[field])
         return max(values) if values else default
-
-    def count_event(self, name: str) -> int:
-        """Occurrences of event ``name`` (exact, or ``name:detail``)
-        across all records and the pending cycle."""
-        def match(e: str) -> bool:
-            return e == name or e.startswith(name + ":")
-        n = sum(1 for r in self.records for e in r.events if match(e))
-        return n + sum(1 for e in self._events if match(e))
 
     def to_list(self) -> list[CycleRecord]:
         return list(self.records)

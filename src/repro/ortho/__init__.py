@@ -21,7 +21,6 @@ from repro.ortho.base import (
     BlockOrthoScheme,
     IntraBlockQR,
     OrthoObserver,
-    PanelInfo,
 )
 from repro.ortho.cholqr import (
     CholQR,
@@ -34,8 +33,8 @@ from repro.ortho.hhqr import HouseholderQR
 from repro.ortho.tsqr import TSQRFactor
 from repro.ortho.sketched import SketchedCholQR
 from repro.ortho.cgs import cgs2_append, mgs_append
-from repro.ortho.low_sync import DCGS2Orthogonalizer, dcgs2_factor
-from repro.ortho.bcgs import BCGS2Scheme, bcgs_project
+from repro.ortho.low_sync import DCGS2Orthogonalizer
+from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import (
     BCGSPIP2Scheme,
     BCGSPIPScheme,
@@ -43,18 +42,9 @@ from repro.ortho.bcgs_pip import (
 )
 from repro.ortho.two_stage import TwoStageScheme
 from repro.ortho.randomized import RBCGSScheme, SketchedTwoStageScheme
-from repro.precision.kernels import (
-    MixedPrecisionTwoStageScheme,
-    mixed_precision_panel,
-)
-from repro.ortho.registry import (
-    get_intra_qr,
-    get_scheme,
-    list_intra_qr,
-    list_schemes,
-)
+from repro.precision.kernels import MixedPrecisionTwoStageScheme
+from repro.ortho.registry import get_scheme, list_schemes
 from repro.ortho.analysis import (
-    c1_bound,
     condition_number,
     orthogonality_error,
     representation_error,
@@ -68,7 +58,6 @@ __all__ = [
     "BlockOrthoScheme",
     "BlockDriver",
     "OrthoObserver",
-    "PanelInfo",
     "CholQR",
     "CholQR2",
     "ShiftedCholQR",
@@ -80,9 +69,7 @@ __all__ = [
     "cgs2_append",
     "mgs_append",
     "DCGS2Orthogonalizer",
-    "dcgs2_factor",
     "BCGS2Scheme",
-    "bcgs_project",
     "BCGSPIPScheme",
     "BCGSPIP2Scheme",
     "bcgs_pip_panel",
@@ -90,13 +77,9 @@ __all__ = [
     "RBCGSScheme",
     "SketchedTwoStageScheme",
     "MixedPrecisionTwoStageScheme",
-    "mixed_precision_panel",
-    "get_intra_qr",
     "get_scheme",
-    "list_intra_qr",
     "list_schemes",
     "orthogonality_error",
     "condition_number",
     "representation_error",
-    "c1_bound",
 ]

@@ -224,22 +224,3 @@ class DCGS2Orthogonalizer:
         self._pending = None
         self._pending_r = None
         return r
-
-
-def dcgs2_factor(backend: OrthoBackend, v) -> np.ndarray:
-    """Orthonormalize all columns of ``v`` in place with DCGS-2.
-
-    Returns the upper-triangular R with ``Q R = V`` — a convenience
-    driver (and the test oracle) around :class:`DCGS2Orthogonalizer`.
-    """
-    k = backend.n_cols(v)
-    r = np.zeros((k, k))
-    ortho = DCGS2Orthogonalizer()
-    r[0, 0] = ortho.start(backend, v)
-    for j in range(1, k):
-        col = ortho.push(j)
-        if col is not None:
-            r[: col.shape[0], j - 1] = col
-    last = ortho.flush()
-    r[: last.shape[0], k - 1] = last
-    return r

@@ -78,11 +78,6 @@ def get_scheme(name: str) -> type[BlockOrthoScheme]:
     return _lookup(SCHEMES, name, "block orthogonalization scheme")
 
 
-def list_intra_qr() -> list[str]:
-    """Registered intra-block kernel names, sorted."""
-    return sorted(INTRA_QR)
-
-
 def list_schemes() -> list[str]:
     """Registered inter-block scheme names, sorted."""
     return sorted(SCHEMES)

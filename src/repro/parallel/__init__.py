@@ -22,9 +22,9 @@ every modeled cost.  Construct either via :func:`make_comm`.
 
 from repro.parallel.machine import MachineSpec, summit, vortex, generic_cpu
 from repro.parallel.costmodel import CostModel
-from repro.parallel.tracing import SpanEvent, Tracer, TraceTotals, phase_names
+from repro.parallel.tracing import SpanEvent, Tracer
 from repro.parallel.partition import Partition
-from repro.parallel.api import BACKENDS, Communicator, make_comm
+from repro.parallel.api import Communicator, make_comm
 from repro.parallel.communicator import SimComm
 from repro.parallel.mp_backend import MpComm
 
@@ -35,11 +35,8 @@ __all__ = [
     "generic_cpu",
     "CostModel",
     "Tracer",
-    "TraceTotals",
     "SpanEvent",
-    "phase_names",
     "Partition",
-    "BACKENDS",
     "Communicator",
     "make_comm",
     "SimComm",

@@ -99,11 +99,6 @@ COLLECTIVE_KERNELS = ("allreduce", "halo")
 STREAMS = ("modeled", "measured")
 
 
-def phase_names() -> tuple[str, ...]:
-    """Public accessor for the canonical phase list."""
-    return PHASES
-
-
 @dataclass
 class SpanEvent:
     """One begin/end interval on a tracer's clock.

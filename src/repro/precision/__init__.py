@@ -28,33 +28,22 @@ low-precision inner solve in an fp64 iterative-refinement loop.
 from repro.precision.dtypes import (
     ACCUMULATE_SPECS,
     GRAM_SPECS,
-    STORAGE_SPECS,
     container_dtype,
     eps,
     quantize,
-    round_bf16,
     validate_storage,
     word_bytes,
 )
-from repro.precision.policy import (
-    POLICIES,
-    PrecisionPolicy,
-    list_policies,
-    resolve_policy,
-)
+from repro.precision.policy import PrecisionPolicy, resolve_policy
 
 __all__ = [
-    "STORAGE_SPECS",
     "ACCUMULATE_SPECS",
     "GRAM_SPECS",
     "word_bytes",
     "container_dtype",
     "eps",
     "quantize",
-    "round_bf16",
     "validate_storage",
     "PrecisionPolicy",
-    "POLICIES",
     "resolve_policy",
-    "list_policies",
 ]

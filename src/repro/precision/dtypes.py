@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 #: Specs a :class:`~repro.distla.multivector.DistMultiVector` may store.
 STORAGE_SPECS = ("fp64", "fp32", "bf16")
 
@@ -58,7 +60,7 @@ _EPS = {
 def validate_storage(spec: str) -> str:
     """Return ``spec`` if it names a storage precision, else raise."""
     if spec not in STORAGE_SPECS:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown storage precision {spec!r}; expected one of "
             f"{STORAGE_SPECS}")
     return spec
@@ -69,7 +71,7 @@ def word_bytes(spec: str) -> float:
     try:
         return _WORD_BYTES[spec]
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown precision spec {spec!r}; expected one of "
             f"{tuple(_WORD_BYTES)}") from None
 
@@ -79,7 +81,7 @@ def container_dtype(spec: str) -> np.dtype:
     try:
         return np.dtype(_CONTAINERS[spec])
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"no container dtype for precision spec {spec!r}") from None
 
 
@@ -88,7 +90,7 @@ def eps(spec: str) -> float:
     try:
         return _EPS[spec]
     except KeyError:
-        raise ValueError(f"unknown precision spec {spec!r}") from None
+        raise ConfigurationError(f"unknown precision spec {spec!r}") from None
 
 
 def round_bf16(arr: np.ndarray) -> np.ndarray:
@@ -129,4 +131,4 @@ def quantize(arr: np.ndarray, spec: str) -> np.ndarray:
         return np.asarray(arr, dtype=np.float32)
     if spec == "bf16":
         return round_bf16(arr)
-    raise ValueError(f"cannot quantize to precision spec {spec!r}")
+    raise ConfigurationError(f"cannot quantize to precision spec {spec!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.exceptions import ConfigurationError
 from repro.precision import dtypes
 
 
@@ -44,11 +45,11 @@ class PrecisionPolicy:
     def __post_init__(self) -> None:
         dtypes.validate_storage(self.storage)
         if self.accumulate not in dtypes.ACCUMULATE_SPECS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown accumulate precision {self.accumulate!r}; "
                 f"expected one of {dtypes.ACCUMULATE_SPECS}")
         if self.gram not in dtypes.GRAM_SPECS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown gram precision {self.gram!r}; expected one of "
                 f"{dtypes.GRAM_SPECS}")
 
@@ -111,11 +112,6 @@ def resolve_policy(precision: "PrecisionPolicy | str | None"
     try:
         return POLICIES[key]
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown precision policy {precision!r}; expected one of "
             f"{sorted(POLICIES)} or a PrecisionPolicy instance") from None
-
-
-def list_policies() -> list[str]:
-    """Registered policy names, sorted."""
-    return sorted(POLICIES)

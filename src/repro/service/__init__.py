@@ -7,6 +7,6 @@ expression of the paper's thesis that amortizing collective latency,
 not saving flops, is what buys throughput at scale.
 """
 
-from repro.service.queue import SolveQueue, SolveRequest
+from repro.service.queue import SolveQueue
 
-__all__ = ["SolveQueue", "SolveRequest"]
+__all__ = ["SolveQueue"]

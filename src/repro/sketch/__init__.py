@@ -17,18 +17,12 @@ benchmarks all draw on:
 """
 
 from repro.sketch.operators import (
-    OPERATOR_FAMILIES,
-    GaussianSketch,
-    SRHTSketch,
     SketchOperator,
-    SparseSignSketch,
     canonical_family,
-    embedding_dim,
     make_operator,
     sketch_rows,
 )
 from repro.sketch.precondition import (
-    DEFAULT_RANK_TOL,
     right_apply_inverse,
     sketch_qr,
 )
@@ -38,18 +32,12 @@ from repro.sketch.seeding import derive_seed
 
 __all__ = [
     "SketchOperator",
-    "SparseSignSketch",
-    "GaussianSketch",
-    "SRHTSketch",
-    "OPERATOR_FAMILIES",
     "canonical_family",
-    "embedding_dim",
     "sketch_rows",
     "make_operator",
     "sketch_multivector",
     "sketch_qr",
     "right_apply_inverse",
-    "DEFAULT_RANK_TOL",
     "derive_seed",
     "leave_one_out_distortion",
 ]

@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG helpers, validation, formatting, timers."""
+"""Small shared utilities: RNG helpers, validation, formatting."""
 
 from repro.utils.rng import (
     default_rng,
@@ -6,26 +6,15 @@ from repro.utils.rng import (
     random_with_condition,
     spectrum_logspace,
 )
-from repro.utils.validation import (
-    check_2d,
-    check_finite,
-    check_positive_int,
-    check_square,
-)
-from repro.utils.formatting import format_seconds, format_si, render_table
-from repro.utils.timers import WallTimer
+from repro.utils.validation import check_finite, check_positive_int
+from repro.utils.formatting import render_table
 
 __all__ = [
     "default_rng",
     "haar_orthonormal",
     "random_with_condition",
     "spectrum_logspace",
-    "check_2d",
     "check_finite",
     "check_positive_int",
-    "check_square",
-    "format_seconds",
-    "format_si",
     "render_table",
-    "WallTimer",
 ]

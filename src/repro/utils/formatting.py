@@ -10,25 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 
-def format_seconds(t: float) -> str:
-    """Human-scale time: seconds above 1s, milli/micro below."""
-    if t != t:  # NaN
-        return "nan"
-    if t >= 1.0:
-        return f"{t:.1f}s"
-    if t >= 1.0e-3:
-        return f"{t * 1e3:.2f}ms"
-    return f"{t * 1e6:.1f}us"
-
-
-def format_si(x: float, unit: str = "") -> str:
-    """Format with SI magnitude prefix (k, M, G, T)."""
-    for threshold, prefix in ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if abs(x) >= threshold:
-            return f"{x / threshold:.2f}{prefix}{unit}"
-    return f"{x:.2f}{unit}"
-
-
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  title: str | None = None) -> str:
     """Render an aligned monospace table.

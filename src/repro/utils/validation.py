@@ -38,25 +38,9 @@ def check_2d(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def check_square(arr: np.ndarray, name: str) -> np.ndarray:
-    """Validate that ``arr`` is a square 2-D ndarray and return it."""
-    arr = check_2d(arr, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
 def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
     """Validate that ``arr`` contains no NaN/Inf and return it."""
     arr = np.asarray(arr)
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
     return arr
-
-
-def check_same_rows(a: np.ndarray, b: np.ndarray, aname: str, bname: str) -> None:
-    """Validate that two 2-D arrays share a row count."""
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"{aname} and {bname} must have the same number of rows, "
-            f"got {a.shape[0]} vs {b.shape[0]}")

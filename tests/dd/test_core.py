@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.dd.core import (
     DDArray,
     dd_add,
-    dd_add_double,
     dd_div,
     dd_from_double,
     dd_mul,
@@ -79,7 +78,7 @@ class TestDDArithmetic:
     def test_add_recovers_small_terms(self):
         # sum 1 + 1e-25 + (-1) in dd: exact result 1e-25
         x = dd_from_double(1.0)
-        x = dd_add_double(x, 1e-25)
+        x = dd_add(x, dd_from_double(1e-25))
         x = dd_add(x, dd_from_double(-1.0))
         assert dd_to_double(x) == pytest.approx(1e-25, rel=1e-30)
 

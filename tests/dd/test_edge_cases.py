@@ -29,8 +29,9 @@ from repro.dd.core import (
 )
 from repro.dd.linalg import cholesky_dd, gram_dd
 from repro.exceptions import CholeskyBreakdownError
-from repro.ortho import MixedPrecisionCholQR, NumpyBackend, get_intra_qr
+from repro.ortho import MixedPrecisionCholQR, NumpyBackend
 from repro.ortho.analysis import orthogonality_error
+from repro.ortho.registry import get_intra_qr
 from repro.utils.rng import default_rng, random_with_condition
 
 #: Longdouble significand precision (64 bits on x86) — the comparison

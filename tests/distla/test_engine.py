@@ -30,7 +30,8 @@ from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.sketch import SparseSignSketch, sketch_multivector
+from repro.sketch import sketch_multivector
+from repro.sketch.operators import SparseSignSketch
 
 N_UNIFORM = 96   # divisible by 8 -> uniform partition: one run, a stack
 N_RAGGED = 101   # prime -> ragged partition: two runs of ranks, no stack

@@ -1,14 +1,18 @@
-"""Hessenberg recovery H = R T R^{-1} and the small least squares."""
+"""Hessenberg recovery H = R T R^{-1} and the small least squares.
+
+``hessenberg_oracle`` holds the paper's plain ``R T R^{-1}`` form, the
+reference the in-place recovery is checked against.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from hessenberg_oracle import assemble_hessenberg
 from repro.exceptions import NumericalError, ShapeError
 from repro.krylov.basis import MonomialBasis
 from repro.krylov.hessenberg import (
-    assemble_hessenberg,
     assemble_hessenberg_mixed,
     least_squares_residual,
 )

@@ -54,13 +54,12 @@ NX, RANKS = 16, 4
 UNREACHABLE = 1e-30
 
 
-def _sstep(scheme_cls=BCGSPIP2Scheme, precond_cls=None, maxiter=40,
-           **options):
+def _sstep(scheme_cls=BCGSPIP2Scheme, precond_cls=None, **options):
     def run(sim, b):
         scheme = (TwoStageScheme(20) if scheme_cls is TwoStageScheme
                   else scheme_cls())
         return sstep_gmres(
-            sim, b, s=5, restart=20, tol=UNREACHABLE, maxiter=maxiter,
+            sim, b, s=5, restart=20, tol=UNREACHABLE, maxiter=40,
             scheme=scheme,
             precond=None if precond_cls is None else precond_cls(),
             options=SolverOptions(**options))
@@ -90,10 +89,6 @@ CASES = {
     "sstep-pip2": _sstep(BCGSPIP2Scheme),
     "sstep-two-stage": _sstep(TwoStageScheme),
     "sstep-sketched": _sstep(TwoStageScheme, solve_mode="sketched"),
-    # the loose gap threshold lets the second cycle drop to classical
-    "sstep-adaptive": _sstep(TwoStageScheme, maxiter=60,
-                             solve_mode="adaptive",
-                             adaptive_gap_threshold=1e-2),
     "sstep-fp32": _sstep(TwoStageScheme, precision="fp32"),
     "sstep-block-jacobi-auto": _sstep(
         TwoStageScheme, BlockJacobiPreconditioner, mpk_mode="auto"),
@@ -177,11 +172,6 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         "78303f9fb372c3e580e2ee12a3cfe843"
         "4d8312d8c416483840d92639d625efd0",
         [(40, 2, 14, 3)]),
-    "sstep-adaptive": (
-        237,
-        "163cba77b50a7ad80866d08ff68c978f"
-        "2ff112a0a3b42e63bd7efdfa6880e607",
-        [(60, 3, 19, 4)]),
     "sstep-fp32": (
         156,
         "939f6d94d1757ea120a7d5dcbaef921e"

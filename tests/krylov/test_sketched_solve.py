@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -245,6 +247,14 @@ class TestEdgeCases:
 class TestAutomaticResketch:
     """The leave-one-out monitor redraws the embedding mid-solve."""
 
+    @pytest.fixture
+    def forced_redraw(self, monkeypatch):
+        """A threshold below any achievable distortion: every cycle's
+        checkpoint arms a redraw."""
+        # the package re-exports the function under the module's name
+        module = importlib.import_module("repro.krylov.sstep_gmres")
+        monkeypatch.setattr(module, "DEFAULT_RESKETCH_THRESHOLD", -1.0)
+
     def test_healthy_embedding_never_resketches(self):
         sim = make_sim(laplace2d(16))
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=20,
@@ -254,22 +264,21 @@ class TestAutomaticResketch:
         assert res.converged
         assert res.diagnostics["resketch_count"] == 0
 
-    def test_threshold_crossing_redraws_operator(self):
-        """With the threshold below any achievable distortion, every
-        cycle's checkpoint arms a redraw; the solve keeps converging on
-        the freshly drawn embeddings and reports the count."""
+    def test_threshold_crossing_redraws_operator(self, forced_redraw):
+        """With every cycle's checkpoint arming a redraw, the solve keeps
+        converging on the freshly drawn embeddings and reports the
+        count."""
         sim = make_sim(laplace2d(16))
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=10,
                           tol=1e-8, maxiter=3000,
                           scheme=TwoStageScheme(big_step=10),
-                          options=SolverOptions(solve_mode="sketched",
-                                                resketch_threshold=-1.0))
+                          options=SolverOptions(solve_mode="sketched"))
         assert res.converged
         assert res.diagnostics["resketch_count"] >= 1
         # at most one redraw per restart cycle, however many checkpoints
         assert res.diagnostics["resketch_count"] <= res.restarts
 
-    def test_resketch_overrides_scheme_sketch(self):
+    def test_resketch_overrides_scheme_sketch(self, forced_redraw):
         """After a redraw the solver cannot keep reusing the scheme's
         basis sketch (it cannot redraw the scheme's operators), so it
         maintains its own — and still converges with the fused scheme."""
@@ -278,26 +287,24 @@ class TestAutomaticResketch:
                           tol=1e-8, maxiter=3000,
                           scheme=SketchedTwoStageScheme(big_step=10,
                                                         fused=True),
-                          options=SolverOptions(solve_mode="sketched",
-                                                resketch_threshold=-1.0))
+                          options=SolverOptions(solve_mode="sketched"))
         assert res.converged
         assert res.diagnostics["resketch_count"] >= 1
 
-    def test_disabled_threshold_matches_default_on_healthy_solve(self):
-        """None disables the trigger; on a healthy solve the default
-        threshold never fires either, so results are bit-identical."""
-        def solve(threshold):
-            sim = make_sim(laplace2d(12))
-            return sstep_gmres(sim, sim.ones_solution_rhs(), s=4,
-                               restart=12, tol=1e-8, maxiter=2000,
-                               scheme=TwoStageScheme(big_step=12),
-                               options=SolverOptions(
-                                   solve_mode="sketched",
-                                   resketch_threshold=threshold))
-        from repro.krylov.options import DEFAULT_RESKETCH_THRESHOLD
-        a = solve(None)
-        b = solve(DEFAULT_RESKETCH_THRESHOLD)
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.iterations == b.iterations
-        assert a.diagnostics["resketch_count"] == 0
-        assert b.diagnostics["resketch_count"] == 0
+
+class TestEmbeddingQualityDiagnostic:
+    def test_sketched_solve_surfaces_leave_one_out(self):
+        sim = make_sim(laplace2d(20))
+        res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=30,
+                          tol=1e-8, maxiter=4000,
+                          options=SolverOptions(solve_mode="sketched"))
+        d = res.diagnostics
+        assert "embedding_distortion_max" in d
+        assert np.isfinite(d["embedding_distortion_max"])
+        assert d["embedding_distortion_max"] > 0.0
+
+    def test_classical_solve_has_no_embedding_diag(self):
+        sim = make_sim(laplace2d(20))
+        res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=30,
+                          tol=1e-8, maxiter=4000)
+        assert "embedding_distortion_max" not in res.diagnostics

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -46,7 +47,7 @@ class TestPrecisionArgument:
         assert res.diagnostics["precision"] == "custom32"
 
     def test_unknown_policy_name_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             _solve(precision="fp128")
 
     def test_dd_gram_policy_selects_mixed_scheme(self):

@@ -11,7 +11,7 @@ from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
-from repro.obs import CycleRecord
+from repro.obs.telemetry import CycleRecord
 from repro.ortho.randomized import SketchedTwoStageScheme
 from repro.ortho.two_stage import TwoStageScheme
 
@@ -102,9 +102,6 @@ class TestAdaptiveTelemetry:
         assert len(set(cycles)) == len(cycles), "renumbering must not collide"
         iters = [r.iterations for r in res.telemetry]
         assert iters == sorted(iters)
-        switches = sum(1 for r in res.telemetry for e in r.events
-                       if e.startswith("mode_switch"))
-        assert switches == res.diagnostics.get("mode_switches", 0)
 
 
 class TestTelemetrySerialization:

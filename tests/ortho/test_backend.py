@@ -8,7 +8,7 @@ import pytest
 from repro.distla.multivector import DistMultiVector
 from repro.ortho.backend import DistBackend, NumpyBackend
 from repro.parallel.partition import Partition
-from repro.sketch import SparseSignSketch
+from repro.sketch.operators import SparseSignSketch
 
 
 @pytest.fixture

@@ -10,12 +10,28 @@ from repro.exceptions import ConfigurationError, NumericalError
 from repro.matrices.synthetic import logscaled_matrix
 from repro.ortho.analysis import orthogonality_error, representation_error
 from repro.ortho.backend import DistBackend, NumpyBackend
-from repro.ortho.low_sync import DCGS2Orthogonalizer, dcgs2_factor
+from repro.ortho.low_sync import DCGS2Orthogonalizer
 
 
 @pytest.fixture
 def nb():
     return NumpyBackend()
+
+
+def dcgs2_factor(backend, v) -> np.ndarray:
+    """Orthonormalize ``v`` in place through the start / push / flush
+    protocol; returns the upper-triangular R with ``Q R = V``."""
+    k = backend.n_cols(v)
+    r = np.zeros((k, k))
+    ortho = DCGS2Orthogonalizer()
+    r[0, 0] = ortho.start(backend, v)
+    for j in range(1, k):
+        col = ortho.push(j)
+        if col is not None:
+            r[: col.shape[0], j - 1] = col
+    last = ortho.flush()
+    r[: last.shape[0], k - 1] = last
+    return r
 
 
 class TestNumerics:

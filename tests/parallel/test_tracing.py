@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.parallel.tracing import (COLLECTIVE_KERNELS, SpanEvent, Tracer,
-                                    phase_names)
+from repro.parallel.tracing import COLLECTIVE_KERNELS, SpanEvent, Tracer
 
 
 class TestPhases:
@@ -121,9 +120,6 @@ class TestAccessors:
             t.add("dot", 1.0)
         rep = t.report()
         assert "ortho" in rep and "dot" in rep
-
-    def test_phase_names(self):
-        assert "ortho" in phase_names()
 
     def test_collective_counts_zero_filled(self):
         t = Tracer()

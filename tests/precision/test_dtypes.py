@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.precision import dtypes
 
 
@@ -25,13 +26,13 @@ class TestSpecs:
                 < dtypes.eps("fp32") < dtypes.eps("bf16"))
 
     def test_unknown_specs_raise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             dtypes.word_bytes("fp8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             dtypes.container_dtype("dd")  # dd has no single container
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             dtypes.validate_storage("dd")  # not a storage format
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             dtypes.quantize(np.ones(3), "fp16")
 
 

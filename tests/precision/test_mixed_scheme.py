@@ -12,9 +12,9 @@ from repro.ortho import (
     MixedPrecisionTwoStageScheme,
     NumpyBackend,
     get_scheme,
-    mixed_precision_panel,
     orthogonality_error,
 )
+from repro.precision.kernels import mixed_precision_panel
 from repro.utils.rng import default_rng, random_with_condition
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.precision import POLICIES, PrecisionPolicy, resolve_policy
-from repro.precision.policy import list_policies
+from repro.exceptions import ConfigurationError
+from repro.precision import PrecisionPolicy, resolve_policy
+from repro.precision.policy import POLICIES
 
 
 class TestPolicy:
@@ -32,19 +33,14 @@ class TestPolicy:
             resolve_policy("fp64").storage_eps
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PrecisionPolicy("bad", storage="dd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PrecisionPolicy("bad", accumulate="bf16")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PrecisionPolicy("bad", gram="bf16")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             resolve_policy("fp8")
-
-    def test_list_policies_sorted(self):
-        names = list_policies()
-        assert names == sorted(names)
-        assert "fp64" in names
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -7,18 +7,20 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sketch import (
-    OPERATOR_FAMILIES,
-    GaussianSketch,
-    SRHTSketch,
     SketchOperator,
-    SparseSignSketch,
     canonical_family,
     derive_seed,
-    embedding_dim,
     make_operator,
     sketch_rows,
 )
-from repro.sketch.operators import _GAUSS_CHUNK
+from repro.sketch.operators import (
+    _GAUSS_CHUNK,
+    OPERATOR_FAMILIES,
+    GaussianSketch,
+    SRHTSketch,
+    SparseSignSketch,
+    embedding_dim,
+)
 from repro.utils.rng import haar_orthonormal
 
 FAMILIES = ["sparse", "gaussian", "srht"]

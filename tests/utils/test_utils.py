@@ -1,8 +1,6 @@
-"""Utility helpers: RNG constructions, validation, formatting, timers."""
+"""Utility helpers: RNG constructions, validation, formatting."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -10,21 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.utils.formatting import format_seconds, format_si, render_table
+from repro.utils.formatting import render_table
 from repro.utils.rng import (
     default_rng,
     haar_orthonormal,
     random_with_condition,
     spectrum_logspace,
 )
-from repro.utils.timers import WallTimer
 from repro.utils.validation import (
     check_2d,
     check_finite,
     check_nonnegative_int,
     check_positive_int,
-    check_same_rows,
-    check_square,
 )
 
 
@@ -79,37 +74,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_nonnegative_int(-1, "x")
 
-    def test_2d_square(self):
+    def test_2d(self):
         check_2d(np.zeros((2, 3)), "a")
         with pytest.raises(ShapeError):
             check_2d(np.zeros(3), "a")
-        check_square(np.zeros((3, 3)), "a")
-        with pytest.raises(ShapeError):
-            check_square(np.zeros((2, 3)), "a")
 
     def test_finite(self):
         check_finite(np.ones(3), "a")
         with pytest.raises(ConfigurationError):
             check_finite(np.array([1.0, np.nan]), "a")
 
-    def test_same_rows(self):
-        check_same_rows(np.zeros((3, 1)), np.zeros((3, 2)), "a", "b")
-        with pytest.raises(ShapeError):
-            check_same_rows(np.zeros((3, 1)), np.zeros((4, 2)), "a", "b")
-
 
 class TestFormatting:
-    def test_format_seconds_scales(self):
-        assert format_seconds(2.5) == "2.5s"
-        assert format_seconds(0.0025) == "2.50ms"
-        assert format_seconds(2.5e-6) == "2.5us"
-        assert format_seconds(float("nan")) == "nan"
-
-    def test_format_si(self):
-        assert format_si(1.5e9) == "1.50G"
-        assert format_si(2500, "B") == "2.50kB"
-        assert format_si(12.0) == "12.00"
-
     def test_render_table_alignment(self):
         out = render_table(["name", "v"], [["a", 1], ["long-name", 22]],
                            title="T")
@@ -117,17 +93,3 @@ class TestFormatting:
         assert lines[0] == "T"
         assert "long-name" in out
         assert all("|" in line for line in lines[1:] if "-+-" not in line)
-
-
-class TestWallTimer:
-    def test_accumulates(self):
-        t = WallTimer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        assert first >= 0.005
-        with t:
-            pass
-        assert t.elapsed >= first
-        t.reset()
-        assert t.elapsed == 0.0
