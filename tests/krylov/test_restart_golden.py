@@ -92,6 +92,12 @@ CASES = {
     "sstep-fp32": _sstep(TwoStageScheme, precision="fp32"),
     "sstep-block-jacobi-auto": _sstep(
         TwoStageScheme, BlockJacobiPreconditioner, mpk_mode="auto"),
+    # the two communication-avoiding matrix powers kernels, and the
+    # sketched solve over a scheme that carries no sketch of its own (the
+    # solve draws its embedding from the sstep_gmres constants)
+    "sstep-ca": _sstep(TwoStageScheme, mpk_mode="ca"),
+    "sstep-ca-overlap": _sstep(TwoStageScheme, mpk_mode="ca_overlap"),
+    "sstep-sketched-pip2": _sstep(BCGSPIP2Scheme, solve_mode="sketched"),
     "block-width3": _block,
     "gmres-ir-fp32": lambda sim, b: gmres_ir(
         sim, b, precision="fp32", tol=UNREACHABLE, max_refinements=2,
@@ -182,6 +188,23 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         "c1dcdf143454492d49ecd0d6dbe0a2e8"
         "053bb97d59f488f7e69caa670b49aa64",
         [(40, 2, 12, 3)]),
+    # these three were recorded when the sketch family, seed and redraw
+    # threshold were still SolverOptions fields, at their defaults
+    "sstep-ca": (
+        125,
+        "5c54a9f8a60c37a182fa1816e164850a"
+        "47838d43b208d16ba0a9d1217f1253c4",
+        [(40, 2, 12, 3)]),
+    "sstep-ca-overlap": (
+        141,
+        "900dd85c1a0bb137e2c84c9ff2d83f98"
+        "67f5d1f87507ad1471c82a2048d00b1a",
+        [(40, 2, 12, 3)]),
+    "sstep-sketched-pip2": (
+        240,
+        "6c9ec281e51913eed2d2cfc073a3a1ae"
+        "c9865105e3cf2ef9ff697cc8b453fd80",
+        [(40, 2, 26, 9)]),
     "block-width3": (
         545,
         "a7f57c0dfae9059413ad5bba52a2ed5f"

@@ -255,6 +255,13 @@ class TestAutomaticResketch:
         module = importlib.import_module("repro.krylov.sstep_gmres")
         monkeypatch.setattr(module, "DEFAULT_RESKETCH_THRESHOLD", -1.0)
 
+    def test_constants_keep_the_old_option_defaults(self):
+        """The family and the redraw threshold used to be SolverOptions
+        fields; every caller ran on these defaults."""
+        module = importlib.import_module("repro.krylov.sstep_gmres")
+        assert module.SKETCH_FAMILY == "sparse"
+        assert module.DEFAULT_RESKETCH_THRESHOLD == 10.0
+
     def test_healthy_embedding_never_resketches(self):
         sim = make_sim(laplace2d(16))
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=5, restart=20,

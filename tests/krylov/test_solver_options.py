@@ -64,7 +64,26 @@ class TestDataclass:
         with pytest.raises(ConfigurationError, match="fp17"):
             SolverOptions(precision="fp17")
 
-    @pytest.mark.parametrize("field, value", [("precision", "FP32")])
+    @pytest.mark.parametrize("field, value", [
+        ("solve_mode", "Sketched"), ("solve_mode", None),
+        ("mpk_mode", "CA"), ("mpk_mode", None),
+        ("precision", "dd"), ("precision", "fp16"),
+    ])
+    def test_bad_field_is_refused_at_construction(self, field, value):
+        """Refused when the options are built — before a solve could
+        charge anything (the ``mpk_mode="auto"`` ghost-plan analysis is
+        charged at the start of a solve)."""
+        fields = dict(solve_mode="sketched", mpk_mode="auto")
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            SolverOptions(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        *(("solve_mode", mode) for mode in SOLVE_MODES),
+        *(("mpk_mode", mode) for mode in MPK_SOLVER_MODES),
+        ("comm_overlap", True), ("precision", "FP32"),
+        ("precision", "fp32_dd_gram"), ("precision", "bf16"),
+    ])
     def test_legal_edge_values_are_kept(self, field, value):
         assert getattr(SolverOptions(**{field: value}), field) == value
 

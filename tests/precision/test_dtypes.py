@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.precision import dtypes
 
 
@@ -34,6 +36,19 @@ class TestSpecs:
             dtypes.validate_storage("dd")  # not a storage format
         with pytest.raises(ConfigurationError):
             dtypes.quantize(np.ones(3), "fp16")
+
+    @pytest.mark.parametrize("call, spec", [
+        (dtypes.validate_storage, "dd"),
+        (dtypes.word_bytes, "fp8"),
+        (dtypes.container_dtype, "dd"),
+        (dtypes.eps, "fp8"),
+        (lambda spec: dtypes.quantize(np.ones(3), spec), "fp16"),
+    ], ids=["validate_storage", "word_bytes", "container_dtype", "eps",
+            "quantize"])
+    def test_spec_error_is_a_library_error_naming_the_spec(self, call, spec):
+        with pytest.raises(ReproError, match=re.escape(repr(spec))) as info:
+            call(spec)
+        assert type(info.value) is ConfigurationError
 
 
 class TestQuantize:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.precision import PrecisionPolicy, resolve_policy
 from repro.precision.policy import POLICIES
 
@@ -21,6 +23,12 @@ class TestPolicy:
 
     def test_resolve_by_name_normalizes(self):
         assert resolve_policy("FP32-dd-GRAM") is POLICIES["fp32_dd_gram"]
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_every_registered_name_resolves_in_any_spelling(self, name):
+        spelling = f"  {name.upper().replace('_', '-')} "
+        assert resolve_policy(spelling) is POLICIES[name]
+        assert resolve_policy(POLICIES[name]) is POLICIES[name]
 
     def test_resolve_instance_passthrough(self):
         p = PrecisionPolicy("custom", storage="fp32", gram="dd")
@@ -41,6 +49,18 @@ class TestPolicy:
             PrecisionPolicy("bad", gram="bf16")
         with pytest.raises(ConfigurationError):
             resolve_policy("fp8")
+
+    @pytest.mark.parametrize("build, spec", [
+        (lambda spec: PrecisionPolicy("bad", storage=spec), "dd"),
+        (lambda spec: PrecisionPolicy("bad", accumulate=spec), "bf16"),
+        (lambda spec: PrecisionPolicy("bad", gram=spec), "bf16"),
+        (resolve_policy, "fp8"),
+    ], ids=["storage", "accumulate", "gram", "resolve_policy"])
+    def test_spec_error_is_a_library_error_naming_the_spec(self, build,
+                                                           spec):
+        with pytest.raises(ReproError, match=re.escape(repr(spec))) as info:
+            build(spec)
+        assert type(info.value) is ConfigurationError
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -17,6 +17,8 @@ import dataclasses
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 from repro.krylov.options import SolverOptions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,7 +94,9 @@ def names_read(path: Path) -> frozenset[str]:
     return frozenset(out)
 
 
-def test_every_solver_option_is_set_by_a_caller():
+@cache
+def options_passed() -> frozenset[str]:
+    """Keywords some caller passes to ``SolverOptions(...)`` / ``.replace``."""
     passed = set()
     for path in caller_files():
         for node in ast.walk(parse(path)):
@@ -103,28 +107,44 @@ def test_every_solver_option_is_set_by_a_caller():
                       func.attr if isinstance(func, ast.Attribute) else None)
             if callee in ("SolverOptions", "replace"):
                 passed.update(kw.arg for kw in node.keywords if kw.arg)
-    fields = {f.name for f in dataclasses.fields(SolverOptions)}
-    assert sorted(fields - passed) == []
+    return frozenset(passed)
 
 
-def test_every_export_has_a_reader():
+def is_read(init: Path, name: str) -> bool:
+    """Some caller outside ``name``'s defining module reads ``name``."""
+    where = home(init, name)
+    return any(name in names_read(path)
+               for path in caller_files() if path != where)
+
+
+PACKAGES = sorted(SRC.rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("field", [f.name for f in
+                                   dataclasses.fields(SolverOptions)])
+def test_every_solver_option_is_set_by_a_caller(field):
+    assert field in options_passed()
+
+
+@pytest.mark.parametrize(
+    "init", PACKAGES,
+    ids=[str(init.parent.relative_to(SRC)) for init in PACKAGES])
+def test_every_export_has_a_reader(init):
     exempt = dict(EXPORTED_FOR_TESTS)
-    callers = caller_files()
-    unread, stale = [], set(exempt)
-    for init in sorted(SRC.rglob("__init__.py")):
-        for name in package_all(init):
-            where = home(init, name)
-            if any(name in names_read(path)
-                   for path in callers if path != where):
-                continue
-            if name in exempt:
-                stale.discard(name)
-                continue
-            unread.append(f"{init.relative_to(SRC)}: {name}")
+    unread = [name for name in package_all(init)
+              if name not in exempt and not is_read(init, name)]
     assert unread == []
-    assert sorted(stale) == [], "exemptions that are read or not exported"
 
 
-def test_exemptions_give_a_reason():
-    assert all(reason.strip() for _, reason in EXPORTED_FOR_TESTS)
+@pytest.mark.parametrize("name, reason", EXPORTED_FOR_TESTS,
+                         ids=[name for name, _ in EXPORTED_FOR_TESTS])
+def test_exemption_is_exported_unread_and_says_why(name, reason):
+    assert reason.strip()
+    homes = [init for init in PACKAGES if name in package_all(init)]
+    assert homes, "an exemption that is not exported"
+    assert not any(is_read(init, name) for init in homes), \
+        "an exemption that has a reader"
+
+
+def test_exemptions_are_listed_once():
     assert len(dict(EXPORTED_FOR_TESTS)) == len(EXPORTED_FOR_TESTS)
