@@ -6,30 +6,27 @@ NumPy.  But what a restart cycle *issues* depends on column widths
 alone, so nothing about a scheme is restated here
 (``docs/cost-model.md``, "Paper-scale pricing"):
 
-* **recorded** — once per ``(scheme, m, s, bs)`` the real
-  :class:`~repro.ortho.base.BlockOrthoScheme` (``cgs2_append`` for
-  standard GMRES) factors a small well-conditioned random matrix through
-  a logging ``NumpyBackend``; the log is, per ``OrthoBackend`` call, the
-  ops ``DistBackend`` charges for it (local ops by column widths, the
-  doubles of its one collective, host flops) and, per panel, the columns
-  the scheme then called final.  A local op is priced by
-  :data:`~repro.parallel.costmodel.LOCAL_OPS`, the table the live
-  engines charge through; a primitive no such ops describe (``sketch``,
-  ``householder_qr``, ``tsqr``) is a :class:`ConfigurationError`;
-* **shape-priced** — SpMV and halo have no live counterpart at paper
-  scale (``_spmv``); the block-Jacobi apply is the ``gs_sweep`` op of
-  :class:`PrecondShape`, priced like a recorded one;
-* **hand-written** — the ops of the solver shell around the scheme
-  (explicit residual, cycle prologue, checkpoint host math, solution
-  update), priced by the same loop as a recorded stream.
+* **planned** — the real :class:`~repro.ortho.base.BlockOrthoScheme`
+  (``cgs2_append`` for standard GMRES) factors a small well-conditioned
+  random matrix through a logging ``NumpyBackend``, which records per
+  ``OrthoBackend`` call the ops ``DistBackend`` charges for it (local ops
+  of :data:`~repro.parallel.costmodel.LOCAL_OPS` by column widths, the
+  doubles of its one collective, host flops); a primitive no such ops
+  describe (``sketch``, ``householder_qr``, ``tsqr``) is a
+  :class:`ConfigurationError`.  With the solver shell around it (SpMV
+  steps, residual, checkpoint host math, solution update) that is a
+  :class:`_Plan`: the distinct ops and, per charge, its op, row and
+  count, kept per ``(config, m, s, bs, ranks > 1, precond)``;
+* **priced** — per estimator, each distinct op once: a local op by its
+  ``LOCAL_OPS`` formula at ``nl`` rows, SpMV, halo and the block-Jacobi
+  apply (:class:`PrecondShape`) by shape.  A cycle gathers its charges'
+  seconds and folds them in one :meth:`Tracer.fold`.
 
 Every ``(phase, kernel)`` row equals the tracer diff of one live solver
 cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
 (the ``nl + halo_cols`` operand shape) under the ceiling named in
-``tests/experiments/test_estimator.py``.
-
-Inside ``experiments/`` the one caller is :func:`repro.experiments.sweep.sweep`,
-which prices every artifact's grid into one frame of rows.
+``tests/experiments/test_estimator.py``.  Inside ``experiments/`` the
+one caller is :func:`repro.experiments.sweep.sweep`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,60 +182,96 @@ class _StreamRecorder(NumpyBackend):
     tsqr = _unpriced("tsqr", "its reduction tree depends on the rank count")
 
 
-#: The solver shell's ops before the first panel (``krylov/restart.py``):
-#: the residual ``b - A x`` and its norm, ``r`` copied and scaled.
-_RESIDUAL = ((("axpy", 1, 2),), (("norm", 1), ("allreduce", 1)))
-_FIRST_COLUMN = ((("axpy", 1, 1),), (("scale", 1, 1),))
+#: The shell's charges before the first panel (``krylov/restart.py``): the
+#: residual ``b - A x`` and its norm, ``r`` copied and scaled.
+_PROLOGUE = (("other", ("axpy", 1, 2), 1), ("other", ("norm", 1), 1),
+             ("other", ("allreduce", 1), 1), ("ortho", ("axpy", 1, 1), 1),
+             ("ortho", ("scale", 1, 1), 1))
+#: The charged kernel of each op that is not a :data:`LOCAL_OPS` entry: a
+#: collective, host flops, and the shape-priced halo, SpMV and precond.
+_KERNELS = {"allreduce": "allreduce", "host": "host", "halo": "halo",
+            "spmv": "spmv_local", "precond": LOCAL_OPS["gs_sweep"][0]}
 
 
-def _record(scheme_factory: Callable[[], BlockOrthoScheme] | None,
-            m: int, s: int) -> tuple:
-    """The op stream of one restart cycle of ``m`` steps:
-    ``(lo, hi, ops, final_cols)`` per arriving panel ``[lo, hi)``, then
-    the ``finish_cycle`` flush; ``final_cols`` is ``None`` unless the
-    scheme called the panel final.  ``None`` records standard GMRES: one
+class _Plan(NamedTuple):
+    """What one restart cycle charges, whatever the estimator: per charge,
+    the slot of its op among the distinct ``ops`` (first-use order), its
+    row among the ``(phase, kernel)`` ``keys`` (first-seen) and its count."""
+
+    ops: tuple
+    keys: tuple
+    slots: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+
+
+def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
+                m: int, s: int, halo: bool, precond: bool) -> _Plan:
+    """The plan of one restart cycle of ``m`` steps inside the solver
+    shell: per arriving panel its SpMV steps — a halo exchange (``halo``),
+    the local product, a preconditioner apply (``precond``) — then the ops
+    the scheme issued for it, then the host math of a checkpoint if the
+    scheme called columns final.  ``None`` plans standard GMRES: one
     never-final CGS2 column per step."""
     backend = _StreamRecorder()
     # well conditioned, so no factorization can break down whatever s is
     basis = np.random.default_rng(0).standard_normal((4 * (m + 1), m + 1))
-    stream = []
+    apply = (("precond", ("precond",), 1),) * precond
+    step = (("spmv", ("halo",), 1),) * halo + (("spmv", ("spmv",), 1),) + apply
+    charges = [*step, *_PROLOGUE]
+
+    def arrived(steps: int, final_cols: int | None = None) -> None:
+        charges.extend(step * steps)
+        charges.extend(("ortho", op, 1) for call in backend.take()
+                       for op in call)
+        if final_cols is not None:
+            # Hessenberg assembly + least squares, 2 c^3 host flops each
+            charges.append(("other", ("host", 4.0 * (final_cols - 1) ** 3), 2))
+
     if scheme_factory is None:
-        cgs2_append(backend, basis, 0)   # the prologue prices this one
+        cgs2_append(backend, basis, 0)   # the prologue charges this one
         backend.take()
         for j in range(1, m + 1):
             cgs2_append(backend, basis, j)
-            stream.append((j, j + 1, backend.take(), None))
-        return tuple(stream)
-    scheme = scheme_factory()
-    scheme.begin_cycle(backend, basis, np.zeros((m + 1, m + 1)))
-    for lo, hi in _panel_bounds(s, m + 1):
-        final = scheme.panel_arrived(lo, hi)
-        stream.append((lo, hi, backend.take(),
-                       scheme.final_cols if final else None))
-    flushed = scheme.finish_cycle()
-    stream.append((m + 1, m + 1, backend.take(),
-                   scheme.final_cols if flushed else None))
-    return tuple(stream)
+            arrived(1)
+            charges.append(("other", ("host", 6.0 * j), 1))
+        charges.append(("other", ("host", float(m) ** 2), 1))
+    else:
+        scheme = scheme_factory()
+        scheme.begin_cycle(backend, basis, np.zeros((m + 1, m + 1)))
+        for lo, hi in _panel_bounds(s, m + 1):
+            final = scheme.panel_arrived(lo, hi)
+            arrived(hi - max(lo, 1), scheme.final_cols if final else None)
+        arrived(0, scheme.final_cols if scheme.finish_cycle() else None)
+    # the solution update ``x += V y``, then a preconditioner apply
+    charges += [("other", ("matvec", m, 1), 1), ("other", ("axpy", 1, 2), 1),
+                *apply]
+    ops, keys = {}, {}
+    plan = np.array([(ops.setdefault(op, len(ops)), keys.setdefault(
+        (phase, _KERNELS.get(op[0]) or LOCAL_OPS[op[0]][0]), len(keys)), count)
+        for phase, op, count in charges], dtype=np.intp).T
+    plan.setflags(write=False)   # shared by every estimator of the process
+    return _Plan(tuple(ops), tuple(keys), *plan)
 
 
-@functools.lru_cache(maxsize=128)
-def _config_stream(config: str, m: int, s: int, bs: int | None) -> tuple:
-    """:func:`_record` of a ``CONFIGS`` entry, kept for the process: the
-    stream is immutable and ``(config, m, s, bs)`` is all it depends on."""
+@functools.lru_cache(maxsize=256)
+def _plan(config: str, m: int, s: int, bs: int | None, halo: bool,
+          precond: bool) -> _Plan:
+    """:func:`_build_plan` of a ``CONFIGS`` entry, kept for the process:
+    the structure key is all a plan depends on."""
     scheme = _SCHEMES.get(config)            # None: standard GMRES
     if bs is not None:
         scheme = functools.partial(scheme, big_step=bs)
-    return _record(scheme, m, s)
+    return _build_plan(scheme, m, s, halo, precond)
 
 
 class CycleCostEstimator:
     """Modeled phase times for one restart cycle of each solver config.
 
-    A cycle is a list of ``((phase, kernel), seconds, count)`` charges
-    folded into a fresh :class:`Tracer` at once (:meth:`Tracer.fold`).
-    Every block of it is priced once per estimator: the SpMV step and the
-    solver shell here, each ``(phase, backend call)`` of a recorded
-    stream on first use, kept in a dict that dies with the estimator.
+    A cycle is a :class:`_Plan`, kept for the process; this estimator
+    prices each distinct op once (:meth:`_price`, in a dict that dies with
+    it), gathers the seconds of every charge and folds them into a fresh
+    :class:`Tracer` at once (:meth:`Tracer.fold`).
     """
 
     def __init__(self, machine: MachineSpec, ranks: int, shape: ProblemShape,
@@ -255,117 +288,71 @@ class CycleCostEstimator:
         self.cost = CostModel(machine)
         self.nl = math.ceil(shape.n / self.ranks)
         self.nnz_l = shape.nnz / self.ranks
-        self._blocks: dict = {}
-        # the shape-priced charges depend on nothing a cycle changes
-        self._precond = () if precond is None else self._block(
-            "precond", (("gs_sweep", self.nnz_l, precond.sweeps,
-                         precond.colors),))
-        #: one SpMV step: halo, local product, preconditioner apply
-        self._spmv = (*self._halo(), (
-            ("spmv", "spmv_local"),
-            self.cost.spmv(self.nnz_l, self.nl, self.nl + shape.halo_cols),
-            1), *self._precond)
-        self._prologue = list(self._spmv)
-        self._price(self._prologue, "other", _RESIDUAL)
-        self._price(self._prologue, "ortho", _FIRST_COLUMN)
-        #: the solution update ``x += V y``, then a preconditioner apply
-        self._epilogue = []
-        self._price(self._epilogue, "other",
-                    ((("matvec", self.m, 1),), (("axpy", 1, 2),)))
-        self._epilogue += self._precond
+        #: what a plan depends on besides the stream: a halo, a precond
+        self._structure = (self.ranks > 1, precond is not None)
+        self._prices: dict = {}
 
-    def _block(self, phase: str, call: tuple) -> tuple:
-        """The charges of one backend call's ops in ``phase``: a
-        collective of ``n`` doubles, ``n`` host flops, or a local op of
-        :data:`LOCAL_OPS` over the ``nl`` rows of one rank."""
-        cost, block = self.cost, []
-        for op, *args in call:
-            if op == "allreduce":
-                kernel, seconds = op, cost.allreduce(_D * args[0], self.ranks)
-            elif op == "host":
-                kernel, seconds = op, cost.host_dense(args[0])
-            else:
-                kernel, formula = LOCAL_OPS[op]
-                seconds = formula(cost, self.nl, *args)
-            block.append(((phase, kernel), seconds, 1))
-        return tuple(block)
-
-    def _price(self, charges: list, phase: str, ops: tuple) -> None:
-        """Append the charges of ``ops`` — one tuple of ops per backend
-        call — in ``phase``, each distinct call priced on its first use
-        by this estimator."""
-        blocks = self._blocks
-        for call in ops:
-            block = blocks.get((phase, call))
-            if block is None:
-                block = blocks[phase, call] = self._block(phase, call)
-            charges += block
-
-    # ------------------------------------------------------------------
-    # shape-priced: no live counterpart at paper scale
-    # ------------------------------------------------------------------
-    def _halo(self) -> tuple:
-        """One halo exchange as the worst rank sees it (none on one rank)."""
-        if self.ranks == 1:
-            return ()
-        per_peer = _D * self.shape.halo_cols / self.shape.halo_neighbors
-        rpn = self.machine.ranks_per_node
+    def _price(self, op: tuple) -> float:
+        """Seconds of one op: a collective of ``n`` doubles, ``n`` host
+        flops, a shape-priced one (no live counterpart at paper scale) or a
+        local op of :data:`LOCAL_OPS` over the ``nl`` rows of one rank."""
+        name, *args = op
+        cost, shape = self.cost, self.shape
+        if name == "allreduce":
+            return cost.allreduce(_D * args[0], self.ranks)
+        if name == "host":
+            return cost.host_dense(args[0])
+        if name == "spmv":
+            return cost.spmv(self.nnz_l, self.nl, self.nl + shape.halo_cols)
+        if name == "precond":
+            name, args = "gs_sweep", (self.nnz_l, self.precond.sweeps,
+                                      self.precond.colors)
+        if name != "halo":
+            return LOCAL_OPS[name][1](cost, self.nl, *args)
+        # the worst rank's exchange: at a node boundary, one neighbour is
+        # off-node (rank rpn-1 talking to rpn-2 and rpn)
+        nb, rank = shape.halo_neighbors, self.machine.ranks_per_node - 1
         if self.machine.nodes_for(self.ranks) > 1:
-            # worst rank sits at a node boundary: one neighbour is
-            # off-node (rank rpn-1 talking to rpn-2 and rpn)
-            rank = rpn - 1
-            halo = {rank - 1 - p: per_peer
-                    for p in range(self.shape.halo_neighbors - 1)}
-            halo[rank + 1] = per_peer
+            peers = [rank - 1 - p for p in range(nb - 1)] + [rank + 1]
         else:
-            rank = 0
-            halo = {p + 1: per_peer for p in range(self.shape.halo_neighbors)}
-        return ((("spmv", "halo"),
-                 self.cost.halo_exchange(halo, rank, self.ranks), 1),)
+            peers, rank = range(1, nb + 1), 0
+        return cost.halo_exchange(dict.fromkeys(
+            peers, _D * shape.halo_cols / nb), rank, self.ranks)
 
-    # ------------------------------------------------------------------
-    # the solver shell (krylov/restart.py, the checkpoint of sstep_gmres)
-    # ------------------------------------------------------------------
-    def _checkpoint(self, c: int) -> tuple:
-        # Hessenberg assembly + least squares, 2 c^3 host flops each
-        return ("other", "host"), self.cost.host_dense(4.0 * c ** 3), 2
+    def _charges(self, plan: _Plan) -> tuple:
+        """What :meth:`Tracer.fold` takes of ``plan``: the seconds of every
+        charge are one gather of its ops' prices, each op priced on its
+        first use by this estimator."""
+        prices = self._prices
+        prices.update((op, self._price(op)) for op in plan.ops
+                      if op not in prices)
+        seconds = np.array([prices[op] for op in plan.ops])[plan.slots]
+        return plan.keys, plan.rows, seconds, plan.counts
 
     # ------------------------------------------------------------------
     # public: one full cycle per solver configuration
     # ------------------------------------------------------------------
     def standard_gmres_cycle(self) -> Tracer:
         """GMRES(m) + CGS2 (paper baseline)."""
-        charges = list(self._prologue)
-        for j, _, ops, _ in _config_stream("gmres", self.m, 1, None):
-            charges += self._spmv
-            self._price(charges, "ortho", ops)
-            self._price(charges, "other", ((("host", 6.0 * j),),))
-        self._price(charges, "other", ((("host", float(self.m) ** 2),),))
-        charges += self._epilogue
-        return Tracer().fold(charges)
+        plan = _plan("gmres", self.m, 1, None, *self._structure)
+        return Tracer().fold(*self._charges(plan))
 
     def sstep_cycle(self, scheme: str | Callable[[], BlockOrthoScheme],
                     bs: int | None = None) -> Tracer:
         """s-step GMRES under 'bcgs2', 'pip2', 'two_stage' (needs ``bs``)
         or the zero-argument scheme factory ``block_sstep_gmres`` takes
-        (recorded at every call)."""
+        (recorded and planned at every call)."""
         if callable(scheme):
-            stream = _record(scheme, self.m, self.s)
+            plan = _build_plan(scheme, self.m, self.s, *self._structure)
         elif scheme not in _SCHEMES:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
         elif scheme == "two_stage" and bs is None:
             raise ConfigurationError("two_stage needs bs")
         else:
-            stream = _config_stream(
-                scheme, self.m, self.s, bs if scheme == "two_stage" else None)
-        charges = list(self._prologue)
-        for lo, hi, ops, final_cols in stream:
-            charges += self._spmv * (hi - max(lo, 1))
-            self._price(charges, "ortho", ops)
-            if final_cols is not None:
-                charges.append(self._checkpoint(final_cols - 1))
-        charges += self._epilogue
-        return Tracer().fold(charges)
+            plan = _plan(scheme, self.m, self.s,
+                         bs if scheme == "two_stage" else None,
+                         *self._structure)
+        return Tracer().fold(*self._charges(plan))
 
     def cycle(self, config: str, bs: int | None = None) -> Tracer:
         """One restart cycle of a ``CONFIGS`` entry; two-stage runs at
@@ -379,10 +366,7 @@ class CycleCostEstimator:
     # ------------------------------------------------------------------
     def phase_seconds(self, tracer: Tracer) -> dict:
         """Phase dict with the paper's column conventions."""
-        out = dict(tracer.by_phase)
-        out["total"] = tracer.clock
-        out.setdefault("spmv", 0.0)
-        out.setdefault("precond", 0.0)
-        out.setdefault("ortho", 0.0)
-        out.setdefault("other", 0.0)
+        out = {**tracer.by_phase, "total": tracer.clock}
+        for phase in ("spmv", "precond", "ortho", "other"):
+            out.setdefault(phase, 0.0)
         return out

@@ -66,6 +66,9 @@ class CostModel:
     _shapes: list | None = field(default=None, compare=False, repr=False)
     #: How many ranks each shape recorded through this copy stands for.
     _ranks: int = field(default=1, compare=False, repr=False)
+    #: :meth:`_tree_hops` per rank count, shared with every copy of this
+    #: model (they price on the same machine).
+    _hops: dict = field(default_factory=dict, compare=False, repr=False)
 
     def record(self, evaluate: Callable[["CostModel"], "float | list[float]"]
                ) -> KernelCharge:
@@ -75,7 +78,7 @@ class CostModel:
         this model that totals the operation shape of every formula it
         calls."""
         shapes = [0.0, 0.0]
-        seconds = evaluate(CostModel(self.machine, shapes))
+        seconds = evaluate(CostModel(self.machine, shapes, 1, self._hops))
         return KernelCharge(
             max(seconds) if isinstance(seconds, list) else seconds, *shapes)
 
@@ -83,7 +86,7 @@ class CostModel:
         """This model, for costing ONE shard that ``ranks`` ranks all
         execute: same seconds, every recorded shape counted ``ranks``
         times."""
-        return CostModel(self.machine, self._shapes, ranks)
+        return CostModel(self.machine, self._shapes, ranks, self._hops)
 
     def memoized(self, memo: dict, key,
                  evaluate: Callable[["CostModel"], "float | list[float]"]
@@ -224,15 +227,17 @@ class CostModel:
     # communication
     # ------------------------------------------------------------------
     def _tree_hops(self, ranks: int) -> tuple[int, int]:
-        """(intra-node hops, inter-node hops) of a hierarchical reduction."""
-        m = self.machine
-        if ranks <= 1:
-            return 0, 0
-        on_node = min(ranks, m.ranks_per_node)
-        nodes = m.nodes_for(ranks)
-        intra = math.ceil(math.log2(on_node)) if on_node > 1 else 0
-        inter = math.ceil(math.log2(nodes)) if nodes > 1 else 0
-        return intra, inter
+        """(intra-node hops, inter-node hops) of a hierarchical reduction,
+        worked out once per rank count: nothing else of them varies."""
+        hops = self._hops.get(ranks)
+        if hops is None:
+            m = self.machine
+            on_node = min(ranks, m.ranks_per_node)
+            nodes = m.nodes_for(ranks)
+            hops = self._hops[ranks] = (
+                math.ceil(math.log2(on_node)) if on_node > 1 else 0,
+                math.ceil(math.log2(nodes)) if nodes > 1 else 0)
+        return hops
 
     def allreduce(self, bytes_payload: float, ranks: int) -> float:
         """Allreduce of ``bytes_payload`` across ``ranks`` devices.

@@ -17,7 +17,7 @@ cost-model :class:`~repro.parallel.costmodel.KernelCharge` (summed over
 every rank's shard), the hidden part of a posted collective and the
 driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
 the :class:`TraceTotals` columns; the one other row writer is its batch
-twin :meth:`Tracer.fold`, which folds a list of raw-seconds charges
+twin :meth:`Tracer.fold`, which folds arrays of raw-seconds charges
 exactly as one ``add`` each would.  Spans, snapshots, the metrics view
 (:mod:`repro.obs.metrics`) and a replayed export (:meth:`Tracer.replay`)
 are all read off that one stream.  Nothing reaches the totals by a side
@@ -71,6 +71,8 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: Canonical phase names used across the library; free-form names are also
 #: accepted (they simply show up as extra rows in reports).
@@ -330,28 +332,42 @@ class Tracer(TraceTotals):
                 overlapped_seconds=overlapped_seconds,
                 driver_side=driver_side, flops=flops, mem_bytes=mem_bytes))
 
-    def fold(self, charges) -> "Tracer":
-        """Fold raw-seconds charges ``((phase, kernel), seconds, count)``
-        in list order, each under its own phase, in one call: clock, rows,
-        key order and spans are bit-identical to one :meth:`add` per
-        charge (plain ``+``, first-seen keys).  Returns the tracer."""
-        clock, spans = self.clock, self._spans
-        by_phase, by_kernel, counts = self.by_phase, self.by_kernel, self.counts
-        try:
-            for key, seconds, count in charges:
-                if seconds < 0:
-                    raise ValueError(
-                        f"negative cost for kernel {key[1]!r}: {seconds}")
-                t0, clock = clock, clock + seconds
-                by_phase[key[0]] += seconds
-                by_kernel[key] += seconds
-                counts[key] += count
-                if spans is not None:
-                    spans.append(SpanEvent(
-                        key[1], t0, clock, key[0], self.stream, count=count,
-                        cycle=self._cycle[0]))
-        finally:
-            self.clock = clock
+    def fold(self, keys, rows, seconds, counts) -> "Tracer":
+        """Fold charge ``i``, ``seconds[i]`` and ``counts[i]`` on the row
+        ``keys[rows[i]]`` under its own phase, for every ``i`` at once
+        (``keys`` in the order ``rows`` first names them): a sequential
+        ``np.add.accumulate`` clock and one ``np.add.at`` per column, bit
+        for bit one :meth:`add` per charge, key order and spans included.
+        A negative charge folds those before it, then raises."""
+        seconds = np.asarray(seconds, dtype=float)
+        negative = np.flatnonzero(seconds < 0)
+        n = negative[0] if negative.size else len(seconds)
+        if n:
+            at, paid, counts = np.asarray(rows[:n]), seconds[:n], counts[:n]
+            used = keys[:at.max() + 1]
+            phases = list(dict.fromkeys(phase for phase, _ in used))
+
+            def summed(column, names, index, values, dtype=float):
+                sums = np.array([column.get(k, 0) for k in names], dtype)
+                np.add.at(sums, index, values)   # repeated rows in order
+                return zip(names, sums.tolist())
+
+            self.by_phase.update(summed(self.by_phase, phases, np.array(
+                [phases.index(p) for p, _ in used])[at], paid))
+            self.by_kernel.update(summed(self.by_kernel, used, at, paid))
+            self.counts.update(summed(self.counts, used, at, counts, int))
+            clocks = np.add.accumulate(np.concatenate(([self.clock], paid)))
+            self.clock = float(clocks[-1])
+            if self._spans is not None:
+                clocks = clocks.tolist()
+                self._spans.extend(
+                    SpanEvent(used[row][1], t0, t1, used[row][0], self.stream,
+                              count=int(count), cycle=self._cycle[0])
+                    for row, count, t0, t1 in zip(
+                        at.tolist(), counts, clocks, clocks[1:]))
+        if negative.size:
+            raise ValueError(f"negative cost for kernel "
+                             f"{keys[rows[n]][1]!r}: {float(seconds[n])}")
         return self
 
     def replay(self, spans) -> "Tracer":

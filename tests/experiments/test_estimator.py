@@ -139,10 +139,11 @@ class TestRecordedStream:
         assert est.sstep_cycle("two_stage", bs=s).clock > 0
 
     def test_streams_are_recorded_once_per_key(self):
+        """The plan over a recorded stream is kept per structure key."""
         estimator().sstep_cycle("two_stage", bs=10)
-        before = est_mod._config_stream.cache_info()
+        before = est_mod._plan.cache_info()
         estimator().sstep_cycle("two_stage", bs=10)
-        after = est_mod._config_stream.cache_info()
+        after = est_mod._plan.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
 

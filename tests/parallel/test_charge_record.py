@@ -171,12 +171,16 @@ def _is_tracer_add(call: ast.Call) -> bool:
 
 
 def _writes_a_row(node: ast.AST, bare: bool) -> bool:
-    """``<obj>.<column>[key] += ...``, or with ``bare`` also a local alias
-    ``<column>[key] += ...``."""
-    if not (isinstance(node, ast.AugAssign)
-            and isinstance(node.target, ast.Subscript)):
+    """``<obj>.<column>[key] += ...`` or ``<obj>.<column>.update(...)``,
+    or with ``bare`` also on a local alias ``<column>``."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.target,
+                                                      ast.Subscript):
+        column = node.target.value
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "update"):
+        column = node.func.value
+    else:
         return False
-    column = node.target.value
     name = (column.attr if isinstance(column, ast.Attribute)
             else column.id if bare and isinstance(column, ast.Name) else None)
     return name in ("by_phase", *_COLUMNS)

@@ -77,4 +77,4 @@ def test_per_shard_and_per_run_records_agree(op, shape, storage):
             m=5, s=5)
         assert est.nl == math.ceil(N / RANKS) == partition.counts[0]
         call = (op, *op_args(op, word_bytes(storage)))
-        assert est._block(row[0], (call,)) == ((row, seconds, 1),)
+        assert est._price(call) == seconds

@@ -295,6 +295,15 @@ CHARGES = st.lists(st.tuples(
     st.sampled_from([0, 1, 2])), max_size=40)
 
 
+def fold(tracer: Tracer, charges) -> Tracer:
+    """``tracer.fold`` of ``((phase, kernel), seconds, count)`` tuples:
+    keys in first-seen order, one row index per charge."""
+    keys = list(dict.fromkeys(key for key, _, _ in charges))
+    return tracer.fold(keys, [keys.index(key) for key, _, _ in charges],
+                       [seconds for _, seconds, _ in charges],
+                       [count for _, _, count in charges])
+
+
 class TestFold:
     """``Tracer.fold`` is one ``add`` per charge, under the charge's own
     phase, in list order: bit for bit, key order included."""
@@ -306,6 +315,16 @@ class TestFold:
                 list(t.counts.items()),
                 [s.to_dict() for s in t.spans if s.cat == "kernel"])
 
+    @staticmethod
+    def _added(charges, spans: bool = False) -> Tracer:
+        tracer = Tracer()
+        if spans:
+            tracer.enable_spans()
+        for (phase, kernel), seconds, count in charges:
+            with tracer.phase(phase):
+                tracer.add(kernel, seconds, count=count)
+        return tracer
+
     @given(before=CHARGES, charges=CHARGES, spans=st.booleans())
     def test_fold_is_sequential_add(self, before, charges, spans):
         added, folded = Tracer(), Tracer()
@@ -315,15 +334,44 @@ class TestFold:
         for (phase, kernel), seconds, count in before + charges:
             with added.phase(phase):
                 added.add(kernel, seconds, count=count)
-        folded.fold(before)
-        folded.fold(charges)
+        fold(folded, before)
+        fold(folded, charges)
         assert self._rows(folded) == self._rows(added)
 
     def test_negative_charge_names_its_kernel(self):
         t = Tracer()
         with pytest.raises(ValueError, match="'update'"):
-            t.fold([(("ortho", "dot"), 1.0, 1), (("ortho", "update"), -1e-9, 1)])
+            fold(t, [(("ortho", "dot"), 1.0, 1), (("ortho", "update"), -1e-9, 1)])
         assert t.clock == 1.0 and t.by_phase == {"ortho": 1.0}
+
+    def test_empty_fold_changes_nothing(self):
+        t = self._added([(("spmv", "halo"), 0.5, 1)], spans=True)
+        before = self._rows(t)
+        assert fold(t, []) is t and self._rows(t) == before
+        assert fold(Tracer(), []).to_dict() == Tracer().to_dict()
+
+    def test_fold_onto_rows_already_there(self):
+        """Existing rows keep their place and sum on; new ones follow."""
+        first = [(("ortho", "dot"), 0.1, 1), (("spmv", "halo"), 0.2, 1)]
+        then = [(("other", "host"), 0.3, 2), (("ortho", "dot"), 0.7, 1),
+                (("spmv", "halo"), 1e-17, 0)]
+        folded = fold(self._added(first, spans=True), then)
+        assert self._rows(folded) == self._rows(
+            self._added(first + then, spans=True))
+        assert list(folded.by_kernel) == [("ortho", "dot"), ("spmv", "halo"),
+                                          ("other", "host")]
+        assert folded.counts[("ortho", "dot")] == 2
+
+    def test_a_run_of_zero_second_charges(self):
+        """Zero seconds still open rows, count, and span an empty interval."""
+        zeros = [(("ortho", "dot"), 0.0, 1)] * 3 + [(("other", "host"), 0.0, 2)]
+        folded = Tracer()
+        folded.enable_spans()
+        fold(folded, [(("spmv", "halo"), 0.25, 1)] + zeros)
+        assert self._rows(folded) == self._rows(self._added(
+            [(("spmv", "halo"), 0.25, 1)] + zeros, spans=True))
+        assert folded.clock == 0.25 and folded.counts[("ortho", "dot")] == 3
+        assert [s.duration for s in folded.spans] == [0.25, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestSharePhaseStack:
