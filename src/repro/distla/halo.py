@@ -289,24 +289,18 @@ class HaloPlan:
                             word_bytes, n_vectors)
 
     @classmethod
-    def analyze(cls, local_blocks: list[sp.csr_matrix],
-                partition: Partition) -> "HaloPlan":
+    def analyze(cls, a: sp.csr_matrix, partition: Partition) -> "HaloPlan":
         """Count the distinct off-rank columns of every rank by owner.
 
         The depth-1 closure of every rank at once: the ownership
-        indicator times the pattern of the stacked blocks (the global
-        CSR) is, row ``r``, every column rank ``r``'s rows read, each
-        once; one ``bincount`` of the off-rank ones by ``(rank, owner)``
-        follows.  No per-rank ``np.unique``.
+        indicator times the pattern of the global CSR ``a`` is, row
+        ``r``, every column rank ``r``'s rows read, each once; one
+        ``bincount`` of the off-rank ones by ``(rank, owner)`` follows.
+        No per-rank block and no per-rank ``np.unique``.
         """
         ranks, n = partition.ranks, partition.n_global
         owner = _owners(partition)
-        cols = np.concatenate([block.indices for block in local_blocks])
-        row_nnz = np.concatenate([np.diff(block.indptr)
-                                  for block in local_blocks])
-        pattern = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols,
-                                 _bounds(row_nnz)), shape=(n, n))
-        reads = _indicator(owner, np.arange(n), (ranks, n)) @ pattern
+        reads = _indicator(owner, np.arange(n), (ranks, n)) @ _pattern(a)
         rank = _entry_ranks(reads.indptr)
         peer = owner[reads.indices]
         off = peer != rank

@@ -63,11 +63,7 @@ class DistSparseMatrix:
         self.partition = partition
         self.comm = comm
         self.n_global = partition.n_global
-        self.local_blocks = [
-            a[partition.local_slice(r), :].tocsr()
-            for r in range(partition.ranks)
-        ]
-        self.halo = HaloPlan.analyze(self.local_blocks, partition)
+        self.halo = HaloPlan.analyze(a, partition)
         self.nnz = int(a.nnz)
         self._diag = a.diagonal().copy()
         self._global_csr = a
@@ -83,6 +79,11 @@ class DistSparseMatrix:
     def diagonal(self) -> np.ndarray:
         """Copy of the global diagonal (used by Jacobi preconditioners)."""
         return self._diag.copy()
+
+    def local_block(self, rank: int) -> sp.csr_matrix:
+        """Rank ``rank``'s row block ``A[rows_rank, :]``, sliced anew at
+        every call (the real-process workers and the tests read it)."""
+        return self._global_csr[self.partition.local_slice(rank), :]
 
     def ghost_plan(self, depth: int, expand: str = "pointwise") -> GhostPlan:
         """Cached s-level ghost-zone closure (see :mod:`repro.distla.halo`).
@@ -117,14 +118,21 @@ class DistSparseMatrix:
 
         Every input — block nonzeros and rows, owned plus ghost operand
         entries — is fixed at construction, so each SpMV of a solve
-        charges the same record.
+        charges the same record.  A rank's block nonzeros are the span
+        of its rows in the global ``indptr``.
         """
-        return cost.memoized(self._spmv_charges, float(word_bytes), lambda c: [
-            c.spmv(block.nnz, block.shape[0],
-                   self.partition.local_count(rank)
-                   + int(self.halo.halo_counts[rank]),
-                   word_bytes=word_bytes)
-            for rank, block in enumerate(self.local_blocks)])
+        return cost.memoized(self._spmv_charges, float(word_bytes),
+                             lambda c: self._spmv_seconds(c, word_bytes))
+
+    def _spmv_seconds(self, cost: CostModel, word_bytes: float
+                      ) -> list[float]:
+        offsets = self.partition.offsets
+        nnz = np.diff(self._global_csr.indptr[offsets]).tolist()
+        rows = np.diff(offsets).tolist()
+        halo = self.halo.halo_counts.tolist()
+        return [cost.spmv(nnz[rank], rows[rank], rows[rank] + halo[rank],
+                          word_bytes=word_bytes)
+                for rank in range(self.partition.ranks)]
 
     def matvec(self, x: DistMultiVector, out: DistMultiVector | None = None
                ) -> DistMultiVector:

@@ -464,7 +464,7 @@ class MpComm(SimComm):
             token = len(self._matrix_keep)
             tok = self._next_tok()  # per-rank payloads, one shared token
             for r, conn in enumerate(self._conns):
-                block = matrix.local_blocks[r].tocsr()
+                block = matrix.local_block(r)
                 conn.send({"op": "matrix", "token": token, "tok": tok,
                            "data": block.data, "indices": block.indices,
                            "indptr": block.indptr, "shape": block.shape})

@@ -13,9 +13,14 @@ so this equals the per-block :class:`~repro.precond.gauss_seidel
 .LocalGaussSeidel` sweeps bit for bit (the per-block form survives as
 the oracle in the tests); first-fit colouring only looks at neighbours
 already coloured, all of them in the row's own block, so colouring the
-block-diagonal part once equals colouring block by block.  The per-rank
-charges are constants of the matrix and the machine: evaluated once,
-replayed per apply.
+block-diagonal part once equals colouring block by block.  Set-up
+stores that part in colour order — rows and columns renumbered, every
+row's entries in stored order — so an apply is one gather of ``x``, a
+sweep over contiguous class slices, and one scatter of ``z``; the first
+sweep reads only the columns of earlier colours (see
+:meth:`BlockJacobiPreconditioner._solve`).  The per-rank charges are
+constants of the matrix and the machine: evaluated once, replayed per
+apply, and they price the full block whatever a sweep reads.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError, NumericalError
 from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
 from repro.precond.base import Preconditioner
-from repro.precond.coloring import color_classes, greedy_coloring
+from repro.precond.coloring import greedy_coloring
 from repro.precond.gauss_seidel import LocalGaussSeidel
 
 _KERNEL, _GS_SWEEP = LOCAL_OPS["gs_sweep"]
@@ -46,6 +51,17 @@ def _block_diagonal_part(a: sp.csr_matrix, offsets: np.ndarray
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return sp.csr_matrix(
         (a.data[keep], a.indices[keep], kept_before[a.indptr]), shape=a.shape)
+
+
+def _class_rows(data: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
+                classes: list[tuple[int, int]]) -> list[sp.csr_matrix]:
+    """The rows ``lo:hi`` of the CSR ``(data, cols, indptr)`` as one
+    matrix per class, entries in stored order."""
+    n = len(indptr) - 1
+    return [sp.csr_matrix((data[indptr[lo]:indptr[hi]],
+                           cols[indptr[lo]:indptr[hi]],
+                           indptr[lo:hi + 1] - indptr[lo]), shape=(hi - lo, n))
+            for lo, hi in classes]
 
 
 class BlockJacobiPreconditioner(Preconditioner):
@@ -94,29 +110,65 @@ class BlockJacobiPreconditioner(Preconditioner):
         diag = diag_part.diagonal()
         if np.any(diag == 0.0):
             raise NumericalError("Gauss-Seidel requires nonzero diagonal")
-        self._inv_diag = 1.0 / diag
         colors = greedy_coloring(diag_part)
-        # multicolor ordering pays one kernel launch per colour of the block
-        self._launches = [int(colors[lo:hi].max(initial=-1)) + 1
-                          for lo, hi in bounds]
-        self._classes = color_classes(colors)
-        self._class_rows = [diag_part[idx, :] for idx in self._classes]
+        # multicolor ordering pays one kernel launch per colour of the
+        # block (an empty block launches nothing)
+        launches = np.zeros(len(bounds), dtype=np.int64)
+        full = self._block_rows > 0
+        launches[full] = np.maximum.reduceat(colors, offsets[:-1][full]) + 1
+        self._launches = launches.tolist()
+        #: rows in colour order: class ``c`` is ``_order[lo:hi]`` for
+        #: ``(lo, hi) = _classes[c]``
+        order = self._order = np.argsort(colors, kind="stable")
+        cuts = np.concatenate(([0], np.cumsum(np.bincount(colors))))
+        classes = self._classes = list(zip(cuts[:-1].tolist(),
+                                           cuts[1:].tolist()))
+        self._inv_diag = 1.0 / diag[order]
+        # the block-diagonal part with rows and columns renumbered into
+        # colour order, each row's entries still in stored order
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        by_colour = diag_part[order, :]
+        data, cols = by_colour.data, position[by_colour.indices]
+        #: the full rows of each class, for every sweep after the first
+        self._class_rows = _class_rows(data, cols, by_colour.indptr, classes)
+        # the first sweep starts from z = +0.0: a class reads only the
+        # entries of the classes before it (see ``_solve``)
+        earlier = cols < np.repeat(cuts[colors[order]],
+                                   np.diff(by_colour.indptr))
+        kept_before = np.concatenate(([0], np.cumsum(earlier)))
+        self._first_rows = _class_rows(data[earlier], cols[earlier],
+                                       kept_before[by_colour.indptr], classes)
 
     def _solve(self, x: np.ndarray) -> np.ndarray:
         """``sweeps`` forward GS sweeps from zero on every block, for a
-        global float64 vector."""
+        global float64 vector.
+
+        The multicolor sweeps run in colour order: one gather of ``x``
+        before, one scatter of ``z`` after, contiguous classes between.
+        In the first sweep ``z`` is exactly ``+0.0`` on the classes not
+        yet reached (the current one included: its product is formed
+        before its update), and the matrix is finite, so every term a
+        row reads there is ``±0``.  A CSR row sum starts at ``+0.0`` and
+        never becomes ``-0.0``, so adding ``±0`` leaves it unchanged:
+        dropping those terms is bit-identical, for any ``x``.
+        """
         self._check_ready()
         if self.ordering == "natural":
             return np.concatenate([
                 solver.apply(x[lo:hi])
                 for solver, (lo, hi) in zip(self._solvers, self._bounds)])
+        x = x[self._order]
         z = np.zeros_like(x)
-        for _ in range(self.sweeps):
-            for idx, rows in zip(self._classes, self._class_rows):
+        for sweep in range(self.sweeps):
+            rows_by_class = self._class_rows if sweep else self._first_rows
+            for (lo, hi), rows in zip(self._classes, rows_by_class):
                 # z_c <- z_c + D_c^{-1} (x_c - (A z)_c)
-                r = x[idx] - rows @ z
-                z[idx] += self._inv_diag[idx] * r
-        return z
+                r = x[lo:hi] - rows @ z
+                z[lo:hi] += self._inv_diag[lo:hi] * r
+        out = np.empty_like(z)
+        out[self._order] = z
+        return out
 
     def _sweep(self, cost, rank: int) -> float:
         """The ``gs_sweep`` price of rank ``rank``'s block."""
@@ -133,7 +185,8 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     # -- CA-MPK ghost composition --------------------------------------
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
-        return self._solve(x).astype(ctype).astype(np.float64)
+        return self._solve(x).astype(ctype, copy=False).astype(
+            np.float64, copy=False)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
         """Every rank redundantly solves each owner block its closure

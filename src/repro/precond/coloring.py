@@ -7,6 +7,15 @@ Kokkos Kernels; our simulator only needs the coloring itself, so a
 first-fit greedy pass over the local sparsity graph suffices (it yields
 the same small color counts — 2 for bipartite stencils, <= max-degree+1
 in general).
+
+How it runs: first fit visits the rows in order, so when row ``i`` is
+reached its colored neighbours are exactly those with ``j < i``.  The
+strictly lower part of the symmetrized pattern is built once with array
+operations; then ONE pass over plain Python lists gives each row a
+one-hot color bit: the OR ``m`` of its lower neighbours' bits, and the
+lowest bit clear in ``m``, ``(m + 1) & ~m``.  Python integers have no
+width, so the color count has no cap.  (A level-set wavefront would
+vectorize the pass, but its depth is ``n`` on a chain.)
 """
 
 from __future__ import annotations
@@ -15,36 +24,35 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _strictly_lower(a: sp.csr_matrix) -> tuple[list[int], list[int]]:
+    """``(indptr, indices)`` lists of the entries ``j < i`` of row ``i``
+    of ``a + a.T``, each row's in stored order."""
+    # the sum, not the union of patterns: entries that cancel are dropped
+    pattern = sp.csr_matrix(a + a.T)
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    lower = pattern.indices < rows
+    kept_before = np.concatenate(([0], np.cumsum(lower)))
+    return (kept_before[pattern.indptr].tolist(),
+            pattern.indices[lower].tolist())
+
+
 def greedy_coloring(a: sp.spmatrix) -> np.ndarray:
     """First-fit greedy coloring of the symmetrized sparsity graph.
 
     Returns an int array ``colors`` of length n with ``colors[i] !=
-    colors[j]`` whenever ``a[i, j]`` or ``a[j, i]`` is structurally
-    nonzero (i != j).
+    colors[j]`` whenever ``a[i, j] + a[j, i]`` is structurally nonzero
+    (i != j); row ``i`` gets the smallest color no ``j < i`` of those
+    holds.
     """
-    a = sp.csr_matrix(a)
-    n = a.shape[0]
-    # symmetrize the pattern so the coloring is valid for both sweeps
-    pattern = a + a.T
-    pattern = sp.csr_matrix(pattern)
-    indptr, indices = pattern.indptr, pattern.indices
-    colors = np.full(n, -1, dtype=np.int64)
-    # scratch: last row that used each color, avoids clearing a set per row
-    color_mark = np.full(64, -1, dtype=np.int64)
-    for i in range(n):
-        neigh = indices[indptr[i]:indptr[i + 1]]
-        for j in neigh:
-            cj = colors[j]
-            if cj >= 0:
-                if cj >= color_mark.size:
-                    color_mark = np.concatenate(
-                        [color_mark, np.full(cj + 64, -1, dtype=np.int64)])
-                color_mark[cj] = i
-        c = 0
-        while c < color_mark.size and color_mark[c] == i:
-            c += 1
-        colors[i] = c
-    return colors
+    indptr, indices = _strictly_lower(sp.csr_matrix(a))
+    bits: list[int] = []
+    for lo, hi in zip(indptr, indptr[1:]):
+        m = 0
+        for j in indices[lo:hi]:
+            m |= bits[j]
+        bits.append((m + 1) & ~m)
+    return np.fromiter(map(int.bit_length, bits), dtype=np.int64,
+                       count=len(bits)) - 1
 
 
 def color_classes(colors: np.ndarray) -> list[np.ndarray]:

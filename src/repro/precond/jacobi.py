@@ -41,7 +41,8 @@ class JacobiPreconditioner(Preconditioner):
         self._check_ready()
         # same cast chain as apply(): multiply in float64, store through
         # the container dtype
-        return (x * self._inv_diag).astype(ctype).astype(np.float64)
+        return (x * self._inv_diag).astype(ctype, copy=False).astype(
+            np.float64, copy=False)
 
     def charge_ghost_apply(self, comm, plan, level: int) -> None:
         kernel, formula = LOCAL_OPS["scale"]

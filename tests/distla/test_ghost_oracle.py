@@ -109,7 +109,7 @@ class TestHaloPlanMatchesOracle:
     def test_counts(self, case):
         a, part, _, _ = case
         blocks = [a[part.local_slice(r), :].tocsr() for r in range(part.ranks)]
-        plan = HaloPlan.analyze(blocks, part)
+        plan = HaloPlan.analyze(a, part)
         recv, counts = oracle.halo_fields(blocks, part)
         assert _items(plan.recv_counts_by_peer) == _items(recv)
         np.testing.assert_array_equal(plan.halo_counts, counts)

@@ -59,8 +59,7 @@ class TestGhostPlanClosure:
         """The depth-1 ghost closure is exactly the standard halo."""
         a = laplace2d(12)
         part = Partition(a.shape[0], 6)
-        blocks = [a[part.local_slice(r), :].tocsr() for r in range(6)]
-        halo = HaloPlan.analyze(blocks, part)
+        halo = HaloPlan.analyze(a, part)
         plan = GhostPlan.analyze(a, part, 1)
         assert plan.recv_counts_by_peer == halo.recv_counts_by_peer
         np.testing.assert_array_equal(plan.ghost_counts(), halo.halo_counts)
@@ -215,8 +214,7 @@ class TestGhostPlanPayloads:
     def test_halo_plan_default_word_size_is_fp64(self):
         a = laplace2d(8)
         part = Partition(64, 4)
-        blocks = [a[part.local_slice(r), :].tocsr() for r in range(4)]
-        halo = HaloPlan.analyze(blocks, part)
+        halo = HaloPlan.analyze(a, part)
         for by_peer, counts in zip(halo.recv_bytes(),
                                    halo.recv_counts_by_peer):
             for peer, nbytes in by_peer.items():

@@ -58,7 +58,7 @@ def reference(da: DistSparseMatrix, x_global: np.ndarray,
               storage: str) -> list[np.ndarray]:
     """The per-block oracle: one product per rank, rounded on write."""
     return [np.asarray(quantize(block @ x_global, storage))
-            for block in da.local_blocks]
+            for block in map(da.local_block, range(da.partition.ranks))]
 
 
 def assert_bits(result: DistMultiVector, expected: list[np.ndarray]) -> None:

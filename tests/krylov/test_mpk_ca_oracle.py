@@ -65,7 +65,8 @@ class PerRankBlockJacobi:
         self.part = sim.partition
         self.sweeps = sweeps
         self.solvers = []
-        for rank, block in enumerate(sim.matrix.local_blocks):
+        for rank, block in enumerate(map(sim.matrix.local_block,
+                                         range(self.part.ranks))):
             sl = self.part.local_slice(rank)
             self.solvers.append(LocalGaussSeidel(
                 block[:, sl.start:sl.stop].tocsr(), sweeps=sweeps))

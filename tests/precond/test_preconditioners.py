@@ -12,6 +12,7 @@ from repro.exceptions import ConfigurationError, NumericalError
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
 from repro.parallel.machine import generic_cpu
+from repro.precision.dtypes import container_dtype
 from repro.precond.base import IdentityPreconditioner
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.coloring import color_classes, greedy_coloring
@@ -241,6 +242,16 @@ class TestBlockJacobiFusedSweep:
         "unsorted-rows": dict(
             a=lambda: _mixed_blocks_matrix(reverse_rows=True), ranks=3),
         "two-sweeps": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=2),
+        "three-sweeps": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=3),
+        # operands the colour-order first sweep must not treat differently
+        "negative-zeros": dict(a=_mixed_blocks_matrix, ranks=3,
+                               x=lambda x: np.where(x < 0.5, -0.0, x)),
+        "nan": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=2,
+                    x=lambda x: np.where(np.arange(x.size) % 7 == 3,
+                                         np.nan, x)),
+        "inf": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=2,
+                    x=lambda x: np.where(np.arange(x.size) % 9 == 4,
+                                         np.copysign(np.inf, x), x)),
         "fp32": dict(a=lambda: laplace2d(12), ranks=5, storage="fp32"),
         "natural": dict(a=_mixed_blocks_matrix, ranks=3, ordering="natural"),
         "natural-two-sweeps": dict(a=lambda: laplace2d(12), ranks=5,
@@ -252,7 +263,8 @@ class TestBlockJacobiFusedSweep:
         offsets = sim.partition.offsets
         return [LocalGaussSeidel(block[:, offsets[r]:offsets[r + 1]].tocsr(),
                                  **kw)
-                for r, block in enumerate(sim.matrix.local_blocks)]
+                for r, block in enumerate(map(sim.matrix.local_block,
+                                              range(sim.partition.ranks)))]
 
     @staticmethod
     def charge_fresh(sim, solvers, sweeps, blocks_by_rank):
@@ -272,26 +284,29 @@ class TestBlockJacobiFusedSweep:
         spec = dict(self.CASES[case])
         a, ranks = spec.pop("a")(), spec.pop("ranks")
         storage = spec.pop("storage", "fp64")
+        operand = spec.pop("x", lambda x: x)
         sim = Simulation(a, ranks=ranks, machine=generic_cpu())
         pc = BlockJacobiPreconditioner(**spec).setup(sim.matrix)
         solvers = self.per_block_solvers(sim, **spec)
         if case in ("colour-counts-differ", "unsorted-rows"):
             assert len({s.n_colors for s in solvers}) > 1
         x = sim.vector_from(
-            np.random.default_rng(2).standard_normal(sim.n), storage=storage)
+            operand(np.random.default_rng(2).standard_normal(sim.n)),
+            storage=storage)
         expected = sim.zeros(1, storage=storage)
         for r, solver in enumerate(solvers):
             expected.shards[r][:, 0] = solver.apply(x.shards[r][:, 0])
         out = sim.zeros(1, storage=storage)
         pc.apply(x, out)
-        np.testing.assert_array_equal(out.to_global(), expected.to_global())
-        assert np.abs(out.to_global()).max() > 0.0
+        assert out.to_global().tobytes() == expected.to_global().tobytes()
+        assert np.any(out.to_global() != 0.0)
         # the CA kernel's whole-vector form: float64 in, float64 out,
         # rounded through the container dtype
         ghosted = pc.apply_ghosted(
             x.to_global()[:, 0].astype(np.float64), x.np_dtype)
         assert ghosted.dtype == np.float64
-        np.testing.assert_array_equal(ghosted, expected.to_global()[:, 0])
+        assert ghosted.tobytes() == \
+            expected.to_global()[:, 0].astype(np.float64).tobytes()
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -340,6 +355,37 @@ class TestBlockJacobiFusedSweep:
                 == fresh.metrics_doc().get("totals"))
         if metrics:
             assert replayed.metrics_doc()["totals"]["flops"] > 0
+
+
+class TestGhostedCast:
+    """``apply_ghosted`` rounds through the container dtype and returns
+    float64: no copy when both are float64, the container's grid
+    otherwise."""
+
+    PRECONDS = {"jacobi": JacobiPreconditioner,
+                "block-jacobi": BlockJacobiPreconditioner}
+
+    @pytest.mark.parametrize("spec", ["fp64", "fp32", "bf16"])
+    @pytest.mark.parametrize("name", sorted(PRECONDS))
+    def test_rounds_to_the_container_grid(self, sim, name, spec):
+        pc = self.PRECONDS[name]().setup(sim.matrix)
+        x = np.random.default_rng(3).standard_normal(sim.n) * 1e3
+        exact = (pc._solve(x) if name == "block-jacobi"
+                 else x * (1.0 / sim.matrix.diagonal()))
+        ctype = container_dtype(spec)
+        got = pc.apply_ghosted(x, ctype)
+        assert got.dtype == np.float64
+        assert got.tobytes() == \
+            exact.astype(ctype).astype(np.float64).tobytes()
+        if spec != "fp64":
+            assert got.tobytes() != exact.tobytes()
+
+    def test_fp64_result_is_not_copied(self, sim, monkeypatch):
+        pc = BlockJacobiPreconditioner().setup(sim.matrix)
+        solved = np.random.default_rng(4).standard_normal(sim.n)
+        monkeypatch.setattr(pc, "_solve", lambda x: solved)
+        assert pc.apply_ghosted(np.ones(sim.n), np.dtype(np.float64)) \
+            is solved
 
 
 class TestChebyshev:
