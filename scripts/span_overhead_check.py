@@ -111,10 +111,9 @@ def _estimator() -> estimator.CycleCostEstimator:
 
 def _fold_args(est: estimator.CycleCostEstimator, config: str) -> tuple:
     """What ``est.cycle(config)`` hands ``Tracer.fold``."""
-    bs = est.m if config == "two_stage" else None
-    return est._charges(estimator._plan(
-        config, est.m, 1 if config == "gmres" else est.s, bs, est.ranks > 1,
-        est.precond is not None))
+    plan = est.plan(config)
+    return (plan.keys, plan.rows, estimator.price_cells(plan, [est])[0],
+            plan.counts)
 
 
 def fold_overhead() -> float:

@@ -15,24 +15,31 @@ alone, so nothing about a scheme is restated here
   describe (``sketch``, ``householder_qr``, ``tsqr``) is a
   :class:`ConfigurationError`.  With the solver shell around it (SpMV
   steps, residual, checkpoint host math, solution update) that is a
-  :class:`_Plan`: the distinct ops and, per charge, its op, row and
-  count, kept per ``(config, m, s, bs, ranks > 1, precond)``;
-* **priced** — per estimator, each distinct op once: a local op by its
-  ``LOCAL_OPS`` formula at ``nl`` rows, SpMV, halo and the block-Jacobi
-  apply (:class:`PrecondShape`) by shape.  A cycle gathers its charges'
-  seconds and folds them in one :meth:`Tracer.fold`.
+  :class:`_Plan`: the distinct ops grouped into kinds and, per charge,
+  its op, row and count, kept per ``(config, m, s, bs, ranks > 1,
+  precond)``;
+* **priced** — :func:`price_cells`, for a group of cells (estimators)
+  that share a plan and a machine: each op kind by one elementwise call
+  over a ``(cells x ops)`` block — a local op by its ``LOCAL_OPS``
+  formula over the cells' ``nl`` rows, SpMV and the block-Jacobi apply
+  (:class:`PrecondShape`) by per-cell shape columns, a collective and a
+  halo per cell — then gathered per charge and folded in one
+  :func:`~repro.parallel.tracing.fold_block`.  A cycle of one estimator
+  is the one-cell case, folded by :meth:`Tracer.fold`.
 
 Every ``(phase, kernel)`` row equals the tracer diff of one live solver
 cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
 (the ``nl + halo_cols`` operand shape) under the ceiling named in
 ``tests/experiments/test_estimator.py``.  Inside ``experiments/`` the
-one caller is :func:`repro.experiments.sweep.sweep`.
+one caller is :func:`repro.experiments.sweep.sweep`, which groups a
+grid's cells; no price outlives a call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,7 +55,7 @@ from repro.ortho.cgs import cgs2_append
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.costmodel import LOCAL_OPS, CostModel
 from repro.parallel.machine import MachineSpec
-from repro.parallel.tracing import Tracer
+from repro.parallel.tracing import TraceTotals, Tracer
 from repro.utils.validation import check_positive_int
 
 _D = 8.0  # bytes per float64
@@ -59,6 +66,15 @@ _D = 8.0  # bytes per float64
 CONFIGS = ("gmres", "bcgs2", "pip2", "two_stage")
 _SCHEMES = {"bcgs2": BCGS2Scheme, "pip2": BCGSPIP2Scheme,
             "two_stage": TwoStageScheme}
+
+
+def _check_real(value, name: str, positive: bool) -> None:
+    """``value`` is a finite real number, > 0 if ``positive`` else >= 0."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value)
+            or not (value > 0 if positive else value >= 0)):
+        raise ConfigurationError(f"{name} must be a finite number "
+                                 f"{'>' if positive else '>='} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,9 @@ class ProblemShape:
     halo_neighbors: int = 2
 
     def __post_init__(self) -> None:
+        check_positive_int(self.n, "n")
+        _check_real(self.nnz, "nnz", positive=True)
+        _check_real(self.halo_cols, "halo_cols", positive=False)
         check_positive_int(self.halo_neighbors, "halo_neighbors")
 
     @classmethod
@@ -108,7 +127,7 @@ class ProblemShape:
                    halo_neighbors=max(2, int(round(nnz_per_row / 3))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrecondShape:
     """Shape of one block-Jacobi apply: ``sweeps`` multicolor
     Gauss-Seidel sweeps of ``colors`` colours over a rank's block,
@@ -116,6 +135,10 @@ class PrecondShape:
 
     sweeps: int = 1
     colors: int = 2
+
+    def __post_init__(self) -> None:
+        check_positive_int(self.sweeps, "sweeps")
+        check_positive_int(self.colors, "colors")
 
 
 def _unpriced(name: str, reason: str = "its sketch size depends on n"):
@@ -193,16 +216,44 @@ _KERNELS = {"allreduce": "allreduce", "host": "host", "halo": "halo",
             "spmv": "spmv_local", "precond": LOCAL_OPS["gs_sweep"][0]}
 
 
+class _Kind(NamedTuple):
+    """The ops of one name in a plan: their ``slots`` among the plan's
+    distinct ops and one column per argument, what one elementwise
+    formula call prices for every cell at once."""
+
+    name: str
+    slots: np.ndarray
+    args: tuple
+
+
 class _Plan(NamedTuple):
     """What one restart cycle charges, whatever the estimator: per charge,
     the slot of its op among the distinct ``ops`` (first-use order), its
-    row among the ``(phase, kernel)`` ``keys`` (first-seen) and its count."""
+    row among the ``(phase, kernel)`` ``keys`` (first-seen) and its count;
+    and the ops grouped into their ``kinds``."""
 
     ops: tuple
     keys: tuple
     slots: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
+    kinds: tuple
+
+
+def _kinds(ops: tuple) -> tuple:
+    """The :class:`_Kind` of every op name in ``ops``, first-use order;
+    integer arguments stay integers (int64), as the scalar formulas see
+    them."""
+    named: dict = {}
+    for slot, (name, *args) in enumerate(ops):
+        named.setdefault(name, []).append((slot, *args))
+    kinds = []
+    for name, entries in named.items():
+        slots, *args = (np.array(column) for column in zip(*entries))
+        for column in (slots, *args):
+            column.setflags(write=False)
+        kinds.append(_Kind(name, slots, tuple(args)))
+    return tuple(kinds)
 
 
 def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
@@ -251,7 +302,7 @@ def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
         (phase, _KERNELS.get(op[0]) or LOCAL_OPS[op[0]][0]), len(keys)), count)
         for phase, op, count in charges], dtype=np.intp).T
     plan.setflags(write=False)   # shared by every estimator of the process
-    return _Plan(tuple(ops), tuple(keys), *plan)
+    return _Plan(tuple(ops), tuple(keys), *plan, _kinds(tuple(ops)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -265,13 +316,53 @@ def _plan(config: str, m: int, s: int, bs: int | None, halo: bool,
     return _build_plan(scheme, m, s, halo, precond)
 
 
+def price_cells(plan: _Plan, cells: list) -> np.ndarray:
+    """The ``(cells x charges)`` seconds of ``plan`` at every estimator of
+    ``cells`` (one machine): each kind of op priced by one elementwise
+    call over a ``(cells x ops)`` block, then gathered per charge.
+
+    A local op is its :data:`LOCAL_OPS` formula over the cells' ``nl``
+    rows (a column) and the kind's argument columns; host flops depend on
+    the machine alone; SpMV and the block-Jacobi apply
+    (:class:`PrecondShape`) take per-cell columns; a collective is priced
+    per cell over the payload column (its hops follow the rank count) and
+    a halo exchange per cell."""
+    cost = cells[0].cost
+
+    def column(values, dtype=float) -> np.ndarray:
+        return np.array(values, dtype=dtype)[:, None]
+
+    nl = column([c.nl for c in cells], np.int64)
+    nnz_l = column([c.nnz_l for c in cells])
+    prices = np.empty((len(cells), len(plan.ops)))
+    for name, slots, args in plan.kinds:
+        if name == "allreduce":
+            for row, c in enumerate(cells):
+                prices[row, slots] = cost.allreduce(_D * args[0], c.ranks)
+        elif name == "halo":
+            prices[:, slots] = column([c._halo_seconds() for c in cells])
+        elif name == "host":
+            prices[:, slots] = cost.host_dense(args[0])
+        elif name == "spmv":
+            prices[:, slots] = cost.spmv(
+                nnz_l, nl, nl + column([c.shape.halo_cols for c in cells]))
+        elif name == "precond":
+            prices[:, slots] = LOCAL_OPS["gs_sweep"][1](
+                cost, nl, nnz_l,
+                column([c.precond.sweeps for c in cells], np.int64),
+                column([c.precond.colors for c in cells], np.int64))
+        else:
+            prices[:, slots] = LOCAL_OPS[name][1](cost, nl, *args)
+    return prices[:, plan.slots]
+
+
 class CycleCostEstimator:
     """Modeled phase times for one restart cycle of each solver config.
 
-    A cycle is a :class:`_Plan`, kept for the process; this estimator
-    prices each distinct op once (:meth:`_price`, in a dict that dies with
-    it), gathers the seconds of every charge and folds them into a fresh
-    :class:`Tracer` at once (:meth:`Tracer.fold`).
+    A cycle is a :class:`_Plan`, kept for the process; a cycle priced
+    here is the one-cell case of the sweep's pricing: :func:`price_cells`
+    over this estimator alone, folded into a fresh :class:`Tracer`
+    (:meth:`Tracer.fold`).
     """
 
     def __init__(self, machine: MachineSpec, ranks: int, shape: ProblemShape,
@@ -290,82 +381,64 @@ class CycleCostEstimator:
         self.nnz_l = shape.nnz / self.ranks
         #: what a plan depends on besides the stream: a halo, a precond
         self._structure = (self.ranks > 1, precond is not None)
-        self._prices: dict = {}
 
-    def _price(self, op: tuple) -> float:
-        """Seconds of one op: a collective of ``n`` doubles, ``n`` host
-        flops, a shape-priced one (no live counterpart at paper scale) or a
-        local op of :data:`LOCAL_OPS` over the ``nl`` rows of one rank."""
-        name, *args = op
-        cost, shape = self.cost, self.shape
-        if name == "allreduce":
-            return cost.allreduce(_D * args[0], self.ranks)
-        if name == "host":
-            return cost.host_dense(args[0])
-        if name == "spmv":
-            return cost.spmv(self.nnz_l, self.nl, self.nl + shape.halo_cols)
-        if name == "precond":
-            name, args = "gs_sweep", (self.nnz_l, self.precond.sweeps,
-                                      self.precond.colors)
-        if name != "halo":
-            return LOCAL_OPS[name][1](cost, self.nl, *args)
-        # the worst rank's exchange: at a node boundary, one neighbour is
-        # off-node (rank rpn-1 talking to rpn-2 and rpn)
-        nb, rank = shape.halo_neighbors, self.machine.ranks_per_node - 1
+    def _halo_seconds(self) -> float:
+        """The worst rank's halo exchange: at a node boundary, one
+        neighbour is off-node (rank rpn-1 talking to rpn-2 and rpn)."""
+        nb, rank = self.shape.halo_neighbors, self.machine.ranks_per_node - 1
         if self.machine.nodes_for(self.ranks) > 1:
             peers = [rank - 1 - p for p in range(nb - 1)] + [rank + 1]
         else:
             peers, rank = range(1, nb + 1), 0
-        return cost.halo_exchange(dict.fromkeys(
-            peers, _D * shape.halo_cols / nb), rank, self.ranks)
+        return self.cost.halo_exchange(dict.fromkeys(
+            peers, _D * self.shape.halo_cols / nb), rank, self.ranks)
 
-    def _charges(self, plan: _Plan) -> tuple:
-        """What :meth:`Tracer.fold` takes of ``plan``: the seconds of every
-        charge are one gather of its ops' prices, each op priced on its
-        first use by this estimator."""
-        prices = self._prices
-        prices.update((op, self._price(op)) for op in plan.ops
-                      if op not in prices)
-        seconds = np.array([prices[op] for op in plan.ops])[plan.slots]
-        return plan.keys, plan.rows, seconds, plan.counts
+    def plan(self, config: str, bs: int | None = None) -> _Plan:
+        """The plan :meth:`cycle` prices."""
+        if config == "gmres":
+            return _plan("gmres", self.m, 1, None, *self._structure)
+        if config == "two_stage" and bs is None:
+            bs = self.m
+        return self._sstep_plan(config, bs)
+
+    def _sstep_plan(self, scheme: str | Callable[[], BlockOrthoScheme],
+                    bs: int | None) -> _Plan:
+        if callable(scheme):
+            return _build_plan(scheme, self.m, self.s, *self._structure)
+        if scheme not in _SCHEMES:
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        if scheme == "two_stage" and bs is None:
+            raise ConfigurationError("two_stage needs bs")
+        return _plan(scheme, self.m, self.s,
+                     bs if scheme == "two_stage" else None, *self._structure)
+
+    def _priced(self, plan: _Plan) -> Tracer:
+        return Tracer().fold(plan.keys, plan.rows,
+                             price_cells(plan, [self])[0], plan.counts)
 
     # ------------------------------------------------------------------
     # public: one full cycle per solver configuration
     # ------------------------------------------------------------------
     def standard_gmres_cycle(self) -> Tracer:
         """GMRES(m) + CGS2 (paper baseline)."""
-        plan = _plan("gmres", self.m, 1, None, *self._structure)
-        return Tracer().fold(*self._charges(plan))
+        return self._priced(self.plan("gmres"))
 
     def sstep_cycle(self, scheme: str | Callable[[], BlockOrthoScheme],
                     bs: int | None = None) -> Tracer:
         """s-step GMRES under 'bcgs2', 'pip2', 'two_stage' (needs ``bs``)
         or the zero-argument scheme factory ``block_sstep_gmres`` takes
         (recorded and planned at every call)."""
-        if callable(scheme):
-            plan = _build_plan(scheme, self.m, self.s, *self._structure)
-        elif scheme not in _SCHEMES:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
-        elif scheme == "two_stage" and bs is None:
-            raise ConfigurationError("two_stage needs bs")
-        else:
-            plan = _plan(scheme, self.m, self.s,
-                         bs if scheme == "two_stage" else None,
-                         *self._structure)
-        return Tracer().fold(*self._charges(plan))
+        return self._priced(self._sstep_plan(scheme, bs))
 
     def cycle(self, config: str, bs: int | None = None) -> Tracer:
         """One restart cycle of a ``CONFIGS`` entry; two-stage runs at
         the paper's best ``bs = m`` unless told otherwise."""
-        if config == "gmres":
-            return self.standard_gmres_cycle()
-        if config == "two_stage" and bs is None:
-            bs = self.m
-        return self.sstep_cycle(config, bs=bs)
+        return self._priced(self.plan(config, bs))
 
     # ------------------------------------------------------------------
-    def phase_seconds(self, tracer: Tracer) -> dict:
-        """Phase dict with the paper's column conventions."""
+    def phase_seconds(self, tracer: TraceTotals) -> dict:
+        """Phase dict with the paper's column conventions (elementwise
+        when the totals are a block fold's columns)."""
         out = {**tracer.by_phase, "total": tracer.clock}
         for phase in ("spmv", "precond", "ortho", "other"):
             out.setdefault(phase, 0.0)

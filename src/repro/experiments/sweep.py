@@ -3,8 +3,10 @@
 Tables II-IV, Figs. 10-13 and ablations A1/A2 are per-cycle phase and
 kernel seconds of solver configurations at a grid of ``(machine, ranks,
 shape)`` points.  :func:`sweep` is the one loop in ``experiments/`` that
-builds a :class:`CycleCostEstimator` and prices a cycle; each artifact is
-``grid -> sweep -> view -> format`` over the :class:`Frame` it returns.
+builds a :class:`CycleCostEstimator` and prices cycles: the cells (a point
+and a config) that share a plan and a machine are priced as one block of
+arrays and folded by one block fold.  Each artifact is ``grid -> sweep ->
+view -> format`` over the :class:`Frame` it returns.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ import numbers
 from collections import Counter, namedtuple
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
+from repro.experiments import estimator
 from repro.experiments.common import resolve_machine
 from repro.experiments.estimator import CONFIGS, CycleCostEstimator, ProblemShape
+from repro.parallel.tracing import TraceTotals, fold_block
 
 #: ``(label, config, bs)`` of the paper's four configurations; two-stage
 #: runs at ``bs = m``
@@ -63,20 +69,43 @@ class Frame(list):
 
 
 def sweep(points: Iterable[Point]) -> Frame:
-    """Price one restart cycle of every config at every point."""
-    frame = Frame()
+    """Price one restart cycle of every config at every point.
+
+    A cell is a point and a config.  Cells whose plans and machines are
+    the same form a group: one :func:`price_cells` call prices it, one
+    :func:`fold_block` folds it and its rows are laid out once; the frame
+    comes out in grid, config and tracer order whatever the grouping."""
+    cells, groups = [], {}
     for p in points:
         est = CycleCostEstimator(p.machine, p.ranks, p.shape, m=p.m, s=p.s,
                                  precond=p.precond)
         for label, config, bs in p.configs:
-            tracer = est.cycle(config, bs)
-            counts = Counter()
-            for row, seconds in tracer.by_kernel.items():
-                counts[row[0]] += tracer.counts[row]
-                counts["total"] += tracer.counts[row]
-                frame.append(Row(p.key, label, *row, seconds, tracer.counts[row]))
-            frame.extend(Row(p.key, label, phase, None, seconds, counts[phase])
-                         for phase, seconds in est.phase_seconds(tracer).items())
+            plan = est.plan(config, bs)
+            groups.setdefault((id(plan), p.machine), (plan, []))[1].append(
+                len(cells))
+            cells.append((p.key, label, est))
+    laid_out = [None] * len(cells)
+    for plan, members in groups.values():
+        ests = [cells[i][2] for i in members]
+        block = fold_block(plan.keys, plan.rows,
+                           estimator.price_cells(plan, ests), plan.counts)
+        block.check()
+        counts = Counter()
+        for (phase, _), count in zip(block.keys, block.counts.tolist()):
+            counts[phase] += count
+            counts["total"] += count
+        phases = ests[0].phase_seconds(TraceTotals(
+            block.clocks[:, -1], dict(zip(block.phases, block.by_phase.T))))
+        names = [*block.keys, *((phase, None) for phase in phases)]
+        tallies = [*block.counts.tolist(), *(counts[p] for p in phases)]
+        seconds = np.column_stack([block.by_kernel, *(
+            np.broadcast_to(v, len(ests)) for v in phases.values())])
+        for i, row in zip(members, seconds.tolist()):
+            laid_out[i] = zip(names, row, tallies)
+    frame = Frame()
+    for (key, label, _), rows in zip(cells, laid_out):
+        frame.extend(Row(key, label, phase, kernel, seconds, count)
+                     for (phase, kernel), seconds, count in rows)
     return frame
 
 

@@ -13,10 +13,14 @@ Collectives use a hierarchical tree: intra-node hops at NVLink latency,
 inter-node hops at IB latency, plus one device synchronization per
 collective (the GPU pipeline must drain before MPI may touch the buffer).
 
-Every method returns seconds as a plain float; the caller decides the
-tracing category (a local kernel's through :data:`LOCAL_OPS`).  The model
-is deliberately small and fully unit-tested — see
-``tests/parallel/test_costmodel.py``.
+Every method returns seconds; the caller decides the tracing category
+(a local kernel's through :data:`LOCAL_OPS`).  The local-kernel formulas
+are elementwise: given NumPy columns of shapes they return the array of
+the scalar seconds, bit for bit, which is how the paper-scale estimator
+prices a whole sweep (``docs/cost-model.md``); only a branch on a machine
+constant stays a Python ``if``.  :meth:`CostModel.record` hands the tracer
+plain floats.  The model is deliberately small and fully unit-tested —
+see ``tests/parallel/test_costmodel.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from repro.parallel.machine import MachineSpec
 from repro.precision.dtypes import word_bytes as bytes_per_word
@@ -38,6 +44,13 @@ _INT = 4     # bytes per CSR index (cuSparse uses 32-bit local indices)
 #: Native flops per double-double flop (the operands stay float64, so
 #: bandwidth is unchanged): the dd Gram's penalty.
 _DD_FLOPS = 20.0
+
+
+def _narrow(k_inner, n_cols):
+    """The narrow dimension of a GEMM, 1 (a clean stream) when either
+    is empty."""
+    return np.where((k_inner != 0) & (n_cols != 0),
+                    np.minimum(k_inner, n_cols), 1.0)[()]
 
 
 class KernelCharge(NamedTuple):
@@ -80,7 +93,8 @@ class CostModel:
         shapes = [0.0, 0.0]
         seconds = evaluate(CostModel(self.machine, shapes, 1, self._hops))
         return KernelCharge(
-            max(seconds) if isinstance(seconds, list) else seconds, *shapes)
+            float(max(seconds) if isinstance(seconds, list) else seconds),
+            *map(float, shapes))
 
     def times(self, ranks: int) -> "CostModel":
         """This model, for costing ONE shard that ``ranks`` ranks all
@@ -110,7 +124,7 @@ class CostModel:
         m = self.machine
         t_flops = flops / m.peak_flops
         t_bytes = bytes_moved / (m.mem_bandwidth * efficiency)
-        return m.kernel_latency + max(t_flops, t_bytes)
+        return m.kernel_latency + np.maximum(t_flops, t_bytes)
 
     def gemm_efficiency(self, width: float) -> float:
         """Effective bandwidth fraction of a tall-skinny BLAS-2/3 kernel
@@ -123,13 +137,13 @@ class CostModel:
         for the data reuse" with block size ``bs``.
         """
         m = self.machine
-        if width <= 1:
-            return m.gemv_efficiency
         if m.gemm_width_sat <= 2:
-            return m.gemm_bw_efficiency
-        frac = min(1.0, (width - 2.0) / (m.gemm_width_sat - 2.0))
-        return m.gemm_eff_narrow + frac * (m.gemm_bw_efficiency
-                                           - m.gemm_eff_narrow)
+            wide = m.gemm_bw_efficiency
+        else:
+            frac = np.minimum(1.0, (width - 2.0) / (m.gemm_width_sat - 2.0))
+            wide = m.gemm_eff_narrow + frac * (m.gemm_bw_efficiency
+                                               - m.gemm_eff_narrow)
+        return np.where(width <= 1, m.gemv_efficiency, wide)[()]
 
     def gemm(self, m_rows: float, k_inner: float, n_cols: float,
              word_bytes: float = _DOUBLE) -> float:
@@ -144,8 +158,7 @@ class CostModel:
         flops = 2.0 * m_rows * k_inner * n_cols
         bytes_moved = word_bytes * (m_rows * k_inner + k_inner * n_cols
                                     + m_rows * n_cols)
-        eff = self.gemm_efficiency(min(k_inner, n_cols) if k_inner and n_cols
-                                   else 1.0)
+        eff = self.gemm_efficiency(_narrow(k_inner, n_cols))
         return self._roofline(flops, bytes_moved, eff)
 
     def gemm_tall_update(self, m_rows: float, k_inner: float, n_cols: float,
@@ -154,8 +167,7 @@ class CostModel:
         flops = 2.0 * m_rows * k_inner * n_cols
         bytes_moved = word_bytes * (m_rows * k_inner + k_inner * n_cols
                                     + 2.0 * m_rows * n_cols)
-        eff = self.gemm_efficiency(min(k_inner, n_cols) if k_inner and n_cols
-                                   else 1.0)
+        eff = self.gemm_efficiency(_narrow(k_inner, n_cols))
         return self._roofline(flops, bytes_moved, eff)
 
     def syrk(self, m_rows: float, n_cols: float,
@@ -324,8 +336,8 @@ class CostModel:
 def _dot_dd(cost, rows, k_x, k_y, word_bytes=_DOUBLE) -> float:
     """dd ``X.T @ Y``: the GEMM, floored by its flops at the dd penalty."""
     m = cost.machine
-    return max(cost.gemm(rows, k_x, k_y, word_bytes), m.kernel_latency
-               + 2.0 * rows * k_x * k_y * _DD_FLOPS / m.peak_flops)
+    return np.maximum(cost.gemm(rows, k_x, k_y, word_bytes), m.kernel_latency
+                      + 2.0 * rows * k_x * k_y * _DD_FLOPS / m.peak_flops)
 
 
 def _qr(cost, rows, k, word_bytes=_DOUBLE) -> float:
@@ -333,13 +345,14 @@ def _qr(cost, rows, k, word_bytes=_DOUBLE) -> float:
     sweeps, one launch each, streaming at the wide-GEMM efficiency."""
     m = cost.machine
     flops = 4.0 * rows * k * k
-    bytes_moved = word_bytes * rows * k * max(1, k // 4)
+    bytes_moved = word_bytes * rows * k * np.maximum(1, k // 4)
     if cost._shapes is not None:      # recorded like every roofline
         cost._shapes[0] += flops * cost._ranks
         cost._shapes[1] += bytes_moved * cost._ranks
     return (k * m.kernel_latency
-            + max(flops / m.peak_flops,
-                  bytes_moved / (m.mem_bandwidth * m.gemm_bw_efficiency)))
+            + np.maximum(flops / m.peak_flops,
+                         bytes_moved / (m.mem_bandwidth
+                                        * m.gemm_bw_efficiency)))
 
 
 def _sketch_dense(cost, rows, m_rows, k, word_bytes=_DOUBLE) -> float:

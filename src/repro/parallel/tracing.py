@@ -18,9 +18,11 @@ every rank's shard), the hidden part of a posted collective and the
 driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
 the :class:`TraceTotals` columns; the one other row writer is its batch
 twin :meth:`Tracer.fold`, which folds arrays of raw-seconds charges
-exactly as one ``add`` each would.  Spans, snapshots, the metrics view
-(:mod:`repro.obs.metrics`) and a replayed export (:meth:`Tracer.replay`)
-are all read off that one stream.  Nothing reaches the totals by a side
+exactly as one ``add`` each would — the one-row case of
+:func:`fold_block`, which folds a ``(cells x charges)`` block at once.
+Spans, snapshots, the metrics view (:mod:`repro.obs.metrics`) and a
+replayed export (:meth:`Tracer.replay`) are all read off that one
+stream.  Nothing reaches the totals by a side
 channel, so the flop / byte columns are kept whether or not anyone
 reads them.
 
@@ -71,6 +73,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,6 +227,74 @@ class TraceTotals:
         return doc
 
 
+class FoldedBlock(NamedTuple):
+    """What :func:`fold_block` makes of a ``(cells x charges)`` block:
+    per cell the totals of a tracer that took the block's row of charges
+    one :meth:`Tracer.add` at a time."""
+
+    #: The ``(phase, kernel)`` rows the folded charges name, in the order
+    #: they first name them, and their phases, first-seen.
+    keys: tuple
+    phases: tuple
+    #: ``(cells, keys)`` and ``(cells, phases)`` seconds, and the
+    #: ``(keys,)`` occurrences every cell shares.
+    by_kernel: np.ndarray
+    by_phase: np.ndarray
+    counts: np.ndarray
+    #: ``(cells, charges + 1)``: each cell's clock before every folded
+    #: charge and after the last.
+    clocks: np.ndarray
+    #: Why the fold stopped short (a negative charge), or ``None``.
+    error: str | None
+
+    def check(self) -> None:
+        """Raise the ``ValueError`` of a negative charge, if one stopped
+        the fold."""
+        if self.error is not None:
+            raise ValueError(self.error)
+
+
+def fold_block(keys, rows, seconds, counts,
+               start: TraceTotals | None = None) -> FoldedBlock:
+    """Fold a ``(cells x charges)`` block of seconds: charge ``i`` of
+    every cell lands on the row ``keys[rows[i]]`` under its own phase with
+    ``counts[i]`` occurrences, on top of the ``start`` totals (none when
+    omitted).  One ``np.add.at`` per column sums every cell's charges in
+    charge order and ``np.add.accumulate`` runs each clock, so every cell
+    is bit for bit one :meth:`Tracer.add` per charge; never a pairwise
+    ``sum``.  A charge negative in any cell stops the fold before it."""
+    start = TraceTotals() if start is None else start
+    seconds = np.asarray(seconds, dtype=float)
+    negative = np.flatnonzero((seconds < 0).any(axis=0))
+    n = negative[0] if negative.size else seconds.shape[1]
+    at, paid = np.asarray(rows[:n], dtype=np.intp), seconds[:, :n]
+    used = tuple(keys[:at.max(initial=-1) + 1])
+    phases = tuple(dict.fromkeys(phase for phase, _ in used))
+
+    def summed(column, names, index, values, dtype=float):
+        """Every cell's ``values`` added at ``index`` in order onto the
+        ``column`` of the start totals: one flat ``np.add.at``."""
+        sums = np.tile(np.array([column.get(k, 0) for k in names], dtype),
+                       len(values))
+        np.add.at(sums, (np.arange(len(values))[:, None] * len(names)
+                         + index).ravel(), values.ravel())
+        return sums.reshape(len(values), len(names))
+
+    phase_of = np.array([phases.index(p) for p, _ in used], dtype=np.intp)
+    clocks = np.concatenate((np.full((len(paid), 1), start.clock), paid),
+                            axis=1)
+    error = None
+    if negative.size:
+        cell = np.flatnonzero(seconds[:, n] < 0)[0]
+        error = (f"negative cost for kernel {keys[rows[n]][1]!r}: "
+                 f"{float(seconds[cell, n])}")
+    return FoldedBlock(
+        used, phases, summed(start.by_kernel, used, at, paid),
+        summed(start.by_phase, phases, phase_of[at], paid),
+        summed(start.counts, used, at, np.asarray(counts[:n])[None], int)[0],
+        np.add.accumulate(clocks, axis=1), error)
+
+
 @dataclass
 class Tracer(TraceTotals):
     """The live totals plus a global clock, and — when enabled — a
@@ -335,39 +406,23 @@ class Tracer(TraceTotals):
     def fold(self, keys, rows, seconds, counts) -> "Tracer":
         """Fold charge ``i``, ``seconds[i]`` and ``counts[i]`` on the row
         ``keys[rows[i]]`` under its own phase, for every ``i`` at once
-        (``keys`` in the order ``rows`` first names them): a sequential
-        ``np.add.accumulate`` clock and one ``np.add.at`` per column, bit
-        for bit one :meth:`add` per charge, key order and spans included.
-        A negative charge folds those before it, then raises."""
-        seconds = np.asarray(seconds, dtype=float)
-        negative = np.flatnonzero(seconds < 0)
-        n = negative[0] if negative.size else len(seconds)
-        if n:
-            at, paid, counts = np.asarray(rows[:n]), seconds[:n], counts[:n]
-            used = keys[:at.max() + 1]
-            phases = list(dict.fromkeys(phase for phase, _ in used))
-
-            def summed(column, names, index, values, dtype=float):
-                sums = np.array([column.get(k, 0) for k in names], dtype)
-                np.add.at(sums, index, values)   # repeated rows in order
-                return zip(names, sums.tolist())
-
-            self.by_phase.update(summed(self.by_phase, phases, np.array(
-                [phases.index(p) for p, _ in used])[at], paid))
-            self.by_kernel.update(summed(self.by_kernel, used, at, paid))
-            self.counts.update(summed(self.counts, used, at, counts, int))
-            clocks = np.add.accumulate(np.concatenate(([self.clock], paid)))
-            self.clock = float(clocks[-1])
-            if self._spans is not None:
-                clocks = clocks.tolist()
-                self._spans.extend(
-                    SpanEvent(used[row][1], t0, t1, used[row][0], self.stream,
-                              count=int(count), cycle=self._cycle[0])
-                    for row, count, t0, t1 in zip(
-                        at.tolist(), counts, clocks, clocks[1:]))
-        if negative.size:
-            raise ValueError(f"negative cost for kernel "
-                             f"{keys[rows[n]][1]!r}: {float(seconds[n])}")
+        (``keys`` in the order ``rows`` first names them): the one-row
+        case of :func:`fold_block`, bit for bit one :meth:`add` per
+        charge, key order and spans included.  A negative charge folds
+        those before it, then raises."""
+        block = fold_block(keys, rows, [seconds], counts, self)
+        self.by_phase.update(zip(block.phases, block.by_phase[0].tolist()))
+        self.by_kernel.update(zip(block.keys, block.by_kernel[0].tolist()))
+        self.counts.update(zip(block.keys, block.counts.tolist()))
+        clocks = block.clocks[0].tolist()
+        self.clock = clocks[-1]
+        if self._spans is not None:
+            self._spans.extend(
+                SpanEvent(keys[row][1], t0, t1, keys[row][0], self.stream,
+                          count=int(count), cycle=self._cycle[0])
+                for row, count, t0, t1 in zip(
+                    np.asarray(rows).tolist(), counts, clocks, clocks[1:]))
+        block.check()
         return self
 
     def replay(self, spans) -> "Tracer":

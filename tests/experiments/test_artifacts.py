@@ -12,9 +12,15 @@ from repro.experiments import fig6, fig7, fig8, fig9, fig10_12, fig13
 from repro.experiments import runner, sketch_stability
 from repro.experiments import table2, table3, table4, ablations
 from repro.experiments.common import ExperimentTable, fmt, resolve_machine, speedup
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
-from repro.experiments.paper_data import TABLE3, TABLE3_ITERS
-from repro.experiments.sweep import PAPER_CONFIGS, strong_scaling, sweep
+from repro.experiments import estimator as est_mod
+from repro.experiments.estimator import (
+    CycleCostEstimator,
+    PrecondShape,
+    ProblemShape,
+)
+from repro.experiments.paper_data import TABLE3, TABLE3_ITERS, TABLE4
+from repro.experiments.sweep import PAPER_CONFIGS, Point, strong_scaling, sweep
+from repro.parallel.machine import summit, vortex
 
 
 class TestCommon:
@@ -253,7 +259,17 @@ def test_printed_text_is_pinned(name):
 FRAME_DIGEST = "77570f1aed90351270b6b15574063b169cfb467b433484a36a457020a6f88f43"
 
 
-def test_sweep_frames_are_pinned_below_the_printed_digits(monkeypatch):
+#: the same over the frames behind ``fig10_12.run_all()``,
+#: ``table3.modeled_config_times`` at every Table III node count and
+#: ``table4.per_iteration_times`` of every Table IV matrix (what
+#: ``paper_fidelity`` reads): recorded before a sweep priced its cells in
+#: groups
+FIDELITY_FRAME_DIGEST = (
+    "89121c6e4c47dcf42ae3cf6ad4ee0172c375352d71ada736b52612cec0ac3fd7")
+
+
+def _frame_digest(monkeypatch, modules):
+    """A sha256 that every frame ``sweep`` returns in ``modules`` updates."""
     digest = hashlib.sha256()
 
     def recording(points, _sweep=sweep):
@@ -263,12 +279,28 @@ def test_sweep_frames_are_pinned_below_the_printed_digits(monkeypatch):
                           f"{float(r.seconds).hex()}|{r.count}\n".encode())
         return frame
 
-    for module in (table2, table3, table4, fig13, ablations):
+    for module in modules:
         monkeypatch.setattr(module, "sweep", recording)
+    return digest
+
+
+def test_sweep_frames_are_pinned_below_the_printed_digits(monkeypatch):
+    digest = _frame_digest(monkeypatch,
+                           (table2, table3, table4, fig13, ablations))
     for run in (table2.run, table3.run, table4.run, fig13.run,
                 ablations.run_sync_vs_reuse, ablations.run_bs_grid):
         run()
     assert digest.hexdigest() == FRAME_DIGEST
+
+
+def test_fidelity_frames_are_pinned(monkeypatch):
+    digest = _frame_digest(monkeypatch, (fig10_12, table3, table4))
+    fig10_12.run_all()
+    for nodes in TABLE3:
+        table3.modeled_config_times(nodes)
+    for name in TABLE4:
+        table4.per_iteration_times(name)
+    assert digest.hexdigest() == FIDELITY_FRAME_DIGEST
 
 
 class TestGridErrors:
@@ -277,11 +309,23 @@ class TestGridErrors:
 
     @pytest.fixture
     def priced(self, monkeypatch):
-        calls = []
-        for name in ("sstep_cycle", "standard_gmres_cycle"):
-            monkeypatch.setattr(CycleCostEstimator, name,
-                                lambda *a, **kw: calls.append(a))
-        return calls
+        """The cells the group pricer is handed, every sweep's and every
+        single cycle's."""
+        cells = []
+
+        def recording(plan, ests, _inner=est_mod.price_cells):
+            cells.extend(ests)
+            return _inner(plan, ests)
+        monkeypatch.setattr(est_mod, "price_cells", recording)
+        return cells
+
+    def test_a_valid_grid_is_priced_through_the_fixture(self, priced):
+        """What keeps ``priced == []`` below from passing vacuously."""
+        sweep(strong_scaling([1, 2], PAPER_CONFIGS))
+        assert len(priced) == 2 * len(PAPER_CONFIGS)
+        CycleCostEstimator(resolve_machine("summit"), 6,
+                           ProblemShape.stencil2d(100), m=10, s=5).cycle("pip2")
+        assert len(priced) == 2 * len(PAPER_CONFIGS) + 1
 
     @pytest.mark.parametrize("run, named", [
         (lambda: table4.run(matrices=["ecology2", "nope"]), ["nope", "ML_Geer"]),
@@ -343,3 +387,59 @@ class TestOneFrame:
             seconds, count = sums.get(key, (0.0, 0))
             assert seconds == pytest.approx(row.seconds, rel=1e-12, abs=0), key
             assert count == row.count, key
+
+
+class TestGroupedSweep:
+    """Cells that share a plan and a machine are priced and folded as one
+    block; the frame is the one every cell would give alone."""
+
+    @staticmethod
+    def grid() -> list:
+        shape = ProblemShape.stencil2d(300, 9)
+        configs = (*PAPER_CONFIGS, ("ts-10", "two_stage", 10),
+                   ("ts-20", "two_stage", 20))
+        slow_net = summit().with_overrides(net_latency_inter=2.0e-5)
+        return [Point(key, machine, ranks, point_shape, precond, 60, 5,
+                      configs)
+                for key, (machine, ranks, point_shape, precond) in enumerate([
+                    (summit(), 1, shape, None),
+                    (summit(), 12, shape, None),
+                    (summit(), 24, shape, PrecondShape(2, 3)),
+                    (vortex(), 24, shape, None),
+                    (slow_net, 24, shape, None),
+                    (summit(), 96, table4.problem_shape("ecology2", 96),
+                     None),
+                    (summit(), 96, table4.problem_shape("thermal2", 96),
+                     PrecondShape()),
+                    (summit(), 48, shape, PrecondShape(2, 3)),
+                ])]
+
+    @staticmethod
+    def hexed(frame) -> list:
+        return [(*r[:4], float(r.seconds).hex(), r.count) for r in frame]
+
+    def test_one_sweep_is_the_per_point_sweeps(self, monkeypatch):
+        groups = []
+
+        def counted(plan, ests, _inner=est_mod.price_cells):
+            groups.append(len(ests))
+            return _inner(plan, ests)
+        monkeypatch.setattr(est_mod, "price_cells", counted)
+        points = self.grid()
+        whole = sweep(points)
+        assert max(groups) > 1 and sum(groups) == 6 * len(points)
+        parts = [r for p in points for r in sweep([p])]
+        assert self.hexed(whole) == self.hexed(parts)
+
+    def test_every_cell_is_its_single_cycle(self):
+        frame = sweep(self.grid())
+        for p in self.grid():
+            est = CycleCostEstimator(p.machine, p.ranks, p.shape, m=p.m,
+                                     s=p.s, precond=p.precond)
+            for label, config, bs in p.configs:
+                cycle = est.cycle(config, bs)
+                assert [(r.phase, r.kernel, r.seconds.hex(), r.count)
+                        for r in frame if (r.key, r.label) == (p.key, label)
+                        and r.kernel is not None] == [
+                    (*row, seconds.hex(), cycle.counts[row])
+                    for row, seconds in cycle.by_kernel.items()]

@@ -226,6 +226,38 @@ class TestEstimatorStructure:
         with pytest.raises(ConfigurationError, match=message):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PrecondShape(sweeps=0), r"^sweeps must be positive, got 0$"),
+        (lambda: PrecondShape(sweeps=1.5), r"^sweeps must be an int, got float$"),
+        (lambda: PrecondShape(colors=-1000),
+         r"^colors must be positive, got -1000$"),
+        (lambda: ProblemShape(n=0, nnz=5.0, halo_cols=1.0),
+         r"^n must be positive, got 0$"),
+        (lambda: ProblemShape(n=100.0, nnz=5.0, halo_cols=1.0),
+         r"^n must be an int, got float$"),
+        (lambda: ProblemShape(n=100, nnz=-5.0, halo_cols=1.0),
+         r"^nnz must be a finite number > 0, got -5.0$"),
+        (lambda: ProblemShape(n=100, nnz=float("inf"), halo_cols=1.0),
+         r"^nnz must be a finite number > 0, got inf$"),
+        (lambda: ProblemShape(n=100, nnz=500.0, halo_cols=-1.0),
+         r"^halo_cols must be a finite number >= 0, got -1.0$"),
+        (lambda: ProblemShape(n=100, nnz=500.0, halo_cols=float("nan")),
+         r"^halo_cols must be a finite number >= 0, got nan$")],
+        ids=["sweeps-zero", "sweeps-fractional", "colors-negative", "n-zero",
+             "n-float", "nnz-negative", "nnz-infinite", "halo_cols-negative",
+             "halo_cols-nan"])
+    def test_shape_fields_are_checked_at_construction(self, build, message):
+        """Each used to be priced: a free preconditioner, a fractional
+        sweep, a late "negative cost for kernel 'spmv_local'" in the fold,
+        a bcgs2 cycle of a matrix with negative nonzeros."""
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+    def test_precond_shape_is_frozen_and_hashable(self):
+        assert hash(PrecondShape(2, 3)) == hash(PrecondShape(2, 3))
+        with pytest.raises(AttributeError):
+            PrecondShape().sweeps = 0
+
     @pytest.mark.parametrize("ranks", [1, 6, 96, 192])
     def test_table4_shapes_still_build(self, ranks):
         for name in TABLE4_SHAPES:
@@ -259,23 +291,20 @@ class TestOneConfigDoor:
                        for mod in (table2, table3, table4, fig13, fig10_12))
 
     def test_each_table_prices_only_what_it_prints(self, monkeypatch):
-        """24 + 28 + 24 + 18 (+ 6 for Table II): Fig. 10-12 price one
-        scheme per node count, not four (the benchmark's
-        ``experiments.estimator.cycles``)."""
-        calls = []
-        for name in ("sstep_cycle", "standard_gmres_cycle"):
-            inner = getattr(CycleCostEstimator, name)
+        """24 + 28 + 24 + 18 (+ 6 for Table II) cells: Fig. 10-12 price
+        one scheme per node count, not four."""
+        cells = []
 
-            def counted(self, *args, _inner=inner, **kw):
-                calls.append(_inner.__name__)
-                return _inner(self, *args, **kw)
-            monkeypatch.setattr(CycleCostEstimator, name, counted)
+        def counted(plan, ests, _inner=est_mod.price_cells):
+            cells.extend(ests)
+            return _inner(plan, ests)
+        monkeypatch.setattr(est_mod, "price_cells", counted)
         for run, cycles in ((table3.run, 24), (table4.run, 28),
                             (fig13.run, 24), (fig10_12.run_all, 18),
                             (table2.run, 6)):
-            calls.clear()
+            cells.clear()
             run()
-            assert len(calls) == cycles, run.__module__
+            assert len(cells) == cycles, run.__module__
 
 
 # ----------------------------------------------------------------------

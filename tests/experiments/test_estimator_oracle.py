@@ -5,6 +5,7 @@ equal bit for bit, key order included."""
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 import pytest
 
@@ -14,8 +15,10 @@ from repro.experiments.estimator import (
     CycleCostEstimator,
     PrecondShape,
     ProblemShape,
+    price_cells,
 )
 from repro.ortho.two_stage import TwoStageScheme
+from repro.parallel.costmodel import LOCAL_OPS, CostModel
 from repro.parallel.machine import summit
 
 #: a two-stage big step that divides none of the restart lengths
@@ -59,16 +62,30 @@ def test_plan_equals_per_charge_oracle(case, ranks, precond, m, s):
     assert rows(priced) == rows(expected)
 
 
-def test_an_estimator_prices_each_op_once():
-    """Four cycles on one estimator share their common ops' prices."""
-    est = CycleCostEstimator(summit(), 12, ProblemShape.stencil2d(300, 9),
-                             m=12, s=2)
-    calls = []
-    price = est._price
-    est._price = lambda op: calls.append(op) or price(op)
-    for config in CONFIGS:
-        est.cycle(config)
-    assert len(calls) == len(set(calls)) > 0
-    for config in CONFIGS:
-        est.cycle(config)
-    assert len(calls) == len(set(calls))
+def test_a_group_prices_each_op_kind_once(monkeypatch):
+    """Six points of one plan: every local op kind, the host flops and the
+    SpMV are one formula call each; a collective and a halo exchange are
+    priced per cell."""
+    calls = Counter()
+
+    def counted(name, formula):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return formula(*args, **kwargs)
+        return count
+
+    for name, (kernel, formula) in LOCAL_OPS.items():
+        monkeypatch.setitem(LOCAL_OPS, name, (kernel, counted(name, formula)))
+    for name in ("allreduce", "halo_exchange", "host_dense", "spmv"):
+        monkeypatch.setattr(CostModel, name,
+                            counted(name, getattr(CostModel, name)))
+    ests = [CycleCostEstimator(summit(), ranks, ProblemShape.stencil2d(300, 9),
+                               m=12, s=2) for ranks in (6, 12, 24, 48, 96, 192)]
+    plan = ests[0].plan("two_stage")
+    prices = price_cells(plan, ests)
+    kinds = {kind.name for kind in plan.kinds}
+    assert {"dot", "update", "host", "allreduce", "halo"} <= kinds
+    assert calls == {**dict.fromkeys(kinds & set(LOCAL_OPS), 1),
+                     "host_dense": 1, "spmv": 1, "allreduce": len(ests),
+                     "halo_exchange": len(ests)}
+    assert prices.shape == (len(ests), len(plan.rows))

@@ -188,9 +188,11 @@ def _writes_a_row(node: ast.AST, bare: bool) -> bool:
 
 def test_tracer_add_is_called_from_the_funnels_and_fold_from_the_estimator():
     """One ``add`` per live charge; the paper-scale estimator hands a whole
-    cycle to the batch fold instead, and ``add`` and ``fold`` are the only
-    functions that write a row — both in ``tracing.py``."""
-    callers, folds, writers = set(), set(), set()
+    cycle to the batch fold instead, and the sweep a block of cycles to
+    the block fold :meth:`Tracer.fold` is the one-row case of; ``add`` and
+    ``fold`` are the only functions that write a row — both in
+    ``tracing.py``."""
+    callers, folds, blocks, writers = set(), set(), set(), set()
     for path in SRC.rglob("*.py"):
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text())
@@ -200,6 +202,8 @@ def test_tracer_add_is_called_from_the_funnels_and_fold_from_the_estimator():
                 callers.add(where)
             if isinstance(call.func, ast.Attribute) and call.func.attr == "fold":
                 folds.add(where)
+            if getattr(call.func, "id", None) == "fold_block":
+                blocks.add(where)
         bare = rel == "parallel/tracing.py"
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef) and any(
@@ -211,8 +215,10 @@ def test_tracer_add_is_called_from_the_funnels_and_fold_from_the_estimator():
         # the replay of exported spans folds through the same function
         ("parallel/tracing.py", "Tracer", "replay"),
     }
-    assert folds == {("experiments/estimator.py", "CycleCostEstimator", fn)
-                     for fn in ("sstep_cycle", "standard_gmres_cycle")}
+    assert folds == {("experiments/estimator.py", "CycleCostEstimator",
+                      "_priced")}
+    assert blocks == {("experiments/sweep.py", "sweep", "sweep"),
+                      ("parallel/tracing.py", "Tracer", "fold")}
     assert writers == {("parallel/tracing.py", "add"),
                        ("parallel/tracing.py", "fold")}
 

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+from inspect import signature
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.costmodel import CostModel
+from repro.parallel.costmodel import LOCAL_OPS, CostModel
 from repro.parallel.machine import generic_cpu, summit, vortex
+
+SAT = int(summit().gemm_width_sat)
+#: column widths: empty, a GEMV, the split-k trough, around the wide
+#: plateau's edge, far past it, and anything in between
+WIDTHS = st.sampled_from([0, 1, 2, SAT - 1, SAT, SAT + 1, 10_000]) | \
+    st.integers(0, 300)
+WORDS = st.sampled_from([8.0, 4.0, 2.0])
+#: the presets, and one whose GEMMs all run at the wide efficiency
+MACHINES = [summit(), vortex(), summit().with_overrides(gemm_width_sat=2.0)]
 
 
 @pytest.fixture
@@ -151,3 +163,35 @@ class TestSpmvWordSize:
         saved = 4.0 * 2e7 / (cm.machine.mem_bandwidth
                              * cm.machine.spmv_efficiency)
         assert t64 - t32 == pytest.approx(saved, rel=1e-12)
+
+
+class TestArrayFormulas:
+    """A local formula evaluated on NumPy columns is its scalar evaluation
+    element by element, bit for bit: what prices a sweep's cells."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), op=st.sampled_from(sorted(LOCAL_OPS)),
+           machine=st.sampled_from(MACHINES))
+    def test_columns_price_like_scalars(self, data, op, machine):
+        formula, cost = LOCAL_OPS[op][1], CostModel(machine)
+        k = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.integers(0, 10**7), min_size=1,
+                                  max_size=4))
+        args = [data.draw(st.lists(WORDS if name == "word_bytes" else WIDTHS,
+                                   min_size=k, max_size=k))
+                for name in list(signature(formula).parameters)[2:]]
+        block = formula(cost, np.array(rows)[:, None],
+                        *(np.array(column) for column in args))
+        assert block.shape == (len(rows), k)
+        assert [[x.hex() for x in row] for row in block.tolist()] == [
+            [float(formula(cost, r, *each)).hex() for each in zip(*args)]
+            for r in rows]
+
+    @pytest.mark.parametrize("op", sorted(LOCAL_OPS))
+    def test_a_record_holds_python_floats(self, cm, op):
+        formula = LOCAL_OPS[op][1]
+        args = (3,) * (len(signature(formula).parameters) - 2)
+        for charge in (cm.record(lambda c: formula(c, 1000, *args)),
+                       cm.record(lambda c: [formula(c, r, *args)
+                                            for r in (10, 1000)])):
+            assert [type(v) for v in charge] == [float] * 3

@@ -17,7 +17,13 @@ import pytest
 
 from repro.distla.engine import charge_rows, charge_shards
 from repro.distla.multivector import DistMultiVector
-from repro.experiments.estimator import CycleCostEstimator, ProblemShape
+from repro.experiments.estimator import (
+    CycleCostEstimator,
+    ProblemShape,
+    _kinds,
+    _Plan,
+    price_cells,
+)
 from repro.parallel.communicator import SimComm
 from repro.parallel.costmodel import LOCAL_OPS
 from repro.parallel.machine import summit
@@ -77,4 +83,6 @@ def test_per_shard_and_per_run_records_agree(op, shape, storage):
             m=5, s=5)
         assert est.nl == math.ceil(N / RANKS) == partition.counts[0]
         call = (op, *op_args(op, word_bytes(storage)))
-        assert est._price(call) == seconds
+        plan = _Plan((call,), (), np.zeros(1, np.intp), np.zeros(1, np.intp),
+                     np.ones(1, np.intp), _kinds((call,)))
+        assert price_cells(plan, [est]).tolist() == [[seconds]]
