@@ -56,8 +56,7 @@ from repro.ortho import (
 )
 from repro.precision import PrecisionPolicy, resolve_policy
 from repro.krylov import (Simulation, SolverOptions, adaptive_sstep_gmres,
-                          block_sstep_gmres, gmres, gmres_ir,
-                          pipelined_gmres, sstep_gmres)
+                          block_sstep_gmres, gmres, gmres_ir, sstep_gmres)
 from repro import service
 
 __all__ = [
@@ -102,6 +101,5 @@ __all__ = [
     "block_sstep_gmres",
     "gmres_ir",
     "adaptive_sstep_gmres",
-    "pipelined_gmres",
     "service",
 ]

@@ -68,27 +68,6 @@ def block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]
     return _engine.resolve(comm).block_dot_multi(pairs)
 
 
-def post_block_dot_multi(pairs: list[tuple[DistMultiVector, DistMultiVector]]):
-    """Posted :func:`block_dot_multi`: partials and their charges now,
-    the fused allreduce posted nonblocking.
-
-    Returns a :class:`~repro.parallel.communicator.CommRequest`; settle
-    with ``request.comm.wait(request)``, which yields the same list of
-    reduced arrays — bit-identical to the blocking call — and charges
-    only the exposed (non-overlapped) remainder of the collective.
-    ``pairs`` must be non-empty: an empty post has no communicator to
-    draw a request from.
-    """
-    if not pairs:
-        raise ShapeError("post_block_dot_multi needs at least one pair")
-    comm = pairs[0][0].comm
-    for x, y in pairs:
-        _check_same_partition(x, y)
-        if x.comm is not comm:
-            raise ShapeError("fused dots must share a communicator")
-    return _engine.resolve(comm).post_block_dot_multi(pairs)
-
-
 def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Double-double accurate ``X.T @ Y`` with a fused dd allreduce.

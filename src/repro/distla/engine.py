@@ -187,13 +187,6 @@ class LoopEngine(KernelEngine):
     def block_dot_multi(self, pairs) -> list[np.ndarray]:
         return pairs[0][0].comm.allreduce(self._dot_partials(pairs))
 
-    def post_block_dot_multi(self, pairs):
-        """Posted :meth:`block_dot_multi`: local partials (and their
-        charges) now, the fused allreduce in flight — settle with
-        ``comm.wait(handle)``.  Results are bit-identical to the
-        blocking call."""
-        return pairs[0][0].comm.post_allreduce(self._dot_partials(pairs))
-
     def column_norms(self, x) -> np.ndarray:
         acc = _acc_dtype(x)
         partials = []

@@ -25,7 +25,6 @@ from repro.experiments import (
     fig9,
     fig10_12,
     fig13,
-    overlap_tradeoff,
     precision_stability,
     rgs_convergence,
     service_throughput,
@@ -61,7 +60,6 @@ REGISTRY = {
     "ca_mpk": _module(ca_mpk_tradeoff) + [
         (partial(ca_mpk_tradeoff.run, precond_name=pc), None)
         for pc in ("jacobi", "block_jacobi")],
-    "overlap": _module(overlap_tradeoff),
     "service": _module(service_throughput),
     "backend": _module(backend_validation),
     "calibrate": _module(calibration),

@@ -21,7 +21,6 @@ from repro.krylov.sstep_gmres import sstep_gmres
 from repro.krylov.block import block_sstep_gmres
 from repro.krylov.ir import gmres_ir
 from repro.krylov.adaptive import adaptive_sstep_gmres
-from repro.krylov.pipelined import pipelined_gmres
 
 __all__ = [
     "Simulation",
@@ -40,5 +39,4 @@ __all__ = [
     "block_sstep_gmres",
     "gmres_ir",
     "adaptive_sstep_gmres",
-    "pipelined_gmres",
 ]

@@ -338,60 +338,18 @@ class MatrixPowersKernel:
             v_k = v_new
 
 
-def overlap_ring_hides(op: PreconditionedOperator, comm, s: int,
-                       word_bytes: float = 8.0) -> bool:
-    """Does the PA2 deep-ring exchange fully hide behind the first
-    owned-rows SpMV?  The cost-model predicate behind ``mpk_mode="auto"``.
-
-    The overlapped kernel only beats plain ``"ca"`` when the posted
-    ring's wire time drains entirely inside the overlap window — the
-    first step's owned-rows SpMV (see :meth:`MatrixPowersKernel
-    ._extend_ca`).  Both sides are evaluated with the exact quantities
-    the kernel itself charges: the worst-rank
-    :meth:`~repro.parallel.costmodel.CostModel.halo_exchange` over
-    ``ring_recv_bytes`` versus the worst-rank owned-rows
-    :meth:`~repro.parallel.costmodel.CostModel.spmv`.  On a machine
-    whose per-message latency dominates (the ring's fixed cost scales
-    with it, the window does not), splitting one exchange into two
-    stops paying for itself and the predicate flips off.
-
-    Only defined for the unpreconditioned operator — PA2 rejects any
-    real preconditioner — and trivially false when the closure has no
-    deep ring (``s < 2`` or a degenerately small grid).
-    """
-    if s < 2 or not op.supports_ca or op.is_preconditioned:
-        return False
-    plan = op.matrix.ghost_plan(s, op.ghost_expand)
-    ring = plan.ring_recv_bytes(word_bytes, n_vectors=1)
-    if not any(ring):
-        return False
-    cost = comm.cost
-    ranks = op.matrix.partition.ranks
-    ring_cost = max(cost.halo_exchange(ring[r], r, ranks)
-                    for r in range(ranks))
-    window = max(cost.spmv(int(plan.level_nnz[r, 0]),
-                           int(plan.level_rows[r, 0]),
-                           int(plan.level_rows[r, 1]),
-                           word_bytes=word_bytes)
-                 for r in range(ranks))
-    return ring_cost <= window
-
-
-def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str, comm,
-                     s: int, word_bytes: float = 8.0) -> str:
+def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str) -> str:
     """Resolve a solver-level ``mpk_mode`` (possibly ``"auto"``) to a
     concrete :class:`MatrixPowersKernel` mode.
 
-    ``"auto"`` falls back to ``"standard"`` when the preconditioner has
-    no finite ghost closure, escalates to ``"ca_overlap"`` when
-    :func:`overlap_ring_hides` predicts the posted ring is free, and
-    settles on ``"ca"`` otherwise.  Explicit modes pass through
-    untouched (their validation lives in :class:`MatrixPowersKernel`).
+    ``"auto"`` is ``"ca"`` when the preconditioner has a finite ghost
+    closure and ``"standard"`` otherwise.  It never picks
+    ``"ca_overlap"``: the PA2 kernel pays an extra depth-1 exchange and
+    splits the first SpMV, which costs more modeled time than the deep
+    ring it hides on every machine tried.  Explicit
+    modes pass through untouched (their validation lives in
+    :class:`MatrixPowersKernel`).
     """
     if mpk_mode != "auto":
         return mpk_mode
-    if not op.supports_ca:
-        return "standard"
-    if overlap_ring_hides(op, comm, s, word_bytes=word_bytes):
-        return "ca_overlap"
-    return "ca"
+    return "ca" if op.supports_ca else "standard"

@@ -1,8 +1,8 @@
 """Solver configuration: :class:`SolverOptions` and its mode constants.
 
 The behaviour knobs of the solvers that a caller actually sets —
-``solve_mode``, ``mpk_mode``, ``comm_overlap`` and ``precision`` —
-travel in one immutable :class:`SolverOptions` value::
+``solve_mode``, ``mpk_mode`` and ``precision`` — travel in one
+immutable :class:`SolverOptions` value::
 
     opts = SolverOptions(solve_mode="sketched", mpk_mode="ca")
     result = sstep_gmres(sim, b, s=5, restart=30, options=opts)
@@ -31,14 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SOLVE_MODES = ("classical", "sketched")
 
 #: Valid ``mpk_mode`` values: the three kernel modes plus ``"auto"``
-#: (communication-avoiding whenever the preconditioner composes,
-#: standard otherwise — the fallback the paper's Trilinos setting
-#: hard-codes).  ``auto`` escalates to the overlapped PA2 kernel when
-#: the cost model predicts the deep-ring exchange hides entirely behind
-#: the first owned-rows SpMV (see
-#: :func:`repro.krylov.mpk.overlap_ring_hides`); on latency-bound
-#: machines where the ring pokes out of that window it stays on plain
-#: ``"ca"``.
+#: (``"ca"`` whenever the preconditioner composes, standard otherwise —
+#: the fallback the paper's Trilinos setting hard-codes; see
+#: :func:`repro.krylov.mpk.resolve_mpk_mode`).
 MPK_SOLVER_MODES = ("standard", "ca", "ca_overlap", "auto")
 
 
@@ -76,25 +71,12 @@ class SolverOptions:
         preconditioner has no finite ghost closure), ``"ca_overlap"``
         (the PA2 variant of ``"ca"``: eager depth-1 shell, deep ring
         posted nonblocking and overlapped with the first local SpMV;
-        unpreconditioned operators only), or ``"auto"`` (CA when the
-        preconditioner composes, standard fallback otherwise; picks
-        ``"ca_overlap"`` over ``"ca"`` when
-        :func:`repro.krylov.mpk.overlap_ring_hides` predicts the deep
-        ring fully hides behind the first owned-rows SpMV — true on
-        bandwidth-rich machines, false once network latency inflates
-        the ring's fixed cost past the compute window).
+        unpreconditioned operators only), or ``"auto"`` (``"ca"`` when
+        the preconditioner composes, standard fallback otherwise; it
+        never picks ``"ca_overlap"``, whose extra depth-1 exchange and
+        split SpMV cost more than the ring it hides).
         All kernels generate bit-identical bases; only the
         communication profile — and hence the modeled time — differs.
-    comm_overlap:
-        Opt-in overlap of the *solver-level* fused reductions: the
-        pipelined/low-synch schemes post the partial fused dot products
-        whose inputs are already final at the end of the previous push
-        and overlap them with the next operator application
-        (``comm.post_allreduce`` / ``comm.wait``).  Off by default
-        because it changes the collective *count* profile (two smaller
-        reductions per iteration instead of one fused one) that the
-        communication-budget tests pin down; numerical results are
-        bit-identical either way.
     precision:
         A :class:`~repro.precision.policy.PrecisionPolicy` (or
         registered name, e.g. ``"fp32"``) for the Krylov basis: the
@@ -110,7 +92,6 @@ class SolverOptions:
 
     solve_mode: str = "classical"
     mpk_mode: str = "standard"
-    comm_overlap: bool = False
     precision: "PrecisionPolicy | str | None" = None
 
     def __post_init__(self) -> None:

@@ -53,7 +53,6 @@ from repro.obs.telemetry import SolveTelemetry
 from repro.ortho.base import BlockOrthoScheme, OrthoObserver
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.precision.kernels import MixedPrecisionTwoStageScheme
-from repro.precision.dtypes import word_bytes as _bytes_per_word
 from repro.precision.policy import resolve_policy
 from repro.precond.base import Preconditioner
 from repro.sketch import (
@@ -193,8 +192,8 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
         Forwarded to the scheme for numerics instrumentation.
     options:
         A :class:`~repro.krylov.options.SolverOptions` bundling the
-        behaviour knobs — ``solve_mode``, ``mpk_mode``, ``comm_overlap``
-        and ``precision``; see its docstring for the knob-by-knob
+        behaviour knobs — ``solve_mode``, ``mpk_mode`` and
+        ``precision``; see its docstring for the knob-by-knob
         reference.  Defaults to ``SolverOptions()`` (classical
         coordinate solve, standard MPK, fp64 storage).  It is the one
         way in: a knob passed as a bare keyword is Python's own
@@ -239,8 +238,7 @@ def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
         sim, *check_inputs(sim, b, x0, s=s, restart=restart,
                            maxiter=maxiter, tol=tol), precond)
         for b, x0, tol, maxiter in requests]
-    kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode, sim.comm, s,
-                                   word_bytes=_bytes_per_word(policy.storage))
+    kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode)
     members = []
     for solve, (_, _, tol, maxiter) in zip(solves, requests):
         scheme = (scheme_factory() if scheme_factory is not None

@@ -33,7 +33,6 @@ from repro.ortho.hhqr import HouseholderQR
 from repro.ortho.tsqr import TSQRFactor
 from repro.ortho.sketched import SketchedCholQR
 from repro.ortho.cgs import cgs2_append, mgs_append
-from repro.ortho.low_sync import DCGS2Orthogonalizer
 from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import (
     BCGSPIP2Scheme,
@@ -68,7 +67,6 @@ __all__ = [
     "TSQRFactor",
     "cgs2_append",
     "mgs_append",
-    "DCGS2Orthogonalizer",
     "BCGS2Scheme",
     "BCGSPIPScheme",
     "BCGSPIP2Scheme",

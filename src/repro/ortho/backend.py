@@ -64,23 +64,6 @@ class OrthoBackend(ABC):
     def fused_dots(self, pairs: list[tuple]) -> list[np.ndarray]:
         """Several ``X.T @ Y`` in ONE synchronization (BCGS-PIP fusion)."""
 
-    def post_fused_dots(self, pairs: list[tuple]):
-        """Post :meth:`fused_dots` nonblocking; settle the returned
-        handle with :meth:`wait_fused_dots`.
-
-        Default: evaluate immediately and hand back the results as the
-        handle — correct (bit-identical, zero overlap) for substrates
-        without a communicator.  :class:`DistBackend` overrides with a
-        real posted collective whose modeled time the compute charged
-        between post and wait drains.
-        """
-        return self.fused_dots(pairs)
-
-    def wait_fused_dots(self, handle) -> list[np.ndarray]:
-        """Settle a :meth:`post_fused_dots` handle, returning the same
-        list of products the blocking call would have produced."""
-        return handle
-
     @abstractmethod
     def dot_dd(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Double-double accurate ``X.T @ Y`` — one synchronization."""
@@ -242,12 +225,6 @@ class DistBackend(OrthoBackend):
 
     def fused_dots(self, pairs):
         return dblas.block_dot_multi(pairs)
-
-    def post_fused_dots(self, pairs):
-        return dblas.post_block_dot_multi(pairs)
-
-    def wait_fused_dots(self, handle):
-        return handle.comm.wait(handle)
 
     def dot_dd(self, x, y):
         return dblas.dot_dd_dist(x, y)

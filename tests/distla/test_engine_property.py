@@ -104,9 +104,7 @@ def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
 
     values = [blas.block_dot(q, v)]
     values += blas.block_dot_multi([(q, v), (v, v)])
-    request = blas.post_block_dot_multi([(v, q), (q, q)])
-    blas.block_update(v, q, r_proj)  # inside the window
-    values += comm.wait(request)
+    blas.block_update(v, q, r_proj)
     values += blas.dot_dd_dist(q, v)
     values.append(blas.column_norms(q))
     blas.trsm_inplace(v, r_tri)

@@ -10,7 +10,6 @@ charges must equal the loop engine's.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.distla import blas
 from repro.distla.multivector import DistMultiVector
@@ -35,16 +34,11 @@ def fused_pairs(comm):
     return [(built_q, built_v), (packed_v, packed_v), (built_q, packed_v)]
 
 
-@pytest.mark.parametrize("posted", [False, True], ids=["blocking", "posted"])
-def test_batched_equals_loop_on_mixed_pairs(posted):
+def test_batched_equals_loop_on_mixed_pairs():
     out = {}
     for engine in ("loop", "batched"):
         comm = SimComm(generic_cpu(), RANKS, Tracer(), engine=engine)
-        pairs = fused_pairs(comm)
-        if posted:
-            results = comm.wait(blas.post_block_dot_multi(pairs))
-        else:
-            results = blas.block_dot_multi(pairs)
+        results = blas.block_dot_multi(fused_pairs(comm))
         out[engine] = (results, comm.tracer.snapshot())
     for got, want in zip(out["batched"][0], out["loop"][0]):
         assert got.tobytes() == want.tobytes()

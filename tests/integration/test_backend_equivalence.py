@@ -131,38 +131,6 @@ class TestSolveEquivalence:
         self._happy_breakdown(scale, ranks, engine)
 
 
-class TestOverlappedPipelined:
-    def test_pipelined_comm_overlap_equivalent(self):
-        """The posted-reduction path maps onto genuinely asynchronous
-        worker-side progress on mp, with the modeled twin still carrying
-        the sim prediction bit-for-bit."""
-        from repro.krylov.pipelined import pipelined_gmres
-        a = laplace2d(16)
-        b = np.ones(a.shape[0])
-        out = {}
-        for backend in ("sim", "mp"):
-            with Simulation(a, ranks=4, machine=generic_cpu(),
-                            backend=backend) as sim:
-                res = pipelined_gmres(
-                    sim, b, restart=12, tol=1e-8, maxiter=2000,
-                    options=SolverOptions(comm_overlap=True))
-                modeled = (sim.comm.modeled if backend == "mp"
-                           else sim.tracer)
-                out[backend] = {
-                    "res": res,
-                    "clock": modeled.clock,
-                    "by_kernel": dict(modeled.by_kernel),
-                    "counts": dict(modeled.counts),
-                    "hidden": modeled.overlapped_seconds(
-                        kernel="allreduce"),
-                }
-        assert out["sim"]["res"].converged
-        _assert_equivalent(out["sim"], out["mp"])
-        # the modeled overlap window is backend-independent too
-        assert out["mp"]["hidden"] == out["sim"]["hidden"]
-        assert out["sim"]["hidden"] > 0.0
-
-
 class TestMeasuredSide:
     def test_mp_records_wall_clock_per_phase(self):
         """Beyond bit-identity: the measured tracer must actually have

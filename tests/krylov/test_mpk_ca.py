@@ -15,7 +15,7 @@ from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
-from repro.parallel.machine import generic_cpu
+from repro.parallel.machine import MachineSpec, generic_cpu, summit
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.precond.polynomial import ChebyshevPreconditioner
@@ -255,41 +255,153 @@ class TestOverlappedCA:
         assert ca.history.residuals == ov.history.residuals
 
     def test_auto_stays_on_ca_when_ring_pokes_out(self):
-        """``"auto"`` escalates to overlap only when the cost model
-        predicts the deep ring hides entirely; on generic_cpu the SpMV
-        window is tiny (no launch/sync latency, huge stream rate) so
-        the predictor keeps plain ca."""
+        """An unpreconditioned operator composes, so ``"auto"`` runs
+        plain ``"ca"`` — never the overlapped PA2 kernel."""
         sim = Simulation(laplace2d(12), ranks=4, machine=generic_cpu())
         res = sstep_gmres(sim, sim.ones_solution_rhs(), s=4, restart=12,
                           tol=1e-8, maxiter=600,
                           options=SolverOptions(mpk_mode="auto"))
         assert res.diagnostics["mpk_mode"] == "ca"
 
-    def test_auto_overlap_tradeoff_across_machines(self):
-        """The auto escalation is a machine-dependent tradeoff: on stock
-        Summit the first owned-rows SpMV (big fixed launch overhead)
-        swallows the deep ring, so ``auto`` picks ``ca_overlap``; with
-        network/device latency scaled 16x the ring's fixed cost outgrows
-        that window and ``auto`` drops back to plain ``ca``."""
-        from repro.parallel.machine import summit
 
-        def run(machine):
-            sim = Simulation(laplace2d(16), ranks=4, machine=machine)
-            return sstep_gmres(sim, sim.ones_solution_rhs(), s=5,
-                               restart=20, tol=1e-8, maxiter=2000,
-                               options=SolverOptions(mpk_mode="auto"))
+def _congested_summit(lat_mult: float) -> MachineSpec:
+    """Summit with a congested inter-node link (2 MB/s) and every
+    latency constant scaled ``lat_mult``-fold: the regime where a
+    posted deep ring has the most to hide."""
+    m = summit()
+    return m.with_overrides(
+        name=f"summit_congested_lat{lat_mult:g}x",
+        net_bandwidth_inter=2.0e6,
+        net_latency_intra=m.net_latency_intra * lat_mult,
+        net_latency_inter=m.net_latency_inter * lat_mult,
+        device_sync_latency=m.device_sync_latency * lat_mult,
+        kernel_latency=m.kernel_latency * lat_mult,
+        spmv_fixed_overhead=m.spmv_fixed_overhead * lat_mult)
 
-        stock = summit()
-        lat16 = stock.with_overrides(
-            name="summit_lat16x",
-            net_latency_inter=stock.net_latency_inter * 16.0,
-            device_sync_latency=stock.device_sync_latency * 16.0)
-        res_stock = run(stock)
-        res_lat16 = run(lat16)
-        assert res_stock.diagnostics["mpk_mode"] == "ca_overlap"
-        assert res_lat16.diagnostics["mpk_mode"] == "ca"
-        # the escalation changes charges only, never values
-        np.testing.assert_array_equal(res_stock.x, res_lat16.x)
+
+AUTO_MACHINES = {
+    "summit": summit,
+    "generic_cpu": generic_cpu,
+    **{f"congested-lat{lat}x": (lambda lat=lat: _congested_summit(lat))
+       for lat in (1, 16, 64)},
+}
+
+
+class TestAutoPicksTheCheaperKernel:
+    """``mpk_mode="auto"`` on an unpreconditioned operator chooses
+    between ``"ca"`` and ``"ca_overlap"``; whatever it picks must cost
+    no more modeled time than either.  PA2 pays an extra depth-1
+    exchange and splits the first SpMV, so hiding the deep ring never
+    makes up for it on these machines — latency-bound, bandwidth-bound
+    or congested."""
+
+    @pytest.mark.parametrize("machine", AUTO_MACHINES)
+    @pytest.mark.parametrize("nx, ranks, s", [
+        (16, 4, 5), (32, 8, 3), (64, 8, 5), (48, 6, 2), (40, 12, 8)])
+    def test_auto_clock_is_at_most_either_ca_kernel(self, machine, nx,
+                                                    ranks, s):
+        runs = {}
+        for mode in ("auto", "ca", "ca_overlap"):
+            sim = Simulation(laplace2d(nx), ranks=ranks,
+                             machine=AUTO_MACHINES[machine]())
+            res = sstep_gmres(sim, sim.ones_solution_rhs(), s=s,
+                              restart=4 * s, tol=0.0, maxiter=40,
+                              options=SolverOptions(mpk_mode=mode))
+            runs[mode] = (sim.tracer.clock, res)
+        auto_clock, auto = runs["auto"]
+        assert auto_clock <= runs["ca_overlap"][0]
+        assert auto_clock <= runs["ca"][0]
+        # the kernel choice moves charges only, never values
+        for _, res in runs.values():
+            assert res.x.tobytes() == auto.x.tobytes()
+            assert res.history.residuals == auto.history.residuals
+
+
+
+def ring_panels(mode: str, machine: MachineSpec, *, nx: int = 32,
+                ranks: int = 8, s: int = 5, restart: int = 15):
+    """One restart cycle of unpreconditioned monomial panels on
+    ``machine``; returns (basis, tracer, exposed ring seconds)."""
+    sim = Simulation(laplace2d(nx), ranks=ranks, machine=machine,
+                     spans=True)
+    mpk = MatrixPowersKernel(PreconditionedOperator(sim.matrix),
+                             MonomialBasis(), mode=mode)
+    basis = make_basis(sim, restart + 1, np.random.default_rng(0))
+    for lo in range(1, restart + 1, s):
+        mpk.extend(basis, lo, min(lo + s, restart + 1))
+    # the waited share of a posted exchange: the charges that carry an
+    # overlapped annotation
+    exposed = sum(span.duration for span in sim.tracer.spans
+                  if span.is_charge and span.overlapped_seconds is not None)
+    return basis.to_global(), sim.tracer, exposed
+
+
+class TestOverlappedRingAcrossMachines:
+    """The PA2 deep ring is the one posted exchange left on the solve
+    path: on every machine it hides some seconds and moves no value,
+    and the more latency-bound the machine, the less of it stays
+    exposed."""
+
+    @pytest.mark.parametrize("machine", AUTO_MACHINES)
+    def test_ring_hides_and_moves_no_value(self, machine):
+        ca, tr_ca, _ = ring_panels("ca", AUTO_MACHINES[machine]())
+        ov, tr_ov, exposed = ring_panels("ca_overlap",
+                                         AUTO_MACHINES[machine]())
+        np.testing.assert_array_equal(ca, ov)
+        assert tr_ca.overlapped_seconds() == 0.0
+        hidden = tr_ov.overlapped_seconds(kernel="halo")
+        assert hidden > 0.0
+        assert hidden == tr_ov.overlapped_seconds()  # nothing else posted
+        assert 0.0 <= exposed <= tr_ov.kernel_seconds("spmv", "halo")
+
+    def test_ring_exposure_shrinks_with_latency(self):
+        fractions, hidden = [], []
+        for lat in (1, 2, 4):
+            _, tracer, exposed = ring_panels("ca_overlap",
+                                             _congested_summit(lat))
+            hid = tracer.overlapped_seconds(kernel="halo")
+            fractions.append(exposed / (exposed + hid))
+            hidden.append(hid)
+        assert fractions[0] > 0.0  # something is exposed at x1
+        assert all(b < a for a, b in zip(fractions, fractions[1:]))
+        assert all(b > a for a, b in zip(hidden, hidden[1:]))
+
+
+#: preconditioner -> the mode ``"auto"`` must resolve to
+AUTO_PRECONDS = {
+    "none": (lambda: None, "ca"),
+    "jacobi": (JacobiPreconditioner, "ca"),
+    "block_jacobi": (BlockJacobiPreconditioner, "ca"),
+    "chebyshev": (lambda: ChebyshevPreconditioner(degree=2), "standard"),
+}
+
+
+class TestAutoIsItsResolvedMode:
+    """``"auto"`` is nothing but its resolution — ``"ca"`` when the
+    preconditioner composes with the ghost closure, ``"standard"``
+    otherwise: the same values, collectives and modeled clock as naming
+    that mode outright, on every machine."""
+
+    @pytest.mark.parametrize("machine",
+                             ["summit", "generic_cpu", "congested-lat16x"])
+    @pytest.mark.parametrize("pc", AUTO_PRECONDS)
+    def test_auto_equals_the_explicit_mode(self, pc, machine):
+        factory, expected = AUTO_PRECONDS[pc]
+        runs = {}
+        for mode in ("auto", expected):
+            sim = Simulation(laplace2d(24), ranks=6,
+                             machine=AUTO_MACHINES[machine]())
+            res = sstep_gmres(sim, sim.ones_solution_rhs(), s=4,
+                              restart=12, tol=0.0, maxiter=24,
+                              precond=factory(),
+                              options=SolverOptions(mpk_mode=mode))
+            runs[mode] = (sim.tracer.clock, res)
+        (auto_clock, auto), (clock, named) = runs["auto"], runs[expected]
+        assert auto.diagnostics["mpk_mode"] == expected
+        assert auto_clock == clock
+        assert auto.sync_count == named.sync_count
+        assert auto.x.tobytes() == named.x.tobytes()
+        assert auto.history.residuals == named.history.residuals
 
 
 class TestComposition:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import inspect
 import signal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.krylov.adaptive import adaptive_sstep_gmres
 from repro.krylov.block import block_sstep_gmres
 from repro.krylov.gmres import gmres
 from repro.krylov.ir import gmres_ir
-from repro.krylov.pipelined import pipelined_gmres
+from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
@@ -47,8 +48,15 @@ def _submit(sim, b, x0=None, **kw):
 #: name -> (call, the structural parameters it takes)
 ENTRY_POINTS = {
     "gmres": (gmres, {"restart", "maxiter", "tol"}),
-    "pipelined_gmres": (pipelined_gmres, {"restart", "maxiter", "tol"}),
     "sstep_gmres": (sstep_gmres, {"s", "restart", "maxiter", "tol"}),
+    # the knobs that set up more before the first charge: the PA2 ring
+    # plan and the sketch draw must both wait behind the door
+    "sstep_gmres[ca_overlap]": (
+        partial(sstep_gmres, options=SolverOptions(mpk_mode="ca_overlap")),
+        {"s", "restart", "maxiter", "tol"}),
+    "sstep_gmres[sketched]": (
+        partial(sstep_gmres, options=SolverOptions(solve_mode="sketched")),
+        {"s", "restart", "maxiter", "tol"}),
     "block_sstep_gmres": (_block, {"s", "restart", "maxiter", "tol"}),
     "gmres_ir": (gmres_ir, {"s", "restart", "max_refinements",
                             "inner_maxiter", "tol", "inner_tol"}),
@@ -184,7 +192,7 @@ def test_explicit_residual_is_defined_once():
 
 
 def test_no_solver_takes_open_keywords():
-    assert len(SOLVERS) == 6
+    assert len(SOLVERS) == 5
     for solver in SOLVERS:
         kinds = {p.kind for p in inspect.signature(solver).parameters.values()}
         assert inspect.Parameter.VAR_KEYWORD not in kinds, solver.__name__

@@ -36,7 +36,6 @@ from repro.krylov.block import block_sstep_gmres
 from repro.krylov.gmres import gmres
 from repro.krylov.ir import gmres_ir
 from repro.krylov.options import SolverOptions
-from repro.krylov.pipelined import pipelined_gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
@@ -80,11 +79,6 @@ CASES = {
         sim, b, restart=10, tol=UNREACHABLE, maxiter=25),
     "gmres-mgs": lambda sim, b: gmres(
         sim, b, restart=10, tol=UNREACHABLE, maxiter=25, variant="mgs"),
-    "pipelined": lambda sim, b: pipelined_gmres(
-        sim, b, restart=10, tol=UNREACHABLE, maxiter=25),
-    "pipelined-overlap": lambda sim, b: pipelined_gmres(
-        sim, b, restart=10, tol=UNREACHABLE, maxiter=25,
-        options=SolverOptions(comm_overlap=True)),
     "sstep-bcgs2": _sstep(BCGS2Scheme),
     "sstep-pip2": _sstep(BCGSPIP2Scheme),
     "sstep-two-stage": _sstep(TwoStageScheme),
@@ -148,16 +142,6 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         "c0cf4f77457f28b3394990845b6fbc7f"
         "d23f363df0e9d68222cf580fb4b23476",
         [(25, 3, 153, 26)]),
-    "pipelined": (
-        311,
-        "d3a4acafc5ee8c62025c58a0c4c84a92"
-        "b089373b010a5cac4df07309375a4574",
-        [(25, 3, 34, 4)]),
-    "pipelined-overlap": (
-        333,
-        "16aa924cb37ced73a70cc7251e590651"
-        "0bbf69ca1118542e9de69e2200f43aad",
-        [(25, 3, 56, 4)]),
     "sstep-bcgs2": (
         244,
         "15dc9d56da0685cadb033c6c67aabcd7"

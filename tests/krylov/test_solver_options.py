@@ -38,12 +38,11 @@ class TestDataclass:
         opts = SolverOptions()
         assert opts.solve_mode == "classical"
         assert opts.mpk_mode == "standard"
-        assert opts.comm_overlap is False
         assert opts.precision is None
 
-    def test_fields_are_the_four_caller_knobs(self):
+    def test_fields_are_the_three_caller_knobs(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "solve_mode", "mpk_mode", "comm_overlap", "precision"]
+            "solve_mode", "mpk_mode", "precision"]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -71,8 +70,7 @@ class TestDataclass:
     ])
     def test_bad_field_is_refused_at_construction(self, field, value):
         """Refused when the options are built — before a solve could
-        charge anything (the ``mpk_mode="auto"`` ghost-plan analysis is
-        charged at the start of a solve)."""
+        charge anything."""
         fields = dict(solve_mode="sketched", mpk_mode="auto")
         fields[field] = value
         with pytest.raises(ConfigurationError, match=field):
@@ -81,7 +79,7 @@ class TestDataclass:
     @pytest.mark.parametrize("field, value", [
         *(("solve_mode", mode) for mode in SOLVE_MODES),
         *(("mpk_mode", mode) for mode in MPK_SOLVER_MODES),
-        ("comm_overlap", True), ("precision", "FP32"),
+        ("precision", "FP32"),
         ("precision", "fp32_dd_gram"), ("precision", "bf16"),
     ])
     def test_legal_edge_values_are_kept(self, field, value):

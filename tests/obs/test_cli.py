@@ -9,7 +9,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.krylov.options import SolverOptions
-from repro.krylov.pipelined import pipelined_gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
@@ -53,8 +52,8 @@ class TestSummarize:
         """A posted collective leaves a ``post`` marker and an overlap
         window span beside its charge; only the charge's payload moved."""
         sim = Simulation(laplace2d(16), ranks=4, spans=True)
-        pipelined_gmres(sim, np.ones(sim.n), restart=10, tol=0.0,
-                        maxiter=10, options=SolverOptions(comm_overlap=True))
+        sstep_gmres(sim, np.ones(sim.n), s=5, restart=10, tol=0.0,
+                    maxiter=10, options=SolverOptions(mpk_mode="ca_overlap"))
         assert {"post", "comm_overlap"} <= {s.cat for s in sim.tracer.spans}
         path = export_jsonl(tmp_path / "overlap.jsonl", sim.tracer)
         assert main(["summarize", str(path), "--json"]) == 0

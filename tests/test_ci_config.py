@@ -172,14 +172,6 @@ class TestWorkflow:
         assert "slow" in runs
         for name in ("sketch", "rgs", "precision", "ca_mpk"):
             assert f"{RUNNER} {name} --quick" in runs, name
-        # the overlap-window trade-off smoke drops BENCH_overlap.json
-        # and trace_overlap.json into the uploaded dir
-        overlap_step = next((s.get("run", "") for s in nightly["steps"]
-                             if f"{RUNNER} overlap" in s.get("run", "")),
-                            "")
-        assert overlap_step, "nightly has no overlap smoke"
-        assert "--quick" in overlap_step
-        assert "--out experiment-out" in overlap_step
         # the service-throughput smoke re-asserts the batching claims
         # nightly and drops BENCH_service.json into the uploaded dir
         assert f"{RUNNER} service --quick" in runs, (
@@ -284,8 +276,8 @@ class TestWorkflow:
                     "benchmarks/bench_mpk.py"):
             assert ref in text, f"{ref} not exercised by CI"
             assert (REPO / ref).exists(), f"{ref} missing from repo"
-        for name in ("sketch", "rgs", "precision", "ca_mpk", "overlap",
-                     "service", "backend", "calibrate"):
+        for name in ("sketch", "rgs", "precision", "ca_mpk", "service",
+                     "backend", "calibrate"):
             assert f"{RUNNER} {name} " in text, f"{name} not exercised by CI"
 
     def test_every_runner_name_is_registered(self):
@@ -295,7 +287,7 @@ class TestWorkflow:
         from repro.experiments.runner import REGISTRY
         names = re.findall(rf"{re.escape(RUNNER)} (\S+)",
                            WORKFLOW.read_text())
-        assert len(names) == 8
+        assert len(names) == 7
         assert set(names) <= set(REGISTRY), sorted(set(names) - set(REGISTRY))
 
 
