@@ -10,53 +10,88 @@
 
 All return ``scipy.sparse.csr_matrix`` with natural (row-major grid)
 ordering; Dirichlet boundaries are eliminated (matrix acts on interior
-unknowns only, identity-free).
+unknowns only, identity-free).  Each generator lists its grid shape and
+taps; :func:`_assemble` writes the CSR arrays straight from them.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_finite, check_positive_int
+
+#: taps of the 1-D Dirichlet Laplacian tridiag(-1, 2, -1)
+_LAP1D = {-1: -1.0, 0: 2.0, 1: -1.0}
 
 
-def _kron3(a: sp.spmatrix, b: sp.spmatrix, c: sp.spmatrix) -> sp.csr_matrix:
-    return sp.kron(sp.kron(a, b), c).tocsr()
+def _index_dtype(n: int, nnz: int) -> type:
+    """SciPy's rule: int32 indices unless ``n`` or ``nnz`` needs int64."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
-def _lap1d(n: int) -> sp.csr_matrix:
-    """1-D Dirichlet Laplacian tridiag(-1, 2, -1) of size n."""
-    main = 2.0 * np.ones(n)
-    off = -1.0 * np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+def _assemble(shape: tuple[int, ...], taps) -> sp.csr_matrix:
+    """Canonical CSR of a constant-coefficient stencil on a row-major grid.
+
+    ``taps`` are ``(offset, value)`` pairs in sorted-column (lexicographic)
+    order.  Row ``p`` holds a tap iff ``p + offset`` is on the grid;
+    zero-valued taps are dropped, so no zero is stored.
+    """
+    taps = [(off, value) for off, value in taps if value != 0.0]
+    offsets = np.array([o for o, _ in taps], np.int64).reshape(len(taps), len(shape))
+    n = math.prod(shape)
+    nnz = sum(math.prod(max(m - abs(d), 0) for m, d in zip(shape, o))
+              for o, _ in taps)
+    idx = _index_dtype(n, nnz)
+    # keep[p, t]: is tap t of grid point p on the grid?  Folded one axis at
+    # a time; `lead` ends as the fold of all axes but the last, `on` the last
+    keep = np.ones((1, len(taps)), dtype=bool)
+    step = np.zeros(len(taps), np.int64)  # column offset of each tap
+    for axis, m in enumerate(shape):
+        pos = np.arange(m)[:, None] + offsets[:, axis]
+        on = (pos >= 0) & (pos < m)
+        lead, keep = keep, (keep[:, None] & on).reshape(len(keep) * m, -1)
+        step = step * m + offsets[:, axis]
+    indptr = np.zeros(n + 1, dtype=idx)
+    # taps per row: one product of the two factors (exact small ints)
+    indptr[1:] = (lead.astype(np.float64) @ on.T.astype(np.float64)).ravel()
+    np.cumsum(indptr, out=indptr)
+    indices = (np.arange(n, dtype=idx)[:, None] + step.astype(idx))[keep]
+    data = np.broadcast_to(np.array([v for _, v in taps]), keep.shape)[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _eye(n: int) -> sp.csr_matrix:
-    return sp.identity(n, format="csr")
+def _cross(ndim: int) -> list:
+    """Taps of the (2 ndim + 1)-point Laplacian, the Kronecker sum of
+    ``ndim`` 1-D ones (its centre ``2 + 2 (+ 2)`` is exact)."""
+    taps = {(0,) * ndim: _LAP1D[0] * ndim}
+    for axis, s in product(range(ndim), (-1, 1)):
+        taps[tuple(s * (k == axis) for k in range(ndim))] = _LAP1D[s]
+    return sorted(taps.items())
 
 
 def laplace2d(nx: int, ny: int | None = None, stencil: int = 5) -> sp.csr_matrix:
     """2-D Laplacian on an ``nx x ny`` interior grid.
 
-    ``stencil=5`` is the standard cross; ``stencil=9`` is the compact
-    9-point (Mehrstellen) stencil used in the paper's Table III.
+    ``stencil=5`` is the standard cross; ``stencil=9`` is the paper's
+    Table III operator ``1/3 [[-1,-1,-1],[-1,8,-1],[-1,-1,-1]]``, i.e.
+    ``T (x) (I - T/6) + (I - T/6) (x) T`` for the 1-D Laplacian ``T``,
+    each value rounded as that sum of Kronecker products rounds it.
     """
     nx = check_positive_int(nx, "nx")
     ny = nx if ny is None else check_positive_int(ny, "ny")
     if stencil == 5:
-        a = sp.kronsum(_lap1d(ny), _lap1d(nx)).tocsr()
-        return a
+        return _assemble((nx, ny), _cross(2))
     if stencil == 9:
-        # Compact 9-point: 1/6 * [[-1,-4,-1],[-4,20,-4],[-1,-4,-1]]
-        tx = _lap1d(nx)
-        ty = _lap1d(ny)
-        ix = _eye(nx)
-        iy = _eye(ny)
-        # D2x (x) (I - 1/6 D2y) + (I - 1/6 D2x) (x) D2y   (Mehrstellen)
-        a = (sp.kron(tx, iy - ty / 6.0) + sp.kron(ix - tx / 6.0, ty))
-        return a.tocsr()
+        # SciPy divides a matrix by a scalar as a product with the reciprocal
+        t = _LAP1D
+        m = {d: float(d == 0) - t[d] * (1.0 / 6.0) for d in t}  # I - T/6
+        return _assemble((nx, ny), [((dx, dy), t[dx] * m[dy] + m[dx] * t[dy])
+                                    for dx, dy in product(t, repeat=2)])
     raise ConfigurationError(f"stencil must be 5 or 9, got {stencil}")
 
 
@@ -65,10 +100,7 @@ def laplace3d(nx: int, ny: int | None = None, nz: int | None = None) -> sp.csr_m
     nx = check_positive_int(nx, "nx")
     ny = nx if ny is None else check_positive_int(ny, "ny")
     nz = nx if nz is None else check_positive_int(nz, "nz")
-    a = (_kron3(_lap1d(nx), _eye(ny), _eye(nz))
-         + _kron3(_eye(nx), _lap1d(ny), _eye(nz))
-         + _kron3(_eye(nx), _eye(ny), _lap1d(nz)))
-    return a.tocsr()
+    return _assemble((nx, ny, nz), _cross(3))
 
 
 def convection_diffusion_2d(nx: int, ny: int | None = None,
@@ -82,16 +114,13 @@ def convection_diffusion_2d(nx: int, ny: int | None = None,
     """
     nx = check_positive_int(nx, "nx")
     ny = nx if ny is None else check_positive_int(ny, "ny")
+    check_finite(wind, "wind")
+    check_finite(diffusion, "diffusion")
     h = 1.0 / (nx + 1)
-    bx, by = wind
-
-    def upwind1d(n: int, b: float) -> sp.csr_matrix:
-        # first-order upwind d/dx on Dirichlet interior grid
-        if b >= 0:
-            return sp.diags([-np.ones(n - 1), np.ones(n)], [-1, 0]).tocsr() * (b / h)
-        return sp.diags([-np.ones(n), np.ones(n - 1)], [0, 1]).tocsr() * (-b / h)
-
-    diff = diffusion / h ** 2 * sp.kronsum(_lap1d(ny), _lap1d(nx))
-    conv = (sp.kron(upwind1d(nx, bx), _eye(ny))
-            + sp.kron(_eye(nx), upwind1d(ny, by)))
-    return (diff + conv).tocsr()
+    c = diffusion / h ** 2
+    # upwind b d/dx: backward difference for b >= 0, forward otherwise
+    ux, uy = ({-1: -(b / h), 0: b / h, 1: 0.0} if b >= 0
+              else {-1: 0.0, 0: -(-b / h), 1: -b / h} for b in wind)
+    conv = {(-1, 0): ux[-1], (0, -1): uy[-1], (0, 0): ux[0] + uy[0],
+            (0, 1): uy[1], (1, 0): ux[1]}
+    return _assemble((nx, ny), [(o, v * c + conv[o]) for o, v in _cross(2)])
