@@ -54,9 +54,8 @@ from repro.ortho import (
     TwoStageScheme,
     get_scheme,
 )
-from repro.precision import PrecisionPolicy, resolve_policy
 from repro.krylov import (Simulation, SolverOptions, adaptive_sstep_gmres,
-                          block_sstep_gmres, gmres, gmres_ir, sstep_gmres)
+                          block_sstep_gmres, gmres, sstep_gmres)
 from repro import service
 
 __all__ = [
@@ -82,8 +81,6 @@ __all__ = [
     "RBCGSScheme",
     "SketchedTwoStageScheme",
     "MixedPrecisionTwoStageScheme",
-    "PrecisionPolicy",
-    "resolve_policy",
     "get_scheme",
     "CholQR",
     "CholQR2",
@@ -99,7 +96,6 @@ __all__ = [
     "gmres",
     "sstep_gmres",
     "block_sstep_gmres",
-    "gmres_ir",
     "adaptive_sstep_gmres",
     "service",
 ]

@@ -57,7 +57,7 @@ def _acc_dtype(*mvs) -> np.dtype:
     """Dtype shard-local partials accumulate in before the fp64 tree.
 
     float64 unless *every* operand is low-precision storage that opted
-    into native fp32 accumulation (``PrecisionPolicy(accumulate="fp32")``).
+    into native fp32 accumulation (``accumulate="fp32"``).
     """
     if all(mv.storage != "fp64" and mv.accumulate == "fp32" for mv in mvs):
         return np.dtype(np.float32)

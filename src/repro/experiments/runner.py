@@ -25,7 +25,6 @@ from repro.experiments import (
     fig9,
     fig10_12,
     fig13,
-    precision_stability,
     rgs_convergence,
     service_throughput,
     sketch_stability,
@@ -56,7 +55,6 @@ REGISTRY = {
                   for key, run in ablations.RUNS.items()],
     "sketch": _module(sketch_stability),
     "rgs": _module(rgs_convergence),
-    "precision": _module(precision_stability),
     "ca_mpk": _module(ca_mpk_tradeoff) + [
         (partial(ca_mpk_tradeoff.run, precond_name=pc), None)
         for pc in ("jacobi", "block_jacobi")],

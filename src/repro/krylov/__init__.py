@@ -19,7 +19,6 @@ from repro.krylov.hessenberg import least_squares_residual
 from repro.krylov.gmres import gmres
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.krylov.block import block_sstep_gmres
-from repro.krylov.ir import gmres_ir
 from repro.krylov.adaptive import adaptive_sstep_gmres
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "gmres",
     "sstep_gmres",
     "block_sstep_gmres",
-    "gmres_ir",
     "adaptive_sstep_gmres",
 ]

@@ -115,7 +115,8 @@ def block_sstep_gmres(sim: Simulation, bs, x0=None, *,
     scheme_factory:
         Zero-argument callable producing a FRESH scheme per member
         (scheme instances are stateful and cannot be shared).  Default:
-        the scalar solver's policy-dependent default, per member.
+        a fresh :class:`~repro.ortho.bcgs_pip.BCGSPIP2Scheme` per
+        member, the scalar solver's default.
 
     ``x0`` may be ``None``, one length-n vector (shared start), or an
     ``(n, width)`` column array.  Returns one

@@ -1,8 +1,8 @@
 """Solver configuration: :class:`SolverOptions` and its mode constants.
 
 The behaviour knobs of the solvers that a caller actually sets —
-``solve_mode``, ``mpk_mode`` and ``precision`` — travel in one
-immutable :class:`SolverOptions` value::
+``solve_mode`` and ``mpk_mode`` — travel in one immutable
+:class:`SolverOptions` value::
 
     opts = SolverOptions(solve_mode="sketched", mpk_mode="ca")
     result = sstep_gmres(sim, b, s=5, restart=30, options=opts)
@@ -19,13 +19,8 @@ constants of :mod:`repro.krylov.sstep_gmres`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
-from repro.precision.policy import resolve_policy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.precision.policy import PrecisionPolicy
 
 #: Valid ``solve_mode`` values.
 SOLVE_MODES = ("classical", "sketched")
@@ -43,7 +38,7 @@ class SolverOptions:
 
     Every field is checked when the options are built, before a solve
     charges anything: a bad value raises ``ConfigurationError`` naming
-    its field or, for ``precision``, the unknown spec.
+    its field.
 
     Parameters
     ----------
@@ -77,22 +72,10 @@ class SolverOptions:
         split SpMV cost more than the ring it hides).
         All kernels generate bit-identical bases; only the
         communication profile — and hence the modeled time — differs.
-    precision:
-        A :class:`~repro.precision.policy.PrecisionPolicy` (or
-        registered name, e.g. ``"fp32"``) for the Krylov basis: the
-        basis is stored — and its panel traffic charged — at
-        ``policy.storage``, local reductions accumulate per
-        ``policy.accumulate``, and when no ``scheme`` is given a
-        ``policy.gram != "fp64"`` selects the mixed-precision two-stage
-        scheme.  The right-hand side, iterate and residual always stay
-        fp64; pair low-precision storage with
-        :func:`repro.krylov.ir.gmres_ir` to recover fp64-level backward
-        error.
     """
 
     solve_mode: str = "classical"
     mpk_mode: str = "standard"
-    precision: "PrecisionPolicy | str | None" = None
 
     def __post_init__(self) -> None:
         if self.solve_mode not in SOLVE_MODES:
@@ -103,7 +86,6 @@ class SolverOptions:
             raise ConfigurationError(
                 f"unknown mpk_mode {self.mpk_mode!r}; expected one of "
                 f"{MPK_SOLVER_MODES}")
-        resolve_policy(self.precision)   # ConfigurationError naming it
 
     def replace(self, **changes) -> "SolverOptions":
         """Copy with ``changes`` applied (re-validates)."""

@@ -37,9 +37,7 @@ def _checked_vector(sim: Simulation, arr, name: str) -> np.ndarray:
 
 
 def check_inputs(sim: Simulation, b, x0=None, *, s: int = 1,
-                 restart: int = 1, maxiter: int = 0,
-                 max_refinements: int = 1, tol: float = 0.0,
-                 inner_tol: float = 0.0
+                 restart: int = 1, maxiter: int = 0, tol: float = 0.0
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Refuse a solve that cannot run, before anything is charged.
 
@@ -57,11 +55,9 @@ def check_inputs(sim: Simulation, b, x0=None, *, s: int = 1,
     if restart < s:
         raise ConfigurationError(f"restart {restart} must be >= step {s}")
     check_nonnegative_int(maxiter, "maxiter")
-    check_positive_int(max_refinements, "max_refinements")
-    for name, value in (("tol", tol), ("inner_tol", inner_tol)):
-        if not value >= 0:  # NaN compares false
-            raise ConfigurationError(
-                f"{name} must be a non-negative number, got {value}")
+    if not tol >= 0:  # NaN compares false
+        raise ConfigurationError(
+            f"tol must be a non-negative number, got {tol}")
     return (_checked_vector(sim, b, "b"),
             None if x0 is None else _checked_vector(sim, x0, "x0"))
 

@@ -64,9 +64,9 @@ class SolveResult:
     #: solve-wide reductions of :attr:`telemetry`.
     diagnostics: dict = field(default_factory=dict)
     #: Structured per-cycle telemetry: one
-    #: :class:`repro.obs.telemetry.CycleRecord` per restart cycle
-    #: (per refinement for GMRES-IR) — residual norm, residual gap,
-    #: basis condition, embedding distortion, solve mode and events.
+    #: :class:`repro.obs.telemetry.CycleRecord` per restart cycle —
+    #: residual norm, residual gap, basis condition, embedding
+    #: distortion, solve mode and events.
     telemetry: list = field(default_factory=list)
     #: :class:`repro.obs.metrics.MetricsSnapshot` of the simulation's
     #: modeled totals and span stream (:meth:`Simulation.metrics_doc`):

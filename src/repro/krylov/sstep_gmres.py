@@ -52,8 +52,6 @@ from repro.krylov.simulation import Simulation
 from repro.obs.telemetry import SolveTelemetry
 from repro.ortho.base import BlockOrthoScheme, OrthoObserver
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
-from repro.precision.kernels import MixedPrecisionTwoStageScheme
-from repro.precision.policy import resolve_policy
 from repro.precond.base import Preconditioner
 from repro.sketch import (
     derive_seed,
@@ -192,12 +190,11 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
         Forwarded to the scheme for numerics instrumentation.
     options:
         A :class:`~repro.krylov.options.SolverOptions` bundling the
-        behaviour knobs — ``solve_mode``, ``mpk_mode`` and
-        ``precision``; see its docstring for the knob-by-knob
-        reference.  Defaults to ``SolverOptions()`` (classical
-        coordinate solve, standard MPK, fp64 storage).  It is the one
-        way in: a knob passed as a bare keyword is Python's own
-        ``TypeError``.
+        behaviour knobs — ``solve_mode`` and ``mpk_mode``; see its
+        docstring for the knob-by-knob reference.  Defaults to
+        ``SolverOptions()`` (classical coordinate solve, standard MPK).
+        It is the one way in: a knob passed as a bare keyword is
+        Python's own ``TypeError``.
     """
     [member] = _build_members(
         sim, [(b, x0, tol, maxiter)], s=s, restart=restart,
@@ -208,15 +205,6 @@ def sstep_gmres(sim: Simulation, b: np.ndarray,
             next(member)
         except StopIteration as stop:
             return stop.value
-
-
-def _default_scheme(policy, restart: int) -> BlockOrthoScheme:
-    """The no-``scheme`` default: dd-Gram policies need the
-    mixed-precision two-stage scheme, everything else BCGS-PIP2."""
-    return (MixedPrecisionTwoStageScheme(big_step=restart,
-                                         gram=policy.gram,
-                                         breakdown="shift")
-            if policy.gram != "fp64" else BCGSPIP2Scheme())
 
 
 def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
@@ -233,7 +221,6 @@ def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
     every member's snapshot is the call's entry.
     """
     opts = SolverOptions() if options is None else options
-    policy = resolve_policy(opts.precision)
     solves = [RestartedSolve(
         sim, *check_inputs(sim, b, x0, s=s, restart=restart,
                            maxiter=maxiter, tol=tol), precond)
@@ -242,21 +229,20 @@ def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
     members = []
     for solve, (_, _, tol, maxiter) in zip(solves, requests):
         scheme = (scheme_factory() if scheme_factory is not None
-                  else _default_scheme(policy, restart))
+                  else BCGSPIP2Scheme())
         poly = _resolve_basis(basis)
         mpk = MatrixPowersKernel(solve.op, poly, mode=kernel_mode)
         members.append(_solve_member(
             solve, s=s, restart=restart, tol=tol, maxiter=maxiter,
             scheme=scheme, poly=poly, mpk=mpk, kernel_mode=kernel_mode,
-            observer=observer, opts=opts, policy=policy))
+            observer=observer, opts=opts))
     return members
 
 
 def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
                   maxiter: int, scheme: BlockOrthoScheme, poly: KrylovBasis,
                   mpk: MatrixPowersKernel, kernel_mode: str,
-                  observer: OrthoObserver | None, opts: SolverOptions,
-                  policy):
+                  observer: OrthoObserver | None, opts: SolverOptions):
     """The full s-step GMRES iteration for ONE right-hand side, as a
     generator over its :class:`~repro.krylov.restart.RestartedSolve`
     that yields at every lockstep barrier.
@@ -285,8 +271,7 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     tracer = sim.tracer
     backend = sim.backend
 
-    basis_mv = sim.zeros(restart + 1, storage=policy.storage,
-                         accumulate=policy.accumulate)
+    basis_mv = sim.zeros(restart + 1)
     r_factor = np.zeros((restart + 1, restart + 1))
     w_factor = np.zeros((restart + 1, restart + 1))
     bounds = _panel_bounds(s, restart + 1)
@@ -295,9 +280,6 @@ def _solve_member(solve: RestartedSolve, *, s: int, restart: int, tol: float,
     diagnostics: dict = {}
     if mpk_mode != "standard":
         diagnostics["mpk_mode"] = kernel_mode
-    if not policy.is_default:
-        diagnostics["precision"] = policy.name
-        diagnostics["storage"] = policy.storage
     if solve_mode == "sketched":
         sketch_ctx = _SolveSketch(backend, sim.n, restart + 1)
         diagnostics.update({"solve_mode": solve_mode,

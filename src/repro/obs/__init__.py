@@ -7,7 +7,8 @@ per-cycle numerics monitors — into first-class artifacts:
 :mod:`repro.obs.telemetry`
     :class:`CycleRecord` / :class:`SolveTelemetry` — one structured
     record per restart cycle (residual norm, residual gap, basis
-    condition, embedding distortion, solve mode, resketch/IR events),
+    condition, embedding distortion, solve mode, resketch/breakdown
+    events),
     surfaced as ``SolveResult.telemetry`` and backing the legacy
     ``diagnostics`` keys.
 

@@ -42,8 +42,8 @@ class CycleRecord:
     *cumulative* iteration count when the cycle ended.  Measurement
     fields are ``None`` when the cycle never produced the observation
     (e.g. ``basis_condition`` in a classical-mode cycle).  ``events``
-    is an ordered tuple of tags such as ``"resketch_requested"``,
-    ``"breakdown"`` or ``"trigger:loosen_inner_tol"``.
+    is an ordered tuple of tags such as ``"resketch_requested"`` or
+    ``"breakdown"``.
     """
 
     cycle: int

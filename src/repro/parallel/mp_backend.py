@@ -48,9 +48,11 @@ solve on the mp backend therefore yields predicted AND measured numbers
 for every phase, and ``modeled`` matches a ``backend="sim"`` run
 bit-for-bit.
 
-Hygiene: workers are daemons, every blocking wait has a timeout, and
-:meth:`close` (also wired to a ``weakref.finalize``) tears down
-processes and unlinks every shared segment.
+Hygiene: workers are daemons, every blocking wait has a timeout, a
+dead worker surfaces as a :class:`~repro.exceptions.CommunicatorError`
+naming the rank and the op, and :meth:`close` (also wired to a
+``weakref.finalize``) tears down processes and unlinks every shared
+segment.
 """
 
 from __future__ import annotations
@@ -287,6 +289,8 @@ class MpComm(SimComm):
             child.close()
             self._conns.append(parent)
             self._procs.append(proc)
+        # process sentinel -> rank: ready once that worker has exited
+        self._sentinels = {p.sentinel: r for r, p in enumerate(self._procs)}
         self._finalizer = weakref.finalize(
             self, _cleanup, self._conns, self._procs, self._shms)
         self._mark = self._wait_wall = time.perf_counter()
@@ -326,6 +330,24 @@ class MpComm(SimComm):
         self._tok += 1
         return self._tok
 
+    def _lost_rank(self, rank: int, opname: str,
+                   detail: str) -> CommunicatorError:
+        """The error for a worker that is gone.  The barrier is broken
+        for good, so a survivor waiting on the lost rank fails at once
+        rather than at its timeout."""
+        try:
+            self._barrier.abort()
+        except Exception:
+            pass
+        return CommunicatorError(
+            f"rank {rank} is unreachable during {opname!r} ({detail})")
+
+    def _send(self, rank: int, msg: dict) -> None:
+        try:
+            self._conns[rank].send(msg)
+        except (OSError, EOFError) as exc:
+            raise self._lost_rank(rank, msg["op"], repr(exc)) from exc
+
     def _send_all(self, cmd: dict) -> int:
         """Dispatch one token-stamped command to every worker WITHOUT
         collecting acknowledgements (the asynchronous half of a posted
@@ -334,13 +356,18 @@ class MpComm(SimComm):
         self._require_open()
         tok = self._next_tok()
         stamped = dict(cmd, tok=tok)
-        for conn in self._conns:
-            conn.send(stamped)
+        for r in range(self.size):
+            self._send(r, stamped)
         return tok
 
     def _recv_ack(self, rank: int, tok: int, opname: str) -> dict:
         """Receive rank's ack for ``tok``, stashing out-of-order acks
-        that belong to other outstanding (posted) commands."""
+        that belong to other outstanding (posted) commands.  Waits on
+        every worker's exit sentinel too: a rank that died fails the
+        wait at once, even while this rank still waits for it."""
+        # loaded with the pipes (ctx.Pipe), not on every ``import repro``
+        from multiprocessing.connection import wait as wait_ready
+
         stash = self._ack_stash[rank]
         if tok in stash:
             return stash.pop(tok)
@@ -348,11 +375,21 @@ class MpComm(SimComm):
         deadline = time.perf_counter() + self._timeout
         while True:
             budget = deadline - time.perf_counter()
-            if budget <= 0.0 or not conn.poll(budget):
+            ready = wait_ready([conn, *self._sentinels], max(budget, 0.0))
+            if conn in ready:
+                try:
+                    ack = conn.recv()
+                except (OSError, EOFError) as exc:
+                    raise self._lost_rank(rank, opname, repr(exc)) from exc
+            elif ready:
+                dead = self._sentinels[ready[0]]
+                raise self._lost_rank(
+                    dead, opname,
+                    f"exit code {self._procs[dead].exitcode}")
+            else:
                 raise CommunicatorError(
                     f"rank {rank} did not answer {opname!r} within "
                     f"{self._timeout}s")
-            ack = conn.recv()
             if ack.get("tok") == tok:
                 return ack
             stash[ack.get("tok")] = ack
@@ -463,11 +500,11 @@ class MpComm(SimComm):
         if token is None:
             token = len(self._matrix_keep)
             tok = self._next_tok()  # per-rank payloads, one shared token
-            for r, conn in enumerate(self._conns):
+            for r in range(self.size):
                 block = matrix.local_block(r)
-                conn.send({"op": "matrix", "token": token, "tok": tok,
-                           "data": block.data, "indices": block.indices,
-                           "indptr": block.indptr, "shape": block.shape})
+                self._send(r, {"op": "matrix", "token": token, "tok": tok,
+                               "data": block.data, "indices": block.indices,
+                               "indptr": block.indptr, "shape": block.shape})
             self._collect(tok, "matrix")
             self._matrix_tokens[id(matrix)] = token
             self._matrix_keep.append(matrix)  # pins id() for the cache

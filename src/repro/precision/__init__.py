@@ -8,8 +8,6 @@ policy threaded through the whole stack:
 
 * :mod:`repro.precision.dtypes` — storage specs (``fp64``/``fp32``/
   ``bf16``-emulated/``dd``), word sizes, container dtypes, quantizers;
-* :mod:`repro.precision.policy` — :class:`PrecisionPolicy` (storage,
-  accumulate, Gram) and the named-policy registry;
 * :mod:`repro.precision.kernels` — mixed-precision orthogonalization:
   the dd-Gram BCGS-PIP pass and
   :class:`~repro.precision.kernels.MixedPrecisionTwoStageScheme`
@@ -20,9 +18,8 @@ policy threaded through the whole stack:
 Downstream: :class:`repro.distla.multivector.DistMultiVector` carries a
 storage spec, both kernel engines accumulate reductions in fp64 over
 low-precision shards (bit-identical loop/batched per dtype) and charge
-bytes at the storage word size, ``SolverOptions(precision=...)`` runs the
-whole basis at a policy, and :func:`repro.krylov.ir.gmres_ir` wraps a
-low-precision inner solve in an fp64 iterative-refinement loop.
+bytes at the storage word size.  The solvers themselves run in fp64; a
+dd-Gram orthogonalization reaches them as ``scheme=``.
 """
 
 from repro.precision.dtypes import (
@@ -34,7 +31,6 @@ from repro.precision.dtypes import (
     validate_storage,
     word_bytes,
 )
-from repro.precision.policy import PrecisionPolicy, resolve_policy
 
 __all__ = [
     "ACCUMULATE_SPECS",
@@ -44,6 +40,4 @@ __all__ = [
     "eps",
     "quantize",
     "validate_storage",
-    "PrecisionPolicy",
-    "resolve_policy",
 ]

@@ -17,9 +17,8 @@ precisions do not exist as native NumPy storage:
 * ``"dd"`` — double-double compensated arithmetic
   (:mod:`repro.dd`): two float64 words per value, 16 bytes.  Never a
   multivector *storage* format here (the dd pair lives in small
-  replicated host matrices), but a legal Gram/accumulate spec so
-  :class:`~repro.precision.policy.PrecisionPolicy` can express the
-  mixed-precision CholQR trade.
+  replicated host matrices), but a legal Gram spec of the
+  mixed-precision CholQR trade (:mod:`repro.precision.kernels`).
 
 This module is deliberately dependency-free (NumPy only) so the
 lowest layers (:mod:`repro.distla.multivector`,
@@ -40,7 +39,7 @@ STORAGE_SPECS = ("fp64", "fp32", "bf16")
 ACCUMULATE_SPECS = ("fp64", "fp32")
 
 #: Specs a Gram matrix may be formed in.
-GRAM_SPECS = ("fp64", "fp32", "dd")
+GRAM_SPECS = ("fp64", "dd")
 
 #: Bytes per stored word, the quantity the roofline cost model charges.
 _WORD_BYTES = {"fp64": 8.0, "fp32": 4.0, "bf16": 2.0, "dd": 16.0}

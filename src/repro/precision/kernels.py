@@ -10,19 +10,16 @@ mixed-precision CholQR of the paper's ref. [26]
 this module extends the same trade to the *inter-block* level:
 
 * :func:`mixed_precision_panel` — a BCGS-PIP-shaped panel pass whose
-  Gram matrix and Pythagorean subtraction run at a selectable precision
-  (``"dd"`` pushes breakdown to ``kappa ~ eps^-1``; ``"fp32"``
-  deliberately degrades it for studying the cliff);
+  Gram matrix and Pythagorean subtraction run in double-double
+  (``"dd"``, pushing breakdown to ``kappa ~ eps^-1``) or plain fp64;
 * :class:`MixedPrecisionTwoStageScheme` — the paper's two-stage scheme
   with either stage's pass swapped for the mixed-precision pass.  The
-  canonical configuration is storage-fp32 / accumulate-fp64 / Gram-dd:
-  panels stream at half the bytes (what the cost model now charges)
-  while the dd Gram keeps the second stage factorizable at condition
-  numbers where plain fp64 CholQR breaks outright.
+  dd Gram keeps the second stage factorizable at condition numbers
+  where plain fp64 CholQR breaks outright.
 
 Selectable through the :mod:`repro.ortho` registry as
-``get_scheme("mixed-two-stage")`` and through
-``SolverOptions(precision=...)`` with a ``gram="dd"`` policy.
+``get_scheme("mixed-two-stage")`` or passed to a solver as
+``scheme=MixedPrecisionTwoStageScheme(...)``.
 """
 
 from __future__ import annotations
@@ -39,11 +36,6 @@ from repro.precision.dtypes import GRAM_SPECS
 #: Host-side flop multiplier of scalar dd arithmetic (matches the dd
 #: Cholesky accounting in :class:`repro.ortho.cholqr.MixedPrecisionCholQR`).
 _DD_HOST_PENALTY = 16.0
-
-
-def _round_gram_fp32(g: np.ndarray) -> np.ndarray:
-    """Round a Gram matrix through fp32 (the degraded-Gram study knob)."""
-    return np.asarray(g, dtype=np.float32).astype(np.float64)
 
 
 def mixed_precision_panel(backend, basis, lo: int, hi: int, *,
@@ -65,10 +57,6 @@ def mixed_precision_panel(backend, basis, lo: int, hi: int, *,
       on the host.  Breakdown moves from ``kappa ~ eps^-1/2`` to
       ``kappa ~ eps^-1``.  2 synchronizations when a prefix exists
       (P cannot ride in the dd collective), 1 otherwise.
-    * ``"fp32"`` — the classical fp64 pass, with the reduced Gram
-      rounded through fp32 before factorization (emulates an fp32 Gram
-      reduction; breakdown moves *down* to ``kappa ~ eps_fp32^-1/2 ~
-      1e3..1e4`` — the study knob for the precision_stability sweep).
     * ``"fp64"`` — delegates to the classical pass unchanged.
     """
     if gram not in GRAM_SPECS:
@@ -79,51 +67,37 @@ def mixed_precision_panel(backend, basis, lo: int, hi: int, *,
                               breakdown=breakdown, panel_index=panel_index)
     v = backend.view(basis, slice(lo, hi))
     c = hi - lo
-    if gram == "fp32":
-        if lo == 0:
-            g = backend.fused_dots([(v, v)])[0]                    # 1 sync
-            p = None
-            s = _round_gram_fp32(g)
-        else:
-            q = backend.view(basis, slice(0, lo))
-            p, g = backend.fused_dots([(q, v), (v, v)])            # 1 sync
-            backend.host_flops(2.0 * lo * c * c)
-            s = _round_gram_fp32(g - p.T @ p)
-        backend.host_flops(c ** 3 / 3.0)
-        r_jj = _pythagorean_factor(s, None, breakdown=breakdown,
+    if lo == 0:
+        p = None
+        g_hi, g_lo = backend.dot_dd(v, v)                          # 1 sync
+        s_hi, s_lo = g_hi, g_lo
+    else:
+        # Both the projection AND the Gram travel as dd pairs: an
+        # fp64-rounded P would reintroduce an eps*||V||^2 error into the
+        # Pythagorean cancellation below, putting the breakdown right
+        # back at kappa ~ eps^-1/2.  With P and G both dd, the
+        # subtraction keeps ~32 digits and breakdown moves to
+        # kappa ~ eps_dd^-1/2 ~ eps^-1.
+        q = backend.view(basis, slice(0, lo))
+        p_hi, p_lo = backend.dot_dd(q, v)                          # 1 sync
+        g_hi, g_lo = backend.dot_dd(v, v)                          # 1 sync
+        pt = dd_sum(*dd_mul((p_hi[:, :, None], p_lo[:, :, None]),
+                            (p_hi[:, None, :], p_lo[:, None, :])),
+                    axis=0)
+        s_hi, s_lo = dd_sub((g_hi, g_lo), pt)
+        p = p_hi + p_lo
+        backend.host_flops(_DD_HOST_PENALTY * 2.0 * lo * c * c)
+    backend.host_flops(_DD_HOST_PENALTY * c ** 3 / 3.0)
+    try:
+        r_jj = cholesky_dd(s_hi, s_lo)
+    except CholeskyBreakdownError:
+        if breakdown != "shift":
+            raise
+        # dd factorization failed => the panel is numerically rank
+        # deficient even at ~32 digits; recover with the shifted fp64
+        # factorization like the classical pass does.
+        r_jj = _pythagorean_factor(s_hi + s_lo, None, breakdown="shift",
                                    panel_index=panel_index)
-    else:  # gram == "dd"
-        if lo == 0:
-            p = None
-            g_hi, g_lo = backend.dot_dd(v, v)                      # 1 sync
-            s_hi, s_lo = g_hi, g_lo
-        else:
-            # Both the projection AND the Gram travel as dd pairs: an
-            # fp64-rounded P would reintroduce an eps*||V||^2 error into
-            # the Pythagorean cancellation below, putting the breakdown
-            # right back at kappa ~ eps^-1/2.  With P and G both dd,
-            # the subtraction keeps ~32 digits and breakdown moves to
-            # kappa ~ eps_dd^-1/2 ~ eps^-1.
-            q = backend.view(basis, slice(0, lo))
-            p_hi, p_lo = backend.dot_dd(q, v)                      # 1 sync
-            g_hi, g_lo = backend.dot_dd(v, v)                      # 1 sync
-            pt = dd_sum(*dd_mul((p_hi[:, :, None], p_lo[:, :, None]),
-                                (p_hi[:, None, :], p_lo[:, None, :])),
-                        axis=0)
-            s_hi, s_lo = dd_sub((g_hi, g_lo), pt)
-            p = p_hi + p_lo
-            backend.host_flops(_DD_HOST_PENALTY * 2.0 * lo * c * c)
-        backend.host_flops(_DD_HOST_PENALTY * c ** 3 / 3.0)
-        try:
-            r_jj = cholesky_dd(s_hi, s_lo)
-        except CholeskyBreakdownError:
-            if breakdown != "shift":
-                raise
-            # dd factorization failed => the panel is numerically rank
-            # deficient even at ~32 digits; recover with the shifted
-            # fp64 factorization like the classical pass does.
-            r_jj = _pythagorean_factor(s_hi + s_lo, None, breakdown="shift",
-                                       panel_index=panel_index)
     if p is not None:
         backend.update(v, q, p)
     backend.trsm(v, r_jj)
@@ -145,8 +119,7 @@ class MixedPrecisionTwoStageScheme(TwoStageScheme):
         :class:`~repro.ortho.two_stage.TwoStageScheme`).
     gram:
         Gram precision for the selected stages (``"dd"`` default;
-        ``"fp32"`` for the degraded-Gram study; ``"fp64"`` reduces to
-        the classical scheme).
+        ``"fp64"`` reduces to the classical scheme).
     stages:
         Which stage passes run mixed-precision: any subset of
         ``("first", "big_panel")``.  The default applies it to both —

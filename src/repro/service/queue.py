@@ -8,7 +8,7 @@ latency, not flops, is the scale bottleneck.  :class:`SolveQueue` is
 the batching front end over :func:`repro.krylov.block.block_sstep_gmres`
 that fixes this: compatible pending requests (same matrix/partition —
 the bound :class:`~repro.krylov.simulation.Simulation` — and same
-``s``/``restart``/basis/scheme/preconditioner/precision options) group
+``s``/``restart``/basis/scheme/preconditioner/solver options) group
 into one panelized multi-RHS batch, so a width-``b`` dispatch pays one
 collective per barrier instead of ``b``.
 
@@ -71,10 +71,6 @@ def _solver_key(s, restart, basis, scheme_factory, precond, options):
     they share the *same* instances, which is the safe reading of
     "compatible".
     """
-    try:
-        hash(options)
-    except TypeError:
-        options = id(options)
     return (int(s), int(restart),
             basis if isinstance(basis, str) else id(basis),
             None if scheme_factory is None else id(scheme_factory),

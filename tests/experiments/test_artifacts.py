@@ -159,9 +159,9 @@ class TestRunner:
         return err
 
     def test_dispatch_help(self, capsys):
-        """A bare command prints usage listing all 20 names."""
+        """A bare command prints usage listing all 19 names."""
         err = self._exit_2([], capsys)
-        assert len(self.NAMES) == 20
+        assert len(self.NAMES) == 19
         assert all(name in err for name in self.NAMES)
 
     def test_dispatch_unknown(self, capsys):

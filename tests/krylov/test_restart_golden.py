@@ -2,7 +2,7 @@
 moved into ``krylov/restart.py``.
 
 One fixed-budget solve per entry point and cycle body (the tolerance is
-unreachable and ``maxiter`` / ``max_refinements`` cap the work, so the
+unreachable and ``maxiter`` caps the work, so the
 charge stream follows from shapes and not from last-bit numerics), on a
 16 x 16 Laplacian over 4 ranks.  ``GOLDEN`` was recorded AT THE COMMIT
 BEFORE the solvers were rewritten on the shared restart core and must
@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ import pytest
 from repro.krylov.adaptive import adaptive_sstep_gmres
 from repro.krylov.block import block_sstep_gmres
 from repro.krylov.gmres import gmres
-from repro.krylov.ir import gmres_ir
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -45,6 +45,7 @@ from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.parallel.machine import generic_cpu
+from repro.precision.kernels import MixedPrecisionTwoStageScheme
 from repro.parallel.tracing import KERNELS, PHASES
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 
@@ -83,7 +84,10 @@ CASES = {
     "sstep-pip2": _sstep(BCGSPIP2Scheme),
     "sstep-two-stage": _sstep(TwoStageScheme),
     "sstep-sketched": _sstep(TwoStageScheme, solve_mode="sketched"),
-    "sstep-fp32": _sstep(TwoStageScheme, precision="fp32"),
+    # the dd-Gram two-stage scheme, given as ``scheme=``
+    "sstep-mixed-two-stage": _sstep(partial(
+        MixedPrecisionTwoStageScheme, big_step=20, gram="dd",
+        breakdown="shift")),
     "sstep-block-jacobi-auto": _sstep(
         TwoStageScheme, BlockJacobiPreconditioner, mpk_mode="auto"),
     # the two communication-avoiding matrix powers kernels, and the
@@ -93,9 +97,6 @@ CASES = {
     "sstep-ca-overlap": _sstep(TwoStageScheme, mpk_mode="ca_overlap"),
     "sstep-sketched-pip2": _sstep(BCGSPIP2Scheme, solve_mode="sketched"),
     "block-width3": _block,
-    "gmres-ir-fp32": lambda sim, b: gmres_ir(
-        sim, b, precision="fp32", tol=UNREACHABLE, max_refinements=2,
-        inner_tol=UNREACHABLE, inner_maxiter=40, s=5, restart=20),
     # s = 16 breaks the monomial basis down at once (two checkpoint-less
     # cycles = stalled); s = 8 then spends the budget
     "adaptive-shrinks-s": lambda sim, b: adaptive_sstep_gmres(
@@ -162,11 +163,14 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         "78303f9fb372c3e580e2ee12a3cfe843"
         "4d8312d8c416483840d92639d625efd0",
         [(40, 2, 14, 3)]),
-    "sstep-fp32": (
-        156,
-        "939f6d94d1757ea120a7d5dcbaef921e"
-        "8a93b311bc4170a005083589dbefd1c4",
-        [(40, 2, 12, 3)]),
+    # recorded while ``SolverOptions.precision`` still existed: the same
+    # stream as a ``precision="fp64_dd_gram"`` solve, which built this
+    # scheme itself
+    "sstep-mixed-two-stage": (
+        168,
+        "83c6f9d8229c8704e3a1acab440e0877"
+        "dd7be718d5437dbf9b21e53b19946a54",
+        [(40, 2, 18, 3)]),
     "sstep-block-jacobi-auto": (
         167,
         "c1dcdf143454492d49ecd0d6dbe0a2e8"
@@ -194,11 +198,6 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         "a7f57c0dfae9059413ad5bba52a2ed5f"
         "ce24d53d7493e920368bf0daf65173f7",
         [(40, 2, 18, 9), (20, 1, 10, 5), (40, 2, 18, 9)]),
-    "gmres-ir-fp32": (
-        492,
-        "1c0298641cda8d1a13a975221d99c73b"
-        "f09dcb79610970835e91fdbd55702295",
-        [(80, 4, 54, 2)]),
     "adaptive-shrinks-s": (
         220,
         "7bec3b39a4aa6bf4a53b905cf43122cd"
@@ -232,7 +231,7 @@ def test_every_row_is_a_listed_phase_and_kernel(name, engine):
 @pytest.mark.parametrize("name", list(CASES))
 def test_result_reads_the_tracer_since_the_call(name):
     """``times`` / ``sync_count`` cover the whole call and nothing else —
-    every attempt of the adaptive driver, every refinement of GMRES-IR."""
+    every attempt of the adaptive driver included."""
     sim = make_sim("batched")
     gmres(sim, np.ones(sim.n), restart=4, maxiter=4)  # clock is not at 0
     snap = sim.tracer.snapshot()

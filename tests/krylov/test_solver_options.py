@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import warnings
 
 import numpy as np
@@ -38,11 +37,10 @@ class TestDataclass:
         opts = SolverOptions()
         assert opts.solve_mode == "classical"
         assert opts.mpk_mode == "standard"
-        assert opts.precision is None
 
-    def test_fields_are_the_three_caller_knobs(self):
+    def test_fields_are_the_two_caller_knobs(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "solve_mode", "mpk_mode", "precision"]
+            "solve_mode", "mpk_mode"]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -57,16 +55,9 @@ class TestDataclass:
         with pytest.raises(ConfigurationError, match="mpk_mode"):
             SolverOptions(mpk_mode="telepathy")
 
-    def test_unknown_precision_is_refused_at_construction(self):
-        """Refused when the options are built — before a solve could
-        charge anything — inside the library's error hierarchy."""
-        with pytest.raises(ConfigurationError, match="fp17"):
-            SolverOptions(precision="fp17")
-
     @pytest.mark.parametrize("field, value", [
         ("solve_mode", "Sketched"), ("solve_mode", None),
         ("mpk_mode", "CA"), ("mpk_mode", None),
-        ("precision", "dd"), ("precision", "fp16"),
     ])
     def test_bad_field_is_refused_at_construction(self, field, value):
         """Refused when the options are built — before a solve could
@@ -79,8 +70,6 @@ class TestDataclass:
     @pytest.mark.parametrize("field, value", [
         *(("solve_mode", mode) for mode in SOLVE_MODES),
         *(("mpk_mode", mode) for mode in MPK_SOLVER_MODES),
-        ("precision", "FP32"),
-        ("precision", "fp32_dd_gram"), ("precision", "bf16"),
     ])
     def test_legal_edge_values_are_kept(self, field, value):
         assert getattr(SolverOptions(**{field: value}), field) == value
@@ -127,40 +116,8 @@ class TestOneWayIn:
             solve(sim, solve_mode="sketched")
         assert sim.tracer.clock == 0.0
 
-    def test_gmres_ir_has_one_way_in(self):
-        from repro.krylov.ir import gmres_ir
-        params = inspect.signature(gmres_ir).parameters
-        assert "solve_mode" not in params
-        assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
-        sim = make_sim()
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            gmres_ir(sim, np.ones(sim.n), mpk_mode="ca")
-
 
 class TestDownstreamWiring:
-    def test_gmres_ir_default_options_without_warning(self):
-        from repro.krylov.ir import gmres_ir
-        sim = make_sim()
-        b = np.ones(sim.n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = gmres_ir(sim, b, s=3, restart=9, tol=1e-10)
-        assert res.converged
-        # without options the inner solves keep the monitors live
-        assert res.diagnostics["inner_solves"][0][
-            "basis_condition_max"] is not None
-
-    def test_gmres_ir_options_base(self):
-        from repro.krylov.ir import gmres_ir
-        sim = make_sim()
-        b = np.ones(sim.n)
-        res = gmres_ir(sim, b, s=3, restart=9, tol=1e-10,
-                       options=SolverOptions(solve_mode="sketched",
-                                             precision="bf16"))
-        # gmres_ir's precision contract overrides the options field
-        assert res.converged
-        assert res.diagnostics["precision"] == "fp32"
-
     def test_adaptive_forwards_options(self):
         from repro.krylov.adaptive import adaptive_sstep_gmres
         sim = make_sim()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.krylov.ir import gmres_ir
 from repro.krylov.options import SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -77,18 +76,6 @@ class TestSstepTelemetry:
         res = _solve(scheme=SketchedTwoStageScheme(big_step=12),
                      options=SolverOptions(solve_mode="sketched"))
         assert all(r.mode == "sketched" for r in res.telemetry)
-
-
-class TestGmresIrTelemetry:
-    def test_one_record_per_refinement(self):
-        sim = Simulation(laplace2d(24), ranks=4)
-        res = gmres_ir(sim, sim.ones_solution_rhs(), s=3, restart=12,
-                       tol=1e-10)
-        assert res.converged
-        assert len(res.telemetry) >= 1
-        assert all(r.mode is not None and r.mode.startswith("ir/")
-                   for r in res.telemetry)
-        assert res.telemetry[-1].iterations == res.iterations
 
 
 class TestAdaptiveTelemetry:

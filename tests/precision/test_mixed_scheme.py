@@ -35,10 +35,6 @@ class TestMixedPrecisionPanel:
     def test_contract_dd(self):
         self._contract("dd")
 
-    def test_contract_fp32(self):
-        # exact factorization, but orthonormality only to the fp32 Gram
-        self._contract("fp32", ortho_floor=1e-6)
-
     def test_fp64_delegates_to_classical(self):
         self._contract("fp64")
 
@@ -54,14 +50,47 @@ class TestMixedPrecisionPanel:
             mixed_precision_panel(nb, v.copy(), 0, 5, gram="fp64")
         np.testing.assert_allclose(work @ r, v, atol=1e-10)
 
-    def test_fp32_gram_breaks_early(self):
-        """The degraded control: fp32 Gram dies at kappa well below the
-        fp64 cliff."""
+    @pytest.mark.parametrize("lo, c", [(0, 1), (0, 4), (3, 1), (3, 4),
+                                       (6, 1), (6, 4)])
+    def test_dd_contract_over_panel_shapes(self, lo, c):
+        """``V_old = Q P + V_new R`` with an orthonormal ``V_new`` for
+        every prefix width, the empty one included, and ``R`` upper
+        triangular with a positive diagonal."""
+        rng = default_rng(10 + 7 * lo + c)
+        nb = NumpyBackend()
+        basis = rng.standard_normal((400, lo + c))
+        if lo:
+            basis[:, :lo] = np.linalg.qr(basis[:, :lo])[0]
+        q0 = basis[:, :lo].copy()
+        v_old = basis[:, lo:].copy()
+        p, r = mixed_precision_panel(nb, basis, lo, lo + c, gram="dd")
+        assert (p is None) == (lo == 0)
+        recon = basis[:, lo:] @ r + (0.0 if p is None else q0 @ p)
+        np.testing.assert_allclose(recon, v_old, atol=1e-12)
+        assert orthogonality_error(basis[:, lo:]) < 1e-13
+        np.testing.assert_array_equal(r, np.triu(r))
+        assert np.all(np.diag(r) > 0)
+
+    @pytest.mark.parametrize("gram", ["fp32", "bf16", "fp16", "DD", ""])
+    def test_unknown_gram_is_refused_by_the_scheme(self, gram):
+        with pytest.raises(ConfigurationError, match="gram precision"):
+            MixedPrecisionTwoStageScheme(big_step=20, gram=gram)
+
+    @pytest.mark.parametrize("gram", ["fp32", "bf16", "fp16", "DD", ""])
+    def test_unknown_gram_is_refused_by_the_panel(self, gram):
+        with pytest.raises(ConfigurationError, match="gram precision"):
+            mixed_precision_panel(NumpyBackend(), np.eye(8), 0, 4,
+                                  gram=gram)
+
+    def test_fp32_gram_is_refused(self):
+        """The Gram runs in fp64 or dd; an fp32 Gram is no spec."""
         rng = default_rng(3)
         v = random_with_condition(2000, 5, 1e6, rng)
         nb = NumpyBackend()
-        with pytest.raises(CholeskyBreakdownError):
+        with pytest.raises(ConfigurationError, match="fp32"):
             mixed_precision_panel(nb, v.copy(), 0, 5, gram="fp32")
+        with pytest.raises(ConfigurationError, match="fp32"):
+            MixedPrecisionTwoStageScheme(big_step=20, gram="fp32")
         mixed_precision_panel(nb, v.copy(), 0, 5, gram="fp64")  # fine
 
     def test_unknown_gram_raises(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.krylov.options import MPK_SOLVER_MODES, SOLVE_MODES, SolverOptions
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
 from repro.matrices.stencil import laplace2d
@@ -136,6 +137,23 @@ class TestCompatibilityGrouping:
         assert key(a) != key(b)
         assert key(a) == key(Opts("a"))
         assert len({key(a), key(b), key(Opts("a"))}) == 2
+
+    @pytest.mark.parametrize("mpk_mode", MPK_SOLVER_MODES)
+    @pytest.mark.parametrize("solve_mode", SOLVE_MODES)
+    def test_solver_options_key_by_value(self, solve_mode, mpk_mode):
+        """Two equal ``SolverOptions`` built apart share one key; every
+        other combination of the two knobs keys apart."""
+        def key(opts):
+            return _solver_key(S, RESTART, "monomial", None, None, opts)
+
+        opts = SolverOptions(solve_mode=solve_mode, mpk_mode=mpk_mode)
+        twin = SolverOptions(solve_mode=solve_mode, mpk_mode=mpk_mode)
+        assert opts is not twin and key(opts) == key(twin)
+        others = {key(SolverOptions(solve_mode=sm, mpk_mode=mm))
+                  for sm in SOLVE_MODES for mm in MPK_SOLVER_MODES
+                  if (sm, mm) != (solve_mode, mpk_mode)}
+        assert key(opts) not in others
+        assert len(others) == len(SOLVE_MODES) * len(MPK_SOLVER_MODES) - 1
 
 
 class TestConfigLifetime:

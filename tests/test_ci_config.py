@@ -170,7 +170,7 @@ class TestWorkflow:
         assert "strategy" not in nightly  # one leg: no engine axis
         runs = "\n".join(step.get("run", "") for step in nightly["steps"])
         assert "slow" in runs
-        for name in ("sketch", "rgs", "precision", "ca_mpk"):
+        for name in ("sketch", "rgs", "ca_mpk"):
             assert f"{RUNNER} {name} --quick" in runs, name
         # the service-throughput smoke re-asserts the batching claims
         # nightly and drops BENCH_service.json into the uploaded dir
@@ -276,7 +276,7 @@ class TestWorkflow:
                     "benchmarks/bench_mpk.py"):
             assert ref in text, f"{ref} not exercised by CI"
             assert (REPO / ref).exists(), f"{ref} missing from repo"
-        for name in ("sketch", "rgs", "precision", "ca_mpk", "service",
+        for name in ("sketch", "rgs", "ca_mpk", "service",
                      "backend", "calibrate"):
             assert f"{RUNNER} {name} " in text, f"{name} not exercised by CI"
 
@@ -287,7 +287,7 @@ class TestWorkflow:
         from repro.experiments.runner import REGISTRY
         names = re.findall(rf"{re.escape(RUNNER)} (\S+)",
                            WORKFLOW.read_text())
-        assert len(names) == 7
+        assert len(names) == 6
         assert set(names) <= set(REGISTRY), sorted(set(names) - set(REGISTRY))
 
 
