@@ -112,8 +112,8 @@ def _estimator() -> estimator.CycleCostEstimator:
 def _fold_args(est: estimator.CycleCostEstimator, config: str) -> tuple:
     """What ``est.cycle(config)`` hands ``Tracer.fold``."""
     plan = est.plan(config)
-    return (plan.keys, plan.rows, estimator.price_cells(plan, [est])[0],
-            plan.counts)
+    return (plan.keys, plan.rows,
+            estimator.price_cells([est], [(plan, [0])])[0][0], plan.counts)
 
 
 def fold_overhead() -> float:

@@ -15,17 +15,19 @@ alone, so nothing about a scheme is restated here
   describe (``sketch``, ``householder_qr``, ``tsqr``) is a
   :class:`ConfigurationError`.  With the solver shell around it (SpMV
   steps, residual, checkpoint host math, solution update) that is a
-  :class:`_Plan`: the distinct ops grouped into kinds and, per charge,
-  its op, row and count, kept per ``(config, m, s, bs, ranks > 1,
-  precond)``;
-* **priced** — :func:`price_cells`, for a group of cells (estimators)
-  that share a plan and a machine: each op kind by one elementwise call
-  over a ``(cells x ops)`` block — a local op by its ``LOCAL_OPS``
-  formula over the cells' ``nl`` rows, SpMV and the block-Jacobi apply
-  (:class:`PrecondShape`) by per-cell shape columns, a collective and a
-  halo per cell — then gathered per charge and folded in one
-  :func:`~repro.parallel.tracing.fold_block`.  A cycle of one estimator
-  is the one-cell case, folded by :meth:`Tracer.fold`.
+  :class:`_Plan`: the distinct ops and, per charge, its op, row and
+  count, kept per ``(config, m, s, bs, ranks > 1, precond)``;
+* **priced** — :func:`price_cells`, for the groups of cells (a plan and
+  the estimators it is priced at) of one machine: the union of their
+  plans' ops (:func:`_union`), each op kind by one elementwise call over
+  an ``(estimators x ops)`` block for the estimators whose plans have
+  it — a local op by its ``LOCAL_OPS`` formula over the ``nl`` rows,
+  SpMV and the block-Jacobi apply (:class:`PrecondShape`) by
+  per-estimator shape columns, a collective over the rank column, a
+  halo per estimator — then gathered per charge of each plan, which
+  the caller folds in one :func:`~repro.parallel.tracing.fold_block`.
+  A cycle of one estimator is the one-plan, one-cell case, folded by
+  :meth:`Tracer.fold`.
 
 Every ``(phase, kernel)`` row equals the tracer diff of one live solver
 cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
@@ -216,44 +218,65 @@ _KERNELS = {"allreduce": "allreduce", "host": "host", "halo": "halo",
             "spmv": "spmv_local", "precond": LOCAL_OPS["gs_sweep"][0]}
 
 
-class _Kind(NamedTuple):
-    """The ops of one name in a plan: their ``slots`` among the plan's
-    distinct ops and one column per argument, what one elementwise
-    formula call prices for every cell at once."""
-
-    name: str
-    slots: np.ndarray
-    args: tuple
-
-
 class _Plan(NamedTuple):
     """What one restart cycle charges, whatever the estimator: per charge,
     the slot of its op among the distinct ``ops`` (first-use order), its
-    row among the ``(phase, kernel)`` ``keys`` (first-seen) and its count;
-    and the ops grouped into their ``kinds``."""
+    row among the ``(phase, kernel)`` ``keys`` (first-seen) and its
+    count."""
 
     ops: tuple
     keys: tuple
     slots: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
+
+
+class _Kind(NamedTuple):
+    """The ops of one name among a union of plans: their ``slots`` among
+    the union's distinct ops, one column per argument (what one
+    elementwise formula call prices for every cell at once) and the
+    ``plans`` that have such an op (whose cells the kind is priced for)."""
+
+    name: str
+    slots: np.ndarray
+    args: tuple
+    plans: tuple
+
+
+class _Union(NamedTuple):
+    """The distinct ops of several plans: how many, grouped into
+    ``kinds``, and per plan the union slot of each of its ops."""
+
+    size: int
     kinds: tuple
+    maps: tuple
 
 
-def _kinds(ops: tuple) -> tuple:
-    """The :class:`_Kind` of every op name in ``ops``, first-use order;
-    integer arguments stay integers (int64), as the scalar formulas see
-    them."""
+def _frozen(values, dtype=None) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+@functools.lru_cache(maxsize=64)
+def _union(ops: tuple) -> _Union:
+    """The :class:`_Union` of the plans whose distinct ops are ``ops``
+    (one tuple per plan), union slots in first-use order, kept for the
+    process: it depends on the ops alone.  Integer arguments stay
+    integers (int64), as the scalar formulas see them."""
+    slot: dict = {}
+    maps = tuple(_frozen([slot.setdefault(op, len(slot)) for op in plan_ops],
+                         np.intp) for plan_ops in ops)
     named: dict = {}
-    for slot, (name, *args) in enumerate(ops):
-        named.setdefault(name, []).append((slot, *args))
+    for (name, *args), at in slot.items():
+        named.setdefault(name, []).append((at, *args))
     kinds = []
     for name, entries in named.items():
-        slots, *args = (np.array(column) for column in zip(*entries))
-        for column in (slots, *args):
-            column.setflags(write=False)
-        kinds.append(_Kind(name, slots, tuple(args)))
-    return tuple(kinds)
+        slots, *args = (_frozen(column) for column in zip(*entries))
+        kinds.append(_Kind(name, slots, tuple(args), tuple(
+            p for p, plan_ops in enumerate(ops)
+            if any(op[0] == name for op in plan_ops))))
+    return _Union(len(slot), tuple(kinds), maps)
 
 
 def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
@@ -302,7 +325,7 @@ def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
         (phase, _KERNELS.get(op[0]) or LOCAL_OPS[op[0]][0]), len(keys)), count)
         for phase, op, count in charges], dtype=np.intp).T
     plan.setflags(write=False)   # shared by every estimator of the process
-    return _Plan(tuple(ops), tuple(keys), *plan, _kinds(tuple(ops)))
+    return _Plan(tuple(ops), tuple(keys), *plan)
 
 
 @functools.lru_cache(maxsize=256)
@@ -316,44 +339,52 @@ def _plan(config: str, m: int, s: int, bs: int | None, halo: bool,
     return _build_plan(scheme, m, s, halo, precond)
 
 
-def price_cells(plan: _Plan, cells: list) -> np.ndarray:
-    """The ``(cells x charges)`` seconds of ``plan`` at every estimator of
-    ``cells`` (one machine): each kind of op priced by one elementwise
-    call over a ``(cells x ops)`` block, then gathered per charge.
+def price_cells(estimators: list, plans: list) -> list:
+    """The ``(cells x charges)`` seconds of each ``(plan, rows)`` of
+    ``plans`` at ``estimators[rows]``, all on one machine.
 
-    A local op is its :data:`LOCAL_OPS` formula over the cells' ``nl``
-    rows (a column) and the kind's argument columns; host flops depend on
-    the machine alone; SpMV and the block-Jacobi apply
-    (:class:`PrecondShape`) take per-cell columns; a collective is priced
-    per cell over the payload column (its hops follow the rank count) and
-    a halo exchange per cell."""
-    cost = cells[0].cost
+    The plans' distinct ops are priced once, as their :func:`_union`:
+    each kind of op by one elementwise call over an ``(estimators x
+    ops)`` block, for the estimators of the plans that have it.  A local
+    op is its :data:`LOCAL_OPS` formula over the estimators' ``nl`` rows
+    (a column) and the kind's argument columns; host flops depend on the
+    machine alone; SpMV and the block-Jacobi apply (:class:`PrecondShape`)
+    take per-estimator shape columns; a collective takes their rank
+    column against the payload row; a halo exchange is priced per
+    estimator.  Each plan then gathers its block through its union map,
+    one column per charge."""
+    union = _union(tuple(plan.ops for plan, _ in plans))
+    cost = estimators[0].cost
 
     def column(values, dtype=float) -> np.ndarray:
         return np.array(values, dtype=dtype)[:, None]
 
-    nl = column([c.nl for c in cells], np.int64)
-    nnz_l = column([c.nnz_l for c in cells])
-    prices = np.empty((len(cells), len(plan.ops)))
-    for name, slots, args in plan.kinds:
+    nl = column([c.nl for c in estimators], np.int64)
+    nnz_l = column([c.nnz_l for c in estimators])
+    prices = np.full((len(estimators), union.size), np.nan)
+    for name, slots, args, has in union.kinds:
+        at = sorted(set().union(*(plans[p][1] for p in has)))
+        priced = [estimators[row] for row in at]
         if name == "allreduce":
-            for row, c in enumerate(cells):
-                prices[row, slots] = cost.allreduce(_D * args[0], c.ranks)
+            seconds = cost.allreduce(
+                _D * args[0], column([c.ranks for c in priced], np.int64))
         elif name == "halo":
-            prices[:, slots] = column([c._halo_seconds() for c in cells])
+            seconds = column([c._halo_seconds() for c in priced])
         elif name == "host":
-            prices[:, slots] = cost.host_dense(args[0])
+            seconds = cost.host_dense(args[0])
         elif name == "spmv":
-            prices[:, slots] = cost.spmv(
-                nnz_l, nl, nl + column([c.shape.halo_cols for c in cells]))
+            seconds = cost.spmv(nnz_l[at], nl[at], nl[at] + column(
+                [c.shape.halo_cols for c in priced]))
         elif name == "precond":
-            prices[:, slots] = LOCAL_OPS["gs_sweep"][1](
-                cost, nl, nnz_l,
-                column([c.precond.sweeps for c in cells], np.int64),
-                column([c.precond.colors for c in cells], np.int64))
+            seconds = LOCAL_OPS["gs_sweep"][1](
+                cost, nl[at], nnz_l[at],
+                column([c.precond.sweeps for c in priced], np.int64),
+                column([c.precond.colors for c in priced], np.int64))
         else:
-            prices[:, slots] = LOCAL_OPS[name][1](cost, nl, *args)
-    return prices[:, plan.slots]
+            seconds = LOCAL_OPS[name][1](cost, nl[at], *args)
+        prices[column(at, np.intp), slots] = seconds
+    return [prices[column(rows, np.intp), to_union[plan.slots]]
+            for (plan, rows), to_union in zip(plans, union.maps)]
 
 
 class CycleCostEstimator:
@@ -414,7 +445,8 @@ class CycleCostEstimator:
 
     def _priced(self, plan: _Plan) -> Tracer:
         return Tracer().fold(plan.keys, plan.rows,
-                             price_cells(plan, [self])[0], plan.counts)
+                             price_cells([self], [(plan, [0])])[0][0],
+                             plan.counts)
 
     # ------------------------------------------------------------------
     # public: one full cycle per solver configuration

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter, namedtuple
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -72,40 +73,50 @@ def sweep(points: Iterable[Point]) -> Frame:
     """Price one restart cycle of every config at every point.
 
     A cell is a point and a config.  Cells whose plans and machines are
-    the same form a group: one :func:`price_cells` call prices it, one
-    :func:`fold_block` folds it and its rows are laid out once; the frame
-    comes out in grid, config and tracer order whatever the grouping."""
-    cells, groups = [], {}
+    the same form a group.  Per machine, one :func:`price_cells` call
+    prices the union of its groups' ops; one :func:`fold_block` folds
+    each group and its rows are laid out once; the frame comes out in
+    grid, config and tracer order whatever the grouping."""
+    cells, machines = [], {}
     for p in points:
         est = CycleCostEstimator(p.machine, p.ranks, p.shape, m=p.m, s=p.s,
                                  precond=p.precond)
+        ests, groups = machines.setdefault(p.machine, ([], {}))
+        ests.append(est)
         for label, config, bs in p.configs:
             plan = est.plan(config, bs)
-            groups.setdefault((id(plan), p.machine), (plan, []))[1].append(
-                len(cells))
-            cells.append((p.key, label, est))
+            _, rows, members = groups.setdefault(id(plan), (plan, [], []))
+            rows.append(len(ests) - 1)
+            members.append(len(cells))
+            cells.append((p.key, label))
     laid_out = [None] * len(cells)
-    for plan, members in groups.values():
-        ests = [cells[i][2] for i in members]
-        block = fold_block(plan.keys, plan.rows,
-                           estimator.price_cells(plan, ests), plan.counts)
-        block.check()
-        counts = Counter()
-        for (phase, _), count in zip(block.keys, block.counts.tolist()):
-            counts[phase] += count
-            counts["total"] += count
-        phases = ests[0].phase_seconds(TraceTotals(
-            block.clocks[:, -1], dict(zip(block.phases, block.by_phase.T))))
-        names = [*block.keys, *((phase, None) for phase in phases)]
-        tallies = [*block.counts.tolist(), *(counts[p] for p in phases)]
-        seconds = np.column_stack([block.by_kernel, *(
-            np.broadcast_to(v, len(ests)) for v in phases.values())])
-        for i, row in zip(members, seconds.tolist()):
-            laid_out[i] = zip(names, row, tallies)
+    for ests, groups in machines.values():
+        groups = list(groups.values())
+        blocks = estimator.price_cells(
+            ests, [(plan, rows) for plan, rows, _ in groups])
+        for (plan, _, members), seconds in zip(groups, blocks):
+            block = fold_block(plan.keys, plan.rows, seconds, plan.counts)
+            block.check()
+            counts = Counter()
+            for (phase, _), count in zip(block.keys, block.counts.tolist()):
+                counts[phase] += count
+                counts["total"] += count
+            phases = ests[0].phase_seconds(TraceTotals(
+                block.clocks[:, -1], dict(zip(block.phases, block.by_phase.T))))
+            width = len(block.keys)
+            names = ([*(phase for phase, _ in block.keys), *phases],
+                     [*(kernel for _, kernel in block.keys),
+                      *(None for _ in phases)])
+            tallies = [*block.counts.tolist(), *(counts[p] for p in phases)]
+            seconds = np.empty((len(members), width + len(phases)))
+            seconds[:, :width] = block.by_kernel
+            for column, v in enumerate(phases.values(), width):
+                seconds[:, column] = v
+            for i, row in zip(members, seconds.tolist()):
+                laid_out[i] = (*names, row, tallies)
     frame = Frame()
-    for (key, label, _), rows in zip(cells, laid_out):
-        frame.extend(Row(key, label, phase, kernel, seconds, count)
-                     for (phase, kernel), seconds, count in rows)
+    for (key, label), columns in zip(cells, laid_out):
+        frame.extend(map(Row, repeat(key), repeat(label), *columns))
     return frame
 
 
@@ -115,7 +126,8 @@ def strong_scaling(node_counts: Iterable | None, configs: tuple,
     """Table III's grid, keyed by node count (1 .. 32 by default):
     9-point 2D Laplace ``n = nx^2``, ``ranks_per_node`` ranks per node."""
     node_counts = list(node_counts or (1, 2, 4, 8, 16, 32))
-    bad = [n for n in node_counts if not isinstance(n, numbers.Integral) or n < 1]
+    bad = [n for n in node_counts if not isinstance(n, numbers.Integral)
+           or isinstance(n, bool) or n < 1]
     if bad or len(set(node_counts)) < len(node_counts):
         raise ConfigurationError(f"node counts must be distinct integers "
                                  f">= 1, got {bad or node_counts}")

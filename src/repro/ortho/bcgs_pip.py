@@ -33,6 +33,10 @@ from repro.ortho.base import BlockOrthoScheme
 from repro.ortho.cholqr import cholesky_factor
 
 
+#: Cholesky-breakdown policies: re-raise, or retry with a growing shift
+BREAKDOWNS = ("raise", "shift")
+
+
 def _pythagorean_factor(g: np.ndarray, p: np.ndarray | None, *,
                         breakdown: str, panel_index: int) -> np.ndarray:
     """Cholesky factor of ``G - P.T P`` with the configured recovery."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.ortho.base import BlockOrthoScheme
-from repro.ortho.bcgs_pip import bcgs_pip_panel
+from repro.ortho.bcgs_pip import BREAKDOWNS, bcgs_pip_panel
 
 
 class TwoStageScheme(BlockOrthoScheme):
@@ -60,8 +60,13 @@ class TwoStageScheme(BlockOrthoScheme):
 
     def __init__(self, big_step: int, breakdown: str = "raise") -> None:
         super().__init__()
-        if big_step < 1:
-            raise ConfigurationError(f"big_step must be >= 1, got {big_step}")
+        if (not isinstance(big_step, (int, np.integer))
+                or isinstance(big_step, bool) or big_step < 1):
+            raise ConfigurationError(
+                f"big_step must be an integer >= 1, got {big_step!r}")
+        if breakdown not in BREAKDOWNS:
+            raise ConfigurationError(f"breakdown must be one of "
+                                     f"{BREAKDOWNS}, got {breakdown!r}")
         self.big_step = big_step
         self.breakdown = breakdown
         self._big_lo = 0

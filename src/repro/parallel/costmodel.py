@@ -15,10 +15,11 @@ collective (the GPU pipeline must drain before MPI may touch the buffer).
 
 Every method returns seconds; the caller decides the tracing category
 (a local kernel's through :data:`LOCAL_OPS`).  The local-kernel formulas
-are elementwise: given NumPy columns of shapes they return the array of
-the scalar seconds, bit for bit, which is how the paper-scale estimator
-prices a whole sweep (``docs/cost-model.md``); only a branch on a machine
-constant stays a Python ``if``.  :meth:`CostModel.record` hands the tracer
+and :meth:`CostModel.allreduce` are elementwise: given NumPy columns of
+shapes (of rank counts) they return the array of the scalar seconds, bit
+for bit, which is how the paper-scale estimator prices a whole sweep
+(``docs/cost-model.md``); only a branch on a machine constant stays a
+Python ``if``.  :meth:`CostModel.record` hands the tracer
 plain floats.  The model is deliberately small and fully unit-tested —
 see ``tests/parallel/test_costmodel.py``.
 """
@@ -256,16 +257,25 @@ class CostModel:
 
         Hierarchical recursive doubling: every hop pays its latency plus
         the payload over its link; one device sync drains the GPU pipeline
-        before MPI may read the buffer (and one more to resume).
+        before MPI may read the buffer (and one more to resume).  With
+        ``ranks`` an integer array (a column against a payload row), the
+        seconds of every pair, bit for bit the scalar's; ``ranks <= 1``
+        costs exactly ``0.0``.
         """
-        if ranks <= 1:
-            return 0.0
         m = self.machine
-        intra, inter = self._tree_hops(ranks)
+        array = isinstance(ranks, np.ndarray)
+        if array:
+            hops = np.array([self._tree_hops(r) if r > 1 else (0, 0)
+                             for r in ranks.ravel().tolist()], dtype=np.int64)
+            intra, inter = np.moveaxis(hops.reshape(*ranks.shape, 2), -1, 0)
+        elif ranks <= 1:
+            return 0.0
+        else:
+            intra, inter = self._tree_hops(ranks)
         t = 2.0 * m.device_sync_latency
         t += intra * (m.net_latency_intra + bytes_payload / m.net_bandwidth_intra)
         t += inter * (m.net_latency_inter + bytes_payload / m.net_bandwidth_inter)
-        return t
+        return np.where(ranks > 1, t, 0.0) if array else t
 
     def point_to_point(self, bytes_payload: float, same_node: bool) -> float:
         """One message between two ranks."""

@@ -309,31 +309,36 @@ class TestGridErrors:
 
     @pytest.fixture
     def priced(self, monkeypatch):
-        """The cells the group pricer is handed, every sweep's and every
-        single cycle's."""
-        cells = []
+        """Per call of the pricer, every sweep's and every single cycle's,
+        the estimator of each cell it is handed."""
+        calls = []
 
-        def recording(plan, ests, _inner=est_mod.price_cells):
-            cells.extend(ests)
-            return _inner(plan, ests)
+        def recording(ests, plans, _inner=est_mod.price_cells):
+            calls.append([ests[row] for _, rows in plans for row in rows])
+            return _inner(ests, plans)
         monkeypatch.setattr(est_mod, "price_cells", recording)
-        return cells
+        return calls
 
     def test_a_valid_grid_is_priced_through_the_fixture(self, priced):
         """What keeps ``priced == []`` below from passing vacuously."""
         sweep(strong_scaling([1, 2], PAPER_CONFIGS))
-        assert len(priced) == 2 * len(PAPER_CONFIGS)
+        assert [len(cells) for cells in priced] == [2 * len(PAPER_CONFIGS)]
+        assert sorted(est.ranks for est in priced[0]) == (
+            [6] * len(PAPER_CONFIGS) + [12] * len(PAPER_CONFIGS))
         CycleCostEstimator(resolve_machine("summit"), 6,
                            ProblemShape.stencil2d(100), m=10, s=5).cycle("pip2")
-        assert len(priced) == 2 * len(PAPER_CONFIGS) + 1
+        assert [len(cells) for cells in priced] == [2 * len(PAPER_CONFIGS), 1]
 
     @pytest.mark.parametrize("run, named", [
         (lambda: table4.run(matrices=["ecology2", "nope"]), ["nope", "ML_Geer"]),
         (lambda: fig10_12.run("fig14"), ["fig14", "fig10"]),
         (lambda: table3.run(node_counts=[1, 0]), ["0", ">= 1"]),
         (lambda: fig13.run(node_counts=[2, -1]), ["-1", ">= 1"]),
+        (lambda: table3.run(node_counts=[True]), ["[True]", "integers"]),
+        (lambda: sweep(strong_scaling([2, False], PAPER_CONFIGS)),
+         ["False", ">= 1"]),
     ], ids=["table4 matrix", "fig10_12 figure", "table3 nodes",
-            "fig13 nodes"])
+            "fig13 nodes", "table3 bool nodes", "bool nodes"])
     def test_bad_input(self, priced, run, named):
         with pytest.raises(ConfigurationError) as err:
             run()
@@ -419,15 +424,20 @@ class TestGroupedSweep:
         return [(*r[:4], float(r.seconds).hex(), r.count) for r in frame]
 
     def test_one_sweep_is_the_per_point_sweeps(self, monkeypatch):
-        groups = []
+        calls = []
 
-        def counted(plan, ests, _inner=est_mod.price_cells):
-            groups.append(len(ests))
-            return _inner(plan, ests)
+        def counted(ests, plans, _inner=est_mod.price_cells):
+            calls.append((len(ests), [len(rows) for _, rows in plans]))
+            return _inner(ests, plans)
         monkeypatch.setattr(est_mod, "price_cells", counted)
         points = self.grid()
         whole = sweep(points)
+        groups = [cells for _, per_plan in calls for cells in per_plan]
         assert max(groups) > 1 and sum(groups) == 6 * len(points)
+        # one call per machine (summit, vortex, the slow network), handed
+        # each point's estimator once
+        assert len(calls) == len({p.machine for p in points}) == 3
+        assert sum(ests for ests, _ in calls) == len(points)
         parts = [r for p in points for r in sweep([p])]
         assert self.hexed(whole) == self.hexed(parts)
 

@@ -14,6 +14,7 @@ from repro.distla.engine import charge_rows
 from repro.exceptions import ConfigurationError
 from repro.experiments import estimator as est_mod
 from repro.experiments import fig10_12, fig13, table2, table3, table4
+from repro.experiments.common import resolve_machine
 from repro.experiments.estimator import (
     CONFIGS,
     CycleCostEstimator,
@@ -21,7 +22,7 @@ from repro.experiments.estimator import (
     ProblemShape,
 )
 from repro.experiments.paper_data import TABLE4_SHAPES
-from repro.experiments.sweep import PAPER_CONFIGS
+from repro.experiments.sweep import PAPER_CONFIGS, Point, strong_scaling
 from repro.krylov.gmres import gmres
 from repro.krylov.simulation import Simulation
 from repro.krylov.sstep_gmres import sstep_gmres
@@ -291,20 +292,39 @@ class TestOneConfigDoor:
                        for mod in (table2, table3, table4, fig13, fig10_12))
 
     def test_each_table_prices_only_what_it_prints(self, monkeypatch):
-        """24 + 28 + 24 + 18 (+ 6 for Table II) cells: Fig. 10-12 price
+        """24 + 28 + 24 + 18 (+ 6 for Table II) cells, one pricing call
+        per sweep (each grid is on one machine), and the ops it prices are
+        the union of the plans of the cells it prints: Fig. 10-12 price
         one scheme per node count, not four."""
-        cells = []
+        calls = []
 
-        def counted(plan, ests, _inner=est_mod.price_cells):
-            cells.extend(ests)
-            return _inner(plan, ests)
+        def counted(ests, plans, _inner=est_mod.price_cells):
+            calls.append((sum(len(rows) for _, rows in plans),
+                          {op for plan, _ in plans for op in plan.ops}))
+            return _inner(ests, plans)
         monkeypatch.setattr(est_mod, "price_cells", counted)
-        for run, cycles in ((table3.run, 24), (table4.run, 28),
-                            (fig13.run, 24), (fig10_12.run_all, 18),
-                            (table2.run, 6)):
-            cells.clear()
+
+        def printed(points) -> set:
+            return {op for p in points for _, config, bs in p.configs
+                    for op in CycleCostEstimator(
+                        p.machine, p.ranks, p.shape, m=p.m, s=p.s,
+                        precond=p.precond).plan(config, bs).ops}
+        figures = [strong_scaling(None, ((scheme, scheme, None),))
+                   for scheme in fig10_12.SCHEMES.values()]
+        table2_grid = [Point(4, resolve_machine("vortex"), 4,
+                             ProblemShape.stencil2d(2000, 5), None, 60, 5,
+                             table2.SWEEP)]
+        for run, grids, cycles in (
+                (table3.run, [strong_scaling(None, PAPER_CONFIGS)], 24),
+                (table4.run, [table4.grid()], 28),
+                (fig13.run, [fig13.grid()], 24),
+                (fig10_12.run_all, figures, 18),
+                (table2.run, [table2_grid], 6)):
+            calls.clear()
             run()
-            assert len(cells) == cycles, run.__module__
+            assert sum(cells for cells, _ in calls) == cycles, run.__module__
+            assert [ops for _, ops in calls] == [printed(g) for g in grids], \
+                run.__module__
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,9 @@ from repro.ortho.analysis import (condition_number, orthogonality_error,
 from repro.ortho.backend import NumpyBackend
 from repro.ortho.base import BlockDriver, OrthoObserver, PanelInfo
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
+from repro.ortho.randomized import SketchedTwoStageScheme
 from repro.ortho.two_stage import TwoStageScheme
+from repro.precision.kernels import MixedPrecisionTwoStageScheme
 
 
 @pytest.fixture
@@ -142,6 +144,30 @@ class TestMechanics:
     def test_invalid_big_step(self):
         with pytest.raises(ConfigurationError):
             TwoStageScheme(big_step=0)
+
+    @pytest.mark.parametrize("cls", [TwoStageScheme,
+                                     MixedPrecisionTwoStageScheme,
+                                     SketchedTwoStageScheme])
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"big_step": 2.5}, "2.5"), ({"big_step": True}, "True"),
+        ({"big_step": np.float64(5.0)}, "5.0"), ({"big_step": "5"}, "'5'"),
+        ({"big_step": 5, "breakdown": "bogus"}, "'bogus'"),
+        ({"big_step": 5, "breakdown": None}, "None"),
+    ], ids=["float", "bool", "numpy float", "str", "policy", "no policy"])
+    def test_a_bad_argument_is_refused_at_construction(self, cls, kwargs,
+                                                       named):
+        with pytest.raises(ConfigurationError, match=named):
+            cls(**kwargs)
+
+    def test_one_stage_refuses_an_unknown_policy(self):
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            BCGSPIP2Scheme(breakdown="bogus")
+
+    @pytest.mark.parametrize("big_step", [1, 7, np.int64(60)])
+    @pytest.mark.parametrize("breakdown", ["raise", "shift"])
+    def test_every_valid_argument_is_kept(self, big_step, breakdown):
+        scheme = TwoStageScheme(big_step, breakdown=breakdown)
+        assert (scheme.big_step, scheme.breakdown) == (big_step, breakdown)
 
     @pytest.mark.parametrize("sound", [0, 4, 6])
     def test_failed_flush_retreats_panel_by_panel(self, nb, rng, sound):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.costmodel import LOCAL_OPS, CostModel
-from repro.parallel.machine import generic_cpu, summit, vortex
+from repro.parallel.machine import PRESETS, generic_cpu, summit, vortex
 
 SAT = int(summit().gemm_width_sat)
 #: column widths: empty, a GEMV, the split-k trough, around the wide
@@ -186,6 +186,39 @@ class TestArrayFormulas:
         assert [[x.hex() for x in row] for row in block.tolist()] == [
             [float(formula(cost, r, *each)).hex() for each in zip(*args)]
             for r in rows]
+
+    @pytest.mark.parametrize("machine", [
+        *(preset() for preset in PRESETS.values()), MACHINES[-1],
+        summit().with_overrides(ranks_per_node=7)],
+        ids=[*PRESETS, "wide-gemm", "7-per-node"])
+    def test_allreduce_prices_a_ranks_column_like_scalars(self, machine):
+        """Ranks -1 .. 1024 (every power of two, every node boundary and
+        everything between) against a payload row: each pair is the
+        scalar's bits, and one rank or none costs exactly ``0.0``."""
+        payloads = [0.0, 8.0, 8.0 * 61 * 61, 8.0e6, 12345.6789]
+        ranks = np.arange(-1, 1025)
+        block = CostModel(machine).allreduce(np.array(payloads),
+                                             ranks[:, None])
+        assert block.shape == (len(ranks), len(payloads))
+        scalar = CostModel(machine)
+        assert [[x.hex() for x in row] for row in block.tolist()] == [
+            [float(scalar.allreduce(p, r)).hex() for p in payloads]
+            for r in ranks.tolist()]
+        assert {x.hex() for x in block[ranks <= 1].ravel().tolist()} == {
+            (0.0).hex()}
+        assert (block[ranks > 1] > 0).all()
+
+    def test_allreduce_column_in_any_order_and_shape(self, cm):
+        """Repeated and unordered rank counts, a row of them or a scalar
+        array: the memoised hops never leak between entries."""
+        ranks = np.array([[192, 1, 7, 6, 192], [2, 0, 1024, 12, 7]])
+        block = cm.allreduce(64.0, ranks)
+        assert block.shape == ranks.shape
+        assert [x.hex() for x in block.ravel().tolist()] == [
+            float(CostModel(cm.machine).allreduce(64.0, r)).hex()
+            for r in ranks.ravel().tolist()]
+        assert (float(cm.allreduce(64.0, np.array(7))).hex()
+                == cm.allreduce(64.0, 7).hex())
 
     @pytest.mark.parametrize("op", sorted(LOCAL_OPS))
     def test_a_record_holds_python_floats(self, cm, op):

@@ -20,7 +20,6 @@ from repro.distla.multivector import DistMultiVector
 from repro.experiments.estimator import (
     CycleCostEstimator,
     ProblemShape,
-    _kinds,
     _Plan,
     price_cells,
 )
@@ -84,5 +83,5 @@ def test_per_shard_and_per_run_records_agree(op, shape, storage):
         assert est.nl == math.ceil(N / RANKS) == partition.counts[0]
         call = (op, *op_args(op, word_bytes(storage)))
         plan = _Plan((call,), (), np.zeros(1, np.intp), np.zeros(1, np.intp),
-                     np.ones(1, np.intp), _kinds((call,)))
-        assert price_cells(plan, [est]).tolist() == [[seconds]]
+                     np.ones(1, np.intp))
+        assert price_cells([est], [(plan, [0])])[0].tolist() == [[seconds]]
