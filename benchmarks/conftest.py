@@ -2,7 +2,8 @@
 
 What is left here is what only a timed run can assert: ratios of two
 legs of one run (``bench_kernels.py``'s loop-vs-batched pairs,
-``bench_mpk.py``'s ``HOST_RATIO_GATE``).  Host time itself is measured
+``bench_mpk.py``'s ``HOST_RATIO_GATE``, ``bench_sweep.py``'s
+``WARM_OVER_COLD_GATE``).  Host time itself is measured
 by ``perf/run.py`` and the paper's claims are tier-1 tests
 (``tests/experiments/test_paper_claims.py``).
 

@@ -76,7 +76,7 @@ def run_sync_vs_reuse(nodes: int = 32, nx: int = 2000, m: int = 60,
 
 def run_bs_grid(node_counts: list | None = None, nx: int = 2000,
                 m: int = 60, s: int = 5) -> ExperimentTable:
-    node_counts = node_counts or [1, 4, 16, 32]
+    node_counts = [1, 4, 16, 32] if node_counts is None else node_counts
     bs_values = [b for b in (5, 10, 15, 20, 30, 40, 50, 60) if b % s == 0]
     table = ExperimentTable(
         "ablation-A2", "Ortho seconds/cycle over the (bs, nodes) grid",

@@ -34,7 +34,7 @@ cycle to rounding, count for count; ``spmv/spmv_local`` alone differs
 (the ``nl + halo_cols`` operand shape) under the ceiling named in
 ``tests/experiments/test_estimator.py``.  Inside ``experiments/`` the
 one caller is :func:`repro.experiments.sweep.sweep`, which groups a
-grid's cells; no price outlives a call.
+grid's cells and keeps what it priced (``docs/cost-model.md``).
 """
 
 from __future__ import annotations
@@ -328,11 +328,13 @@ def _build_plan(scheme_factory: Callable[[], BlockOrthoScheme] | None,
     return _Plan(tuple(ops), tuple(keys), *plan)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _plan(config: str, m: int, s: int, bs: int | None, halo: bool,
           precond: bool) -> _Plan:
     """:func:`_build_plan` of a ``CONFIGS`` entry, kept for the process:
-    the structure key is all a plan depends on."""
+    the structure key is all a plan depends on.  Typed, so that a
+    ``bs`` the scheme refuses (``True``, ``10.0``) is refused again after
+    an equal valid one (``1``, ``10``) was planned."""
     scheme = _SCHEMES.get(config)            # None: standard GMRES
     if bs is not None:
         scheme = functools.partial(scheme, big_step=bs)

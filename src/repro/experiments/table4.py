@@ -34,8 +34,9 @@ def problem_shape(name: str, ranks: int) -> ProblemShape:
 def grid(matrices: list | None = None, nodes: int = 16, m: int = 60,
          s: int = 5, machine: str = "summit") -> list[Point]:
     """Table IV's grid, keyed by matrix name (all of them by default)."""
-    matrices = list(matrices or TABLE4_SHAPES)
-    if set(matrices) - set(TABLE4_SHAPES) or len(set(matrices)) < len(matrices):
+    matrices = list(TABLE4_SHAPES if matrices is None else matrices)
+    if (not matrices or set(matrices) - set(TABLE4_SHAPES)
+            or len(set(matrices)) < len(matrices)):
         raise ConfigurationError(f"Table IV matrices must be distinct names "
                                  f"from {', '.join(TABLE4_SHAPES)}; got {matrices}")
     mach = resolve_machine(machine)

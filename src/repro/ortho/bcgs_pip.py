@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import EPS
-from repro.exceptions import CholeskyBreakdownError
+from repro.exceptions import CholeskyBreakdownError, ConfigurationError
 from repro.ortho.backend import OrthoBackend
 from repro.ortho.base import BlockOrthoScheme
 from repro.ortho.cholqr import cholesky_factor
@@ -35,6 +35,15 @@ from repro.ortho.cholqr import cholesky_factor
 
 #: Cholesky-breakdown policies: re-raise, or retry with a growing shift
 BREAKDOWNS = ("raise", "shift")
+
+
+def check_breakdown(breakdown: str) -> str:
+    """``breakdown`` if it is one of :data:`BREAKDOWNS`, else a
+    :class:`ConfigurationError` naming it and them."""
+    if breakdown not in BREAKDOWNS:
+        raise ConfigurationError(f"breakdown must be one of "
+                                 f"{BREAKDOWNS}, got {breakdown!r}")
+    return breakdown
 
 
 def _pythagorean_factor(g: np.ndarray, p: np.ndarray | None, *,
@@ -104,7 +113,7 @@ class BCGSPIPScheme(BlockOrthoScheme):
 
     def __init__(self, breakdown: str = "raise") -> None:
         super().__init__()
-        self.breakdown = breakdown
+        self.breakdown = check_breakdown(breakdown)
 
     def panel_arrived(self, lo: int, hi: int) -> bool:
         self._check_panel(lo, hi)

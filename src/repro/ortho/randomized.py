@@ -33,7 +33,8 @@ import numpy as np
 from repro.config import DEFAULT_SEED
 from repro.exceptions import CholeskyBreakdownError
 from repro.ortho.base import BlockOrthoScheme
-from repro.ortho.bcgs_pip import _pythagorean_factor, bcgs_pip_panel
+from repro.ortho.bcgs_pip import (_pythagorean_factor, bcgs_pip_panel,
+                                  check_breakdown)
 from repro.ortho.two_stage import TwoStageScheme
 from repro.sketch import (
     canonical_family,
@@ -100,7 +101,7 @@ class RBCGSScheme(BlockOrthoScheme):
         self.oversample = oversample
         self.seed = seed
         self.reorth = reorth
-        self.breakdown = breakdown
+        self.breakdown = check_breakdown(breakdown)
         self.rank_tol = rank_tol
         self._op = None
         self._sq: np.ndarray | None = None

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.ortho.base import BlockOrthoScheme
-from repro.ortho.bcgs_pip import BREAKDOWNS, bcgs_pip_panel
+from repro.ortho.bcgs_pip import bcgs_pip_panel, check_breakdown
 
 
 class TwoStageScheme(BlockOrthoScheme):
@@ -64,11 +64,8 @@ class TwoStageScheme(BlockOrthoScheme):
                 or isinstance(big_step, bool) or big_step < 1):
             raise ConfigurationError(
                 f"big_step must be an integer >= 1, got {big_step!r}")
-        if breakdown not in BREAKDOWNS:
-            raise ConfigurationError(f"breakdown must be one of "
-                                     f"{BREAKDOWNS}, got {breakdown!r}")
         self.big_step = big_step
-        self.breakdown = breakdown
+        self.breakdown = check_breakdown(breakdown)
         self._big_lo = 0
         self._pending_los: list[int] = []  # stage-1 panels awaiting stage 2
 

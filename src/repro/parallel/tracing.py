@@ -263,7 +263,6 @@ def fold_block(keys, rows, seconds, counts,
     charge order and ``np.add.accumulate`` runs each clock, so every cell
     is bit for bit one :meth:`Tracer.add` per charge; never a pairwise
     ``sum``.  A charge negative in any cell stops the fold before it."""
-    start = TraceTotals() if start is None else start
     seconds = np.asarray(seconds, dtype=float)
     negative = np.flatnonzero((seconds < 0).any(axis=0))
     n = negative[0] if negative.size else seconds.shape[1]
@@ -273,25 +272,27 @@ def fold_block(keys, rows, seconds, counts,
 
     def summed(column, names, index, values, dtype=float):
         """Every cell's ``values`` added at ``index`` in order onto the
-        ``column`` of the start totals: one flat ``np.add.at``."""
-        sums = np.tile(np.array([column.get(k, 0) for k in names], dtype),
-                       len(values))
+        ``column`` of the start totals (zeros without them): one flat
+        ``np.add.at``."""
+        sums = (np.zeros(len(values) * len(names), dtype) if start is None
+                else np.tile(np.array([getattr(start, column).get(k, 0)
+                                       for k in names], dtype), len(values)))
         np.add.at(sums, (np.arange(len(values))[:, None] * len(names)
                          + index).ravel(), values.ravel())
         return sums.reshape(len(values), len(names))
 
     phase_of = np.array([phases.index(p) for p, _ in used], dtype=np.intp)
-    clocks = np.concatenate((np.full((len(paid), 1), start.clock), paid),
-                            axis=1)
+    clocks = np.concatenate((np.full((len(paid), 1), 0.0 if start is None
+                                     else start.clock), paid), axis=1)
     error = None
     if negative.size:
         cell = np.flatnonzero(seconds[:, n] < 0)[0]
         error = (f"negative cost for kernel {keys[rows[n]][1]!r}: "
                  f"{float(seconds[cell, n])}")
     return FoldedBlock(
-        used, phases, summed(start.by_kernel, used, at, paid),
-        summed(start.by_phase, phases, phase_of[at], paid),
-        summed(start.counts, used, at, np.asarray(counts[:n])[None], int)[0],
+        used, phases, summed("by_kernel", used, at, paid),
+        summed("by_phase", phases, phase_of[at], paid),
+        summed("counts", used, at, np.asarray(counts[:n])[None], int)[0],
         np.add.accumulate(clocks, axis=1), error)
 
 

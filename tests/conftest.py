@@ -9,11 +9,20 @@ import pytest
 
 from repro.distla import engine as engine_module
 from repro.distla.engine import BatchedEngine, LoopEngine
+from repro.experiments import sweep as sweep_module
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
 from repro.parallel.machine import generic_cpu, summit
 from repro.parallel.communicator import SimComm
 from repro.parallel.tracing import Tracer
+
+
+@pytest.fixture(autouse=True)
+def fresh_sweep_memo():
+    """Every test starts with no priced cell kept by ``sweep``: a test
+    that patches ``price_cells``, ``LOCAL_OPS`` or ``CostModel`` sees its
+    own pricing, not a cell an earlier test priced."""
+    sweep_module._memo.clear()
 
 
 @pytest.fixture

@@ -337,8 +337,14 @@ class TestGridErrors:
         (lambda: table3.run(node_counts=[True]), ["[True]", "integers"]),
         (lambda: sweep(strong_scaling([2, False], PAPER_CONFIGS)),
          ["False", ">= 1"]),
+        (lambda: table3.run(node_counts=[]), ["got []", ">= 1"]),
+        (lambda: table4.run(matrices=[]), ["got []", "ML_Geer"]),
+        (lambda: ablations.run_bs_grid(node_counts=[]), ["got []", ">= 1"]),
+        (lambda: fig13.run(node_counts=()), ["got []", ">= 1"]),
     ], ids=["table4 matrix", "fig10_12 figure", "table3 nodes",
-            "fig13 nodes", "table3 bool nodes", "bool nodes"])
+            "fig13 nodes", "table3 bool nodes", "bool nodes",
+            "table3 no nodes", "table4 no matrices", "A2 no nodes",
+            "fig13 no nodes"])
     def test_bad_input(self, priced, run, named):
         with pytest.raises(ConfigurationError) as err:
             run()

@@ -14,6 +14,7 @@ from repro.distla.engine import charge_rows
 from repro.exceptions import ConfigurationError
 from repro.experiments import estimator as est_mod
 from repro.experiments import fig10_12, fig13, table2, table3, table4
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.common import resolve_machine
 from repro.experiments.estimator import (
     CONFIGS,
@@ -295,7 +296,8 @@ class TestOneConfigDoor:
         """24 + 28 + 24 + 18 (+ 6 for Table II) cells, one pricing call
         per sweep (each grid is on one machine), and the ops it prices are
         the union of the plans of the cells it prints: Fig. 10-12 price
-        one scheme per node count, not four."""
+        one scheme per node count, not four.  Each table starts from an
+        empty memo of priced cells."""
         calls = []
 
         def counted(ests, plans, _inner=est_mod.price_cells):
@@ -320,6 +322,7 @@ class TestOneConfigDoor:
                 (fig13.run, [fig13.grid()], 24),
                 (fig10_12.run_all, figures, 18),
                 (table2.run, [table2_grid], 6)):
+            sweep_mod._memo.clear()
             calls.clear()
             run()
             assert sum(cells for cells, _ in calls) == cycles, run.__module__

@@ -12,8 +12,8 @@ from repro.ortho.analysis import (condition_number, orthogonality_error,
                                   representation_error)
 from repro.ortho.backend import NumpyBackend
 from repro.ortho.base import BlockDriver, OrthoObserver, PanelInfo
-from repro.ortho.bcgs_pip import BCGSPIP2Scheme
-from repro.ortho.randomized import SketchedTwoStageScheme
+from repro.ortho.bcgs_pip import BCGSPIP2Scheme, BCGSPIPScheme
+from repro.ortho.randomized import RBCGSScheme, SketchedTwoStageScheme
 from repro.ortho.two_stage import TwoStageScheme
 from repro.precision.kernels import MixedPrecisionTwoStageScheme
 
@@ -162,6 +162,27 @@ class TestMechanics:
     def test_one_stage_refuses_an_unknown_policy(self):
         with pytest.raises(ConfigurationError, match="'bogus'"):
             BCGSPIP2Scheme(breakdown="bogus")
+
+    @pytest.mark.parametrize("policy", ["bogus", None, "Shift"])
+    def test_single_pass_pip_refuses_an_unknown_policy(self, policy):
+        """``BCGSPIPScheme`` used to keep any policy, which the
+        Pythagorean factor then read as "raise"."""
+        with pytest.raises(ConfigurationError,
+                           match=rf"\('raise', 'shift'\), got {policy!r}$"):
+            BCGSPIPScheme(breakdown=policy)
+
+    @pytest.mark.parametrize("policy", ["bogus", None, "Raise"])
+    def test_rbcgs_refuses_an_unknown_policy(self, policy):
+        """``RBCGSScheme`` used to keep any policy, which the Pythagorean
+        factor of its whitened panels then read as "raise"."""
+        with pytest.raises(ConfigurationError,
+                           match=rf"\('raise', 'shift'\), got {policy!r}$"):
+            RBCGSScheme(breakdown=policy)
+
+    @pytest.mark.parametrize("breakdown", ["raise", "shift"])
+    def test_single_pass_schemes_keep_a_valid_policy(self, breakdown):
+        assert BCGSPIPScheme(breakdown=breakdown).breakdown == breakdown
+        assert RBCGSScheme(breakdown=breakdown).breakdown == breakdown
 
     @pytest.mark.parametrize("big_step", [1, 7, np.int64(60)])
     @pytest.mark.parametrize("breakdown", ["raise", "shift"])

@@ -236,6 +236,27 @@ class TestWorkflow:
                          for step in doc["jobs"]["bench-smoke"]["steps"])
         assert "scripts/span_overhead_check.py" in runs
 
+    def test_bench_smoke_sweep_gate(self):
+        """bench-smoke runs the sweep benchmark, whose in-run gate holds a
+        warm table pass to at most half a cold 13-sweep fidelity
+        evaluation, into the directory the upload step ships."""
+        yaml = pytest.importorskip("yaml")
+        doc = yaml.safe_load(WORKFLOW.read_text())
+        steps = doc["jobs"]["bench-smoke"]["steps"]
+        runs = [step.get("run", "") for step in steps]
+        sweep = [run for run in runs if "bench_sweep.py" in run]
+        assert len(sweep) == 1
+        assert "REPRO_BENCH_DIR=bench-out" in sweep[0]
+        assert ("python -m pytest benchmarks/bench_sweep.py "
+                "--benchmark-only -q") in sweep[0]
+        upload = next(i for i, step in enumerate(steps)
+                      if "upload-artifact" in str(step.get("uses", "")))
+        assert runs.index(sweep[0]) < upload
+        assert steps[upload]["with"]["path"] == "bench-out/BENCH_*.json"
+        bench = (REPO / "benchmarks" / "bench_sweep.py").read_text()
+        assert "\nWARM_OVER_COLD_GATE = 0.5\n" in bench
+        assert "check(ratio <= WARM_OVER_COLD_GATE," in bench
+
     def test_bench_smoke_gates_only_in_run_ratios(self):
         """No step compares against a committed artifact or an absolute
         wall-clock bound: compare_bench.py reads one artifact written by
@@ -273,7 +294,8 @@ class TestWorkflow:
                     "perf/run.py",
                     "perf/tests",
                     "benchmarks/bench_kernels.py",
-                    "benchmarks/bench_mpk.py"):
+                    "benchmarks/bench_mpk.py",
+                    "benchmarks/bench_sweep.py"):
             assert ref in text, f"{ref} not exercised by CI"
             assert (REPO / ref).exists(), f"{ref} missing from repo"
         for name in ("sketch", "rgs", "ca_mpk", "service",
