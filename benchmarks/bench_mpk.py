@@ -16,6 +16,11 @@ ratio, so the gate is machine-portable).  The redundant ghost work is
 charged, not executed, so CA may cost the host at most
 ``HOST_RATIO_GATE`` standard cycles (it cost ~4.7 when every rank
 re-solved its neighbours' blocks in Python).
+
+The ``auto`` legs run ``mpk_mode="auto"``'s resolution on the Summit
+case and on the block-Jacobi case and gate, in-run, that it is the
+cheaper kernel: its modeled seconds equal ``min(standard, ca)`` and its
+basis is byte-identical to both kernels'.
 """
 
 from __future__ import annotations
@@ -106,6 +111,26 @@ def test_mpk_block_jacobi(benchmark, check, mode):
         modeled_precond_seconds=stats["precond_seconds"],
         halo_count=stats["halo_count"])
     benchmark(lambda: _gen_block_jacobi(mode))
+
+
+@pytest.mark.parametrize("case", ["summit", "block_jacobi"])
+def test_mpk_auto(benchmark, check, case):
+    gen = (_gen_block_jacobi if case == "block_jacobi"
+           else lambda mode: _gen(summit(), mode))
+    auto = gen("auto")
+    legs = {mode: gen(mode) for mode in ("standard", "ca")}
+    cheaper = min(legs.values(), key=lambda stats: stats["seconds"])
+    check(auto["seconds"] == cheaper["seconds"],
+          f"auto ({auto['mode']}) charges {auto['seconds']:.6e} modeled s, "
+          f"min(standard, ca) = {cheaper['seconds']:.6e}")
+    check(all(auto["basis"].tobytes() == leg["basis"].tobytes()
+              for leg in legs.values()),
+          "auto generates a byte-identical basis to both kernels")
+    benchmark.extra_info.update(
+        case=case, auto_mode=auto["mode"], modeled_seconds=auto["seconds"],
+        **{f"modeled_seconds_{mode}": leg["seconds"]
+           for mode, leg in legs.items()})
+    benchmark(lambda: gen("auto"))
 
 
 def test_mpk_ca_latency_speedup(benchmark, check):

@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import config
-from repro.parallel.costmodel import LOCAL_OPS
+from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
 
 
 def _acc_dtype(*mvs) -> np.dtype:
@@ -282,17 +282,23 @@ class LoopEngine(KernelEngine):
 # batched engine
 # ---------------------------------------------------------------------------
 
-def charge_rows(mv, op: str, *args) -> None:
-    """Charge the local ``op`` of :data:`~repro.parallel.costmodel.LOCAL_OPS`
-    over ``mv``'s rows: its formula evaluated for one rank of each run of
+def rows_charge(part, cost, op: str, *args) -> KernelCharge:
+    """The record of the local ``op`` of
+    :data:`~repro.parallel.costmodel.LOCAL_OPS` over the rows of
+    partition ``part``: its formula evaluated for one rank of each run of
     equal-count ranks, once per ``(op, *args, machine)`` in the
     partition's memo."""
-    comm, part = mv.comm, mv.partition
-    kernel, formula = LOCAL_OPS[op]
-    comm.charge(kernel, comm.cost.memoized(
+    formula = LOCAL_OPS[op][1]
+    return cost.memoized(
         part.charges, (op, *args),
         lambda c: [formula(c.times(n_ranks), rows, *args)
-                   for n_ranks, _, rows in part.runs]))
+                   for n_ranks, _, rows in part.runs])
+
+
+def charge_rows(mv, op: str, *args) -> None:
+    """Charge :func:`rows_charge` of ``op`` over ``mv``'s rows."""
+    mv.comm.charge(LOCAL_OPS[op][0],
+                   rows_charge(mv.partition, mv.comm.cost, op, *args))
 
 
 def _rank_tiles(part, k: int):

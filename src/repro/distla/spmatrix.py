@@ -68,6 +68,8 @@ class DistSparseMatrix:
         self._diag = a.diagonal().copy()
         self._global_csr = a
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
+        #: the keys of the plans whose analysis has been charged
+        self._charged_plans: set[tuple[int, str]] = set()
         #: ``(word_bytes, machine) ->`` the ``spmv_local`` charge
         self._spmv_charges: dict[tuple, KernelCharge] = {}
 
@@ -94,20 +96,29 @@ class DistSparseMatrix:
         preconditioning, ``"block"`` for block Jacobi).
         """
         key = (int(depth), expand)
-        plan = self._ghost_plans.get(key)
-        if plan is None:
-            plan = GhostPlan.analyze(self._global_csr, self.partition,
-                                     depth, expand=expand)
-            self._ghost_plans[key] = plan
+        plan = self._plan(*key)
+        if key not in self._charged_plans:
+            self._charged_plans.add(key)
             # closure analysis is real setup work — charge it on the
-            # cache miss so short solves don't get deep-halo planning
-            # for free (reuse across panels/solves stays free)
+            # plan's first use so short solves don't get deep-halo
+            # planning for free (reuse across panels/solves stays free)
             with self.comm.tracer.phase("spmv"):
                 self.comm.charge("ghost_plan", self.comm.cost.record(
                     lambda c: [c.ghost_plan_analysis(
                         float(plan.level_rows[r].sum()),
                         float(plan.level_nnz[r].sum()))
                         for r in range(self.partition.ranks)]))
+        return plan
+
+    def _plan(self, depth: int, expand: str) -> GhostPlan:
+        """The cached plan of :meth:`ghost_plan`, analyzed on a miss but
+        charged nothing: what pricing a CA panel reads.  Its analysis is
+        charged when :meth:`ghost_plan` first hands it out."""
+        key = (int(depth), expand)
+        plan = self._ghost_plans.get(key)
+        if plan is None:
+            plan = self._ghost_plans[key] = GhostPlan.analyze(
+                self._global_csr, self.partition, depth, expand=expand)
         return plan
 
     # ------------------------------------------------------------------

@@ -32,7 +32,12 @@ values, so the generated basis is bit-identical — the tracer alone can
 tell them apart.  The CA modes' per-rank charges depend only on the
 ghost plan, the step's depth, the operand word size and the machine;
 they are evaluated once and replayed
-(:meth:`~repro.parallel.costmodel.CostModel.memoized`).
+(:meth:`~repro.parallel.costmodel.CostModel.memoized`).  One helper,
+:meth:`MatrixPowersKernel._panel_charges`, builds every record an
+extension charges; :meth:`MatrixPowersKernel.cycle_price` sums them
+without charging, which is how ``mpk_mode="auto"``
+(:func:`resolve_mpk_mode`) picks the mode a solve's panels price
+cheaper.
 
 CA composes with preconditioners through the ghost closure
 (:attr:`~repro.precond.base.Preconditioner.ghost_compat`):
@@ -48,18 +53,25 @@ real preconditioner is rejected.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.distla import blas as dblas
+from repro.distla.engine import rows_charge
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError
 from repro.krylov.basis import KrylovBasis, MonomialBasis
-from repro.parallel.costmodel import LOCAL_OPS
+from repro.parallel.costmodel import LOCAL_OPS, CostModel, KernelCharge
+from repro.precision.dtypes import word_bytes as bytes_per_word
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 
 #: Valid ``mode`` values for :class:`MatrixPowersKernel`.
 MPK_MODES = ("standard", "ca", "ca_overlap")
+
+#: Word size of the solver's basis storage, what ``"auto"`` prices at.
+_FP64 = bytes_per_word("fp64")
 
 
 class PreconditionedOperator:
@@ -187,8 +199,7 @@ class MatrixPowersKernel:
         if hi <= lo:
             return
         if self.mode in ("ca", "ca_overlap"):
-            self._extend_ca(basis, lo, hi,
-                            overlap=self.mode == "ca_overlap")
+            self._extend_ca(basis, lo, hi)
         else:
             self._extend_standard(basis, lo, hi)
 
@@ -211,16 +222,155 @@ class MatrixPowersKernel:
                     dblas.lincomb(v_next, terms)
 
     # ------------------------------------------------------------------
-    def _extend_ca(self, basis: DistMultiVector, lo: int, hi: int,
-                   overlap: bool = False) -> None:
+    def _panel_charges(self, cost: CostModel, lo: int, hi: int,
+                       word: float) -> tuple[list, list[list]]:
+        """What extending columns ``lo..hi-1`` at ``word`` bytes per
+        element charges on ``cost``'s machine, without charging it.
+
+        Returns ``(head, steps)``: the regions charged before the first
+        step, and each step's regions.  A region is ``(phase,
+        [(kernel, record), ...])``, charged in order inside one
+        ``tracer.phase(phase)``.  A ``"halo"`` record is an exchange's
+        per-rank descriptors (charged by
+        :meth:`~repro.parallel.communicator.SimComm.charge_halo`), a
+        ``"post"`` record the PA2 ring's, posted nonblocking and settled
+        by the ``"wait"`` that follows it (record ``None``); every other
+        record is a :class:`~repro.parallel.costmodel.KernelCharge`.
+
+        The CA kernel charges exactly these regions.  The standard
+        kernel's charges are made by the kernels it calls — the SpMV's
+        halo descriptors and :meth:`~repro.distla.spmatrix
+        .DistSparseMatrix._local_spmv_charge`, the preconditioner's
+        :meth:`~repro.precond.base.Preconditioner.apply_charge`, the
+        recurrence's ``axpy`` over the owned rows — from the same
+        records built here.  A CA plan is analyzed if missing, but its
+        analysis is charged only when the kernel first uses it
+        (:meth:`~repro.distla.spmatrix.DistSparseMatrix.ghost_plan`).
+        """
+        matrix, precond = self.op.matrix, self.op.precond
+        preconditioned = self.op.is_preconditioned
+        coeffs = [self.basis_poly.coefficients(col - 1)
+                  for col in range(lo, hi)]
+        # the recurrence's streams per step: 0 when it is a bare SpMV
+        streams = [(3 if gamma != 0.0 and col >= 2 else 2)
+                   if alpha != 0.0 or gamma != 0.0 or beta != 1.0 else 0
+                   for col, (alpha, beta, gamma) in zip(range(lo, hi), coeffs)]
+        axpy_kernel, axpy = LOCAL_OPS["axpy"]
+        if self.mode == "standard":
+            spmv = [("halo", matrix.halo.recv_bytes(word)),
+                    ("spmv_local", matrix._local_spmv_charge(cost, word))]
+            steps = []
+            for n in streams:
+                regions = ([("precond", [precond.apply_charge(cost)])]
+                           if preconditioned else [])
+                regions.append(("spmv", spmv))
+                if n:
+                    regions.append(("spmv", [(axpy_kernel, rows_charge(
+                        matrix.partition, cost, "axpy", 1, n, word))]))
+                steps.append(regions)
+            return [], steps
+
+        plan = matrix._plan(hi - lo, self.op.ghost_expand)
+        rows, nnz = plan.level_rows, plan.level_nnz
+        ranks = range(plan.partition.ranks)
+
+        def record(kernel: str, key: tuple, evaluate) -> KernelCharge:
+            """One per-rank record over the plan, evaluated on first use."""
+            return cost.memoized(plan.charge_memo, (kernel, word) + key,
+                                 evaluate)
+
+        # three-term recurrences reach back one extra column; the panel's
+        # first step additionally needs the *previous* panel's last
+        # column on the ghost region, which rides in the same exchange
+        n_vec = 2 if coeffs[0][2] != 0.0 and lo >= 2 else 1
+        # -- the ONE aggregated deep-halo exchange ----------------------
+        # (PA2: eager depth-1 shell now, deep ring posted nonblocking)
+        if self.mode == "ca_overlap":
+            ring = plan.ring_recv_bytes(word, n_vectors=n_vec)
+            exchange = [("halo", plan.eager_recv_bytes(word, n_vectors=n_vec))]
+            split = any(ring)  # s == 1 (or a tiny grid) has no ring
+            if split:
+                exchange.append(("post", ring))
+        else:
+            exchange = [("halo", plan.recv_bytes(word, n_vectors=n_vec))]
+            split = False
+        steps = []
+        for col, n in zip(range(lo, hi), streams):
+            depth = hi - 1 - col  # ghost levels remaining after this step
+            regions = ([("precond", [precond.ghost_apply_charge(
+                cost, plan, depth + 1)])] if preconditioned else [])
+            if split and col == lo:
+                # PA2 first step: owned rows only need the eager shell —
+                # their charge drains the posted ring; the ghost-ring
+                # remainder pays whatever the wait left exposed
+                spmv = [("spmv_local", record("spmv_local", ("owned",),
+                         lambda c: [c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
+                                           int(rows[r, 1]), word_bytes=word)
+                                    for r in ranks])),
+                        ("wait", None),
+                        ("spmv_local", record("spmv_local", ("ring", depth),
+                         lambda c: [c.spmv(int(nnz[r, depth] - nnz[r, 0]),
+                                           int(rows[r, depth] - rows[r, 0]),
+                                           int(rows[r, depth + 1]),
+                                           word_bytes=word)
+                                    for r in ranks]))]
+            else:
+                spmv = [("spmv_local", record("spmv_local", (depth,),
+                         lambda c: [c.spmv(int(nnz[r, depth]),
+                                           int(rows[r, depth]),
+                                           int(rows[r, depth + 1]),
+                                           word_bytes=word)
+                                    for r in ranks]))]
+            if n:
+                spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
+                             lambda c: [axpy(c, int(rows[r, depth]), 1, n,
+                                             word)
+                                        for r in ranks])))
+            regions.append(("spmv", spmv))
+            steps.append(regions)
+        return [("spmv", exchange)], steps
+
+    def cycle_price(self, panels, word_bytes: float = _FP64) -> float:
+        """Modeled seconds extending ``panels`` adds to a clock, charging
+        nothing.
+
+        ``panels`` are the solver's ``(lo, hi)`` column ranges (a first
+        panel from column 0 is extended from column 1, as the solver
+        does).  The price is the sum, in charge order, of the records of
+        :meth:`_panel_charges` — float for float the clock a tracer
+        started at zero reaches extending them once every CA plan's
+        analysis is paid.  ``"ca_overlap"`` has no price: what its wait
+        exposes depends on the charges that drain the posted ring.
+        """
+        if self.mode == "ca_overlap":
+            raise ConfigurationError(
+                "the overlapped CA-MPK (PA2) is not priced: its exposed "
+                "ring depends on what drains it; use mode='ca' or "
+                "mode='standard'")
+        comm = self.op.matrix.comm
+        total = 0.0
+        for lo, hi in panels:
+            lo = max(lo, 1)
+            if hi <= lo:
+                continue
+            head, steps = self._panel_charges(comm.cost, lo, hi, word_bytes)
+            for regions in (head, *steps):
+                for _, charges in regions:
+                    for kernel, record in charges:
+                        total += (comm._halo_cost(record)[0]
+                                  if kernel == "halo" else record.seconds)
+        return total
+
+    def _extend_ca(self, basis: DistMultiVector, lo: int, hi: int) -> None:
         """Ghost-zone CA panel: 1 aggregated exchange + ``hi - lo`` local
         steps over a shrinking closure.
 
         What the modeled machine does and what the host computes are
         kept apart.  On the machine every rank holds its closure level
         and redundantly recomputes the shrinking ghost region (PA1);
-        all of that is *charged*, from the plan's level sizes: the deep
-        halo, one ``spmv_local`` over ``A[L_depth, :]`` per step, the
+        all of that is *charged*, from the plan's level sizes, as
+        :meth:`_panel_charges` builds it: the deep halo, one
+        ``spmv_local`` over ``A[L_depth, :]`` per step, the
         preconditioner's redundant applies, the recurrence's ``axpy``.
         The *values* a rank would hold on its closure are, row for row,
         those of the global recurrence — each row of ``A M^{-1} v`` is
@@ -233,123 +383,110 @@ class MatrixPowersKernel:
         is analyzed; the per-rank ghosted execution survives as the
         oracle in ``tests/krylov/test_mpk_ca_oracle.py``.
 
-        With ``overlap`` (PA2) the exchange is split: the depth-1 shell
-        goes out eagerly (blocking — the first step's owned rows need
-        it), the deep ring is posted nonblocking, and the first step's
-        SpMV charge is split into an owned-rows part (inside the overlap
-        window, draining the posted ring) and a ghost-ring remainder
-        after the wait.  Exchanges are charge-only, so the basis stays
-        bit-identical to ``"ca"`` and ``"standard"``.
+        With ``"ca_overlap"`` (PA2) the exchange is split: the depth-1
+        shell goes out eagerly (blocking — the first step's owned rows
+        need it), the deep ring is posted nonblocking, and the first
+        step's SpMV charge is split into an owned-rows part (inside the
+        overlap window, draining the posted ring) and a ghost-ring
+        remainder after the wait.  Exchanges are charge-only, so the
+        basis stays bit-identical to ``"ca"`` and ``"standard"``.
         """
         comm = basis.comm
-        tracer = comm.tracer
         matrix = self.op.matrix
         precond = self.op.precond
-        steps = hi - lo
-        plan = matrix.ghost_plan(steps, self.op.ghost_expand)
-        ranks = range(basis.partition.ranks)
-        rows, nnz = plan.level_rows, plan.level_nnz
-        word = basis.word_bytes
+        # the plan's analysis is charged here, on its first use
+        matrix.ghost_plan(hi - lo, self.op.ghost_expand)
+        head, steps = self._panel_charges(comm.cost, lo, hi, basis.word_bytes)
         ctype = basis.np_dtype
         quantized = basis.storage != "fp64"
-        preconditioned = self.op.is_preconditioned
+        posted = []
 
-        def charge(kernel: str, key: tuple, evaluate) -> None:
-            """One per-rank charge over the plan, evaluated on first use."""
-            comm.charge(kernel, comm.cost.memoized(
-                plan.charge_memo, (kernel, word) + key, evaluate))
-
-        coeffs = {col: self.basis_poly.coefficients(col - 1)
-                  for col in range(lo, hi)}
-        # three-term recurrences reach back one extra column; the panel's
-        # first step additionally needs the *previous* panel's last
-        # column on the ghost region, which rides in the same exchange
-        track_prev = any(g != 0.0 for (_, _, g) in coeffs.values())
-        gather_prev = coeffs[lo][2] != 0.0 and lo >= 2
-
-        # -- the ONE aggregated deep-halo exchange ----------------------
-        # (PA2: eager depth-1 shell now, deep ring posted nonblocking)
-        n_vec = 2 if gather_prev else 1
-        ring_req = None
-        with tracer.phase("spmv"):
-            if overlap:
-                comm.charge_halo(plan.eager_recv_bytes(word, n_vectors=n_vec))
-                ring = plan.ring_recv_bytes(word, n_vectors=n_vec)
-                if any(ring):  # s == 1 (or a tiny grid) has no ring
-                    ring_req = comm.post_ihalo(ring)
-            else:
-                comm.charge_halo(plan.recv_bytes(word, n_vectors=n_vec))
+        def charge(regions) -> None:
+            for phase, charges in regions:
+                with comm.tracer.phase(phase):
+                    for kernel, record in charges:
+                        if kernel == "halo":
+                            comm.charge_halo(record)
+                        elif kernel == "post":
+                            posted.append(comm.post_ihalo(record))
+                        elif kernel == "wait":
+                            comm.wait(posted.pop())
+                        else:
+                            comm.charge(kernel, record)
 
         def gathered(col: int) -> np.ndarray:
             return basis.view_cols(col).to_global()[:, 0].astype(np.float64)
 
+        coeffs = {col: self.basis_poly.coefficients(col - 1)
+                  for col in range(lo, hi)}
+        track_prev = any(g != 0.0 for (_, _, g) in coeffs.values())
+        charge(head)
         v_k = gathered(lo - 1)
-        v_km1 = gathered(lo - 2) if gather_prev else None
+        v_km1 = gathered(lo - 2) if coeffs[lo][2] != 0.0 and lo >= 2 else None
 
-        for col in range(lo, hi):
-            depth = hi - 1 - col  # ghost levels remaining after this step
+        for col, (*pre, spmv) in zip(range(lo, hi), steps):
             alpha, beta, gamma = coeffs[col]
-            three_term = gamma != 0.0 and col >= 2
             z = v_k
-            if preconditioned:
-                with tracer.phase("precond"):
-                    z = precond.apply_ghosted(v_k, ctype)
-                    precond.charge_ghost_apply(comm, plan, depth + 1)
-            with tracer.phase("spmv"):
-                v_new = matrix._global_csr @ z
+            if pre:
+                z = precond.apply_ghosted(v_k, ctype)
+                charge(pre)
+            v_new = matrix._global_csr @ z
+            if quantized:
+                v_new = basis.quantize(v_new).astype(np.float64)
+            if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
+                # identical operation order to the engines' lincomb
+                v_new *= 1.0 / beta
+                v_new += (-alpha / beta) * v_k
+                if gamma != 0.0 and col >= 2:
+                    v_new += (-gamma / beta) * v_km1
                 if quantized:
                     v_new = basis.quantize(v_new).astype(np.float64)
-                if ring_req is not None and col == lo:
-                    # PA2 first step: owned rows only need the eager
-                    # shell — their charge drains the posted ring...
-                    charge("spmv_local", ("owned",), lambda c: [
-                        c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
-                               int(rows[r, 1]), word_bytes=word)
-                        for r in ranks])
-                    # ...then the ghost-ring remainder pays whatever the
-                    # wait left exposed before it may run
-                    comm.wait(ring_req)
-                    charge("spmv_local", ("ring", depth), lambda c: [
-                        c.spmv(int(nnz[r, depth] - nnz[r, 0]),
-                               int(rows[r, depth] - rows[r, 0]),
-                               int(rows[r, depth + 1]), word_bytes=word)
-                        for r in ranks])
-                else:
-                    charge("spmv_local", (depth,), lambda c: [
-                        c.spmv(int(nnz[r, depth]), int(rows[r, depth]),
-                               int(rows[r, depth + 1]), word_bytes=word)
-                        for r in ranks])
-                if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
-                    # identical operation order to the engines' lincomb
-                    v_new *= 1.0 / beta
-                    v_new += (-alpha / beta) * v_k
-                    if three_term:
-                        v_new += (-gamma / beta) * v_km1
-                    if quantized:
-                        v_new = basis.quantize(v_new).astype(np.float64)
-                    streams = 3 if three_term else 2
-                    kernel, formula = LOCAL_OPS["axpy"]
-                    charge(kernel, (depth, streams), lambda c: [
-                        formula(c, int(rows[r, depth]), 1, streams, word)
-                        for r in ranks])
+            charge([spmv])
             basis.scatter_col(col, v_new)
             if track_prev:
                 v_km1 = v_k
             v_k = v_new
 
 
-def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str) -> str:
+def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
+                     basis_poly: KrylovBasis | None = None,
+                     panels=()) -> str:
     """Resolve a solver-level ``mpk_mode`` (possibly ``"auto"``) to a
     concrete :class:`MatrixPowersKernel` mode.
 
-    ``"auto"`` is ``"ca"`` when the preconditioner has a finite ghost
-    closure and ``"standard"`` otherwise.  It never picks
+    ``"auto"`` decides by price.  It prices one restart cycle of the
+    solve's own ``panels`` — :meth:`MatrixPowersKernel.cycle_price` with
+    ``basis_poly``'s coefficients and fp64 basis storage — under
+    ``"standard"``, and under ``"ca"`` when the preconditioner has a
+    finite ghost closure.  The cheaper mode wins; a tie keeps ``"ca"``.
+    Pricing charges nothing, so ``"auto"``'s modeled clock is that of
+    the mode it resolves to.  A price that is not finite (a machine
+    constant that prices a kernel at ``inf`` or NaN) is a
+    ``ConfigurationError`` naming the mode, the price and the machine:
+    no comparison can rank it.  ``"auto"`` never picks
     ``"ca_overlap"``: the PA2 kernel pays an extra depth-1 exchange and
     splits the first SpMV, which costs more modeled time than the deep
-    ring it hides on every machine tried.  Explicit
-    modes pass through untouched (their validation lives in
-    :class:`MatrixPowersKernel`).
+    ring it hides on every machine tried.  Explicit modes pass through
+    untouched (their validation lives in :class:`MatrixPowersKernel`).
     """
     if mpk_mode != "auto":
         return mpk_mode
-    return "ca" if op.supports_ca else "standard"
+    if not op.supports_ca:
+        return "standard"
+    prices = {}
+    for mode in ("standard", "ca"):
+        try:
+            price = MatrixPowersKernel(op, basis_poly, mode).cycle_price(
+                panels)
+        except ZeroDivisionError:
+            # a zero machine constant under a Python-float formula; NumPy
+            # operands would have returned inf
+            price = math.inf
+        if not math.isfinite(price):
+            raise ConfigurationError(
+                f"mpk_mode='auto' cannot rank the kernels: one cycle of "
+                f"the {mode!r} kernel prices at {price!r} modeled s on "
+                f"machine {op.matrix.comm.machine.name!r}; fix the "
+                f"machine's constants or name an mpk_mode")
+        prices[mode] = price
+    return "standard" if prices["standard"] < prices["ca"] else "ca"

@@ -66,10 +66,14 @@ class SolverOptions:
         preconditioner has no finite ghost closure), ``"ca_overlap"``
         (the PA2 variant of ``"ca"``: eager depth-1 shell, deep ring
         posted nonblocking and overlapped with the first local SpMV;
-        unpreconditioned operators only), or ``"auto"`` (``"ca"`` when
-        the preconditioner composes, standard fallback otherwise; it
-        never picks ``"ca_overlap"``, whose extra depth-1 exchange and
-        split SpMV cost more than the ring it hides).
+        unpreconditioned operators only), or ``"auto"`` (whichever of
+        ``"standard"`` and — when the preconditioner composes — ``"ca"``
+        the cost model prices cheaper for one restart cycle of the
+        solve's panels, a tie keeping ``"ca"``; pricing charges nothing,
+        and a machine that prices a kernel at ``inf`` or NaN is a
+        :class:`~repro.exceptions.ConfigurationError`; it never picks
+        ``"ca_overlap"``, whose extra depth-1 exchange and split SpMV
+        cost more than the ring it hides).
         All kernels generate bit-identical bases; only the
         communication profile — and hence the modeled time — differs.
     """

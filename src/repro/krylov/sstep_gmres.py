@@ -225,7 +225,9 @@ def _build_members(sim: Simulation, requests: list[tuple], *, s: int,
         sim, *check_inputs(sim, b, x0, s=s, restart=restart,
                            maxiter=maxiter, tol=tol), precond)
         for b, x0, tol, maxiter in requests]
-    kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode)
+    kernel_mode = resolve_mpk_mode(solves[0].op, opts.mpk_mode,
+                                   _resolve_basis(basis),
+                                   _panel_bounds(s, restart + 1))
     members = []
     for solve, (_, _, tol, maxiter) in zip(solves, requests):
         scheme = (scheme_factory() if scheme_factory is not None

@@ -16,12 +16,14 @@ of ``M^{-1} x`` are computable from a *finite* dependency set.
 block: block Jacobi), or ``None`` (no finite closure: polynomial and
 other global preconditioners, which the CA kernel must reject).
 Compatible preconditioners implement :meth:`apply_ghosted` and
-:meth:`charge_ghost_apply`.  The two halves are deliberately separate:
+:meth:`ghost_apply_charge`.  The two halves are deliberately separate:
 the *modeled* machine applies ``M^{-1}`` redundantly on every rank's
-ghost closure, and :meth:`charge_ghost_apply` charges exactly that from
-the plan's level sizes; the *host* only needs the values, which are
-those of one whole-vector apply — so :meth:`apply_ghosted` runs once
-per step, not once per rank.
+ghost closure, and :meth:`ghost_apply_charge` is the record of exactly
+that, from the plan's level sizes; the *host* only needs the values,
+which are those of one whole-vector apply — so :meth:`apply_ghosted`
+runs once per step, not once per rank.  With :meth:`apply_charge`, the
+record one owned-rows :meth:`apply` charges, they are what the MPK's
+``"auto"`` mode prices a cycle from, without charging anything.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError
+from repro.parallel.costmodel import CostModel, KernelCharge
 
 
 class Preconditioner(ABC):
@@ -82,12 +85,21 @@ class Preconditioner(ABC):
             f"preconditioner {self.name!r} does not compose with the "
             f"CA matrix powers kernel (ghost_compat=None)")
 
-    def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        """Charge one redundant ghosted apply over closure ``level``.
+    def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:
+        """``(kernel, record)`` that one single-column :meth:`apply`
+        charges on ``cost``'s machine."""
+        raise ConfigurationError(
+            f"preconditioner {self.name!r} has no apply record to price "
+            f"a matrix powers kernel cycle from")
+
+    def ghost_apply_charge(self, cost: CostModel, plan, level: int
+                           ) -> tuple[str, KernelCharge]:
+        """``(kernel, record)`` of one redundant ghosted apply over
+        closure ``level``.
 
         ``plan`` is the :class:`~repro.distla.halo.GhostPlan`; per-rank
         costs follow each rank's own level size, mirroring what
-        :meth:`apply` charges on owned rows alone.
+        :meth:`apply_charge` prices on owned rows alone.
         """
         raise ConfigurationError(
             f"preconditioner {self.name!r} does not compose with the "
@@ -114,6 +126,3 @@ class IdentityPreconditioner(Preconditioner):
 
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         return x
-
-    def charge_ghost_apply(self, comm, plan, level: int) -> None:
-        """The identity costs nothing (the MPK skips it entirely)."""

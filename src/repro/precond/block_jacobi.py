@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError, NumericalError
-from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
+from repro.parallel.costmodel import LOCAL_OPS, CostModel, KernelCharge
 from repro.precond.base import Preconditioner
 from repro.precond.coloring import greedy_coloring
 from repro.precond.gauss_seidel import LocalGaussSeidel
@@ -177,21 +177,25 @@ class BlockJacobiPreconditioner(Preconditioner):
                          self._launches[rank])
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
+        # the sweep reads its operand without writing it: no copy
         out.scatter_col(0, self._solve(
-            x.to_global()[:, 0].astype(np.float64, copy=False)))
-        x.comm.charge(_KERNEL, x.comm.cost.memoized(
-            self._charges, None, lambda c: [
-                self._sweep(c, rank) for rank in range(len(self._bounds))]))
+            x.flat[:, 0].astype(np.float64, copy=False)))
+        x.comm.charge(*self.apply_charge(x.comm.cost))
+
+    def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:
+        return _KERNEL, cost.memoized(self._charges, None, lambda c: [
+            self._sweep(c, rank) for rank in range(len(self._bounds))])
 
     # -- CA-MPK ghost composition --------------------------------------
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         return self._solve(x).astype(ctype, copy=False).astype(
             np.float64, copy=False)
 
-    def charge_ghost_apply(self, comm, plan, level: int) -> None:
+    def ghost_apply_charge(self, cost: CostModel, plan, level: int
+                           ) -> tuple[str, KernelCharge]:
         """Every rank redundantly solves each owner block its closure
         ``level`` intersects (block-complete by the plan's invariant)."""
-        comm.charge(_KERNEL, comm.cost.memoized(
+        return _KERNEL, cost.memoized(
             self._charges, (plan, level), lambda c: [
                 sum(self._sweep(c, int(peer)) for peer in per_rank[level])
-                for per_rank in plan.level_ranks]))
+                for per_rank in plan.level_ranks])

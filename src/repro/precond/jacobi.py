@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distla.engine import charge_rows
+from repro.distla.engine import charge_rows, rows_charge
 from repro.distla.multivector import DistMultiVector
 from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import NumericalError
-from repro.parallel.costmodel import LOCAL_OPS
+from repro.parallel.costmodel import LOCAL_OPS, CostModel, KernelCharge
 from repro.precond.base import Preconditioner
 
 
@@ -37,6 +37,10 @@ class JacobiPreconditioner(Preconditioner):
         np.multiply(x.flat, self._inv_diag[:, np.newaxis], out=out.flat)
         charge_rows(x, "scale", x.n_cols, 2)  # reads x and the diagonal
 
+    def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:
+        return "scale", rows_charge(self._matrix.partition, cost,
+                                    "scale", 1, 2)
+
     def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
         self._check_ready()
         # same cast chain as apply(): multiply in float64, store through
@@ -44,9 +48,10 @@ class JacobiPreconditioner(Preconditioner):
         return (x * self._inv_diag).astype(ctype, copy=False).astype(
             np.float64, copy=False)
 
-    def charge_ghost_apply(self, comm, plan, level: int) -> None:
+    def ghost_apply_charge(self, cost: CostModel, plan, level: int
+                           ) -> tuple[str, KernelCharge]:
         kernel, formula = LOCAL_OPS["scale"]
-        comm.charge(kernel, comm.cost.memoized(
+        return kernel, cost.memoized(
             plan.charge_memo, ("jacobi", level), lambda c: [
                 formula(c, int(plan.level_rows[r, level]), 1, 2)
-                for r in range(plan.partition.ranks)]))
+                for r in range(plan.partition.ranks)])

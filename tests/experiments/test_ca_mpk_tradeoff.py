@@ -47,6 +47,24 @@ class TestTradeoffTable:
             precond_name="block_jacobi")
         assert bj["redundant_frac"] > none["redundant_frac"]
 
+#: what the ``auto`` column names on every row of each sweep at the
+#: fixture's size: block-rounded closures make CA re-run the neighbours'
+#: Gauss-Seidel sweeps, which no latency regime here pays back
+AUTO_PICKS = {"none": {"ca"}, "jacobi": {"ca"}, "block_jacobi": {"standard"}}
+
+
+@pytest.mark.parametrize("pc", AUTO_PICKS)
+def test_auto_names_the_cheaper_kernel(table, pc):
+    if pc != "none":
+        table = ca_mpk_tradeoff.run(nx=20, ranks=8, precond_name=pc)
+    auto = table.headers.index("auto")
+    for row in range(len(table.rows)):
+        std, ca = float(table.cell(row, 1)), float(table.cell(row, 2))
+        assert std != ca
+        assert table.cell(row, auto) == ("standard" if std < ca else "ca")
+    assert set(table.column(auto)) == AUTO_PICKS[pc]
+
+
 def test_cli_quick(capsys):
     assert runner.main(["ca_mpk", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -321,7 +321,7 @@ class TestBlockJacobiFusedSweep:
     @pytest.mark.parametrize("metrics", [False, True])
     @pytest.mark.parametrize("ordering", ["multicolor", "natural"])
     def test_replayed_charges_equal_fresh_ones(self, ordering, metrics):
-        """``apply`` and ``charge_ghost_apply`` evaluate their per-rank
+        """``apply`` and ``ghost_apply_charge`` evaluate their per-rank
         records once and keep them; tracer and registry must not be
         able to tell."""
         sims = [Simulation(_mixed_blocks_matrix(), ranks=3,
@@ -343,7 +343,8 @@ class TestBlockJacobiFusedSweep:
                                           [[r] for r in range(3)])
                 for level in (2, 1, 2, 1):
                     if sim is replayed:
-                        pc.charge_ghost_apply(sim.comm, plans[0], level)
+                        sim.comm.charge(*pc.ghost_apply_charge(
+                            sim.comm.cost, plans[0], level))
                     else:
                         self.charge_fresh(
                             sim, solvers, 2,
