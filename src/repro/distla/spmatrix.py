@@ -97,17 +97,14 @@ class DistSparseMatrix:
         """
         key = (int(depth), expand)
         plan = self._plan(*key)
-        if key not in self._charged_plans:
+        analysis = self._unpaid_analysis(*key)
+        if analysis is not None:
             self._charged_plans.add(key)
             # closure analysis is real setup work — charge it on the
             # plan's first use so short solves don't get deep-halo
             # planning for free (reuse across panels/solves stays free)
             with self.comm.tracer.phase("spmv"):
-                self.comm.charge("ghost_plan", self.comm.cost.record(
-                    lambda c: [c.ghost_plan_analysis(
-                        float(plan.level_rows[r].sum()),
-                        float(plan.level_nnz[r].sum()))
-                        for r in range(self.partition.ranks)]))
+                self.comm.charge("ghost_plan", analysis)
         return plan
 
     def _plan(self, depth: int, expand: str) -> GhostPlan:
@@ -120,6 +117,18 @@ class DistSparseMatrix:
             plan = self._ghost_plans[key] = GhostPlan.analyze(
                 self._global_csr, self.partition, depth, expand=expand)
         return plan
+
+    def _unpaid_analysis(self, depth: int, expand: str
+                         ) -> KernelCharge | None:
+        """The ``ghost_plan`` record :meth:`ghost_plan` charges on the
+        plan's first use, or None once it has been charged."""
+        if (int(depth), expand) in self._charged_plans:
+            return None
+        plan = self._plan(depth, expand)
+        return self.comm.cost.record(
+            lambda c: [c.ghost_plan_analysis(float(plan.level_rows[r].sum()),
+                                             float(plan.level_nnz[r].sum()))
+                       for r in range(self.partition.ranks)])
 
     # ------------------------------------------------------------------
     def _local_spmv_charge(self, cost: CostModel, word_bytes: float

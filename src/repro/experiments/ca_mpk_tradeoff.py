@@ -115,7 +115,8 @@ def generate_basis(machine: MachineSpec, mode: str, *, nx: int, ranks: int,
         "precond_seconds": doc["by_phase"].get("precond", 0.0),
     }
     if mode == "ca":
-        plan = sim.matrix.ghost_plan(s, op.ghost_expand)
+        plan = sim.matrix.ghost_plan(
+            s, op.ghost_expand if pc is not None else "pointwise")
         owned = plan.partition.counts.astype(np.float64)
         redundant = plan.level_rows[:, :-1].sum(axis=1) - owned * s
         stats["redundant_frac"] = float(redundant.max()
@@ -163,8 +164,8 @@ def run(nx: int = 48, ranks: int = 24, s: int = 5, restart: int = 30,
                    "a fraction of owned-row work across the cycle")
     table.add_note("auto = the mode mpk_mode='auto' runs: the one whose "
                    "cycle the cost model prices cheaper, charging nothing "
-                   "(ca s also holds the plan's one-time analysis, which "
-                   "the price leaves out)")
+                   "(the ca price, like ca s, holds the plans' one-time "
+                   "analysis)")
     table.add_note("summit_latNx = Summit with inter-node hop latency and "
                    "device-sync cost scaled N times (congested-network / "
                    "large-collective regime)")

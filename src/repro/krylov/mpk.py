@@ -237,15 +237,21 @@ class MatrixPowersKernel:
         by the ``"wait"`` that follows it (record ``None``); every other
         record is a :class:`~repro.parallel.costmodel.KernelCharge`.
 
-        The CA kernel charges exactly these regions.  The standard
-        kernel's charges are made by the kernels it calls — the SpMV's
-        halo descriptors and :meth:`~repro.distla.spmatrix
-        .DistSparseMatrix._local_spmv_charge`, the preconditioner's
-        :meth:`~repro.precond.base.Preconditioner.apply_charge`, the
-        recurrence's ``axpy`` over the owned rows — from the same
-        records built here.  A CA plan is analyzed if missing, but its
-        analysis is charged only when the kernel first uses it
-        (:meth:`~repro.distla.spmatrix.DistSparseMatrix.ghost_plan`).
+        The CA kernel charges exactly these regions.  Its plan is
+        analyzed if missing; while that analysis is unpaid its
+        ``ghost_plan`` record leads the head.  The kernel pays it through
+        :meth:`~repro.distla.spmatrix.DistSparseMatrix.ghost_plan` before
+        it asks for its records, so what it charges from them never
+        holds it; a price does.
+
+        The standard kernel does not charge from these records: its
+        charges are made by the kernels it calls — ``matvec``'s halo
+        exchange and :meth:`~repro.distla.spmatrix.DistSparseMatrix
+        ._local_spmv_charge`, the preconditioner's
+        :meth:`~repro.precond.base.Preconditioner.apply_charge` and
+        ``lincomb``'s ``axpy`` over the owned rows, per engine.  The
+        records built here for it equal those charges by test
+        (``tests/krylov/test_mpk_price.py``), not by construction.
         """
         matrix, precond = self.op.matrix, self.op.precond
         preconditioned = self.op.is_preconditioned
@@ -271,6 +277,7 @@ class MatrixPowersKernel:
             return [], steps
 
         plan = matrix._plan(hi - lo, self.op.ghost_expand)
+        analysis = matrix._unpaid_analysis(hi - lo, self.op.ghost_expand)
         rows, nnz = plan.level_rows, plan.level_nnz
         ranks = range(plan.partition.ranks)
 
@@ -321,26 +328,30 @@ class MatrixPowersKernel:
                                            int(rows[r, depth + 1]),
                                            word_bytes=word)
                                     for r in ranks]))]
-            if n:
+            if n:  # last in the region: the kernel charges it apart
                 spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
                              lambda c: [axpy(c, int(rows[r, depth]), 1, n,
                                              word)
                                         for r in ranks])))
             regions.append(("spmv", spmv))
             steps.append(regions)
+        if analysis is not None:
+            exchange.insert(0, ("ghost_plan", analysis))
         return [("spmv", exchange)], steps
 
-    def cycle_price(self, panels, word_bytes: float = _FP64) -> float:
+    def cycle_price(self, panels) -> float:
         """Modeled seconds extending ``panels`` adds to a clock, charging
         nothing.
 
         ``panels`` are the solver's ``(lo, hi)`` column ranges (a first
         panel from column 0 is extended from column 1, as the solver
-        does).  The price is the sum, in charge order, of the records of
-        :meth:`_panel_charges` — float for float the clock a tracer
-        started at zero reaches extending them once every CA plan's
-        analysis is paid.  ``"ca_overlap"`` has no price: what its wait
-        exposes depends on the charges that drain the posted ring.
+        does); the basis is priced as the solver stores it, in fp64.  The
+        price is the sum, in charge order, of the records of
+        :meth:`_panel_charges` — a CA plan's unpaid analysis once, on
+        the first panel that uses the plan — so it is, float for float,
+        the clock a tracer started at zero reaches extending them.
+        ``"ca_overlap"`` has no price: what its wait exposes depends on
+        the charges that drain the posted ring.
         """
         if self.mode == "ca_overlap":
             raise ConfigurationError(
@@ -349,14 +360,19 @@ class MatrixPowersKernel:
                 "mode='standard'")
         comm = self.op.matrix.comm
         total = 0.0
+        analyzed = set()  # the plan depths whose analysis is priced
         for lo, hi in panels:
             lo = max(lo, 1)
             if hi <= lo:
                 continue
-            head, steps = self._panel_charges(comm.cost, lo, hi, word_bytes)
+            head, steps = self._panel_charges(comm.cost, lo, hi, _FP64)
             for regions in (head, *steps):
                 for _, charges in regions:
                     for kernel, record in charges:
+                        if kernel == "ghost_plan":
+                            if hi - lo in analyzed:
+                                continue
+                            analyzed.add(hi - lo)
                         total += (comm._halo_cost(record)[0]
                                   if kernel == "halo" else record.seconds)
         return total
@@ -401,18 +417,16 @@ class MatrixPowersKernel:
         quantized = basis.storage != "fp64"
         posted = []
 
-        def charge(regions) -> None:
-            for phase, charges in regions:
-                with comm.tracer.phase(phase):
-                    for kernel, record in charges:
-                        if kernel == "halo":
-                            comm.charge_halo(record)
-                        elif kernel == "post":
-                            posted.append(comm.post_ihalo(record))
-                        elif kernel == "wait":
-                            comm.wait(posted.pop())
-                        else:
-                            comm.charge(kernel, record)
+        def post(charges) -> None:
+            for kernel, record in charges:
+                if kernel == "halo":
+                    comm.charge_halo(record)
+                elif kernel == "post":
+                    posted.append(comm.post_ihalo(record))
+                elif kernel == "wait":
+                    comm.wait(posted.pop())
+                else:
+                    comm.charge(kernel, record)
 
         def gathered(col: int) -> np.ndarray:
             return basis.view_cols(col).to_global()[:, 0].astype(np.float64)
@@ -420,28 +434,38 @@ class MatrixPowersKernel:
         coeffs = {col: self.basis_poly.coefficients(col - 1)
                   for col in range(lo, hi)}
         track_prev = any(g != 0.0 for (_, _, g) in coeffs.values())
-        charge(head)
+        for phase, charges in head:
+            with comm.tracer.phase(phase):
+                post(charges)
         v_k = gathered(lo - 1)
         v_km1 = gathered(lo - 2) if coeffs[lo][2] != 0.0 and lo >= 2 else None
 
-        for col, (*pre, spmv) in zip(range(lo, hi), steps):
+        # each charge follows the host work it models, as the mp
+        # backend's measured twin times the work since the last charge
+        for col, (*pre, (phase, spmv)) in zip(range(lo, hi), steps):
             alpha, beta, gamma = coeffs[col]
             z = v_k
             if pre:
-                z = precond.apply_ghosted(v_k, ctype)
-                charge(pre)
-            v_new = matrix._global_csr @ z
-            if quantized:
-                v_new = basis.quantize(v_new).astype(np.float64)
-            if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
-                # identical operation order to the engines' lincomb
-                v_new *= 1.0 / beta
-                v_new += (-alpha / beta) * v_k
-                if gamma != 0.0 and col >= 2:
-                    v_new += (-gamma / beta) * v_km1
+                (pre_phase, pre_charges), = pre
+                with comm.tracer.phase(pre_phase):
+                    z = precond.apply_ghosted(v_k, ctype)
+                    post(pre_charges)
+            with comm.tracer.phase(phase):
+                v_new = matrix._global_csr @ z
                 if quantized:
                     v_new = basis.quantize(v_new).astype(np.float64)
-            charge([spmv])
+                if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
+                    post(spmv[:-1])  # the step's axpy record comes last
+                    # identical operation order to the engines' lincomb
+                    v_new *= 1.0 / beta
+                    v_new += (-alpha / beta) * v_k
+                    if gamma != 0.0 and col >= 2:
+                        v_new += (-gamma / beta) * v_km1
+                    if quantized:
+                        v_new = basis.quantize(v_new).astype(np.float64)
+                    post(spmv[-1:])
+                else:
+                    post(spmv)
             basis.scatter_col(col, v_new)
             if track_prev:
                 v_km1 = v_k
@@ -449,8 +473,7 @@ class MatrixPowersKernel:
 
 
 def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
-                     basis_poly: KrylovBasis | None = None,
-                     panels=()) -> str:
+                     basis_poly: KrylovBasis, panels) -> str:
     """Resolve a solver-level ``mpk_mode`` (possibly ``"auto"``) to a
     concrete :class:`MatrixPowersKernel` mode.
 
@@ -459,11 +482,15 @@ def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
     ``basis_poly``'s coefficients and fp64 basis storage — under
     ``"standard"``, and under ``"ca"`` when the preconditioner has a
     finite ghost closure.  The cheaper mode wins; a tie keeps ``"ca"``.
-    Pricing charges nothing, so ``"auto"``'s modeled clock is that of
-    the mode it resolves to.  A price that is not finite (a machine
-    constant that prices a kernel at ``inf`` or NaN) is a
-    ``ConfigurationError`` naming the mode, the price and the machine:
-    no comparison can rank it.  ``"auto"`` never picks
+    The ``"ca"`` price holds the analysis of every ghost plan the
+    matrix has not yet paid for, so the pick is exact for a full first
+    cycle.  Later cycles pay no analysis, and a Newton basis that learns
+    its shifts after the first cycle charges an ``axpy`` per step that
+    its first-cycle price leaves out.  Pricing charges nothing, so
+    ``"auto"``'s modeled clock is that of the mode it resolves to.  A
+    price that is not finite (a machine constant that prices a kernel
+    at ``inf`` or NaN) is a ``ConfigurationError`` naming the mode, the
+    price and the machine: no comparison can rank it.  ``"auto"`` never picks
     ``"ca_overlap"``: the PA2 kernel pays an extra depth-1 exchange and
     splits the first SpMV, which costs more modeled time than the deep
     ring it hides on every machine tried.  Explicit modes pass through

@@ -26,8 +26,8 @@ from repro.exceptions import ConfigurationError
 SOLVE_MODES = ("classical", "sketched")
 
 #: Valid ``mpk_mode`` values: the three kernel modes plus ``"auto"``
-#: (``"ca"`` whenever the preconditioner composes, standard otherwise —
-#: the fallback the paper's Trilinos setting hard-codes; see
+#: (whichever of ``"standard"`` and, when the preconditioner composes,
+#: ``"ca"`` prices cheaper for one restart cycle; see
 #: :func:`repro.krylov.mpk.resolve_mpk_mode`).
 MPK_SOLVER_MODES = ("standard", "ca", "ca_overlap", "auto")
 

@@ -177,9 +177,8 @@ class BlockJacobiPreconditioner(Preconditioner):
                          self._launches[rank])
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
-        # the sweep reads its operand without writing it: no copy
         out.scatter_col(0, self._solve(
-            x.flat[:, 0].astype(np.float64, copy=False)))
+            x.to_global()[:, 0].astype(np.float64, copy=False)))
         x.comm.charge(*self.apply_charge(x.comm.cost))
 
     def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:
