@@ -85,10 +85,7 @@ def dot_dd_dist(x: DistMultiVector, y: DistMultiVector
         hi, lo = matmul_dd(xs, ys)
         his.append(hi)
         los.append(lo)
-    # the panel streams at its storage word size (fp32 shards move half
-    # the fp64 bytes); only the dd flop penalty is precision-independent
-    _engine.charge_rows(x, "dot_dd", x.n_cols, y.n_cols,
-                        max(x.word_bytes, y.word_bytes))
+    _engine.charge_rows(x, "dot_dd", x.n_cols, y.n_cols)
     # One collective, double payload; combining in dd keeps full accuracy
     # (the communicator folds the (hi, lo) pairs in tree order).
     return x.comm.allreduce_dd(his, los)

@@ -37,12 +37,9 @@ names it once at construction, and every kernel over that communicator
 looks it up through :func:`resolve`.  There is no per-call, per-backend
 or process-wide selection.
 
-Storage precision: operands may store ``fp32``/``bf16`` (see
-:mod:`repro.precision`).  Both engines accumulate shard-local partials
-in float64 (unless every operand opts into native ``fp32``
-accumulation), reduce in float64, round results written to
-low-precision storage to its grid — the same casts in the same order —
-and charge local kernels at the operands' storage word size.
+Every operand stores float64, so a kernel computes on its operands'
+rows as they lie, with no cast on the way in or out, and every charge
+prices fp64 words.
 """
 
 from __future__ import annotations
@@ -51,28 +48,6 @@ import numpy as np
 
 from repro import config
 from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
-
-
-def _acc_dtype(*mvs) -> np.dtype:
-    """Dtype shard-local partials accumulate in before the fp64 tree.
-
-    float64 unless *every* operand is low-precision storage that opted
-    into native fp32 accumulation (``accumulate="fp32"``).
-    """
-    if all(mv.storage != "fp64" and mv.accumulate == "fp32" for mv in mvs):
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
-
-
-def _cast(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``astype`` that is a no-op (same object) when already ``dtype``."""
-    return arr if arr.dtype == dtype else arr.astype(dtype)
-
-
-def _wb(*mvs) -> float:
-    """Charged word size of a kernel over ``mvs`` (largest operand wins:
-    mixed-precision kernels still stream their widest operand)."""
-    return max(mv.word_bytes for mv in mvs)
 
 
 class KernelEngine:
@@ -94,7 +69,6 @@ class KernelEngine:
 _TILE_ELEMS = 32_768
 #: Column-block width of the triangular solve.
 _TRSM_BLOCK = 8
-_F64 = np.dtype(np.float64)
 
 
 def _row_tiles(n: int, k: int) -> list[slice]:
@@ -118,7 +92,7 @@ def _trsm_check(r: np.ndarray, blocks) -> None:
 def _gemm_sub(v: np.ndarray, q: np.ndarray, r: np.ndarray,
               count: int = 1) -> None:
     """``v -= q @ r`` in place, one GEMM per rank; ``v`` and ``q`` are
-    the fp64 rows of ``count`` whole equal-count ranks.  Formed as
+    the rows of ``count`` whole equal-count ranks.  Formed as
     ``r.T @ q_rank.T`` so that each product comes out in the layout of
     the columns it is subtracted from."""
     each = v.shape[0] // count
@@ -128,7 +102,7 @@ def _gemm_sub(v: np.ndarray, q: np.ndarray, r: np.ndarray,
 
 
 def _trsm_rows(w: np.ndarray, r: np.ndarray, count: int = 1) -> None:
-    """``w <- w @ inv(r)`` in place; ``w`` is the fp64 rows of ``count``
+    """``w <- w @ inv(r)`` in place; ``w`` is the rows of ``count``
     whole equal-count ranks, ``r`` upper triangular.
 
     Left-looking over column blocks ``J``: the solved columns enter
@@ -175,10 +149,8 @@ class LoopEngine(KernelEngine):
         contributes ``X_r.T @ Y_r`` — and one ``dot`` charge per pair."""
         groups = []
         for x, y in pairs:
-            acc = _acc_dtype(x, y)
-            groups.append([_cast(xs, acc).T @ _cast(ys, acc)
-                           for xs, ys in zip(x.shards, y.shards)])
-            charge_shards(x, "dot", x.n_cols, y.n_cols, _wb(x, y))
+            groups.append([xs.T @ ys for xs, ys in zip(x.shards, y.shards)])
+            charge_shards(x, "dot", x.n_cols, y.n_cols)
         return groups
 
     def block_dot(self, x, y) -> np.ndarray:
@@ -188,54 +160,43 @@ class LoopEngine(KernelEngine):
         return pairs[0][0].comm.allreduce(self._dot_partials(pairs))
 
     def column_norms(self, x) -> np.ndarray:
-        acc = _acc_dtype(x)
-        partials = []
-        for s in x.shards:
-            ss = _cast(s, acc)
-            partials.append(np.einsum("ij,ij->j", ss, ss))
-        charge_shards(x, "norm", x.n_cols, x.word_bytes)
+        partials = [np.einsum("ij,ij->j", s, s) for s in x.shards]
+        charge_shards(x, "norm", x.n_cols)
         return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local (communication-free) updates ------------------------------
     def block_update(self, v, q, r: np.ndarray) -> None:
         for vs, qs in zip(v.shards, q.shards):
-            w = _cast(vs, _F64)
-            _gemm_sub(w, _cast(qs, _F64), r)
-            if w is not vs:
-                vs[...] = v.quantize(w)
-        charge_shards(v, "update", q.n_cols, v.n_cols, _wb(v, q))
+            _gemm_sub(vs, qs, r)
+        charge_shards(v, "update", q.n_cols, v.n_cols)
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         _trsm_check(r, v.shards)
         for vs in v.shards:
-            w = _cast(vs, _F64)
-            _trsm_rows(w, r)
-            if w is not vs:
-                vs[...] = v.quantize(w)
-        charge_shards(v, "trsm", v.n_cols, v.word_bytes)
+            _trsm_rows(vs, r)
+        charge_shards(v, "trsm", v.n_cols)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         for vs in v.shards:
-            vs[...] = v.quantize(_cast(vs, _F64) * scales[np.newaxis, :])
-        charge_shards(v, "scale", v.n_cols, 1, v.word_bytes)
+            vs *= scales
+        charge_shards(v, "scale", v.n_cols, 1)
 
     def lincomb(self, out, terms) -> None:
         for r, outs in enumerate(out.shards):
-            acc = terms[0][0] * _cast(terms[0][1].shards[r], _F64)
+            acc = terms[0][0] * terms[0][1].shards[r]
             for alpha, x in terms[1:]:
-                acc += alpha * _cast(x.shards[r], _F64)
-            outs[...] = out.quantize(acc)
-        charge_shards(out, "axpy", out.n_cols, len(terms),
-                      _wb(out, *[t[1] for t in terms]))
+                acc += alpha * x.shards[r]
+            outs[...] = acc
+        charge_shards(out, "axpy", out.n_cols, len(terms))
 
     def copy_into(self, dst, src) -> None:
-        dst.assign_from(src)  # rounds to dst's storage grid when needed
-        charge_shards(src, "axpy", src.n_cols, 1, _wb(dst, src))
+        dst.assign_from(src)
+        charge_shards(src, "axpy", src.n_cols, 1)
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
         for vs, outs in zip(v.shards, out.shards):
-            outs[...] = out.quantize(_cast(vs, _F64) @ coeffs)
-        charge_shards(v, "matvec", v.n_cols, out.n_cols, _wb(v, out))
+            outs[...] = vs @ coeffs
+        charge_shards(v, "matvec", v.n_cols, out.n_cols)
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op) -> list[np.ndarray]:
@@ -247,9 +208,6 @@ class LoopEngine(KernelEngine):
         """
         comm = v.comm
         offsets = v.partition.offsets
-        # operators upcast low-precision shards internally, so partial
-        # sketches are always fp64-accumulated; charge at the storage
-        # word size (the shard stream dominates the sketch kernel)
         partials = [op.partial(shard, int(offsets[r]))
                     for r, shard in enumerate(v.shards)]
         # sketch application runs on the driver process under the mp
@@ -257,7 +215,7 @@ class LoopEngine(KernelEngine):
         name, *args = op.local_op(v.n_cols)
         kernel, formula = LOCAL_OPS[name]
         comm.charge(kernel, comm.cost.record(lambda c: [
-            formula(c, s.shape[0], *args, v.word_bytes) for s in v.shards]),
+            formula(c, s.shape[0], *args) for s in v.shards]),
             driver_side=True)
         return partials
 
@@ -315,11 +273,11 @@ def _rank_tiles(part, k: int):
             yield slice(start, start + count * rows), count, rows
 
 
-def _over_runs(part, kernel, dtype, *flats) -> np.ndarray:
+def _over_runs(part, kernel, *flats) -> np.ndarray:
     """``kernel(*stacks)`` per run of equal-count ranks, concatenated
     over the rank axis; a stack is the run's rows of one flat array,
-    cast to ``dtype`` and seen as ``(ranks_in_run, rows, k)``."""
-    parts = [kernel(*(_cast(f[lo:lo + n_ranks * rows], dtype)
+    seen as ``(ranks_in_run, rows, k)``."""
+    parts = [kernel(*(f[lo:lo + n_ranks * rows]
                       .reshape(n_ranks, rows, f.shape[1]) for f in flats))
              for n_ranks, lo, rows in part.runs]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -341,15 +299,14 @@ class BatchedEngine(LoopEngine):
             groups.append(_over_runs(
                 x.partition,
                 lambda xs, ys: np.matmul(xs.transpose(0, 2, 1), ys),
-                _acc_dtype(x, y), x.flat, y.flat))
-            charge_rows(x, "dot", x.n_cols, y.n_cols, _wb(x, y))
+                x.flat, y.flat))
+            charge_rows(x, "dot", x.n_cols, y.n_cols)
         return groups
 
     def column_norms(self, x) -> np.ndarray:
         partials = _over_runs(
-            x.partition, lambda w: np.einsum("rij,rij->rj", w, w),
-            _acc_dtype(x), x.flat)
-        charge_rows(x, "norm", x.n_cols, x.word_bytes)
+            x.partition, lambda w: np.einsum("rij,rij->rj", w, w), x.flat)
+        charge_rows(x, "norm", x.n_cols)
         return np.sqrt(x.comm.allreduce([partials])[0])
 
     # -- local updates ----------------------------------------------------
@@ -357,54 +314,42 @@ class BatchedEngine(LoopEngine):
         fv, fq = v.flat, q.flat
         kq, kv = q.n_cols, v.n_cols
         for rows, count, _ in _rank_tiles(v.partition, max(kq, kv)):
-            w = _cast(fv[rows], _F64)  # fp64: the rows themselves
-            _gemm_sub(w, _cast(fq[rows], _F64), r, count)
-            if v.storage != "fp64":
-                fv[rows] = v.quantize(w)
-        charge_rows(v, "update", kq, kv, _wb(v, q))
+            _gemm_sub(fv[rows], fq[rows], r, count)
+        charge_rows(v, "update", kq, kv)
 
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         flat = v.flat
         _trsm_check(r, [flat])
         for rows, count, _ in _rank_tiles(v.partition,
                                            min(v.n_cols, _TRSM_BLOCK)):
-            w = _cast(flat[rows], _F64)  # fp64: the rows themselves
-            _trsm_rows(w, r, count)
-            if v.storage != "fp64":
-                flat[rows] = v.quantize(w)
-        charge_rows(v, "trsm", v.n_cols, v.word_bytes)
+            _trsm_rows(flat[rows], r, count)
+        charge_rows(v, "trsm", v.n_cols)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
         flat = v.flat
-        if v.storage == "fp64":
-            flat *= scales
-        else:
-            for rows in _row_tiles(*flat.shape):
-                flat[rows] = v.quantize(_cast(flat[rows], _F64) * scales)
-        charge_rows(v, "scale", v.n_cols, 1, v.word_bytes)
+        flat *= scales
+        charge_rows(v, "scale", v.n_cols, 1)
 
     def lincomb(self, out, terms) -> None:
-        operands = [t[1] for t in terms]
         fout = out.flat
         for rows in _row_tiles(*fout.shape):
-            acc = terms[0][0] * _cast(operands[0].flat[rows], _F64)
+            acc = terms[0][0] * terms[0][1].flat[rows]
             for alpha, x in terms[1:]:
-                acc += alpha * _cast(x.flat[rows], _F64)
-            fout[rows] = out.quantize(acc)
-        charge_rows(out, "axpy", out.n_cols, len(terms), _wb(out, *operands))
+                acc += alpha * x.flat[rows]
+            fout[rows] = acc
+        charge_rows(out, "axpy", out.n_cols, len(terms))
 
     def copy_into(self, dst, src) -> None:
-        dst.assign_from(src)  # rounds to dst's storage grid when needed
-        charge_rows(dst, "axpy", src.n_cols, 1, _wb(dst, src))
+        dst.assign_from(src)
+        charge_rows(dst, "axpy", src.n_cols, 1)
 
     def matvec_small(self, v, coeffs: np.ndarray, out) -> None:
         fout, fv = out.flat, v.flat
         kv, kout = v.n_cols, out.n_cols
         for rows, count, each in _rank_tiles(v.partition, max(kv, kout)):
-            fout[rows] = out.quantize(
-                np.matmul(_cast(fv[rows], _F64).reshape(count, each, kv),
-                          coeffs).reshape(count * each, kout))
-        charge_rows(v, "matvec", kv, kout, _wb(v, out))
+            fout[rows] = np.matmul(fv[rows].reshape(count, each, kv),
+                                   coeffs).reshape(count * each, kout)
+        charge_rows(v, "matvec", kv, kout)
 
     # -- sketching --------------------------------------------------------
     def _sketch_partials(self, v, op) -> np.ndarray:
@@ -420,7 +365,7 @@ class BatchedEngine(LoopEngine):
         name, *args = op.local_op(k)
         kernel, formula = LOCAL_OPS[name]
         comm.charge(kernel, comm.cost.record(lambda c: [
-            formula(c.times(n_ranks), rows, *args, v.word_bytes)
+            formula(c.times(n_ranks), rows, *args)
             for n_ranks, _, rows in part.runs]), driver_side=True)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -35,12 +35,10 @@ one ``(ranks x ranks)`` count matrix per level.  The indicators are
 dense bools, ``(depth + 1) * ranks * n`` bytes, and live only while a
 plan is analyzed and checked.
 
-Payloads are charged at the operand's *storage* word size (a ghost row
-of an fp32 basis moves 4 bytes), so plans store per-peer row counts and
-convert to bytes at exchange time — once per ``(word_bytes, n_vectors)``
-(:func:`_descriptors`): every exchange of a solve reuses the same
-:class:`~repro.parallel.communicator.HaloDescriptors`, and the
-communicator remembers their cost on them.
+Plans store per-peer row counts and convert them to fp64 bytes once per
+exchanged operand count (:func:`_descriptors`): every exchange of a
+solve reuses the same :class:`~repro.parallel.communicator
+.HaloDescriptors`, and the communicator remembers their cost on them.
 """
 
 from __future__ import annotations
@@ -50,17 +48,14 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.communicator import HaloDescriptors
-from repro.parallel.costmodel import KernelCharge
+from repro.parallel.costmodel import _DOUBLE, KernelCharge
 from repro.parallel.partition import Partition
-from repro.precision.dtypes import word_bytes as _word_bytes
 
 #: Closure expansion rules: how one application of ``A M^{-1}`` grows a
 #: row dependency set.  ``"pointwise"`` follows the sparsity pattern
 #: only; ``"block"`` additionally rounds each level up to whole owner
 #: blocks (block-Jacobi couples every row of a rank's block).
 EXPAND_MODES = ("pointwise", "block")
-
-_DOUBLE = _word_bytes("fp64")
 
 
 def _bounds(sizes: np.ndarray) -> np.ndarray:
@@ -178,19 +173,19 @@ def _reach(graph: sp.csr_matrix, start: np.ndarray,
 
 
 def _descriptors(memo: dict, key: tuple,
-                 counts_by_rank: list[dict[int, int]], word_bytes: float,
+                 counts_by_rank: list[dict[int, int]],
                  n_vectors: int) -> HaloDescriptors:
-    """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands
-    stored at ``word_bytes`` per element over ``counts_by_rank`` rows.
+    """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` fp64
+    operands over ``counts_by_rank`` rows.
 
-    Built once per ``key + (word_bytes, n_vectors)`` in ``memo`` and
-    shared by every caller (read-only): plans are never mutated, so every
-    exchange of a solve moves the same descriptors.
+    Built once per ``key + (n_vectors,)`` in ``memo`` and shared by
+    every caller (read-only): plans are never mutated, so every exchange
+    of a solve moves the same descriptors.
     """
-    key += (float(word_bytes), int(n_vectors))
+    key += (int(n_vectors),)
     recv = memo.get(key)
     if recv is None:
-        scale = float(word_bytes) * int(n_vectors)
+        scale = _DOUBLE * int(n_vectors)
         recv = memo[key] = HaloDescriptors(
             {peer: cnt * scale for peer, cnt in by_peer.items()}
             for by_peer in counts_by_rank)
@@ -262,10 +257,9 @@ def check_closure(a: sp.csr_matrix, partition: Partition,
 class HaloPlan:
     """Per-rank description of the off-rank vector entries SpMV gathers.
 
-    Stores per-peer *row counts*; :meth:`recv_bytes` scales them by the
-    operand word size (fp64 by default — bit-identical to the historical
-    fixed-8-byte charge).  The plan is an analysis result: nothing
-    mutates it, which is what lets it remember its descriptors.
+    Stores per-peer *row counts*; :meth:`recv_bytes` scales them to fp64
+    bytes.  The plan is an analysis result: nothing mutates it, which is
+    what lets it remember its descriptors.
     """
 
     __slots__ = ("recv_counts_by_peer", "halo_counts", "_recv_bytes")
@@ -276,17 +270,15 @@ class HaloPlan:
         self.halo_counts = halo_counts
         self._recv_bytes: dict[tuple, HaloDescriptors] = {}
 
-    def recv_bytes(self, word_bytes: float = _DOUBLE,
-                   n_vectors: int = 1) -> HaloDescriptors:
-        """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands
-        stored at ``word_bytes`` per element.
+    def recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
+        """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands.
 
-        Built once per ``(word_bytes, n_vectors)`` and shared by every
-        caller (read-only): every SpMV of a solve exchanges the same
+        Built once per ``n_vectors`` and shared by every caller
+        (read-only): every SpMV of a solve exchanges the same
         descriptors, and the communicator remembers their cost on them.
         """
         return _descriptors(self._recv_bytes, (), self.recv_counts_by_peer,
-                            word_bytes, n_vectors)
+                            n_vectors)
 
     @classmethod
     def analyze(cls, a: sp.csr_matrix, partition: Partition) -> "HaloPlan":
@@ -426,12 +418,11 @@ class GhostPlan:
         return plan
 
     # ------------------------------------------------------------------
-    def recv_bytes(self, word_bytes: float = _DOUBLE,
-                   n_vectors: int = 1) -> HaloDescriptors:
+    def recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
         """Per-rank ``{peer: bytes}`` of the ONE aggregated deep-halo
-        exchange moving ``n_vectors`` operands at ``word_bytes``/element."""
+        exchange moving ``n_vectors`` operands."""
         return _descriptors(self._recv_bytes, ("all",),
-                            self.recv_counts_by_peer, word_bytes, n_vectors)
+                            self.recv_counts_by_peer, n_vectors)
 
     def _split_counts(self) -> tuple[list[dict[int, int]],
                                      list[dict[int, int]]]:
@@ -449,19 +440,17 @@ class GhostPlan:
                                          - self._near_counts)
         return self._eager_counts, self._ring_counts
 
-    def eager_recv_bytes(self, word_bytes: float = _DOUBLE,
-                         n_vectors: int = 1) -> HaloDescriptors:
+    def eager_recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
         """Payload of the depth-1 ghost shell — what the PA2 overlapped
         kernel exchanges eagerly (blocking) before posting the ring."""
         return _descriptors(self._recv_bytes, ("eager",),
-                            self._split_counts()[0], word_bytes, n_vectors)
+                            self._split_counts()[0], n_vectors)
 
-    def ring_recv_bytes(self, word_bytes: float = _DOUBLE,
-                        n_vectors: int = 1) -> HaloDescriptors:
+    def ring_recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
         """Payload of the deep-ring remainder (levels 2..depth) — what
         PA2 posts nonblocking and hides behind the first local SpMVs."""
         return _descriptors(self._recv_bytes, ("ring",),
-                            self._split_counts()[1], word_bytes, n_vectors)
+                            self._split_counts()[1], n_vectors)
 
     def ghost_counts(self) -> np.ndarray:
         """Ghost rows per rank at the deepest level (diagnostics)."""

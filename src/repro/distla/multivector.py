@@ -23,13 +23,10 @@ The batched engine (:mod:`repro.distla.engine`), the SpMV and TSQR
 compute on ``flat``; the loop engine reads ``shards``; ``stack``'s one
 reader is the real-process SpMV (``MpComm.exec_spmv``).
 
-Storage precision: every multivector carries a storage spec
-(:data:`repro.precision.dtypes.STORAGE_SPECS` — ``"fp64"``/``"fp32"``/
-``"bf16"``) that decides the container dtype and the word size the cost
-model charges.  Low-precision vectors are *storage* formats only: the
-engines accumulate reductions in float64 and round results to the
-storage grid on write (``"bf16"`` rides in float32 containers, rounded
-to the bfloat16 grid and charged at 2 bytes/word).
+Every multivector stores float64, the paper's working precision: real
+input of any other dtype (float32, integers) is copied in exactly, and
+a complex or non-numeric input is refused with a
+:class:`~repro.exceptions.ShapeError` rather than truncated.
 """
 
 from __future__ import annotations
@@ -39,7 +36,16 @@ import numpy as np
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
 from repro.parallel.partition import Partition
-from repro.precision import dtypes as _pdtypes
+
+
+def _check_real(dtype: np.dtype) -> None:
+    """Refuse input that is not real — anything but a float, integer or
+    bool dtype: float64 storage would drop a complex value's imaginary
+    part."""
+    if dtype.kind not in "fiub":
+        raise ShapeError(
+            f"a multivector stores float64; input of dtype {dtype} is "
+            f"not real")
 
 
 class DistMultiVector:
@@ -50,12 +56,10 @@ class DistMultiVector:
     (shards, views, gather/scatter) and no operators.
     """
 
-    __slots__ = ("partition", "comm", "storage", "accumulate",
-                 "_base", "_flat", "_shards")
+    __slots__ = ("partition", "comm", "_base", "_flat", "_shards")
 
     def __init__(self, partition: Partition, comm: SimComm,
-                 shards: list[np.ndarray],
-                 storage: str | None = None, accumulate: str = "fp64"):
+                 shards: list[np.ndarray]):
         """Pack one ``(rows_on_rank, k)`` array per rank into a vector of
         its own storage (the arrays are copied, never aliased)."""
         if len(shards) != partition.ranks:
@@ -67,71 +71,46 @@ class DistMultiVector:
                 raise ShapeError(
                     f"shard {r} has shape {s.shape}, expected "
                     f"({partition.local_count(r)}, {k})")
-        dtype = shards[0].dtype
-        if storage is None:
-            # Infer from the shards' dtype: float32 shards are fp32
-            # storage, everything else the fp64 default.  bf16 cannot be
-            # inferred — its container IS float32 — so it must be
-            # requested explicitly.
-            storage = "fp32" if dtype == np.float32 else "fp64"
-        elif dtype != _pdtypes.container_dtype(storage):
-            # A mislabeled vector would silently compute in the wrong
-            # precision AND mischarge bytes (the engines' word-size
-            # decisions key off `storage`).
-            raise ShapeError(
-                f"shards have dtype {dtype}, but storage {storage!r} "
-                f"requires {_pdtypes.container_dtype(storage)}")
-        self._allocate(partition, comm, k, storage, accumulate)
+            _check_real(s.dtype)
+        self._allocate(partition, comm, k)
         for rows, shard in zip(partition.local_slices, shards):
             self._flat[rows] = shard
 
-    def _allocate(self, partition: Partition, comm: SimComm, k: int,
-                  storage: str, accumulate: str) -> None:
-        """Bind a zeroed ``(n, k)`` vector of ``storage`` precision."""
-        if accumulate not in _pdtypes.ACCUMULATE_SPECS:
-            raise ShapeError(
-                f"unknown accumulate precision {accumulate!r}; expected "
-                f"one of {_pdtypes.ACCUMULATE_SPECS}")
+    def _allocate(self, partition: Partition, comm: SimComm, k: int) -> None:
+        """Bind a zeroed ``(n, k)`` vector."""
         self.partition = partition
         self.comm = comm
-        self.storage = _pdtypes.validate_storage(storage)
-        # Precision shard-local kernels accumulate partial results in
-        # before the (always-float64) reduction tree; "fp32" only takes
-        # effect for low-precision storage (see repro.distla.engine).
-        self.accumulate = accumulate
         self._base = None  # views keep their owning vector alive here
         # the communicator owns vector storage: a heap array from the
         # simulator, a shared-memory segment from the mp backend
-        self._flat = comm.alloc(partition.n_global, k,
-                                _pdtypes.container_dtype(storage))
+        self._flat = comm.alloc(partition.n_global, k)
         self._shards = None  # row slices of `_flat`, built when asked for
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, partition: Partition, comm: SimComm, k: int,
-              storage: str = "fp64",
-              accumulate: str = "fp64") -> "DistMultiVector":
+    def zeros(cls, partition: Partition, comm: SimComm,
+              k: int) -> "DistMultiVector":
         new = object.__new__(cls)
-        new._allocate(partition, comm, k, storage, accumulate)
+        new._allocate(partition, comm, k)
         return new
 
     @classmethod
     def from_global(cls, arr: np.ndarray, partition: Partition,
-                    comm: SimComm, storage: str = "fp64",
-                    accumulate: str = "fp64") -> "DistMultiVector":
+                    comm: SimComm) -> "DistMultiVector":
         """Scatter a global ``(n, k)`` or ``(n,)`` array over the ranks
-        (a copy, rounded to the ``storage`` grid)."""
-        arr = np.asarray(arr, dtype=np.float64)
+        (a copy)."""
+        arr = np.asarray(arr)
+        _check_real(arr.dtype)
         if arr.ndim == 1:
             arr = arr[:, np.newaxis]
         if arr.shape[0] != partition.n_global:
             raise ShapeError(
                 f"array has {arr.shape[0]} rows, partition expects "
                 f"{partition.n_global}")
-        new = cls.zeros(partition, comm, arr.shape[1], storage, accumulate)
-        new._flat[...] = _pdtypes.quantize(arr, storage)
+        new = cls.zeros(partition, comm, arr.shape[1])
+        new._flat[...] = arr
         return new
 
     # ------------------------------------------------------------------
@@ -173,20 +152,6 @@ class DistMultiVector:
             return None
         return flat.reshape(part.ranks, part.runs[0][2], flat.shape[1])
 
-    @property
-    def np_dtype(self) -> np.dtype:
-        """Container dtype of the shards (bf16 rides in float32)."""
-        return _pdtypes.container_dtype(self.storage)
-
-    @property
-    def word_bytes(self) -> float:
-        """Bytes per stored word — what the cost model charges per element."""
-        return _pdtypes.word_bytes(self.storage)
-
-    def quantize(self, arr: np.ndarray) -> np.ndarray:
-        """Round ``arr`` to this vector's storage grid (container dtype)."""
-        return _pdtypes.quantize(arr, self.storage)
-
     def _derived(self, flat: np.ndarray,
                  base: "DistMultiVector | None") -> "DistMultiVector":
         """A vector over storage sliced or copied from this one's:
@@ -194,8 +159,6 @@ class DistMultiVector:
         new = object.__new__(DistMultiVector)
         new.partition = self.partition
         new.comm = self.comm
-        new.storage = self.storage
-        new.accumulate = self.accumulate
         new._base = base
         new._flat = flat
         new._shards = None
@@ -210,7 +173,7 @@ class DistMultiVector:
     def copy(self) -> "DistMultiVector":
         # through the communicator: column-major, and shared memory on
         # the mp backend
-        flat = self.comm.alloc(*self._flat.shape, self._flat.dtype)
+        flat = self.comm.alloc(*self._flat.shape)
         flat[...] = self._flat
         return self._derived(flat, None)
 
@@ -220,19 +183,16 @@ class DistMultiVector:
         return self._flat.copy()
 
     def scatter_col(self, col: int, values: np.ndarray) -> None:
-        """Write a global length-``n`` vector into column ``col`` (the
-        container dtype casts; round to the storage grid beforehand)."""
+        """Write a global length-``n`` vector into column ``col``."""
         self._flat[:, col] = values
 
     def assign_from(self, other: "DistMultiVector") -> None:
-        """Copy ``other``'s values into this vector's storage (rounding
-        to its storage grid across precisions)."""
+        """Copy ``other``'s values into this vector's storage."""
         self._check_conformal(other)
-        same = self.storage == other.storage
-        self._flat[...] = other._flat if same else self.quantize(other._flat)
+        self._flat[...] = other._flat
 
     def fill(self, value: float) -> None:
-        self._flat[...] = self.quantize(np.asarray(value, dtype=np.float64))
+        self._flat[...] = value
 
     def _check_conformal(self, other: "DistMultiVector") -> None:
         if self.partition != other.partition:
@@ -242,6 +202,5 @@ class DistMultiVector:
                 f"column mismatch: {self.n_cols} vs {other.n_cols}")
 
     def __repr__(self) -> str:
-        extra = "" if self.storage == "fp64" else f", storage={self.storage!r}"
         return (f"DistMultiVector(shape={self.shape}, "
-                f"ranks={self.partition.ranks}{extra})")
+                f"ranks={self.partition.ranks})")

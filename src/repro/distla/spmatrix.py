@@ -10,8 +10,8 @@ matrix powers kernel) plus per-rank local SpMV kernels.
 How the simulator executes it: the values come from ONE product of the
 global CSR matrix with the operand's contiguous column, written into
 the result's contiguous column, and the per-rank charges — constants of
-the matrix, the machine and the operand word size — are evaluated once
-and replayed.  A CSR row product reads only
+the matrix and the machine — are evaluated once and replayed.  A CSR
+row product reads only
 its own row, in stored entry order, and ``a[rows, :]`` keeps that
 order, so the result equals the per-block products ``block_r @ x``
 bit for bit; the per-block form survives as the oracle in the tests
@@ -70,7 +70,7 @@ class DistSparseMatrix:
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
         #: the keys of the plans whose analysis has been charged
         self._charged_plans: set[tuple[int, str]] = set()
-        #: ``(word_bytes, machine) ->`` the ``spmv_local`` charge
+        #: ``machine ->`` the ``spmv_local`` charge
         self._spmv_charges: dict[tuple, KernelCharge] = {}
 
     # ------------------------------------------------------------------
@@ -131,27 +131,22 @@ class DistSparseMatrix:
                        for r in range(self.partition.ranks)])
 
     # ------------------------------------------------------------------
-    def _local_spmv_charge(self, cost: CostModel, word_bytes: float
-                           ) -> KernelCharge:
-        """The ``spmv_local`` charge, evaluated once per ``(machine,
-        word_bytes)``.
+    def _local_spmv_charge(self, cost: CostModel) -> KernelCharge:
+        """The ``spmv_local`` charge, evaluated once per machine.
 
         Every input — block nonzeros and rows, owned plus ghost operand
         entries — is fixed at construction, so each SpMV of a solve
         charges the same record.  A rank's block nonzeros are the span
         of its rows in the global ``indptr``.
         """
-        return cost.memoized(self._spmv_charges, float(word_bytes),
-                             lambda c: self._spmv_seconds(c, word_bytes))
+        return cost.memoized(self._spmv_charges, None, self._spmv_seconds)
 
-    def _spmv_seconds(self, cost: CostModel, word_bytes: float
-                      ) -> list[float]:
+    def _spmv_seconds(self, cost: CostModel) -> list[float]:
         offsets = self.partition.offsets
         nnz = np.diff(self._global_csr.indptr[offsets]).tolist()
         rows = np.diff(offsets).tolist()
         halo = self.halo.halo_counts.tolist()
-        return [cost.spmv(nnz[rank], rows[rank], rows[rank] + halo[rank],
-                          word_bytes=word_bytes)
+        return [cost.spmv(nnz[rank], rows[rank], rows[rank] + halo[rank])
                 for rank in range(self.partition.ranks)]
 
     def matvec(self, x: DistMultiVector, out: DistMultiVector | None = None
@@ -176,20 +171,13 @@ class DistSparseMatrix:
         # the simulator returns False and the driver computes below —
         # modeled charges are identical either way
         executed = comm.exec_spmv(self, x, out)
-        # ghost rows travel at the operand's storage word size
-        comm.charge_halo(self.halo.recv_bytes(x.word_bytes))
+        comm.charge_halo(self.halo.recv_bytes())
         if not executed:
-            # scipy upcasts low-precision operands to float64 for the
-            # SpMV; results round back to ``out``'s storage grid.  The
-            # product is complete before ``out`` (which may alias ``x``)
-            # is written.  The operand is multiplied where it lies: its
-            # column is contiguous.
-            y = self._global_csr @ x.flat[:, 0]
-            if out.storage != "fp64":
-                y = out.quantize(y)
-            out.scatter_col(0, y)
-        comm.charge("spmv_local", self._local_spmv_charge(
-            comm.cost, max(x.word_bytes, out.word_bytes)))
+            # The product is complete before ``out`` (which may alias
+            # ``x``) is written.  The operand is multiplied where it
+            # lies: its column is contiguous.
+            out.scatter_col(0, self._global_csr @ x.flat[:, 0])
+        comm.charge("spmv_local", self._local_spmv_charge(comm.cost))
         return out
 
     def matvec_batched(self, xs: list[DistMultiVector],

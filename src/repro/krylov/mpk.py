@@ -30,8 +30,8 @@ Three execution modes generate the s-step basis (Fig. 1 lines 7-9):
 All modes evaluate the identical recurrence over identical operand
 values, so the generated basis is bit-identical — the tracer alone can
 tell them apart.  The CA modes' per-rank charges depend only on the
-ghost plan, the step's depth, the operand word size and the machine;
-they are evaluated once and replayed
+ghost plan, the step's depth and the machine; they are evaluated once
+and replayed
 (:meth:`~repro.parallel.costmodel.CostModel.memoized`).  One helper,
 :meth:`MatrixPowersKernel._panel_charges`, builds every record an
 extension charges; :meth:`MatrixPowersKernel.cycle_price` sums them
@@ -64,14 +64,10 @@ from repro.distla.spmatrix import DistSparseMatrix
 from repro.exceptions import ConfigurationError
 from repro.krylov.basis import KrylovBasis, MonomialBasis
 from repro.parallel.costmodel import LOCAL_OPS, CostModel, KernelCharge
-from repro.precision.dtypes import word_bytes as bytes_per_word
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 
 #: Valid ``mode`` values for :class:`MatrixPowersKernel`.
 MPK_MODES = ("standard", "ca", "ca_overlap")
-
-#: Word size of the solver's basis storage, what ``"auto"`` prices at.
-_FP64 = bytes_per_word("fp64")
 
 
 class PreconditionedOperator:
@@ -118,16 +114,11 @@ class PreconditionedOperator:
         s = self._scratch
         if (s is None
                 or s.partition != like.partition
-                or s.comm is not like.comm
-                or s.storage != like.storage
-                or s.accumulate != like.accumulate):
+                or s.comm is not like.comm):
             # a stale scratch bound to another communicator would charge
-            # modeled time to the wrong tracer; a storage mismatch would
-            # silently run (and charge) the preconditioned chain at the
-            # wrong precision
+            # modeled time to the wrong tracer
             self._scratch = DistMultiVector.zeros(
-                like.partition, like.comm, 1, storage=like.storage,
-                accumulate=like.accumulate)
+                like.partition, like.comm, 1)
         return self._scratch
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
@@ -222,10 +213,10 @@ class MatrixPowersKernel:
                     dblas.lincomb(v_next, terms)
 
     # ------------------------------------------------------------------
-    def _panel_charges(self, cost: CostModel, lo: int, hi: int,
-                       word: float) -> tuple[list, list[list]]:
-        """What extending columns ``lo..hi-1`` at ``word`` bytes per
-        element charges on ``cost``'s machine, without charging it.
+    def _panel_charges(self, cost: CostModel, lo: int, hi: int
+                       ) -> tuple[list, list[list]]:
+        """What extending columns ``lo..hi-1`` charges on ``cost``'s
+        machine, without charging it.
 
         Returns ``(head, steps)``: the regions charged before the first
         step, and each step's regions.  A region is ``(phase,
@@ -263,8 +254,8 @@ class MatrixPowersKernel:
                    for col, (alpha, beta, gamma) in zip(range(lo, hi), coeffs)]
         axpy_kernel, axpy = LOCAL_OPS["axpy"]
         if self.mode == "standard":
-            spmv = [("halo", matrix.halo.recv_bytes(word)),
-                    ("spmv_local", matrix._local_spmv_charge(cost, word))]
+            spmv = [("halo", matrix.halo.recv_bytes()),
+                    ("spmv_local", matrix._local_spmv_charge(cost))]
             steps = []
             for n in streams:
                 regions = ([("precond", [precond.apply_charge(cost)])]
@@ -272,7 +263,7 @@ class MatrixPowersKernel:
                 regions.append(("spmv", spmv))
                 if n:
                     regions.append(("spmv", [(axpy_kernel, rows_charge(
-                        matrix.partition, cost, "axpy", 1, n, word))]))
+                        matrix.partition, cost, "axpy", 1, n))]))
                 steps.append(regions)
             return [], steps
 
@@ -283,8 +274,7 @@ class MatrixPowersKernel:
 
         def record(kernel: str, key: tuple, evaluate) -> KernelCharge:
             """One per-rank record over the plan, evaluated on first use."""
-            return cost.memoized(plan.charge_memo, (kernel, word) + key,
-                                 evaluate)
+            return cost.memoized(plan.charge_memo, (kernel,) + key, evaluate)
 
         # three-term recurrences reach back one extra column; the panel's
         # first step additionally needs the *previous* panel's last
@@ -293,13 +283,13 @@ class MatrixPowersKernel:
         # -- the ONE aggregated deep-halo exchange ----------------------
         # (PA2: eager depth-1 shell now, deep ring posted nonblocking)
         if self.mode == "ca_overlap":
-            ring = plan.ring_recv_bytes(word, n_vectors=n_vec)
-            exchange = [("halo", plan.eager_recv_bytes(word, n_vectors=n_vec))]
+            ring = plan.ring_recv_bytes(n_vectors=n_vec)
+            exchange = [("halo", plan.eager_recv_bytes(n_vectors=n_vec))]
             split = any(ring)  # s == 1 (or a tiny grid) has no ring
             if split:
                 exchange.append(("post", ring))
         else:
-            exchange = [("halo", plan.recv_bytes(word, n_vectors=n_vec))]
+            exchange = [("halo", plan.recv_bytes(n_vectors=n_vec))]
             split = False
         steps = []
         for col, n in zip(range(lo, hi), streams):
@@ -312,26 +302,23 @@ class MatrixPowersKernel:
                 # remainder pays whatever the wait left exposed
                 spmv = [("spmv_local", record("spmv_local", ("owned",),
                          lambda c: [c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
-                                           int(rows[r, 1]), word_bytes=word)
+                                           int(rows[r, 1]))
                                     for r in ranks])),
                         ("wait", None),
                         ("spmv_local", record("spmv_local", ("ring", depth),
                          lambda c: [c.spmv(int(nnz[r, depth] - nnz[r, 0]),
                                            int(rows[r, depth] - rows[r, 0]),
-                                           int(rows[r, depth + 1]),
-                                           word_bytes=word)
+                                           int(rows[r, depth + 1]))
                                     for r in ranks]))]
             else:
                 spmv = [("spmv_local", record("spmv_local", (depth,),
                          lambda c: [c.spmv(int(nnz[r, depth]),
                                            int(rows[r, depth]),
-                                           int(rows[r, depth + 1]),
-                                           word_bytes=word)
+                                           int(rows[r, depth + 1]))
                                     for r in ranks]))]
             if n:  # last in the region: the kernel charges it apart
                 spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
-                             lambda c: [axpy(c, int(rows[r, depth]), 1, n,
-                                             word)
+                             lambda c: [axpy(c, int(rows[r, depth]), 1, n)
                                         for r in ranks])))
             regions.append(("spmv", spmv))
             steps.append(regions)
@@ -345,8 +332,7 @@ class MatrixPowersKernel:
 
         ``panels`` are the solver's ``(lo, hi)`` column ranges (a first
         panel from column 0 is extended from column 1, as the solver
-        does); the basis is priced as the solver stores it, in fp64.  The
-        price is the sum, in charge order, of the records of
+        does).  The price is the sum, in charge order, of the records of
         :meth:`_panel_charges` — a CA plan's unpaid analysis once, on
         the first panel that uses the plan — so it is, float for float,
         the clock a tracer started at zero reaches extending them.
@@ -365,7 +351,7 @@ class MatrixPowersKernel:
             lo = max(lo, 1)
             if hi <= lo:
                 continue
-            head, steps = self._panel_charges(comm.cost, lo, hi, _FP64)
+            head, steps = self._panel_charges(comm.cost, lo, hi)
             for regions in (head, *steps):
                 for _, charges in regions:
                     for kernel, record in charges:
@@ -412,9 +398,7 @@ class MatrixPowersKernel:
         precond = self.op.precond
         # the plan's analysis is charged here, on its first use
         matrix.ghost_plan(hi - lo, self.op.ghost_expand)
-        head, steps = self._panel_charges(comm.cost, lo, hi, basis.word_bytes)
-        ctype = basis.np_dtype
-        quantized = basis.storage != "fp64"
+        head, steps = self._panel_charges(comm.cost, lo, hi)
         posted = []
 
         def post(charges) -> None:
@@ -429,7 +413,7 @@ class MatrixPowersKernel:
                     comm.charge(kernel, record)
 
         def gathered(col: int) -> np.ndarray:
-            return basis.view_cols(col).to_global()[:, 0].astype(np.float64)
+            return basis.flat[:, col].copy()
 
         coeffs = {col: self.basis_poly.coefficients(col - 1)
                   for col in range(lo, hi)}
@@ -448,12 +432,10 @@ class MatrixPowersKernel:
             if pre:
                 (pre_phase, pre_charges), = pre
                 with comm.tracer.phase(pre_phase):
-                    z = precond.apply_ghosted(v_k, ctype)
+                    z = precond.apply_ghosted(v_k)
                     post(pre_charges)
             with comm.tracer.phase(phase):
                 v_new = matrix._global_csr @ z
-                if quantized:
-                    v_new = basis.quantize(v_new).astype(np.float64)
                 if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
                     post(spmv[:-1])  # the step's axpy record comes last
                     # identical operation order to the engines' lincomb
@@ -461,8 +443,6 @@ class MatrixPowersKernel:
                     v_new += (-alpha / beta) * v_k
                     if gamma != 0.0 and col >= 2:
                         v_new += (-gamma / beta) * v_km1
-                    if quantized:
-                        v_new = basis.quantize(v_new).astype(np.float64)
                     post(spmv[-1:])
                 else:
                     post(spmv)
@@ -479,7 +459,7 @@ def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
 
     ``"auto"`` decides by price.  It prices one restart cycle of the
     solve's own ``panels`` — :meth:`MatrixPowersKernel.cycle_price` with
-    ``basis_poly``'s coefficients and fp64 basis storage — under
+    ``basis_poly``'s coefficients — under
     ``"standard"``, and under ``"ca"`` when the preconditioner has a
     finite ghost closure.  The cheaper mode wins; a tie keeps ``"ca"``.
     The ``"ca"`` price holds the analysis of every ghost plan the

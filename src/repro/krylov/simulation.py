@@ -112,21 +112,12 @@ class Simulation:
     def ranks(self) -> int:
         return self.partition.ranks
 
-    def vector_from(self, arr: np.ndarray, storage: str = "fp64",
-                    accumulate: str = "fp64") -> DistMultiVector:
-        """Scatter a global array into a distributed (multi)vector.
+    def vector_from(self, arr: np.ndarray) -> DistMultiVector:
+        """Scatter a global real array into a distributed (multi)vector."""
+        return DistMultiVector.from_global(arr, self.partition, self.comm)
 
-        ``storage`` selects the precision the values are stored (and
-        charged) at — see :mod:`repro.precision`.
-        """
-        return DistMultiVector.from_global(arr, self.partition, self.comm,
-                                           storage=storage,
-                                           accumulate=accumulate)
-
-    def zeros(self, k: int = 1, storage: str = "fp64",
-              accumulate: str = "fp64") -> DistMultiVector:
-        return DistMultiVector.zeros(self.partition, self.comm, k,
-                                     storage=storage, accumulate=accumulate)
+    def zeros(self, k: int = 1) -> DistMultiVector:
+        return DistMultiVector.zeros(self.partition, self.comm, k)
 
     def ones_solution_rhs(self) -> np.ndarray:
         """RHS such that the solution is all-ones (paper Section VIII:

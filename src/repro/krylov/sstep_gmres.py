@@ -8,7 +8,7 @@ configured :class:`~repro.ortho.base.BlockOrthoScheme` — BCGS2+CholQR2
 ``R`` factor and the change-of-basis matrix (line 14: ``H = R T R^{-1}``)
 whenever the scheme reports final ``R`` columns, which is also the only
 place convergence may be tested — hence the iteration counts in the
-paper's tables quantize to multiples of ``s`` (one-stage) or ``bs``
+paper's tables come in multiples of ``s`` (one-stage) or ``bs``
 (two-stage).
 
 ``solve_mode="sketched"`` turns the same loop into a *randomized* GMRES

@@ -270,7 +270,7 @@ class DistBackend(OrthoBackend):
             # ||u after head shift||^2 analytically (dlarfg does the same):
             unorm = math.sqrt(sigma * sigma - vjj * vjj
                               + (vjj - alpha) ** 2)
-            u.flat[j, 0] = u.quantize(np.asarray(vjj - alpha))
+            u.flat[j, 0] = vjj - alpha
             if unorm == 0.0:
                 reflectors.append(None)
                 continue
@@ -311,8 +311,6 @@ class DistBackend(OrthoBackend):
         leaf_qs, local_rs = [], []
         for n_ranks, lo, rows in part.runs:
             work = flat[lo:lo + n_ranks * rows].reshape(n_ranks, rows, k)
-            if work.dtype != np.float64:
-                work = work.astype(np.float64)
             if rows < k:
                 work = np.concatenate(
                     [work, np.zeros((n_ranks, k - rows, k))], axis=1)
@@ -324,7 +322,7 @@ class DistBackend(OrthoBackend):
         # carry the driver_side tag calibration uses to skip them
         kernel, formula = LOCAL_OPS["qr"]
         comm.charge(kernel, comm.cost.record(lambda c: [
-            formula(c, rows, k, v.word_bytes) for rows in counts]),
+            formula(c, rows, k) for rows in counts]),
             driver_side=True)
 
         def tree(rs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
@@ -353,12 +351,11 @@ class DistBackend(OrthoBackend):
         first = 0
         for (n_ranks, lo, rows), qrun in zip(part.runs, leaf_qs):
             rebuilt = np.matmul(qrun, mstack[first:first + n_ranks])
-            flat[lo:lo + n_ranks * rows] = v.quantize(
-                rebuilt.reshape(n_ranks * rows, k))
+            flat[lo:lo + n_ranks * rows] = rebuilt.reshape(n_ranks * rows, k)
             first += n_ranks
         kernel, formula = LOCAL_OPS["matvec"]
         comm.charge(kernel, comm.cost.record(lambda c: [
-            formula(c, rows, k, k, v.word_bytes) for rows in counts]),
+            formula(c, rows, k, k) for rows in counts]),
             driver_side=True)
         return r_final
 

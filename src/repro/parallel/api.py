@@ -111,7 +111,7 @@ class Communicator(Protocol):
                     ) -> None: ...
 
     # -- storage and execution hooks ----------------------------------
-    def alloc(self, n: int, k: int, dtype: np.dtype) -> np.ndarray: ...
+    def alloc(self, n: int, k: int) -> np.ndarray: ...
 
     def exec_spmv(self, matrix: "DistSparseMatrix", x: "DistMultiVector",
                   out: "DistMultiVector") -> bool: ...

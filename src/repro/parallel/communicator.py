@@ -94,7 +94,7 @@ class HaloDescriptors(list):
     that remember what the exchange costs.
 
     A plain ``list[dict[int, float]]`` to every consumer.  A halo plan
-    builds one per ``(word_bytes, n_vectors)`` and hands the same object
+    builds one per exchanged operand count and hands the same object
     to every SpMV, so :meth:`SimComm._halo_cost` evaluates the per-rank
     cost formula once per ``(machine, ranks)`` instead of once per
     exchange.  Read-only after construction: the remembered cost is
@@ -272,11 +272,10 @@ class SimComm:
         float64 buffer (no copy for a single fp64 stack).
 
         Returns the buffer, each group's result shape, and the wire
-        payload.  The fold always runs in float64, but what travels is
-        the contribution dtype — a low-precision reduction
-        (``accumulate="fp32"`` partials) moves 4-byte words — so
-        ``payload = sum(elements * contribution itemsize)``; fp64
-        contributions charge exactly the result's ``nbytes``.
+        payload: the fold always runs in float64, but what travels is
+        the contribution dtype, so ``payload = sum(elements *
+        contribution itemsize)``; fp64 contributions charge exactly the
+        result's ``nbytes``.
         """
         parts, shapes, payload = [], [], 0.0
         for g, group in enumerate(groups):
@@ -525,15 +524,16 @@ class SimComm:
         self._charge("halo", seconds, payload_bytes=payload)
 
     # ------------------------------------------------------------------
-    def alloc(self, n: int, k: int, dtype) -> np.ndarray:
-        """Allocate the zeroed, column-major ``(n, k)`` array behind one
-        multivector: every column contiguous, a column range one slab.
+    def alloc(self, n: int, k: int) -> np.ndarray:
+        """Allocate the zeroed, column-major float64 ``(n, k)`` array
+        behind one multivector: every column contiguous, a column range
+        one slab.
 
         The backend owns vector storage so executors can place it where
         their ranks can reach it (the mp backend hands back
         shared-memory-backed arrays); the simulator just uses the heap.
         """
-        return np.zeros((int(n), int(k)), dtype=dtype, order="F")
+        return np.zeros((int(n), int(k)), order="F")
 
     def exec_spmv(self, matrix, x, out) -> bool:
         """Offer the backend a distributed SpMV to execute itself.

@@ -33,14 +33,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.parallel.machine import MachineSpec
-from repro.precision.dtypes import word_bytes as bytes_per_word
 
-#: Default word size: IEEE double, the library's historical working
-#: precision.  Every local-kernel method accepts ``word_bytes`` so the
-#: charged byte traffic scales with the *storage* precision of the
-#: operands (``bytes_per_word("fp32") == 4.0`` etc.); the default keeps
-#: all fp64 charges bit-identical to the pre-precision-subsystem model.
-_DOUBLE = bytes_per_word("fp64")
+#: Bytes per stored word: every vector is IEEE double.
+_DOUBLE = 8.0
 _INT = 4     # bytes per CSR index (cuSparse uses 32-bit local indices)
 #: Native flops per double-double flop (the operands stay float64, so
 #: bandwidth is unchanged): the dd Gram's penalty.
@@ -146,69 +141,61 @@ class CostModel:
                                                - m.gemm_eff_narrow)
         return np.where(width <= 1, m.gemv_efficiency, wide)[()]
 
-    def gemm(self, m_rows: float, k_inner: float, n_cols: float,
-             word_bytes: float = _DOUBLE) -> float:
+    def gemm(self, m_rows: float, k_inner: float, n_cols: float) -> float:
         """Dense ``C[m,n] += A[m,k] @ B[k,n]`` (tall-skinny: m >> k, n).
 
-        Bytes: stream A and B once, write C once — ``word_bytes`` each
-        (the *storage* word size of the operands; fp32 panels are
-        charged at half the fp64 traffic).  For the tall-skinny shapes
-        in block orthogonalization (m = local rows) the A/B streams
-        dominate; efficiency follows the narrow dimension.
+        Bytes: stream A and B once, write C once.  For the tall-skinny
+        shapes in block orthogonalization (m = local rows) the A/B
+        streams dominate; efficiency follows the narrow dimension.
         """
         flops = 2.0 * m_rows * k_inner * n_cols
-        bytes_moved = word_bytes * (m_rows * k_inner + k_inner * n_cols
+        bytes_moved = _DOUBLE * (m_rows * k_inner + k_inner * n_cols
                                     + m_rows * n_cols)
         eff = self.gemm_efficiency(_narrow(k_inner, n_cols))
         return self._roofline(flops, bytes_moved, eff)
 
-    def gemm_tall_update(self, m_rows: float, k_inner: float, n_cols: float,
-                         word_bytes: float = _DOUBLE) -> float:
+    def gemm_tall_update(self, m_rows: float, k_inner: float,
+                         n_cols: float) -> float:
         """Tall update ``V[m,n] -= Q[m,k] @ R[k,n]`` (reads and writes V)."""
         flops = 2.0 * m_rows * k_inner * n_cols
-        bytes_moved = word_bytes * (m_rows * k_inner + k_inner * n_cols
+        bytes_moved = _DOUBLE * (m_rows * k_inner + k_inner * n_cols
                                     + 2.0 * m_rows * n_cols)
         eff = self.gemm_efficiency(_narrow(k_inner, n_cols))
         return self._roofline(flops, bytes_moved, eff)
 
-    def syrk(self, m_rows: float, n_cols: float,
-             word_bytes: float = _DOUBLE) -> float:
+    def syrk(self, m_rows: float, n_cols: float) -> float:
         """Symmetric rank-k: ``G = V.T @ V`` for tall-skinny V (m x n)."""
         flops = 1.0 * m_rows * n_cols * (n_cols + 1)
-        bytes_moved = word_bytes * (m_rows * n_cols + n_cols * n_cols)
+        bytes_moved = _DOUBLE * (m_rows * n_cols + n_cols * n_cols)
         return self._roofline(flops, bytes_moved,
                               self.gemm_efficiency(n_cols))
 
-    def trsm(self, m_rows: float, n_cols: float,
-             word_bytes: float = _DOUBLE) -> float:
+    def trsm(self, m_rows: float, n_cols: float) -> float:
         """Triangular solve ``Q = V @ R^{-1}`` over m x n tall operand."""
         flops = 1.0 * m_rows * n_cols * n_cols
-        bytes_moved = word_bytes * (2.0 * m_rows * n_cols
+        bytes_moved = _DOUBLE * (2.0 * m_rows * n_cols
                                     + n_cols * n_cols / 2.0)
         return self._roofline(flops, bytes_moved,
                               self.gemm_efficiency(n_cols))
 
-    def blas1(self, n_elems: float, n_streams: int = 2, writes: int = 1,
-              word_bytes: float = _DOUBLE) -> float:
+    def blas1(self, n_elems: float, n_streams: int = 2,
+              writes: int = 1) -> float:
         """Vector kernel streaming ``n_streams`` reads + ``writes`` writes."""
         flops = 2.0 * n_elems
-        bytes_moved = word_bytes * n_elems * (n_streams + writes)
+        bytes_moved = _DOUBLE * n_elems * (n_streams + writes)
         return self._roofline(flops, bytes_moved, self.machine.stream_efficiency)
 
-    def spmv(self, nnz: float, n_rows: float, n_cols_touched: float,
-             word_bytes: float = _DOUBLE) -> float:
+    def spmv(self, nnz: float, n_rows: float, n_cols_touched: float) -> float:
         """CSR SpMV: stream values+indices once, rows of y, gathered x.
 
         ``spmv_efficiency`` covers the irregular x-gather; the fixed
         overhead covers the distributed-SpMV bookkeeping (operand
         import/export, MPI progression, device syncs) that dominates at
         small local sizes — see the MachineSpec module docstring.
-        ``word_bytes`` sizes the *vector* streams (x gather + y rows) at
-        the operand storage precision; matrix values always stream fp64.
         """
         flops = 2.0 * nnz
         bytes_moved = ((_DOUBLE + _INT) * nnz + _INT * (n_rows + 1)
-                       + word_bytes * (n_rows + n_cols_touched))
+                       + _DOUBLE * (n_rows + n_cols_touched))
         return (self.machine.spmv_fixed_overhead
                 + self._roofline(flops, bytes_moved,
                                  self.machine.spmv_efficiency))
@@ -343,19 +330,19 @@ class CostModel:
 # the one local-kernel price table
 # ---------------------------------------------------------------------------
 
-def _dot_dd(cost, rows, k_x, k_y, word_bytes=_DOUBLE) -> float:
+def _dot_dd(cost, rows, k_x, k_y) -> float:
     """dd ``X.T @ Y``: the GEMM, floored by its flops at the dd penalty."""
     m = cost.machine
-    return np.maximum(cost.gemm(rows, k_x, k_y, word_bytes), m.kernel_latency
+    return np.maximum(cost.gemm(rows, k_x, k_y), m.kernel_latency
                       + 2.0 * rows * k_x * k_y * _DD_FLOPS / m.peak_flops)
 
 
-def _qr(cost, rows, k, word_bytes=_DOUBLE) -> float:
+def _qr(cost, rows, k) -> float:
     """Householder panel QR and its explicit local Q: ``k`` blocked
     sweeps, one launch each, streaming at the wide-GEMM efficiency."""
     m = cost.machine
     flops = 4.0 * rows * k * k
-    bytes_moved = word_bytes * rows * k * np.maximum(1, k // 4)
+    bytes_moved = _DOUBLE * rows * k * np.maximum(1, k // 4)
     if cost._shapes is not None:      # recorded like every roofline
         cost._shapes[0] += flops * cost._ranks
         cost._shapes[1] += bytes_moved * cost._ranks
@@ -365,15 +352,15 @@ def _qr(cost, rows, k, word_bytes=_DOUBLE) -> float:
                                         * m.gemm_bw_efficiency)))
 
 
-def _sketch_dense(cost, rows, m_rows, k, word_bytes=_DOUBLE) -> float:
+def _sketch_dense(cost, rows, m_rows, k) -> float:
     """``S[:, rows] @ V``: the tall GEMM of a dense sketch family."""
-    return cost.gemm(m_rows, rows, k, word_bytes)
+    return cost.gemm(m_rows, rows, k)
 
 
-def _sketch_sparse(cost, rows, k, nnz, word_bytes=_DOUBLE) -> float:
+def _sketch_sparse(cost, rows, k, nnz) -> float:
     """Sparse-sign scatter-add: read the shard ``nnz`` times, write the
     small sketch."""
-    return cost.blas1(rows * k * nnz, 1, 1, word_bytes)
+    return cost.blas1(rows * k * nnz, 1, 1)
 
 
 def _gs_sweep(cost, rows, nnz, sweeps, colors) -> float:
@@ -384,12 +371,12 @@ def _gs_sweep(cost, rows, nnz, sweeps, colors) -> float:
                      + (colors - 1) * cost.machine.kernel_latency)
 
 
-def _norm(cost, rows, cols, word_bytes=_DOUBLE) -> float:
-    return cost.blas1(rows * cols, 1, 0, word_bytes)     # nothing written
+def _norm(cost, rows, cols) -> float:
+    return cost.blas1(rows * cols, 1, 0)  # nothing written
 
 
-def _stream(cost, rows, cols, reads, word_bytes=_DOUBLE) -> float:
-    return cost.blas1(rows * cols, reads, 1, word_bytes)  # one written
+def _stream(cost, rows, cols, reads) -> float:
+    return cost.blas1(rows * cols, reads, 1)  # one written
 
 
 #: Local (communication-free) op -> ``(charged kernel, formula)``, the ONE
@@ -398,7 +385,7 @@ def _stream(cost, rows, cols, reads, word_bytes=_DOUBLE) -> float:
 #: (``j, k`` of a ``(rows, j)``-by-``(rows, k)`` op, ``k`` of a panel), the
 #: operands read (``scale``, ``axpy``), the sketch rows (``sketch_dense``)
 #: or entries per row (``sketch_sparse``), the block's nonzeros, sweeps
-#: and colours (``gs_sweep``), the word size (fp64 if omitted).
+#: and colours (``gs_sweep``).
 LOCAL_OPS = {
     "dot": ("dot", CostModel.gemm),                    # X.T @ Y
     "dot_dd": ("dot", _dot_dd),                        # X.T @ Y in dd

@@ -127,7 +127,6 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float) -> None:
     import scipy.sparse as sp
 
     from repro.dd.core import dd_add
-    from repro.precision.dtypes import quantize
 
     segments: dict[str, SharedMemory] = {}
     matrices: dict[int, "sp.csr_matrix"] = {}
@@ -188,8 +187,6 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float) -> None:
                 block = matrices[cmd["mat"]]
                 y = block @ x_global
                 out = _view(segments, cmd["out"])
-                if cmd["storage"] != "fp64":
-                    y = quantize(y, cmd["storage"])
                 out[rank, :, 0] = y
                 t2 = time.perf_counter()
                 send({"ok": True, "gather": t1 - t0, "compute": t2 - t1})
@@ -465,19 +462,19 @@ class MpComm(SimComm):
         return super().wait(request)
 
     # -- shard storage and worker-executed SpMV ------------------------
-    def alloc(self, n: int, k: int, dtype) -> np.ndarray:
-        """Zeroed column-major ``(n, k)`` array in a shared-memory segment.
+    def alloc(self, n: int, k: int) -> np.ndarray:
+        """Zeroed column-major float64 ``(n, k)`` array in a shared-memory
+        segment.
 
         The segment lives until :meth:`close`; vectors allocated on this
         communicator must not outlive it.
         """
         self._require_open()
         shape = (int(n), int(k))
-        nbytes = max(1, int(np.prod(shape, dtype=np.int64))
-                     * np.dtype(dtype).itemsize)
+        nbytes = max(1, 8 * int(np.prod(shape, dtype=np.int64)))
         shm = SharedMemory(create=True, size=nbytes)
         self._shms.append(shm)
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, order="F")
+        arr = np.ndarray(shape, buffer=shm.buf, order="F")
         arr[...] = 0
         addr = arr.__array_interface__["data"][0]
         self._segments.append((shm.name, addr, nbytes))
@@ -531,7 +528,7 @@ class MpComm(SimComm):
             return False
         token = self._matrix_token(matrix)
         acks = self._roundtrip({"op": "spmv", "mat": token, "x": xdesc,
-                                "out": odesc, "storage": out.storage})
+                                "out": odesc})
         elapsed = self._take_elapsed()
         if self.tracer.spans_enabled:
             base = self.tracer.clock

@@ -72,7 +72,7 @@ class Partition:
         self.runs = tuple((b - a, bounds[a], int(counts[a]))
                           for a, b in zip(edges, edges[1:]))
         #: Memo of per-rank local-kernel charges that depend only on the
-        #: row counts, the kernel shape and the word size (filled through
+        #: row counts and the kernel shape (filled through
         #: :meth:`repro.parallel.costmodel.CostModel.memoized`).
         self.charges: dict = {}
 

@@ -31,7 +31,9 @@ from repro.dd.linalg import cholesky_dd
 from repro.exceptions import CholeskyBreakdownError, ConfigurationError
 from repro.ortho.bcgs_pip import _pythagorean_factor, bcgs_pip_panel
 from repro.ortho.two_stage import TwoStageScheme
-from repro.precision.dtypes import GRAM_SPECS
+
+#: Precisions a Gram matrix may be formed in.
+GRAM_SPECS = ("fp64", "dd")
 
 #: Host-side flop multiplier of scalar dd arithmetic (matches the dd
 #: Cholesky accounting in :class:`repro.ortho.cholqr.MixedPrecisionCholQR`).

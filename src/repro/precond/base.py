@@ -73,13 +73,11 @@ class Preconditioner(ABC):
         """``out = M^{-1} x`` (single-column distributed vectors)."""
 
     # -- CA-MPK ghost composition --------------------------------------
-    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
-        """``M^{-1} x`` for a global float64 vector, as float64.
+    def apply_ghosted(self, x: np.ndarray) -> np.ndarray:
+        """``M^{-1} x`` for a global float64 vector.
 
-        The values every rank of the CA kernel holds on its closure:
-        rounded through ``ctype`` (the operand's container dtype), so
-        they are bit-identical to what :meth:`apply` stores on the
-        owning rank.
+        The values every rank of the CA kernel holds on its closure,
+        bit-identical to what :meth:`apply` stores on the owning rank.
         """
         raise ConfigurationError(
             f"preconditioner {self.name!r} does not compose with the "
@@ -124,5 +122,5 @@ class IdentityPreconditioner(Preconditioner):
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
         out.assign_from(x)
 
-    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
+    def apply_ghosted(self, x: np.ndarray) -> np.ndarray:
         return x

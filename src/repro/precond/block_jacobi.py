@@ -177,8 +177,7 @@ class BlockJacobiPreconditioner(Preconditioner):
                          self._launches[rank])
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
-        out.scatter_col(0, self._solve(
-            x.to_global()[:, 0].astype(np.float64, copy=False)))
+        out.scatter_col(0, self._solve(x.to_global()[:, 0]))
         x.comm.charge(*self.apply_charge(x.comm.cost))
 
     def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:
@@ -186,9 +185,8 @@ class BlockJacobiPreconditioner(Preconditioner):
             self._sweep(c, rank) for rank in range(len(self._bounds))])
 
     # -- CA-MPK ghost composition --------------------------------------
-    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
-        return self._solve(x).astype(ctype, copy=False).astype(
-            np.float64, copy=False)
+    def apply_ghosted(self, x: np.ndarray) -> np.ndarray:
+        return self._solve(x)
 
     def ghost_apply_charge(self, cost: CostModel, plan, level: int
                            ) -> tuple[str, KernelCharge]:

@@ -41,12 +41,9 @@ class JacobiPreconditioner(Preconditioner):
         return "scale", rows_charge(self._matrix.partition, cost,
                                     "scale", 1, 2)
 
-    def apply_ghosted(self, x: np.ndarray, ctype: np.dtype) -> np.ndarray:
+    def apply_ghosted(self, x: np.ndarray) -> np.ndarray:
         self._check_ready()
-        # same cast chain as apply(): multiply in float64, store through
-        # the container dtype
-        return (x * self._inv_diag).astype(ctype, copy=False).astype(
-            np.float64, copy=False)
+        return x * self._inv_diag
 
     def ghost_apply_charge(self, cost: CostModel, plan, level: int
                            ) -> tuple[str, KernelCharge]:

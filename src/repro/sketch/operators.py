@@ -93,8 +93,8 @@ class SketchOperator(ABC):
 
     def local_op(self, k: int) -> tuple:
         """``(op, *args)`` of the :data:`~repro.parallel.costmodel.LOCAL_OPS`
-        entry pricing one ``(rows, k)`` shard contribution, ``rows`` and
-        the storage word size (the dominant stream) left to the caller."""
+        entry pricing one ``(rows, k)`` shard contribution, ``rows`` left
+        to the caller."""
         return ("sketch_dense", self.m_rows, k)
 
     # -- conveniences ----------------------------------------------------

@@ -5,7 +5,7 @@ partition shape (uniform and ragged) it has to produce results
 bit-identical to the loop engine's and charge *identical* modeled costs
 and metrics, so that paper artifacts regenerated under either engine are
 the same numbers.  ``test_engine_property.py`` holds the same contract
-over arbitrary partitions, precisions and column views.
+over arbitrary partitions and column views.
 """
 
 from __future__ import annotations

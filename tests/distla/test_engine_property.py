@@ -7,7 +7,7 @@ per-rank charges on ragged partitions.  The loop engine is the oracle:
 every value, every modeled second and count, every collective payload
 and every metrics total must come out identical, whatever the partition
 (one rank, empty shards, fewer rows than columns, one / two / all
-distinct runs), the storage precision and the column offset of a view.
+distinct runs) and the column offset of a view.
 The same holds for the kernels above the BLAS layer that used to be
 batched on uniform partitions only: the sketch of all four operator
 families, the fused dot + sketch collective, and TSQR.
@@ -32,7 +32,6 @@ from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.precision.dtypes import quantize
 from repro.sketch import make_operator, sketch_multivector
 
 
@@ -83,20 +82,17 @@ def assert_same(batched: dict, loop: dict) -> None:
     assert batched == loop
 
 
-def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
-                        spans):
+def run_every_blas_call(engine, part, seed, kq, kv, spans):
     """One of every ``repro.distla.blas`` function on column views at
     nonzero offsets; returns everything an engine may not change."""
     comm, observe = observed_comm(engine, part.ranks, spans)
     rng = np.random.default_rng(seed)
     n = part.n_global
     basis = DistMultiVector.from_global(
-        rng.standard_normal((n, kq + kv + 2)), part, comm, storage=storage,
-        accumulate=accumulate)
+        rng.standard_normal((n, kq + kv + 2)), part, comm)
     q = basis.view_cols(slice(1, 1 + kq))
     v = basis.view_cols(slice(1 + kq, 1 + kq + kv))
-    out = DistMultiVector.zeros(part, comm, kv, storage=storage,
-                                accumulate=accumulate)
+    out = DistMultiVector.zeros(part, comm, kv)
     col = out.view_cols(kv - 1)
     r_proj = rng.standard_normal((kq, kv))
     r_tri = np.triu(rng.standard_normal((kv, kv))) + 3.0 * np.eye(kv)
@@ -119,23 +115,19 @@ def run_every_blas_call(engine, part, seed, storage, accumulate, kq, kv,
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       storage=st.sampled_from(["fp64", "fp32", "bf16"]),
-       accumulate=st.sampled_from(["fp64", "fp32"]),
        kq=st.integers(1, 4), kv=st.integers(1, 4), spans=st.booleans())
-def test_batched_equals_loop(data, n, seed, storage, accumulate, kq, kv,
-                             spans):
+def test_batched_equals_loop(data, n, seed, kq, kv, spans):
     part = data.draw(partitions(n))
-    args = (part, seed, storage, accumulate, kq, kv, spans)
+    args = (part, seed, kq, kv, spans)
     assert_same(run_every_blas_call("batched", *args),
                 run_every_blas_call("loop", *args))
 
 
 @pytest.mark.parametrize("n, ranks", [(3969, 24), (2001, 7), (1728, 12)])
-@pytest.mark.parametrize("storage", ["fp64", "fp32"])
-def test_batched_equals_loop_at_solver_shapes(n, ranks, storage):
+def test_batched_equals_loop_at_solver_shapes(n, ranks):
     """Shard heights and panel widths of the repo benchmark, where BLAS
     takes its blocked code paths and several tiles cover a kernel."""
-    args = (Partition(n, ranks), 5, storage, "fp64", 30, 25, False)
+    args = (Partition(n, ranks), 5, 30, 25, False)
     assert_same(run_every_blas_call("batched", *args),
                 run_every_blas_call("loop", *args))
 
@@ -144,14 +136,14 @@ def test_batched_equals_loop_at_solver_shapes(n, ranks, storage):
 # above the BLAS layer: sketch, fused dot + sketch, TSQR
 # ---------------------------------------------------------------------------
 
-def run_sketch_kernels(engine, part, seed, storage, k, family):
+def run_sketch_kernels(engine, part, seed, k, family):
     """``sketch_multivector``, ``DistBackend.sketch`` and the fused dot +
     sketch collective on column views at a nonzero offset."""
     comm, observe = observed_comm(engine, part.ranks)
     n = part.n_global
     rng = np.random.default_rng(seed)
     basis = DistMultiVector.from_global(
-        rng.standard_normal((n, k + 3)), part, comm, storage=storage)
+        rng.standard_normal((n, k + 3)), part, comm)
     q, v = basis.view_cols(slice(1, 3)), basis.view_cols(slice(3, 3 + k))
     # SRHT samples without replacement from the padded length
     op = make_operator(family, n, min(12, 1 << max(0, (n - 1).bit_length())),
@@ -164,24 +156,22 @@ def run_sketch_kernels(engine, part, seed, storage, k, family):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       storage=st.sampled_from(["fp64", "fp32", "bf16"]),
        k=st.integers(1, 4),
        family=st.sampled_from(["sparse", "gaussian", "srht"]))
-def test_sketch_batched_equals_loop(data, n, seed, storage, k, family):
-    args = (data.draw(partitions(n)), seed, storage, k, family)
+def test_sketch_batched_equals_loop(data, n, seed, k, family):
+    args = (data.draw(partitions(n)), seed, k, family)
     assert_same(run_sketch_kernels("batched", *args),
                 run_sketch_kernels("loop", *args))
 
 
-def tsqr_per_rank(shards: list[np.ndarray], k: int, storage: str):
+def tsqr_per_rank(shards: list[np.ndarray], k: int):
     """TSQR one rank at a time — the formulation ``DistBackend.tsqr``
     (one batched QR and one batched GEMM per run of equal-count ranks,
     whatever the engine) is held to.  Returns ``(R, Q)``."""
     qs, rs = [], []
     for shard in shards:
         rows = shard.shape[0]
-        padded = np.vstack([shard.astype(np.float64),
-                            np.zeros((max(0, k - rows), k))])
+        padded = np.vstack([shard, np.zeros((max(0, k - rows), k))])
         q, r = np.linalg.qr(padded)
         qs.append(q[:rows])
         rs.append(r)
@@ -198,27 +188,26 @@ def tsqr_per_rank(shards: list[np.ndarray], k: int, storage: str):
     r_final, coeffs = tree(rs)
     _, r_final, signs = _sign_fix_qr(None, np.triu(r_final))
     return r_final, np.concatenate(
-        [quantize(q @ (m * signs), storage) for q, m in zip(qs, coeffs)])
+        [q @ (m * signs) for q, m in zip(qs, coeffs)])
 
 
-def run_tsqr(engine, part, arr, storage):
+def run_tsqr(engine, part, arr):
     comm, observe = observed_comm(engine, part.ranks)
-    basis = DistMultiVector.from_global(arr, part, comm, storage=storage)
+    basis = DistMultiVector.from_global(arr, part, comm)
     v = basis.view_cols(slice(1, arr.shape[1] - 1))
-    reference = tsqr_per_rank([s.copy() for s in v.shards], v.n_cols, storage)
+    reference = tsqr_per_rank([s.copy() for s in v.shards], v.n_cols)
     r = DistBackend(comm).tsqr(v)
     return {"values": [r, v.to_global()], **observe()}, reference
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       storage=st.sampled_from(["fp64", "fp32", "bf16"]),
        k=st.integers(1, 5))
-def test_tsqr_batched_equals_loop_equals_per_rank(data, n, seed, storage, k):
+def test_tsqr_batched_equals_loop_equals_per_rank(data, n, seed, k):
     part = data.draw(partitions(n))
     arr = np.random.default_rng(seed).standard_normal((n, k + 2))
-    batched, reference = run_tsqr("batched", part, arr, storage)
+    batched, reference = run_tsqr("batched", part, arr)
     for got, want in zip(batched["values"], reference):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    assert_same(batched, run_tsqr("loop", part, arr, storage)[0])
+    assert_same(batched, run_tsqr("loop", part, arr)[0])

@@ -158,21 +158,11 @@ class TestClosureInvariant:
 
 
 class TestGhostPlanPayloads:
-    def test_recv_bytes_scales_with_word_size(self):
-        part = Partition(16, 4)
-        plan = GhostPlan.analyze(tridiag(16), part, 2)
-        b64 = plan.recv_bytes(8.0)
-        b32 = plan.recv_bytes(4.0)
-        for d64, d32 in zip(b64, b32):
-            assert set(d64) == set(d32)
-            for peer in d64:
-                assert d32[peer] == pytest.approx(d64[peer] / 2.0)
-
     def test_recv_bytes_scales_with_vector_count(self):
         part = Partition(16, 4)
         plan = GhostPlan.analyze(tridiag(16), part, 2)
-        one = plan.recv_bytes(8.0, n_vectors=1)
-        two = plan.recv_bytes(8.0, n_vectors=2)
+        one = plan.recv_bytes(n_vectors=1)
+        two = plan.recv_bytes(n_vectors=2)
         for d1, d2 in zip(one, two):
             for peer in d1:
                 assert d2[peer] == pytest.approx(2.0 * d1[peer])
@@ -180,18 +170,17 @@ class TestGhostPlanPayloads:
     @pytest.mark.parametrize("which", ["recv_bytes", "eager_recv_bytes",
                                        "ring_recv_bytes"])
     def test_descriptors_are_built_once_and_costed_once(self, which):
-        """One ``HaloDescriptors`` per ``(word_bytes, n_vectors)``, as
+        """One ``HaloDescriptors`` per ``n_vectors``, as
         ``HaloPlan.recv_bytes`` hands out: the communicator remembers
         the exchange's cost on it instead of re-evaluating every rank's
         ``halo_exchange`` at every deep-halo charge."""
         part = Partition(64, 4)
         plan = GhostPlan.analyze(laplace2d(8), part, 3)
         recv = getattr(plan, which)
-        first = recv(8.0, n_vectors=2)
+        first = recv(n_vectors=2)
         assert isinstance(first, HaloDescriptors)
-        assert recv(8.0, n_vectors=2) is first
-        assert recv(4.0, n_vectors=2) is not first
-        assert recv(8.0, n_vectors=1) is not first
+        assert recv(n_vectors=2) is first
+        assert recv(n_vectors=1) is not first
         plain = [dict(by_peer) for by_peer in first]
         comm = SimComm(generic_cpu(), 4)
         comm.charge_halo(first)
@@ -204,9 +193,9 @@ class TestGhostPlanPayloads:
 
     def test_split_payloads_sum_to_the_whole(self):
         plan = GhostPlan.analyze(laplace2d(8), Partition(64, 4), 3)
-        for whole, eager, ring in zip(plan.recv_bytes(4.0, 2),
-                                      plan.eager_recv_bytes(4.0, 2),
-                                      plan.ring_recv_bytes(4.0, 2)):
+        for whole, eager, ring in zip(plan.recv_bytes(2),
+                                      plan.eager_recv_bytes(2),
+                                      plan.ring_recv_bytes(2)):
             assert set(eager) | set(ring) == set(whole)
             for peer, nbytes in whole.items():
                 assert eager.get(peer, 0.0) + ring.get(peer, 0.0) == nbytes

@@ -31,8 +31,6 @@ from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
 
-STORAGES = ("fp64", "fp32", "bf16")
-
 #: uniform, default ragged (two runs), explicit offsets (a run per rank,
 #: one of them empty)
 PARTITIONS = {
@@ -50,12 +48,12 @@ def comm4(request):
     comm.close()
 
 
-def _library_built(part, comm, storage):
+def _library_built(part, comm):
     rng = np.random.default_rng(3)
     base = DistMultiVector.from_global(
-        rng.standard_normal((part.n_global, 7)), part, comm, storage=storage)
+        rng.standard_normal((part.n_global, 7)), part, comm)
     return {
-        "zeros": DistMultiVector.zeros(part, comm, 3, storage=storage),
+        "zeros": DistMultiVector.zeros(part, comm, 3),
         "from_global": base,
         "copy": base.copy(),
         "view_cols": base.view_cols(slice(2, 6)),
@@ -63,19 +61,18 @@ def _library_built(part, comm, storage):
         "view of a view": base.view_cols(slice(1, 6)).view_cols(slice(1, 3)),
         "one column": base.view_cols(4),
         "from shards": DistMultiVector(
-            part, comm, [np.array(s) for s in base.shards], storage=storage),
+            part, comm, [np.array(s) for s in base.shards]),
     }
 
 
 class TestColumnMajorStorage:
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_every_library_built_vector_is_column_major(self, comm4, storage):
+    def test_every_library_built_vector_is_column_major(self, comm4):
         part = Partition(23, 4)
-        for how, mv in _library_built(part, comm4, storage).items():
+        for how, mv in _library_built(part, comm4).items():
             flat = mv.flat
             assert flat.flags.f_contiguous, how
             assert flat.shape[1] == 1 or not flat.flags.c_contiguous, how
-            assert flat.dtype == mv.np_dtype, how
+            assert flat.dtype == np.float64, how
             # a basis vector is contiguous
             assert flat[:, 0].flags.c_contiguous, how
 
@@ -119,12 +116,11 @@ class TestColumnMajorStorage:
 
 
 class TestDerivedStructureNeverCopies:
-    @pytest.mark.parametrize("storage", STORAGES)
     @pytest.mark.parametrize("shape", PARTITIONS)
-    def test_views_share_the_flat_array(self, shape, storage):
+    def test_views_share_the_flat_array(self, shape):
         part = PARTITIONS[shape]()
         comm = SimComm(generic_cpu(), part.ranks, Tracer())
-        for how, mv in _library_built(part, comm, storage).items():
+        for how, mv in _library_built(part, comm).items():
             flat, k = mv.flat, mv.n_cols
             for shard in mv.shards:
                 assert not shard.size or np.shares_memory(shard, flat), how
@@ -140,8 +136,7 @@ class TestDerivedStructureNeverCopies:
             # the stacks the reductions run their batched matmul over
             seen = []
             eng._over_runs(
-                part, lambda s: seen.append(s) or np.zeros((len(s), 1)),
-                flat.dtype, flat)
+                part, lambda s: seen.append(s) or np.zeros((len(s), 1)), flat)
             assert len(seen) == len(part.runs)
             for stack in seen:
                 assert not stack.size or np.shares_memory(stack, flat), how

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
+from repro.krylov.simulation import Simulation
+from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
 
 
@@ -33,6 +38,35 @@ class TestRoundtrip:
     def test_wrong_length_rejected(self, part, comm4):
         with pytest.raises(ShapeError):
             DistMultiVector.from_global(np.ones(36), part, comm4)
+
+
+class TestInputDtype:
+    def test_non_real_refused_real_copied_exactly(self, part, comm4):
+        """Every vector stores float64.  Complex input is refused by
+        every constructor, naming its dtype, with no ``ComplexWarning``
+        and no truncation; float32 and integer input lands exactly."""
+        z = np.ones(37) * (1 + 2j)
+        sim = Simulation(sp.identity(37, format="csr"), ranks=4,
+                         machine=generic_cpu())
+        for build in (
+                lambda: DistMultiVector.from_global(z, part, comm4),
+                lambda: DistMultiVector(
+                    part, comm4, [z[rows, None] for rows in part.local_slices]),
+                lambda: sim.vector_from(z)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ShapeError, match="complex128"):
+                    build()
+        f32 = (np.arange(37) / 3.0).astype(np.float32)
+        ints = np.arange(37, dtype=np.int64) * 2**40 + 1
+        for arr in (f32, ints):
+            exact = arr.astype(np.float64)
+            for mv in (DistMultiVector.from_global(arr, part, comm4),
+                       DistMultiVector(part, comm4, [
+                           arr[rows, None] for rows in part.local_slices]),
+                       sim.vector_from(arr)):
+                assert mv.flat.dtype == np.float64
+                assert mv.to_global()[:, 0].tobytes() == exact.tobytes()
 
 
 class TestViews:

@@ -90,18 +90,16 @@ def test_halo_plan_equals_per_block_analysis(case):
     np.testing.assert_array_equal(matrix.halo.halo_counts, counts)
 
 
-@pytest.mark.parametrize("word_bytes", [8.0, 4.0, 2.0])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_spmv_record_equals_per_block_record(case, word_bytes):
+def test_spmv_record_equals_per_block_record(case):
     a, part, matrix = _build(case)
     cost = matrix.comm.cost
     halo = matrix.halo.halo_counts
     want = cost.record(lambda c: [
         c.spmv(block.nnz, block.shape[0],
-               part.local_count(rank) + int(halo[rank]),
-               word_bytes=word_bytes)
+               part.local_count(rank) + int(halo[rank]))
         for rank, block in enumerate(_blocks(a, part))])
-    got = matrix._local_spmv_charge(cost, word_bytes)
+    got = matrix._local_spmv_charge(cost)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 

@@ -3,10 +3,9 @@
 The simulator computes every SpMV as ONE product with the global CSR
 matrix.  The definition of the distributed kernel — and what the
 real-process backend's workers run — is the per-rank product
-``block_r @ x_global`` rounded to the output's storage grid.  This is
-the oracle; the property below holds the production kernel to it byte
-for byte over partitions, storage precisions and non-canonical CSR
-inputs.
+``block_r @ x_global``.  This is the oracle; the property below holds
+the production kernel to it byte for byte over partitions and
+non-canonical CSR inputs.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from repro.distla.spmatrix import DistSparseMatrix
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
 from repro.parallel.partition import Partition
-from repro.precision.dtypes import quantize
-
-STORAGES = ("fp64", "fp32", "bf16")
 
 
 def raw_csr(rng: np.random.Generator, n: int) -> sp.csr_matrix:
@@ -54,10 +50,10 @@ def partitions(draw, n: int) -> Partition:
     return Partition(n, ranks, offsets=np.array([0, *cuts, n]))
 
 
-def reference(da: DistSparseMatrix, x_global: np.ndarray,
-              storage: str) -> list[np.ndarray]:
-    """The per-block oracle: one product per rank, rounded on write."""
-    return [np.asarray(quantize(block @ x_global, storage))
+def reference(da: DistSparseMatrix, x_global: np.ndarray
+              ) -> list[np.ndarray]:
+    """The per-block oracle: one product per rank."""
+    return [block @ x_global
             for block in map(da.local_block, range(da.partition.ranks))]
 
 
@@ -69,52 +65,47 @@ def assert_bits(result: DistMultiVector, expected: list[np.ndarray]) -> None:
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
-       x_storage=st.sampled_from(STORAGES),
-       out_storage=st.sampled_from(STORAGES))
-def test_matvec_equals_block_products(data, n, seed, x_storage, out_storage):
+@given(data=st.data(), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+def test_matvec_equals_block_products(data, n, seed):
     rng = np.random.default_rng(seed)
     part = data.draw(partitions(n))
     comm = SimComm(generic_cpu(), part.ranks)
     da = DistSparseMatrix(raw_csr(rng, n), part, comm)
-    x = DistMultiVector.from_global(rng.standard_normal(n), part, comm,
-                                    storage=x_storage)
+    x = DistMultiVector.from_global(rng.standard_normal(n), part, comm)
     x_global = x.to_global()[:, 0].copy()
 
     fresh = da.matvec(x)
-    assert_bits(fresh, reference(da, x_global, "fp64"))
+    assert_bits(fresh, reference(da, x_global))
 
     # into a column of a wider vector: the strided write a basis takes
-    basis = DistMultiVector.zeros(part, comm, 3, storage=out_storage)
+    basis = DistMultiVector.zeros(part, comm, 3)
     assert_bits(da.matvec(x, out=basis.view_cols(1)),
-                reference(da, x_global, out_storage))
+                reference(da, x_global))
     assert not basis.view_cols(0).to_global().any()
     assert not basis.view_cols(2).to_global().any()
 
     # ``out`` aliasing ``x``: the product completes before the write
     aliased = da.matvec(x, out=x)
     assert aliased is x
-    assert_bits(x, reference(da, x_global, x_storage))
+    assert_bits(x, reference(da, x_global))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       width=st.sampled_from([1, 3]), storage=st.sampled_from(STORAGES))
-def test_matvec_batched_equals_block_products(data, n, seed, width, storage):
+       width=st.sampled_from([1, 3]))
+def test_matvec_batched_equals_block_products(data, n, seed, width):
     rng = np.random.default_rng(seed)
     part = data.draw(partitions(n))
     comm = SimComm(generic_cpu(), part.ranks)
     da = DistSparseMatrix(raw_csr(rng, n), part, comm)
-    xs = [DistMultiVector.from_global(rng.standard_normal(n), part, comm,
-                                      storage=storage)
+    xs = [DistMultiVector.from_global(rng.standard_normal(n), part, comm)
           for _ in range(width)]
-    outs = [DistMultiVector.zeros(part, comm, 1, storage=storage)
-            for _ in range(width)]
+    outs = [DistMultiVector.zeros(part, comm, 1) for _ in range(width)]
     results = da.matvec_batched(xs, outs)
     assert len(results) == width
     for x, out, res in zip(xs, outs, results):
         assert res is out
-        assert_bits(out, reference(da, x.to_global()[:, 0], storage))
+        assert_bits(out, reference(da, x.to_global()[:, 0]))
 
 
 def test_caller_supplied_shards_scatter_by_offsets(comm4):
@@ -126,4 +117,4 @@ def test_caller_supplied_shards_scatter_by_offsets(comm4):
     x = DistMultiVector.from_global(rng.standard_normal(24), part, comm4)
     out = DistMultiVector(part, comm4, [np.zeros((6, 1)) for _ in range(4)])
     da.matvec(x, out=out)
-    assert_bits(out, reference(da, x.to_global()[:, 0], "fp64"))
+    assert_bits(out, reference(da, x.to_global()[:, 0]))

@@ -7,8 +7,8 @@ the replay to the evaluation:
 * the modeled charge stream of one ``sstep_gmres`` restart cycle, event
   by event, and the tracer's flop/byte columns, against values recorded
   with the per-rank loop that evaluated every cost on every call;
-* the memo keys: alternating operand precisions and vector counts on
-  one matrix charges what a fresh matrix charges;
+* the memo keys: repeated calls and alternating vector counts on one
+  matrix charge what a fresh matrix charges;
 * the point of it all: a warm ``matvec`` makes as many Python-level
   calls on 192 ranks as on 8.
 """
@@ -143,31 +143,25 @@ class TestMemoKeys:
 
     N, RANKS = 120, 6
 
-    def _operand(self, part, comm, storage):
+    def _operand(self, part, comm):
         x = np.linspace(-1.0, 1.0, self.N)
-        return DistMultiVector.from_global(x, part, comm, storage=storage)
+        return DistMultiVector.from_global(x, part, comm)
 
     @pytest.mark.parametrize("partition", [
         Partition(120, 6),
         Partition(120, 6, offsets=np.array([0, 7, 7, 50, 51, 119, 120]))],
         ids=["uniform", "ragged"])
-    def test_alternating_precisions_charge_like_fresh_matrices(
-            self, partition):
+    def test_repeated_calls_charge_like_fresh_matrices(self, partition):
         a = _banded(self.N)
-        # (operand storage, output storage), revisiting earlier keys
-        order = [("fp64", "fp64"), ("fp32", "fp32"), ("fp64", "fp64"),
-                 ("bf16", "bf16"), ("fp32", "fp64"), ("fp32", "fp32"),
-                 ("bf16", "fp32"), ("fp64", "fp64")]
 
         def run(matrix_for_call):
             comm = SimComm(summit(), self.RANKS)
             seen = []
-            for x_storage, out_storage in order:
-                out = DistMultiVector.zeros(partition, comm, 1,
-                                            storage=out_storage)
+            for _ in range(4):
+                out = DistMultiVector.zeros(partition, comm, 1)
                 with comm.tracer.phase("spmv"):
                     matrix_for_call(comm).matvec(
-                        self._operand(partition, comm, x_storage), out=out)
+                        self._operand(partition, comm), out=out)
                 seen.append(comm.tracer.to_dict())
             return seen
 
@@ -181,41 +175,25 @@ class TestMemoKeys:
         assert run(one_matrix) == run(
             lambda comm: DistSparseMatrix(a, partition, comm))
 
-    def test_vector_streams_charge_the_wider_of_operand_and_output(self):
-        """An fp32 operand into an fp64 output charges fp64 streams."""
-        part = Partition(self.N, self.RANKS)
-
-        def local_seconds(x_storage, out_storage):
-            comm = SimComm(summit(), self.RANKS)
-            da = DistSparseMatrix(_banded(self.N), part, comm)
-            da.matvec(self._operand(part, comm, x_storage),
-                      out=DistMultiVector.zeros(part, comm, 1,
-                                                storage=out_storage))
-            return comm.tracer.kernel_seconds("other", "spmv_local")
-
-        assert local_seconds("fp32", "fp64") == local_seconds("fp64", "fp64")
-        assert local_seconds("fp32", "fp32") < local_seconds("fp64", "fp64")
-
-    def test_vector_counts_and_word_sizes_keep_separate_descriptors(self):
+    def test_vector_counts_keep_separate_descriptors(self):
         part = Partition(self.N, self.RANKS)
         da = DistSparseMatrix(_banded(self.N), part,
                               SimComm(summit(), self.RANKS))
         plan = da.halo
-        calls = [(8.0, 1), (4.0, 2), (8.0, 2), (4.0, 1), (8.0, 1), (4.0, 2)]
+        calls = [1, 2, 2, 1, 1, 2]
         shared, fresh = SimComm(summit(), self.RANKS), \
             SimComm(summit(), self.RANKS)
-        for word_bytes, n_vectors in calls:
-            shared.charge_halo(plan.recv_bytes(word_bytes, n_vectors))
+        for n_vectors in calls:
+            shared.charge_halo(plan.recv_bytes(n_vectors))
             # plain lists carry no memo: evaluated on every call
-            fresh.charge_halo([dict(d) for d in
-                               plan.recv_bytes(word_bytes, n_vectors)])
+            fresh.charge_halo([dict(d) for d in plan.recv_bytes(n_vectors)])
             assert shared.tracer.clock == fresh.tracer.clock
             assert (shared.tracer.payload_bytes
                     == fresh.tracer.payload_bytes)
-        for word_bytes, n_vectors in calls:
-            for by_peer, counts in zip(plan.recv_bytes(word_bytes, n_vectors),
+        for n_vectors in calls:
+            for by_peer, counts in zip(plan.recv_bytes(n_vectors),
                                        plan.recv_counts_by_peer):
-                assert by_peer == {p: c * word_bytes * n_vectors
+                assert by_peer == {p: c * 8.0 * n_vectors
                                    for p, c in counts.items()}
 
     def test_one_plan_on_two_machines(self):
@@ -224,7 +202,7 @@ class TestMemoKeys:
         part = Partition(self.N, self.RANKS)
         plan = DistSparseMatrix(_banded(self.N), part,
                                 SimComm(summit(), self.RANKS)).halo
-        recv = plan.recv_bytes(8.0)
+        recv = plan.recv_bytes()
         for machine in (summit(), generic_cpu(), summit()):
             shared, fresh = SimComm(machine, self.RANKS), \
                 SimComm(machine, self.RANKS)
@@ -239,7 +217,7 @@ class TestMemoKeys:
         part = Partition(self.N, self.RANKS)
         plan = DistSparseMatrix(_banded(self.N), part,
                                 SimComm(summit(), self.RANKS)).halo
-        recv = plan.recv_bytes(8.0)
+        recv = plan.recv_bytes()
         SimComm(summit(), self.RANKS).charge_halo(recv)
         with pytest.raises(CommunicatorError):
             SimComm(summit(), self.RANKS + 1).charge_halo(recv)
@@ -287,13 +265,11 @@ class TestShardValidation:
         Partition(12, 4), Partition(12, 4, offsets=np.array([0, 5, 5, 9, 12]))],
         ids=["uniform", "ragged"])
     def test_views_and_copies_keep_every_attribute(self, comm4, partition):
-        v = DistMultiVector.zeros(partition, comm4, 3, storage="bf16",
-                                  accumulate="fp32")
+        v = DistMultiVector.zeros(partition, comm4, 3)
         view, dup = v.view_cols(slice(1, 3)), v.copy()
         for derived, cols in ((view, 2), (dup, 3)):
             assert derived.partition is v.partition
             assert derived.comm is v.comm
-            assert (derived.storage, derived.accumulate) == ("bf16", "fp32")
             assert derived.shape == (12, cols)
             assert (derived.stack is None) == (v.stack is None)
             assert [s.shape for s in derived.shards] == [

@@ -43,18 +43,17 @@ def _upper(rng, k, cond=None):
     return np.linalg.qr((u * np.logspace(0, -np.log10(cond), k)) @ w.T)[1]
 
 
-def _solve(v, r, part, engine, storage="fp64", offset=None):
+def _solve(v, r, part, engine, offset=None):
     """``trsm_inplace`` on ``v`` scattered over ``part``: standalone, or
     as the column view at ``offset`` of a wider basis."""
     comm = SimComm(generic_cpu(), part.ranks, Tracer(), engine=engine)
     n, k = v.shape
     if offset is None:
-        mv = DistMultiVector.from_global(v, part, comm, storage=storage)
+        mv = DistMultiVector.from_global(v, part, comm)
     else:
         wide = np.full((n, offset + k + 2), np.nan)
         wide[:, offset:offset + k] = v
-        basis = DistMultiVector.from_global(wide, part, comm,
-                                            storage=storage)
+        basis = DistMultiVector.from_global(wide, part, comm)
         mv = basis.view_cols(slice(offset, offset + k))
     blas.trsm_inplace(mv, r)
     return mv.to_global()
@@ -65,14 +64,12 @@ class TestNarrowPanelsIgnoreThePartition:
 
     N = 2000  # ragged on 7, 24 and 192 ranks
 
-    @pytest.mark.parametrize("storage", ["fp64", "fp32", "bf16"])
     @pytest.mark.parametrize("k", [1, 2, 5, 6, _TRSM_BLOCK])
-    def test_bit_identical_on_any_partition_engine_and_operand(self, k,
-                                                               storage):
+    def test_bit_identical_on_any_partition_engine_and_operand(self, k):
         rng = np.random.default_rng(k)
         v = rng.standard_normal((self.N, k))
         r = _upper(rng, k)
-        want = _solve(v, r, Partition(self.N, 1), "loop", storage)
+        want = _solve(v, r, Partition(self.N, 1), "loop")
         cuts = np.sort(rng.choice(self.N, size=9, replace=False))
         partitions = [Partition(self.N, ranks) for ranks in (7, 24, 192)]
         partitions.append(
@@ -80,7 +77,7 @@ class TestNarrowPanelsIgnoreThePartition:
         for part in partitions:
             for engine in ENGINES:
                 for offset in (None, 30):
-                    got = _solve(v, r, part, engine, storage, offset)
+                    got = _solve(v, r, part, engine, offset)
                     assert got.tobytes() == want.tobytes(), (
                         part.ranks, engine, offset)
 
@@ -113,15 +110,14 @@ class TestEveryWidth:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 300), k=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1),
-           storage=st.sampled_from(["fp64", "fp32", "bf16"]),
            offset=st.sampled_from([None, 3]))
-    def test_loop_equals_batched(self, data, n, k, seed, storage, offset):
+    def test_loop_equals_batched(self, data, n, k, seed, offset):
         part = data.draw(_partitions(n))
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, k))
         r = _upper(rng, k)
-        loop = _solve(v, r, part, "loop", storage, offset)
-        batched = _solve(v, r, part, "batched", storage, offset)
+        loop = _solve(v, r, part, "loop", offset)
+        batched = _solve(v, r, part, "batched", offset)
         assert batched.tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("n, ranks", [(3969, 24), (20736, 192),

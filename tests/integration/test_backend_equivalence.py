@@ -78,24 +78,6 @@ class TestSolveEquivalence:
         assert sim_out["counts"][("ortho", "allreduce")] > 0
         _assert_equivalent(sim_out, mp_out)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fp32_storage_spmv(self, engine):
-        """Quantized shards follow the same container-dtype compute path
-        on the workers as in the simulator."""
-        a = laplace2d(16)
-        x = np.random.default_rng(0).standard_normal(a.shape[0])
-        out = {}
-        for backend in ("sim", "mp"):
-            with Simulation(a, ranks=4, machine=generic_cpu(),
-                            engine=engine, backend=backend) as sim:
-                y = sim.zeros(1, storage="fp32")
-                sim.matrix.matvec(sim.vector_from(x, storage="fp32"), y)
-                modeled = sim.comm.modeled if backend == "mp" else sim.tracer
-                out[backend] = (y.storage, y.to_global().tobytes(),
-                                modeled.clock)
-        assert out["sim"][0] == "fp32"
-        assert out["mp"] == out["sim"]
-
     @pytest.mark.parametrize("mpk_mode", ["standard", "ca", "ca_overlap"])
     def test_mpk_modes(self, mpk_mode):
         """Both MPK communication patterns execute identically on real

@@ -23,16 +23,16 @@ from repro.precond.polynomial import ChebyshevPreconditioner
 ENGINES = ["loop", "batched"]
 
 
-def make_basis(sim, k, rng, storage="fp64"):
-    basis = sim.zeros(k, storage=storage)
+def make_basis(sim, k, rng):
+    basis = sim.zeros(k)
     v0 = rng.standard_normal(sim.n)
     v0 /= np.linalg.norm(v0)
-    basis.view_cols(0).assign_from(sim.vector_from(v0, storage=storage))
+    basis.view_cols(0).assign_from(sim.vector_from(v0))
     return basis
 
 
 def generate(mode, engine, *, nx=12, ranks=4, poly=None, precond_factory=None,
-             panels=((1, 6), (6, 9)), storage="fp64", seed=3):
+             panels=((1, 6), (6, 9)), seed=3):
     sim = Simulation(laplace2d(nx), ranks=ranks, machine=generic_cpu(),
                      engine=engine)
     pc = (precond_factory().setup(sim.matrix)
@@ -40,7 +40,7 @@ def generate(mode, engine, *, nx=12, ranks=4, poly=None, precond_factory=None,
     op = PreconditionedOperator(sim.matrix, pc)
     mpk = MatrixPowersKernel(op, poly, mode=mode)
     basis = make_basis(sim, max(hi for _, hi in panels),
-                       np.random.default_rng(seed), storage=storage)
+                       np.random.default_rng(seed))
     for lo, hi in panels:
         mpk.extend(basis, lo, hi)
     return basis.to_global(), sim.tracer
@@ -78,12 +78,6 @@ class TestBitIdentity:
                           precond_factory=BlockJacobiPreconditioner)
         ca, _ = generate("ca", engine, poly=ChebyshevBasis(0.1, 8.0),
                          precond_factory=BlockJacobiPreconditioner)
-        np.testing.assert_array_equal(std, ca)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ca_matches_standard_fp32_storage(self, engine):
-        std, _ = generate("standard", engine, storage="fp32")
-        ca, _ = generate("ca", engine, storage="fp32")
         np.testing.assert_array_equal(std, ca)
 
     def test_engines_bit_identical_in_ca_mode(self):
@@ -520,22 +514,6 @@ class TestScratchInvalidation:
         op.apply(x2, out2)
         assert op._scratch is not scratch1
         assert op._scratch.comm is sim2.comm
-
-    def test_scratch_rebinds_on_storage_change(self):
-        sim = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
-        op = PreconditionedOperator(
-            sim.matrix, JacobiPreconditioner().setup(sim.matrix))
-        x64 = sim.vector_from(np.ones(sim.n))
-        op.apply(x64, sim.zeros(1))
-        s64 = op._scratch
-        assert s64.storage == "fp64"
-        x32 = sim.vector_from(np.ones(sim.n), storage="fp32")
-        op.apply(x32, sim.zeros(1, storage="fp32"))
-        assert op._scratch is not s64
-        assert op._scratch.storage == "fp32"
-        # fp64 again -> rebuilds once more
-        op.apply(x64, sim.zeros(1))
-        assert op._scratch.storage == "fp64"
 
 
 class TestForeignPreconditioner:

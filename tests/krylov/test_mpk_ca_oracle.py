@@ -37,7 +37,7 @@ PARTITIONS = {"uniform": 4, "ragged": 5}
 
 
 class PerRankIdentity:
-    def apply_ghosted(self, x, rows, out, ctype):
+    def apply_ghosted(self, x, rows, out):
         out[rows] = x[rows]
 
     def charge_ghost_apply(self, comm, plan, level):
@@ -48,8 +48,8 @@ class PerRankJacobi:
     def __init__(self, sim):
         self.inv_diag = 1.0 / sim.matrix.to_scipy().diagonal()
 
-    def apply_ghosted(self, x, rows, out, ctype):
-        out[rows] = (x[rows] * self.inv_diag[rows]).astype(ctype)
+    def apply_ghosted(self, x, rows, out):
+        out[rows] = x[rows] * self.inv_diag[rows]
 
     def charge_ghost_apply(self, comm, plan, level):
         comm.charge("scale", comm.cost.record(lambda c: [
@@ -71,10 +71,10 @@ class PerRankBlockJacobi:
             self.solvers.append(LocalGaussSeidel(
                 block[:, sl.start:sl.stop].tocsr(), sweeps=sweeps))
 
-    def apply_ghosted(self, x, rows, out, ctype):
+    def apply_ghosted(self, x, rows, out):
         for peer in np.unique(self.part.owners(rows)):
             sl = self.part.local_slice(int(peer))
-            out[sl] = self.solvers[int(peer)].apply(x[sl]).astype(ctype)
+            out[sl] = self.solvers[int(peer)].apply(x[sl])
 
     def block_cost(self, cost, rank):
         solver = self.solvers[rank]
@@ -115,8 +115,6 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
     steps = hi - lo
     plan = sim.matrix.ghost_plan(steps, expand)
     n, ranks = part.n_global, part.ranks
-    ctype = basis.np_dtype
-    quantized = basis.storage != "fp64"
     preconditioned = not isinstance(precond, PerRankIdentity)
     level_blocks = [[a[plan.levels[r][lvl], :] for lvl in range(steps)]
                     for r in range(ranks)]
@@ -125,7 +123,7 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
     track_prev = any(g != 0.0 for (_, _, g) in coeffs.values())
     gather_prev = coeffs[lo][2] != 0.0 and lo >= 2
 
-    scale = basis.word_bytes * (2 if gather_prev else 1)
+    scale = 8.0 * (2 if gather_prev else 1)
     ring_req = None
     with tracer.phase("spmv"):
         if overlap:
@@ -143,7 +141,7 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
             comm.charge_halo(_bytes(plan.recv_counts_by_peer, scale))
 
     def gathered(col):
-        g = basis.view_cols(col).to_global()[:, 0].astype(np.float64)
+        g = basis.view_cols(col).to_global()[:, 0]
         out = []
         for r in range(ranks):
             w = np.zeros(n)
@@ -154,8 +152,7 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
 
     def spmv_charge(nnz, rows, cols):
         comm.charge("spmv_local", comm.cost.record(lambda c: [
-            c.spmv(int(nnz[r]), int(rows[r]), int(cols[r]),
-                   word_bytes=basis.word_bytes)
+            c.spmv(int(nnz[r]), int(rows[r]), int(cols[r]))
             for r in range(ranks)]))
 
     v_k = gathered(lo - 1)
@@ -172,14 +169,12 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
             with tracer.phase("precond"):
                 for r in range(ranks):
                     precond.apply_ghosted(
-                        v_k[r], plan.levels[r][depth + 1], z[r], ctype)
+                        v_k[r], plan.levels[r][depth + 1], z[r])
                 precond.charge_ghost_apply(comm, plan, depth + 1)
         with tracer.phase("spmv"):
             for r in range(ranks):
                 y = level_blocks[r][depth] @ (
                     z[r] if preconditioned else v_k[r])
-                if quantized:
-                    y = basis.quantize(y).astype(np.float64)
                 w = np.zeros(n)
                 w[plan.levels[r][depth]] = y
                 v_new.append(w)
@@ -198,13 +193,11 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
                     acc += (-alpha / beta) * v_k[r][lvl]
                     if three_term:
                         acc += (-gamma / beta) * v_km1[r][lvl]
-                    if quantized:
-                        acc = basis.quantize(acc).astype(np.float64)
                     v_new[r][lvl] = acc
                 comm.charge("axpy", comm.cost.record(lambda c: [
                     c.blas1(int(rows[r, depth]),
                             n_streams=3 if three_term else 2,
-                            writes=1, word_bytes=basis.word_bytes)
+                            writes=1)
                     for r in range(ranks)]))
         for r in range(ranks):
             basis.shards[r][:, col:col + 1] = (
@@ -214,15 +207,14 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
         v_k = v_new
 
 
-def _start(sim, storage, k):
-    basis = sim.zeros(k, storage=storage)
+def _start(sim, k):
+    basis = sim.zeros(k)
     v0 = np.random.default_rng(3).standard_normal(sim.n)
-    basis.view_cols(0).assign_from(
-        sim.vector_from(v0 / np.linalg.norm(v0), storage=storage))
+    basis.view_cols(0).assign_from(sim.vector_from(v0 / np.linalg.norm(v0)))
     return basis
 
 
-def run_pair(poly, pc, storage, ranks, mode, metrics=False, **pc_kw):
+def run_pair(poly, pc, ranks, mode, metrics=False, **pc_kw):
     """(basis, tracer totals, collective counts, metrics totals) of the
     fused kernel and of the oracle, each on a fresh simulation."""
     factory, per_rank = PRECONDS[pc]
@@ -234,7 +226,7 @@ def run_pair(poly, pc, storage, ranks, mode, metrics=False, **pc_kw):
         if precond is not None:
             precond.setup(sim.matrix)
         op = PreconditionedOperator(sim.matrix, precond)
-        basis = _start(sim, storage, PANELS[-1][1])
+        basis = _start(sim, PANELS[-1][1])
         if fused:
             mpk = MatrixPowersKernel(op, POLYS[poly](), mode=mode)
             for lo, hi in PANELS:
@@ -263,20 +255,18 @@ def assert_same(fused, oracle):
 
 
 @pytest.mark.parametrize("partition", sorted(PARTITIONS))
-@pytest.mark.parametrize("storage", ["fp64", "fp32"])
 @pytest.mark.parametrize("pc", sorted(PRECONDS))
 @pytest.mark.parametrize("poly", sorted(POLYS))
-def test_ca_matches_per_rank_execution(poly, pc, storage, partition):
-    assert_same(*run_pair(poly, pc, storage, PARTITIONS[partition], "ca"))
+def test_ca_matches_per_rank_execution(poly, pc, partition):
+    assert_same(*run_pair(poly, pc, PARTITIONS[partition], "ca"))
 
 
 @pytest.mark.parametrize("partition", sorted(PARTITIONS))
-@pytest.mark.parametrize("storage", ["fp64", "fp32"])
 @pytest.mark.parametrize("poly", sorted(POLYS))
-def test_ca_overlap_matches_per_rank_execution(poly, storage, partition):
+def test_ca_overlap_matches_per_rank_execution(poly, partition):
     """PA2 composes with the unpreconditioned operator only."""
-    fused, oracle = run_pair(poly, "identity", storage,
-                             PARTITIONS[partition], "ca_overlap")
+    fused, oracle = run_pair(poly, "identity", PARTITIONS[partition],
+                             "ca_overlap")
     assert_same(fused, oracle)
     assert fused[1].overlapped  # the ring really was posted and hidden
 
@@ -285,11 +275,10 @@ def test_ca_overlap_matches_per_rank_execution(poly, storage, partition):
 def test_kept_charges_read_in_the_metrics_like_fresh_ones(pc):
     """The metrics snapshot of memoized records equals that of records
     evaluated afresh at every charge."""
-    fused, oracle = run_pair("chebyshev", pc, "fp64", 5, "ca", metrics=True)
+    fused, oracle = run_pair("chebyshev", pc, 5, "ca", metrics=True)
     assert_same(fused, oracle)
     assert fused[3]["flops"] > 0 and fused[3]["mem_bytes"] > 0
 
 
 def test_two_sweeps_block_jacobi_matches_per_rank_execution():
-    assert_same(*run_pair("newton", "block_jacobi", "fp64", 5, "ca",
-                          sweeps=2))
+    assert_same(*run_pair("newton", "block_jacobi", 5, "ca", sweeps=2))

@@ -103,11 +103,3 @@ class TestDDGramScheme:
         assert res.converged
         assert res.diagnostics["solve_mode"] == "sketched"
 
-
-class TestBasisStorage:
-    def test_basis_allocated_at_policy_storage(self):
-        sim = Simulation(A, ranks=4, machine=generic_cpu())
-        mv = sim.zeros(3, storage="bf16")
-        assert mv.storage == "bf16"
-        assert mv.np_dtype == np.float32
-        assert mv.word_bytes == 2.0

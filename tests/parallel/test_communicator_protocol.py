@@ -96,9 +96,9 @@ class TestSimCommDefaults:
     """SimComm's protocol additions: planner-side no-op/fallback hooks."""
 
     def test_alloc_column_major_zeros(self, comm4):
-        flat = comm4.alloc(40, 3, np.float32)
+        flat = comm4.alloc(40, 3)
         assert flat.shape == (40, 3)
-        assert flat.dtype == np.float32
+        assert flat.dtype == np.float64
         assert flat.flags.f_contiguous
         assert not flat.any()
 

@@ -17,7 +17,6 @@ SAT = int(summit().gemm_width_sat)
 #: plateau's edge, far past it, and anything in between
 WIDTHS = st.sampled_from([0, 1, 2, SAT - 1, SAT, SAT + 1, 10_000]) | \
     st.integers(0, 300)
-WORDS = st.sampled_from([8.0, 4.0, 2.0])
 #: the presets, and one whose GEMMs all run at the wide efficiency
 MACHINES = [summit(), vortex(), summit().with_overrides(gemm_width_sat=2.0)]
 
@@ -148,23 +147,6 @@ class TestMachines:
         assert summit().kernel_latency != 1e-9  # original untouched
 
 
-class TestSpmvWordSize:
-    def test_default_is_fp64_bit_identical(self, cm):
-        assert cm.spmv(1e6, 1e5, 1e5) == cm.spmv(1e6, 1e5, 1e5,
-                                                 word_bytes=8.0)
-
-    def test_low_precision_vectors_cost_less(self, cm):
-        # bandwidth-dominated shape: halving the vector-stream word size
-        # must strictly reduce the modeled time (matrix values stay fp64)
-        t64 = cm.spmv(1e8, 1e7, 1e7)
-        t32 = cm.spmv(1e8, 1e7, 1e7, word_bytes=4.0)
-        assert t32 < t64
-        # and the delta is exactly the vector-stream bytes saved
-        saved = 4.0 * 2e7 / (cm.machine.mem_bandwidth
-                             * cm.machine.spmv_efficiency)
-        assert t64 - t32 == pytest.approx(saved, rel=1e-12)
-
-
 class TestArrayFormulas:
     """A local formula evaluated on NumPy columns is its scalar evaluation
     element by element, bit for bit: what prices a sweep's cells."""
@@ -177,9 +159,8 @@ class TestArrayFormulas:
         k = data.draw(st.integers(1, 5))
         rows = data.draw(st.lists(st.integers(0, 10**7), min_size=1,
                                   max_size=4))
-        args = [data.draw(st.lists(WORDS if name == "word_bytes" else WIDTHS,
-                                   min_size=k, max_size=k))
-                for name in list(signature(formula).parameters)[2:]]
+        args = [data.draw(st.lists(WIDTHS, min_size=k, max_size=k))
+                for _ in list(signature(formula).parameters)[2:]]
         block = formula(cost, np.array(rows)[:, None],
                         *(np.array(column) for column in args))
         assert block.shape == (len(rows), k)
@@ -228,3 +209,72 @@ class TestArrayFormulas:
                        cm.record(lambda c: [formula(c, r, *args)
                                             for r in (10, 1000)])):
             assert [type(v) for v in charge] == [float] * 3
+
+
+def _roofline(machine, flops, nbytes, efficiency):
+    return machine.kernel_latency + max(
+        flops / machine.peak_flops,
+        nbytes / (machine.mem_bandwidth * efficiency))
+
+
+#: per local kernel: its shapes, and ``(machine, cost, *shape)`` -> the
+#: charge worked out by hand from the flops and the bytes it streams,
+#: every vector entry an 8-byte float64 and every CSR index 4 bytes
+FP64_CHARGES = {
+    "gemm": ([(100_000, 6, 3), (50_000, 1, 1), (3_000, 3_000, 3_000)],
+             lambda m, c, r, k, n: _roofline(
+                 m, 2.0 * r * k * n, 8 * (r * k + k * n + r * n),
+                 c.gemm_efficiency(min(k, n)))),
+    "gemm_tall_update": (
+        [(100_000, 6, 3), (50_000, 1, 1), (3_000, 3_000, 3_000)],
+        lambda m, c, r, k, n: _roofline(
+            m, 2.0 * r * k * n, 8 * (r * k + k * n + 2 * r * n),
+            c.gemm_efficiency(min(k, n)))),
+    "syrk": ([(100_000, 3), (50_000, 1), (3_000, 3_000)],
+             lambda m, c, r, n: _roofline(
+                 m, r * n * (n + 1), 8 * (r * n + n * n),
+                 c.gemm_efficiency(n))),
+    "trsm": ([(100_000, 3), (50_000, 1), (3_000, 3_000)],
+             lambda m, c, r, n: _roofline(
+                 m, r * n * n, 8 * (2 * r * n + n * n / 2),
+                 c.gemm_efficiency(n))),
+    "blas1": ([(100_000, 2, 1), (50_000, 1, 0), (3_000, 5, 2)],
+              lambda m, c, e, reads, writes: _roofline(
+                  m, 2.0 * e, 8 * e * (reads + writes),
+                  m.stream_efficiency)),
+    "spmv": ([(500_000, 100_000, 101_000), (5, 1, 5), (0, 0, 0)],
+             lambda m, c, nnz, rows, cols: m.spmv_fixed_overhead + _roofline(
+                 m, 2.0 * nnz, (8 + 4) * nnz + 4 * (rows + 1)
+                 + 8 * (rows + cols), m.spmv_efficiency)),
+}
+
+
+class TestEightByteWords:
+    """Every vector is float64, so every local kernel prices 8-byte
+    words: its charge is the roofline of its flops and float64 streams,
+    the charge the fp64 runs of the paper's figures were priced at."""
+
+    @pytest.mark.parametrize("kernel, args", [
+        (kernel, args) for kernel, (shapes, _) in FP64_CHARGES.items()
+        for args in shapes],
+        ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_charge_is_the_fp64_roofline(self, preset, kernel, args):
+        machine = PRESETS[preset]()
+        cost = CostModel(machine)
+        by_hand = FP64_CHARGES[kernel][1]
+        assert getattr(cost, kernel)(*args) == by_hand(machine, cost, *args)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_narrow_panel_charges_its_bytes(self, preset):
+        """At a bandwidth-bound shape the charge above the launch latency
+        is exactly the float64 bytes over the effective bandwidth."""
+        machine = PRESETS[preset]()
+        cost = CostModel(machine)
+        m, k, n = 100_000, 6, 3
+        nbytes = 8.0 * (m * k + k * n + m * n)
+        assert 2.0 * m * k * n / machine.peak_flops < nbytes / (
+            machine.mem_bandwidth * cost.gemm_efficiency(3))
+        assert cost.gemm(m, k, n) - machine.kernel_latency == pytest.approx(
+            nbytes / (machine.mem_bandwidth * cost.gemm_efficiency(3)),
+            rel=1e-12)

@@ -28,17 +28,14 @@ from repro.parallel.costmodel import LOCAL_OPS
 from repro.parallel.machine import summit
 from repro.parallel.partition import Partition
 from repro.parallel.tracing import Tracer
-from repro.precision.dtypes import word_bytes
 
 N = 150
 RANKS = 6
-#: the args between ``rows`` and the word size, per table op
+#: the args after ``rows``, per table op
 ARGS = {"dot": (3, 2), "dot_dd": (4, 4), "norm": (3,), "update": (5, 3),
         "matvec": (6, 1), "trsm": (5,), "scale": (3, 2), "axpy": (2, 3),
         "qr": (6,), "sketch_dense": (16, 3), "sketch_sparse": (3, 2),
         "gs_sweep": (90, 2, 3)}
-#: ops whose formula takes no word size (the matrix streams fp64)
-WORDLESS = {"gs_sweep"}
 PARTITIONS = {
     "uniform": lambda: Partition(N, RANKS),
     # two runs of equal-count ranks, one empty rank
@@ -51,27 +48,22 @@ def test_every_table_op_has_a_case():
     assert set(ARGS) == set(LOCAL_OPS)
 
 
-def op_args(op: str, word: float) -> tuple:
-    return ARGS[op] if op in WORDLESS else (*ARGS[op], word)
-
-
-def charged(charge, partition: Partition, op: str, storage: str):
+def charged(charge, partition: Partition, op: str):
     """The tracer row, flops and bytes one ``charge`` of ``op`` leaves."""
     comm = SimComm(summit(), RANKS, Tracer())
-    mv = DistMultiVector.zeros(partition, comm, 3, storage=storage)
-    charge(mv, op, *op_args(op, mv.word_bytes))
+    mv = DistMultiVector.zeros(partition, comm, 3)
+    charge(mv, op, *ARGS[op])
     tracer = comm.tracer
     return dict(tracer.by_kernel), dict(tracer.flops), dict(tracer.mem_bytes)
 
 
-@pytest.mark.parametrize("storage", ["fp64", "fp32"])
 @pytest.mark.parametrize("shape", sorted(PARTITIONS))
 @pytest.mark.parametrize("op", sorted(LOCAL_OPS))
-def test_per_shard_and_per_run_records_agree(op, shape, storage):
+def test_per_shard_and_per_run_records_agree(op, shape):
     partition = PARTITIONS[shape]()
     assert partition.is_uniform == (shape == "uniform")
-    per_shard = charged(charge_shards, partition, op, storage)
-    per_run = charged(charge_rows, partition, op, storage)
+    per_shard = charged(charge_shards, partition, op)
+    per_run = charged(charge_rows, partition, op)
     assert per_run == per_shard
     (row, seconds), = per_run[0].items()
     assert row[1] == LOCAL_OPS[op][0]
@@ -81,7 +73,7 @@ def test_per_shard_and_per_run_records_agree(op, shape, storage):
             summit(), RANKS, ProblemShape(n=N, nnz=5.0 * N, halo_cols=10.0),
             m=5, s=5)
         assert est.nl == math.ceil(N / RANKS) == partition.counts[0]
-        call = (op, *op_args(op, word_bytes(storage)))
+        call = (op, *ARGS[op])
         plan = _Plan((call,), (), np.zeros(1, np.intp), np.zeros(1, np.intp),
                      np.ones(1, np.intp))
         assert price_cells([est], [(plan, [0])])[0].tolist() == [[seconds]]

@@ -152,16 +152,16 @@ class TestModeledTwin:
 
 class TestSharedStacks:
     def test_alloc_column_major_zeroed(self, mp4):
-        flat = mp4.alloc(28, 2, np.float32)
+        flat = mp4.alloc(28, 2)
         assert flat.shape == (28, 2)
-        assert flat.dtype == np.float32
+        assert flat.dtype == np.float64
         assert flat.flags.f_contiguous
         assert not flat.any()
         flat[9, 1] = 3.0  # writable shared memory
         assert flat[9, 1] == 3.0
 
     def test_describe_finds_strided_views(self, mp4):
-        flat = mp4.alloc(24, 3, np.float64)
+        flat = mp4.alloc(24, 3)
         view = flat[:, 1:2].reshape(4, 6, 1)  # one column as a rank stack
         assert np.shares_memory(view, flat)
         desc = mp4._describe(view)

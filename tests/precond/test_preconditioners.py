@@ -12,7 +12,6 @@ from repro.exceptions import ConfigurationError, NumericalError
 from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
 from repro.parallel.machine import generic_cpu
-from repro.precision.dtypes import container_dtype
 from repro.precond.base import IdentityPreconditioner
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.coloring import color_classes, greedy_coloring
@@ -60,12 +59,11 @@ class TestJacobi:
         with pytest.raises(NumericalError):
             JacobiPreconditioner().setup(mat)
 
-    @pytest.mark.parametrize("storage", ["fp64", "fp32"])
     @pytest.mark.parametrize("ranks, offsets", [
         (4, None), (5, None), (4, [0, 40, 40, 100, 144])],
         ids=["uniform", "ragged", "empty-rank"])
     def test_apply_equals_the_per_rank_formulation(self, rng, ranks,
-                                                   offsets, storage):
+                                                   offsets):
         """One multiply over the flat storage, charged per row: values,
         charge stream and metrics totals of one multiply and one cost
         evaluation per rank."""
@@ -79,10 +77,10 @@ class TestJacobi:
             sim = Simulation(a, ranks=ranks, machine=generic_cpu(),
                              partition=part, spans=True, metrics=True)
             pc = JacobiPreconditioner().setup(sim.matrix)
-            basis = sim.vector_from(data, storage=storage)
+            basis = sim.vector_from(data)
             for cols in (slice(0, 1), slice(1, 4)):
                 x, out = basis.view_cols(cols), sim.zeros(
-                    cols.stop - cols.start, storage=storage)
+                    cols.stop - cols.start)
                 apply(pc, x, out)
                 yield out.to_global().tobytes()
             yield [(s.phase, s.name, s.t0.hex(), s.t1.hex(), s.count)
@@ -252,7 +250,6 @@ class TestBlockJacobiFusedSweep:
         "inf": dict(a=_mixed_blocks_matrix, ranks=3, sweeps=2,
                     x=lambda x: np.where(np.arange(x.size) % 9 == 4,
                                          np.copysign(np.inf, x), x)),
-        "fp32": dict(a=lambda: laplace2d(12), ranks=5, storage="fp32"),
         "natural": dict(a=_mixed_blocks_matrix, ranks=3, ordering="natural"),
         "natural-two-sweeps": dict(a=lambda: laplace2d(12), ranks=5,
                                    ordering="natural", sweeps=2),
@@ -283,7 +280,6 @@ class TestBlockJacobiFusedSweep:
     def test_values_equal_per_block_sweeps(self, case):
         spec = dict(self.CASES[case])
         a, ranks = spec.pop("a")(), spec.pop("ranks")
-        storage = spec.pop("storage", "fp64")
         operand = spec.pop("x", lambda x: x)
         sim = Simulation(a, ranks=ranks, machine=generic_cpu())
         pc = BlockJacobiPreconditioner(**spec).setup(sim.matrix)
@@ -291,22 +287,18 @@ class TestBlockJacobiFusedSweep:
         if case in ("colour-counts-differ", "unsorted-rows"):
             assert len({s.n_colors for s in solvers}) > 1
         x = sim.vector_from(
-            operand(np.random.default_rng(2).standard_normal(sim.n)),
-            storage=storage)
-        expected = sim.zeros(1, storage=storage)
+            operand(np.random.default_rng(2).standard_normal(sim.n)))
+        expected = sim.zeros(1)
         for r, solver in enumerate(solvers):
             expected.shards[r][:, 0] = solver.apply(x.shards[r][:, 0])
-        out = sim.zeros(1, storage=storage)
+        out = sim.zeros(1)
         pc.apply(x, out)
         assert out.to_global().tobytes() == expected.to_global().tobytes()
         assert np.any(out.to_global() != 0.0)
-        # the CA kernel's whole-vector form: float64 in, float64 out,
-        # rounded through the container dtype
-        ghosted = pc.apply_ghosted(
-            x.to_global()[:, 0].astype(np.float64), x.np_dtype)
+        # the CA kernel's whole-vector form: float64 in, float64 out
+        ghosted = pc.apply_ghosted(x.to_global()[:, 0])
         assert ghosted.dtype == np.float64
-        assert ghosted.tobytes() == \
-            expected.to_global()[:, 0].astype(np.float64).tobytes()
+        assert ghosted.tobytes() == expected.to_global()[:, 0].tobytes()
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -358,35 +350,28 @@ class TestBlockJacobiFusedSweep:
             assert replayed.metrics_doc()["totals"]["flops"] > 0
 
 
-class TestGhostedCast:
-    """``apply_ghosted`` rounds through the container dtype and returns
-    float64: no copy when both are float64, the container's grid
-    otherwise."""
+class TestGhostedApply:
+    """``apply_ghosted`` returns the exact float64 ``M^{-1} x``, not a
+    copy of it."""
 
     PRECONDS = {"jacobi": JacobiPreconditioner,
                 "block-jacobi": BlockJacobiPreconditioner}
 
-    @pytest.mark.parametrize("spec", ["fp64", "fp32", "bf16"])
     @pytest.mark.parametrize("name", sorted(PRECONDS))
-    def test_rounds_to_the_container_grid(self, sim, name, spec):
+    def test_equals_the_exact_apply(self, sim, name):
         pc = self.PRECONDS[name]().setup(sim.matrix)
         x = np.random.default_rng(3).standard_normal(sim.n) * 1e3
         exact = (pc._solve(x) if name == "block-jacobi"
                  else x * (1.0 / sim.matrix.diagonal()))
-        ctype = container_dtype(spec)
-        got = pc.apply_ghosted(x, ctype)
+        got = pc.apply_ghosted(x)
         assert got.dtype == np.float64
-        assert got.tobytes() == \
-            exact.astype(ctype).astype(np.float64).tobytes()
-        if spec != "fp64":
-            assert got.tobytes() != exact.tobytes()
+        assert got.tobytes() == exact.tobytes()
 
-    def test_fp64_result_is_not_copied(self, sim, monkeypatch):
+    def test_result_is_not_copied(self, sim, monkeypatch):
         pc = BlockJacobiPreconditioner().setup(sim.matrix)
         solved = np.random.default_rng(4).standard_normal(sim.n)
         monkeypatch.setattr(pc, "_solve", lambda x: solved)
-        assert pc.apply_ghosted(np.ones(sim.n), np.dtype(np.float64)) \
-            is solved
+        assert pc.apply_ghosted(np.ones(sim.n)) is solved
 
 
 class TestChebyshev:

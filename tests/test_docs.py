@@ -1,6 +1,6 @@
 """The docs/ site must track the code it documents.
 
-Four structural guards: the experiment catalogue in docs/experiments.md
+Structural guards: the experiment catalogue in docs/experiments.md
 must list exactly the runner's registered subcommands (so adding an
 experiment without documenting it — or documenting a renamed one — is
 a tier-1 failure), every relative link in the markdown pages must
@@ -8,11 +8,13 @@ resolve (same check CI runs standalone via scripts/docs_lint.py), every
 ``repro-<name>`` command the pages tell a reader to type must be a
 console script pyproject.toml declares, and the two sections describing
 the communicator may name only collectives the ``Communicator`` protocol
-declares.
+declares.  The README must name exactly the ``SolverOptions`` knobs
+there are and exactly the experiments the nightly CI job smoke-runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
+README = REPO / "README.md"
 PAGES = ("architecture.md", "cost-model.md", "solvers.md",
          "experiments.md", "observability.md")
 
@@ -121,3 +124,38 @@ class TestCommunicatorSections:
             assert not stale, (
                 f"docs/{page} {heading!r} names {stale}, which the "
                 f"Communicator protocol does not declare")
+
+
+class TestReadmeTracksTheCode:
+    #: a parenthesized list of backticked names: ``(`a`, `b` and `c`)``
+    NAME_LIST = re.compile(r"\(((?:`\w+`,\s*)+(?:and\s+)?`\w+`)\)")
+
+    def test_solver_knobs_are_the_options_fields(self):
+        """Every list of names in the README that names a
+        ``SolverOptions`` field names every field and nothing else."""
+        from repro.krylov.options import SolverOptions
+        fields = {f.name for f in dataclasses.fields(SolverOptions)}
+        lists = [set(re.findall(r"`(\w+)`", found))
+                 for found in self.NAME_LIST.findall(README.read_text())]
+        knobs = [names for names in lists if names & fields]
+        assert knobs, "README names no SolverOptions knob"
+        assert all(names == fields for names in knobs), knobs
+
+    def test_nightly_smokes_are_the_ones_ci_runs(self):
+        """The README's nightly bullet names, as bare backticked words,
+        exactly the ``repro.experiments.runner <name>`` runs of the
+        workflow's nightly job."""
+        readme = README.read_text()
+        start = readme.index("* **nightly**")
+        # the bullet ends at the next bullet or the blank line after it
+        end = re.search(r"\n(?:\* |\n)", readme[start:])
+        bullet = readme[start:start + end.start() if end else len(readme)]
+        documented = set(re.findall(r"`([a-z_0-9]+)`", bullet))
+        workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = workflow[workflow.index("\n  nightly:\n"):]
+        following = re.search(r"\n  [\w-]+:\n", job[1:])
+        job = job[:following.start() + 1] if following else job
+        ran = set(re.findall(r"repro\.experiments\.runner ([a-z_0-9]+)",
+                             job))
+        assert ran, "the nightly job runs no experiment"
+        assert documented == ran
