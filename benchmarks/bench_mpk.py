@@ -20,7 +20,11 @@ re-solved its neighbours' blocks in Python).
 The ``auto`` legs run ``mpk_mode="auto"``'s resolution on the Summit
 case and on the block-Jacobi case and gate, in-run, that it is the
 cheaper kernel: its modeled seconds equal ``min(standard, ca)`` and its
-basis is byte-identical to both kernels'.
+basis is byte-identical to both kernels'.  On the block-Jacobi case,
+where it resolves to the standard kernel, an ``auto`` cycle may cost the
+host at most ``AUTO_HOST_RATIO_GATE`` explicit ``standard`` cycles: the
+floor on the CA price rules CA out before any ghost plan is analyzed
+(it cost ~1.7 when every resolution analyzed the plan it did not run).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ RESTART = 30
 PANELS = len(_panel_bounds(S, RESTART + 1))
 PC_NX, PC_RANKS = 90, 12   # 8100 unknowns, 675 per rank
 HOST_RATIO_GATE = 2.0
+AUTO_HOST_RATIO_GATE = 1.15
 
 
 def _gen(machine, mode, engine=None):
@@ -126,6 +131,13 @@ def test_mpk_auto(benchmark, check, case):
     check(all(auto["basis"].tobytes() == leg["basis"].tobytes()
               for leg in legs.values()),
           "auto generates a byte-identical basis to both kernels")
+    if case == "block_jacobi":
+        host = _best_host_seconds(("standard", "auto"))
+        ratio = host["auto"] / host["standard"]
+        check(ratio <= AUTO_HOST_RATIO_GATE,
+              f"a block-Jacobi auto cycle costs the host {ratio:.2f} "
+              f"standard cycles (gate {AUTO_HOST_RATIO_GATE})")
+        benchmark.extra_info["host_ratio_auto_over_standard"] = ratio
     benchmark.extra_info.update(
         case=case, auto_mode=auto["mode"], modeled_seconds=auto["seconds"],
         **{f"modeled_seconds_{mode}": leg["seconds"]

@@ -301,6 +301,41 @@ class HaloPlan:
         return cls(_by_peer(counts), counts.sum(axis=1))
 
 
+class _NearLevels:
+    """Levels ``L_0`` and ``L_1`` of every rank's ghost closure, read off
+    the depth-1 :class:`HaloPlan` with no analysis.
+
+    ``L_0`` is the owned block.  ``L_1`` adds what the owned rows read:
+    the halo rows (``expand="pointwise"``), or the whole blocks of the
+    halo's peers (``expand="block"``).  The last step of a CA panel
+    reads only these two levels — its SpMV over ``A[L_0, :]`` with the
+    operand on ``L_1``, the preconditioner's ghost apply over ``L_1`` —
+    so the fields below are those of a :class:`GhostPlan` of any depth,
+    cut to what that step reads, and charge the same records
+    (``level_nnz`` holds ``L_0`` alone).
+    """
+
+    __slots__ = ("partition", "level_rows", "level_nnz", "level_ranks",
+                 "charge_memo")
+
+    def __init__(self, partition: Partition, halo: HaloPlan,
+                 block_nnz: np.ndarray, expand: str) -> None:
+        counts = partition.counts
+        owned = [[rank] if counts[rank] else [] for rank in range(len(counts))]
+        # owner blocks intersecting L_1, ascending as a plan lists them
+        near = [sorted([*own, *by_peer])
+                for own, by_peer in zip(owned, halo.recv_counts_by_peer)]
+        if expand == "block":
+            level1 = [int(counts[peers].sum()) for peers in near]
+        else:
+            level1 = counts + halo.halo_counts
+        self.partition = partition
+        self.level_rows = np.stack([counts, level1], axis=1)
+        self.level_nnz = np.asarray(block_nnz, dtype=np.int64)[:, None]
+        self.level_ranks = [list(levels) for levels in zip(owned, near)]
+        self.charge_memo: dict[tuple, KernelCharge] = {}
+
+
 class GhostPlan:
     """s-level ghost-zone closure for the communication-avoiding MPK.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.distla.halo import GhostPlan, HaloPlan
+from repro.distla.halo import GhostPlan, HaloPlan, _NearLevels
 from repro.distla.multivector import DistMultiVector
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
@@ -70,6 +70,8 @@ class DistSparseMatrix:
         self._ghost_plans: dict[tuple[int, str], GhostPlan] = {}
         #: the keys of the plans whose analysis has been charged
         self._charged_plans: set[tuple[int, str]] = set()
+        #: ``expand ->`` every plan's first two levels, from the halo
+        self._near: dict[str, _NearLevels] = {}
         #: ``machine ->`` the ``spmv_local`` charge
         self._spmv_charges: dict[tuple, KernelCharge] = {}
 
@@ -117,6 +119,17 @@ class DistSparseMatrix:
             plan = self._ghost_plans[key] = GhostPlan.analyze(
                 self._global_csr, self.partition, depth, expand=expand)
         return plan
+
+    def _near_levels(self, expand: str) -> _NearLevels:
+        """Levels ``L_0`` and ``L_1`` of every ghost plan of ``expand``,
+        read off :attr:`halo` with no analysis (cached)."""
+        near = self._near.get(expand)
+        if near is None:
+            indptr = self._global_csr.indptr
+            near = self._near[expand] = _NearLevels(
+                self.partition, self.halo,
+                np.diff(indptr[self.partition.offsets]), expand)
+        return near
 
     def _unpaid_analysis(self, depth: int, expand: str
                          ) -> KernelCharge | None:

@@ -55,12 +55,10 @@ from repro.ortho.bcgs import BCGS2Scheme
 from repro.ortho.bcgs_pip import BCGSPIP2Scheme
 from repro.ortho.cgs import cgs2_append
 from repro.ortho.two_stage import TwoStageScheme
-from repro.parallel.costmodel import LOCAL_OPS, CostModel
+from repro.parallel.costmodel import _DOUBLE, LOCAL_OPS, CostModel
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import TraceTotals, Tracer
 from repro.utils.validation import check_positive_int
-
-_D = 8.0  # bytes per float64
 
 #: The solver configurations of Tables III/IV and Fig. 13, in paper
 #: order (what :meth:`CycleCostEstimator.cycle` takes), and the scheme
@@ -369,7 +367,7 @@ def price_cells(estimators: list, plans: list) -> list:
         priced = [estimators[row] for row in at]
         if name == "allreduce":
             seconds = cost.allreduce(
-                _D * args[0], column([c.ranks for c in priced], np.int64))
+                _DOUBLE * args[0], column([c.ranks for c in priced], np.int64))
         elif name == "halo":
             seconds = column([c._halo_seconds() for c in priced])
         elif name == "host":
@@ -424,7 +422,7 @@ class CycleCostEstimator:
         else:
             peers, rank = range(1, nb + 1), 0
         return self.cost.halo_exchange(dict.fromkeys(
-            peers, _D * self.shape.halo_cols / nb), rank, self.ranks)
+            peers, _DOUBLE * self.shape.halo_cols / nb), rank, self.ranks)
 
     def plan(self, config: str, bs: int | None = None) -> _Plan:
         """The plan :meth:`cycle` prices."""

@@ -37,7 +37,9 @@ and replayed
 extension charges; :meth:`MatrixPowersKernel.cycle_price` sums them
 without charging, which is how ``mpk_mode="auto"``
 (:func:`resolve_mpk_mode`) picks the mode a solve's panels price
-cheaper.
+cheaper — after a floor on the CA price, read from the depth-1 halo
+(:meth:`MatrixPowersKernel._cycle_floor`), has not already ruled CA
+out.
 
 CA composes with preconditioners through the ghost closure
 (:attr:`~repro.precond.base.Preconditioner.ghost_compat`):
@@ -245,21 +247,15 @@ class MatrixPowersKernel:
         (``tests/krylov/test_mpk_price.py``), not by construction.
         """
         matrix, precond = self.op.matrix, self.op.precond
-        preconditioned = self.op.is_preconditioned
-        coeffs = [self.basis_poly.coefficients(col - 1)
-                  for col in range(lo, hi)]
-        # the recurrence's streams per step: 0 when it is a bare SpMV
-        streams = [(3 if gamma != 0.0 and col >= 2 else 2)
-                   if alpha != 0.0 or gamma != 0.0 or beta != 1.0 else 0
-                   for col, (alpha, beta, gamma) in zip(range(lo, hi), coeffs)]
-        axpy_kernel, axpy = LOCAL_OPS["axpy"]
+        streams = self._streams(lo, hi)
+        axpy_kernel = LOCAL_OPS["axpy"][0]
         if self.mode == "standard":
             spmv = [("halo", matrix.halo.recv_bytes()),
                     ("spmv_local", matrix._local_spmv_charge(cost))]
             steps = []
             for n in streams:
                 regions = ([("precond", [precond.apply_charge(cost)])]
-                           if preconditioned else [])
+                           if self.op.is_preconditioned else [])
                 regions.append(("spmv", spmv))
                 if n:
                     regions.append(("spmv", [(axpy_kernel, rows_charge(
@@ -269,17 +265,11 @@ class MatrixPowersKernel:
 
         plan = matrix._plan(hi - lo, self.op.ghost_expand)
         analysis = matrix._unpaid_analysis(hi - lo, self.op.ghost_expand)
-        rows, nnz = plan.level_rows, plan.level_nnz
-        ranks = range(plan.partition.ranks)
-
-        def record(kernel: str, key: tuple, evaluate) -> KernelCharge:
-            """One per-rank record over the plan, evaluated on first use."""
-            return cost.memoized(plan.charge_memo, (kernel,) + key, evaluate)
-
         # three-term recurrences reach back one extra column; the panel's
         # first step additionally needs the *previous* panel's last
         # column on the ghost region, which rides in the same exchange
-        n_vec = 2 if coeffs[0][2] != 0.0 and lo >= 2 else 1
+        gamma = self.basis_poly.coefficients(lo - 1)[2]
+        n_vec = 2 if gamma != 0.0 and lo >= 2 else 1
         # -- the ONE aggregated deep-halo exchange ----------------------
         # (PA2: eager depth-1 shell now, deep ring posted nonblocking)
         if self.mode == "ca_overlap":
@@ -291,40 +281,67 @@ class MatrixPowersKernel:
         else:
             exchange = [("halo", plan.recv_bytes(n_vectors=n_vec))]
             split = False
-        steps = []
-        for col, n in zip(range(lo, hi), streams):
-            depth = hi - 1 - col  # ghost levels remaining after this step
-            regions = ([("precond", [precond.ghost_apply_charge(
-                cost, plan, depth + 1)])] if preconditioned else [])
-            if split and col == lo:
-                # PA2 first step: owned rows only need the eager shell —
-                # their charge drains the posted ring; the ghost-ring
-                # remainder pays whatever the wait left exposed
-                spmv = [("spmv_local", record("spmv_local", ("owned",),
-                         lambda c: [c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
-                                           int(rows[r, 1]))
-                                    for r in ranks])),
-                        ("wait", None),
-                        ("spmv_local", record("spmv_local", ("ring", depth),
-                         lambda c: [c.spmv(int(nnz[r, depth] - nnz[r, 0]),
-                                           int(rows[r, depth] - rows[r, 0]),
-                                           int(rows[r, depth + 1]))
-                                    for r in ranks]))]
-            else:
-                spmv = [("spmv_local", record("spmv_local", (depth,),
-                         lambda c: [c.spmv(int(nnz[r, depth]),
-                                           int(rows[r, depth]),
-                                           int(rows[r, depth + 1]))
-                                    for r in ranks]))]
-            if n:  # last in the region: the kernel charges it apart
-                spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
-                             lambda c: [axpy(c, int(rows[r, depth]), 1, n)
-                                        for r in ranks])))
-            regions.append(("spmv", spmv))
-            steps.append(regions)
+        # depth: the ghost levels remaining after the step
+        steps = [self._ca_step(cost, plan, hi - 1 - col, n,
+                               split and col == lo)
+                 for col, n in zip(range(lo, hi), streams)]
         if analysis is not None:
             exchange.insert(0, ("ghost_plan", analysis))
         return [("spmv", exchange)], steps
+
+    def _streams(self, lo: int, hi: int) -> list[int]:
+        """The vectors the recurrence streams at each step of columns
+        ``lo..hi-1``: 0 when the step is a bare SpMV."""
+        streams = []
+        for col in range(lo, hi):
+            alpha, beta, gamma = self.basis_poly.coefficients(col - 1)
+            streams.append((3 if gamma != 0.0 and col >= 2 else 2)
+                           if alpha != 0.0 or gamma != 0.0 or beta != 1.0
+                           else 0)
+        return streams
+
+    def _ca_step(self, cost: CostModel, plan, depth: int, n: int,
+                 split: bool = False) -> list:
+        """The regions of the CA step that lands on closure level
+        ``depth`` of ``plan`` and streams ``n`` vectors (see
+        :meth:`_panel_charges`).  It reads levels ``depth`` and
+        ``depth + 1`` only.  ``split`` makes it PA2's first step."""
+        rows, nnz = plan.level_rows, plan.level_nnz
+        ranks = range(plan.partition.ranks)
+
+        def record(kernel: str, key: tuple, evaluate) -> KernelCharge:
+            """One per-rank record over the plan, evaluated on first use."""
+            return cost.memoized(plan.charge_memo, (kernel,) + key, evaluate)
+
+        regions = ([("precond", [self.op.precond.ghost_apply_charge(
+            cost, plan, depth + 1)])] if self.op.is_preconditioned else [])
+        if split:
+            # PA2 first step: owned rows only need the eager shell —
+            # their charge drains the posted ring; the ghost-ring
+            # remainder pays whatever the wait left exposed
+            spmv = [("spmv_local", record("spmv_local", ("owned",),
+                     lambda c: [c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
+                                       int(rows[r, 1]))
+                                for r in ranks])),
+                    ("wait", None),
+                    ("spmv_local", record("spmv_local", ("ring", depth),
+                     lambda c: [c.spmv(int(nnz[r, depth] - nnz[r, 0]),
+                                       int(rows[r, depth] - rows[r, 0]),
+                                       int(rows[r, depth + 1]))
+                                for r in ranks]))]
+        else:
+            spmv = [("spmv_local", record("spmv_local", (depth,),
+                     lambda c: [c.spmv(int(nnz[r, depth]),
+                                       int(rows[r, depth]),
+                                       int(rows[r, depth + 1]))
+                                for r in ranks]))]
+        if n:  # last in the region: the kernel charges it apart
+            axpy_kernel, axpy = LOCAL_OPS["axpy"]
+            spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
+                         lambda c: [axpy(c, int(rows[r, depth]), 1, n)
+                                    for r in ranks])))
+        regions.append(("spmv", spmv))
+        return regions
 
     def cycle_price(self, panels) -> float:
         """Modeled seconds extending ``panels`` adds to a clock, charging
@@ -361,6 +378,31 @@ class MatrixPowersKernel:
                             analyzed.add(hi - lo)
                         total += (comm._halo_cost(record)[0]
                                   if kernel == "halo" else record.seconds)
+        return total
+
+    def _cycle_floor(self, panels) -> float:
+        """A lower bound on the ``"ca"`` :meth:`cycle_price` of
+        ``panels`` that analyzes no ghost plan.
+
+        The levels nest and every record's per-rank formula grows with
+        the rows, nonzeros and blocks it covers, and a record costs its
+        slowest rank's, so each CA step costs at least the panel's last
+        step (depth 0).  That step reads only ``L_0`` and ``L_1``, which
+        :meth:`~repro.distla.spmatrix.DistSparseMatrix._near_levels`
+        reads off the halo.  The floor sums, in charge order, that
+        step's records once per step of every panel, and leaves out the
+        exchanges and the plan analysis.  Every term is ``>= 0`` on a
+        machine with non-negative constants and round-to-nearest is
+        monotone, so the floor is at most the price in floats too.
+        """
+        matrix = self.op.matrix
+        near = matrix._near_levels(self.op.ghost_expand)
+        total = 0.0
+        for lo, hi in panels:
+            for n in self._streams(max(lo, 1), hi):
+                for _, charges in self._ca_step(matrix.comm.cost, near, 0, n):
+                    for _, record in charges:
+                        total += record.seconds
         return total
 
     def _extend_ca(self, basis: DistMultiVector, lo: int, hi: int) -> None:
@@ -462,11 +504,18 @@ def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
     ``basis_poly``'s coefficients — under
     ``"standard"``, and under ``"ca"`` when the preconditioner has a
     finite ghost closure.  The cheaper mode wins; a tie keeps ``"ca"``.
-    The ``"ca"`` price holds the analysis of every ghost plan the
-    matrix has not yet paid for, so the pick is exact for a full first
-    cycle.  Later cycles pay no analysis, and a Newton basis that learns
-    its shifts after the first cycle charges an ``axpy`` per step that
-    its first-cycle price leaves out.  Pricing charges nothing, so
+    Before it prices ``"ca"`` it prices the plan-free floor
+    :meth:`MatrixPowersKernel._cycle_floor`: a ``"standard"`` price
+    below it is below the ``"ca"`` price too, so ``"standard"`` is
+    picked without analyzing a ghost plan it would not run.  The pick
+    is the same either way; only a machine constant that the floor
+    does not read (``host_flops``, which prices the plan analysis) can
+    no longer make such a solve refuse.  The ``"ca"`` price holds the
+    analysis of every ghost plan the matrix has not yet paid for, so
+    the pick is exact for a full first cycle.  Later cycles pay no
+    analysis, and a Newton basis that learns its shifts after the first
+    cycle charges an ``axpy`` per step that its first-cycle price leaves
+    out.  Pricing charges nothing, so
     ``"auto"``'s modeled clock is that of the mode it resolves to.  A
     price that is not finite (a machine constant that prices a kernel
     at ``inf`` or NaN) is a ``ConfigurationError`` naming the mode, the
@@ -480,20 +529,27 @@ def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
         return mpk_mode
     if not op.supports_ca:
         return "standard"
-    prices = {}
-    for mode in ("standard", "ca"):
+
+    def price(cycle) -> float:
         try:
-            price = MatrixPowersKernel(op, basis_poly, mode).cycle_price(
-                panels)
+            return cycle(panels)
         except ZeroDivisionError:
             # a zero machine constant under a Python-float formula; NumPy
             # operands would have returned inf
-            price = math.inf
-        if not math.isfinite(price):
+            return math.inf
+
+    def ranked(mode: str) -> float:
+        seconds = price(MatrixPowersKernel(op, basis_poly, mode).cycle_price)
+        if not math.isfinite(seconds):
             raise ConfigurationError(
                 f"mpk_mode='auto' cannot rank the kernels: one cycle of "
-                f"the {mode!r} kernel prices at {price!r} modeled s on "
+                f"the {mode!r} kernel prices at {seconds!r} modeled s on "
                 f"machine {op.matrix.comm.machine.name!r}; fix the "
                 f"machine's constants or name an mpk_mode")
-        prices[mode] = price
-    return "standard" if prices["standard"] < prices["ca"] else "ca"
+        return seconds
+
+    standard = ranked("standard")
+    floor = price(MatrixPowersKernel(op, basis_poly, "ca")._cycle_floor)
+    if math.isfinite(floor) and standard < floor:
+        return "standard"  # and no ghost plan is analyzed
+    return "standard" if standard < ranked("ca") else "ca"

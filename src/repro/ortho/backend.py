@@ -29,7 +29,7 @@ from repro.distla.multivector import DistMultiVector
 from repro.dd.linalg import gram_dd, matmul_dd
 from repro.exceptions import ShapeError
 from repro.parallel.communicator import SimComm
-from repro.parallel.costmodel import LOCAL_OPS
+from repro.parallel.costmodel import _DOUBLE, LOCAL_OPS
 from repro.sketch.distributed import sketch_multivector
 
 
@@ -342,7 +342,7 @@ class DistBackend(OrthoBackend):
         # flops of one node's QR stand for every rank)
         if depth:
             comm.charge("allreduce", comm.cost.record(lambda c: depth * (
-                c.point_to_point(8.0 * k * k, same_node=False)
+                c.point_to_point(_DOUBLE * k * k, same_node=False)
                 + c.times(comm.size).host_dense(8.0 * k ** 3 / 3.0))),
                 driver_side=True)
         _, r_final, signs = _sign_fix_qr(None, np.triu(r_final))

@@ -15,12 +15,13 @@ the oracle in the tests); first-fit colouring only looks at neighbours
 already coloured, all of them in the row's own block, so colouring the
 block-diagonal part once equals colouring block by block.  Set-up
 stores that part in colour order — rows and columns renumbered, every
-row's entries in stored order — so an apply is one gather of ``x``, a
-sweep over contiguous class slices, and one scatter of ``z``; the first
-sweep reads only the columns of earlier colours (see
-:meth:`BlockJacobiPreconditioner._solve`).  The per-rank charges are
-constants of the matrix and the machine: evaluated once, replayed per
-apply, and they price the full block whatever a sweep reads.
+row's entries in stored order — so an apply is one gather of ``x``'s
+storage, a sweep over contiguous class slices, and one scatter of ``z``
+into the result's storage; the first sweep reads only the columns of
+earlier colours (see :meth:`BlockJacobiPreconditioner._solve`).  The
+per-rank charges are constants of the matrix and the machine: evaluated
+once, replayed per apply, and they price the full block whatever a
+sweep reads.
 """
 
 from __future__ import annotations
@@ -133,40 +134,49 @@ class BlockJacobiPreconditioner(Preconditioner):
         #: the full rows of each class, for every sweep after the first
         self._class_rows = _class_rows(data, cols, by_colour.indptr, classes)
         # the first sweep starts from z = +0.0: a class reads only the
-        # entries of the classes before it (see ``_solve``)
+        # entries of the classes before it, and one with none reads
+        # nothing (None; see ``_solve``)
         earlier = cols < np.repeat(cuts[colors[order]],
                                    np.diff(by_colour.indptr))
         kept_before = np.concatenate(([0], np.cumsum(earlier)))
-        self._first_rows = _class_rows(data[earlier], cols[earlier],
-                                       kept_before[by_colour.indptr], classes)
+        self._first_rows = [
+            rows if rows.nnz else None
+            for rows in _class_rows(data[earlier], cols[earlier],
+                                    kept_before[by_colour.indptr], classes)]
 
-    def _solve(self, x: np.ndarray) -> np.ndarray:
+    def _solve(self, x: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
         """``sweeps`` forward GS sweeps from zero on every block, for a
-        global float64 vector.
+        global float64 vector ``x``, written into ``out`` (which may
+        alias ``x``; a new array when None) and returned.
 
         The multicolor sweeps run in colour order: one gather of ``x``
-        before, one scatter of ``z`` after, contiguous classes between.
-        In the first sweep ``z`` is exactly ``+0.0`` on the classes not
-        yet reached (the current one included: its product is formed
-        before its update), and the matrix is finite, so every term a
-        row reads there is ``±0``.  A CSR row sum starts at ``+0.0`` and
-        never becomes ``-0.0``, so adding ``±0`` leaves it unchanged:
-        dropping those terms is bit-identical, for any ``x``.
+        before, one scatter of ``z`` into ``out`` after, contiguous
+        classes between.  In the first sweep ``z`` is exactly ``+0.0``
+        on the classes not yet reached (the current one included: its
+        product is formed before its update), and the matrix is finite,
+        so every term a row reads there is ``±0``.  A CSR row sum starts
+        at ``+0.0`` and never becomes ``-0.0``, so adding ``±0`` leaves
+        it unchanged: dropping those terms is bit-identical, for any
+        ``x``.  A class left with no term skips its product, as
+        ``x - (+0.0)`` is ``x`` bit for bit.
         """
         self._check_ready()
+        if out is None:
+            out = np.empty_like(x)
         if self.ordering == "natural":
-            return np.concatenate([
-                solver.apply(x[lo:hi])
-                for solver, (lo, hi) in zip(self._solvers, self._bounds)])
-        x = x[self._order]
+            # a block's solve reads only its own rows of ``x``
+            for solver, (lo, hi) in zip(self._solvers, self._bounds):
+                out[lo:hi] = solver.apply(x[lo:hi])
+            return out
+        x = x[self._order]  # a copy, so ``out`` may alias the operand
         z = np.zeros_like(x)
         for sweep in range(self.sweeps):
             rows_by_class = self._class_rows if sweep else self._first_rows
             for (lo, hi), rows in zip(self._classes, rows_by_class):
                 # z_c <- z_c + D_c^{-1} (x_c - (A z)_c)
-                r = x[lo:hi] - rows @ z
+                r = x[lo:hi] if rows is None else x[lo:hi] - rows @ z
                 z[lo:hi] += self._inv_diag[lo:hi] * r
-        out = np.empty_like(z)
         out[self._order] = z
         return out
 
@@ -177,7 +187,7 @@ class BlockJacobiPreconditioner(Preconditioner):
                          self._launches[rank])
 
     def apply(self, x: DistMultiVector, out: DistMultiVector) -> None:
-        out.scatter_col(0, self._solve(x.to_global()[:, 0]))
+        self._solve(x.flat[:, 0], out.flat[:, 0])
         x.comm.charge(*self.apply_charge(x.comm.cost))
 
     def apply_charge(self, cost: CostModel) -> tuple[str, KernelCharge]:

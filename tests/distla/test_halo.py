@@ -235,6 +235,38 @@ class TestGhostPlanValidation:
         np.testing.assert_array_equal(plan.levels[0][0], np.arange(4))
 
 
+class TestNearLevels:
+    """``L_0`` and ``L_1`` read off the depth-1 halo are, field for
+    field, those of an analyzed plan of any depth."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(2, 9), ranks=st.integers(1, 7),
+           depth=st.integers(1, 4), expand=st.sampled_from(EXPAND_MODES),
+           stencil=st.sampled_from([5, 9, "random"]), data=st.data())
+    def test_equal_a_plans_first_two_levels(self, nx, ranks, depth, expand,
+                                            stencil, data):
+        n = nx * nx
+        if stencil == "random":  # a nonsymmetric pattern
+            a = (sp.random(n, n, density=0.08, random_state=nx * ranks)
+                 + sp.eye(n)).tocsr()
+        else:
+            a = laplace2d(nx, stencil=stencil)
+        # cut points in any order, repeats included: ranks may own nothing
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=ranks - 1,
+                                         max_size=ranks - 1)))
+        part = Partition(n, ranks, np.array([0, *cuts, n]))
+        matrix = DistSparseMatrix(a, part, SimComm(generic_cpu(), ranks))
+        near = matrix._near_levels(expand)
+        assert matrix._ghost_plans == {}  # nothing analyzed
+        plan = matrix._plan(depth, expand)
+        np.testing.assert_array_equal(near.level_rows, plan.level_rows[:, :2])
+        np.testing.assert_array_equal(near.level_nnz, plan.level_nnz[:, :1])
+        assert near.level_ranks == [
+            [levels[0].tolist(), levels[1].tolist()]
+            for levels in plan.level_ranks]
+        assert matrix._near_levels(expand) is near
+
+
 class TestDistSparseMatrixGhostPlans:
     def test_plans_are_cached_per_depth_and_expand(self):
         comm = SimComm(generic_cpu(), 4)

@@ -122,6 +122,62 @@ def test_an_unpaid_plan_analysis_can_tip_the_pick():
     assert again.diagnostics["mpk_mode"] == "ca"
 
 
+def slow_host():
+    """Summit with a host 100x slower: plan analysis near a tie."""
+    base = summit()
+    return base.with_overrides(host_flops=base.host_flops / 100)
+
+
+@pytest.mark.parametrize("machine", [summit, generic_cpu, slow_host])
+@pytest.mark.parametrize("ranks", [4, 5])
+@pytest.mark.parametrize("engine", ["loop", "batched"])
+@pytest.mark.parametrize("poly", POLYS)
+@pytest.mark.parametrize("pc", PRECONDS)
+def test_the_floor_bounds_the_ca_price_and_keeps_the_pick(
+        pc, poly, engine, ranks, machine):
+    """The plan-free floor is at most the ``"ca"`` price, and the mode
+    ``"auto"`` resolves to is the one full pricing picks."""
+    sim, mpk, _ = kernel("ca", engine=engine, pc=pc, poly=poly,
+                         ranks=ranks, machine=machine)
+    picked = resolve_mpk_mode(mpk.op, "auto", mpk.basis_poly, PANELS)
+    floor = mpk._cycle_floor(PANELS)
+    prices = {mode: MatrixPowersKernel(mpk.op, mpk.basis_poly,
+                                       mode).cycle_price(PANELS)
+              for mode in ("standard", "ca")}
+    assert 0.0 < floor <= prices["ca"]
+    assert picked == ("standard" if prices["standard"] < prices["ca"]
+                      else "ca")
+    assert sim.tracer.clock == 0.0
+
+
+@pytest.mark.parametrize("ranks", [4, 5])
+@pytest.mark.parametrize("pc", PRECONDS)
+def test_the_floor_step_is_every_panels_last_step(pc, ranks):
+    """Read off the halo, the depth-0 step charges the records an
+    analyzed plan's last step charges, record for record."""
+    sim, mpk, _ = kernel("ca", pc=pc, ranks=ranks)
+    near = sim.matrix._near_levels(mpk.op.ghost_expand)
+    assert sim.matrix._ghost_plans == {}
+    for depth in (1, 4):
+        plan = sim.matrix._plan(depth, mpk.op.ghost_expand)
+        for n in (0, 2, 3):
+            assert (mpk._ca_step(sim.comm.cost, near, 0, n)
+                    == mpk._ca_step(sim.comm.cost, plan, 0, n))
+
+
+def test_an_auto_solve_the_floor_decides_analyzes_no_plan():
+    """Block Jacobi on Summit: a ``"standard"`` cycle prices below the
+    ``"ca"`` floor, so ``"auto"`` runs ``"standard"`` and the matrix
+    holds no ghost plan afterwards."""
+    sim = Simulation(laplace2d(24), ranks=6, machine=summit())
+    precond = BlockJacobiPreconditioner().setup(sim.matrix)
+    run = sstep_gmres(sim, sim.ones_solution_rhs(), s=4, restart=12,
+                      tol=0.0, maxiter=12, precond=precond,
+                      options=SolverOptions(mpk_mode="auto"))
+    assert run.diagnostics["mpk_mode"] == "standard"
+    assert sim.matrix._ghost_plans == {}
+
+
 def test_ca_overlap_has_no_price():
     _, mpk, _ = kernel("ca_overlap")
     with pytest.raises(ConfigurationError, match="not priced"):
@@ -155,6 +211,23 @@ class TestResolution:
         assert f"prices at {shown} " in message
         assert "'generic_cpu'" in message
         assert sim.tracer.clock == 0.0  # refused before any charge
+
+    def test_a_constant_only_the_ca_price_reads_is_refused_past_the_floor(
+            self):
+        """``host_flops=0`` prices the plan analysis, and nothing else of
+        a cycle, at ``inf``.  With block Jacobi the floor rules ``"ca"``
+        out before the analysis is priced; unpreconditioned it does not,
+        and the full ``"ca"`` price is refused."""
+        sim = Simulation(laplace2d(12), ranks=4,
+                         machine=summit().with_overrides(host_flops=0.0))
+        block = PreconditionedOperator(
+            sim.matrix, BlockJacobiPreconditioner().setup(sim.matrix))
+        assert resolve_mpk_mode(
+            block, "auto", MonomialBasis(), PANELS) == "standard"
+        with pytest.raises(ConfigurationError,
+                           match="'ca' kernel prices at inf "):
+            resolve_mpk_mode(PreconditionedOperator(sim.matrix), "auto",
+                             MonomialBasis(), PANELS)
 
     def test_a_price_is_skipped_when_the_operator_does_not_compose(
             self, monkeypatch):

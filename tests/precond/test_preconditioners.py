@@ -300,6 +300,28 @@ class TestBlockJacobiFusedSweep:
         assert ghosted.dtype == np.float64
         assert ghosted.tobytes() == expected.to_global()[:, 0].tobytes()
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_an_apply_into_its_operand_is_the_same_apply(self, case):
+        """``apply`` reads the operand's storage and writes the result's
+        directly, so ``out`` may be ``x``."""
+        spec = dict(self.CASES[case])
+        a, ranks = spec.pop("a")(), spec.pop("ranks")
+        operand = spec.pop("x", lambda x: x)
+        sim = Simulation(a, ranks=ranks, machine=generic_cpu())
+        pc = BlockJacobiPreconditioner(**spec).setup(sim.matrix)
+        x = operand(np.random.default_rng(5).standard_normal(sim.n))
+        expected = sim.zeros(1)
+        pc.apply(sim.vector_from(x), expected)
+        aliased = sim.vector_from(x)
+        pc.apply(aliased, aliased)
+        assert aliased.to_global().tobytes() == expected.to_global().tobytes()
+        # a column view of a wider basis, into the next column
+        basis = sim.zeros(3)
+        basis.scatter_col(1, x)
+        pc.apply(basis.view_cols(1), basis.view_cols(2))
+        assert basis.flat[:, 2].tobytes() == expected.flat[:, 0].tobytes()
+        assert basis.flat[:, 1].tobytes() == x.tobytes()
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             BlockJacobiPreconditioner(ordering="zigzag")
