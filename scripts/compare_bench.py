@@ -21,7 +21,7 @@ hard configuration error.  Example::
 
     python scripts/compare_bench.py bench-out/BENCH_kernels.json \
         --check-speedup test_block_dot --check-speedup test_block_axpy \
-        --check-speedup test_trsm_ragged:2.0
+        --check-speedup test_trsm_ragged:1.5
 """
 
 from __future__ import annotations

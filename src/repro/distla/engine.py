@@ -27,9 +27,9 @@ one batched ``matmul`` per *run* of consecutive equal-count ranks
 what a BLAS computes for a row depends on where the row sits in the
 call; *elementwise* kernels run over row tiles that ignore rank
 boundaries, a row's value depending on that row alone.  The triangular
-solve (:func:`_trsm_rows`) is an elementwise column sweep per diagonal
-block of 8 columns with per-rank GEMMs between blocks, so a panel of at
-most 8 columns — every s-step panel — is identical on any partition.
+solve (:func:`_trsm_rows`) of at most 8 columns — every s-step panel —
+is an elementwise column sweep, identical on any partition; a wider one
+(stage 2 of the two-stage scheme) is one BLAS ``dtrsm`` per rank.
 
 The engine is bound where the ranks are: ``SimComm(..., engine=...)``
 (hence ``MpComm``, ``make_comm`` and ``Simulation(..., engine=...)``)
@@ -45,6 +45,7 @@ prices fp64 words.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from repro import config
 from repro.parallel.costmodel import LOCAL_OPS, KernelCharge
@@ -67,7 +68,7 @@ class KernelEngine:
 #: (256 KiB of float64): operands and temporaries stay in cache between
 #: passes and none is ``(n, k)``.  Values never depend on the tiling.
 _TILE_ELEMS = 32_768
-#: Column-block width of the triangular solve.
+#: Widest panel the triangular solve sweeps column by column.
 _TRSM_BLOCK = 8
 
 
@@ -79,10 +80,12 @@ def _row_tiles(n: int, k: int) -> list[slice]:
 
 
 def _trsm_check(r: np.ndarray, blocks) -> None:
-    """Reject non-finite input (``ValueError``) and a zero pivot before
-    the substitution writes any row."""
+    """Reject non-finite input (``ValueError``, one column mask at a time)
+    and a zero pivot before the substitution writes any row."""
     for arr in (r, *blocks):
-        np.asarray_chkfinite(arr)
+        mask = np.empty(len(arr), dtype=bool)
+        if not all(np.isfinite(col, out=mask).all() for col in arr.T):
+            raise ValueError("array must not contain infs or NaNs")
     zero = np.flatnonzero(np.diagonal(r) == 0.0)
     if zero.size:
         raise np.linalg.LinAlgError(
@@ -101,28 +104,25 @@ def _gemm_sub(v: np.ndarray, q: np.ndarray, r: np.ndarray,
         r.T, q.T.reshape(q.shape[1], count, each).transpose(1, 0, 2))
 
 
-def _trsm_rows(w: np.ndarray, r: np.ndarray, count: int = 1) -> None:
-    """``w <- w @ inv(r)`` in place; ``w`` is the rows of ``count``
-    whole equal-count ranks, ``r`` upper triangular.
-
-    Left-looking over column blocks ``J``: the solved columns enter
-    through ``w[:, J] -= x[:, :j0] @ r[:j0, J]`` (:func:`_gemm_sub`); the
-    diagonal block is the column sweep ``x_j = (w_j - sum_i x_i r_ij) /
-    r_jj`` in elementwise operations over cache-sized row tiles.
-    """
-    n, k = w.shape
-    for j0 in range(0, k, _TRSM_BLOCK):
-        j1 = min(j0 + _TRSM_BLOCK, k)
-        if j0:
-            _gemm_sub(w[:, j0:j1], w[:, :j0], r[:j0, j0:j1], count)
-        for rows in _row_tiles(n, j1 - j0):
-            cols = [w[rows, j] for j in range(j0, j1)]
-            tmp = np.empty_like(cols[0])
-            for j, col in enumerate(cols, j0):
-                for i, solved in enumerate(cols[:j - j0], j0):
-                    np.multiply(solved, r[i, j], out=tmp)
-                    np.subtract(col, tmp, out=col)
-                np.divide(col, r[j, j], out=col)
+def _trsm_rows(w: np.ndarray, r: np.ndarray, ranks) -> None:
+    """``w <- w @ inv(r)`` in place, ``r`` upper triangular: one ``dtrsm``
+    per row slice in ``ranks`` (``w``'s ranks) if wider than ``_TRSM_BLOCK``,
+    else the sweep ``x_j = (w_j - sum_i x_i r_ij) / r_jj`` over all rows."""
+    if w.shape[1] > _TRSM_BLOCK:
+        for rows in ranks:
+            w[rows] = dtrsm(1.0, r, w[rows], side=1, lower=0, overwrite_b=1)
+        return
+    k, coef = w.shape[1], r.tolist()
+    step = max(1, _TILE_ELEMS // 2)
+    tmp = np.empty(min(len(w), step))
+    for lo in range(0, len(w), step):
+        cols = [w[lo:lo + step, j] for j in range(k)]
+        t = tmp[:len(w) - lo]
+        for j, col in enumerate(cols):
+            for i in range(j):
+                np.multiply(cols[i], coef[i][j], out=t)
+                np.subtract(col, t, out=col)
+            np.divide(col, coef[j][j], out=col)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ class LoopEngine(KernelEngine):
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         _trsm_check(r, v.shards)
         for vs in v.shards:
-            _trsm_rows(vs, r)
+            _trsm_rows(vs, r, [slice(None)])
         charge_shards(v, "trsm", v.n_cols)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:
@@ -320,9 +320,7 @@ class BatchedEngine(LoopEngine):
     def trsm_inplace(self, v, r: np.ndarray) -> None:
         flat = v.flat
         _trsm_check(r, [flat])
-        for rows, count, _ in _rank_tiles(v.partition,
-                                           min(v.n_cols, _TRSM_BLOCK)):
-            _trsm_rows(flat[rows], r, count)
+        _trsm_rows(flat, r, v.partition.local_slices)
         charge_rows(v, "trsm", v.n_cols)
 
     def scale_columns(self, v, scales: np.ndarray) -> None:

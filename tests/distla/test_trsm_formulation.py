@@ -1,14 +1,14 @@
-"""``trsm_inplace``: one formulation for every width and both engines.
+"""``trsm_inplace``: one formulation per width, for both engines.
 
-A left-looking blocked substitution with block width ``_TRSM_BLOCK``: the
-solved columns enter a block through one GEMM per rank, the diagonal
-block is an elementwise column sweep.  What that buys, and what is
-pinned here:
+A panel of at most ``_TRSM_BLOCK`` columns is the elementwise column
+sweep; a wider one is one BLAS ``dtrsm`` per rank's rows (held to that
+call byte for byte in ``test_trsm_wide.py``).  What that buys, and what
+is pinned here:
 
-* a panel of at most one block never sees a GEMM, so its result for a
+* a panel of at most one block is the sweep alone, so its result for a
   row depends on that row alone — bit-identical on ANY partition, tiling,
   engine and operand (column view of a wider basis or standalone);
-* wider panels are loop == batched bit for bit (the per-rank GEMMs);
+* wider panels are loop == batched bit for bit (the same per-rank call);
 * the result is backward stable, also for an ill-conditioned ``R``;
 * unsolvable input is rejected before a single row is written.
 """
@@ -124,7 +124,7 @@ class TestEveryWidth:
                                           (2001, 7)])
     def test_loop_equals_batched_at_solver_shapes(self, n, ranks):
         """The stage-2 solve of the two-stage scheme: up to ``m + 1 = 61``
-        columns, where several whole-rank tiles cover a block."""
+        columns, one ``dtrsm`` per rank."""
         rng = np.random.default_rng(7)
         v = rng.standard_normal((n, 61))
         r = _upper(rng, 61)
@@ -154,7 +154,7 @@ class TestEveryWidth:
 
 
 class TestRejectedBeforeAnyWrite:
-    N, K = 120, 11  # two column blocks
+    N, K = 120, 11  # wider than one sweep
 
     def _operand(self, engine, ranks=5):
         rng = np.random.default_rng(0)
