@@ -11,10 +11,10 @@ asserts the executor's contract:
   run predicts;
 * the measured tracer actually recorded wall clock in every phase the
   solve touched;
-* the one reduction transport runs all its modes — a posted reduction
-  settled after a blocking one (two slabs live, acks out of order), a
-  double-double reduction, and a mixed-dtype fused call — each
-  byte-identical to the simulator;
+* the one reduction transport runs all its modes — a fold that outgrows
+  the slab, a later one that reuses it, a double-double reduction, and
+  a fused call of several groups — each byte-identical to the
+  simulator;
 * the driver-side kernels — TSQR of one 6-column panel and one Gaussian
   sketch — give byte-identical R, Q and sketch on both backends, and
   their table-priced charges leave the modeled twin equal to the sim
@@ -43,27 +43,24 @@ import numpy as np
 
 
 def transport_failures() -> list[str]:
-    """Drive every mode of MpComm's begin/end fold against SimComm."""
+    """Drive every mode of MpComm's fold against SimComm."""
     from repro.dd.linalg import matmul_dd
     from repro.parallel.api import make_comm
 
     rng = np.random.default_rng(0)
     wide = rng.standard_normal((3, 70, 70))  # outgrows a first slab
     small = [rng.standard_normal((2, 2)) for _ in range(3)]
-    mixed = [wide[:, :4, :4].astype(np.float32), small,
-             [float(r) for r in range(3)]]
+    fused = [wide[:, :4, :4], small, [float(r) for r in range(3)]]
     pairs = [matmul_dd(rng.standard_normal((6, 2)),
                        rng.standard_normal((6, 2))) for _ in range(3)]
     his, los = [p[0] for p in pairs], [p[1] for p in pairs]
 
     def drive(comm):
-        posted = comm.post_allreduce([small])
-        blocking = comm.allreduce([wide])      # inside the open window
-        out = {"posted after blocking": comm.wait(posted),
-               "blocking inside window": blocking,
+        out = {"first fold": comm.allreduce([small]),
+               "slab growth": comm.allreduce([wide]),
                "slab reuse": comm.allreduce([wide]),
                "allreduce_dd": comm.allreduce_dd(his, los),
-               "mixed-dtype fused": comm.allreduce(mixed)}
+               "fused": comm.allreduce(fused)}
         return {k: b"".join(a.tobytes() for a in v) for k, v in out.items()}
 
     with make_comm("sim", size=3) as sim, make_comm("mp", size=3) as mp:

@@ -172,21 +172,20 @@ def _reach(graph: sp.csr_matrix, start: np.ndarray,
     return levels
 
 
-def _descriptors(memo: dict, key: tuple,
-                 counts_by_rank: list[dict[int, int]],
+def _descriptors(memo: dict, counts_by_rank: list[dict[int, int]],
                  n_vectors: int) -> HaloDescriptors:
     """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` fp64
     operands over ``counts_by_rank`` rows.
 
-    Built once per ``key + (n_vectors,)`` in ``memo`` and shared by
-    every caller (read-only): plans are never mutated, so every exchange
-    of a solve moves the same descriptors.
+    Built once per ``n_vectors`` in ``memo`` and shared by every caller
+    (read-only): plans are never mutated, so every exchange of a solve
+    moves the same descriptors.
     """
-    key += (int(n_vectors),)
-    recv = memo.get(key)
+    n_vectors = int(n_vectors)
+    recv = memo.get(n_vectors)
     if recv is None:
-        scale = _DOUBLE * int(n_vectors)
-        recv = memo[key] = HaloDescriptors(
+        scale = _DOUBLE * n_vectors
+        recv = memo[n_vectors] = HaloDescriptors(
             {peer: cnt * scale for peer, cnt in by_peer.items()}
             for by_peer in counts_by_rank)
     return recv
@@ -268,7 +267,7 @@ class HaloPlan:
                  halo_counts: np.ndarray) -> None:
         self.recv_counts_by_peer = recv_counts_by_peer
         self.halo_counts = halo_counts
-        self._recv_bytes: dict[tuple, HaloDescriptors] = {}
+        self._recv_bytes: dict[int, HaloDescriptors] = {}
 
     def recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
         """Per-rank ``{peer: bytes}`` for exchanging ``n_vectors`` operands.
@@ -277,7 +276,7 @@ class HaloPlan:
         (read-only): every SpMV of a solve exchanges the same
         descriptors, and the communicator remembers their cost on them.
         """
-        return _descriptors(self._recv_bytes, (), self.recv_counts_by_peer,
+        return _descriptors(self._recv_bytes, self.recv_counts_by_peer,
                             n_vectors)
 
     @classmethod
@@ -359,8 +358,7 @@ class GhostPlan:
     __slots__ = ("partition", "depth", "expand", "levels", "ghost_rows",
                  "recv_counts_by_peer",
                  "level_rows", "level_nnz", "level_ranks", "n_global",
-                 "_near_counts", "_ghost_counts", "_eager_counts",
-                 "_ring_counts", "_recv_bytes", "charge_memo")
+                 "_recv_bytes", "charge_memo")
 
     def __init__(self, partition: Partition, depth: int, expand: str,
                  held: np.ndarray, row_nnz: np.ndarray) -> None:
@@ -400,18 +398,14 @@ class GhostPlan:
         owners = counts.reshape(-1, ranks)
         self.level_ranks = _per_rank(_segments(
             np.count_nonzero(owners, axis=1), np.nonzero(owners)[1]), ranks)
-        off_rank = ~np.eye(ranks, dtype=bool)
-        self._near_counts = counts[min(1, depth)] * off_rank
-        self._ghost_counts = counts[depth] * off_rank
+        ghost_counts = counts[depth] * ~np.eye(ranks, dtype=bool)
         owned = _owners(partition) == np.arange(ranks)[:, None]
         ghosts, _ = rows(held[depth] & ~owned)
         #: ``ghost_rows[rank]`` — ``L_depth`` minus the owned block.
-        self.ghost_rows = _segments(self._ghost_counts.sum(axis=1), ghosts)
+        self.ghost_rows = _segments(ghost_counts.sum(axis=1), ghosts)
         #: ``recv_counts_by_peer[rank]`` — ghost row counts by owner.
-        self.recv_counts_by_peer = _by_peer(self._ghost_counts)
-        self._eager_counts = None
-        self._ring_counts = None
-        self._recv_bytes: dict[tuple, HaloDescriptors] = {}
+        self.recv_counts_by_peer = _by_peer(ghost_counts)
+        self._recv_bytes: dict[int, HaloDescriptors] = {}
         #: For :meth:`CostModel.memoized <repro.parallel.costmodel
         #: .CostModel.memoized>`: charges of kernels over this plan.
         #: Level sizes never change, so every panel of a solve charges
@@ -456,36 +450,8 @@ class GhostPlan:
     def recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
         """Per-rank ``{peer: bytes}`` of the ONE aggregated deep-halo
         exchange moving ``n_vectors`` operands."""
-        return _descriptors(self._recv_bytes, ("all",),
-                            self.recv_counts_by_peer, n_vectors)
-
-    def _split_counts(self) -> tuple[list[dict[int, int]],
-                                     list[dict[int, int]]]:
-        """(eager, ring) per-rank ghost row counts — the PA2 split.
-
-        ``eager`` is the depth-1 nearest-neighbour shell of the closure
-        (``L_1`` minus the owned block); ``ring`` is everything deeper
-        (``L_depth`` ghosts minus the eager shell).  Levels are nested,
-        so ring counts are the ``L_depth`` minus the ``L_1`` counts peer
-        for peer, and eager + ring payloads sum to :meth:`recv_bytes`.
-        """
-        if self._eager_counts is None:
-            self._eager_counts = _by_peer(self._near_counts)
-            self._ring_counts = _by_peer(self._ghost_counts
-                                         - self._near_counts)
-        return self._eager_counts, self._ring_counts
-
-    def eager_recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
-        """Payload of the depth-1 ghost shell — what the PA2 overlapped
-        kernel exchanges eagerly (blocking) before posting the ring."""
-        return _descriptors(self._recv_bytes, ("eager",),
-                            self._split_counts()[0], n_vectors)
-
-    def ring_recv_bytes(self, n_vectors: int = 1) -> HaloDescriptors:
-        """Payload of the deep-ring remainder (levels 2..depth) — what
-        PA2 posts nonblocking and hides behind the first local SpMVs."""
-        return _descriptors(self._recv_bytes, ("ring",),
-                            self._split_counts()[1], n_vectors)
+        return _descriptors(self._recv_bytes, self.recv_counts_by_peer,
+                            n_vectors)
 
     def ghost_counts(self) -> np.ndarray:
         """Ghost rows per rank at the deepest level (diagnostics)."""

@@ -1,6 +1,6 @@
 """Matrix powers kernels and the (right-)preconditioned operator.
 
-Three execution modes generate the s-step basis (Fig. 1 lines 7-9):
+Two execution modes generate the s-step basis (Fig. 1 lines 7-9):
 
 * ``"standard"`` — Trilinos' choice, which the paper follows: "applying
   each SpMV with neighborhood communication and preconditioner in
@@ -18,18 +18,10 @@ Three execution modes generate the s-step basis (Fig. 1 lines 7-9):
   what is *charged*; the simulator itself evaluates the one global
   recurrence all the redundant copies agree with
   (:meth:`MatrixPowersKernel._extend_ca`).
-* ``"ca_overlap"`` — the overlapped variant (Demmel et al.'s "PA2"):
-  the depth-1 nearest-neighbour shell is exchanged eagerly (blocking),
-  the deep-ring remainder is *posted* as a nonblocking exchange
-  (:meth:`~repro.parallel.communicator.SimComm.post_ihalo`), and the
-  first step's owned-rows SpMV runs inside the overlap window — the
-  ring's modeled time drains behind it and the wait charges only the
-  exposed remainder.  Same aggregate payload, same redundant flops,
-  (partially) hidden deep-halo latency.
 
-All modes evaluate the identical recurrence over identical operand
+Both modes evaluate the identical recurrence over identical operand
 values, so the generated basis is bit-identical — the tracer alone can
-tell them apart.  The CA modes' per-rank charges depend only on the
+tell them apart.  The CA mode's per-rank charges depend only on the
 ghost plan, the step's depth and the machine; they are evaluated once
 and replayed
 (:meth:`~repro.parallel.costmodel.CostModel.memoized`).  One helper,
@@ -47,10 +39,7 @@ identity/Jacobi expand pointwise, block Jacobi rounds every level up to
 whole owner blocks, and anything else (polynomial, ...) has no finite
 closure — :class:`MatrixPowersKernel` raises ``ConfigurationError``,
 which is exactly why the paper (and Trilinos) default to the standard
-kernel for general preconditioning.  ``"ca_overlap"`` is stricter
-still: splitting the ghost apply around the overlap window only has a
-well-defined cost split for the *unpreconditioned* operator, so any
-real preconditioner is rejected.
+kernel for general preconditioning.
 """
 
 from __future__ import annotations
@@ -69,7 +58,7 @@ from repro.parallel.costmodel import LOCAL_OPS, CostModel, KernelCharge
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 
 #: Valid ``mode`` values for :class:`MatrixPowersKernel`.
-MPK_MODES = ("standard", "ca", "ca_overlap")
+MPK_MODES = ("standard", "ca")
 
 
 class PreconditionedOperator:
@@ -169,20 +158,13 @@ class MatrixPowersKernel:
         if mode not in MPK_MODES:
             raise ConfigurationError(
                 f"unknown MPK mode {mode!r}; expected one of {MPK_MODES}")
-        if mode in ("ca", "ca_overlap") and not op.supports_ca:
+        if mode == "ca" and not op.supports_ca:
             raise ConfigurationError(
                 f"CA-MPK cannot compose with preconditioner "
                 f"{op.precond.name!r}: its ghost values have no finite "
                 f"dependency closure (ghost_compat=None); use "
                 f"mode='standard' (or mpk_mode='auto' in sstep_gmres for "
                 f"the automatic fallback)")
-        if mode == "ca_overlap" and op.is_preconditioned:
-            raise ConfigurationError(
-                f"the overlapped CA-MPK (PA2) does not compose with "
-                f"preconditioner {op.precond.name!r}: splitting the "
-                f"ghost apply around the posted ring exchange has no "
-                f"well-defined cost split for a preconditioned operator; "
-                f"use mode='ca' or mode='standard'")
         self.mode = mode
 
     def extend(self, basis: DistMultiVector, lo: int, hi: int) -> None:
@@ -191,7 +173,7 @@ class MatrixPowersKernel:
             raise ConfigurationError("MPK needs a starting column before lo")
         if hi <= lo:
             return
-        if self.mode in ("ca", "ca_overlap"):
+        if self.mode == "ca":
             self._extend_ca(basis, lo, hi)
         else:
             self._extend_standard(basis, lo, hi)
@@ -225,10 +207,8 @@ class MatrixPowersKernel:
         [(kernel, record), ...])``, charged in order inside one
         ``tracer.phase(phase)``.  A ``"halo"`` record is an exchange's
         per-rank descriptors (charged by
-        :meth:`~repro.parallel.communicator.SimComm.charge_halo`), a
-        ``"post"`` record the PA2 ring's, posted nonblocking and settled
-        by the ``"wait"`` that follows it (record ``None``); every other
-        record is a :class:`~repro.parallel.costmodel.KernelCharge`.
+        :meth:`~repro.parallel.communicator.SimComm.charge_halo`); every
+        other record is a :class:`~repro.parallel.costmodel.KernelCharge`.
 
         The CA kernel charges exactly these regions.  Its plan is
         analyzed if missing; while that analysis is unpaid its
@@ -271,19 +251,9 @@ class MatrixPowersKernel:
         gamma = self.basis_poly.coefficients(lo - 1)[2]
         n_vec = 2 if gamma != 0.0 and lo >= 2 else 1
         # -- the ONE aggregated deep-halo exchange ----------------------
-        # (PA2: eager depth-1 shell now, deep ring posted nonblocking)
-        if self.mode == "ca_overlap":
-            ring = plan.ring_recv_bytes(n_vectors=n_vec)
-            exchange = [("halo", plan.eager_recv_bytes(n_vectors=n_vec))]
-            split = any(ring)  # s == 1 (or a tiny grid) has no ring
-            if split:
-                exchange.append(("post", ring))
-        else:
-            exchange = [("halo", plan.recv_bytes(n_vectors=n_vec))]
-            split = False
+        exchange = [("halo", plan.recv_bytes(n_vectors=n_vec))]
         # depth: the ghost levels remaining after the step
-        steps = [self._ca_step(cost, plan, hi - 1 - col, n,
-                               split and col == lo)
+        steps = [self._ca_step(cost, plan, hi - 1 - col, n)
                  for col, n in zip(range(lo, hi), streams)]
         if analysis is not None:
             exchange.insert(0, ("ghost_plan", analysis))
@@ -300,12 +270,11 @@ class MatrixPowersKernel:
                            else 0)
         return streams
 
-    def _ca_step(self, cost: CostModel, plan, depth: int, n: int,
-                 split: bool = False) -> list:
+    def _ca_step(self, cost: CostModel, plan, depth: int, n: int) -> list:
         """The regions of the CA step that lands on closure level
         ``depth`` of ``plan`` and streams ``n`` vectors (see
         :meth:`_panel_charges`).  It reads levels ``depth`` and
-        ``depth + 1`` only.  ``split`` makes it PA2's first step."""
+        ``depth + 1`` only."""
         rows, nnz = plan.level_rows, plan.level_nnz
         ranks = range(plan.partition.ranks)
 
@@ -315,26 +284,10 @@ class MatrixPowersKernel:
 
         regions = ([("precond", [self.op.precond.ghost_apply_charge(
             cost, plan, depth + 1)])] if self.op.is_preconditioned else [])
-        if split:
-            # PA2 first step: owned rows only need the eager shell —
-            # their charge drains the posted ring; the ghost-ring
-            # remainder pays whatever the wait left exposed
-            spmv = [("spmv_local", record("spmv_local", ("owned",),
-                     lambda c: [c.spmv(int(nnz[r, 0]), int(rows[r, 0]),
-                                       int(rows[r, 1]))
-                                for r in ranks])),
-                    ("wait", None),
-                    ("spmv_local", record("spmv_local", ("ring", depth),
-                     lambda c: [c.spmv(int(nnz[r, depth] - nnz[r, 0]),
-                                       int(rows[r, depth] - rows[r, 0]),
-                                       int(rows[r, depth + 1]))
-                                for r in ranks]))]
-        else:
-            spmv = [("spmv_local", record("spmv_local", (depth,),
-                     lambda c: [c.spmv(int(nnz[r, depth]),
-                                       int(rows[r, depth]),
-                                       int(rows[r, depth + 1]))
-                                for r in ranks]))]
+        spmv = [("spmv_local", record("spmv_local", (depth,),
+                 lambda c: [c.spmv(int(nnz[r, depth]), int(rows[r, depth]),
+                                   int(rows[r, depth + 1]))
+                            for r in ranks]))]
         if n:  # last in the region: the kernel charges it apart
             axpy_kernel, axpy = LOCAL_OPS["axpy"]
             spmv.append((axpy_kernel, record(axpy_kernel, (depth, n),
@@ -353,14 +306,7 @@ class MatrixPowersKernel:
         :meth:`_panel_charges` — a CA plan's unpaid analysis once, on
         the first panel that uses the plan — so it is, float for float,
         the clock a tracer started at zero reaches extending them.
-        ``"ca_overlap"`` has no price: what its wait exposes depends on
-        the charges that drain the posted ring.
         """
-        if self.mode == "ca_overlap":
-            raise ConfigurationError(
-                "the overlapped CA-MPK (PA2) is not priced: its exposed "
-                "ring depends on what drains it; use mode='ca' or "
-                "mode='standard'")
         comm = self.op.matrix.comm
         total = 0.0
         analyzed = set()  # the plan depths whose analysis is priced
@@ -426,14 +372,6 @@ class MatrixPowersKernel:
         :func:`~repro.distla.halo.check_closure` verifies when the plan
         is analyzed; the per-rank ghosted execution survives as the
         oracle in ``tests/krylov/test_mpk_ca_oracle.py``.
-
-        With ``"ca_overlap"`` (PA2) the exchange is split: the depth-1
-        shell goes out eagerly (blocking — the first step's owned rows
-        need it), the deep ring is posted nonblocking, and the first
-        step's SpMV charge is split into an owned-rows part (inside the
-        overlap window, draining the posted ring) and a ghost-ring
-        remainder after the wait.  Exchanges are charge-only, so the
-        basis stays bit-identical to ``"ca"`` and ``"standard"``.
         """
         comm = basis.comm
         matrix = self.op.matrix
@@ -441,16 +379,11 @@ class MatrixPowersKernel:
         # the plan's analysis is charged here, on its first use
         matrix.ghost_plan(hi - lo, self.op.ghost_expand)
         head, steps = self._panel_charges(comm.cost, lo, hi)
-        posted = []
 
-        def post(charges) -> None:
+        def charge(charges) -> None:
             for kernel, record in charges:
                 if kernel == "halo":
                     comm.charge_halo(record)
-                elif kernel == "post":
-                    posted.append(comm.post_ihalo(record))
-                elif kernel == "wait":
-                    comm.wait(posted.pop())
                 else:
                     comm.charge(kernel, record)
 
@@ -462,7 +395,7 @@ class MatrixPowersKernel:
         track_prev = any(g != 0.0 for (_, _, g) in coeffs.values())
         for phase, charges in head:
             with comm.tracer.phase(phase):
-                post(charges)
+                charge(charges)
         v_k = gathered(lo - 1)
         v_km1 = gathered(lo - 2) if coeffs[lo][2] != 0.0 and lo >= 2 else None
 
@@ -475,19 +408,19 @@ class MatrixPowersKernel:
                 (pre_phase, pre_charges), = pre
                 with comm.tracer.phase(pre_phase):
                     z = precond.apply_ghosted(v_k)
-                    post(pre_charges)
+                    charge(pre_charges)
             with comm.tracer.phase(phase):
                 v_new = matrix._global_csr @ z
                 if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
-                    post(spmv[:-1])  # the step's axpy record comes last
+                    charge(spmv[:-1])  # the step's axpy record comes last
                     # identical operation order to the engines' lincomb
                     v_new *= 1.0 / beta
                     v_new += (-alpha / beta) * v_k
                     if gamma != 0.0 and col >= 2:
                         v_new += (-gamma / beta) * v_km1
-                    post(spmv[-1:])
+                    charge(spmv[-1:])
                 else:
-                    post(spmv)
+                    charge(spmv)
             basis.scatter_col(col, v_new)
             if track_prev:
                 v_km1 = v_k
@@ -519,11 +452,9 @@ def resolve_mpk_mode(op: PreconditionedOperator, mpk_mode: str,
     ``"auto"``'s modeled clock is that of the mode it resolves to.  A
     price that is not finite (a machine constant that prices a kernel
     at ``inf`` or NaN) is a ``ConfigurationError`` naming the mode, the
-    price and the machine: no comparison can rank it.  ``"auto"`` never picks
-    ``"ca_overlap"``: the PA2 kernel pays an extra depth-1 exchange and
-    splits the first SpMV, which costs more modeled time than the deep
-    ring it hides on every machine tried.  Explicit modes pass through
-    untouched (their validation lives in :class:`MatrixPowersKernel`).
+    price and the machine: no comparison can rank it.  Explicit modes
+    pass through untouched (their validation lives in
+    :class:`MatrixPowersKernel`).
     """
     if mpk_mode != "auto":
         return mpk_mode

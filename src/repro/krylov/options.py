@@ -25,11 +25,11 @@ from repro.exceptions import ConfigurationError
 #: Valid ``solve_mode`` values.
 SOLVE_MODES = ("classical", "sketched")
 
-#: Valid ``mpk_mode`` values: the three kernel modes plus ``"auto"``
+#: Valid ``mpk_mode`` values: the two kernel modes plus ``"auto"``
 #: (whichever of ``"standard"`` and, when the preconditioner composes,
 #: ``"ca"`` prices cheaper for one restart cycle; see
 #: :func:`repro.krylov.mpk.resolve_mpk_mode`).
-MPK_SOLVER_MODES = ("standard", "ca", "ca_overlap", "auto")
+MPK_SOLVER_MODES = ("standard", "ca", "auto")
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,13 @@ class SolverOptions:
         ONE aggregated deep-halo exchange per s-panel, redundant local
         work on a shrinking ghost region; raises
         :class:`~repro.exceptions.ConfigurationError` when the
-        preconditioner has no finite ghost closure), ``"ca_overlap"``
-        (the PA2 variant of ``"ca"``: eager depth-1 shell, deep ring
-        posted nonblocking and overlapped with the first local SpMV;
-        unpreconditioned operators only), or ``"auto"`` (whichever of
-        ``"standard"`` and — when the preconditioner composes — ``"ca"``
-        the cost model prices cheaper for one restart cycle of the
-        solve's panels, a tie keeping ``"ca"``; pricing charges nothing,
-        and a machine that prices a kernel at ``inf`` or NaN is a
-        :class:`~repro.exceptions.ConfigurationError`; it never picks
-        ``"ca_overlap"``, whose extra depth-1 exchange and split SpMV
-        cost more than the ring it hides).
+        preconditioner has no finite ghost closure), or ``"auto"``
+        (whichever of ``"standard"`` and — when the preconditioner
+        composes — ``"ca"`` the cost model prices cheaper for one
+        restart cycle of the solve's panels, a tie keeping ``"ca"``;
+        pricing charges nothing, and a machine that prices a kernel at
+        ``inf`` or NaN is a
+        :class:`~repro.exceptions.ConfigurationError`).
         All kernels generate bit-identical bases; only the
         communication profile — and hence the modeled time — differs.
     """

@@ -190,9 +190,6 @@ def calibrate(spans, base: MachineSpec | None = None,
     kernel_rows: list[tuple[float, float, float]] = []
     n_driver = 0
     for mod, mea in pairs:
-        if mod.overlapped_seconds is not None:
-            continue  # exposed remainder of a posted collective:
-            # duration is not the full collective formula
         if mod.name in COLLECTIVE_KERNELS:
             if mod.driver_side or mea.driver_side:
                 n_driver += 1

@@ -3,13 +3,11 @@
 Everything the solvers, schemes, and distributed kernels ask of a
 communicator is written down here as one explicit protocol: ONE
 tree-ordered global reduction primitive (``allreduce`` over any number
-of fused groups, its posted twin ``post_allreduce``, and the
-double-double ``allreduce_dd``), the posted neighbourhood exchange
-``post_ihalo`` and ``wait`` (posted collectives' modeled time drains
-under subsequent compute charges, so the wait charges only the exposed
-remainder), neighbourhood (halo) exchange accounting, concurrent-kernel
-charging (a cost-model record), the fusion scopes of lockstep batches,
-shard storage allocation, and an optional backend-executed SpMV hook.
+of fused groups, and the double-double ``allreduce_dd``), neighbourhood
+(halo) exchange accounting, concurrent-kernel charging (a cost-model
+record), the fusion scopes of lockstep batches, shard storage
+allocation, and an optional backend-executed SpMV hook.  Every
+collective is blocking: it is charged in full when it is called.
 
 Two backends implement it:
 
@@ -25,10 +23,7 @@ Two backends implement it:
     results are bit-identical to ``"sim"`` on the same problem.  Its
     tracer records **measured** wall-clock per phase, and a modeled twin
     (:attr:`MpComm.modeled`) receives the inherited SimComm charges so
-    one run yields predicted *and* measured numbers.  Posted reductions
-    map onto genuinely asynchronous worker-side progress: the post
-    scatters and dispatches the fold without collecting acknowledgements,
-    the wait collects them — driver time between the two is real overlap.
+    one run yields predicted *and* measured numbers.
 
 Solver code never branches on the backend: construct via
 :func:`make_comm` (or ``Simulation(..., backend=...)``) and the identical
@@ -43,7 +38,6 @@ from typing import (TYPE_CHECKING, Callable, ContextManager, Protocol,
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.parallel.communicator import CommRequest
 from repro.parallel.costmodel import CostModel, KernelCharge
 from repro.parallel.machine import MachineSpec, summit
 from repro.parallel.tracing import Tracer
@@ -88,18 +82,6 @@ class Communicator(Protocol):
 
     def allreduce_dd(self, his: list[np.ndarray], los: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    # -- nonblocking collectives (overlap windows) --------------------
-    # post_* returns a CommRequest; compute charged between post and
-    # wait drains the request's modeled cost, and wait(request) charges
-    # only the exposed remainder (tagged with overlapped_seconds).
-    # Results are bit-identical to the blocking counterparts.
-    def post_allreduce(self, groups: list) -> CommRequest: ...
-
-    def post_ihalo(self, recv_bytes_by_rank: list[dict[int, float]]
-                   ) -> CommRequest: ...
-
-    def wait(self, request: CommRequest): ...
 
     # -- local-kernel and neighbourhood accounting --------------------
     # Local work is charged by the cost model's record of the kernel:

@@ -11,21 +11,6 @@ Why tree order matters: orthogonality-error experiments are sensitive to
 the summation order of Gram-matrix contributions.  ``sum(shards)`` in rank
 order would be a *different* algorithm than MPI's pairwise trees; we fold
 halves exactly like recursive doubling.
-
-Nonblocking collectives (overlap windows)
------------------------------------------
-``post_allreduce`` / ``post_ihalo`` return a
-:class:`CommRequest` instead of charging immediately.  The request
-carries the collective's full modeled cost; every charge issued between
-post and :meth:`SimComm.wait` *drains* in-flight requests front-to-back
-(FIFO — the serialized-NIC picture of LogGP overlap), and the wait
-charges only the exposed remainder, passing the hidden part to the
-tracer as ``overlapped_seconds``.  A posted reduction runs the same
-pack -> fold -> unpack core as the blocking call, so it is
-**bit-identical** to its blocking counterpart — only the charge
-choreography differs.  Collective *counts* are unchanged: the wait
-charges exactly one collective (possibly of zero exposed seconds), never
-the post.
 """
 
 from __future__ import annotations
@@ -38,55 +23,9 @@ import numpy as np
 from repro import config
 from repro.dd.core import dd_add
 from repro.exceptions import CommunicatorError
-from repro.parallel.costmodel import CostModel, KernelCharge
+from repro.parallel.costmodel import _DOUBLE, CostModel, KernelCharge
 from repro.parallel.machine import MachineSpec
 from repro.parallel.tracing import Tracer
-
-
-class CommRequest:
-    """Handle for one posted (nonblocking) collective.
-
-    Created by the ``post_*`` methods and settled by
-    :meth:`SimComm.wait`, which returns the collective's result.  The
-    modeled state is the LogGP overlap window: ``remaining`` counts down
-    as compute charges drain it, ``hidden`` accumulates what was
-    drained, and the wait charges ``remaining`` as the exposed part.
-    Each request must be waited exactly once, on the communicator that
-    created it.
-    """
-
-    def __init__(self, comm: "SimComm", kernel: str, seconds: float,
-                 payload_bytes: float | None, result,
-                 pending: tuple | None = None) -> None:
-        self.comm = comm
-        self.kernel = kernel
-        #: Full modeled cost of the collective at post time.
-        self.seconds = float(seconds)
-        #: Modeled seconds still in flight (drained toward zero).
-        self.remaining = float(seconds)
-        #: Modeled seconds hidden behind compute so far.
-        self.hidden = 0.0
-        self.payload_bytes = payload_bytes
-        #: Modeled clock at post time (for the overlap-window span).
-        self.posted_at = 0.0
-        self.result = result
-        #: In-flight reduction ``(fold handle, result shapes)``; the wait
-        #: finishes the fold and unpacks it into ``result``.
-        self.pending = pending
-        self.done = False
-        # What an executor backend may park on a request (the simulator
-        # measures nothing and leaves these at zero):
-        #: Driver wall seconds the post itself took (scatter + dispatch),
-        #: charged to the measured stream by the wait.
-        self.measured_setup = 0.0
-        #: ``perf_counter()`` stamp taken when the post returned: the
-        #: start of the real overlap window.
-        self.posted_wall = 0.0
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else "in-flight"
-        return (f"CommRequest({self.kernel!r}, seconds={self.seconds:.3e}, "
-                f"hidden={self.hidden:.3e}, {state})")
 
 
 class HaloDescriptors(list):
@@ -162,8 +101,6 @@ class SimComm:
             raise ValueError(f"unknown engine {engine!r}; expected one of "
                              f"{config.ENGINES}")
         self.engine = engine
-        #: Posted-but-unwaited collectives, oldest first (FIFO drain).
-        self._inflight: list[CommRequest] = []
         #: Fusion state (:meth:`group` / :meth:`member`): kernel ->
         #: occurrences a leader has charged in the open group, and kernel
         #: -> the current member's occurrence index; ``None`` outside.
@@ -173,7 +110,6 @@ class SimComm:
     def _charge(self, kernel: str, seconds: float, count: int = 1,
                 payload_bytes: float | None = None, *,
                 flops: float | None = None, mem_bytes: float | None = None,
-                settles: CommRequest | None = None,
                 driver_side: bool = False) -> None:
         """Hand one modeled charge record to the tracer.
 
@@ -190,14 +126,6 @@ class SimComm:
         the launch / latency part is paid, so it charges its marginal
         work ``max(0, seconds - fixed_cost)`` with ``count=0`` — and its
         whole payload and shapes, which the fused pass does carry.
-
-        While posted collectives are in flight, the charged seconds first
-        drain them front-to-back.  ``settles`` is reserved for
-        :meth:`wait`: it names the request whose exposed remainder this
-        charge is.  Such a charge drains nothing — under the
-        serialized-NIC FIFO model, time spent finishing the head request
-        on the wire cannot progress the ones queued behind it — and it
-        carries the request's hidden part as ``overlapped_seconds``.
         """
         cursor = self._cursor
         if cursor is not None:
@@ -209,19 +137,12 @@ class SimComm:
                 count = 0
             else:
                 self._fused[kernel] = idx + 1
-        overlapped = None
-        if settles is not None:
-            overlapped = settles.hidden or None
-        elif self._inflight and seconds > 0.0:
-            self._drain_inflight(seconds)
-        self.modeled.add(kernel, seconds, count, payload_bytes, overlapped,
-                         driver_side, flops, mem_bytes)
-        self._charge_measured(kernel, count, payload_bytes, settles,
-                              driver_side)
+        self.modeled.add(kernel, seconds, count, payload_bytes, driver_side,
+                         flops, mem_bytes)
+        self._charge_measured(kernel, count, payload_bytes, driver_side)
 
     def _charge_measured(self, kernel: str, count: int,
                          payload_bytes: float | None,
-                         settles: CommRequest | None,
                          driver_side: bool) -> None:
         """Record the wall clock of the charge just made (no-op: nothing
         is measured here; the mp backend overrides)."""
@@ -254,28 +175,14 @@ class SimComm:
         finally:
             self._cursor = None
 
-    def _drain_inflight(self, seconds: float) -> None:
-        """Let ``seconds`` of elapsing work hide in-flight comm (FIFO)."""
-        budget = seconds
-        for req in self._inflight:
-            if budget <= 0.0:
-                break
-            take = min(req.remaining, budget)
-            if take > 0.0:
-                req.remaining -= take
-                req.hidden += take
-                budget -= take
-
     # -- the reduction primitive: pack -> fold -> unpack, one charge ------
     def _pack(self, groups) -> tuple[np.ndarray, list[tuple], float]:
         """Validate ``groups`` and pack them into one ``(ranks, W)``
         float64 buffer (no copy for a single fp64 stack).
 
         Returns the buffer, each group's result shape, and the wire
-        payload: the fold always runs in float64, but what travels is
-        the contribution dtype, so ``payload = sum(elements *
-        contribution itemsize)``; fp64 contributions charge exactly the
-        result's ``nbytes``.
+        payload: both transports move float64, so every element charges
+        an 8-byte word whatever the contribution dtype.
         """
         parts, shapes, payload = [], [], 0.0
         for g, group in enumerate(groups):
@@ -284,7 +191,7 @@ class SimComm:
                     raise CommunicatorError(
                         f"group {g}: expected a ({self.size}, ...) "
                         f"contribution stack, got shape {group.shape}")
-                shape, itemsize = group.shape[1:], group.dtype.itemsize
+                shape = group.shape[1:]
                 parts.append(group.reshape(self.size, -1))
             else:
                 if len(group) != self.size:
@@ -292,7 +199,7 @@ class SimComm:
                         f"group {g}: expected {self.size} per-rank "
                         f"contributions, got {len(group)}")
                 arrs = [np.asarray(a) for a in group]
-                shape, itemsize = arrs[0].shape, arrs[0].dtype.itemsize
+                shape = arrs[0].shape
                 for rank, arr in enumerate(arrs):
                     if arr.shape != shape:
                         raise CommunicatorError(
@@ -300,7 +207,7 @@ class SimComm:
                             f"{arr.shape} but rank 0 shape {shape}")
                 parts.append([arr.reshape(1, -1) for arr in arrs])
             shapes.append(shape)
-            payload += float(math.prod(shape) * itemsize)
+            payload += _DOUBLE * math.prod(shape)
         if len(parts) == 1 and isinstance(parts[0], np.ndarray):
             return np.asarray(parts[0], dtype=np.float64), shapes, payload
         widths = [math.prod(shape) for shape in shapes]
@@ -348,26 +255,17 @@ class SimComm:
             offset += width
         return results
 
-    def _fold_begin(self, buf: np.ndarray, dd: bool = False):
-        """Start folding a packed buffer; :meth:`_fold_end` takes the
-        returned handle and yields the reduced row.
+    def _transport(self, buf: np.ndarray, dd: bool = False) -> np.ndarray:
+        """Fold a packed buffer into the reduced row.
 
-        This pair is the *transport*, the only part of a reduction a
-        backend overrides.  The simulator folds at once, driver-side.
+        This is the *transport*, the only part of a reduction a backend
+        overrides.  The simulator folds at once, driver-side.
         """
         return self._fold(buf, _dd_combine if dd else np.add)
 
-    def _fold_end(self, handle) -> np.ndarray:
-        return handle
-
     def _reduce(self, groups, dd: bool = False) -> list[np.ndarray]:
-        """The blocking collective behind :meth:`allreduce` and
-        :meth:`allreduce_dd`.
-
-        Charges like any other kernel (draining open overlap windows);
-        it is deliberately not ``wait(post_allreduce(...))``, whose
-        charge drains nothing.
-        """
+        """The collective behind :meth:`allreduce` and
+        :meth:`allreduce_dd`."""
         buf, shapes, payload = self._pack(groups)
         if not shapes:
             return []
@@ -375,7 +273,7 @@ class SimComm:
             raise CommunicatorError(
                 f"allreduce_dd: hi parts have shape {shapes[0]} but lo "
                 f"parts shape {shapes[1]}")
-        row = self._fold_end(self._fold_begin(buf, dd))
+        row = self._transport(buf, dd)
         self._charge("allreduce", self.cost.allreduce(payload, self.size),
                      payload_bytes=payload)
         return self._unpack(row, shapes)
@@ -411,77 +309,6 @@ class SimComm:
         """
         hi, lo = self._reduce([his, los], dd=True)
         return hi, lo
-
-    # -- nonblocking collectives ----------------------------------------
-    def _post(self, kernel: str, seconds: float,
-              payload_bytes: float | None, result=None,
-              pending: tuple | None = None) -> CommRequest:
-        """Register a posted collective: no charge now, a request handle
-        whose modeled cost subsequent compute charges drain."""
-        req = CommRequest(self, kernel, seconds, payload_bytes, result,
-                          pending)
-        tr = self.modeled
-        req.posted_at = tr.clock
-        self._inflight.append(req)
-        if tr.spans_enabled:
-            # zero-duration marker: where the collective went on the wire
-            tr.record_span(kernel, tr.clock, tr.clock, cat="post",
-                           payload_bytes=payload_bytes)
-        return req
-
-    def post_allreduce(self, groups) -> CommRequest:
-        """Nonblocking :meth:`allreduce` — post now, settle with
-        :meth:`wait`, which returns the list of results.
-
-        The fold starts at once (same order, bit-identical results);
-        only the charge is deferred into the overlap window.  An empty
-        ``groups`` posts a zero-cost request.
-        """
-        buf, shapes, payload = self._pack(groups)
-        if not shapes:
-            return self._post("allreduce", 0.0, 0.0, [])
-        return self._post("allreduce",
-                          self.cost.allreduce(payload, self.size), payload,
-                          pending=(self._fold_begin(buf), shapes))
-
-    def post_ihalo(self, recv_bytes_by_rank: list[dict[int, float]]
-                   ) -> CommRequest:
-        """Nonblocking :meth:`charge_halo` — the PA2 deep-ring exchange
-        posts through here and hides behind the first local SpMVs."""
-        seconds, payload = self._halo_cost(recv_bytes_by_rank)
-        return self._post("halo", seconds, payload)
-
-    def wait(self, request: CommRequest):
-        """Settle a posted collective and return its result.
-
-        Charges the *exposed* remainder (whatever compute did not drain),
-        annotated with the hidden part as ``overlapped_seconds``; counts
-        as exactly one collective either way.  Waiting before any compute
-        charges the full modeled cost — identical to the blocking call.
-        """
-        if request.done:
-            raise CommunicatorError(
-                f"wait() called twice on {request!r}")
-        if request.comm is not self:
-            raise CommunicatorError(
-                "wait() on a request posted by a different communicator")
-        if request.pending is not None:
-            handle, shapes = request.pending
-            request.result = self._unpack(self._fold_end(handle), shapes)
-            request.pending = None
-        self._inflight.remove(request)
-        request.done = True
-        exposed = request.remaining
-        request.remaining = 0.0
-        tr = self.modeled
-        if tr.spans_enabled and tr.clock > request.posted_at:
-            # the overlap window: post to wait-start on the modeled clock
-            tr.record_span(request.kernel, request.posted_at, tr.clock,
-                           cat="comm_overlap",
-                           payload_bytes=request.payload_bytes)
-        self._charge(request.kernel, exposed,
-                     payload_bytes=request.payload_bytes, settles=request)
-        return request.result
 
     # ------------------------------------------------------------------
     def charge(self, kernel: str, charge: KernelCharge, count: int = 1,

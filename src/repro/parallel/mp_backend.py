@@ -24,16 +24,6 @@ Execution model
 * The communication-avoiding MPK's ghost-zone loops stay driver-executed
   (they are already plain NumPy over shared arrays); its wall clock is
   still measured.
-* Posted reductions (``post_allreduce`` / ``wait``) are *genuinely*
-  asynchronous: the post scatters into a pooled slab and dispatches the
-  fold **without** collecting acknowledgements, so the workers reduce
-  while the driver computes; the wait matches token-tagged acks
-  (stashing any that belong to other outstanding commands) and copies
-  slot 0.  A blocking reduction is the same begin/end pair back to
-  back.  Real wall time between post and wait is recorded as the
-  measured ``overlapped_seconds``, while the modeled twin drains the
-  same overlap window as the sim backend — results stay bit-identical.
-
 Measurement model (the planner/executor split)
 ----------------------------------------------
 ``MpComm.tracer`` accumulates **measured** wall-clock seconds: every
@@ -132,8 +122,8 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float) -> None:
     matrices: dict[int, "sp.csr_matrix"] = {}
 
     def send(ack: dict) -> None:
-        # echo the command token so the driver can match this ack to an
-        # outstanding (possibly posted/asynchronous) command
+        # echo the command token so the driver can tell this ack from a
+        # stale one left by a command that timed out
         ack["tok"] = cmd.get("tok")
         conn.send(ack)
 
@@ -251,7 +241,7 @@ class MpComm(SimComm):
                  timeout: float = 60.0) -> None:
         super().__init__(machine, size, tracer, engine=engine)
         self.tracer.stream = "measured"
-        # modeled charges (and overlap-window spans) land on the twin
+        # modeled charges land on the twin
         self.modeled = Tracer()
         # one `with tracer.phase(...)` (and one cycle marker) drives
         # both streams
@@ -265,13 +255,11 @@ class MpComm(SimComm):
         self._procs: list = []
         self._shms: list[SharedMemory] = []
         self._segments: list[tuple[str, int, int]] = []  # (name, addr, nbytes)
-        # token-tagged ack plumbing: posted reductions leave their acks
-        # in the pipes; any later recv stashes mismatched tokens here
+        # every command carries a token its acks echo: an ack of another
+        # token is stale (its command timed out) and is dropped
         self._tok = 0
-        self._ack_stash: list[dict] = [dict() for _ in range(self.size)]
-        # idle reduction slabs: a posted reduction holds its slab until
-        # the wait, so a blocking one inside the window takes another
-        self._slab_pool: list[tuple[SharedMemory, np.ndarray, int]] = []
+        # the reduction slab, grown when a fold is wider than it
+        self._slab: tuple[SharedMemory, np.ndarray] | None = None
         self._pending: dict[str, float] = {}
         self._matrix_tokens: dict[int, int] = {}
         self._matrix_keep: list = []
@@ -290,23 +278,18 @@ class MpComm(SimComm):
         self._sentinels = {p.sentinel: r for r, p in enumerate(self._procs)}
         self._finalizer = weakref.finalize(
             self, _cleanup, self._conns, self._procs, self._shms)
-        self._mark = self._wait_wall = time.perf_counter()
+        self._mark = time.perf_counter()
 
     # -- measured-time bookkeeping -------------------------------------
-    def _charge_measured(self, kernel, count, payload_bytes, settles,
+    def _charge_measured(self, kernel, count, payload_bytes,
                          driver_side) -> None:
         """The measured record beside the modeled charge the inherited
         funnel just put on the twin: wall clock since the previous
-        charge, together with whatever a worker round-trip or a post
-        parked for it."""
+        charge, together with whatever a worker round-trip parked for
+        it."""
         measured = self._pending.pop(kernel, 0.0) + self._take_elapsed()
-        hidden = None
-        if settles is not None:
-            measured += settles.measured_setup
-            hidden = max(0.0, self._wait_wall - settles.posted_wall) or None
         self.tracer.add(kernel, measured, count=count,
-                        payload_bytes=payload_bytes,
-                        overlapped_seconds=hidden, driver_side=driver_side)
+                        payload_bytes=payload_bytes, driver_side=driver_side)
 
     def mark(self) -> None:
         """Reset the wall-clock attribution mark (drop setup time)."""
@@ -346,10 +329,9 @@ class MpComm(SimComm):
             raise self._lost_rank(rank, msg["op"], repr(exc)) from exc
 
     def _send_all(self, cmd: dict) -> int:
-        """Dispatch one token-stamped command to every worker WITHOUT
-        collecting acknowledgements (the asynchronous half of a posted
-        collective).  Per-pipe FIFO keeps command order — and hence the
-        shared barrier sequence — identical on every worker."""
+        """Dispatch one token-stamped command to every worker.  Per-pipe
+        FIFO keeps command order — and hence the shared barrier sequence
+        — identical on every worker."""
         self._require_open()
         tok = self._next_tok()
         stamped = dict(cmd, tok=tok)
@@ -358,16 +340,13 @@ class MpComm(SimComm):
         return tok
 
     def _recv_ack(self, rank: int, tok: int, opname: str) -> dict:
-        """Receive rank's ack for ``tok``, stashing out-of-order acks
-        that belong to other outstanding (posted) commands.  Waits on
-        every worker's exit sentinel too: a rank that died fails the
-        wait at once, even while this rank still waits for it."""
+        """Receive rank's ack for ``tok``, dropping stale acks of earlier
+        commands.  Waits on every worker's exit sentinel too: a rank
+        that died fails the wait at once, even while this rank still
+        waits for it."""
         # loaded with the pipes (ctx.Pipe), not on every ``import repro``
         from multiprocessing.connection import wait as wait_ready
 
-        stash = self._ack_stash[rank]
-        if tok in stash:
-            return stash.pop(tok)
         conn = self._conns[rank]
         deadline = time.perf_counter() + self._timeout
         while True:
@@ -389,7 +368,6 @@ class MpComm(SimComm):
                     f"{self._timeout}s")
             if ack.get("tok") == tok:
                 return ack
-            stash[ack.get("tok")] = ack
 
     def _collect(self, tok: int, opname: str) -> list[dict]:
         acks = [self._recv_ack(r, tok, opname) for r in range(self.size)]
@@ -409,57 +387,26 @@ class MpComm(SimComm):
         return self._collect(self._send_all(cmd), cmd.get("op"))
 
     # -- reduction transport: fold a packed buffer on the workers -------
-    def _acquire_slab(self, elems: int) -> tuple[SharedMemory, np.ndarray, int]:
-        """A ``(size, cap)`` float64 shared scratch arena for one fold."""
-        for i, slab in enumerate(self._slab_pool):
-            if slab[2] >= elems:
-                return self._slab_pool.pop(i)
-        cap = max(_MIN_ARENA_ELEMS, elems)
-        shm = SharedMemory(create=True, size=self.size * cap * 8)
-        self._shms.append(shm)
-        view = np.ndarray((self.size, cap), dtype=np.float64, buffer=shm.buf)
-        return (shm, view, cap)
-
-    def _fold_begin(self, buf: np.ndarray, dd: bool = False):
-        """Scatter one row per rank into a pooled slab and dispatch the
-        fold WITHOUT collecting acks — the workers reduce while the
-        driver goes on."""
+    def _transport(self, buf: np.ndarray, dd: bool = False) -> np.ndarray:
+        """Scatter one row per rank into the shared ``(size, cap)``
+        float64 slab, fold it on the workers and copy slot 0 out.  A
+        fold wider than the slab replaces it with a larger one (the old
+        segment is unlinked by :meth:`close`, like every other)."""
         self._require_open()
         n = buf.shape[1]
-        slab = self._acquire_slab(n)
-        slab[1][:, :n] = buf
-        tok = self._send_all({"op": "reduce", "arena": slab[0].name,
-                              "cap": slab[2], "elems": n,
-                              "levels": self._schedule,
-                              "mode": "dd" if dd else "sum"})
-        return tok, slab, n
-
-    def _fold_end(self, handle) -> np.ndarray:
-        """Collect the fold's token-tagged acks and copy slot 0 out."""
-        tok, slab, n = handle
-        self._collect(tok, "reduce")
-        row = slab[1][0, :n].copy()
-        self._slab_pool.append(slab)
-        return row
-
-    def _post(self, kernel, seconds, payload_bytes, result=None,
-              pending=None):
-        req = super()._post(kernel, seconds, payload_bytes, result, pending)
-        # park driver setup time (scatter + dispatch) for the wait's
-        # measured charge, and stamp the start of the real overlap window
-        req.measured_setup = self._take_elapsed()
-        req.posted_wall = time.perf_counter()
-        return req
-
-    def wait(self, request):
-        """Settle a posted collective (see :meth:`SimComm.wait`).
-
-        The real overlap window closes here, before any ack is
-        collected; the measured charge reports its length as
-        ``overlapped_seconds``.
-        """
-        self._wait_wall = time.perf_counter()
-        return super().wait(request)
+        if self._slab is None or self._slab[1].shape[1] < n:
+            cap = max(_MIN_ARENA_ELEMS, n)
+            shm = SharedMemory(create=True, size=self.size * cap * 8)
+            self._shms.append(shm)
+            self._slab = (shm, np.ndarray((self.size, cap), dtype=np.float64,
+                                          buffer=shm.buf))
+        shm, slab = self._slab
+        slab[:, :n] = buf
+        self._roundtrip({"op": "reduce", "arena": shm.name,
+                         "cap": slab.shape[1], "elems": n,
+                         "levels": self._schedule,
+                         "mode": "dd" if dd else "sum"})
+        return slab[0, :n].copy()
 
     # -- shard storage and worker-executed SpMV ------------------------
     def alloc(self, n: int, k: int) -> np.ndarray:

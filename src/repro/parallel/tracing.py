@@ -14,8 +14,7 @@ A charge is ONE record handed to :meth:`Tracer.add` in one call —
 kernel, seconds, occurrence count, and where they apply the wire
 payload of a collective, the flops and device-memory bytes of a
 cost-model :class:`~repro.parallel.costmodel.KernelCharge` (summed over
-every rank's shard), the hidden part of a posted collective and the
-driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
+every rank's shard) and the driver-side tag.  ``add`` folds it into the ``(phase, kernel)`` row of
 the :class:`TraceTotals` columns; the one other row writer is its batch
 twin :meth:`Tracer.fold`, which folds arrays of raw-seconds charges
 exactly as one ``add`` each would — the one-row case of
@@ -51,17 +50,6 @@ Spans are **disabled by default** and the disabled path is a no-op: one
 ``is not None`` test per charge, nothing allocated.  Call
 :meth:`Tracer.enable_spans` (or ``Simulation(..., spans=True)`` /
 ``metrics=True``) to record them.
-
-Overlap dimension (nonblocking collectives)
--------------------------------------------
-When a communicator posts a collective (``post_allreduce`` & co.), the
-compute charged between post and wait drains the collective's modeled
-time, and the ``wait`` charges only the exposed remainder — passing the
-hidden part as ``overlapped_seconds``.  That hidden time accumulates in
-:attr:`Tracer.overlapped` (per phase/kernel, queryable via
-:meth:`Tracer.overlapped_seconds`) and is stamped onto the wait's
-:class:`SpanEvent`, so Perfetto can show hidden vs exposed comm without
-the clock ever double-counting.
 
 The tracer is deliberately not thread-safe: the simulator executes ranks
 in lockstep inside one Python thread, charging the *maximum* cost across
@@ -131,10 +119,6 @@ class SpanEvent:
     payload_bytes: float | None = None
     cycle: int | None = None
     rank: int | None = None
-    #: For the exposed-remainder charge of a posted collective: how many
-    #: seconds of the collective were hidden behind compute before the
-    #: wait (``None`` for ordinary blocking charges).
-    overlapped_seconds: float | None = None
     #: True for kernels the mp backend executes on the driver process
     #: rather than the workers (panel QR, sketch apply): their measured
     #: wall-clock carries no worker round-trip, so LogGP calibration
@@ -182,8 +166,8 @@ def _float_column():
 
 
 #: The ``(phase, kernel)``-keyed columns of :class:`TraceTotals`.
-_COLUMNS = ("by_kernel", "counts", "overlapped", "payload_bytes", "flops",
-            "mem_bytes", "driver_seconds")
+_COLUMNS = ("by_kernel", "counts", "payload_bytes", "flops", "mem_bytes",
+            "driver_seconds")
 
 
 @dataclass
@@ -199,9 +183,6 @@ class TraceTotals:
     by_kernel: dict = _float_column()
     #: Occurrences charged (a fused follower counts zero).
     counts: dict = field(default_factory=lambda: defaultdict(int))
-    #: Hidden comm seconds: the part of each posted collective that
-    #: compute drained before its ``wait`` (empty for blocking runs).
-    overlapped: dict = _float_column()
     #: Wire payload bytes (collective charges only).
     payload_bytes: dict = _float_column()
     #: Operations / device-memory bytes of every rank's shard, from the
@@ -360,7 +341,6 @@ class Tracer(TraceTotals):
 
     def add(self, kernel: str, seconds: float, count: int = 1,
             payload_bytes: float | None = None,
-            overlapped_seconds: float | None = None,
             driver_side: bool = False, flops: float | None = None,
             mem_bytes: float | None = None) -> None:
         """Fold one charge record into the totals: advance the clock by
@@ -369,11 +349,7 @@ class Tracer(TraceTotals):
         both come through here; :meth:`fold` is its batch twin.
 
         ``payload_bytes`` is the wire payload of a collective.
-        ``overlapped_seconds`` marks this charge as the *exposed*
-        remainder of a posted collective and says how much of it was
-        hidden behind compute before its ``wait``; the hidden part never
-        advances the clock (that time already elapsed inside the
-        draining charges).  ``flops`` / ``mem_bytes`` come, together,
+        ``flops`` / ``mem_bytes`` come, together,
         from a cost-model record (``None`` for raw seconds).
         ``driver_side`` tags charges the mp backend executes on the
         driver process (see :class:`SpanEvent`).  None of them changes
@@ -388,8 +364,6 @@ class Tracer(TraceTotals):
         self.by_phase[phase] += seconds
         self.by_kernel[key] += seconds
         self.counts[key] += count
-        if overlapped_seconds:
-            self.overlapped[key] += overlapped_seconds
         if payload_bytes:
             self.payload_bytes[key] += payload_bytes
         if flops is not None:
@@ -401,7 +375,6 @@ class Tracer(TraceTotals):
             self._spans.append(SpanEvent(
                 kernel, t0, self.clock, phase, self.stream, count=count,
                 payload_bytes=payload_bytes, cycle=self._cycle[0],
-                overlapped_seconds=overlapped_seconds,
                 driver_side=driver_side, flops=flops, mem_bytes=mem_bytes))
 
     def fold(self, keys, rows, seconds, counts) -> "Tracer":
@@ -435,8 +408,7 @@ class Tracer(TraceTotals):
             if s.is_charge and s.stream == self.stream:
                 self._phase_stack.append(s.phase)
                 self.add(s.name, s.duration, s.count, s.payload_bytes,
-                         s.overlapped_seconds, s.driver_side, s.flops,
-                         s.mem_bytes)
+                         s.driver_side, s.flops, s.mem_bytes)
                 self._phase_stack.pop()
                 self.clock = s.t1
         return self
@@ -461,8 +433,7 @@ class Tracer(TraceTotals):
         return list(self._spans) if self._spans is not None else []
 
     def record_span(self, name: str, t0: float, t1: float, *,
-                    phase: str | None = None, cat: str = "kernel",
-                    count: int = 1, payload_bytes: float | None = None,
+                    phase: str | None = None, count: int = 1,
                     rank: int | None = None,
                     cycle: int | None = None,
                     driver_side: bool = False) -> None:
@@ -477,7 +448,7 @@ class Tracer(TraceTotals):
             return
         self._spans.append(SpanEvent(
             name, t0, t1, phase if phase is not None else self.current_phase,
-            self.stream, cat=cat, count=count, payload_bytes=payload_bytes,
+            self.stream, count=count,
             cycle=self._cycle[0] if cycle is None else cycle, rank=rank,
             driver_side=driver_side))
 
@@ -521,19 +492,6 @@ class Tracer(TraceTotals):
 
     def kernel_count(self, phase: str, kernel: str) -> int:
         return int(self.counts.get((phase, kernel), 0))
-
-    def overlapped_seconds(self, phase: str | None = None,
-                           kernel: str | None = None) -> float:
-        """Total hidden comm seconds, optionally filtered by phase/kernel.
-
-        The sum over :attr:`overlapped` entries — i.e. how much posted
-        collective time compute drained before the matching ``wait``
-        charges landed.  Zero for purely blocking runs.
-        """
-        return float(sum(
-            v for (ph, kern), v in self.overlapped.items()
-            if (phase is None or ph == phase)
-            and (kernel is None or kern == kernel)))
 
     def collective_counts(self, phase: str | None = None, *,
                           payload_bytes: bool = False) -> dict:
@@ -583,10 +541,6 @@ class Tracer(TraceTotals):
     def report(self) -> str:
         """Multi-line human-readable accounting summary."""
         lines = [f"{self.stream} clock: {self.clock:.6f} s"]
-        if self.overlapped:
-            lines.append(
-                f"  hidden comm (overlapped): "
-                f"{self.overlapped_seconds():.6f} s")
         for ph in sorted(self.by_phase, key=lambda p: -self.by_phase[p]):
             lines.append(f"  {ph:<12s} {self.by_phase[ph]:.6f} s")
             kerns = [(k[1], v) for k, v in self.by_kernel.items() if k[0] == ph]

@@ -86,18 +86,13 @@ def ghost_fields(a: sp.csr_matrix, partition: Partition, depth: int,
             per_rank.append(grown)
         levels.append(per_rank)
     check_closure(a, partition, levels, expand)
-    ghost_rows, recv, eager, ring = [], [], [], []
+    ghost_rows, recv = [], []
     for rank in range(partition.ranks):
         lo, hi = partition.offsets[rank], partition.offsets[rank + 1]
         top = levels[rank][depth]
         ghosts = top[(top < lo) | (top >= hi)]
         ghost_rows.append(ghosts)
         recv.append(_by_owner(partition, ghosts))
-        near_lvl = levels[rank][min(1, depth)]
-        near = near_lvl[(near_lvl < lo) | (near_lvl >= hi)]
-        far = np.setdiff1d(ghosts, near, assume_unique=True)
-        eager.append(_by_owner(partition, near))
-        ring.append(_by_owner(partition, far))
     return {
         "levels": levels,
         "level_rows": np.array([[lvl.size for lvl in per_rank]
@@ -108,8 +103,6 @@ def ghost_fields(a: sp.csr_matrix, partition: Partition, depth: int,
                         for per_rank in levels],
         "ghost_rows": ghost_rows,
         "recv_counts_by_peer": recv,
-        "eager": eager,
-        "ring": ring,
     }
 
 

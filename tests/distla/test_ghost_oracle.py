@@ -89,9 +89,6 @@ class TestGhostPlanMatchesOracle:
         _arrays_equal(plan.ghost_rows, want["ghost_rows"])
         assert _items(plan.recv_counts_by_peer) == \
             _items(want["recv_counts_by_peer"])
-        eager, ring = plan._split_counts()
-        assert _items(eager) == _items(want["eager"])
-        assert _items(ring) == _items(want["ring"])
 
     def test_analyze_runs_the_closure_check(self, monkeypatch):
         def refuse(*args):

@@ -167,16 +167,14 @@ class TestGhostPlanPayloads:
             for peer in d1:
                 assert d2[peer] == pytest.approx(2.0 * d1[peer])
 
-    @pytest.mark.parametrize("which", ["recv_bytes", "eager_recv_bytes",
-                                       "ring_recv_bytes"])
-    def test_descriptors_are_built_once_and_costed_once(self, which):
+    def test_descriptors_are_built_once_and_costed_once(self):
         """One ``HaloDescriptors`` per ``n_vectors``, as
         ``HaloPlan.recv_bytes`` hands out: the communicator remembers
         the exchange's cost on it instead of re-evaluating every rank's
         ``halo_exchange`` at every deep-halo charge."""
         part = Partition(64, 4)
         plan = GhostPlan.analyze(laplace2d(8), part, 3)
-        recv = getattr(plan, which)
+        recv = plan.recv_bytes
         first = recv(n_vectors=2)
         assert isinstance(first, HaloDescriptors)
         assert recv(n_vectors=2) is first
@@ -191,14 +189,23 @@ class TestGhostPlanPayloads:
         fresh.charge_halo(plain)
         assert comm.tracer.snapshot() == fresh.tracer.snapshot()
 
-    def test_split_payloads_sum_to_the_whole(self):
-        plan = GhostPlan.analyze(laplace2d(8), Partition(64, 4), 3)
-        for whole, eager, ring in zip(plan.recv_bytes(2),
-                                      plan.eager_recv_bytes(2),
-                                      plan.ring_recv_bytes(2)):
-            assert set(eager) | set(ring) == set(whole)
-            for peer, nbytes in whole.items():
-                assert eager.get(peer, 0.0) + ring.get(peer, 0.0) == nbytes
+    @pytest.mark.parametrize("ranks", [3, 4, 7])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("expand", EXPAND_MODES)
+    def test_one_exchange_moves_every_ghost_row(self, expand, depth, ranks):
+        """The ONE deep-halo exchange of a panel carries each rank's whole
+        ``L_depth`` ghost set: per peer, 8 bytes per operand for every
+        ghost row that peer owns — on ragged partitions too."""
+        part = Partition(100, ranks)
+        plan = GhostPlan.analyze(laplace2d(10), part, depth, expand)
+        for n_vectors in (1, 2):
+            for rank, by_peer in enumerate(plan.recv_bytes(n_vectors)):
+                ghosts = plan.ghost_rows[rank]
+                owners = np.searchsorted(part.offsets, ghosts, side="right") - 1
+                peers, counts = np.unique(owners, return_counts=True)
+                assert by_peer == {int(p): 8.0 * n_vectors * int(c)
+                                   for p, c in zip(peers, counts)}
+                assert rank not in by_peer
 
     def test_halo_plan_default_word_size_is_fp64(self):
         a = laplace2d(8)

@@ -78,7 +78,7 @@ class TestSolveEquivalence:
         assert sim_out["counts"][("ortho", "allreduce")] > 0
         _assert_equivalent(sim_out, mp_out)
 
-    @pytest.mark.parametrize("mpk_mode", ["standard", "ca", "ca_overlap"])
+    @pytest.mark.parametrize("mpk_mode", ["standard", "ca"])
     def test_mpk_modes(self, mpk_mode):
         """Both MPK communication patterns execute identically on real
         ranks — including the CA ghost-zone kernel's driver-side loops

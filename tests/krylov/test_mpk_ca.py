@@ -165,103 +165,10 @@ class TestDegeneratePaths:
         assert sim.tracer.clock == before
 
 
-class TestOverlappedCA:
-    """PA2 (``"ca_overlap"``): same numerics as ``"ca"``, the deep-ring
-    exchange posted behind the first owned-rows SpMV."""
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("poly", sorted(POLYS))
-    def test_bit_identical_to_ca(self, engine, poly):
-        ca, _ = generate("ca", engine, poly=POLYS[poly]())
-        ov, _ = generate("ca_overlap", engine, poly=POLYS[poly]())
-        np.testing.assert_array_equal(ca, ov)
-
-    def test_two_halo_charges_per_panel(self):
-        """The split exchange: one eager depth-1 charge plus one waited
-        ring per panel (the blocking CA kernel pays one per panel)."""
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
-        assert tr_ca.kernel_count("spmv", "halo") == 2
-        assert tr_ov.kernel_count("spmv", "halo") == 4
-
-    def test_ring_latency_partially_hidden(self):
-        """ca_overlap reports hidden halo seconds; blocking ca none.
-        The hidden part is bounded by what was actually posted."""
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
-        assert tr_ca.overlapped_seconds(kernel="halo") == 0.0
-        hidden = tr_ov.overlapped_seconds(kernel="halo")
-        assert hidden > 0.0
-        # exposed + hidden = the full cost of the two-message split,
-        # which is at least the blocking single-message exchange
-        assert (tr_ov.kernel_seconds("spmv", "halo") + hidden
-                >= tr_ca.kernel_seconds("spmv", "halo"))
-
-    def test_split_spmv_adds_only_launch_overhead(self):
-        """Splitting step 1 into owned + ring charges the same flops and
-        streams; the extra cost per panel is one more kernel launch (the
-        per-call latency/fixed-overhead terms), never more work."""
-        m = generic_cpu()
-        _, tr_ca = generate("ca", "loop", nx=16, ranks=8)
-        _, tr_ov = generate("ca_overlap", "loop", nx=16, ranks=8)
-        ca_s = tr_ca.kernel_seconds("spmv", "spmv_local")
-        ov_s = tr_ov.kernel_seconds("spmv", "spmv_local")
-        assert ov_s >= ca_s
-        per_panel = m.kernel_latency + m.spmv_fixed_overhead
-        assert ov_s - ca_s <= 2 * per_panel + 0.05 * ca_s
-
-    def test_s1_panels_have_no_ring_to_post(self):
-        """Depth-1 panels: the eager shell IS the whole closure, so the
-        posted exchange vanishes and charges match blocking ca exactly."""
-        panels = tuple((k, k + 1) for k in range(1, 7))
-        _, tr_ca = generate("ca", "loop", panels=panels)
-        _, tr_ov = generate("ca_overlap", "loop", panels=panels)
-        assert (tr_ov.kernel_count("spmv", "halo")
-                == tr_ca.kernel_count("spmv", "halo") == 6)
-        assert tr_ov.overlapped_seconds(kernel="halo") == 0.0
-        assert tr_ov.clock == tr_ca.clock
-
-    @pytest.mark.parametrize("pc", [JacobiPreconditioner,
-                                    BlockJacobiPreconditioner])
-    def test_any_preconditioner_rejected(self, pc):
-        """PA2 is stricter than PA1: even closure-compatible
-        preconditioners have no well-defined owned/ring cost split."""
-        sim = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
-        op = PreconditionedOperator(sim.matrix, pc().setup(sim.matrix))
-        assert op.supports_ca  # fine for plain ca ...
-        with pytest.raises(ConfigurationError, match="ca_overlap|PA2"):
-            MatrixPowersKernel(op, mode="ca_overlap")
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sstep_gmres_solve_identical(self, engine):
-        results = {}
-        for mode in ("ca", "ca_overlap"):
-            sim = Simulation(laplace2d(16), ranks=4, machine=generic_cpu(),
-                             engine=engine)
-            results[mode] = sstep_gmres(sim, sim.ones_solution_rhs(), s=5,
-                                        restart=20, tol=1e-8, maxiter=2000,
-                                        options=SolverOptions(mpk_mode=mode))
-        ca, ov = results["ca"], results["ca_overlap"]
-        assert ov.converged
-        assert ov.diagnostics["mpk_mode"] == "ca_overlap"
-        np.testing.assert_array_equal(ca.x, ov.x)
-        assert ca.iterations == ov.iterations
-        assert ca.history.residuals == ov.history.residuals
-
-    def test_auto_stays_on_ca_when_ring_pokes_out(self):
-        """An unpreconditioned operator composes, so ``"auto"`` runs
-        plain ``"ca"`` — never the overlapped PA2 kernel."""
-        sim = Simulation(laplace2d(12), ranks=4, machine=generic_cpu())
-        res = sstep_gmres(sim, sim.ones_solution_rhs(), s=4, restart=12,
-                          tol=1e-8, maxiter=600,
-                          options=SolverOptions(mpk_mode="auto"))
-        assert res.diagnostics["mpk_mode"] == "ca"
-
-
 def _congested_summit(lat_mult: float) -> MachineSpec:
     """Summit with a congested inter-node link (2 MB/s) and every
-    latency constant scaled ``lat_mult``-fold: the regime where a
-    posted deep ring has the most to hide."""
+    latency constant scaled ``lat_mult``-fold: the regime where one
+    aggregated deep-halo exchange saves the most latency."""
     m = summit()
     return m.with_overrides(
         name=f"summit_congested_lat{lat_mult:g}x",
@@ -295,10 +202,8 @@ class TestAutoPicksTheCheaperKernel:
     """``mpk_mode="auto"`` prices a cycle under ``"standard"`` and, when
     the operator composes, ``"ca"``, and runs the cheaper; whatever it
     picks must cost no more modeled time than any explicit mode that
-    accepts the operator — ``"ca_overlap"`` included where it applies.
-    PA2 pays an extra depth-1 exchange and splits the first SpMV, so
-    hiding the deep ring never makes up for it on these machines —
-    latency-bound, bandwidth-bound or congested."""
+    accepts the operator, on latency-bound, bandwidth-bound and
+    congested machines alike."""
 
     @pytest.mark.parametrize("machine", AUTO_MACHINES)
     @pytest.mark.parametrize("pc", AUTO_PRECOND_FACTORIES)
@@ -326,55 +231,6 @@ class TestAutoPicksTheCheaperKernel:
             # the kernel choice moves charges only, never values
             assert res.x.tobytes() == auto.x.tobytes()
             assert res.history.residuals == auto.history.residuals
-
-
-def ring_panels(mode: str, machine: MachineSpec, *, nx: int = 32,
-                ranks: int = 8, s: int = 5, restart: int = 15):
-    """One restart cycle of unpreconditioned monomial panels on
-    ``machine``; returns (basis, tracer, exposed ring seconds)."""
-    sim = Simulation(laplace2d(nx), ranks=ranks, machine=machine,
-                     spans=True)
-    mpk = MatrixPowersKernel(PreconditionedOperator(sim.matrix),
-                             MonomialBasis(), mode=mode)
-    basis = make_basis(sim, restart + 1, np.random.default_rng(0))
-    for lo in range(1, restart + 1, s):
-        mpk.extend(basis, lo, min(lo + s, restart + 1))
-    # the waited share of a posted exchange: the charges that carry an
-    # overlapped annotation
-    exposed = sum(span.duration for span in sim.tracer.spans
-                  if span.is_charge and span.overlapped_seconds is not None)
-    return basis.to_global(), sim.tracer, exposed
-
-
-class TestOverlappedRingAcrossMachines:
-    """The PA2 deep ring is the one posted exchange left on the solve
-    path: on every machine it hides some seconds and moves no value,
-    and the more latency-bound the machine, the less of it stays
-    exposed."""
-
-    @pytest.mark.parametrize("machine", AUTO_MACHINES)
-    def test_ring_hides_and_moves_no_value(self, machine):
-        ca, tr_ca, _ = ring_panels("ca", AUTO_MACHINES[machine]())
-        ov, tr_ov, exposed = ring_panels("ca_overlap",
-                                         AUTO_MACHINES[machine]())
-        np.testing.assert_array_equal(ca, ov)
-        assert tr_ca.overlapped_seconds() == 0.0
-        hidden = tr_ov.overlapped_seconds(kernel="halo")
-        assert hidden > 0.0
-        assert hidden == tr_ov.overlapped_seconds()  # nothing else posted
-        assert 0.0 <= exposed <= tr_ov.kernel_seconds("spmv", "halo")
-
-    def test_ring_exposure_shrinks_with_latency(self):
-        fractions, hidden = [], []
-        for lat in (1, 2, 4):
-            _, tracer, exposed = ring_panels("ca_overlap",
-                                             _congested_summit(lat))
-            hid = tracer.overlapped_seconds(kernel="halo")
-            fractions.append(exposed / (exposed + hid))
-            hidden.append(hid)
-        assert fractions[0] > 0.0  # something is exposed at x1
-        assert all(b < a for a, b in zip(fractions, fractions[1:]))
-        assert all(b > a for a, b in zip(hidden, hidden[1:]))
 
 
 #: preconditioner -> the mode ``"auto"`` must resolve to.  Block-Jacobi
@@ -429,9 +285,13 @@ class TestComposition:
 
     def test_unknown_mode_rejected(self):
         sim = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())
-        with pytest.raises(ConfigurationError):
-            MatrixPowersKernel(PreconditionedOperator(sim.matrix),
-                               mode="avoidant")
+        # "ca_overlap" is the retired overlapped (PA2) kernel
+        for mode in ("avoidant", "ca_overlap"):
+            with pytest.raises(ConfigurationError) as info:
+                MatrixPowersKernel(PreconditionedOperator(sim.matrix),
+                                   mode=mode)
+            assert repr(mode) in str(info.value)
+            assert str(MPK_MODES) in str(info.value)
 
     def test_ghost_expand_follows_preconditioner(self):
         sim = Simulation(laplace2d(8), ranks=4, machine=generic_cpu())

@@ -102,13 +102,7 @@ def _bytes(counts_by_rank, scale):
             for by_peer in counts_by_rank]
 
 
-def _by_owner(part, rows):
-    return {peer: int(owned.size)
-            for peer, owned in part.group_by_owner(rows).items()}
-
-
-def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
-                       overlap=False):
+def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi):
     """The per-rank ghosted CA panel (the body ``_extend_ca`` had)."""
     comm, tracer, part = sim.comm, sim.tracer, sim.partition
     a = sim.matrix.to_scipy()
@@ -124,21 +118,8 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
     gather_prev = coeffs[lo][2] != 0.0 and lo >= 2
 
     scale = 8.0 * (2 if gather_prev else 1)
-    ring_req = None
     with tracer.phase("spmv"):
-        if overlap:
-            eager, ring = [], []
-            for r in range(ranks):
-                near = np.setdiff1d(plan.levels[r][min(1, steps)],
-                                    plan.levels[r][0])
-                eager.append(_by_owner(part, near))
-                ring.append(_by_owner(
-                    part, np.setdiff1d(plan.ghost_rows[r], near)))
-            comm.charge_halo(_bytes(eager, scale))
-            if any(ring):
-                ring_req = comm.post_ihalo(_bytes(ring, scale))
-        else:
-            comm.charge_halo(_bytes(plan.recv_counts_by_peer, scale))
+        comm.charge_halo(_bytes(plan.recv_counts_by_peer, scale))
 
     def gathered(col):
         g = basis.view_cols(col).to_global()[:, 0]
@@ -149,11 +130,6 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
             w[held] = g[held]
             out.append(w)
         return out
-
-    def spmv_charge(nnz, rows, cols):
-        comm.charge("spmv_local", comm.cost.record(lambda c: [
-            c.spmv(int(nnz[r]), int(rows[r]), int(cols[r]))
-            for r in range(ranks)]))
 
     v_k = gathered(lo - 1)
     v_km1 = gathered(lo - 2) if gather_prev else [None] * ranks
@@ -178,14 +154,10 @@ def extend_ca_per_rank(sim, poly, precond, expand, basis, lo, hi,
                 w = np.zeros(n)
                 w[plan.levels[r][depth]] = y
                 v_new.append(w)
-            if ring_req is not None and col == lo:
-                spmv_charge(nnz[:, 0], rows[:, 0], rows[:, 1])
-                comm.wait(ring_req)
-                spmv_charge(nnz[:, depth] - nnz[:, 0],
-                            rows[:, depth] - rows[:, 0], rows[:, depth + 1])
-            else:
-                spmv_charge(nnz[:, depth], rows[:, depth],
-                            rows[:, depth + 1])
+            comm.charge("spmv_local", comm.cost.record(lambda c: [
+                c.spmv(int(nnz[r, depth]), int(rows[r, depth]),
+                       int(rows[r, depth + 1]))
+                for r in range(ranks)]))
             if alpha != 0.0 or gamma != 0.0 or beta != 1.0:
                 for r in range(ranks):
                     lvl = plan.levels[r][depth]
@@ -214,7 +186,7 @@ def _start(sim, k):
     return basis
 
 
-def run_pair(poly, pc, ranks, mode, metrics=False, **pc_kw):
+def run_pair(poly, pc, ranks, metrics=False, **pc_kw):
     """(basis, tracer totals, collective counts, metrics totals) of the
     fused kernel and of the oracle, each on a fresh simulation."""
     factory, per_rank = PRECONDS[pc]
@@ -228,7 +200,7 @@ def run_pair(poly, pc, ranks, mode, metrics=False, **pc_kw):
         op = PreconditionedOperator(sim.matrix, precond)
         basis = _start(sim, PANELS[-1][1])
         if fused:
-            mpk = MatrixPowersKernel(op, POLYS[poly](), mode=mode)
+            mpk = MatrixPowersKernel(op, POLYS[poly](), mode="ca")
             for lo, hi in PANELS:
                 mpk.extend(basis, lo, hi)
         else:
@@ -236,8 +208,7 @@ def run_pair(poly, pc, ranks, mode, metrics=False, **pc_kw):
                       else per_rank(sim, **pc_kw))
             for lo, hi in PANELS:
                 extend_ca_per_rank(sim, POLYS[poly](), oracle,
-                                   op.ghost_expand, basis, lo, hi,
-                                   overlap=mode == "ca_overlap")
+                                   op.ghost_expand, basis, lo, hi)
         out.append((basis.to_global(), sim.tracer.snapshot(),
                     sim.tracer.collective_counts(payload_bytes=True),
                     sim.metrics_doc().get("totals")))
@@ -247,8 +218,8 @@ def run_pair(poly, pc, ranks, mode, metrics=False, **pc_kw):
 def assert_same(fused, oracle):
     np.testing.assert_array_equal(fused[0], oracle[0])
     assert np.abs(fused[0][:, -1]).max() > 0.0
-    # clock, seconds and counts per (phase, kernel), hidden seconds,
-    # payload bytes, flops and memory bytes — bit for bit
+    # clock, seconds and counts per (phase, kernel), payload bytes,
+    # flops and memory bytes — bit for bit
     assert fused[1] == oracle[1]
     assert fused[2] == oracle[2]
     assert fused[3] == oracle[3]
@@ -258,27 +229,17 @@ def assert_same(fused, oracle):
 @pytest.mark.parametrize("pc", sorted(PRECONDS))
 @pytest.mark.parametrize("poly", sorted(POLYS))
 def test_ca_matches_per_rank_execution(poly, pc, partition):
-    assert_same(*run_pair(poly, pc, PARTITIONS[partition], "ca"))
-
-
-@pytest.mark.parametrize("partition", sorted(PARTITIONS))
-@pytest.mark.parametrize("poly", sorted(POLYS))
-def test_ca_overlap_matches_per_rank_execution(poly, partition):
-    """PA2 composes with the unpreconditioned operator only."""
-    fused, oracle = run_pair(poly, "identity", PARTITIONS[partition],
-                             "ca_overlap")
-    assert_same(fused, oracle)
-    assert fused[1].overlapped  # the ring really was posted and hidden
+    assert_same(*run_pair(poly, pc, PARTITIONS[partition]))
 
 
 @pytest.mark.parametrize("pc", sorted(PRECONDS))
 def test_kept_charges_read_in_the_metrics_like_fresh_ones(pc):
     """The metrics snapshot of memoized records equals that of records
     evaluated afresh at every charge."""
-    fused, oracle = run_pair("chebyshev", pc, 5, "ca", metrics=True)
+    fused, oracle = run_pair("chebyshev", pc, 5, metrics=True)
     assert_same(fused, oracle)
     assert fused[3]["flops"] > 0 and fused[3]["mem_bytes"] > 0
 
 
 def test_two_sweeps_block_jacobi_matches_per_rank_execution():
-    assert_same(*run_pair("newton", "block_jacobi", 5, "ca", sweeps=2))
+    assert_same(*run_pair("newton", "block_jacobi", 5, sweeps=2))

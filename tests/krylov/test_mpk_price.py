@@ -178,12 +178,6 @@ def test_an_auto_solve_the_floor_decides_analyzes_no_plan():
     assert sim.matrix._ghost_plans == {}
 
 
-def test_ca_overlap_has_no_price():
-    _, mpk, _ = kernel("ca_overlap")
-    with pytest.raises(ConfigurationError, match="not priced"):
-        mpk.cycle_price(PANELS)
-
-
 class TestResolution:
     def test_the_cheaper_price_wins_and_a_tie_keeps_ca(self, monkeypatch):
         _, mpk, _ = kernel("standard")

@@ -48,10 +48,10 @@ def _submit(sim, b, x0=None, **kw):
 ENTRY_POINTS = {
     "gmres": (gmres, {"restart", "maxiter", "tol"}),
     "sstep_gmres": (sstep_gmres, {"s", "restart", "maxiter", "tol"}),
-    # the knobs that set up more before the first charge: the PA2 ring
+    # the knobs that set up more before the first charge: the CA ghost
     # plan and the sketch draw must both wait behind the door
-    "sstep_gmres[ca_overlap]": (
-        partial(sstep_gmres, options=SolverOptions(mpk_mode="ca_overlap")),
+    "sstep_gmres[ca]": (
+        partial(sstep_gmres, options=SolverOptions(mpk_mode="ca")),
         {"s", "restart", "maxiter", "tol"}),
     "sstep_gmres[sketched]": (
         partial(sstep_gmres, options=SolverOptions(solve_mode="sketched")),

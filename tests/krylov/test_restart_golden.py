@@ -96,7 +96,6 @@ CASES = {
     # sketched solve over a scheme that carries no sketch of its own (the
     # solve draws its embedding from the sstep_gmres constants)
     "sstep-ca": _sstep(TwoStageScheme, mpk_mode="ca"),
-    "sstep-ca-overlap": _sstep(TwoStageScheme, mpk_mode="ca_overlap"),
     "sstep-sketched-pip2": _sstep(BCGSPIP2Scheme, solve_mode="sketched"),
     "block-width3": _block,
     # s = 16 breaks the monomial basis down at once (two checkpoint-less
@@ -193,11 +192,6 @@ GOLDEN: dict[str, tuple[int, str, list[tuple]]] = {
         125,
         "5c54a9f8a60c37a182fa1816e164850a"
         "47838d43b208d16ba0a9d1217f1253c4",
-        [(40, 2, 12, 3)]),
-    "sstep-ca-overlap": (
-        141,
-        "900dd85c1a0bb137e2c84c9ff2d83f98"
-        "67f5d1f87507ad1471c82a2048d00b1a",
         [(40, 2, 12, 3)]),
     "sstep-sketched-pip2": (
         240,

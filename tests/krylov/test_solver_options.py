@@ -52,8 +52,12 @@ class TestDataclass:
             SolverOptions(solve_mode=mode)
 
     def test_invalid_mpk_mode(self):
-        with pytest.raises(ConfigurationError, match="mpk_mode"):
-            SolverOptions(mpk_mode="telepathy")
+        # "ca_overlap" is the retired overlapped (PA2) kernel
+        for mode in ("telepathy", "ca_overlap"):
+            with pytest.raises(ConfigurationError, match="mpk_mode") as info:
+                SolverOptions(mpk_mode=mode)
+            assert repr(mode) in str(info.value)
+            assert str(MPK_SOLVER_MODES) in str(info.value)
 
     @pytest.mark.parametrize("field, value", [
         ("solve_mode", "Sketched"), ("solve_mode", None),
@@ -82,7 +86,7 @@ class TestDataclass:
 
     def test_mode_constants(self):
         assert SOLVE_MODES == ("classical", "sketched")
-        assert MPK_SOLVER_MODES == ("standard", "ca", "ca_overlap", "auto")
+        assert MPK_SOLVER_MODES == ("standard", "ca", "auto")
 
     def test_top_level_exports(self):
         assert repro.SolverOptions is SolverOptions

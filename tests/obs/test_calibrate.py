@@ -16,11 +16,10 @@ RANKS = 4
 
 
 def _twin(name, phase, modeled_s, measured_s, t0=0.0, *, payload=None,
-          driver_side=False, overlapped=None):
+          driver_side=False):
     """One modeled/measured span pair for the same logical charge."""
     mod = SpanEvent(name, t0, t0 + modeled_s, phase, "modeled",
-                    payload_bytes=payload, driver_side=driver_side,
-                    overlapped_seconds=overlapped)
+                    payload_bytes=payload, driver_side=driver_side)
     mea = SpanEvent(name, t0, t0 + measured_s, phase, "measured",
                     payload_bytes=payload, driver_side=driver_side)
     return [mod, mea]
@@ -100,18 +99,6 @@ class TestNetworkFit:
                        payload=64.0, driver_side=True)
         fit = calibrate(spans, base=base, ranks=RANKS)
         assert fit.n_driver_excluded == 1
-        assert fit.n_net_pairs == 3
-        assert math.isclose(fit.lam_net, 3.0, rel_tol=1e-9)
-
-    def test_overlapped_collectives_excluded(self):
-        """A posted collective's span is the exposed remainder, not the
-        full formula — it cannot feed the fit."""
-        base = generic_cpu()
-        spans = _synthetic_net_stream(base, lam=3.0, beta=0.5,
-                                      payloads=[8.0, 64.0, 4096.0])
-        spans += _twin("halo", "spmv", 1.0e-6, 12.0, 60.0,
-                       payload=256.0, overlapped=5.0e-6)
-        fit = calibrate(spans, base=base, ranks=RANKS)
         assert fit.n_net_pairs == 3
         assert math.isclose(fit.lam_net, 3.0, rel_tol=1e-9)
 
@@ -226,9 +213,8 @@ class TestEndToEnd:
                       s.phase, "measured", cat=s.cat, count=s.count,
                       payload_bytes=s.payload_bytes, cycle=s.cycle,
                       rank=s.rank, driver_side=s.driver_side)
-            for s in modeled if s.overlapped_seconds is None]
-        kept = [s for s in modeled if s.overlapped_seconds is None]
-        fit = calibrate(kept + measured, base=sim.machine, ranks=ranks)
+            for s in modeled]
+        fit = calibrate(modeled + measured, base=sim.machine, ranks=ranks)
         assert fit.n_kernel_pairs > 0
         assert math.isclose(fit.kappa_kernel, 10.0, rel_tol=1e-3)
         assert math.isclose(fit.gamma_kernel, 10.0, rel_tol=1e-3)

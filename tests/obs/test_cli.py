@@ -47,15 +47,13 @@ class TestSummarize:
         assert "1 rank lanes" in out
         assert "72 collective payload bytes" in out
 
-    def test_payload_counts_charges_not_overlap_markers(self, tmp_path,
-                                                        capsys):
-        """A posted collective leaves a ``post`` marker and an overlap
-        window span beside its charge; only the charge's payload moved."""
+    def test_payload_is_the_charges_payload(self, tmp_path, capsys):
+        """The summarized collective payload of an export is what the
+        solve's charges carried."""
         sim = Simulation(laplace2d(16), ranks=4, spans=True)
         sstep_gmres(sim, np.ones(sim.n), s=5, restart=10, tol=0.0,
-                    maxiter=10, options=SolverOptions(mpk_mode="ca_overlap"))
-        assert {"post", "comm_overlap"} <= {s.cat for s in sim.tracer.spans}
-        path = export_jsonl(tmp_path / "overlap.jsonl", sim.tracer)
+                    maxiter=10, options=SolverOptions(mpk_mode="ca"))
+        path = export_jsonl(tmp_path / "payload.jsonl", sim.tracer)
         assert main(["summarize", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["streams"]["modeled"]["collective_payload_bytes"] == sum(

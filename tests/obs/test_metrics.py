@@ -164,14 +164,13 @@ class TestSnapshot:
     def test_histograms_are_a_view_of_the_charge_spans(self):
         """Totals belong to the tracer (charged before spans recorded,
         they still show); histograms count the charge spans given — not
-        phase envelopes, rank lanes or posted-collective markers."""
+        phase envelopes or rank lanes."""
         t = Tracer()
         t.add("dot", 0.5)
         t.enable_spans()
         with t.phase("ortho"):
             t.add("dot", 0.25)
         t.record_span("dot", 0.0, 1.0, rank=2)
-        t.record_span("dot", 1.0, 1.0, cat="post")
         snap = _snap(t)
         assert snap.kernels[("other", "dot")]["seconds"] == 0.5
         assert snap.kernels[("ortho", "dot")]["seconds"] == 0.25

@@ -1,7 +1,7 @@
 """One charge record through one funnel.
 
 A modeled charge is one record — seconds, count, payload, flops, memory
-bytes, the overlapped and driver-side tags — handed to ``Tracer.add``
+bytes, the driver-side tag — handed to ``Tracer.add``
 once; the metrics snapshot, the span stream and a replayed export are
 views of it.  Held here:
 

@@ -38,11 +38,11 @@ class TestProtocolConformance:
         assert BACKENDS == ("sim", "mp")
 
     def test_protocol_surface(self):
-        """Three reduction entry points, and the lifecycle hooks
-        ``Simulation`` calls are declared."""
+        """Two reduction entry points, both blocking, and the lifecycle
+        hooks ``Simulation`` calls are declared."""
         reductions = {n for n in PROTOCOL_METHODS if "allreduce" in n}
-        assert reductions == {"allreduce", "post_allreduce", "allreduce_dd"}
-        assert {"mark", "close", "wait", "post_ihalo"} <= set(PROTOCOL_METHODS)
+        assert reductions == {"allreduce", "allreduce_dd"}
+        assert {"mark", "close"} <= set(PROTOCOL_METHODS)
 
     @pytest.mark.parametrize("cls", [SimComm, MpComm])
     def test_methods_present(self, cls):
@@ -53,7 +53,7 @@ class TestProtocolConformance:
     def test_mp_overrides_transport_only(self):
         """Reductions and charge formulas are inherited: the mp backend
         replaces how a packed buffer is folded, never what is charged."""
-        for name in ("allreduce", "post_allreduce", "allreduce_dd",
+        for name in ("allreduce", "allreduce_dd",
                      "charge", "charge_halo", "_charge",
                      "group", "member"):
             assert name not in vars(MpComm), (

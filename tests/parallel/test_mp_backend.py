@@ -178,29 +178,6 @@ class TestValidationAndLifecycle:
         with pytest.raises(CommunicatorError):
             mp4.allreduce([[np.zeros(2)] * 3])
 
-    def test_wait_guards(self, mp4):
-        """Waited twice / foreign request: checked once, in SimComm.wait."""
-        req = mp4.post_allreduce([np.ones((4, 2))])
-        mp4.wait(req)
-        with pytest.raises(CommunicatorError, match="twice"):
-            mp4.wait(req)
-        foreign = SimComm(generic_cpu(), 4, Tracer()).post_allreduce(
-            [np.ones((4, 2))])
-        with pytest.raises(CommunicatorError, match="different communicator"):
-            mp4.wait(foreign)
-
-    def test_post_parks_state_on_declared_request_fields(self, mp4):
-        sim_req = SimComm(generic_cpu(), 4, Tracer()).post_allreduce(
-            [np.ones((4, 2))])
-        assert (sim_req.measured_setup, sim_req.posted_wall) == (0.0, 0.0)
-        req = mp4.post_allreduce([np.ones((4, 2))])
-        assert req.posted_wall > 0.0 and req.measured_setup >= 0.0
-        assert req.pending is not None and req.result is None
-        mp4.wait(req)
-        assert req.pending is None
-        # nothing bolted on beside the fields CommRequest declares
-        assert set(vars(req)) == set(vars(sim_req))
-
     def test_close_idempotent_and_rejects_use(self):
         comm = MpComm(generic_cpu(), 2, Tracer())
         assert comm.allreduce([[1.0, 1.0]])[0] == 2.0

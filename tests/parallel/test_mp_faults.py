@@ -17,7 +17,7 @@ from repro.krylov.simulation import Simulation
 from repro.matrices.stencil import laplace2d
 from repro.parallel.communicator import SimComm
 from repro.parallel.machine import generic_cpu
-from repro.parallel.mp_backend import MpComm
+from repro.parallel.mp_backend import _MIN_ARENA_ELEMS, MpComm
 from repro.parallel.tracing import Tracer
 
 SHM_DIR = "/dev/shm"
@@ -103,18 +103,24 @@ def test_collective_after_a_worker_died(size, dead, op):
 
 @pytest.mark.parametrize("size, dead", DEAD, ids=[f"{s}ranks-kill{r}"
                                                   for s, r in DEAD])
-def test_worker_dies_inside_a_posted_fold(size, dead):
+def test_worker_dies_inside_a_fold(size, dead):
     """The fold reaches the rank, which dies before it acknowledges; the
     survivors, held at the fold's barrier, are released at once."""
     comm = _comm(size)
+    collect = comm._collect
+
+    def die_then_collect(tok, opname):
+        # the fold is dispatched and the acks not yet collected
+        _kill(comm, dead)
+        return collect(tok, opname)
+
     try:
         os.kill(comm._procs[dead].pid, signal.SIGSTOP)
-        request = comm.post_allreduce([np.ones((size, 300))])
-        _kill(comm, dead)
+        comm._collect = die_then_collect
         t0 = time.perf_counter()
         with pytest.raises(CommunicatorError,
                            match=f"rank {dead} is unreachable") as info:
-            comm.wait(request)
+            comm.allreduce([np.ones((size, 300))])
         assert "'reduce'" in str(info.value)
         _close_leaves_no_segment(comm)
         assert time.perf_counter() - t0 < PROMPT
@@ -152,29 +158,27 @@ def test_worker_error_names_the_rank_and_keeps_the_comm(size):
         assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("order", ["fifo", "lifo"])
-@pytest.mark.parametrize("posted", [2, 3, 5])
-def test_posted_folds_outgrow_the_slab_pool(posted, order):
-    """Each outstanding posted fold holds its own slab, so the pool grows
-    to one slab per fold in flight, whatever order they settle in; every
-    result is the simulator's, and close unlinks every slab."""
+def test_a_wider_fold_grows_the_one_slab():
+    """A fold wider than the slab gets a larger one, later folds of any
+    width reuse it, every result is the simulator's, and close unlinks
+    both slabs."""
     size = 3
-    rng = np.random.default_rng(posted)
-    groups = [rng.standard_normal((size, 100 * (i + 1)))
-              for i in range(posted)]
+    rng = np.random.default_rng(0)
+    narrow = rng.standard_normal((size, 100))
+    wide = rng.standard_normal((size, _MIN_ARENA_ELEMS + 100))
     sim = SimComm(generic_cpu(), size, Tracer())
     comm = _comm(size)
     try:
-        requests = [comm.post_allreduce([g.copy()]) for g in groups]
-        assert len(comm._shms) == posted
-        order_ = range(posted) if order == "fifo" else reversed(range(posted))
-        for i in order_:
-            (got,) = comm.wait(requests[i])
-            assert got.tobytes() == sim.allreduce([groups[i].copy()])[0] \
+        slabs = []
+        for group in (narrow, wide, narrow, wide):
+            (got,) = comm.allreduce([group.copy()])
+            assert got.tobytes() == sim.allreduce([group.copy()])[0] \
                 .tobytes()
-        assert len(comm._slab_pool) == posted
-        comm.allreduce([groups[-1].copy()])   # a pooled slab is reused
-        assert len(comm._shms) == posted
+            slabs.append(comm._slab[0])
+        assert slabs[0] is not slabs[1]
+        assert slabs[1:] == [slabs[1]] * 3
+        assert slabs[1].size >= 8 * size * wide.shape[1]
+        assert comm._shms == slabs[:2]
         _close_leaves_no_segment(comm)
     finally:
         comm.close()

@@ -1,11 +1,12 @@
-"""The one reduction primitive: ``allreduce(groups)`` and its posted twin.
+"""The one reduction primitive: ``allreduce(groups)``.
 
 Every global reduction is pack -> fold -> unpack over one ``(ranks, W)``
 buffer.  Its definition is the per-group pairwise list fold kept below as
 the oracle — ``items[i] + items[i + half]`` per level, odd leftover
 carried, in float64 — and the properties hold the production core (on
-both backends, blocking and posted) to it byte for byte, and the charge
-to ``payload = sum(elements * contribution itemsize)``.
+both backends) to it byte for byte, and the charge to ``payload = 8 *
+elements``: both transports move float64 whatever the contribution
+dtype.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ def build(rng, ranks, specs):
                 for shape, dtype, _ in specs]
     groups = [np.stack(items) if stacked else items
               for items, (_, _, stacked) in zip(per_rank, specs)]
-    payload = float(sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-                        for shape, dtype, _ in specs))
+    payload = float(sum(int(np.prod(shape)) * 8 for shape, _, _ in specs))
     return groups, per_rank, payload
 
 
@@ -77,20 +77,14 @@ def assert_matches_oracle(results, per_rank, specs):
 def test_allreduce_equals_per_group_pairwise_fold(ranks, specs, seed):
     groups, per_rank, payload = build(np.random.default_rng(seed), ranks,
                                       specs)
-    blocking = SimComm(summit(), ranks, Tracer())
-    posting = SimComm(summit(), ranks, Tracer())
+    comm = SimComm(summit(), ranks, Tracer())
     before = [np.array(g, copy=True) for g in groups]
 
-    assert_matches_oracle(blocking.allreduce(groups), per_rank, specs)
-    request = posting.post_allreduce(groups)
-    assert posting.tracer.clock == 0.0  # the post itself is free
-    assert_matches_oracle(posting.wait(request), per_rank, specs)
-
-    # one collective of the summed payload, posted or not
-    for comm in (blocking, posting):
-        assert comm.tracer.clock == comm.cost.allreduce(payload, ranks)
-        assert comm.tracer.collective_counts(payload_bytes=True)[
-            "allreduce"] == {"count": 1, "bytes": payload}
+    assert_matches_oracle(comm.allreduce(groups), per_rank, specs)
+    # one collective of the summed payload
+    assert comm.tracer.clock == comm.cost.allreduce(payload, ranks)
+    assert comm.tracer.collective_counts(payload_bytes=True)[
+        "allreduce"] == {"count": 1, "bytes": payload}
     # the caller's contributions are never written
     for g, b in zip(groups, before):
         assert np.array(g).tobytes() == b.tobytes()
@@ -119,12 +113,10 @@ def test_mp_allreduce_equals_per_group_pairwise_fold(mp_comms, size, specs,
     sim = SimComm(generic_cpu(), size, Tracer())
     comm.tracer.reset()
     comm.modeled.reset()
-    # a posted reduction settled after a blocking one: two slabs live at
-    # once, and the blocking call's acks overtake the posted one's
+    # twice: the second fold reuses the slab the first one left
     for c in (sim, comm):
-        request = c.post_allreduce(groups)
-        assert_matches_oracle(c.allreduce(groups), per_rank, specs)
-        assert_matches_oracle(c.wait(request), per_rank, specs)
+        for _ in range(2):
+            assert_matches_oracle(c.allreduce(groups), per_rank, specs)
     # the modeled twin is the simulator's charge stream ...
     assert comm.modeled.snapshot() == sim.tracer.snapshot()
     # ... and the measured stream records the same events on wall clock
@@ -132,7 +124,6 @@ def test_mp_allreduce_equals_per_group_pairwise_fold(mp_comms, size, specs,
     assert comm.tracer.payload_bytes == sim.tracer.payload_bytes
     assert comm.tracer.collective_counts(payload_bytes=True)[
         "allreduce"] == {"count": 2, "bytes": 2 * payload}
-    assert comm.tracer.overlapped_seconds(kernel="allreduce") > 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,8 +165,7 @@ class TestPackRejectsRaggedGroups:
     def untouched(comm):
         """A probe whose ``assert_same`` fails if anything was charged
         (either clock) or any command was sent to a worker."""
-        state = (comm.tracer.snapshot(), getattr(comm, "_tok", None),
-                 len(comm._inflight))
+        state = (comm.tracer.snapshot(), getattr(comm, "_tok", None))
         modeled = getattr(comm, "modeled", comm.tracer)
         modeled_clock = modeled.clock
 
@@ -183,15 +173,13 @@ class TestPackRejectsRaggedGroups:
             assert comm.tracer.since(state[0]).clock == 0.0
             assert modeled.clock == modeled_clock
             assert getattr(comm, "_tok", None) == state[1]
-            assert len(comm._inflight) == state[2]
         return assert_same
 
-    @pytest.mark.parametrize("call", ["allreduce", "post_allreduce"])
-    def test_mismatched_shapes_in_one_group(self, comm2, call):
+    def test_mismatched_shapes_in_one_group(self, comm2):
         check = self.untouched(comm2)
         with pytest.raises(CommunicatorError,
                            match=r"group 0.*\(1, 2\).*\(2, 2\)"):
-            getattr(comm2, call)([[np.ones((2, 2)), np.ones((1, 2))]])
+            comm2.allreduce([[np.ones((2, 2)), np.ones((1, 2))]])
         check()
 
     def test_names_the_offending_group(self, comm2):
@@ -216,40 +204,6 @@ class TestPackRejectsRaggedGroups:
         check()
 
 
-class TestBlockingInsideOverlapWindow:
-    """A blocking ``allreduce`` is a charge like any other: issued while
-    a posted collective is in flight, it drains that request.  (Defining
-    it as ``wait(post_allreduce(...))`` would not — a wait's charge
-    drains nothing.)"""
-
-    def test_blocking_allreduce_drains_posted_halo(self):
-        comm = SimComm(summit(), 8, Tracer())
-        recv = [{(r + 1) % 8: 1.0e6, (r - 1) % 8: 1.0e6} for r in range(8)]
-        halo = comm.post_ihalo(recv)
-        reduce_s = comm.cost.allreduce(16 * 8.0, 8)
-        assert 0.0 < reduce_s < halo.seconds  # partial drain
-
-        comm.allreduce([np.ones((8, 16))])
-        assert halo.hidden == reduce_s
-        assert halo.remaining == halo.seconds - reduce_s
-        assert comm.tracer.clock == reduce_s
-
-        comm.wait(halo)
-        assert comm.tracer.kernel_seconds("other", "halo") == \
-            halo.seconds - reduce_s
-        assert comm.tracer.overlapped_seconds(kernel="halo") == reduce_s
-        assert comm.tracer.clock == reduce_s + (halo.seconds - reduce_s)
-        assert comm.tracer.collective_counts() == {
-            "allreduce": 1, "halo": 1}
-
-    def test_wait_of_posted_allreduce_drains_nothing(self):
-        comm = SimComm(summit(), 8, Tracer())
-        recv = [{(r + 1) % 8: 1.0e6} for r in range(8)]
-        halo = comm.post_ihalo(recv)
-        comm.wait(comm.post_allreduce([np.ones((8, 16))]))
-        assert halo.hidden == 0.0
-
-
 class TestEmptyGroups:
     def test_blocking_charges_nothing(self, mp_comms):
         for comm in (SimComm(generic_cpu(), 3, Tracer()), mp_comms[3]):
@@ -257,14 +211,3 @@ class TestEmptyGroups:
             assert comm.allreduce([]) == []
             totals = comm.tracer.since(before)
             assert totals.clock == 0.0 and not any(totals.counts.values())
-
-    def test_posted_is_a_zero_cost_request(self, mp_comms):
-        for comm in (SimComm(generic_cpu(), 3, Tracer()), mp_comms[3]):
-            modeled = getattr(comm, "modeled", comm.tracer)
-            before = modeled.snapshot()
-            request = comm.post_allreduce([])
-            assert request.seconds == 0.0 and request.payload_bytes == 0.0
-            assert comm.wait(request) == []
-            totals = modeled.since(before)
-            assert totals.clock == 0.0
-            assert totals.counts[("other", "allreduce")] == 1

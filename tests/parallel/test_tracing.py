@@ -272,8 +272,7 @@ class TestSpanStream:
         live.enable_spans()
         with live.phase("ortho"):
             live.add("dot", 0.5, flops=10.0, mem_bytes=80.0)
-            live.add("allreduce", 0.25, payload_bytes=8.0,
-                     overlapped_seconds=0.125)
+            live.add("allreduce", 0.25, payload_bytes=8.0)
         with live.phase("spmv"):
             live.add("halo", 0.125, count=0, payload_bytes=4.0,
                      driver_side=True)
@@ -418,6 +417,17 @@ class TestSerialization:
             "other", "modeled", "kernel", 1)
         assert s.payload_bytes is None and s.rank is None
         assert s.driver_side is False
+
+    def test_a_retired_field_of_an_older_export_is_ignored(self):
+        """Exports written while charges carried a hidden-time field
+        (``overlapped_seconds``) still load, and replay to the same
+        totals."""
+        doc = SpanEvent("allreduce", 0.0, 0.5, "ortho", payload_bytes=8.0
+                        ).to_dict()
+        old = dict(doc, overlapped_seconds=0.25)
+        assert SpanEvent.from_dict(old) == SpanEvent.from_dict(doc)
+        assert (Tracer().replay([SpanEvent.from_dict(old)]).snapshot()
+                == Tracer().replay([SpanEvent.from_dict(doc)]).snapshot())
 
     def test_totals_to_dict_flattens_keys(self):
         t = Tracer()

@@ -102,7 +102,7 @@ class TestCommunicatorSections:
     exist (they once said ``stacked_allreduce_sum``)."""
 
     SECTIONS = (("architecture.md", "## The Communicator protocol"),
-                ("cost-model.md", "## Overlap windows"))
+                ("cost-model.md", "## Collectives"))
     #: A backticked ``name``, ``name(...)`` or ``comm.name(...)`` whose
     #: name carries a collective's stem is a communicator call.
     CALL = re.compile(

@@ -36,10 +36,14 @@ EXPORTED_FOR_TESTS = (
 
 #: Names no file under :data:`RETIRED_SCOPE` may contain again: those of
 #: the low-precision storage layer (every vector is fp64, and no charge
-#: carries a word size).  A later deletion appends its own.
+#: carries a word size), then those of the nonblocking collectives and
+#: the overlapped CA kernel (every collective is blocking).  A later
+#: deletion appends its own.
 RETIRED = (
     "storage=", "accumulate=", "quantize", "round_bf16", "STORAGE_SPECS",
     "ACCUMULATE_SPECS", "word_bytes",
+    "ca_overlap", "post_allreduce", "post_ihalo", "overlapped",
+    "CommRequest", "comm_overlap",
 )
 RETIRED_SCOPE = ("src", "docs", "README.md", "examples", "scripts")
 
